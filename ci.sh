@@ -20,6 +20,10 @@
 # `./ci.sh --balancer` runs the replica-set/adaptive-routing suite
 # (tests/balancer.rs) and a smoke-scale E13 experiment (emitting
 # BENCH_exp_balancer.json). Advisory/non-blocking in CI.
+#
+# `./ci.sh --bench-smoke` runs every benchmark workload briefly,
+# untraced and traced, and checks each one's outputs (perfbench/smoke.py).
+# Advisory/non-blocking in CI.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -29,6 +33,13 @@ if [[ "${1:-}" == "--lint" ]]; then
     echo "==> lint: cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
     echo "Lint run green."
+    exit 0
+fi
+
+if [[ "${1:-}" == "--bench-smoke" ]]; then
+    echo "==> bench-smoke: every workload's output checks"
+    python3 perfbench/smoke.py
+    echo "Bench smoke run green."
     exit 0
 fi
 

@@ -8,7 +8,7 @@
 //!   candidate offers — refreshed on a jittered interval, with
 //!   delta-based add/evict so per-replica state survives refreshes;
 //! * every replica carries [`ReplicaStats`] — EWMA latency, in-flight
-//!   count, error rate, and the last monitor-pushed load value — fed by
+//!   count, error count, and the last monitor-pushed load value — fed by
 //!   call outcomes and monitor events;
 //! * a pluggable [`RoutingPolicy`] picks the replica for each call:
 //!   [`RoundRobin`], [`LeastInflight`], [`P2cEwma`]

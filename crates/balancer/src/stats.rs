@@ -1,8 +1,8 @@
 //! Per-replica runtime statistics.
 //!
 //! Every replica carries a lock-free [`ReplicaStats`]: an EWMA of
-//! observed call latency, the number of calls currently in flight, an
-//! EWMA error rate, and the last load value pushed by a monitor
+//! observed call latency, the number of calls currently in flight, call
+//! and error counts, and the last load value pushed by a monitor
 //! (see `adapta-monitor`'s `notifyEvent(evid, value)` pushes). Routing
 //! policies read these to score replicas; the caller feeds them from
 //! call outcomes.
@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Smoothing factor for the latency and error EWMAs. High enough that
+/// Smoothing factor for the latency EWMA. High enough that
 /// a degrading replica is noticed within a handful of calls, low
 /// enough that one outlier does not dominate.
 const EWMA_ALPHA: f64 = 0.3;
@@ -31,19 +31,17 @@ pub struct ReplicaStats {
     /// EWMA of successful-call latency, in microseconds (f64 bits).
     /// Zero means "no observation yet".
     ewma_latency_us: AtomicU64,
-    /// EWMA of the error indicator (1.0 = error, 0.0 = success),
-    /// stored as f64 bits.
-    error_ewma: AtomicU64,
     /// Last monitor-pushed load value (f64 bits); NaN bits = unset.
     last_load: AtomicU64,
 }
 
-/// Fold `sample` into the f64-bits EWMA stored in `cell`.
-fn ewma_update(cell: &AtomicU64, sample: f64, seed_on_first: bool) {
+/// Fold `sample` into the f64-bits EWMA stored in `cell`; the first
+/// sample (while the cell reads zero) seeds it.
+fn ewma_update(cell: &AtomicU64, sample: f64) {
     let mut current = cell.load(Ordering::Relaxed);
     loop {
         let prev = f64::from_bits(current);
-        let next = if prev == 0.0 && seed_on_first {
+        let next = if prev == 0.0 {
             sample
         } else {
             EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * prev
@@ -85,11 +83,10 @@ impl ReplicaStats {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
         if ok {
-            ewma_update(&self.ewma_latency_us, latency.as_secs_f64() * 1e6, true);
+            ewma_update(&self.ewma_latency_us, latency.as_secs_f64() * 1e6);
         } else {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        ewma_update(&self.error_ewma, if ok { 0.0 } else { 1.0 }, false);
     }
 
     /// Records a monitor-pushed load value.
@@ -121,11 +118,6 @@ impl ReplicaStats {
     pub fn ewma_latency(&self) -> Option<Duration> {
         let us = f64::from_bits(self.ewma_latency_us.load(Ordering::Relaxed));
         (us > 0.0).then(|| Duration::from_secs_f64(us / 1e6))
-    }
-
-    /// EWMA error rate in `[0, 1]`.
-    pub fn error_rate(&self) -> f64 {
-        f64::from_bits(self.error_ewma.load(Ordering::Relaxed))
     }
 
     /// Last monitor-pushed load value, if one arrived.
@@ -168,11 +160,10 @@ mod tests {
         }
         let settled = s.ewma_latency().unwrap();
         assert!(settled < Duration::from_millis(3), "{settled:?}");
-        assert_eq!(s.error_rate(), 0.0);
+        assert_eq!(s.errors(), 0);
 
         s.on_start();
         s.on_complete(Duration::from_millis(2), false);
-        assert!(s.error_rate() > 0.0);
         assert_eq!(s.errors(), 1);
         assert_eq!(s.inflight(), 0);
     }

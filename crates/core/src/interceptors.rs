@@ -111,17 +111,7 @@ struct HandleFor(Arc<AdaptiveRedirect>);
 
 impl ClientInterceptor for HandleFor {
     fn send_request(&self, info: &ClientRequestInfo<'_>) -> ClientAction {
-        let this = &self.0;
-        if info.target.type_id != this.service_type {
-            return ClientAction::Proceed;
-        }
-        match this.best_target() {
-            Some(best) if best != *info.target => {
-                this.redirects.fetch_add(1, Ordering::Relaxed);
-                ClientAction::Redirect(best)
-            }
-            _ => ClientAction::Proceed,
-        }
+        self.0.send_request(info)
     }
 }
 

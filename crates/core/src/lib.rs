@@ -40,7 +40,7 @@ pub use agent::ServiceAgent;
 pub use error::CoreError;
 pub use infra::{Infrastructure, ServerHandle, ServerSpec};
 pub use interceptors::AdaptiveRedirect;
-pub use resilience::{Admission, BreakerConfig, BreakerState, CircuitBreakerSet, RetryPolicy};
+pub use resilience::{Admission, BreakerConfig, BreakerState, RetryPolicy};
 pub use script_servant::ScriptServant;
 pub use smart_proxy::{
     BalancerConfig, NativeStrategy, SmartProxy, SmartProxyBuilder, Strategy, Subscription,

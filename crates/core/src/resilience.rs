@@ -1,13 +1,12 @@
 //! Client-side recovery policy: bounded retries with decorrelated
-//! jitter, and per-target circuit breakers.
+//! jitter, and a per-target health table with circuit breakers.
 //!
-//! Both plug into [`SmartProxy::invoke`](crate::SmartProxy::invoke),
-//! *ahead of* the existing failover/dead-target logic, and agree with
-//! it on one error taxonomy — [`OrbError::is_retryable`]: only
-//! environmental failures (transport faults, unreachable or draining
-//! nodes, expired deadlines, vanished servants) are ever retried;
-//! application exceptions mean the component is alive and are returned
-//! as-is.
+//! Both plug into [`SmartProxy::invoke`](crate::SmartProxy::invoke)'s
+//! one attempt loop and agree on one error taxonomy —
+//! [`OrbError::is_retryable`]: only environmental failures (transport
+//! faults, unreachable or draining nodes, expired deadlines, vanished
+//! servants) are ever retried; application exceptions mean the
+//! component is alive and are returned as-is.
 //!
 //! A [`RetryPolicy`] bounds the attempts of one logical invocation and
 //! spaces them with *decorrelated jitter* — each sleep is drawn
@@ -15,14 +14,17 @@
 //! synchronized retry storms apart instead of letting every client
 //! hammer a recovering server on the same schedule.
 //!
-//! A [`CircuitBreakerSet`] keeps one closed/open/half-open breaker per
-//! concrete target the proxy has talked to. A breaker opens when the
-//! failure rate over a sliding window of recent outcomes crosses a
-//! threshold; while open, calls to that target are refused up front
-//! (the proxy fails over instead of queueing on a corpse); after a
-//! cool-down one *probe* call is admitted half-open — success closes
-//! the breaker, failure re-opens it. Transitions are published under
-//! the `proxy.<type>.breaker.*` metric family.
+//! A [`HealthTable`] keeps one record per concrete target the proxy has
+//! talked to. The record's time of last failure makes the target *dead*
+//! for the proxy's dead-target TTL, so re-selection skips its stale
+//! offers. With a [`BreakerConfig`] the record is also a
+//! closed/open/half-open breaker: it opens when the failure rate over a
+//! sliding window of recent outcomes crosses a threshold; while open,
+//! calls to that target are refused up front (the proxy fails over
+//! instead of queueing on a corpse); after a cool-down one *probe* call
+//! is admitted half-open — success closes the breaker, failure re-opens
+//! it. Transitions are published under the `proxy.<type>.breaker.*`
+//! metric family.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -151,7 +153,7 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// The verdict of [`CircuitBreakerSet::admit`] for one call.
+/// The verdict of a target's breaker on one call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Closed breaker: proceed normally.
@@ -164,22 +166,27 @@ pub enum Admission {
     Reject,
 }
 
-struct TargetBreaker {
+/// One target's health record: its breaker window and state, and the
+/// time of its last retryable failure.
+#[derive(Debug)]
+struct TargetHealth {
     state: BreakerState,
     /// Sliding window of outcomes, `true` = failure.
     outcomes: VecDeque<bool>,
     opened_at: Instant,
     /// Whether the half-open probe slot is taken.
     probing: bool,
+    last_failure: Option<Instant>,
 }
 
-impl TargetBreaker {
-    fn new() -> TargetBreaker {
-        TargetBreaker {
+impl TargetHealth {
+    fn new() -> TargetHealth {
+        TargetHealth {
             state: BreakerState::Closed,
             outcomes: VecDeque::new(),
             opened_at: Instant::now(),
             probing: false,
+            last_failure: None,
         }
     }
 
@@ -196,22 +203,37 @@ impl TargetBreaker {
         }
         self.outcomes.iter().filter(|f| **f).count() as f64 / self.outcomes.len() as f64
     }
+
+    fn dead(&self, now: Instant, ttl: Duration) -> bool {
+        self.last_failure
+            .is_some_and(|at| now.duration_since(at) < ttl)
+    }
 }
 
-/// One breaker per concrete target, owned by a smart proxy (so the
-/// window reflects that proxy's own traffic). Keyed by target URI.
-pub struct CircuitBreakerSet {
-    config: BreakerConfig,
-    targets: Mutex<HashMap<String, TargetBreaker>>,
+/// A smart proxy's per-target health table: one record per concrete
+/// target it has talked to, so the breaker window reflects that proxy's
+/// own traffic. Without a [`BreakerConfig`] the breaker part is inert:
+/// every call is admitted and only failures are recorded.
+#[derive(Debug)]
+pub(crate) struct HealthTable {
+    breaker: Option<BreakerConfig>,
+    dead_ttl: Duration,
+    targets: Mutex<HashMap<ObjRef, TargetHealth>>,
     /// `proxy.<type>.breaker` — the metric family's prefix.
     prefix: String,
 }
 
-impl CircuitBreakerSet {
-    /// A breaker set for the proxy of `service_type`.
-    pub fn new(config: BreakerConfig, service_type: &str) -> CircuitBreakerSet {
-        CircuitBreakerSet {
-            config,
+impl HealthTable {
+    /// The health table of the proxy for `service_type`: a target that
+    /// failed counts as dead for `dead_ttl`.
+    pub(crate) fn new(
+        breaker: Option<BreakerConfig>,
+        dead_ttl: Duration,
+        service_type: &str,
+    ) -> HealthTable {
+        HealthTable {
+            breaker,
+            dead_ttl,
             targets: Mutex::new(HashMap::new()),
             prefix: format!("proxy.{service_type}.breaker"),
         }
@@ -224,28 +246,36 @@ impl CircuitBreakerSet {
     }
 
     /// Publishes how many targets currently sit in a non-closed state.
-    fn publish_open_gauge(&self, targets: &HashMap<String, TargetBreaker>) {
+    fn publish_open_gauge(&self, targets: &HashMap<ObjRef, TargetHealth>) {
         let open = targets
             .values()
-            .filter(|b| b.state != BreakerState::Closed)
+            .filter(|h| h.state != BreakerState::Closed)
             .count();
         registry()
             .gauge(&format!("{}.open_targets", self.prefix))
             .set(open as i64);
     }
 
+    /// Whether a circuit breaker is configured.
+    pub(crate) fn has_breaker(&self) -> bool {
+        self.breaker.is_some()
+    }
+
     /// Asks whether a call to `target` may proceed right now.
-    pub fn admit(&self, target: &ObjRef) -> Admission {
+    pub(crate) fn admit(&self, target: &ObjRef) -> Admission {
+        let Some(config) = &self.breaker else {
+            return Admission::Allow;
+        };
         let mut targets = self.targets.lock();
-        let breaker = targets
-            .entry(target.to_uri())
-            .or_insert_with(TargetBreaker::new);
-        match breaker.state {
+        let Some(health) = targets.get_mut(target) else {
+            return Admission::Allow;
+        };
+        match health.state {
             BreakerState::Closed => Admission::Allow,
             BreakerState::Open => {
-                if breaker.opened_at.elapsed() >= self.config.open_for {
-                    breaker.state = BreakerState::HalfOpen;
-                    breaker.probing = true;
+                if health.opened_at.elapsed() >= config.open_for {
+                    health.state = BreakerState::HalfOpen;
+                    health.probing = true;
                     self.count("half_open");
                     Admission::Probe
                 } else {
@@ -254,85 +284,100 @@ impl CircuitBreakerSet {
                 }
             }
             BreakerState::HalfOpen => {
-                if breaker.probing {
+                if health.probing {
                     self.count("rejected");
                     Admission::Reject
                 } else {
-                    breaker.probing = true;
+                    health.probing = true;
                     Admission::Probe
                 }
             }
         }
     }
 
-    /// Records a call that reached the target and got an answer (any
-    /// answer — an application exception still proves liveness).
-    pub fn on_success(&self, target: &ObjRef) {
+    /// Records one call's outcome: `ok` unless it failed retryably (an
+    /// application exception still proves the target alive). Only the
+    /// breaker reads successes, so without one a success takes no lock.
+    pub(crate) fn record(&self, target: &ObjRef, ok: bool) {
+        if ok && self.breaker.is_none() {
+            return;
+        }
+        let now = Instant::now();
         let mut targets = self.targets.lock();
+        if self.breaker.is_none() {
+            // Without a breaker a record is only its failure time: drop
+            // the ones whose TTL ran out.
+            targets.retain(|_, h| h.dead(now, self.dead_ttl));
+        }
         // Outcomes may arrive for targets that were never admitted
         // through `admit` (the balancer routes around open breakers by
         // state alone); they still must seed the sliding window.
-        let breaker = targets
-            .entry(target.to_uri())
-            .or_insert_with(TargetBreaker::new);
-        match breaker.state {
-            BreakerState::HalfOpen => {
-                breaker.state = BreakerState::Closed;
-                breaker.outcomes.clear();
-                breaker.probing = false;
-                self.count("closed");
-                self.publish_open_gauge(&targets);
-            }
-            _ => breaker.record(false, self.config.window),
+        if !targets.contains_key(target) {
+            targets.insert(target.clone(), TargetHealth::new());
         }
-    }
-
-    /// Records a retryable failure against the target.
-    pub fn on_failure(&self, target: &ObjRef) {
-        let mut targets = self.targets.lock();
-        let breaker = targets
-            .entry(target.to_uri())
-            .or_insert_with(TargetBreaker::new);
-        match breaker.state {
-            BreakerState::HalfOpen => {
-                // The probe failed: back to open, restart the cool-down.
-                breaker.state = BreakerState::Open;
-                breaker.opened_at = Instant::now();
-                breaker.probing = false;
-                self.count("opened");
-                self.publish_open_gauge(&targets);
-            }
-            BreakerState::Open => {}
+        let health = targets.get_mut(target).expect("record present");
+        if !ok {
+            health.last_failure = Some(now);
+        }
+        let Some(config) = &self.breaker else { return };
+        let transition = match health.state {
+            // The probe's outcome closes the breaker or restarts the
+            // cool-down.
+            BreakerState::HalfOpen if ok => Some((BreakerState::Closed, "closed")),
+            BreakerState::HalfOpen => Some((BreakerState::Open, "opened")),
+            BreakerState::Open => None,
             BreakerState::Closed => {
-                breaker.record(true, self.config.window);
-                if breaker.outcomes.len() >= self.config.min_calls
-                    && breaker.failure_rate() >= self.config.failure_threshold
-                {
-                    breaker.state = BreakerState::Open;
-                    breaker.opened_at = Instant::now();
-                    self.count("opened");
-                    self.publish_open_gauge(&targets);
-                }
+                health.record(!ok, config.window);
+                (!ok && health.outcomes.len() >= config.min_calls
+                    && health.failure_rate() >= config.failure_threshold)
+                    .then_some((BreakerState::Open, "opened"))
             }
+        };
+        if let Some((state, transition)) = transition {
+            health.state = state;
+            health.opened_at = now;
+            health.probing = false;
+            health.outcomes.clear();
+            self.count(transition);
+            self.publish_open_gauge(&targets);
         }
     }
 
-    /// The current state of the breaker for `target` (Closed when the
-    /// target was never called).
-    pub fn state(&self, target: &ObjRef) -> BreakerState {
+    /// The current breaker state for `target` (Closed when the target
+    /// was never called or no breaker is configured).
+    pub(crate) fn state(&self, target: &ObjRef) -> BreakerState {
+        if self.breaker.is_none() {
+            return BreakerState::Closed;
+        }
         self.targets
             .lock()
-            .get(&target.to_uri())
-            .map_or(BreakerState::Closed, |b| b.state)
+            .get(target)
+            .map_or(BreakerState::Closed, |h| h.state)
     }
-}
 
-impl std::fmt::Debug for CircuitBreakerSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CircuitBreakerSet")
-            .field("config", &self.config)
-            .field("targets", &self.targets.lock().len())
-            .finish()
+    /// Whether `target` failed within the dead-target TTL.
+    pub(crate) fn is_dead(&self, target: &ObjRef) -> bool {
+        !self.dead_ttl.is_zero()
+            && self
+                .targets
+                .lock()
+                .get(target)
+                .is_some_and(|h| h.dead(Instant::now(), self.dead_ttl))
+    }
+
+    /// Drops the record of a target that left the proxy's view (a
+    /// replica evicted from its set), so churn cannot grow the table.
+    pub(crate) fn forget(&self, target: &ObjRef) {
+        let mut targets = self.targets.lock();
+        if targets.remove(target).is_some() && self.breaker.is_some() {
+            self.publish_open_gauge(&targets);
+        }
+    }
+
+    /// How many targets have a record.
+    #[cfg(test)]
+    pub(crate) fn tracked_targets(&self) -> usize {
+        self.targets.lock().len()
     }
 }
 
@@ -342,6 +387,10 @@ mod tests {
 
     fn target(n: u16) -> ObjRef {
         ObjRef::new(format!("tcp://127.0.0.1:{n}"), "svc", "T")
+    }
+
+    fn breakers(config: BreakerConfig) -> HealthTable {
+        HealthTable::new(Some(config), Duration::from_secs(5), "T")
     }
 
     #[test]
@@ -371,91 +420,123 @@ mod tests {
 
     #[test]
     fn breaker_opens_at_failure_threshold() {
-        let set = CircuitBreakerSet::new(
-            BreakerConfig {
-                window: 4,
-                min_calls: 4,
-                failure_threshold: 0.5,
-                open_for: Duration::from_millis(50),
-            },
-            "T",
-        );
+        let set = breakers(BreakerConfig {
+            window: 4,
+            min_calls: 4,
+            failure_threshold: 0.5,
+            open_for: Duration::from_millis(50),
+        });
         let t = target(1);
         assert_eq!(set.admit(&t), Admission::Allow);
-        set.on_failure(&t);
-        set.on_success(&t);
-        set.on_failure(&t);
+        set.record(&t, false);
+        set.record(&t, true);
+        set.record(&t, false);
         assert_eq!(set.state(&t), BreakerState::Closed); // 2/3 but < min_calls
-        set.on_failure(&t); // 3 failures / 4 outcomes
+        set.record(&t, false); // 3 failures / 4 outcomes
         assert_eq!(set.state(&t), BreakerState::Open);
         assert_eq!(set.admit(&t), Admission::Reject);
     }
 
     #[test]
     fn breaker_half_opens_then_closes_on_probe_success() {
-        let set = CircuitBreakerSet::new(
-            BreakerConfig {
-                window: 2,
-                min_calls: 2,
-                failure_threshold: 0.5,
-                open_for: Duration::from_millis(10),
-            },
-            "T",
-        );
+        let set = breakers(BreakerConfig {
+            window: 2,
+            min_calls: 2,
+            failure_threshold: 0.5,
+            open_for: Duration::from_millis(10),
+        });
         let t = target(2);
         set.admit(&t);
-        set.on_failure(&t);
-        set.on_failure(&t);
+        set.record(&t, false);
+        set.record(&t, false);
         assert_eq!(set.state(&t), BreakerState::Open);
         std::thread::sleep(Duration::from_millis(15));
         assert_eq!(set.admit(&t), Admission::Probe);
         assert_eq!(set.state(&t), BreakerState::HalfOpen);
         // A second caller during the probe is still rejected.
         assert_eq!(set.admit(&t), Admission::Reject);
-        set.on_success(&t);
+        set.record(&t, true);
         assert_eq!(set.state(&t), BreakerState::Closed);
         assert_eq!(set.admit(&t), Admission::Allow);
     }
 
     #[test]
     fn breaker_reopens_on_probe_failure() {
-        let set = CircuitBreakerSet::new(
-            BreakerConfig {
-                window: 2,
-                min_calls: 2,
-                failure_threshold: 0.5,
-                open_for: Duration::from_millis(10),
-            },
-            "T",
-        );
+        let set = breakers(BreakerConfig {
+            window: 2,
+            min_calls: 2,
+            failure_threshold: 0.5,
+            open_for: Duration::from_millis(10),
+        });
         let t = target(3);
         set.admit(&t);
-        set.on_failure(&t);
-        set.on_failure(&t);
+        set.record(&t, false);
+        set.record(&t, false);
         std::thread::sleep(Duration::from_millis(15));
         assert_eq!(set.admit(&t), Admission::Probe);
-        set.on_failure(&t);
+        set.record(&t, false);
         assert_eq!(set.state(&t), BreakerState::Open);
         assert_eq!(set.admit(&t), Admission::Reject);
     }
 
     #[test]
     fn breakers_are_per_target() {
-        let set = CircuitBreakerSet::new(
-            BreakerConfig {
-                window: 2,
-                min_calls: 2,
-                failure_threshold: 0.5,
-                open_for: Duration::from_secs(10),
-            },
-            "T",
-        );
+        let set = breakers(BreakerConfig {
+            window: 2,
+            min_calls: 2,
+            failure_threshold: 0.5,
+            open_for: Duration::from_secs(10),
+        });
         let (a, b) = (target(4), target(5));
         set.admit(&a);
         set.admit(&b);
-        set.on_failure(&a);
-        set.on_failure(&a);
+        set.record(&a, false);
+        set.record(&a, false);
         assert_eq!(set.state(&a), BreakerState::Open);
         assert_eq!(set.admit(&b), Admission::Allow);
+    }
+
+    #[test]
+    fn failures_make_a_target_dead_for_the_ttl() {
+        let table = HealthTable::new(None, Duration::from_millis(20), "T");
+        let (a, b) = (target(6), target(7));
+        table.record(&a, false);
+        assert!(table.is_dead(&a));
+        assert!(!table.is_dead(&b));
+        std::thread::sleep(Duration::from_millis(25));
+        assert!(!table.is_dead(&a));
+        // The expired record is pruned by the next failure.
+        table.record(&b, false);
+        assert_eq!(table.tracked_targets(), 1);
+    }
+
+    #[test]
+    fn without_a_breaker_successes_are_not_recorded() {
+        let table = HealthTable::new(None, Duration::from_secs(5), "T");
+        let t = target(8);
+        for _ in 0..10 {
+            table.record(&t, false);
+        }
+        assert_eq!(table.admit(&t), Admission::Allow);
+        assert_eq!(table.state(&t), BreakerState::Closed);
+        table.record(&target(9), true);
+        assert_eq!(table.tracked_targets(), 1);
+    }
+
+    #[test]
+    fn forgetting_a_target_drops_its_record() {
+        let table = breakers(BreakerConfig {
+            window: 1,
+            min_calls: 1,
+            failure_threshold: 0.5,
+            open_for: Duration::from_secs(10),
+        });
+        let t = target(10);
+        table.record(&t, false);
+        assert_eq!(table.state(&t), BreakerState::Open);
+        table.forget(&t);
+        assert_eq!(table.tracked_targets(), 0);
+        assert_eq!(table.state(&t), BreakerState::Closed);
+        assert!(!table.is_dead(&t));
     }
 }

@@ -25,7 +25,7 @@ use adapta_trading::{OfferMatch, Query, TradingService};
 use parking_lot::Mutex;
 
 use crate::error::CoreError;
-use crate::resilience::{Admission, BreakerConfig, BreakerState, CircuitBreakerSet, RetryPolicy};
+use crate::resilience::{Admission, BreakerConfig, BreakerState, HealthTable, RetryPolicy};
 use crate::script_env;
 use crate::Result;
 
@@ -78,6 +78,7 @@ impl Subscription {
 pub type NativeStrategy = Arc<dyn Fn(&SmartProxy, &str) + Send + Sync>;
 
 /// How a smart proxy reacts to an event.
+#[derive(Clone)]
 pub enum Strategy {
     /// Re-run the primary query; keep the current component when
     /// nothing better matches (the default).
@@ -101,10 +102,16 @@ impl std::fmt::Debug for Strategy {
 }
 
 struct Binding {
-    target: ObjRef,
     offer: OfferMatch,
     /// `(monitor, observer id)` pairs to detach on rebind.
     attachments: Vec<(ObjRef, i64)>,
+}
+
+/// The target of one attempt, with the replica it came from in
+/// balanced mode (whose stats the outcome feeds).
+struct Pick {
+    target: ObjRef,
+    replica: Option<Arc<Replica>>,
 }
 
 /// Configuration of the proxy's balanced mode (see
@@ -169,21 +176,18 @@ struct SpInner {
     fallback_on_empty: bool,
     immediate_handling: bool,
     call_deadline: Option<Duration>,
-    dead_target_ttl: Duration,
     retry: RetryPolicy,
-    breakers: Option<CircuitBreakerSet>,
+    /// Per-target breaker state and time of last failure: re-selection
+    /// skips the (possibly stale) offers of targets that failed within
+    /// the dead-target TTL, so repeated failovers converge instead of
+    /// ping-ponging back onto a dead server.
+    health: HealthTable,
     subscriptions: Vec<Subscription>,
     strategies: Mutex<HashMap<String, Strategy>>,
     binding: Mutex<Option<Binding>>,
-    /// Recently failed targets with their time of death: re-selection
-    /// skips their (possibly stale) trader offers until the TTL lapses,
-    /// so repeated failovers converge instead of ping-ponging back onto
-    /// a dead server.
-    dead_targets: Mutex<Vec<(ObjRef, Instant)>>,
     balanced: Option<BalancedState>,
     events: Mutex<VecDeque<String>>,
     observer_ref: OnceLock<ObjRef>,
-    observer_key: Mutex<String>,
     actor: Mutex<Option<ScriptActor>>,
     facade: OnceLock<FuncHandle>,
     invocations: AtomicU64,
@@ -197,22 +201,6 @@ struct SpInner {
 }
 
 impl SpInner {
-    /// Remembers `target` as dead (refreshing its timestamp) and prunes
-    /// expired entries.
-    fn note_dead(&self, target: &ObjRef) {
-        let now = Instant::now();
-        let mut dead = self.dead_targets.lock();
-        dead.retain(|(t, since)| t != target && now.duration_since(*since) < self.dead_target_ttl);
-        dead.push((target.clone(), now));
-    }
-
-    /// The targets still considered dead right now.
-    fn dead_snapshot(&self) -> Vec<ObjRef> {
-        let now = Instant::now();
-        let mut dead = self.dead_targets.lock();
-        dead.retain(|(_, since)| now.duration_since(*since) < self.dead_target_ttl);
-        dead.iter().map(|(t, _)| t.clone()).collect()
-    }
     /// Registry metric name under this proxy's `smartproxy.<type>.`
     /// namespace.
     fn metric(&self, stat: &str) -> String {
@@ -247,29 +235,13 @@ impl SpInner {
     /// `last load` stat current (balanced mode only).
     fn attach_load_feed(&self, replica: &Arc<Replica>) {
         let Some(bal) = &self.balanced else { return };
-        let Some(observer) = self.observer_ref.get() else {
-            return;
-        };
-        let mut ids = Vec::new();
-        for (prop, monitor) in replica.dynamic_refs() {
-            if prop != bal.load_property {
-                continue;
-            }
-            let event = format!("{LOAD_EVENT_PREFIX}{}", replica.key());
-            if let Ok(Value::Long(id)) = self.orb.invoke_ref(
-                &monitor,
-                "attachEventObserver",
-                vec![
-                    Value::ObjRef(observer.clone()),
-                    Value::from(event.as_str()),
-                    Value::from(LOAD_FEED_PREDICATE),
-                ],
-            ) {
-                ids.push((monitor.clone(), id));
-            }
-            // An unreachable monitor is not fatal: the replica is still
-            // routable, just without a live load signal.
-        }
+        let event = format!("{LOAD_EVENT_PREFIX}{}", replica.key());
+        let ids: Vec<_> = replica
+            .dynamic_refs()
+            .iter()
+            .filter(|(prop, _)| *prop == bal.load_property)
+            .filter_map(|(_, monitor)| self.attach_observer(monitor, &event, LOAD_FEED_PREDICATE))
+            .collect();
         if !ids.is_empty() {
             bal.attachments
                 .lock()
@@ -280,13 +252,40 @@ impl SpInner {
     /// Detaches the load-feed subscriptions of an evicted replica.
     fn detach_load_feed(&self, replica: &Arc<Replica>) {
         let Some(bal) = &self.balanced else { return };
-        let Some(ids) = bal.attachments.lock().remove(replica.key()) else {
-            return;
-        };
-        for (monitor, id) in ids {
+        let ids = bal.attachments.lock().remove(replica.key());
+        self.detach_observers(&ids.unwrap_or_default());
+    }
+
+    /// Registers the proxy's observer with `monitor` for `event`.
+    /// `None` when the monitor is unreachable, which is not fatal: the
+    /// target stays usable, just without this subscription.
+    fn attach_observer(
+        &self,
+        monitor: &ObjRef,
+        event: &str,
+        predicate: &str,
+    ) -> Option<(ObjRef, i64)> {
+        let observer = self.observer_ref.get()?;
+        match self.orb.invoke_ref(
+            monitor,
+            "attachEventObserver",
+            vec![
+                Value::ObjRef(observer.clone()),
+                Value::from(event),
+                Value::from(predicate),
+            ],
+        ) {
+            Ok(Value::Long(id)) => Some((monitor.clone(), id)),
+            _ => None,
+        }
+    }
+
+    /// Cancels `(monitor, observer id)` registrations.
+    fn detach_observers(&self, attachments: &[(ObjRef, i64)]) {
+        for (monitor, id) in attachments {
             let _ = self
                 .orb
-                .invoke_ref(&monitor, "detachEventObserver", vec![Value::Long(id)]);
+                .invoke_ref(monitor, "detachEventObserver", vec![Value::Long(*id)]);
         }
     }
 
@@ -393,9 +392,9 @@ impl SmartProxyBuilder {
         self
     }
 
-    /// How long a failed target stays on the proxy's dead list (its
-    /// stale trader offers are skipped during re-selection within the
-    /// TTL). Defaults to 5 seconds.
+    /// How long a failed target counts as dead in the proxy's health
+    /// table (its stale trader offers are skipped during re-selection
+    /// within the TTL). Defaults to 5 seconds.
     pub fn dead_target_ttl(mut self, ttl: Duration) -> Self {
         self.dead_target_ttl = ttl;
         self
@@ -486,9 +485,7 @@ impl SmartProxyBuilder {
     /// Trading/broker errors, script compilation errors, or
     /// [`CoreError::NoSuitableOffer`] when nothing is available.
     pub fn build(self) -> Result<SmartProxy> {
-        let breakers = self
-            .breaker
-            .map(|config| CircuitBreakerSet::new(config, &self.service_type));
+        let health = HealthTable::new(self.breaker, self.dead_target_ttl, &self.service_type);
         let balancer_config = self.balancer;
         let balanced = balancer_config.as_ref().map(|cfg| {
             let query = Query::new(&self.service_type)
@@ -510,17 +507,14 @@ impl SmartProxyBuilder {
             fallback_on_empty: self.fallback_on_empty,
             immediate_handling: self.immediate_handling,
             call_deadline: self.call_deadline,
-            dead_target_ttl: self.dead_target_ttl,
             retry: self.retry,
-            breakers,
+            health,
             subscriptions: self.subscriptions,
-            strategies: Mutex::new(HashMap::new()),
+            strategies: Mutex::new(self.native_strategies.into_iter().collect()),
             binding: Mutex::new(None),
-            dead_targets: Mutex::new(Vec::new()),
             balanced,
             events: Mutex::new(VecDeque::new()),
             observer_ref: OnceLock::new(),
-            observer_key: Mutex::new(String::new()),
             actor: Mutex::new(None),
             facade: OnceLock::new(),
             invocations: AtomicU64::new(0),
@@ -568,47 +562,40 @@ impl SmartProxyBuilder {
             Ok(Value::Null)
         });
         let objref = proxy.inner.orb.activate_auto(observer);
-        *proxy.inner.observer_key.lock() = objref.key.clone();
         proxy
             .inner
             .observer_ref
             .set(objref)
             .expect("observer ref set once");
 
-        for (event, strategy) in self.native_strategies {
-            proxy.inner.strategies.lock().insert(event, strategy);
-        }
         for (event, code) in self.script_strategies {
             proxy.set_strategy_script(&event, &code)?;
         }
 
-        if let Some(bal) = &proxy.inner.balanced {
-            // Lifecycle hooks attach/detach the load feed; installed
-            // before the first refresh so the initial replicas get one.
-            let weak = Arc::downgrade(&proxy.inner);
-            bal.set.on_added(Box::new(move |replica| {
-                if let Some(inner) = weak.upgrade() {
-                    inner.attach_load_feed(replica);
-                }
-            }));
-            let weak = Arc::downgrade(&proxy.inner);
-            bal.set.on_evicted(Box::new(move |replica| {
-                if let Some(inner) = weak.upgrade() {
-                    inner.detach_load_feed(replica);
-                }
-            }));
-            bal.set.refresh()?;
-            if !self.lazy && bal.set.is_empty() {
-                return Err(CoreError::NoSuitableOffer {
-                    service_type: proxy.inner.service_type.clone(),
-                });
+        let found = match (&proxy.inner.balanced, &balancer_config) {
+            (Some(bal), Some(config)) => {
+                // Lifecycle hooks attach/detach the load feed; installed
+                // before the first refresh so the initial replicas get one.
+                let weak = Arc::downgrade(&proxy.inner);
+                bal.set.on_added(Box::new(move |replica| {
+                    if let Some(inner) = weak.upgrade() {
+                        inner.attach_load_feed(replica);
+                    }
+                }));
+                let weak = Arc::downgrade(&proxy.inner);
+                bal.set.on_evicted(Box::new(move |replica| {
+                    if let Some(inner) = weak.upgrade() {
+                        inner.detach_load_feed(replica);
+                        inner.health.forget(replica.target());
+                    }
+                }));
+                bal.set.refresh()?;
+                bal.set.start_refresher(config.refresh_interval);
+                !bal.set.is_empty()
             }
-            let interval = balancer_config
-                .as_ref()
-                .map(|c| c.refresh_interval)
-                .unwrap_or_else(|| BalancerConfig::default().refresh_interval);
-            bal.set.start_refresher(interval);
-        } else if !self.lazy && !proxy.select_with(&proxy.inner.constraint.clone(), true)? {
+            _ => self.lazy || proxy.select_with(&proxy.inner.constraint, true)?,
+        };
+        if !self.lazy && !found {
             return Err(CoreError::NoSuitableOffer {
                 service_type: proxy.inner.service_type.clone(),
             });
@@ -654,7 +641,11 @@ impl SmartProxy {
 
     /// The currently bound component, if any.
     pub fn current_target(&self) -> Option<ObjRef> {
-        self.inner.binding.lock().as_ref().map(|b| b.target.clone())
+        self.inner
+            .binding
+            .lock()
+            .as_ref()
+            .map(|b| b.offer.target.clone())
     }
 
     /// The offer behind the current binding, if any.
@@ -713,8 +704,9 @@ impl SmartProxy {
 
     /// The circuit-breaker state for `target`, when a breaker is
     /// configured (see [`SmartProxyBuilder::circuit_breaker`]).
-    pub fn breaker_state(&self, target: &ObjRef) -> Option<crate::resilience::BreakerState> {
-        self.inner.breakers.as_ref().map(|b| b.state(target))
+    pub fn breaker_state(&self, target: &ObjRef) -> Option<BreakerState> {
+        let health = &self.inner.health;
+        health.has_breaker().then(|| health.state(target))
     }
 
     /// Stale offers of known-dead targets skipped during re-selection
@@ -874,7 +866,7 @@ impl SmartProxy {
             let summary = bal.set.refresh()?;
             return Ok(summary.added > 0 || summary.evicted > 0);
         }
-        self.select_with(&self.inner.constraint.clone(), false)
+        self.select_with(&self.inner.constraint, false)
     }
 
     /// Runs a query with an explicit constraint; rebinds on a match.
@@ -885,15 +877,16 @@ impl SmartProxy {
     ///
     /// Trading errors.
     pub fn select_with(&self, constraint: &str, fallback: bool) -> Result<bool> {
-        self.select_excluding(constraint, fallback, None)
+        self.select_excluding(constraint, fallback, &[])
     }
 
     /// Like [`select_with`](Self::select_with), skipping offers whose
-    /// target is `exclude` (used after a component failure so the
-    /// failover does not rebind the dead server, whose stale offer may
-    /// still be registered). Every selection additionally skips targets
-    /// on the proxy's short-TTL dead list, so a `reselect()` moments
-    /// after a failover cannot re-pick the dead server's stale offer.
+    /// target is in `exclude` (used after component failures so the
+    /// failover does not rebind a server that already failed in this
+    /// invocation, whose stale offer may still be registered). Every
+    /// selection additionally skips targets that failed within the
+    /// dead-target TTL, so a `reselect()` moments after a failover
+    /// cannot re-pick the dead server's stale offer.
     ///
     /// # Errors
     ///
@@ -902,17 +895,16 @@ impl SmartProxy {
         &self,
         constraint: &str,
         fallback: bool,
-        exclude: Option<&ObjRef>,
+        exclude: &[ObjRef],
     ) -> Result<bool> {
-        let dead = self.inner.dead_snapshot();
         let filter = |matches: Vec<OfferMatch>| -> Vec<OfferMatch> {
             matches
                 .into_iter()
                 .filter(|m| {
-                    if exclude.is_some_and(|x| m.target == *x) {
+                    if exclude.contains(&m.target) {
                         return false;
                     }
-                    if dead.contains(&m.target) {
+                    if self.inner.health.is_dead(&m.target) {
                         self.inner.repicks_avoided.fetch_add(1, Ordering::Relaxed);
                         registry()
                             .counter(&self.inner.metric("failover.repicks_avoided"))
@@ -960,53 +952,27 @@ impl SmartProxy {
     pub fn unbind(&self) {
         let old = self.inner.binding.lock().take();
         if let Some(binding) = old {
-            self.detach(&binding);
-        }
-    }
-
-    fn detach(&self, binding: &Binding) {
-        for (monitor, observer_id) in &binding.attachments {
-            let _ = self.inner.orb.invoke_ref(
-                monitor,
-                "detachEventObserver",
-                vec![Value::Long(*observer_id)],
-            );
+            self.inner.detach_observers(&binding.attachments);
         }
     }
 
     fn bind(&self, offer: OfferMatch) {
-        let observer = self.observer_ref();
-        let mut attachments = Vec::new();
-        for sub in &self.inner.subscriptions {
-            let Some(monitor) = offer.dynamic_ref(&sub.property) else {
-                continue;
-            };
-            match self.inner.orb.invoke_ref(
-                monitor,
-                "attachEventObserver",
-                vec![
-                    Value::ObjRef(observer.clone()),
-                    Value::from(sub.event_id.as_str()),
-                    Value::from(sub.predicate.as_str()),
-                ],
-            ) {
-                Ok(Value::Long(id)) => attachments.push((monitor.clone(), id)),
-                _ => {
-                    // Monitor unreachable: proceed without this
-                    // subscription (the offer itself is still usable).
-                }
-            }
-        }
-        let new_binding = Binding {
-            target: offer.target.clone(),
-            offer,
-            attachments,
-        };
+        let attachments = self
+            .inner
+            .subscriptions
+            .iter()
+            .filter_map(|sub| {
+                let monitor = offer.dynamic_ref(&sub.property)?;
+                self.inner
+                    .attach_observer(monitor, &sub.event_id, &sub.predicate)
+            })
+            .collect();
+        let new_binding = Binding { offer, attachments };
         let old = {
             let mut slot = self.inner.binding.lock();
             let changed = slot
                 .as_ref()
-                .map(|b| b.target != new_binding.target)
+                .map(|b| b.offer.target != new_binding.offer.target)
                 .unwrap_or(true);
             if changed {
                 self.inner.rebinds.fetch_add(1, Ordering::Relaxed);
@@ -1015,7 +981,7 @@ impl SmartProxy {
             slot.replace(new_binding)
         };
         if let Some(old) = old {
-            self.detach(&old);
+            self.inner.detach_observers(&old.attachments);
         }
     }
 
@@ -1052,34 +1018,23 @@ impl SmartProxy {
 
     fn handle_event(&self, event: &str) {
         self.inner.events_handled.fetch_add(1, Ordering::Relaxed);
-        enum Plan {
-            Reselect,
-            Native(NativeStrategy),
-            Script(FuncHandle),
-        }
-        let plan = {
-            let strategies = self.inner.strategies.lock();
-            match strategies.get(event) {
-                None | Some(Strategy::Reselect) => Plan::Reselect,
-                Some(Strategy::Native(f)) => Plan::Native(f.clone()),
-                Some(Strategy::Script(h)) => Plan::Script(*h),
-            }
-        };
+        let plan = self.inner.strategies.lock().get(event).cloned();
+        let plan = plan.unwrap_or(Strategy::Reselect);
         let kind = match &plan {
-            Plan::Reselect => "reselect",
-            Plan::Native(_) => "native",
-            Plan::Script(_) => "script",
+            Strategy::Reselect => "reselect",
+            Strategy::Native(_) => "native",
+            Strategy::Script(_) => "script",
         };
         registry()
             .counter(&self.inner.metric(&format!("strategy.{kind}.runs")))
             .incr();
         let failed = match plan {
-            Plan::Reselect => self.reselect().is_err(),
-            Plan::Native(f) => {
+            Strategy::Reselect => self.reselect().is_err(),
+            Strategy::Native(f) => {
                 f(self, event);
                 false
             }
-            Plan::Script(handle) => {
+            Strategy::Script(handle) => {
                 let actor = self.actor();
                 let Ok(facade) = self.facade_handle(&actor) else {
                     registry()
@@ -1110,15 +1065,18 @@ impl SmartProxy {
 
     /// Invokes an operation on the represented service.
     ///
-    /// Queued events are handled first (postponed handling). Retryable
-    /// failures ([`OrbError::is_retryable`]) drive the recovery policy:
-    /// the proxy marks the target dead, fails over to an alternative
-    /// offer when one exists (retrying the *same* target otherwise —
-    /// it may heal), sleeps the [`RetryPolicy`]'s decorrelated-jitter
-    /// backoff, and tries again up to `max_attempts`. A configured
+    /// Queued events are handled first (postponed handling). Each
+    /// attempt takes its target from one pick step — the bound target,
+    /// or the routing policy's choice in balanced mode — and records
+    /// the outcome in that target's health. Retryable failures
+    /// ([`OrbError::is_retryable`]) are retried after the
+    /// [`RetryPolicy`]'s decorrelated-jitter backoff, up to
+    /// `max_attempts`, and the next pick avoids every target that
+    /// failed in this invocation (with no alternative, a classic proxy
+    /// retries the *same* target — it may heal). A configured
     /// [circuit breaker](SmartProxyBuilder::circuit_breaker) is
-    /// consulted before every attempt, so a target that keeps failing
-    /// is refused up front instead of being called into a black hole.
+    /// consulted by every pick, so a target that keeps failing is
+    /// refused up front instead of being called into a black hole.
     /// The proxy's [`call_deadline`](SmartProxyBuilder::call_deadline)
     /// bounds the *whole* invocation — attempts and backoff sleeps
     /// together — not each attempt separately.
@@ -1148,13 +1106,12 @@ impl SmartProxy {
     pub fn invoke_keyed(&self, op: &str, args: Vec<Value>, affinity: Option<u64>) -> Result<Value> {
         self.inner.invocations.fetch_add(1, Ordering::Relaxed);
         self.handle_pending_events();
-        if self.inner.balanced.is_some() {
-            return self.invoke_balanced(op, args, affinity);
-        }
         let overall = self.inner.call_deadline.map(|d| (d, Instant::now() + d));
         let mut backoff = self.inner.retry.backoff();
         let max_attempts = self.inner.retry.max_attempts.max(1);
         let mut counted_failover = false;
+        // Targets that failed in this invocation: `pick` avoids them.
+        let mut failed: Vec<ObjRef> = Vec::new();
         let mut last_err: Option<CoreError> = None;
         for attempt in 1..=max_attempts {
             if attempt > 1 {
@@ -1167,65 +1124,40 @@ impl SmartProxy {
                         .unwrap_or_else(|| OrbError::DeadlineExpired { after: budget }.into()));
                 }
             }
-            let target = self.ensure_bound()?;
-            if let Some(breakers) = &self.inner.breakers {
-                if breakers.admit(&target) == Admission::Reject {
-                    last_err = Some(CoreError::Orb(OrbError::Transport(format!(
-                        "circuit open for `{}`",
-                        target.to_uri()
-                    ))));
-                    // Prefer a different component while this one cools
-                    // down; with nowhere to go, wait out the backoff —
-                    // the breaker will eventually admit a probe.
-                    let moved =
-                        self.select_excluding(&self.inner.constraint.clone(), true, Some(&target))?
-                            && self.current_target().is_some_and(|t| t != target);
-                    if !moved {
-                        self.sleep_backoff(&mut backoff, overall);
-                    }
-                    continue;
-                }
+            let Some(pick) = self.pick(affinity, &mut failed)? else {
+                // Nothing admissible right now: wait out the backoff —
+                // an open breaker eventually admits a probe.
+                last_err.get_or_insert_with(|| self.no_admissible_target());
+                self.sleep_backoff(&mut backoff, overall);
+                continue;
+            };
+            let started = pick.replica.as_ref().map(|r| {
+                r.stats().on_start();
+                Instant::now()
+            });
+            let result = self.invoke_transport(&pick.target, op, args.clone(), overall);
+            let retryable = matches!(&result, Err(e) if e.is_retryable());
+            if let (Some(replica), Some(started)) = (&pick.replica, started) {
+                replica.stats().on_complete(started.elapsed(), !retryable);
             }
-            match self.invoke_transport(&target, op, args.clone(), overall) {
-                Ok(v) => {
-                    if let Some(breakers) = &self.inner.breakers {
-                        breakers.on_success(&target);
-                    }
-                    return Ok(v);
-                }
-                Err(e) if e.is_retryable() => {
-                    if let Some(breakers) = &self.inner.breakers {
-                        breakers.on_failure(&target);
-                    }
-                    if !counted_failover {
-                        // Counted once per invocation, not per attempt:
-                        // `failovers()` means "invocations that hit a
-                        // failure", matching its historical semantics.
-                        counted_failover = true;
-                        self.inner.failovers.fetch_add(1, Ordering::Relaxed);
-                        registry().counter(&self.inner.metric("failovers")).incr();
-                    }
-                    self.inner.note_dead(&target);
-                    last_err = Some(e.into());
-                    if attempt == max_attempts {
-                        break;
-                    }
-                    // Fail over to an alternative offer when one exists;
-                    // `bind` replaces the binding, so when nothing else
-                    // matches the proxy stays bound to the failed target
-                    // and the next attempt retries it (it may heal).
-                    let _ =
-                        self.select_excluding(&self.inner.constraint.clone(), true, Some(&target))?;
-                    self.sleep_backoff(&mut backoff, overall);
-                }
-                Err(e) => {
-                    // The component answered (application error): it is
-                    // alive as far as the breaker is concerned.
-                    if let Some(breakers) = &self.inner.breakers {
-                        breakers.on_success(&target);
-                    }
-                    return Err(e.into());
-                }
+            self.inner.health.record(&pick.target, !retryable);
+            if !retryable {
+                // Success, or an application error: the component
+                // answered, so retrying would re-run the operation.
+                return Ok(result?);
+            }
+            if !counted_failover {
+                // Counted once per invocation, not per attempt:
+                // `failovers()` means "invocations that hit a failure",
+                // matching its historical semantics.
+                counted_failover = true;
+                self.inner.failovers.fetch_add(1, Ordering::Relaxed);
+                registry().counter(&self.inner.metric("failovers")).incr();
+            }
+            failed.push(pick.target);
+            last_err = result.err().map(CoreError::from);
+            if attempt < max_attempts {
+                self.sleep_backoff(&mut backoff, overall);
             }
         }
         Err(last_err.unwrap_or_else(|| {
@@ -1236,152 +1168,109 @@ impl SmartProxy {
         }))
     }
 
-    /// Picks the replica for one balanced attempt.
+    fn no_admissible_target(&self) -> CoreError {
+        CoreError::Unbound(format!(
+            "no admissible target for `{}`",
+            self.inner.service_type
+        ))
+    }
+
+    /// The one pick step of every invocation: the bound target in
+    /// classic mode, the routing policy's choice in balanced mode.
+    /// `failed` lists the targets that failed earlier in this
+    /// invocation. `None` means nothing is admissible right now.
+    fn pick(&self, affinity: Option<u64>, failed: &mut Vec<ObjRef>) -> Result<Option<Pick>> {
+        Ok(match &self.inner.balanced {
+            Some(bal) => self.pick_balanced(bal, affinity, failed).map(|r| Pick {
+                target: r.target().clone(),
+                replica: Some(r),
+            }),
+            None => self.pick_bound(failed)?.map(|target| Pick {
+                target,
+                replica: None,
+            }),
+        })
+    }
+
+    /// Classic pick: the bound target, unless it failed earlier in this
+    /// invocation or its breaker refuses it — then the proxy re-selects
+    /// without those targets. When nothing else matches, a failed
+    /// target stays bound and is retried (it may heal); a refused one
+    /// yields `None`.
+    fn pick_bound(&self, failed: &[ObjRef]) -> Result<Option<ObjRef>> {
+        let constraint = &self.inner.constraint;
+        let mut target = self.ensure_bound()?;
+        if failed.contains(&target) {
+            self.select_excluding(constraint, true, failed)?;
+            target = self.ensure_bound()?;
+        }
+        if self.inner.health.admit(&target) != Admission::Reject {
+            return Ok(Some(target));
+        }
+        // Prefer a different component while this one cools down.
+        let mut exclude = failed.to_vec();
+        exclude.push(target.clone());
+        self.select_excluding(constraint, true, &exclude)?;
+        let other = self.ensure_bound()?;
+        Ok(
+            (other != target && self.inner.health.admit(&other) != Admission::Reject)
+                .then_some(other),
+        )
+    }
+
+    /// Balanced pick.
     ///
     /// First the breaker-probe scan: a replica whose breaker cool-down
     /// elapsed gets one deliberate probe call (otherwise a drained
     /// replica could never rejoin — `state()` only moves Open→HalfOpen
-    /// through `admit`). Then the policy picks among replicas that are
-    /// not excluded (failed earlier in this invocation), not on the
-    /// dead list, and whose breaker is closed — so breaker-open
-    /// replicas receive zero policy picks. With nothing admissible the
-    /// dead list is waived (a dead-listed replica may have healed),
-    /// and as a last resort the exclusion set is cleared for a fresh
-    /// round.
+    /// through `admit`). Then the policy picks among replicas that did
+    /// not fail earlier in this invocation, are not dead, and whose
+    /// breaker is closed — so breaker-open replicas receive zero policy
+    /// picks. With nothing admissible the dead-target TTL is waived (a
+    /// dead replica may have healed), and as a last resort `failed` is
+    /// cleared for a fresh round. With nothing at all, the set is
+    /// refreshed (new replicas may have been exported).
     fn pick_balanced(
         &self,
         bal: &BalancedState,
         affinity: Option<u64>,
-        excluded: &mut Vec<String>,
+        failed: &mut Vec<ObjRef>,
     ) -> Option<Arc<Replica>> {
-        let dead = self.inner.dead_snapshot();
-        if let Some(breakers) = &self.inner.breakers {
+        let health = &self.inner.health;
+        if bal.set.is_empty() {
+            let _ = bal.set.refresh();
+        }
+        if health.has_breaker() {
             for r in bal.set.replicas() {
-                if excluded.iter().any(|k| k == r.key()) || dead.contains(r.target()) {
-                    continue;
-                }
-                if breakers.state(r.target()) == BreakerState::Closed {
-                    continue;
-                }
-                if breakers.admit(r.target()) != Admission::Reject {
+                let target = r.target();
+                if !failed.contains(target)
+                    && !health.is_dead(target)
+                    && health.admit(target) == Admission::Probe
+                {
                     bal.set.record_pick(&r);
                     return Some(r);
                 }
             }
         }
-        let admissible = |r: &Replica, check_dead: bool| {
-            !excluded.iter().any(|k| k == r.key())
-                && (!check_dead || !dead.contains(r.target()))
-                && self
-                    .inner
-                    .breakers
-                    .as_ref()
-                    .is_none_or(|b| b.state(r.target()) == BreakerState::Closed)
-        };
-        if let Some(r) = bal.set.pick_where(affinity, |r| admissible(r, true)) {
-            return Some(r);
-        }
-        if let Some(r) = bal.set.pick_where(affinity, |r| admissible(r, false)) {
-            return Some(r);
-        }
-        if excluded.is_empty() {
-            return None;
-        }
-        let fresh_round = bal.set.pick_where(affinity, |r| {
-            self.inner
-                .breakers
-                .as_ref()
-                .is_none_or(|b| b.state(r.target()) == BreakerState::Closed)
-        });
-        excluded.clear();
-        fresh_round
-    }
-
-    /// The balanced-mode invocation loop: every attempt routes through
-    /// the routing policy (feeding latency/outcome back into the picked
-    /// replica's stats) instead of the single bound offer.
-    fn invoke_balanced(&self, op: &str, args: Vec<Value>, affinity: Option<u64>) -> Result<Value> {
-        let bal = self.inner.balanced.as_ref().expect("balanced mode");
-        let overall = self.inner.call_deadline.map(|d| (d, Instant::now() + d));
-        let mut backoff = self.inner.retry.backoff();
-        let max_attempts = self.inner.retry.max_attempts.max(1);
-        let mut counted_failover = false;
-        let mut excluded: Vec<String> = Vec::new();
-        let mut last_err: Option<CoreError> = None;
-        for attempt in 1..=max_attempts {
-            if attempt > 1 {
-                self.inner.retries.fetch_add(1, Ordering::Relaxed);
-                registry().counter(&self.inner.metric("retries")).incr();
-            }
-            if let Some((budget, end)) = overall {
-                if Instant::now() >= end {
-                    return Err(last_err
-                        .unwrap_or_else(|| OrbError::DeadlineExpired { after: budget }.into()));
-                }
-            }
-            if bal.set.is_empty() {
-                let _ = bal.set.refresh();
-            }
-            let Some(replica) = self.pick_balanced(bal, affinity, &mut excluded) else {
-                // Nothing admissible at all: ask the trader again (new
-                // replicas may have been exported) and wait out the
-                // backoff before the next attempt.
-                last_err.get_or_insert_with(|| {
-                    CoreError::Unbound(format!(
-                        "no admissible replica for `{}`",
-                        self.inner.service_type
-                    ))
-                });
-                let _ = bal.set.refresh();
-                self.sleep_backoff(&mut backoff, overall);
-                continue;
+        loop {
+            let usable = |r: &Replica, honour_ttl: bool| {
+                !failed.contains(r.target())
+                    && health.state(r.target()) == BreakerState::Closed
+                    && !(honour_ttl && health.is_dead(r.target()))
             };
-            let target = replica.target().clone();
-            replica.stats().on_start();
-            let started = Instant::now();
-            match self.invoke_transport(&target, op, args.clone(), overall) {
-                Ok(v) => {
-                    replica.stats().on_complete(started.elapsed(), true);
-                    if let Some(breakers) = &self.inner.breakers {
-                        breakers.on_success(&target);
-                    }
-                    return Ok(v);
-                }
-                Err(e) if e.is_retryable() => {
-                    replica.stats().on_complete(started.elapsed(), false);
-                    if let Some(breakers) = &self.inner.breakers {
-                        breakers.on_failure(&target);
-                    }
-                    if !counted_failover {
-                        counted_failover = true;
-                        self.inner.failovers.fetch_add(1, Ordering::Relaxed);
-                        registry().counter(&self.inner.metric("failovers")).incr();
-                    }
-                    self.inner.note_dead(&target);
-                    excluded.push(replica.key().to_string());
-                    last_err = Some(e.into());
-                    if attempt == max_attempts {
-                        break;
-                    }
-                    self.sleep_backoff(&mut backoff, overall);
-                }
-                Err(e) => {
-                    // Application error: the replica answered, so its
-                    // latency observation and breaker liveness stand.
-                    replica.stats().on_complete(started.elapsed(), true);
-                    if let Some(breakers) = &self.inner.breakers {
-                        breakers.on_success(&target);
-                    }
-                    return Err(e.into());
-                }
+            let picked = bal
+                .set
+                .pick_where(affinity, |r| usable(r, true))
+                .or_else(|| bal.set.pick_where(affinity, |r| usable(r, false)));
+            if picked.is_some() {
+                return picked;
             }
+            if failed.is_empty() {
+                let _ = bal.set.refresh();
+                return None;
+            }
+            failed.clear();
         }
-        Err(last_err.unwrap_or_else(|| {
-            CoreError::Unbound(format!(
-                "retries exhausted for `{}`",
-                self.inner.service_type
-            ))
-        }))
     }
 
     /// Sleeps the next backoff delay, clipped to the remaining overall
@@ -1425,7 +1314,10 @@ impl SmartProxy {
         self.inner.orb.invoke_ref_with(target, op, args, opts)
     }
 
-    /// Invokes a oneway operation on the represented service.
+    /// Invokes a oneway operation on the represented service, through
+    /// the same pick step as [`invoke`](Self::invoke). A failed send is
+    /// recorded in the target's health but never retried: the proxy
+    /// cannot tell whether it was delivered.
     ///
     /// # Errors
     ///
@@ -1434,33 +1326,20 @@ impl SmartProxy {
     pub fn invoke_oneway(&self, op: &str, args: Vec<Value>) -> Result<()> {
         self.inner.invocations.fetch_add(1, Ordering::Relaxed);
         self.handle_pending_events();
-        if let Some(bal) = &self.inner.balanced {
-            if bal.set.is_empty() {
-                let _ = bal.set.refresh();
-            }
-            let mut excluded = Vec::new();
-            let replica = self
-                .pick_balanced(bal, None, &mut excluded)
-                .ok_or_else(|| {
-                    CoreError::Unbound(format!(
-                        "no admissible replica for `{}`",
-                        self.inner.service_type
-                    ))
-                })?;
-            return Ok(self
-                .inner
-                .orb
-                .invoke_oneway_ref(replica.target(), op, args)?);
-        }
-        let target = self.ensure_bound()?;
-        Ok(self.inner.orb.invoke_oneway_ref(&target, op, args)?)
+        let pick = self
+            .pick(None, &mut Vec::new())?
+            .ok_or_else(|| self.no_admissible_target())?;
+        let result = self.inner.orb.invoke_oneway_ref(&pick.target, op, args);
+        let retryable = matches!(&result, Err(e) if e.is_retryable());
+        self.inner.health.record(&pick.target, !retryable);
+        Ok(result?)
     }
 
     fn ensure_bound(&self) -> Result<ObjRef> {
         if let Some(target) = self.current_target() {
             return Ok(target);
         }
-        if self.select_with(&self.inner.constraint.clone(), true)? {
+        if self.select_with(&self.inner.constraint, true)? {
             return Ok(self
                 .current_target()
                 .expect("select_with(true) bound a component"));
@@ -1478,40 +1357,30 @@ impl SmartProxy {
 fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> FuncHandle {
     let table = adapta_script::Value::table();
     if let Some(t) = table.as_table() {
-        // _select(self, query) -> bool
-        let p = proxy.clone();
-        t.borrow_mut().set_str(
-            "_select",
-            adapta_script::Interpreter::native("_select", move |interp, args| {
-                let query = args
-                    .get(1)
-                    .and_then(|v| v.as_str().map(str::to_owned))
-                    .unwrap_or_default();
-                let ok = p.select_with(&query, false).unwrap_or(false);
-                if ok {
-                    // Rebinding changed the monitors: refresh the facade
-                    // the strategy is holding.
-                    if let Some(self_table) = args.first() {
+        // _select(self, query) -> bool and _reselect(self) -> bool (the
+        // primary constraint). Rebinding changes the monitors, so both
+        // refresh the facade the strategy is holding.
+        type Rebind = fn(&SmartProxy, &[adapta_script::Value]) -> Result<bool>;
+        let rebinds: [(&str, Rebind); 2] = [
+            ("_select", |p, args| {
+                let query = args.get(1).and_then(|v| v.as_str()).unwrap_or_default();
+                p.select_with(query, false)
+            }),
+            ("_reselect", |p, _| p.reselect()),
+        ];
+        for (name, rebind) in rebinds {
+            let p = proxy.clone();
+            t.borrow_mut().set_str(
+                name,
+                adapta_script::Interpreter::native(name, move |interp, args| {
+                    let ok = rebind(&p, &args).unwrap_or(false);
+                    if let (true, Some(self_table)) = (ok, args.first()) {
                         refresh_facade(interp, &p, self_table);
                     }
-                }
-                Ok(vec![adapta_script::Value::Bool(ok)])
-            }),
-        );
-        // _reselect(self) -> bool (primary constraint)
-        let p = proxy.clone();
-        t.borrow_mut().set_str(
-            "_reselect",
-            adapta_script::Interpreter::native("_reselect", move |interp, args| {
-                let ok = p.reselect().unwrap_or(false);
-                if ok {
-                    if let Some(self_table) = args.first() {
-                        refresh_facade(interp, &p, self_table);
-                    }
-                }
-                Ok(vec![adapta_script::Value::Bool(ok)])
-            }),
-        );
+                    Ok(vec![adapta_script::Value::Bool(ok)])
+                }),
+            );
+        }
         // _set_policy(self, name) -> bool — balanced-mode runtime
         // policy swap from Rua strategies (Figure-7 style adaptation
         // code can re-route traffic, not just re-bind).
@@ -1578,4 +1447,59 @@ fn refresh_facade(
         }
     }
     t.borrow_mut().set_str("_monitors", monitors);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adapta_trading::{ExportRequest, ServiceTypeDef, Trader};
+
+    #[test]
+    fn evicted_replicas_leave_the_health_table() {
+        let orb = Orb::new("sp-evict");
+        let trader = Trader::new(&orb);
+        trader.add_type(ServiceTypeDef::new("EvictSvc")).unwrap();
+        let live = orb
+            .activate(
+                "svc",
+                ServantFn::new("EvictSvc", |_, _| Ok(Value::from("pong"))),
+            )
+            .unwrap();
+        trader
+            .export(ExportRequest::new("EvictSvc", live.clone()))
+            .unwrap();
+        // A crashed server's stale offer: nothing listens on port 9.
+        let dead = ObjRef::new("tcp://127.0.0.1:9", "svc", "EvictSvc");
+        let dead_offer = trader
+            .export(ExportRequest::new("EvictSvc", dead.clone()))
+            .unwrap();
+        let proxy = SmartProxy::builder(
+            &orb,
+            &InterfaceRepository::new(),
+            Arc::new(trader.clone()),
+            "EvictSvc",
+        )
+        .balanced("round_robin")
+        .balancer_refresh(Duration::from_secs(3600))
+        .circuit_breaker(BreakerConfig {
+            window: 1,
+            min_calls: 1,
+            failure_threshold: 0.5,
+            open_for: Duration::from_secs(120),
+        })
+        .build()
+        .unwrap();
+        for _ in 0..4 {
+            proxy.invoke("ping", vec![]).unwrap();
+        }
+        assert_eq!(proxy.breaker_state(&dead), Some(BreakerState::Open));
+        assert_eq!(proxy.inner.health.tracked_targets(), 2);
+
+        trader.withdraw(&dead_offer).unwrap();
+        let summary = proxy.balancer().unwrap().refresh().unwrap();
+        assert_eq!(summary.evicted, 1);
+        assert_eq!(proxy.inner.health.tracked_targets(), 1);
+        assert_eq!(proxy.breaker_state(&dead), Some(BreakerState::Closed));
+        assert_eq!(proxy.breaker_state(&live), Some(BreakerState::Closed));
+    }
 }

@@ -407,3 +407,114 @@ fn failovers_converge_and_never_rebind_known_dead_targets_within_ttl() {
     assert_eq!(proxy.invoke("ping", vec![]).unwrap(), Value::from("pong"));
     assert_eq!(proxy.failovers(), 2);
 }
+
+/// Regression: a failover never rebinds a target that already failed
+/// earlier in the same invocation. With a zero dead-target TTL nothing
+/// outlives its failure, so only the invocation's own exclusion list
+/// keeps attempt 3 from going back to the target that failed on
+/// attempt 1.
+#[test]
+fn failover_never_repicks_a_target_that_failed_earlier_in_the_invocation() {
+    use adapta::core::RetryPolicy;
+    use adapta::idl::TypeCode;
+    use adapta::trading::{ExportRequest, PropDef, PropMode, ServiceTypeDef, Trader};
+
+    let orb = adapta::orb::Orb::new("sp-exclusion");
+    let trader = Trader::new(&orb);
+    trader
+        .add_type(ServiceTypeDef::new("ExclSvc").with_property(PropDef::new(
+            "Rank",
+            TypeCode::Long,
+            PropMode::Normal,
+        )))
+        .unwrap();
+    let live = orb
+        .activate(
+            "svc",
+            adapta::orb::ServantFn::new("ExclSvc", |_, _| Ok(Value::from("pong"))),
+        )
+        .unwrap();
+    // Two dead servers (closed TCP ports) outrank the live servant.
+    let dead1 = adapta::orb::ObjRef::new("tcp://127.0.0.1:9", "svc", "ExclSvc");
+    let dead2 = adapta::orb::ObjRef::new("tcp://127.0.0.1:19", "svc", "ExclSvc");
+    for (target, rank) in [(&dead1, 3i64), (&dead2, 2), (&live, 1)] {
+        trader
+            .export(
+                ExportRequest::new("ExclSvc", target.clone())
+                    .with_property("Rank", Value::Long(rank)),
+            )
+            .unwrap();
+    }
+
+    let repo = adapta::idl::InterfaceRepository::new();
+    let proxy = adapta::core::SmartProxy::builder(&orb, &repo, Arc::new(trader), "ExclSvc")
+        .preference("max Rank")
+        .dead_target_ttl(Duration::ZERO)
+        .retry_policy(RetryPolicy::new(3).base(Duration::ZERO))
+        .build()
+        .unwrap();
+    assert_eq!(proxy.current_target(), Some(dead1));
+
+    // dead1 fails, then dead2; the third attempt must reach the live
+    // servant rather than dead1 again.
+    assert_eq!(proxy.invoke("ping", vec![]).unwrap(), Value::from("pong"));
+    assert_eq!(proxy.current_target(), Some(live));
+    assert_eq!(proxy.failovers(), 1);
+    assert_eq!(proxy.retries(), 2);
+}
+
+/// A classic oneway goes through the same pick step as a two-way call
+/// and reaches the bound target.
+#[test]
+fn classic_oneway_reaches_the_bound_target() {
+    use adapta::idl::TypeCode;
+    use adapta::trading::{ExportRequest, PropDef, PropMode, ServiceTypeDef, Trader};
+
+    let orb = adapta::orb::Orb::new("sp-oneway");
+    let trader = Trader::new(&orb);
+    trader
+        .add_type(ServiceTypeDef::new("OwSvc").with_property(PropDef::new(
+            "Rank",
+            TypeCode::Long,
+            PropMode::Normal,
+        )))
+        .unwrap();
+    let mut notes = Vec::new();
+    for (key, rank) in [("ow-a", 2i64), ("ow-b", 1)] {
+        let count = Arc::new(AtomicUsize::new(0));
+        let seen = count.clone();
+        let target = orb
+            .activate(
+                key,
+                adapta::orb::ServantFn::new("OwSvc", move |_, _| {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    Ok(Value::Null)
+                }),
+            )
+            .unwrap();
+        trader
+            .export(ExportRequest::new("OwSvc", target).with_property("Rank", Value::Long(rank)))
+            .unwrap();
+        notes.push(count);
+    }
+
+    let repo = adapta::idl::InterfaceRepository::new();
+    let proxy = adapta::core::SmartProxy::builder(&orb, &repo, Arc::new(trader), "OwSvc")
+        .preference("max Rank")
+        .build()
+        .unwrap();
+    assert_eq!(proxy.current_target().unwrap().key, "ow-a");
+
+    proxy.invoke_oneway("note", vec![]).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while notes[0].load(Ordering::SeqCst) == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(
+        notes[0].load(Ordering::SeqCst),
+        1,
+        "the bound target got no oneway"
+    );
+    assert_eq!(notes[1].load(Ordering::SeqCst), 0);
+    assert_eq!(proxy.invocations(), 1);
+}

@@ -421,3 +421,117 @@ fn monitor_load_pushes_feed_replica_stats_through_the_observer() {
     let snap = adapta::telemetry::registry().snapshot();
     assert!(snap.counter("balancer.FeedSvc.load_pushes").unwrap_or(0) >= 1);
 }
+
+/// Balanced oneways share the two-way pick step, so a replica whose
+/// breaker is open receives none of them.
+#[test]
+fn balanced_oneways_skip_breaker_open_replicas() {
+    let service = "OwBal";
+    let orb = Orb::new("bal-oneway");
+    let trader = Trader::new(&orb);
+    trader.add_type(ServiceTypeDef::new(service)).unwrap();
+    for key in ["ow-a", "ow-b"] {
+        let target = spawn_replica(&orb, service, key, Arc::new(AtomicU64::new(0)));
+        trader.export(ExportRequest::new(service, target)).unwrap();
+    }
+    // Nothing listens on port 9: a oneway sent there fails.
+    let dead = ObjRef::new("tcp://127.0.0.1:9", "dead", service);
+    trader
+        .export(ExportRequest::new(service, dead.clone()))
+        .unwrap();
+
+    let repo = InterfaceRepository::new();
+    let proxy = SmartProxy::builder(&orb, &repo, Arc::new(trader), service)
+        .balanced("round_robin")
+        .circuit_breaker(adapta::core::BreakerConfig {
+            window: 1,
+            min_calls: 1,
+            failure_threshold: 0.5,
+            open_for: Duration::from_secs(120),
+        })
+        .build()
+        .unwrap();
+    for _ in 0..8 {
+        proxy.invoke("echo", vec![]).unwrap();
+    }
+    assert_eq!(
+        proxy.breaker_state(&dead),
+        Some(adapta::core::BreakerState::Open)
+    );
+
+    let stalled = picks_by_servant(&proxy)["dead"];
+    for _ in 0..40 {
+        proxy.invoke_oneway("echo", vec![]).unwrap();
+    }
+    let now = picks_by_servant(&proxy);
+    assert_eq!(
+        now["dead"], stalled,
+        "a oneway went to a breaker-open replica"
+    );
+    assert!(now["ow-a"] > 0 && now["ow-b"] > 0);
+}
+
+/// A balanced replica whose breaker opened rejoins the rotation: after
+/// the cool-down the probe scan sends it one probe, the probe succeeds,
+/// the breaker closes and the policy picks it again.
+#[test]
+fn breaker_open_replica_heals_through_a_probe_and_draws_picks_again() {
+    use adapta::core::{BreakerConfig, BreakerState};
+    use adapta::orb::{FaultAction, FaultRule};
+
+    let service = "BalHeal";
+    let orb = Orb::new("bal-heal");
+    let trader = Trader::new(&orb);
+    trader.add_type(ServiceTypeDef::new(service)).unwrap();
+    let a = spawn_replica(&orb, service, "heal-a", Arc::new(AtomicU64::new(0)));
+    // Replica b lives on its own node, so a fault rule can target it.
+    let b_node = Orb::new("bal-heal-b");
+    let b = spawn_replica(&b_node, service, "heal-b", Arc::new(AtomicU64::new(0)));
+    for target in [&a, &b] {
+        trader
+            .export(ExportRequest::new(service, target.clone()))
+            .unwrap();
+    }
+    let repo = InterfaceRepository::new();
+    let proxy = SmartProxy::builder(&orb, &repo, Arc::new(trader), service)
+        .balanced("round_robin")
+        .circuit_breaker(BreakerConfig {
+            window: 2,
+            min_calls: 2,
+            failure_threshold: 0.5,
+            open_for: Duration::from_millis(200),
+        })
+        .dead_target_ttl(Duration::ZERO)
+        .build()
+        .unwrap();
+
+    // b's first two frames are mangled, then it heals.
+    orb.fault_plan()
+        .add(FaultRule::new(b.endpoint.clone(), "*", FaultAction::Corrupt).budget(2));
+    for _ in 0..8 {
+        proxy.invoke("echo", vec![]).unwrap();
+    }
+    assert_eq!(proxy.breaker_state(&b), Some(BreakerState::Open));
+    let stalled = picks_by_servant(&proxy)["heal-b"];
+    proxy.invoke("echo", vec![]).unwrap();
+    assert_eq!(
+        picks_by_servant(&proxy)["heal-b"],
+        stalled,
+        "picked during cool-down"
+    );
+
+    std::thread::sleep(Duration::from_millis(250));
+    for _ in 0..10 {
+        proxy.invoke("echo", vec![]).unwrap();
+    }
+    assert_eq!(proxy.breaker_state(&b), Some(BreakerState::Closed));
+    let healed = picks_by_servant(&proxy)["heal-b"];
+    assert!(
+        healed >= stalled + 3,
+        "healed replica drew {} picks, expected the probe plus its rotation share",
+        healed - stalled
+    );
+    let snap = adapta::telemetry::registry().snapshot();
+    assert!(snap.counter("proxy.BalHeal.breaker.half_open").unwrap_or(0) >= 1);
+    assert!(snap.counter("proxy.BalHeal.breaker.closed").unwrap_or(0) >= 1);
+}

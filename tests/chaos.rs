@@ -491,3 +491,56 @@ fn leased_offers_expire_over_the_wire_unless_renewed() {
         "swept offers cannot renew"
     );
 }
+
+/// A oneway whose send fails with a retryable error is recorded in the
+/// target's health (here: one failure opens its breaker) and is not
+/// retried — the proxy cannot know whether a oneway was delivered.
+#[test]
+fn failed_oneway_is_recorded_and_not_retried() {
+    use std::sync::atomic::AtomicUsize;
+
+    let orb = Orb::new("chaos-oneway");
+    let trader = Trader::new(&orb);
+    trader.add_type(ServiceTypeDef::new("OwFail")).unwrap();
+    let received = Arc::new(AtomicUsize::new(0));
+    let seen = received.clone();
+    let target = orb
+        .activate(
+            "svc",
+            ServantFn::new("OwFail", move |_, _| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                Ok(Value::Null)
+            }),
+        )
+        .unwrap();
+    trader
+        .export(ExportRequest::new("OwFail", target.clone()))
+        .unwrap();
+    let repo = InterfaceRepository::new();
+    let proxy = SmartProxy::builder(&orb, &repo, Arc::new(trader), "OwFail")
+        .retry_policy(RetryPolicy::new(5).base(Duration::ZERO))
+        .circuit_breaker(BreakerConfig {
+            window: 1,
+            min_calls: 1,
+            failure_threshold: 0.5,
+            open_for: Duration::from_secs(120),
+        })
+        .build()
+        .unwrap();
+
+    // Only the first frame is mangled: a retry would get through.
+    orb.fault_plan()
+        .add(FaultRule::new(target.endpoint.clone(), "*", FaultAction::Corrupt).budget(1));
+    assert!(proxy.invoke_oneway("note", vec![]).is_err());
+    assert_eq!(
+        proxy.breaker_state(&target),
+        Some(adapta::core::BreakerState::Open),
+        "the failed send was not recorded"
+    );
+    assert_eq!(proxy.retries(), 0);
+    // With the breaker open and nowhere else to go, the next oneway is
+    // refused before it is sent.
+    assert!(proxy.invoke_oneway("note", vec![]).is_err());
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(received.load(Ordering::SeqCst), 0, "a oneway was retried");
+}
