@@ -20,7 +20,7 @@ use adapta_balancer::{Replica, ReplicaSet};
 use adapta_bridge::{FuncHandle, ScriptActor};
 use adapta_idl::{InterfaceRepository, Value};
 use adapta_orb::{InvokeOptions, ObjRef, Orb, OrbError, OrbResult, ServantFn};
-use adapta_telemetry::registry;
+use adapta_telemetry::{registry, Counter, Gauge, HistogramHandle};
 use adapta_trading::{OfferMatch, Query, TradingService};
 use parking_lot::Mutex;
 
@@ -103,15 +103,26 @@ impl std::fmt::Debug for Strategy {
 
 struct Binding {
     offer: OfferMatch,
+    /// The offer's target, shared with the attempts that call it.
+    target: Arc<ObjRef>,
     /// `(monitor, observer id)` pairs to detach on rebind.
     attachments: Vec<(ObjRef, i64)>,
 }
 
-/// The target of one attempt, with the replica it came from in
-/// balanced mode (whose stats the outcome feeds).
-struct Pick {
-    target: ObjRef,
-    replica: Option<Arc<Replica>>,
+/// The target of one attempt: the bound one, or in balanced mode the
+/// replica whose stats the outcome feeds.
+enum Pick {
+    Bound(Arc<ObjRef>),
+    Replica(Arc<Replica>),
+}
+
+impl Pick {
+    fn target(&self) -> &ObjRef {
+        match self {
+            Pick::Bound(target) => target,
+            Pick::Replica(replica) => replica.target(),
+        }
+    }
 }
 
 /// Configuration of the proxy's balanced mode (see
@@ -166,6 +177,34 @@ fn value_to_f64(v: &Value) -> Option<f64> {
     }
 }
 
+/// The proxy's per-call and per-event instruments under
+/// `smartproxy.<type>.`, resolved once at build.
+struct SpMetrics {
+    queue_depth: Gauge,
+    events_received: Counter,
+    events_dropped: Counter,
+    drain_latency: HistogramHandle,
+    rebinds: Counter,
+    retries: Counter,
+    failovers: Counter,
+}
+
+impl SpMetrics {
+    fn for_type(service_type: &str) -> SpMetrics {
+        let name = |stat: &str| format!("smartproxy.{service_type}.{stat}");
+        let r = registry();
+        SpMetrics {
+            queue_depth: r.gauge(&name("queue_depth")),
+            events_received: r.counter(&name("events_received")),
+            events_dropped: r.counter(&name("events_dropped")),
+            drain_latency: r.histogram(&name("drain_latency")),
+            rebinds: r.counter(&name("rebinds")),
+            retries: r.counter(&name("retries")),
+            failovers: r.counter(&name("failovers")),
+        }
+    }
+}
+
 struct SpInner {
     orb: Orb,
     repo: InterfaceRepository,
@@ -198,6 +237,7 @@ struct SpInner {
     retries: AtomicU64,
     repicks_avoided: AtomicU64,
     relaxed_queries: AtomicU64,
+    metrics: SpMetrics,
 }
 
 impl SpInner {
@@ -205,13 +245,6 @@ impl SpInner {
     /// namespace.
     fn metric(&self, stat: &str) -> String {
         format!("smartproxy.{}.{stat}", self.service_type)
-    }
-
-    /// Publishes the current event-queue depth as a gauge.
-    fn publish_queue_depth(&self, depth: usize) {
-        registry()
-            .gauge(&self.metric("queue_depth"))
-            .set(depth as i64);
     }
 
     /// Enqueues an event for postponed handling (bounded queue, oldest
@@ -222,12 +255,12 @@ impl SpInner {
             let mut events = self.events.lock();
             if events.len() >= MAX_PENDING_EVENTS {
                 events.pop_front();
-                registry().counter(&self.metric("events_dropped")).incr();
+                self.metrics.events_dropped.incr();
             }
             events.push_back(event);
             events.len()
         };
-        self.publish_queue_depth(depth);
+        self.metrics.queue_depth.set(depth as i64);
     }
 
     /// Subscribes the proxy's observer to the load monitor behind a
@@ -497,6 +530,7 @@ impl SmartProxyBuilder {
                 attachments: Mutex::new(HashMap::new()),
             }
         });
+        let metrics = SpMetrics::for_type(&self.service_type);
         let inner = Arc::new(SpInner {
             orb: self.orb,
             repo: self.repo,
@@ -525,6 +559,7 @@ impl SmartProxyBuilder {
             retries: AtomicU64::new(0),
             repicks_avoided: AtomicU64::new(0),
             relaxed_queries: AtomicU64::new(0),
+            metrics,
         });
         let proxy = SmartProxy { inner };
 
@@ -548,7 +583,7 @@ impl SmartProxyBuilder {
                     return Ok(Value::Null);
                 }
                 inner.events_received.fetch_add(1, Ordering::Relaxed);
-                registry().counter(&inner.metric("events_received")).incr();
+                inner.metrics.events_received.incr();
                 let proxy = SmartProxy { inner };
                 if proxy.inner.immediate_handling {
                     proxy.handle_event(&event);
@@ -641,11 +676,11 @@ impl SmartProxy {
 
     /// The currently bound component, if any.
     pub fn current_target(&self) -> Option<ObjRef> {
-        self.inner
-            .binding
-            .lock()
-            .as_ref()
-            .map(|b| b.offer.target.clone())
+        self.bound_target().map(|target| (*target).clone())
+    }
+
+    fn bound_target(&self) -> Option<Arc<ObjRef>> {
+        self.inner.binding.lock().as_ref().map(|b| b.target.clone())
     }
 
     /// The offer behind the current binding, if any.
@@ -967,16 +1002,20 @@ impl SmartProxy {
                     .attach_observer(monitor, &sub.event_id, &sub.predicate)
             })
             .collect();
-        let new_binding = Binding { offer, attachments };
+        let new_binding = Binding {
+            target: Arc::new(offer.target.clone()),
+            offer,
+            attachments,
+        };
         let old = {
             let mut slot = self.inner.binding.lock();
             let changed = slot
                 .as_ref()
-                .map(|b| b.offer.target != new_binding.offer.target)
+                .map(|b| b.target != new_binding.target)
                 .unwrap_or(true);
             if changed {
                 self.inner.rebinds.fetch_add(1, Ordering::Relaxed);
-                registry().counter(&self.inner.metric("rebinds")).incr();
+                self.inner.metrics.rebinds.incr();
             }
             slot.replace(new_binding)
         };
@@ -995,12 +1034,11 @@ impl SmartProxy {
     /// runs its strategy once, not once per notification.
     pub fn handle_pending_events(&self) {
         let drained: Vec<String> = self.inner.events.lock().drain(..).collect();
-        self.inner.publish_queue_depth(0);
+        self.inner.metrics.queue_depth.set(0);
         if drained.is_empty() {
             return;
         }
-        let drain_hist = registry().histogram(&self.inner.metric("drain_latency"));
-        drain_hist.time(|| {
+        self.inner.metrics.drain_latency.time(|| {
             let mut seen = std::collections::HashSet::new();
             for event in drained {
                 if seen.insert(event.clone()) {
@@ -1116,7 +1154,7 @@ impl SmartProxy {
         for attempt in 1..=max_attempts {
             if attempt > 1 {
                 self.inner.retries.fetch_add(1, Ordering::Relaxed);
-                registry().counter(&self.inner.metric("retries")).incr();
+                self.inner.metrics.retries.incr();
             }
             if let Some((budget, end)) = overall {
                 if Instant::now() >= end {
@@ -1131,16 +1169,20 @@ impl SmartProxy {
                 self.sleep_backoff(&mut backoff, overall);
                 continue;
             };
-            let started = pick.replica.as_ref().map(|r| {
+            let replica = match &pick {
+                Pick::Replica(replica) => Some(replica),
+                Pick::Bound(_) => None,
+            };
+            let started = replica.map(|r| {
                 r.stats().on_start();
                 Instant::now()
             });
-            let result = self.invoke_transport(&pick.target, op, args.clone(), overall);
+            let result = self.invoke_transport(pick.target(), op, &args, overall);
             let retryable = matches!(&result, Err(e) if e.is_retryable());
-            if let (Some(replica), Some(started)) = (&pick.replica, started) {
+            if let (Some(replica), Some(started)) = (replica, started) {
                 replica.stats().on_complete(started.elapsed(), !retryable);
             }
-            self.inner.health.record(&pick.target, !retryable);
+            self.inner.health.record(pick.target(), !retryable);
             if !retryable {
                 // Success, or an application error: the component
                 // answered, so retrying would re-run the operation.
@@ -1152,9 +1194,9 @@ impl SmartProxy {
                 // matching its historical semantics.
                 counted_failover = true;
                 self.inner.failovers.fetch_add(1, Ordering::Relaxed);
-                registry().counter(&self.inner.metric("failovers")).incr();
+                self.inner.metrics.failovers.incr();
             }
-            failed.push(pick.target);
+            failed.push(pick.target().clone());
             last_err = result.err().map(CoreError::from);
             if attempt < max_attempts {
                 self.sleep_backoff(&mut backoff, overall);
@@ -1181,14 +1223,8 @@ impl SmartProxy {
     /// invocation. `None` means nothing is admissible right now.
     fn pick(&self, affinity: Option<u64>, failed: &mut Vec<ObjRef>) -> Result<Option<Pick>> {
         Ok(match &self.inner.balanced {
-            Some(bal) => self.pick_balanced(bal, affinity, failed).map(|r| Pick {
-                target: r.target().clone(),
-                replica: Some(r),
-            }),
-            None => self.pick_bound(failed)?.map(|target| Pick {
-                target,
-                replica: None,
-            }),
+            Some(bal) => self.pick_balanced(bal, affinity, failed).map(Pick::Replica),
+            None => self.pick_bound(failed)?.map(Pick::Bound),
         })
     }
 
@@ -1197,7 +1233,7 @@ impl SmartProxy {
     /// without those targets. When nothing else matches, a failed
     /// target stays bound and is retried (it may heal); a refused one
     /// yields `None`.
-    fn pick_bound(&self, failed: &[ObjRef]) -> Result<Option<ObjRef>> {
+    fn pick_bound(&self, failed: &[ObjRef]) -> Result<Option<Arc<ObjRef>>> {
         let constraint = &self.inner.constraint;
         let mut target = self.ensure_bound()?;
         if failed.contains(&target) {
@@ -1209,7 +1245,7 @@ impl SmartProxy {
         }
         // Prefer a different component while this one cools down.
         let mut exclude = failed.to_vec();
-        exclude.push(target.clone());
+        exclude.push((*target).clone());
         self.select_excluding(constraint, true, &exclude)?;
         let other = self.ensure_bound()?;
         Ok(
@@ -1298,7 +1334,7 @@ impl SmartProxy {
         &self,
         target: &ObjRef,
         op: &str,
-        args: Vec<Value>,
+        args: &[Value],
         overall: Option<(Duration, Instant)>,
     ) -> OrbResult<Value> {
         let opts = match overall {
@@ -1329,19 +1365,19 @@ impl SmartProxy {
         let pick = self
             .pick(None, &mut Vec::new())?
             .ok_or_else(|| self.no_admissible_target())?;
-        let result = self.inner.orb.invoke_oneway_ref(&pick.target, op, args);
+        let result = self.inner.orb.invoke_oneway_ref(pick.target(), op, args);
         let retryable = matches!(&result, Err(e) if e.is_retryable());
-        self.inner.health.record(&pick.target, !retryable);
+        self.inner.health.record(pick.target(), !retryable);
         Ok(result?)
     }
 
-    fn ensure_bound(&self) -> Result<ObjRef> {
-        if let Some(target) = self.current_target() {
+    fn ensure_bound(&self) -> Result<Arc<ObjRef>> {
+        if let Some(target) = self.bound_target() {
             return Ok(target);
         }
         if self.select_with(&self.inner.constraint, true)? {
             return Ok(self
-                .current_target()
+                .bound_target()
                 .expect("select_with(true) bound a component"));
         }
         Err(CoreError::Unbound(format!(

@@ -21,7 +21,7 @@
 use std::time::Instant;
 
 use adapta_idl::Value;
-use adapta_telemetry::{registry, Span};
+use adapta_telemetry::{registry, Counter, HistogramHandle, Span};
 
 use crate::error::OrbError;
 use crate::reference::ObjRef;
@@ -125,7 +125,11 @@ where
 /// LIFO. Redirect rounds re-enter `send_request`, so the popped entry
 /// times the request as actually sent after the final redirect.
 pub struct TimingObserver {
-    name: String,
+    /// `observe:<name>`, the name of the spans it emits.
+    span_name: String,
+    latency: HistogramHandle,
+    replies: Counter,
+    errors: Counter,
     starts: std::sync::Mutex<std::collections::HashMap<std::thread::ThreadId, Vec<Instant>>>,
 }
 
@@ -133,7 +137,10 @@ impl TimingObserver {
     /// Creates an observer publishing under `interceptor.<name>.*`.
     pub fn new(name: &str) -> TimingObserver {
         TimingObserver {
-            name: name.to_string(),
+            span_name: format!("observe:{name}"),
+            latency: registry().histogram(&format!("interceptor.{name}.latency")),
+            replies: registry().counter(&format!("interceptor.{name}.replies")),
+            errors: registry().counter(&format!("interceptor.{name}.errors")),
             starts: std::sync::Mutex::new(std::collections::HashMap::new()),
         }
     }
@@ -174,18 +181,12 @@ impl ClientInterceptor for TimingObserver {
             }
         };
         let elapsed = started.elapsed();
-        registry()
-            .histogram(&format!("interceptor.{}.latency", self.name))
-            .record(elapsed);
-        registry()
-            .counter(&format!("interceptor.{}.replies", self.name))
-            .incr();
+        self.latency.record(elapsed);
+        self.replies.incr();
         if outcome.is_err() {
-            registry()
-                .counter(&format!("interceptor.{}.errors", self.name))
-                .incr();
+            self.errors.incr();
         }
-        let mut span = Span::start(&format!("observe:{}", self.name));
+        let mut span = Span::start(self.span_name.as_str());
         span.attr("operation", info.operation);
         span.attr("elapsed_us", &elapsed.as_micros().to_string());
         span.attr("ok", if outcome.is_ok() { "true" } else { "false" });

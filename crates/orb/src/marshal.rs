@@ -25,7 +25,7 @@ const TAG_OBJREF: u8 = 8;
 const MAX_LEN: u32 = 64 * 1024 * 1024;
 
 /// Appends the encoding of `value` to `buf`.
-pub fn put_value(buf: &mut BytesMut, value: &Value) {
+pub(crate) fn put_value<B: BufMut>(buf: &mut B, value: &Value) {
     match value {
         Value::Null => buf.put_u8(TAG_NULL),
         Value::Bool(b) => {
@@ -49,13 +49,7 @@ pub fn put_value(buf: &mut BytesMut, value: &Value) {
             buf.put_u32_le(b.len() as u32);
             buf.put_slice(b);
         }
-        Value::Seq(items) => {
-            buf.put_u8(TAG_SEQ);
-            buf.put_u32_le(items.len() as u32);
-            for item in items {
-                put_value(buf, item);
-            }
-        }
+        Value::Seq(items) => put_seq(buf, items),
         Value::Map(fields) => {
             buf.put_u8(TAG_MAP);
             buf.put_u32_le(fields.len() as u32);
@@ -73,6 +67,21 @@ pub fn put_value(buf: &mut BytesMut, value: &Value) {
     }
 }
 
+/// Appends `items` encoded as one sequence value, the way
+/// [`put_value`] encodes a `Value::Seq` of them.
+pub(crate) fn put_seq<B: BufMut>(buf: &mut B, items: &[Value]) {
+    buf.put_u8(TAG_SEQ);
+    buf.put_u32_le(items.len() as u32);
+    for item in items {
+        put_value(buf, item);
+    }
+}
+
+/// The number of bytes [`put_seq`] appends for `items`.
+pub(crate) fn seq_len(items: &[Value]) -> usize {
+    1 + 4 + items.iter().map(value_len).sum::<usize>()
+}
+
 /// Encodes a single value to a fresh buffer.
 ///
 /// ```
@@ -84,7 +93,7 @@ pub fn put_value(buf: &mut BytesMut, value: &Value) {
 /// assert_eq!(decode_value(&bytes).unwrap(), v);
 /// ```
 pub fn encode_value(value: &Value) -> Bytes {
-    let mut buf = BytesMut::new();
+    let mut buf = BytesMut::with_capacity(value_len(value));
     put_value(&mut buf, value);
     buf.freeze()
 }
@@ -106,9 +115,38 @@ pub fn decode_value(bytes: &[u8]) -> OrbResult<Value> {
     Ok(v)
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+/// Appends a length-prefixed string.
+pub(crate) fn put_str<B: BufMut>(buf: &mut B, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
+}
+
+/// The encoded size of a length-prefixed string.
+pub(crate) fn str_len(s: &str) -> usize {
+    4 + s.len()
+}
+
+/// The number of bytes [`put_value`] appends for `value`, so encoders
+/// can size their buffer once.
+pub(crate) fn value_len(value: &Value) -> usize {
+    match value {
+        Value::Null => 1,
+        Value::Bool(_) => 2,
+        Value::Long(_) | Value::Double(_) => 9,
+        Value::Str(s) => 1 + str_len(s),
+        Value::Bytes(b) => 1 + 4 + b.len(),
+        Value::Seq(items) => seq_len(items),
+        Value::Map(fields) => {
+            1 + 4
+                + fields
+                    .iter()
+                    .map(|(k, v)| str_len(k) + value_len(v))
+                    .sum::<usize>()
+        }
+        Value::ObjRef(data) => {
+            1 + str_len(&data.endpoint) + str_len(&data.key) + str_len(&data.type_id)
+        }
+    }
 }
 
 fn need(cursor: &&[u8], n: usize) -> OrbResult<()> {
@@ -203,6 +241,7 @@ mod tests {
 
     fn round_trip(v: Value) {
         let encoded = encode_value(&v);
+        assert_eq!(encoded.len(), value_len(&v), "encoded size of {v:?}");
         assert_eq!(decode_value(&encoded).unwrap(), v, "round trip of {v:?}");
     }
 

@@ -1,10 +1,13 @@
 //! Wire messages — the GIOP analogue.
 
 use adapta_idl::Value;
+use adapta_telemetry::{SpanId, TraceId, SPAN_ID_KEY, TRACE_ID_KEY};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::OrbError;
-use crate::marshal::{get_str, get_value, put_value};
+use crate::marshal::{
+    get_str, get_value, put_seq, put_str, put_value, seq_len, str_len, value_len,
+};
 use crate::OrbResult;
 
 const MAGIC: &[u8; 4] = b"ADPT";
@@ -16,6 +19,9 @@ const MIN_VERSION: u8 = 1;
 const KIND_REQUEST: u8 = 0;
 const KIND_REPLY: u8 = 1;
 const KIND_ONEWAY: u8 = 2;
+
+/// Magic, version and kind: the bytes every message starts with.
+const HEADER_LEN: usize = 6;
 
 /// Out-of-band key/value pairs carried with a request — the CORBA
 /// *service context* analogue. The broker uses it to propagate trace
@@ -62,6 +68,20 @@ impl ServiceContext {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
+
+    /// Like [`set`](Self::set), keeping the given strings instead of
+    /// copying them.
+    fn set_owned(&mut self, key: String, value: String) {
+        match self.entries.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, v)) => *v = value,
+            None => self.entries.push((key, value)),
+        }
+    }
+
+    /// The entries as the wire carries them.
+    fn wire(&self) -> impl ExactSizeIterator<Item = (&str, &[u8])> {
+        self.entries.iter().map(|(k, v)| (k.as_str(), v.as_bytes()))
+    }
 }
 
 /// The body of a request (two-way or oneway).
@@ -99,45 +119,163 @@ pub enum Message {
     Reply(ReplyBody),
 }
 
+/// A request as the client side sends it: every part borrowed from the
+/// caller, and the trace context given as the client span's ids. It
+/// encodes to the same bytes as the [`Message::Request`] (or
+/// [`Message::Oneway`]) whose service context holds those ids under
+/// `trace-id` and `span-id`, without building that message.
+pub(crate) struct OutgoingRequest<'a> {
+    pub(crate) oneway: bool,
+    pub(crate) id: u64,
+    pub(crate) key: &'a str,
+    pub(crate) operation: &'a str,
+    pub(crate) args: &'a [Value],
+    pub(crate) trace: TraceId,
+    pub(crate) span: SpanId,
+}
+
+impl OutgoingRequest<'_> {
+    /// Encodes the request as one transport frame (see
+    /// [`Message::encode_frame`]).
+    pub(crate) fn encode_frame(&self) -> Vec<u8> {
+        let (trace, span) = (self.trace.to_hex(), self.span.to_hex());
+        let context = [(TRACE_ID_KEY, &trace[..]), (SPAN_ID_KEY, &span[..])];
+        let kind = if self.oneway {
+            KIND_ONEWAY
+        } else {
+            KIND_REQUEST
+        };
+        let len = request_len(self.key, self.operation, self.args, context.into_iter());
+        frame(len, |buf| {
+            put_request(
+                buf,
+                kind,
+                self.id,
+                self.key,
+                self.operation,
+                self.args,
+                context.into_iter(),
+            );
+        })
+    }
+}
+
+/// A frame of `len` message bytes, written by `put` after the 4-byte
+/// little-endian length prefix, in one exactly sized buffer.
+fn frame(len: usize, put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + len);
+    buf.put_u32_le(len as u32);
+    put(&mut buf);
+    debug_assert_eq!(buf.len(), 4 + len, "encoded size mismatch");
+    buf
+}
+
+fn put_header<B: BufMut>(buf: &mut B, kind: u8) {
+    buf.put_slice(MAGIC);
+    buf.put_u8(VERSION);
+    buf.put_u8(kind);
+}
+
+/// The encoded size of a request with these parts.
+fn request_len<'c>(
+    key: &str,
+    operation: &str,
+    args: &[Value],
+    context: impl Iterator<Item = (&'c str, &'c [u8])>,
+) -> usize {
+    let context: usize = context.map(|(k, v)| str_len(k) + 4 + v.len()).sum();
+    HEADER_LEN + 8 + str_len(key) + str_len(operation) + seq_len(args) + 4 + context
+}
+
+/// Appends a request; the argument list travels as one sequence value.
+fn put_request<'c, B: BufMut>(
+    buf: &mut B,
+    kind: u8,
+    id: u64,
+    key: &str,
+    operation: &str,
+    args: &[Value],
+    context: impl ExactSizeIterator<Item = (&'c str, &'c [u8])>,
+) {
+    put_header(buf, kind);
+    buf.put_u64_le(id);
+    put_str(buf, key);
+    put_str(buf, operation);
+    put_seq(buf, args);
+    buf.put_u32_le(context.len() as u32);
+    for (k, v) in context {
+        put_str(buf, k);
+        buf.put_u32_le(v.len() as u32);
+        buf.put_slice(v);
+    }
+}
+
 impl Message {
     /// Encodes the message, without the transport length prefix.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        self.put(&mut buf);
+        buf.freeze()
+    }
+
+    /// Encodes the message as one transport frame: the 4-byte
+    /// little-endian length prefix, then the bytes [`encode`] produces.
+    ///
+    /// [`encode`]: Self::encode
+    pub(crate) fn encode_frame(&self) -> Vec<u8> {
+        frame(self.encoded_len(), |buf| self.put(buf))
+    }
+
+    fn encoded_len(&self) -> usize {
         match self {
             Message::Request(body) | Message::Oneway(body) => {
-                buf.put_u8(if matches!(self, Message::Request(_)) {
+                request_len(&body.key, &body.operation, &body.args, body.context.wire())
+            }
+            Message::Reply(body) => {
+                HEADER_LEN
+                    + 8
+                    + 1
+                    + match &body.outcome {
+                        Ok(v) => value_len(v),
+                        Err(message) => str_len(message),
+                    }
+            }
+        }
+    }
+
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            Message::Request(body) | Message::Oneway(body) => {
+                let kind = if matches!(self, Message::Request(_)) {
                     KIND_REQUEST
                 } else {
                     KIND_ONEWAY
-                });
-                buf.put_u64_le(body.id);
-                put_str_local(&mut buf, &body.key);
-                put_str_local(&mut buf, &body.operation);
-                put_value(&mut buf, &Value::Seq(body.args.clone()));
-                buf.put_u32_le(body.context.len() as u32);
-                for (k, v) in body.context.iter() {
-                    put_str_local(&mut buf, k);
-                    put_str_local(&mut buf, v);
-                }
+                };
+                put_request(
+                    buf,
+                    kind,
+                    body.id,
+                    &body.key,
+                    &body.operation,
+                    &body.args,
+                    body.context.wire(),
+                );
             }
             Message::Reply(body) => {
-                buf.put_u8(KIND_REPLY);
+                put_header(buf, KIND_REPLY);
                 buf.put_u64_le(body.id);
                 match &body.outcome {
                     Ok(v) => {
                         buf.put_u8(0);
-                        put_value(&mut buf, v);
+                        put_value(buf, v);
                     }
                     Err(message) => {
                         buf.put_u8(1);
-                        put_str_local(&mut buf, message);
+                        put_str(buf, message);
                     }
                 }
             }
         }
-        buf.freeze()
     }
 
     /// Decodes a message from a complete frame body.
@@ -180,10 +318,11 @@ impl Message {
                         return Err(OrbError::Marshal("truncated service context".into()));
                     }
                     let entries = cursor.get_u32_le();
+                    context.entries.reserve(entries.min(16) as usize);
                     for _ in 0..entries {
                         let k = get_str(&mut cursor)?;
                         let v = get_str(&mut cursor)?;
-                        context.set(&k, &v);
+                        context.set_owned(k, v);
                     }
                 }
                 let body = RequestBody {
@@ -223,11 +362,6 @@ impl Message {
     }
 }
 
-fn put_str_local(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +369,47 @@ mod tests {
     fn round_trip(msg: Message) {
         let bytes = msg.encode();
         assert_eq!(Message::decode(&bytes).unwrap(), msg);
+        let frame = msg.encode_frame();
+        assert_eq!(frame[..4], (bytes.len() as u32).to_le_bytes());
+        assert_eq!(frame[4..], bytes[..]);
+    }
+
+    #[test]
+    fn outgoing_requests_encode_like_their_messages() {
+        let args = [Value::from("payload-string"), Value::Long(42)];
+        let (trace, span) = (
+            TraceId::from_raw(0xdead_beef),
+            SpanId::from_raw(u64::MAX - 1),
+        );
+        for oneway in [false, true] {
+            let outgoing = OutgoingRequest {
+                oneway,
+                id: 11,
+                key: "echo",
+                operation: "echo",
+                args: &args,
+                trace,
+                span,
+            };
+            let mut context = ServiceContext::new();
+            context.set(TRACE_ID_KEY, &trace.to_string());
+            context.set(SPAN_ID_KEY, &span.to_string());
+            let body = RequestBody {
+                id: 11,
+                key: "echo".into(),
+                operation: "echo".into(),
+                args: args.to_vec(),
+                context,
+            };
+            let msg = if oneway {
+                Message::Oneway(body)
+            } else {
+                Message::Request(body)
+            };
+            let frame = outgoing.encode_frame();
+            assert_eq!(frame, msg.encode_frame());
+            assert_eq!(Message::decode(&frame[4..]).unwrap(), msg);
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use adapta_idl::Value;
-use adapta_telemetry::{registry, Counter, Span, SpanId, TraceId, SPAN_ID_KEY, TRACE_ID_KEY};
+use adapta_idl::{IdlError, Value};
+use adapta_telemetry::{
+    registry, Counter, HistogramHandle, Span, SpanId, TraceId, SPAN_ID_KEY, TRACE_ID_KEY,
+};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 
@@ -17,7 +19,7 @@ use crate::interceptor::{
     ClientAction, ClientInterceptor, ClientRequestInfo, ServerAction, ServerInterceptor,
     ServerRequestInfo,
 };
-use crate::message::{Message, ReplyBody, RequestBody, ServiceContext};
+use crate::message::{Message, OutgoingRequest, ReplyBody, RequestBody};
 use crate::naming::NamingServant;
 use crate::proxy::Proxy;
 use crate::reference::ObjRef;
@@ -93,6 +95,30 @@ impl StatCells {
         }
     }
 }
+
+/// A served operation's metrics, `orb.server.op.<op>.{latency,errors}`.
+#[derive(Debug, Clone)]
+struct OpMetrics {
+    latency: HistogramHandle,
+    errors: Counter,
+}
+
+impl OpMetrics {
+    fn named(op: &str) -> OpMetrics {
+        OpMetrics {
+            latency: registry().histogram(&format!("orb.server.op.{op}.latency")),
+            errors: registry().counter(&format!("orb.server.op.{op}.errors")),
+        }
+    }
+}
+
+/// The metrics name that dispatches of operations the node does not
+/// track by name are recorded under.
+const UNKNOWN_OP: &str = "_unknown";
+
+/// Bound on the operations one node tracks by name; dispatches of
+/// further ones are recorded under [`UNKNOWN_OP`].
+const MAX_TRACKED_OPS: usize = 256;
 
 /// A snapshot of a broker's message counters.
 ///
@@ -259,12 +285,20 @@ pub(crate) struct OrbCore {
     pub(crate) adapter: ObjectAdapter,
     stats: StatCells,
     pub(crate) tcp_addr: RwLock<Option<String>>,
+    /// The node's TCP accept loops.
+    pub(crate) listeners: Mutex<Vec<transport::tcp::Listener>>,
     sync_oneway: AtomicBool,
     oneway_tx: Mutex<Option<Sender<RequestBody>>>,
     next_id: AtomicU64,
     pub(crate) tcp_pool: Mutex<HashMap<String, Arc<transport::tcp::MuxConnection>>>,
-    client_interceptors: RwLock<Vec<Arc<dyn ClientInterceptor>>>,
-    server_interceptors: RwLock<Vec<Arc<dyn ServerInterceptor>>>,
+    /// Interceptor chains, replaced whole on registration so a call
+    /// takes its chain with one reference-count increment.
+    client_interceptors: RwLock<Arc<[Arc<dyn ClientInterceptor>]>>,
+    server_interceptors: RwLock<Arc<[Arc<dyn ServerInterceptor>]>>,
+    /// Server metrics of the operations tracked by name (bounded by
+    /// [`MAX_TRACKED_OPS`]), and of all others.
+    op_metrics: RwLock<HashMap<String, OpMetrics>>,
+    unknown_op: OpMetrics,
     faults: Arc<FaultPlan>,
     lifecycle: Lifecycle,
     shutdown_hooks: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
@@ -277,6 +311,16 @@ impl std::fmt::Debug for OrbCore {
             .field("node", &self.node)
             .field("adapter", &self.adapter)
             .finish_non_exhaustive()
+    }
+}
+
+impl Drop for OrbCore {
+    fn drop(&mut self) {
+        // Stop the accept loops. Not joined: the last reference may be
+        // the one an accept loop itself holds.
+        for listener in self.listeners.get_mut().drain(..) {
+            listener.wake();
+        }
     }
 }
 
@@ -374,80 +418,106 @@ impl OrbCore {
     /// service context carries trace ids, the span joins that trace —
     /// so a client invocation and its remote dispatch share one
     /// `TraceId` even across TCP. Per-operation latency and error
-    /// counts land in the registry under `orb.server.op.<op>.*`.
+    /// counts land in the registry under `orb.server.op.<op>.*` (see
+    /// [`op_metrics`](Self::op_metrics) for which names are tracked).
     pub(crate) fn serve(&self, body: RequestBody) -> ReplyBody {
         self.count_served();
-        let remote_trace = body.context.get(TRACE_ID_KEY).and_then(TraceId::from_hex);
-        let parent = body.context.get(SPAN_ID_KEY).and_then(SpanId::from_hex);
+        let RequestBody {
+            id,
+            key,
+            operation,
+            args,
+            context,
+        } = body;
+        let remote_trace = context.get(TRACE_ID_KEY).and_then(TraceId::from_hex);
+        let parent = context.get(SPAN_ID_KEY).and_then(SpanId::from_hex);
+        let name = ["server:", &operation].concat();
         let mut span = match remote_trace {
-            Some(trace) => Span::child_of(&format!("server:{}", body.operation), trace, parent),
-            None => Span::start(&format!("server:{}", body.operation)),
+            Some(trace) => Span::child_of(name, trace, parent),
+            None => Span::start(name),
         };
         span.attr("node", &self.node);
-        span.attr("key", &body.key);
-        let latency = registry().histogram(&format!("orb.server.op.{}.latency", body.operation));
-        let started = std::time::Instant::now();
-        let reply = self.serve_inner(body);
-        latency.record(started.elapsed());
-        if let Err(message) = &reply.outcome {
-            span.attr("error", message);
-        }
-        reply
+        span.attr("key", &key);
+        let started = Instant::now();
+        let (outcome, validated) = match self.intercept_server(&key, &operation, &args) {
+            Some(abort) => (Err(abort), false),
+            None => {
+                let outcome = self.dispatch(&key, &operation, args);
+                let known = !matches!(
+                    outcome,
+                    Err(OrbError::ObjectNotFound { .. }
+                        | OrbError::Idl(IdlError::UnknownOperation { .. }))
+                );
+                (outcome, known)
+            }
+        };
+        let metrics = self.op_metrics(&operation, validated);
+        metrics.latency.record(started.elapsed());
+        let outcome = outcome.map_err(|e| {
+            metrics.errors.incr();
+            let message = e.to_string();
+            span.attr("error", &message);
+            message
+        });
+        ReplyBody { id, outcome }
     }
 
-    fn serve_inner(&self, body: RequestBody) -> ReplyBody {
+    /// The metrics a dispatch of `op` is recorded under. An operation is
+    /// tracked by name once a dispatch of it was `validated`: it passed
+    /// the server interceptors and reached a servant that knew it (or is
+    /// a pseudo-operation of an existing object). Until then, and for
+    /// every operation beyond [`MAX_TRACKED_OPS`], its dispatches are
+    /// recorded under `orb.server.op._unknown`, so remote callers cannot
+    /// grow the registry by inventing operation names.
+    fn op_metrics(&self, op: &str, validated: bool) -> OpMetrics {
+        if let Some(metrics) = self.op_metrics.read().get(op) {
+            return metrics.clone();
+        }
+        let mut tracked = self.op_metrics.write();
+        if !validated || tracked.len() >= MAX_TRACKED_OPS {
+            return tracked.get(op).unwrap_or(&self.unknown_op).clone();
+        }
+        tracked
+            .entry(op.to_owned())
+            .or_insert_with(|| OpMetrics::named(op))
+            .clone()
+    }
+
+    /// Runs the server interceptor chain; the first abort's error.
+    fn intercept_server(&self, key: &str, operation: &str, args: &[Value]) -> Option<OrbError> {
         let interceptors = self.server_interceptors.read().clone();
-        for interceptor in &interceptors {
-            let info = ServerRequestInfo {
-                key: &body.key,
-                operation: &body.operation,
-                args: &body.args,
-            };
-            if let ServerAction::Abort(message) = interceptor.receive_request(&info) {
-                registry()
-                    .counter(&format!("orb.server.op.{}.errors", body.operation))
-                    .incr();
-                return ReplyBody {
-                    id: body.id,
-                    outcome: Err(format!("remote exception: {message}")),
-                };
-            }
-        }
-        // CORBA-style standard pseudo-operations, answered by the
-        // broker itself so they work for every object (and for absent
-        // ones, in the case of `_non_existent`).
-        let outcome = match body.operation.as_str() {
-            "_non_existent" => Ok(Value::Bool(self.adapter.find(&body.key).is_none())),
-            "_interface" => match self.adapter.find(&body.key) {
-                Some(servant) => Ok(Value::from(servant.interface())),
-                None => Err(OrbError::ObjectNotFound {
-                    key: body.key.clone(),
-                }
-                .to_string()),
-            },
-            "_is_a" => match self.adapter.find(&body.key) {
-                Some(servant) => {
-                    let asked = body.args.first().and_then(Value::as_str).unwrap_or("");
-                    Ok(Value::Bool(servant.interface() == asked))
-                }
-                None => Err(OrbError::ObjectNotFound {
-                    key: body.key.clone(),
-                }
-                .to_string()),
-            },
-            _ => self
-                .adapter
-                .dispatch(&body.key, &body.operation, body.args)
-                .map_err(|e| e.to_string()),
+        let info = ServerRequestInfo {
+            key,
+            operation,
+            args,
         };
-        if outcome.is_err() {
-            registry()
-                .counter(&format!("orb.server.op.{}.errors", body.operation))
-                .incr();
-        }
-        ReplyBody {
-            id: body.id,
-            outcome,
+        interceptors
+            .iter()
+            .find_map(|interceptor| match interceptor.receive_request(&info) {
+                ServerAction::Proceed => None,
+                ServerAction::Abort(message) => Some(OrbError::exception(message)),
+            })
+    }
+
+    /// Dispatches to the servant under `key`, answering the CORBA-style
+    /// standard pseudo-operations itself so they work for every object
+    /// (and for absent ones, in the case of `_non_existent`).
+    fn dispatch(&self, key: &str, operation: &str, args: Vec<Value>) -> OrbResult<Value> {
+        let not_found = || OrbError::ObjectNotFound {
+            key: key.to_owned(),
+        };
+        match operation {
+            "_non_existent" => Ok(Value::Bool(self.adapter.find(key).is_none())),
+            "_interface" => {
+                let servant = self.adapter.find(key).ok_or_else(not_found)?;
+                Ok(Value::from(servant.interface()))
+            }
+            "_is_a" => {
+                let servant = self.adapter.find(key).ok_or_else(not_found)?;
+                let asked = args.first().and_then(Value::as_str).unwrap_or("");
+                Ok(Value::Bool(servant.interface() == asked))
+            }
+            _ => self.adapter.dispatch(key, operation, args),
         }
     }
 
@@ -524,12 +594,15 @@ impl Orb {
             adapter: ObjectAdapter::new(),
             stats: StatCells::for_node(&name),
             tcp_addr: RwLock::new(None),
+            listeners: Mutex::new(Vec::new()),
             sync_oneway: AtomicBool::new(false),
             oneway_tx: Mutex::new(None),
             next_id: AtomicU64::new(1),
             tcp_pool: Mutex::new(HashMap::new()),
-            client_interceptors: RwLock::new(Vec::new()),
-            server_interceptors: RwLock::new(Vec::new()),
+            client_interceptors: RwLock::new(Arc::new([])),
+            server_interceptors: RwLock::new(Arc::new([])),
+            op_metrics: RwLock::new(HashMap::new()),
+            unknown_op: OpMetrics::named(UNKNOWN_OP),
             faults: Arc::new(FaultPlan::for_node(&name)),
             lifecycle: Lifecycle::new(),
             shutdown_hooks: Mutex::new(Vec::new()),
@@ -595,6 +668,14 @@ impl Orb {
         }
     }
 
+    /// Number of operations whose server metrics this node records
+    /// under their own name (`orb.server.op.<op>.*`); at most 256.
+    /// Dispatches of any other operation are recorded under
+    /// `orb.server.op._unknown`.
+    pub fn tracked_operations(&self) -> usize {
+        self.core.op_metrics.read().len()
+    }
+
     /// Makes locally-delivered oneway invocations run synchronously in
     /// the caller's thread — used by deterministic tests and simulations.
     pub fn set_synchronous_oneway(&self, on: bool) {
@@ -654,6 +735,10 @@ impl Orb {
             && self.core.is_stopped()
         {
             return true;
+        }
+        let listeners = std::mem::take(&mut *self.core.listeners.lock());
+        for listener in listeners {
+            let _ = listener.wake().join();
         }
         let drained = self.core.wait_drained(deadline);
         let hooks = std::mem::take(&mut *self.core.shutdown_hooks.lock());
@@ -805,41 +890,38 @@ impl Orb {
     /// Registers a client-side request interceptor (runs on every
     /// outgoing invocation of this node, in registration order).
     pub fn add_client_interceptor(&self, interceptor: impl ClientInterceptor + 'static) {
-        self.core
-            .client_interceptors
-            .write()
-            .push(Arc::new(interceptor));
+        let mut chain = self.core.client_interceptors.write();
+        let mut next = chain.to_vec();
+        next.push(Arc::new(interceptor));
+        *chain = next.into();
     }
 
     /// Registers a server-side request interceptor (runs before every
     /// local dispatch).
     pub fn add_server_interceptor(&self, interceptor: impl ServerInterceptor + 'static) {
-        self.core
-            .server_interceptors
-            .write()
-            .push(Arc::new(interceptor));
+        let mut chain = self.core.server_interceptors.write();
+        let mut next = chain.to_vec();
+        next.push(Arc::new(interceptor));
+        *chain = next.into();
     }
 
-    /// Runs the client interceptor chain; returns the (possibly
-    /// redirected) target. Per the CORBA rules, a redirect restarts the
-    /// chain on the new target; redirect loops are cut after 8 rounds.
+    /// Runs the client interceptor chain; returns the redirected
+    /// target, or `None` when the request goes to `target`. Per the
+    /// CORBA rules, a redirect restarts the chain on the new target;
+    /// redirect loops are cut after 8 rounds.
     fn intercept_client(
-        &self,
+        interceptors: &[Arc<dyn ClientInterceptor>],
         target: &ObjRef,
         op: &str,
         args: &[Value],
         oneway: bool,
-    ) -> OrbResult<ObjRef> {
-        let interceptors = self.core.client_interceptors.read().clone();
-        let mut current = target.clone();
-        if interceptors.is_empty() {
-            return Ok(current);
-        }
+    ) -> OrbResult<Option<ObjRef>> {
+        let mut redirect: Option<ObjRef> = None;
         for _round in 0..8 {
             let mut redirected = false;
-            for interceptor in &interceptors {
+            for interceptor in interceptors {
                 let info = ClientRequestInfo {
-                    target: &current,
+                    target: redirect.as_ref().unwrap_or(target),
                     operation: op,
                     args,
                     oneway,
@@ -847,7 +929,7 @@ impl Orb {
                 match interceptor.send_request(&info) {
                     ClientAction::Proceed => {}
                     ClientAction::Redirect(next) => {
-                        current = next;
+                        redirect = Some(next);
                         redirected = true;
                         break;
                     }
@@ -857,32 +939,12 @@ impl Orb {
                 }
             }
             if !redirected {
-                return Ok(current);
+                return Ok(redirect);
             }
         }
         Err(OrbError::Transport(
             "client interceptors redirected more than 8 times".into(),
         ))
-    }
-
-    /// Notifies interceptors of a two-way outcome.
-    fn intercept_reply(
-        &self,
-        target: &ObjRef,
-        op: &str,
-        args: &[Value],
-        outcome: &OrbResult<Value>,
-    ) {
-        let interceptors = self.core.client_interceptors.read().clone();
-        for interceptor in &interceptors {
-            let info = ClientRequestInfo {
-                target,
-                operation: op,
-                args,
-                oneway: false,
-            };
-            interceptor.receive_reply(&info, outcome);
-        }
     }
 
     /// Sends a two-way invocation to `target` and waits for the reply.
@@ -892,11 +954,14 @@ impl Orb {
     /// Transport errors, [`OrbError::ObjectNotFound`], or the remote
     /// exception raised by the servant.
     pub fn invoke_ref(&self, target: &ObjRef, op: &str, args: Vec<Value>) -> OrbResult<Value> {
-        self.invoke_ref_with(target, op, args, InvokeOptions::default())
+        self.invoke_args(target, op, &args, InvokeOptions::default())
     }
 
     /// Sends a two-way invocation with explicit per-call options (for
-    /// example a [deadline](InvokeOptions::deadline)).
+    /// example a [deadline](InvokeOptions::deadline)). The arguments
+    /// (a `Vec<Value>`, or a borrowed slice) are only read: the request
+    /// is encoded from them, so a caller that retries can send the same
+    /// slice again without copying it.
     ///
     /// # Errors
     ///
@@ -906,13 +971,23 @@ impl Orb {
         &self,
         target: &ObjRef,
         op: &str,
-        args: Vec<Value>,
+        args: impl AsRef<[Value]>,
+        opts: InvokeOptions,
+    ) -> OrbResult<Value> {
+        self.invoke_args(target, op, args.as_ref(), opts)
+    }
+
+    fn invoke_args(
+        &self,
+        target: &ObjRef,
+        op: &str,
+        args: &[Value],
         opts: InvokeOptions,
     ) -> OrbResult<Value> {
         // The client span opens before the interceptor chain runs, so
         // spans emitted by observe hooks (and by nested invocations the
         // hooks trigger) nest under it.
-        let mut span = Span::start(&format!("client:{op}"));
+        let mut span = Span::start(["client:", op].concat());
         span.attr("node", &self.core.node);
         span.attr("key", &target.key);
         let outcome = self.invoke_traced(target, op, args, opts, &span);
@@ -926,30 +1001,42 @@ impl Orb {
         &self,
         target: &ObjRef,
         op: &str,
-        args: Vec<Value>,
+        args: &[Value],
         opts: InvokeOptions,
         span: &Span,
     ) -> OrbResult<Value> {
-        let target = self.intercept_client(target, op, &args, false)?;
+        let interceptors = self.core.client_interceptors.read().clone();
+        let redirect = Self::intercept_client(&interceptors, target, op, args, false)?;
+        let target = redirect.as_ref().unwrap_or(target);
         let id = self.core.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut context = ServiceContext::new();
-        context.set(TRACE_ID_KEY, &span.trace_id().to_string());
-        context.set(SPAN_ID_KEY, &span.span_id().to_string());
-        let body = RequestBody {
+        let frame = OutgoingRequest {
+            oneway: false,
             id,
-            key: target.key.clone(),
-            operation: op.to_owned(),
-            args: args.clone(),
-            context,
-        };
+            key: &target.key,
+            operation: op,
+            args,
+            trace: span.trace_id(),
+            span: span.span_id(),
+        }
+        .encode_frame();
         self.core.stats.requests_sent.incr();
-        let outcome = (|| {
-            let reply = self.route(&target, Message::Request(body), opts.effective_deadline())?;
-            let reply = reply.expect("two-way invocations produce a reply");
-            self.core.stats.replies_received.incr();
-            reply.outcome.map_err(Self::revive_error)
-        })();
-        self.intercept_reply(&target, op, &args, &outcome);
+        let outcome = self
+            .route(target, op, &frame, Some(id), opts.effective_deadline())
+            .and_then(|reply| {
+                let reply = reply.expect("two-way invocations produce a reply");
+                self.core.stats.replies_received.incr();
+                reply.outcome.map_err(Self::revive_error)
+            });
+        // Reply interceptors observe the two-way outcome.
+        for interceptor in interceptors.iter() {
+            let info = ClientRequestInfo {
+                target,
+                operation: op,
+                args,
+                oneway: false,
+            };
+            interceptor.receive_reply(&info, &outcome);
+        }
         outcome
     }
 
@@ -959,25 +1046,29 @@ impl Orb {
     ///
     /// Transport errors only; servant outcomes are not observable.
     pub fn invoke_oneway_ref(&self, target: &ObjRef, op: &str, args: Vec<Value>) -> OrbResult<()> {
-        let mut span = Span::start(&format!("oneway:{op}"));
+        let mut span = Span::start(["oneway:", op].concat());
         span.attr("node", &self.core.node);
         span.attr("key", &target.key);
-        let target = self.intercept_client(target, op, &args, true)?;
-        let mut context = ServiceContext::new();
-        context.set(TRACE_ID_KEY, &span.trace_id().to_string());
-        context.set(SPAN_ID_KEY, &span.span_id().to_string());
-        let body = RequestBody {
+        let interceptors = self.core.client_interceptors.read().clone();
+        let redirect = Self::intercept_client(&interceptors, target, op, &args, true)?;
+        let target = redirect.as_ref().unwrap_or(target);
+        let frame = OutgoingRequest {
+            oneway: true,
             id: 0,
-            key: target.key.clone(),
-            operation: op.to_owned(),
-            args,
-            context,
-        };
+            key: &target.key,
+            operation: op,
+            args: &args,
+            trace: span.trace_id(),
+            span: span.span_id(),
+        }
+        .encode_frame();
         self.core.stats.oneways_sent.incr();
         // Oneways never wait for a reply, so the deadline is moot.
         self.route(
-            &target,
-            Message::Oneway(body),
+            target,
+            op,
+            &frame,
+            None,
             InvokeOptions::default().effective_deadline(),
         )?;
         Ok(())
@@ -1007,34 +1098,36 @@ impl Orb {
         OrbError::RemoteException { message }
     }
 
-    /// Routes an encoded message to the target endpoint and returns the
-    /// reply body for two-way requests. `deadline` bounds the wait for
-    /// a TCP reply; in-process dispatch is synchronous and ignores it.
+    /// Routes one encoded request `frame` (length prefix included) for
+    /// `operation` to the target endpoint; for a two-way request,
+    /// `reply_id` is its id and the reply body is returned. `deadline`
+    /// bounds the wait for a TCP reply; in-process dispatch is
+    /// synchronous and ignores it.
     fn route(
         &self,
         target: &ObjRef,
-        msg: Message,
+        operation: &str,
+        frame: &[u8],
+        reply_id: Option<u64>,
         deadline: std::time::Duration,
     ) -> OrbResult<Option<ReplyBody>> {
         if self.core.is_stopped() {
             return Err(OrbError::ShuttingDown);
         }
-        let msg = self.apply_faults(target, msg, deadline)?;
-        let Some(msg) = msg else {
+        if !self.apply_faults(target, operation, reply_id.is_none(), deadline)? {
             // A dropped oneway: the send "succeeded", nothing arrives.
             return Ok(None);
-        };
+        }
         if let Some(node) = target.endpoint.strip_prefix("inproc://") {
             let peer = lookup_node(node).ok_or_else(|| OrbError::NodeUnreachable {
                 endpoint: target.endpoint.clone(),
             })?;
             // Full marshal/unmarshal round trip keeps in-process
             // measurements honest.
-            let bytes = msg.encode();
+            let bytes = &frame[4..];
             self.core.count_bytes_out(bytes.len());
             peer.count_bytes_in(bytes.len());
-            let decoded = Message::decode(&bytes)?;
-            match decoded {
+            match Message::decode(bytes)? {
                 Message::Request(body) => {
                     match peer.begin_dispatch() {
                         DispatchDecision::Admitted => {}
@@ -1042,11 +1135,12 @@ impl Orb {
                         DispatchDecision::Overloaded => return Err(OrbError::TransientOverload),
                     }
                     let reply = peer.serve(body);
-                    let reply_bytes = Message::Reply(reply).encode();
+                    let reply_frame = Message::Reply(reply).encode_frame();
+                    let reply_bytes = &reply_frame[4..];
                     peer.count_bytes_out(reply_bytes.len());
                     peer.end_dispatch();
                     self.core.count_bytes_in(reply_bytes.len());
-                    match Message::decode(&reply_bytes)? {
+                    match Message::decode(reply_bytes)? {
                         Message::Reply(body) => Ok(Some(body)),
                         _ => Err(OrbError::Marshal("expected a reply".into())),
                     }
@@ -1058,7 +1152,7 @@ impl Orb {
                 Message::Reply(_) => Err(OrbError::Marshal("unexpected reply".into())),
             }
         } else if let Some(addr) = target.endpoint.strip_prefix("tcp://") {
-            transport::tcp::invoke(&self.core, addr, msg, deadline)
+            transport::tcp::invoke(&self.core, addr, frame, reply_id, deadline)
         } else {
             Err(OrbError::NodeUnreachable {
                 endpoint: target.endpoint.clone(),
@@ -1066,33 +1160,28 @@ impl Orb {
         }
     }
 
-    /// Offers one outgoing message to the node's fault plan. Returns the
-    /// message (possibly after an injected delay) when it may proceed,
-    /// `Ok(None)` for a silently-dropped oneway, or the injected error.
+    /// Offers one outgoing request to the node's fault plan. Returns
+    /// whether it may proceed (possibly after an injected delay):
+    /// `false` for a silently dropped oneway, or the injected error.
     fn apply_faults(
         &self,
         target: &ObjRef,
-        msg: Message,
+        operation: &str,
+        oneway: bool,
         deadline: std::time::Duration,
-    ) -> OrbResult<Option<Message>> {
-        let operation = match &msg {
-            Message::Request(body) | Message::Oneway(body) => body.operation.as_str(),
-            Message::Reply(_) => "",
-        };
+    ) -> OrbResult<bool> {
         let Some(action) = self.core.faults.decide(&target.endpoint, operation) else {
-            return Ok(Some(msg));
+            return Ok(true);
         };
         match action {
             FaultAction::Delay(d) => {
                 std::thread::sleep(d);
-                Ok(Some(msg))
+                Ok(true)
             }
-            FaultAction::Drop => match msg {
-                // What a black hole looks like to the caller — minus
-                // the wait for the deadline to actually elapse.
-                Message::Oneway(_) => Ok(None),
-                _ => Err(OrbError::DeadlineExpired { after: deadline }),
-            },
+            // What a black hole looks like to the caller — minus the
+            // wait for the deadline to actually elapse.
+            FaultAction::Drop if oneway => Ok(false),
+            FaultAction::Drop => Err(OrbError::DeadlineExpired { after: deadline }),
             FaultAction::Corrupt => Err(OrbError::Transport(
                 "injected fault: frame corrupted in flight".into(),
             )),

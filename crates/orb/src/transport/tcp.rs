@@ -26,7 +26,7 @@
 //! every frame, multiplexing only starts using them for correlation.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -57,16 +57,25 @@ fn io_err(context: &str, e: std::io::Error) -> OrbError {
     OrbError::Transport(format!("{context}: {e}"))
 }
 
-fn write_frame(stream: &mut TcpStream, body: &[u8]) -> OrbResult<()> {
-    let len = (body.len() as u32).to_le_bytes();
+/// Writes an encoded frame (length prefix included) in one write.
+fn send_frame(stream: &mut TcpStream, frame: &[u8]) -> OrbResult<()> {
     stream
-        .write_all(&len)
-        .and_then(|()| stream.write_all(body))
-        .and_then(|()| stream.flush())
+        .write_all(frame)
         .map_err(|e| io_err("write frame", e))
 }
 
-fn read_frame(stream: &mut TcpStream) -> OrbResult<Option<Vec<u8>>> {
+/// Writes `body` behind its length prefix, as one write.
+#[cfg(test)]
+fn write_frame(stream: &mut TcpStream, body: &[u8]) -> OrbResult<()> {
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    send_frame(stream, &frame)
+}
+
+/// Reads one frame's body; `None` at a clean end of stream. Callers
+/// read through a [`BufReader`], so a small frame costs one `read`.
+fn read_frame(stream: &mut impl Read) -> OrbResult<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match stream.read_exact(&mut len) {
         Ok(()) => {}
@@ -86,54 +95,78 @@ fn read_frame(stream: &mut TcpStream) -> OrbResult<Option<Vec<u8>>> {
 
 // ---- server side -----------------------------------------------------------
 
+/// A running accept loop: the address it listens on and its thread.
+#[derive(Debug)]
+pub(crate) struct Listener {
+    addr: SocketAddr,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Listener {
+    /// Wakes the accept loop, blocked in `accept`, with a connection to
+    /// its own address, so that it sees its orb draining or gone and
+    /// exits (closing the listening socket). Returns the thread, for a
+    /// caller that wants to wait for that.
+    pub(crate) fn wake(self) -> std::thread::JoinHandle<()> {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+        self.thread
+    }
+}
+
+/// How long waking an accept loop may wait for its own connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Starts a listener for `core` on `addr`; returns the bound address.
 ///
-/// The accept loop runs on a daemon thread holding only a [`Weak`]
-/// reference, so dropping the orb stops it.
+/// The accept loop blocks in `accept` on a thread holding only a
+/// [`Weak`] reference; [`Orb::shutdown`](crate::Orb::shutdown) and
+/// dropping the orb wake it (see [`Listener::wake`]) and it exits.
 pub(crate) fn listen(core: &Arc<OrbCore>, addr: &str) -> OrbResult<SocketAddr> {
     let listener = TcpListener::bind(addr).map_err(|e| io_err("bind", e))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| io_err("set_nonblocking", e))?;
     let local = listener.local_addr().map_err(|e| io_err("local_addr", e))?;
     let weak = Arc::downgrade(core);
-    std::thread::Builder::new()
+    let thread = std::thread::Builder::new()
         .name(format!("orb-accept-{local}"))
         .spawn(move || accept_loop(listener, weak))
         .map_err(|e| OrbError::Transport(format!("spawn accept thread: {e}")))?;
+    core.listeners.lock().push(Listener {
+        addr: local,
+        thread,
+    });
     Ok(local)
 }
 
 fn accept_loop(listener: TcpListener, weak: Weak<OrbCore>) {
     loop {
+        let accepted = listener.accept();
         // Exit when the orb is gone *or* draining: a shutting-down node
         // stops accepting new connections first.
-        match weak.upgrade() {
-            Some(core) if core.is_running() => {}
-            _ => return,
-        }
-        match listener.accept() {
+        let Some(core) = weak.upgrade().filter(|core| core.is_running()) else {
+            return;
+        };
+        match accepted {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(false);
                 let conn_weak = weak.clone();
                 let _ = std::thread::Builder::new()
                     .name("orb-conn".to_owned())
                     .spawn(move || serve_connection(stream, conn_weak));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
             Err(_) => {
                 // Transient accept failures (EMFILE, ECONNABORTED…)
                 // must not permanently kill the listener: count, back
-                // off, keep accepting. The loop still exits once the
-                // orb is gone.
-                if let Some(core) = weak.upgrade() {
-                    registry()
-                        .counter(&format!("orb.{}.tcp.accept.errors", core.node))
-                        .incr();
-                }
+                // off, keep accepting.
+                registry()
+                    .counter(&format!("orb.{}.tcp.accept.errors", core.node))
+                    .incr();
+                drop(core);
                 std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
         }
@@ -144,11 +177,12 @@ fn accept_loop(listener: TcpListener, weak: Weak<OrbCore>) {
 /// frame must be written back.
 type Job = (RequestBody, bool);
 
-fn serve_connection(mut stream: TcpStream, weak: Weak<OrbCore>) {
+fn serve_connection(stream: TcpStream, weak: Weak<OrbCore>) {
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
+    let mut stream = BufReader::new(stream);
     let (tx, rx) = unbounded::<Job>();
     let rx = Arc::new(Mutex::new(rx));
     let workers = Arc::new(AtomicUsize::new(0));
@@ -186,9 +220,9 @@ fn serve_connection(mut stream: TcpStream, weak: Weak<OrbCore>) {
                     id: job.0.id,
                     outcome: Err(OrbError::TransientOverload.to_string()),
                 })
-                .encode();
-                core.count_bytes_out(4 + reply.len());
-                if write_frame(&mut writer.lock(), &reply).is_err() {
+                .encode_frame();
+                core.count_bytes_out(reply.len());
+                if send_frame(&mut writer.lock(), &reply).is_err() {
                     return;
                 }
             }
@@ -208,9 +242,9 @@ fn serve_connection(mut stream: TcpStream, weak: Weak<OrbCore>) {
                     id: job.0.id,
                     outcome: Err(err.to_string()),
                 })
-                .encode();
-                core.count_bytes_out(4 + reply.len());
-                if write_frame(&mut writer.lock(), &reply).is_err() {
+                .encode_frame();
+                core.count_bytes_out(reply.len());
+                if send_frame(&mut writer.lock(), &reply).is_err() {
                     return;
                 }
             }
@@ -285,9 +319,9 @@ fn spawn_conn_worker(
                 let reply = core.serve(req);
                 gauge.sub(1);
                 if needs_reply {
-                    let bytes = Message::Reply(reply).encode();
-                    core.count_bytes_out(4 + bytes.len());
-                    let wrote = write_frame(&mut writer.lock(), &bytes);
+                    let frame = Message::Reply(reply).encode_frame();
+                    core.count_bytes_out(frame.len());
+                    let wrote = send_frame(&mut writer.lock(), &frame);
                     // The dispatch (accepted in `serve_connection`)
                     // retires only after its reply is flushed, so a
                     // draining orb never strands an accepted caller.
@@ -431,12 +465,13 @@ fn connect(core: &Arc<OrbCore>, addr: &str) -> OrbResult<Arc<MuxConnection>> {
 /// connection dies; then fails every pending caller and evicts the
 /// connection from the pool.
 fn reader_loop(
-    mut stream: TcpStream,
+    stream: TcpStream,
     state: Arc<Mutex<PendingState>>,
     weak_core: Weak<OrbCore>,
     weak_conn: Weak<MuxConnection>,
     addr: String,
 ) {
+    let mut stream = BufReader::new(stream);
     let reason = loop {
         let body = match read_frame(&mut stream) {
             Ok(Some(body)) => body,
@@ -512,9 +547,11 @@ fn pooled_connection(core: &Arc<OrbCore>, addr: &str) -> OrbResult<Arc<MuxConnec
     }
 }
 
-/// Sends `msg` to `addr`; for two-way requests, waits up to `deadline`
-/// for the matching reply (correlated by request id, so any number of
-/// calls may be in flight on the connection at once).
+/// Sends the request `frame` to `addr`; for a two-way request (with
+/// `expected_id`), waits up to `deadline` for the matching reply
+/// (correlated by request id, so any number of calls may be in flight
+/// on the connection at once). The stream lock is held only for the
+/// write; the wait for the reply happens off-lock.
 ///
 /// A stale pooled connection is evicted and retried once — but only when
 /// the failure happened before any byte of the request could have been
@@ -523,14 +560,10 @@ fn pooled_connection(core: &Arc<OrbCore>, addr: &str) -> OrbResult<Arc<MuxConnec
 pub(crate) fn invoke(
     core: &Arc<OrbCore>,
     addr: &str,
-    msg: Message,
+    frame: &[u8],
+    expected_id: Option<u64>,
     deadline: Duration,
 ) -> OrbResult<Option<ReplyBody>> {
-    let bytes = msg.encode();
-    let expected_id = match &msg {
-        Message::Request(body) => Some(body.id),
-        _ => None,
-    };
     let mut last_err = None;
     for _attempt in 0..2 {
         let conn = pooled_connection(core, addr)?;
@@ -545,7 +578,7 @@ pub(crate) fn invoke(
             },
             None => None,
         };
-        if let Err(e) = conn.write_frame_locked(&bytes) {
+        if let Err(e) = send_frame(&mut conn.writer.lock(), frame) {
             // A partial write leaves the stream unusable for everyone:
             // fail all pending callers and retry this request once on a
             // fresh connection.
@@ -554,7 +587,7 @@ pub(crate) fn invoke(
             last_err = Some(e);
             continue;
         }
-        core.count_bytes_out(4 + bytes.len());
+        core.count_bytes_out(frame.len());
         let Some((rx, depth)) = registered else {
             return Ok(None); // oneway: fire and forget
         };
@@ -583,14 +616,6 @@ pub(crate) fn invoke(
         return out;
     }
     Err(last_err.unwrap_or_else(|| OrbError::Transport("tcp invoke failed".into())))
-}
-
-impl MuxConnection {
-    /// Writes one frame, holding the stream lock only for the write —
-    /// the wait for the reply happens off-lock in [`invoke`].
-    fn write_frame_locked(&self, bytes: &[u8]) -> OrbResult<()> {
-        write_frame(&mut self.writer.lock(), bytes)
-    }
 }
 
 #[cfg(test)]
@@ -687,6 +712,39 @@ mod tests {
         let target = crate::ObjRef::new(endpoint, "echo", "Echo");
         let out = client.invoke_ref(&target, "echo", vec![]).unwrap();
         assert_eq!(out, Value::Seq(vec![]));
+    }
+
+    /// Shutdown wakes the accept loop blocked in `accept`: its thread
+    /// exits, closing the listening socket, so the port refuses new
+    /// connections.
+    #[test]
+    fn shutdown_stops_the_blocking_accept_loop() {
+        let (server, endpoint) = echo_orb("t-tcp-accept-stop");
+        let addr = endpoint.strip_prefix("tcp://").unwrap().to_owned();
+        let client = Orb::new("t-tcp-accept-stop-client");
+        let target = crate::ObjRef::new(endpoint, "echo", "Echo");
+        client.invoke_ref(&target, "echo", vec![]).unwrap();
+        assert!(server.shutdown(Duration::from_secs(2)));
+        let err = TcpStream::connect(&addr).expect_err("listener still accepting");
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+    }
+
+    /// Dropping the orb stops its accept loop the same way.
+    #[test]
+    fn dropping_the_orb_stops_the_blocking_accept_loop() {
+        let (server, endpoint) = echo_orb("t-tcp-accept-drop");
+        let addr = endpoint.strip_prefix("tcp://").unwrap().to_owned();
+        drop(server);
+        // The loop exits on its own thread once woken; allow it a moment.
+        // Binding the port probes for the listening socket without
+        // connecting, which would wake the loop itself.
+        for _ in 0..200 {
+            if TcpListener::bind(&addr).is_ok() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("listener still open after the orb was dropped");
     }
 
     /// Regression for the desync bug: a reply whose id routes nowhere

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::hist::Histogram;
+use crate::buckets::Buckets;
 use crate::json::Obj;
 
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -61,14 +61,23 @@ impl Gauge {
     }
 }
 
-/// A latency histogram handle backed by a shared [`Histogram`].
-#[derive(Debug, Clone)]
-pub struct HistogramHandle(Arc<Mutex<Histogram>>);
+/// A latency histogram handle: a shared, bounded, lock-free bucket
+/// array (see the crate docs for its accuracy). Cloning shares it.
+#[derive(Clone)]
+pub struct HistogramHandle(Arc<Buckets>);
+
+impl std::fmt::Debug for HistogramHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("HistogramHandle")
+            .field(&self.summary())
+            .finish()
+    }
+}
 
 impl HistogramHandle {
     /// Records one duration sample.
     pub fn record(&self, d: Duration) {
-        relock(&self.0).record(d);
+        self.0.record(d);
     }
 
     /// Runs `f`, recording its wall-clock duration.
@@ -79,14 +88,15 @@ impl HistogramHandle {
         out
     }
 
-    /// A copy of the underlying histogram.
-    pub fn histogram(&self) -> Histogram {
-        relock(&self.0).clone()
-    }
-
     /// The current quantile summary.
     pub fn summary(&self) -> HistSummary {
-        HistSummary::of(&mut relock(&self.0))
+        self.0.summary()
+    }
+
+    /// Heap bytes the histogram holds: fixed at creation, whatever the
+    /// number of samples recorded.
+    pub fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes()
     }
 }
 
@@ -110,15 +120,18 @@ pub struct HistSummary {
 }
 
 impl HistSummary {
-    fn of(h: &mut Histogram) -> HistSummary {
+    /// A summary from nanosecond parts; `quantiles` are p50, p90, p95
+    /// and p99.
+    pub(crate) fn of_parts(count: u64, mean_ns: u64, quantiles: [u64; 4], max_ns: u64) -> Self {
+        let [p50, p90, p95, p99] = quantiles.map(Duration::from_nanos);
         HistSummary {
-            count: h.len() as u64,
-            mean: h.mean(),
-            p50: h.quantile(0.50),
-            p90: h.quantile(0.90),
-            p95: h.quantile(0.95),
-            p99: h.quantile(0.99),
-            max: h.max(),
+            count,
+            mean: Duration::from_nanos(mean_ns),
+            p50,
+            p90,
+            p95,
+            p99,
+            max: Duration::from_nanos(max_ns),
         }
     }
 
@@ -143,7 +156,7 @@ impl HistSummary {
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Mutex<Histogram>>>>,
+    histograms: Mutex<BTreeMap<String, Arc<Buckets>>>,
 }
 
 /// The process-wide registry.
@@ -152,35 +165,35 @@ pub fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::default)
 }
 
+/// The cell named `name` in `map`, created by `T::default()` on first
+/// use. A name already present is found without allocating.
+fn cell<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = relock(map);
+    if let Some(cell) = map.get(name) {
+        return cell.clone();
+    }
+    map.entry(name.to_owned()).or_default().clone()
+}
+
 impl Registry {
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        Counter(
-            relock(&self.counters)
-                .entry(name.to_string())
-                .or_default()
-                .clone(),
-        )
+        Counter(cell(&self.counters, name))
     }
 
     /// The gauge named `name`, created at zero on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(
-            relock(&self.gauges)
-                .entry(name.to_string())
-                .or_default()
-                .clone(),
-        )
+        Gauge(cell(&self.gauges, name))
     }
 
     /// The histogram named `name`, created empty on first use.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
-        HistogramHandle(
-            relock(&self.histograms)
-                .entry(name.to_string())
-                .or_default()
-                .clone(),
-        )
+        HistogramHandle(cell(&self.histograms, name))
+    }
+
+    /// Number of named instruments of all three kinds.
+    pub fn name_count(&self) -> usize {
+        relock(&self.counters).len() + relock(&self.gauges).len() + relock(&self.histograms).len()
     }
 
     /// Captures every instrument's current value.
@@ -195,7 +208,7 @@ impl Registry {
             .collect();
         let histograms = relock(&self.histograms)
             .iter()
-            .map(|(k, v)| (k.clone(), HistSummary::of(&mut relock(v))))
+            .map(|(k, v)| (k.clone(), v.summary()))
             .collect();
         Snapshot {
             counters,

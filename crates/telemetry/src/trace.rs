@@ -66,6 +66,17 @@ macro_rules! hex_id {
                 self.0
             }
 
+            /// The 16 lowercase hex digits `Display` prints, as ASCII
+            /// bytes, without allocating.
+            pub fn to_hex(self) -> [u8; 16] {
+                const DIGITS: &[u8; 16] = b"0123456789abcdef";
+                let mut out = [0u8; 16];
+                for (i, digit) in out.iter_mut().enumerate() {
+                    *digit = DIGITS[(self.0 >> (60 - 4 * i)) as usize & 0xf];
+                }
+                out
+            }
+
             /// Parses the 16-digit hex form produced by `Display`.
             pub fn from_hex(s: &str) -> Option<$name> {
                 u64::from_str_radix(s, 16).ok().map($name)
@@ -175,11 +186,11 @@ pub struct Span {
 }
 
 impl Span {
-    fn build(name: &str, trace: TraceId, parent: Option<SpanId>) -> Span {
+    fn build(name: String, trace: TraceId, parent: Option<SpanId>) -> Span {
         let span = SpanId::generate();
         push_context(trace, span);
         Span {
-            name: name.to_string(),
+            name,
             trace,
             span,
             parent,
@@ -189,24 +200,25 @@ impl Span {
     }
 
     /// Starts a span: a child of this thread's current span when one is
-    /// active, otherwise the root of a new trace.
-    pub fn start(name: &str) -> Span {
+    /// active, otherwise the root of a new trace. An owned `String`
+    /// name is kept as is; a `&str` is copied.
+    pub fn start(name: impl Into<String>) -> Span {
         match current_context() {
-            Some((trace, parent)) => Span::build(name, trace, Some(parent)),
-            None => Span::build(name, TraceId::generate(), None),
+            Some((trace, parent)) => Span::build(name.into(), trace, Some(parent)),
+            None => Span::build(name.into(), TraceId::generate(), None),
         }
     }
 
     /// Starts the root of a brand-new trace, ignoring any current span.
-    pub fn root(name: &str) -> Span {
-        Span::build(name, TraceId::generate(), None)
+    pub fn root(name: impl Into<String>) -> Span {
+        Span::build(name.into(), TraceId::generate(), None)
     }
 
     /// Starts a span under an explicitly supplied parent — the server
     /// side of a remote call, resuming the context extracted from the
     /// request's service context.
-    pub fn child_of(name: &str, trace: TraceId, parent: Option<SpanId>) -> Span {
-        Span::build(name, trace, parent)
+    pub fn child_of(name: impl Into<String>, trace: TraceId, parent: Option<SpanId>) -> Span {
+        Span::build(name.into(), trace, parent)
     }
 
     /// Attaches a key/value attribute.
@@ -403,6 +415,13 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(TraceId::from_hex(&a.to_string()), Some(a));
         assert_eq!(a.to_string().len(), 16);
+        for id in [
+            TraceId::from_raw(0x0123_4567_89ab_cdef),
+            TraceId::from_raw(7),
+            a,
+        ] {
+            assert_eq!(id.to_hex(), id.to_string().as_bytes());
+        }
     }
 
     #[test]

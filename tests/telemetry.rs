@@ -181,3 +181,73 @@ fn telemetry_object_reports_quantiles_and_smartproxy_metrics() {
         .unwrap();
     assert!(matches!(served, Value::Long(n) if n >= 4));
 }
+
+/// Operation names chosen by remote callers cannot grow the registry:
+/// dispatches to a missing object or of an operation the servant does
+/// not know are recorded under `orb.server.op._unknown`, in process and
+/// over TCP alike.
+#[test]
+fn bogus_operation_names_fold_into_unknown() {
+    const NAMES: usize = 100_000;
+    const TCP_CALLERS: usize = 2;
+
+    let server = Orb::new("tele-bogus-server");
+    server
+        .activate(
+            "svc",
+            ServantFn::new("TeleBogus", |op, _| match op {
+                "ping" => Ok(Value::from("pong")),
+                other => Err(adapta::orb::OrbError::unknown_operation("TeleBogus", other)),
+            }),
+        )
+        .unwrap();
+    let tcp = server.listen_tcp("127.0.0.1:0").unwrap();
+    let inproc = format!("inproc://{}", server.node_name());
+    let client = Orb::new("tele-bogus-client");
+    for endpoint in [&inproc, &tcp] {
+        let target = ObjRef::new(endpoint.clone(), "svc", "TeleBogus");
+        assert_eq!(
+            client.invoke_ref(&target, "ping", vec![]).unwrap(),
+            Value::from("pong")
+        );
+    }
+    let registry = adapta::telemetry::registry();
+    let names_before = registry.name_count();
+    let tracked_before = server.tracked_operations();
+    let unknown = registry.counter("orb.server.op._unknown.errors");
+    let unknown_before = unknown.value();
+
+    // Half the names go to a servant that does not know them, half to
+    // a key nothing is active under; even ones in process, odd ones
+    // over TCP.
+    let call = |client: &Orb, endpoint: &str, i: usize| {
+        let key = if (i / 2).is_multiple_of(2) {
+            "svc"
+        } else {
+            "ghost"
+        };
+        let target = ObjRef::new(endpoint, key, "TeleBogus");
+        let op = format!("bogus-{i}");
+        assert!(client.invoke_ref(&target, &op, vec![]).is_err(), "{op}");
+    };
+    for i in (0..NAMES).step_by(2) {
+        call(&client, &inproc, i);
+    }
+    std::thread::scope(|scope| {
+        for caller in 0..TCP_CALLERS {
+            let (client, tcp, call) = (&client, &tcp, &call);
+            scope.spawn(move || {
+                for i in (1..NAMES).step_by(2).skip(caller).step_by(TCP_CALLERS) {
+                    call(client, tcp, i);
+                }
+            });
+        }
+    });
+
+    assert_eq!(server.tracked_operations(), tracked_before);
+    // Other tests in this binary register names of their own meanwhile;
+    // the bound is far below one name per bogus operation.
+    let grown = registry.name_count().saturating_sub(names_before);
+    assert!(grown < 500, "registry grew by {grown} names");
+    assert!(unknown.value() - unknown_before >= NAMES as u64);
+}
