@@ -364,6 +364,34 @@ mod tests {
         assert_eq!(fast, 200);
     }
 
+    /// One slow sample must not lock a replica out for good: its score
+    /// decays while it is idle until p2c tries it again.
+    #[test]
+    fn p2c_retries_a_replica_starved_by_one_slow_sample() {
+        let replicas = set(2);
+        replicas[0].stats().on_start();
+        replicas[0]
+            .stats()
+            .on_complete(Duration::from_millis(50), true);
+        let p2c = P2cEwma::new();
+        // 50 ms against a steady 2 ms: expected back after about 3.2 s.
+        let started = std::time::Instant::now();
+        let deadline = Duration::from_secs(10);
+        loop {
+            match p2c.pick(&replicas, None) {
+                Some(0) => break,
+                picked => {
+                    let elapsed = started.elapsed();
+                    assert!(elapsed < deadline, "replica 0 starved for {elapsed:?}");
+                    let fast = replicas[picked.unwrap()].stats();
+                    fast.on_start();
+                    std::thread::sleep(Duration::from_millis(2));
+                    fast.on_complete(Duration::from_millis(2), true);
+                }
+            }
+        }
+    }
+
     #[test]
     fn weighted_property_follows_the_load_signal() {
         let replicas = set(2);

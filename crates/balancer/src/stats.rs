@@ -8,12 +8,29 @@
 //! call outcomes.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Smoothing factor for the latency EWMA. High enough that
 /// a degrading replica is noticed within a handful of calls, low
 /// enough that one outlier does not dominate.
 const EWMA_ALPHA: f64 = 0.3;
+
+/// Time constant of the score's idle decay, in seconds: a latency
+/// sample that has not been refreshed for this long counts for 1/e of
+/// its value (Finagle's peak-EWMA decays the same way). A replica's
+/// EWMA only moves when one of its calls completes, so without the
+/// decay one slow sample could price a replica out of every pick, and
+/// with no picks it would never complete a call again. With it, a
+/// replica 25x slower than its peers on paper is retried within about
+/// 3.2 s.
+const IDLE_DECAY_SECS: f64 = 1.0;
+
+/// The zero of the sample timestamps.
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
 
 /// Runtime statistics for one replica. All fields are atomics: updates
 /// come from many caller threads, reads from the routing policy on
@@ -31,6 +48,9 @@ pub struct ReplicaStats {
     /// EWMA of successful-call latency, in microseconds (f64 bits).
     /// Zero means "no observation yet".
     ewma_latency_us: AtomicU64,
+    /// When the EWMA last took a sample, in nanoseconds since
+    /// [`epoch`].
+    sampled_at_ns: AtomicU64,
     /// Last monitor-pushed load value (f64 bits); NaN bits = unset.
     last_load: AtomicU64,
 }
@@ -84,6 +104,8 @@ impl ReplicaStats {
         self.completed.fetch_add(1, Ordering::Relaxed);
         if ok {
             ewma_update(&self.ewma_latency_us, latency.as_secs_f64() * 1e6);
+            let now = epoch().elapsed().as_nanos() as u64;
+            self.sampled_at_ns.store(now, Ordering::Relaxed);
         } else {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -127,18 +149,28 @@ impl ReplicaStats {
     }
 
     /// Load score for latency-aware policies: EWMA latency (µs) scaled
-    /// by queue depth, the classic "expected wait" estimate. A replica
-    /// with no latency observation scores near zero so new arrivals
-    /// get probed instead of starved.
+    /// by queue depth, the classic "expected wait" estimate. The latency
+    /// decays toward zero while the replica completes no call (see
+    /// [`IDLE_DECAY_SECS`]), so a replica priced out by stale samples is
+    /// eventually tried again. A replica with no latency observation
+    /// scores near zero so new arrivals get probed instead of starved.
     pub fn score(&self) -> f64 {
-        let ewma_us = f64::from_bits(self.ewma_latency_us.load(Ordering::Relaxed)).max(1.0);
+        self.score_at(epoch().elapsed())
+    }
+
+    /// [`score`](ReplicaStats::score) at `now` (time since [`epoch`]).
+    fn score_at(&self, now: Duration) -> f64 {
+        let ewma_us = f64::from_bits(self.ewma_latency_us.load(Ordering::Relaxed));
         let queue = (self.inflight.load(Ordering::Relaxed).max(0) + 1) as f64;
-        if self.ewma_latency().is_none() {
-            // Unprobed: score only by queue depth, below any replica
-            // with real observations.
+        if ewma_us <= 0.0 {
+            // Unprobed: score only by queue depth, at or below any
+            // replica with real observations.
             return queue;
         }
-        ewma_us * queue
+        let sampled_at = Duration::from_nanos(self.sampled_at_ns.load(Ordering::Relaxed));
+        let idle = now.saturating_sub(sampled_at).as_secs_f64();
+        let decayed_us = ewma_us * (-idle / IDLE_DECAY_SECS).exp();
+        decayed_us.max(1.0) * queue
     }
 }
 
@@ -191,6 +223,27 @@ mod tests {
         probed.on_complete(Duration::from_millis(1), true);
         let fresh = ReplicaStats::new();
         assert!(fresh.score() < probed.score());
+    }
+
+    #[test]
+    fn an_idle_replicas_latency_decays() {
+        let s = ReplicaStats::new();
+        s.on_start();
+        s.on_complete(Duration::from_millis(50), true);
+        let sampled = Duration::from_nanos(s.sampled_at_ns.load(Ordering::Relaxed));
+        let fresh = s.score_at(sampled);
+        assert!((fresh - 50_000.0).abs() < 1e-6, "{fresh}");
+        let later = s.score_at(sampled + Duration::from_secs_f64(IDLE_DECAY_SECS));
+        assert!(
+            (later - 50_000.0 / std::f64::consts::E).abs() < 1.0,
+            "{later}"
+        );
+        // Never below an unprobed replica's score.
+        assert_eq!(s.score_at(sampled + Duration::from_secs(3600)), 1.0);
+        // A new sample restarts the clock.
+        s.on_start();
+        s.on_complete(Duration::from_millis(50), true);
+        assert!(s.score() > 40_000.0);
     }
 
     #[test]

@@ -22,45 +22,49 @@ use crate::error::TradingError;
 use crate::Result;
 
 /// Property resolution during constraint/preference evaluation.
+///
+/// Lookups borrow: evaluating a constraint copies no property value.
 pub trait PropLookup {
     /// The value of `name`, or `None` when the offer lacks it.
-    fn prop(&self, name: &str) -> Option<Value>;
+    fn prop(&self, name: &str) -> Option<&Value>;
 }
 
 impl PropLookup for HashMap<String, Value> {
-    fn prop(&self, name: &str) -> Option<Value> {
-        self.get(name).cloned()
+    fn prop(&self, name: &str) -> Option<&Value> {
+        self.get(name)
     }
 }
 
 impl PropLookup for Vec<(String, Value)> {
-    fn prop(&self, name: &str) -> Option<Value> {
-        self.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+    fn prop(&self, name: &str) -> Option<&Value> {
+        self.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 }
 
-/// A value produced during evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum CVal {
+/// A value produced during evaluation. Strings borrow from the
+/// expression (literals, bare identifiers) or from the offer's
+/// properties, so evaluation never allocates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum CVal<'a> {
     /// Boolean.
     B(bool),
     /// Number.
     N(f64),
     /// String.
-    S(String),
+    S(&'a str),
 }
 
 /// Evaluation failure: per OMG rules this silently excludes the offer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EvalFail;
 
-impl CVal {
-    fn from_value(v: &Value) -> std::result::Result<CVal, EvalFail> {
+impl<'a> CVal<'a> {
+    fn from_value(v: &'a Value) -> std::result::Result<CVal<'a>, EvalFail> {
         match v {
             Value::Bool(b) => Ok(CVal::B(*b)),
             Value::Long(n) => Ok(CVal::N(*n as f64)),
             Value::Double(d) => Ok(CVal::N(*d)),
-            Value::Str(s) => Ok(CVal::S(s.clone())),
+            Value::Str(s) => Ok(CVal::S(s)),
             _ => Err(EvalFail),
         }
     }
@@ -117,16 +121,19 @@ pub(crate) enum ArithOp {
 }
 
 impl Expr {
-    pub(crate) fn eval(&self, props: &dyn PropLookup) -> std::result::Result<CVal, EvalFail> {
+    pub(crate) fn eval<'a>(
+        &'a self,
+        props: &'a dyn PropLookup,
+    ) -> std::result::Result<CVal<'a>, EvalFail> {
         match self {
             Expr::Num(n) => Ok(CVal::N(*n)),
-            Expr::Str(s) => Ok(CVal::S(s.clone())),
+            Expr::Str(s) => Ok(CVal::S(s)),
             Expr::Bool(b) => Ok(CVal::B(*b)),
             Expr::Prop(name) => match props.prop(name) {
-                Some(v) => CVal::from_value(&v),
+                Some(v) => CVal::from_value(v),
                 // Paper-compatible fallback: unknown identifiers are
                 // string literals (`LoadAvgIncreasing == no`).
-                None => Ok(CVal::S(name.clone())),
+                None => Ok(CVal::S(name)),
             },
             Expr::Exist(name) => Ok(CVal::B(props.prop(name).is_some())),
             Expr::Not(e) => Ok(CVal::B(!e.eval(props)?.as_bool()?)),
@@ -146,7 +153,7 @@ impl Expr {
                 let a = a.eval(props)?;
                 let b = b.eval(props)?;
                 let out = match (op, &a, &b) {
-                    (CmpOp::Substr, CVal::S(x), CVal::S(y)) => x.contains(y.as_str()),
+                    (CmpOp::Substr, CVal::S(x), CVal::S(y)) => x.contains(y),
                     (CmpOp::Substr, _, _) => return Err(EvalFail),
                     (CmpOp::Eq, _, _) => cval_eq(&a, &b)?,
                     (CmpOp::Ne, _, _) => !cval_eq(&a, &b)?,

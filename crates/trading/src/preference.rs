@@ -107,36 +107,49 @@ impl Preference {
         indexed_props: &[Vec<(String, Value)>],
         shuffle: &mut dyn FnMut(&mut Vec<usize>),
     ) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..indexed_props.len()).collect();
+        self.order_by(indexed_props.len(), |i| &indexed_props[i], shuffle)
+    }
+
+    /// [`order`](Preference::order) over `len` offers whose properties
+    /// `props(i)` borrows where they lie. Each offer's expression is
+    /// evaluated once, not once per comparison.
+    pub(crate) fn order_by<'a>(
+        &self,
+        len: usize,
+        props: impl Fn(usize) -> &'a dyn PropLookup,
+        shuffle: &mut dyn FnMut(&mut Vec<usize>),
+    ) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..len).collect();
         match self {
             Preference::First => {}
             Preference::Random => shuffle(&mut order),
             Preference::Max(e) => {
-                order.sort_by(|&a, &b| rank_score(e, indexed_props, b, a));
+                let scores: Vec<_> = (0..len).map(|i| e.score(props(i))).collect();
+                order.sort_by(|&a, &b| rank_score(scores[b], scores[a]));
             }
             Preference::Min(e) => {
-                order.sort_by(|&a, &b| rank_score(e, indexed_props, a, b));
+                let scores: Vec<_> = (0..len).map(|i| e.score(props(i))).collect();
+                order.sort_by(|&a, &b| rank_score(scores[a], scores[b]));
             }
             Preference::With(e) => {
-                order.sort_by_key(|&i| match e.holds(&indexed_props[i]) {
-                    Some(true) => 0u8,
-                    Some(false) => 1,
-                    None => 2,
-                });
+                let ranks: Vec<u8> = (0..len)
+                    .map(|i| match e.holds(props(i)) {
+                        Some(true) => 0,
+                        Some(false) => 1,
+                        None => 2,
+                    })
+                    .collect();
+                order.sort_by_key(|&i| ranks[i]);
             }
         }
         order
     }
 }
 
-/// Compares offers `a` and `b` by score, failures last; stable on ties.
-fn rank_score(
-    e: &PrefExpr,
-    props: &[Vec<(String, Value)>],
-    a: usize,
-    b: usize,
-) -> std::cmp::Ordering {
-    match (e.score(&props[a]), e.score(&props[b])) {
+/// Compares two scores, failures last; `Equal` on ties (the sort is
+/// stable, so ties keep registration order).
+fn rank_score(a: Option<f64>, b: Option<f64>) -> std::cmp::Ordering {
+    match (a, b) {
         (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
         (Some(_), None) => std::cmp::Ordering::Less,
         (None, Some(_)) => std::cmp::Ordering::Greater,

@@ -7,13 +7,13 @@ use std::time::{Duration, Instant};
 
 use adapta_idl::Value;
 use adapta_orb::{InvokeOptions, ObjRef, Orb};
-use adapta_telemetry::{registry, Span};
+use adapta_telemetry::{registry, Counter, HistogramHandle, Span};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::constraint::Constraint;
+use crate::constraint::{Constraint, PropLookup};
 use crate::error::TradingError;
 use crate::link::LinkSet;
 use crate::offer::{ExportRequest, OfferId, OfferMatch, PropValue, ServiceOffer};
@@ -22,9 +22,10 @@ use crate::query::Query;
 use crate::service_type::{PropDef, ServiceTypeDef};
 use crate::Result;
 
-/// Resolved static+dynamic property values, plus the dynamic-property
-/// eval refs (so importers can subscribe to the monitors behind them).
-type ResolvedProps = (Vec<(String, Value)>, Vec<(String, ObjRef)>);
+/// A query times the constraint evaluation of its first candidate and
+/// of one in every `EVAL_SAMPLE_EVERY` after it: two clock reads cost
+/// about as much as the evaluation they would time.
+const EVAL_SAMPLE_EVERY: usize = 64;
 
 /// A liveness lease on an offer: the offer expires `ttl` after export
 /// (or after the last renewal) unless the exporter renews it.
@@ -36,7 +37,9 @@ struct Lease {
 /// An offer as the trader tracks it: the public [`ServiceOffer`] plus
 /// liveness bookkeeping (lease, quarantine flag).
 struct OfferEntry {
-    offer: ServiceOffer,
+    /// Shared so a query can snapshot an offer with dynamic properties
+    /// and resolve it after releasing the offers lock.
+    offer: Arc<ServiceOffer>,
     lease: Option<Lease>,
     quarantined: bool,
 }
@@ -52,6 +55,33 @@ impl OfferEntry {
     }
 }
 
+/// The query path's telemetry, resolved once per trader.
+struct QueryMetrics {
+    /// `trading.queries`.
+    queries: Counter,
+    /// `trading.offers_considered`.
+    offers_considered: Counter,
+    /// `trading.constraint_eval` (sampled, see [`EVAL_SAMPLE_EVERY`]).
+    constraint_eval: HistogramHandle,
+    /// `trading.dynamic_evals`.
+    dynamic_evals: Counter,
+    /// `trading.dynamic_eval_round_trip`.
+    dynamic_eval_round_trip: HistogramHandle,
+}
+
+impl QueryMetrics {
+    fn new() -> QueryMetrics {
+        let r = registry();
+        QueryMetrics {
+            queries: r.counter("trading.queries"),
+            offers_considered: r.counter("trading.offers_considered"),
+            constraint_eval: r.histogram("trading.constraint_eval"),
+            dynamic_evals: r.counter("trading.dynamic_evals"),
+            dynamic_eval_round_trip: r.histogram("trading.dynamic_eval_round_trip"),
+        }
+    }
+}
+
 struct TraderInner {
     orb: Orb,
     types: RwLock<HashMap<String, ServiceTypeDef>>,
@@ -61,6 +91,76 @@ struct TraderInner {
     rng: Mutex<StdRng>,
     queries: AtomicU64,
     sweeping: AtomicBool,
+    metrics: QueryMetrics,
+}
+
+/// An offer's static properties, read where the trader stores them.
+/// Dynamic properties are absent, as they are from a query that does
+/// not evaluate them.
+struct StaticProps<'a>(&'a [(String, PropValue)]);
+
+impl PropLookup for StaticProps<'_> {
+    fn prop(&self, name: &str) -> Option<&Value> {
+        self.0.iter().find_map(|(k, v)| match v {
+            PropValue::Static(v) if k == name => Some(v),
+            _ => None,
+        })
+    }
+}
+
+/// A candidate that survived the scan under the offers lock.
+enum Candidate {
+    /// Judged in place and matched.
+    Matched(OfferMatch),
+    /// Has dynamic properties to evaluate first; the position is the
+    /// candidate's place in the scan (for eval-timing samples).
+    Unresolved(usize, Arc<ServiceOffer>),
+}
+
+/// True if `sub` equals `base` or transitively extends it.
+fn extends(types: &HashMap<String, ServiceTypeDef>, sub: &str, base: &str) -> bool {
+    let mut current = sub;
+    loop {
+        if current == base {
+            return true;
+        }
+        match types.get(current).and_then(|def| def.base.as_deref()) {
+            Some(b) => current = b,
+            None => return false,
+        }
+    }
+}
+
+/// Builds the match for `offer`: its static properties in offer order,
+/// each dynamic property's value from `eval` in its place, and every
+/// dynamic property's eval ref. A dynamic property for which `eval`
+/// yields `None` is absent from the match (the OMG rule for one that
+/// fails to evaluate, and what a query without dynamic evaluation
+/// sees).
+fn materialize(
+    offer: &ServiceOffer,
+    mut eval: impl FnMut(&str, &ObjRef) -> Option<Value>,
+) -> OfferMatch {
+    let mut properties = Vec::with_capacity(offer.properties.len());
+    let mut dynamic = Vec::new();
+    for (name, value) in &offer.properties {
+        match value {
+            PropValue::Static(v) => properties.push((name.clone(), v.clone())),
+            PropValue::Dynamic(eval_ref) => {
+                dynamic.push((name.clone(), eval_ref.clone()));
+                if let Some(v) = eval(name, eval_ref) {
+                    properties.push((name.clone(), v));
+                }
+            }
+        }
+    }
+    OfferMatch {
+        id: offer.id.clone(),
+        service_type: offer.service_type.clone(),
+        target: offer.target.clone(),
+        properties,
+        dynamic,
+    }
 }
 
 /// The trading service.
@@ -97,6 +197,7 @@ impl Trader {
                 rng: Mutex::new(StdRng::seed_from_u64(0x7261_6465)),
                 queries: AtomicU64::new(0),
                 sweeping: AtomicBool::new(false),
+                metrics: QueryMetrics::new(),
             }),
         }
     }
@@ -146,19 +247,25 @@ impl Trader {
 
     /// True if `sub` equals `base` or transitively extends it.
     pub fn is_subtype(&self, sub: &str, base: &str) -> bool {
-        if sub == base {
-            return true;
-        }
+        sub == base || extends(&self.inner.types.read(), sub, base)
+    }
+
+    /// The service types `q` accepts: its own and, unless it asks for an
+    /// exact type match, every registered type that extends it.
+    fn accepted_types(&self, q: &Query) -> Result<Vec<String>> {
         let types = self.inner.types.read();
-        let mut current = sub;
-        while let Some(def) = types.get(current) {
-            match &def.base {
-                Some(b) if b == base => return true,
-                Some(b) => current = b,
-                None => return false,
-            }
+        if !types.contains_key(&q.service_type) {
+            registry().counter("trading.query_errors").incr();
+            return Err(TradingError::UnknownServiceType(q.service_type.clone()));
         }
-        false
+        if q.policies.exact_type_match {
+            return Ok(vec![q.service_type.clone()]);
+        }
+        Ok(types
+            .keys()
+            .filter(|name| extends(&types, name, &q.service_type))
+            .cloned()
+            .collect())
     }
 
     /// Finds a property definition on `service_type` or its bases.
@@ -207,12 +314,12 @@ impl Trader {
         }
         let n = self.inner.next_offer.fetch_add(1, Ordering::Relaxed);
         let id = OfferId(format!("offer-{n}"));
-        let offer = ServiceOffer {
+        let offer = Arc::new(ServiceOffer {
             id: id.clone(),
             service_type: request.service_type,
             target: request.target,
             properties: request.properties,
-        };
+        });
         let lease = request.lease.map(|ttl| {
             registry().counter("trading.lease.granted").incr();
             Lease {
@@ -300,11 +407,12 @@ impl Trader {
         let entry = offers
             .get_mut(&seq)
             .ok_or_else(|| TradingError::UnknownOffer(id.to_string()))?;
+        let properties = &mut Arc::make_mut(&mut entry.offer).properties;
         for (name, value) in props {
-            if let Some(slot) = entry.offer.properties.iter_mut().find(|(n, _)| *n == name) {
+            if let Some(slot) = properties.iter_mut().find(|(n, _)| *n == name) {
                 slot.1 = value;
             } else {
-                entry.offer.properties.push((name, value));
+                properties.push((name, value));
             }
         }
         Ok(())
@@ -352,7 +460,7 @@ impl Trader {
             .offers
             .read()
             .get(&seq)
-            .map(|e| e.offer.clone())
+            .map(|e| ServiceOffer::clone(&e.offer))
             .ok_or_else(|| TradingError::UnknownOffer(id.to_string()))
     }
 
@@ -364,7 +472,7 @@ impl Trader {
             .offers
             .read()
             .values()
-            .map(|e| e.offer.clone())
+            .map(|e| ServiceOffer::clone(&e.offer))
             .collect()
     }
 
@@ -494,9 +602,14 @@ impl Trader {
 
     // ---- lookup (import side) ---------------------------------------------
 
-    /// Runs an import query: resolve properties, filter by constraint,
-    /// order by preference, merge federated results, apply cardinality
-    /// policies.
+    /// Runs an import query: filter by constraint, order by
+    /// preference, merge federated results, apply cardinality policies.
+    ///
+    /// Offers are judged where they are stored, under the offers read
+    /// lock, and only matches are copied out. An offer with dynamic
+    /// properties (when the query evaluates them) is snapshotted instead
+    /// and resolved after the lock is released: `evalDP` is an orb call,
+    /// and no orb call is made under the offers lock.
     ///
     /// # Errors
     ///
@@ -504,64 +617,73 @@ impl Trader {
     /// properties that fail to evaluate are dropped from the offer
     /// (possibly excluding it from the match, never failing the query).
     pub fn query(&self, q: &Query) -> Result<Vec<OfferMatch>> {
+        let metrics = &self.inner.metrics;
         self.inner.queries.fetch_add(1, Ordering::Relaxed);
-        registry().counter("trading.queries").incr();
+        metrics.queries.incr();
         let mut span = Span::start("trader:query");
         span.attr("service_type", &q.service_type);
-        if !self.inner.types.read().contains_key(&q.service_type) {
-            registry().counter("trading.query_errors").incr();
-            return Err(TradingError::UnknownServiceType(q.service_type.clone()));
-        }
+        let accepted = self.accepted_types(q)?;
         let constraint = Constraint::parse(&q.constraint)?;
         let preference = Preference::parse(&q.preference)?;
+        let use_dynamic = q.policies.use_dynamic_properties;
+        let judge = |position: usize, props: &dyn PropLookup| {
+            if !position.is_multiple_of(EVAL_SAMPLE_EVERY) {
+                return constraint.matches(props);
+            }
+            let started = Instant::now();
+            let matched = constraint.matches(props);
+            metrics.constraint_eval.record(started.elapsed());
+            matched
+        };
 
-        let now = Instant::now();
-        let candidates: Vec<ServiceOffer> = self
-            .inner
-            .offers
-            .read()
-            .values()
-            .filter(|entry| entry.visible(now))
-            .map(|entry| &entry.offer)
-            .filter(|offer| {
-                if q.policies.exact_type_match {
-                    offer.service_type == q.service_type
-                } else {
-                    self.is_subtype(&offer.service_type, &q.service_type)
+        let mut candidates = Vec::new();
+        let mut considered = 0;
+        {
+            let offers = self.inner.offers.read();
+            let now = Instant::now();
+            let visible = offers
+                .values()
+                .filter(|entry| entry.visible(now))
+                .map(|entry| &entry.offer)
+                .filter(|offer| accepted.iter().any(|t| *t == offer.service_type))
+                .take(q.policies.search_card as usize);
+            for offer in visible {
+                let position = considered;
+                considered += 1;
+                let dynamic = use_dynamic
+                    && offer
+                        .properties
+                        .iter()
+                        .any(|(_, v)| matches!(v, PropValue::Dynamic(_)));
+                if dynamic {
+                    candidates.push(Candidate::Unresolved(position, Arc::clone(offer)));
+                } else if judge(position, &StaticProps(&offer.properties)) {
+                    candidates.push(Candidate::Matched(materialize(offer, |_, _| None)));
                 }
-            })
-            .take(q.policies.search_card as usize)
-            .cloned()
-            .collect();
-        registry()
-            .counter("trading.offers_considered")
-            .add(candidates.len() as u64);
-        span.attr("offers_considered", &candidates.len().to_string());
+            }
+        }
+        metrics.offers_considered.add(considered as u64);
+        span.attr("offers_considered", &considered.to_string());
 
-        let constraint_eval = registry().histogram("trading.constraint_eval");
-        let mut matches: Vec<OfferMatch> = Vec::new();
-        for offer in candidates {
-            let (resolved, dynamic) = self.resolve_props(&offer, q.policies.use_dynamic_properties);
-            let started = std::time::Instant::now();
-            let matched = constraint.matches(&resolved);
-            constraint_eval.record(started.elapsed());
-            if matched {
-                matches.push(OfferMatch {
-                    id: offer.id.clone(),
-                    service_type: offer.service_type.clone(),
-                    target: offer.target.clone(),
-                    properties: resolved,
-                    dynamic,
-                });
+        let mut matches: Vec<OfferMatch> = Vec::with_capacity(candidates.len());
+        for candidate in candidates {
+            match candidate {
+                Candidate::Matched(m) => matches.push(m),
+                Candidate::Unresolved(position, offer) => {
+                    let m = materialize(&offer, |name, eval_ref| self.eval_dynamic(name, eval_ref));
+                    if judge(position, &m.properties) {
+                        matches.push(m);
+                    }
+                }
             }
         }
         // Re-validate the local matches against the live offer set: the
-        // loop above invokes dynamic-property evaluators through the
-        // orb, a window in which a concurrent `withdraw` may have been
-        // acknowledged — and an offer must never be returned after its
-        // withdrawal acked. (Runs before federation results are merged:
-        // federated ids use the same `offer-N` namespace and must not be
-        // checked against the local table.)
+        // offers lock was released before the dynamic properties were
+        // resolved, a window in which a concurrent `withdraw` may have
+        // been acknowledged — and an offer must never be returned after
+        // its withdrawal acked. (Runs before federation results are
+        // merged: federated ids use the same `offer-N` namespace and
+        // must not be checked against the local table.)
         {
             let offers = self.inner.offers.read();
             let now = Instant::now();
@@ -577,56 +699,39 @@ impl Trader {
         // for the traversal, dedup, and degradation rules).
         self.inner.links.federate(&self.inner.orb, q, &mut matches);
 
-        let props: Vec<Vec<(String, Value)>> =
-            matches.iter().map(|m| m.properties.clone()).collect();
         let mut shuffle = |order: &mut Vec<usize>| {
             order.shuffle(&mut *self.inner.rng.lock());
         };
-        let order = preference.order(&props, &mut shuffle);
-        let mut ordered: Vec<OfferMatch> = order.into_iter().map(|i| matches[i].clone()).collect();
-        ordered.truncate(q.policies.return_card as usize);
-        Ok(ordered)
+        let order = preference.order_by(matches.len(), |i| &matches[i].properties, &mut shuffle);
+        let mut slots: Vec<Option<OfferMatch>> = matches.into_iter().map(Some).collect();
+        Ok(order
+            .into_iter()
+            .take(q.policies.return_card as usize)
+            .filter_map(|i| slots[i].take())
+            .collect())
     }
 
-    /// Resolves an offer's properties, evaluating dynamic ones through
-    /// the orb when allowed. Also returns the eval refs of dynamic
-    /// properties so importers can subscribe to the monitors behind
-    /// them.
-    fn resolve_props(&self, offer: &ServiceOffer, use_dynamic: bool) -> ResolvedProps {
-        let mut out = Vec::with_capacity(offer.properties.len());
-        let mut dynamic = Vec::new();
-        for (name, value) in &offer.properties {
-            match value {
-                PropValue::Static(v) => out.push((name.clone(), v.clone())),
-                PropValue::Dynamic(eval_ref) => {
-                    dynamic.push((name.clone(), eval_ref.clone()));
-                    if !use_dynamic {
-                        continue;
-                    }
-                    // The round trip to the evaluator rides the orb, so
-                    // it emits a `client:evalDP` span nested under the
-                    // trader's query (or dispatch) span automatically.
-                    registry().counter("trading.dynamic_evals").incr();
-                    let round_trip = registry().histogram("trading.dynamic_eval_round_trip");
-                    let started = std::time::Instant::now();
-                    let outcome = self.inner.orb.invoke_ref(
-                        eval_ref,
-                        "evalDP",
-                        vec![Value::from(name.as_str())],
-                    );
-                    round_trip.record(started.elapsed());
-                    match outcome {
-                        Ok(v) => out.push((name.clone(), v)),
-                        Err(_) => {
-                            // OMG rule: a dynamic property that cannot be
-                            // evaluated is simply absent from the offer.
-                            registry().counter("trading.dynamic_eval_failures").incr();
-                        }
-                    }
-                }
+    /// Evaluates one dynamic property through the orb; `None` when the
+    /// evaluator cannot be reached or fails.
+    fn eval_dynamic(&self, name: &str, eval_ref: &ObjRef) -> Option<Value> {
+        let metrics = &self.inner.metrics;
+        metrics.dynamic_evals.incr();
+        // The round trip to the evaluator rides the orb, so it emits a
+        // `client:evalDP` span nested under the trader's query (or
+        // dispatch) span automatically.
+        let started = Instant::now();
+        let outcome = self
+            .inner
+            .orb
+            .invoke_ref(eval_ref, "evalDP", vec![Value::from(name)]);
+        metrics.dynamic_eval_round_trip.record(started.elapsed());
+        match outcome {
+            Ok(v) => Some(v),
+            Err(_) => {
+                registry().counter("trading.dynamic_eval_failures").incr();
+                None
             }
         }
-        (out, dynamic)
     }
 }
 
@@ -864,6 +969,63 @@ mod tests {
             .unwrap();
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].target, target(2));
+    }
+
+    /// An evaluator that writes to the trader it is evaluated for: the
+    /// query hangs if `evalDP` is ever invoked under the offers lock.
+    #[test]
+    fn dynamic_properties_resolve_outside_the_offers_lock() {
+        let orb = Orb::new("t-trader-reentrant");
+        let trader = Trader::new(&orb);
+        trader
+            .add_type(ServiceTypeDef::new("Svc").with_property(PropDef::new(
+                "Load",
+                TypeCode::Double,
+                PropMode::Normal,
+            )))
+            .unwrap();
+        let writes = Arc::new(AtomicU64::new(0));
+        let (reentrant, writes_seen) = (trader.clone(), writes.clone());
+        let eval_ref = orb
+            .activate(
+                "dp",
+                ServantFn::new("DynamicPropEval", move |op, _args| match op {
+                    "evalDP" => {
+                        let id = reentrant.export(
+                            ExportRequest::new("Svc", target(7))
+                                .with_property("Load", Value::from(99.0)),
+                        );
+                        if let Ok(id) = id {
+                            if reentrant.withdraw(&id).is_ok() {
+                                writes_seen.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        Ok(Value::Double(1.0))
+                    }
+                    other => Err(adapta_orb::OrbError::unknown_operation(
+                        "DynamicPropEval",
+                        other,
+                    )),
+                }),
+            )
+            .unwrap();
+        trader
+            .export(ExportRequest::new("Svc", target(1)).with_dynamic_property("Load", eval_ref))
+            .unwrap();
+
+        let (done, result) = std::sync::mpsc::channel();
+        let querier = trader.clone();
+        let handle = std::thread::spawn(move || {
+            let _ = done.send(querier.query(&Query::new("Svc").constraint("Load < 50")));
+        });
+        let matches = result
+            .recv_timeout(Duration::from_secs(5))
+            .expect("query stalled: evalDP ran under the offers lock")
+            .unwrap();
+        handle.join().unwrap();
+        assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].target, target(1));
+        assert_eq!(writes.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Regression guards for the per-call path: heap allocations of a warm
-//! in-process smart-proxy call, and the fixed memory of a live latency
-//! histogram.
+//! in-process smart-proxy call and of a trader query, and the fixed
+//! memory of a live latency histogram.
 //!
 //! A counting global allocator (local to this test binary) counts the
 //! allocations each thread makes while it has counting switched on, so
@@ -12,8 +12,10 @@ use std::cell::Cell;
 use std::time::Duration;
 
 use adapta::core::{Infrastructure, ServerSpec};
-use adapta::idl::Value;
+use adapta::idl::{TypeCode, Value};
+use adapta::orb::{ObjRef, Orb};
 use adapta::telemetry::registry;
+use adapta::trading::{ExportRequest, PropDef, PropMode, Query, ServiceTypeDef, Trader};
 
 struct CountingAllocator;
 
@@ -109,4 +111,73 @@ fn a_million_samples_do_not_grow_a_live_histogram() {
     assert_eq!(allocations, 0, "recording allocated");
     assert_eq!(histogram.heap_bytes(), before);
     assert_eq!(histogram.summary().count, 1_000_000);
+}
+
+/// A trader holding `offers` static offers that `constraint` rejects
+/// after evaluating every term: LoadAvg 30..39 passes both numeric
+/// tests, LoadAvgIncreasing "yes" fails `== no`, and a Host without
+/// "node" fails the substring test.
+fn trader_with_rejected_offers(offers: usize) -> (Orb, Trader) {
+    let orb = Orb::new("hot-path-trader");
+    let trader = Trader::new(&orb);
+    trader
+        .add_type(
+            ServiceTypeDef::new("Svc")
+                .with_property(PropDef::new("LoadAvg", TypeCode::Double, PropMode::Normal))
+                .with_property(PropDef::new(
+                    "LoadAvgIncreasing",
+                    TypeCode::Str,
+                    PropMode::Normal,
+                ))
+                .with_property(PropDef::new("Host", TypeCode::Str, PropMode::Normal)),
+        )
+        .unwrap();
+    for i in 0..offers {
+        let host = format!("host-{i}");
+        trader
+            .export(
+                ExportRequest::new("Svc", ObjRef::new("inproc://decoys", host.as_str(), "Svc"))
+                    .with_property("LoadAvg", Value::Double(30.0 + (i % 10) as f64))
+                    .with_property("LoadAvgIncreasing", Value::from("yes"))
+                    .with_property("Host", Value::from(host)),
+            )
+            .unwrap();
+    }
+    (orb, trader)
+}
+
+/// Allocations of one warm query for `constraint` over `offers`
+/// rejected static offers.
+fn query_allocations(offers: usize, constraint: &str) -> u64 {
+    let (_orb, trader) = trader_with_rejected_offers(offers);
+    let query = Query::new("Svc")
+        .constraint(constraint)
+        .preference("min LoadAvg");
+    for _ in 0..3 {
+        assert!(trader.query(&query).unwrap().is_empty());
+    }
+    allocations_in(|| {
+        assert!(trader.query(&query).unwrap().is_empty());
+    })
+}
+
+/// A trader query allocates per match, not per candidate: over 1000
+/// rejected offers it makes at most 8 allocations more than over 10,
+/// for the Figure 7 constraint and for E5's "complex" one (string
+/// equality, `~`, arithmetic, `exist`).
+#[test]
+fn a_query_does_not_allocate_per_rejected_offer() {
+    const SLACK: u64 = 8;
+    for constraint in [
+        "LoadAvg < 50 and LoadAvgIncreasing == no ",
+        "(LoadAvg < 50 and LoadAvgIncreasing == no) or \
+         (LoadAvg * 2 + 1 < 80 and exist Host and Host ~ 'node')",
+    ] {
+        let few = query_allocations(10, constraint);
+        let many = query_allocations(1000, constraint);
+        assert!(
+            many <= few + SLACK,
+            "`{constraint}`: {many} allocations over 1000 offers, {few} over 10"
+        );
+    }
 }
