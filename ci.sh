@@ -3,8 +3,10 @@
 #
 # `./ci.sh --stress` instead runs the concurrency-sensitive tests with
 # 10x the iteration counts and high test-thread parallelism, to shake
-# out transport races that a single quick run can miss. The stress run
-# is advisory (a separate non-blocking CI job), not part of the gate.
+# out transport races that a single quick run can miss, then the
+# timing-sensitive balancer suite 20 times in the debug profile the
+# gate uses. The stress run is advisory (a separate non-blocking CI
+# job), not part of the gate.
 #
 # `./ci.sh --chaos` runs the fault-injection suite (tests/chaos.rs) and
 # the E11 chaos experiment. Also advisory/non-blocking in CI.
@@ -80,6 +82,11 @@ if [[ "${1:-}" == "--stress" ]]; then
     cargo test -q --test concurrency -- --test-threads 16
     cargo test -q -p adapta-orb transport -- --test-threads 16
     cargo test -q --test adaptation -- --test-threads 16
+    unset STRESS_ITERS RUST_TEST_THREADS
+    echo "==> stress: balancer suite, 20 debug runs"
+    for _ in $(seq 20); do
+        cargo test -q --test balancer
+    done
     echo "Stress run green."
     exit 0
 fi

@@ -71,7 +71,9 @@ impl RoutingPolicy for RoundRobin {
 // ---- least in-flight -----------------------------------------------------
 
 /// Picks the replica with the fewest calls in flight, breaking ties by
-/// EWMA-latency score.
+/// EWMA-latency score. Under sequential traffic every replica is idle
+/// and the score alone decides, so the replicas that tied on calls in
+/// flight and lost on score are marked passed over, as in [`P2cEwma`].
 #[derive(Debug, Default)]
 pub struct LeastInflight;
 
@@ -88,12 +90,18 @@ impl RoutingPolicy for LeastInflight {
     }
 
     fn pick(&self, replicas: &[Arc<Replica>], _key: Option<u64>) -> Option<usize> {
-        (0..replicas.len()).min_by(|&a, &b| {
-            let (ra, rb) = (replicas[a].stats(), replicas[b].stats());
-            (ra.inflight(), ra.score())
-                .partial_cmp(&(rb.inflight(), rb.score()))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+        let (best, best_key) = replicas
+            .iter()
+            .map(|r| (r.stats().inflight(), r.stats().score()))
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))?;
+        for (i, replica) in replicas.iter().enumerate() {
+            let stats = replica.stats();
+            if i != best && stats.inflight() == best_key.0 && stats.score() > best_key.1 {
+                stats.on_passed_over();
+            }
+        }
+        Some(best)
     }
 }
 
@@ -102,6 +110,12 @@ impl RoutingPolicy for LeastInflight {
 /// Power-of-two-choices: sample two distinct replicas uniformly, route
 /// to the one with the lower `EWMA latency × (inflight + 1)` score.
 /// Near-optimal load distribution with O(1) work and no global scan.
+///
+/// With two replicas both are compared on every pick, so the choice is
+/// greedy: the loser gets no calls and so no samples. The loser is
+/// therefore marked passed over
+/// ([`ReplicaStats::on_passed_over`](crate::ReplicaStats::on_passed_over)),
+/// which lets its latency term decay until it is tried again.
 #[derive(Debug)]
 pub struct P2cEwma {
     rng: Mutex<StdRng>,
@@ -142,11 +156,12 @@ impl RoutingPolicy for P2cEwma {
                     }
                     (a, b)
                 };
-                if replicas[a].stats().score() <= replicas[b].stats().score() {
-                    Some(a)
-                } else {
-                    Some(b)
+                let (sa, sb) = (replicas[a].stats().score(), replicas[b].stats().score());
+                let (winner, loser) = if sa <= sb { (a, b) } else { (b, a) };
+                if sa != sb {
+                    replicas[loser].stats().on_passed_over();
                 }
+                Some(winner)
             }
         }
     }
@@ -390,6 +405,113 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Feeds one successful call of `us` microseconds.
+    fn sample(replica: &Replica, us: u64) {
+        replica.stats().on_start();
+        replica.stats().on_complete(Duration::from_micros(us), true);
+    }
+
+    /// Replays a recorded cold start: the faster replica's first call
+    /// took 3.6 ms, more than the slower one's 2.1-2.7 ms.
+    #[test]
+    fn p2c_recovers_from_a_slow_first_sample() {
+        let replicas = set(2);
+        sample(&replicas[0], 3_600);
+        sample(&replicas[1], 2_400);
+        let slow_us = [2_100, 2_700, 2_400, 2_300, 2_600];
+        let p2c = P2cEwma::new();
+        let mut fast = Vec::new();
+        for i in 0..60 {
+            let k = p2c.pick(&replicas, None).unwrap();
+            sample(&replicas[k], if k == 0 { 1_600 } else { slow_us[i % 5] });
+            fast.push(k == 0);
+        }
+        // Within 10 picks the fast replica wins again, and keeps winning.
+        let late = fast[10..].iter().filter(|&&f| f).count();
+        assert!(
+            late >= 45,
+            "the fast replica won {late}/50 picks after the first 10"
+        );
+    }
+
+    /// Replays recorded noise: sparse ~11 ms outliers on both replicas
+    /// over steady means of 1.6 ms (fast) and 2.8 ms (slow).
+    #[test]
+    fn p2c_rides_out_sparse_outliers_on_both_replicas() {
+        let replicas = set(2);
+        let means = [1_600, 2_800];
+        let mut served = [0u64; 2];
+        let mut call = |k: usize| {
+            served[k] += 1;
+            // Each replica's 7th call and every 40th after it stalls.
+            let outlier = served[k] % 40 == 7;
+            sample(&replicas[k], if outlier { 11_000 } else { means[k] });
+        };
+        for _ in 0..20 {
+            call(0);
+            call(1);
+        }
+        let p2c = P2cEwma::new();
+        let (mut fast, mut slow_run, mut longest_slow_run) = (0, 0, 0);
+        for _ in 0..120 {
+            let k = p2c.pick(&replicas, None).unwrap();
+            call(k);
+            if k == 0 {
+                fast += 1;
+                slow_run = 0;
+            } else {
+                slow_run += 1;
+                longest_slow_run = usize::max(longest_slow_run, slow_run);
+            }
+        }
+        // The fast replica's outliers (its 47th and 87th calls) each
+        // cost it at most 10 picks.
+        assert!(
+            longest_slow_run <= 10,
+            "the slow replica won {longest_slow_run} picks in a row"
+        );
+        assert!(fast >= 100, "the fast replica won {fast}/120 picks");
+    }
+
+    #[test]
+    fn least_inflight_recovers_from_a_slow_first_sample() {
+        let replicas = set(2);
+        sample(&replicas[0], 3_600);
+        sample(&replicas[1], 2_400);
+        let li = LeastInflight::new();
+        let fast = (0..60)
+            .filter(|_| {
+                let k = li.pick(&replicas, None).unwrap();
+                sample(&replicas[k], if k == 0 { 1_600 } else { 2_400 });
+                k == 0
+            })
+            .count();
+        assert!(fast >= 50, "the fast replica won {fast}/60 picks");
+    }
+
+    /// E13's shape: a replica 40x slower than its peer keeps under 1% of
+    /// the picks, counting the probes that re-measure it.
+    #[test]
+    fn p2c_keeps_a_much_slower_replica_under_one_percent() {
+        let replicas = set(2);
+        for _ in 0..20 {
+            sample(&replicas[0], 1_000);
+            sample(&replicas[1], 1_000);
+        }
+        let p2c = P2cEwma::new();
+        let slow = (0..5_000)
+            .filter(|_| {
+                let k = p2c.pick(&replicas, None).unwrap();
+                sample(&replicas[k], if k == 0 { 1_000 } else { 40_000 });
+                k == 1
+            })
+            .count();
+        assert!(
+            slow * 100 < 5_000,
+            "the 40x slower replica drew {slow}/5000 picks"
+        );
     }
 
     #[test]

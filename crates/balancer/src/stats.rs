@@ -7,7 +7,7 @@
 //! policies read these to score replicas; the caller feeds them from
 //! call outcomes.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -15,6 +15,22 @@ use std::time::{Duration, Instant};
 /// a degrading replica is noticed within a handful of calls, low
 /// enough that one outlier does not dominate.
 const EWMA_ALPHA: f64 = 0.3;
+
+/// A lone sample enters the EWMA at no more than this multiple of the
+/// current average, so one outlier (a stalled thread on a busy host)
+/// cannot outweigh a replica's history. The next sample, if it is
+/// above the bound too, enters as measured: a replica that really
+/// slowed down stays slow.
+const OUTLIER_CLIP: f64 = 3.0;
+
+/// Share of its latency term a replica gives up each time a policy
+/// passes it over for another on score. Recovery from an inflated
+/// average then scales with traffic, not wall-clock time: a replica
+/// priced 1.5x too high by one bad sample is tried again within about
+/// 30 comparisons, while one really 40x slower loses about 245
+/// comparisons in a row between probes. A young replica, whose average
+/// rests on few samples, gives up more: `EWMA_ALPHA / samples`.
+const PASSED_OVER_DECAY: f64 = 0.015;
 
 /// Time constant of the score's idle decay, in seconds: a latency
 /// sample that has not been refreshed for this long counts for 1/e of
@@ -48,6 +64,13 @@ pub struct ReplicaStats {
     /// EWMA of successful-call latency, in microseconds (f64 bits).
     /// Zero means "no observation yet".
     ewma_latency_us: AtomicU64,
+    /// Latency samples folded into the EWMA.
+    samples: AtomicU64,
+    /// Comparisons lost on score since the last sample.
+    passed_over: AtomicU64,
+    /// Whether the last sample was above [`OUTLIER_CLIP`] times the
+    /// average.
+    last_was_outlier: AtomicBool,
     /// When the EWMA last took a sample, in nanoseconds since
     /// [`epoch`].
     sampled_at_ns: AtomicU64,
@@ -55,16 +78,21 @@ pub struct ReplicaStats {
     last_load: AtomicU64,
 }
 
-/// Fold `sample` into the f64-bits EWMA stored in `cell`; the first
-/// sample (while the cell reads zero) seeds it.
-fn ewma_update(cell: &AtomicU64, sample: f64) {
+/// Fold the `n`th sample into the f64-bits EWMA stored in `cell`. The
+/// first sample seeds it; until `1 / n` falls below [`EWMA_ALPHA`] the
+/// average is the plain mean, so the first sample weighs 1/2 after the
+/// second, not 0.7. With `clip`, a sample above [`OUTLIER_CLIP`] times
+/// the average enters clipped to that bound.
+fn ewma_update(cell: &AtomicU64, sample: f64, n: u64, clip: bool) {
+    let alpha = (1.0 / n as f64).max(EWMA_ALPHA);
     let mut current = cell.load(Ordering::Relaxed);
     loop {
         let prev = f64::from_bits(current);
         let next = if prev == 0.0 {
             sample
         } else {
-            EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * prev
+            let bound = if clip { prev * OUTLIER_CLIP } else { f64::MAX };
+            alpha * sample.min(bound) + (1.0 - alpha) * prev
         };
         match cell.compare_exchange_weak(
             current,
@@ -103,12 +131,24 @@ impl ReplicaStats {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
         if ok {
-            ewma_update(&self.ewma_latency_us, latency.as_secs_f64() * 1e6);
+            let sample = latency.as_secs_f64() * 1e6;
+            let prev = f64::from_bits(self.ewma_latency_us.load(Ordering::Relaxed));
+            let outlier = prev > 0.0 && sample > prev * OUTLIER_CLIP;
+            let confirmed = self.last_was_outlier.swap(outlier, Ordering::Relaxed);
+            let n = self.samples.fetch_add(1, Ordering::Relaxed) + 1;
+            ewma_update(&self.ewma_latency_us, sample, n, !confirmed);
+            self.passed_over.store(0, Ordering::Relaxed);
             let now = epoch().elapsed().as_nanos() as u64;
             self.sampled_at_ns.store(now, Ordering::Relaxed);
         } else {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Records that a policy compared this replica with another and
+    /// picked the other on score (see [`PASSED_OVER_DECAY`]).
+    pub fn on_passed_over(&self) {
+        self.passed_over.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a monitor-pushed load value.
@@ -149,11 +189,13 @@ impl ReplicaStats {
     }
 
     /// Load score for latency-aware policies: EWMA latency (µs) scaled
-    /// by queue depth, the classic "expected wait" estimate. The latency
-    /// decays toward zero while the replica completes no call (see
-    /// [`IDLE_DECAY_SECS`]), so a replica priced out by stale samples is
-    /// eventually tried again. A replica with no latency observation
-    /// scores near zero so new arrivals get probed instead of starved.
+    /// by queue depth, the classic "expected wait" estimate. While the
+    /// replica completes no call its latency decays toward the 1 µs
+    /// floor, with every comparison it loses (see [`PASSED_OVER_DECAY`])
+    /// and with idle time (see [`IDLE_DECAY_SECS`]), so a replica priced
+    /// out by stale samples is tried again. A replica with no latency
+    /// observation scores near zero so new arrivals get probed instead
+    /// of starved.
     pub fn score(&self) -> f64 {
         self.score_at(epoch().elapsed())
     }
@@ -169,7 +211,11 @@ impl ReplicaStats {
         }
         let sampled_at = Duration::from_nanos(self.sampled_at_ns.load(Ordering::Relaxed));
         let idle = now.saturating_sub(sampled_at).as_secs_f64();
-        let decayed_us = ewma_us * (-idle / IDLE_DECAY_SECS).exp();
+        let samples = self.samples.load(Ordering::Relaxed).max(1) as f64;
+        let rate = (EWMA_ALPHA / samples).max(PASSED_OVER_DECAY);
+        let passed_over = self.passed_over.load(Ordering::Relaxed);
+        let kept = (1.0 - rate).powi(passed_over.min(i32::MAX as u64) as i32);
+        let decayed_us = ewma_us * kept * (-idle / IDLE_DECAY_SECS).exp();
         decayed_us.max(1.0) * queue
     }
 }
@@ -244,6 +290,44 @@ mod tests {
         s.on_start();
         s.on_complete(Duration::from_millis(50), true);
         assert!(s.score() > 40_000.0);
+    }
+
+    fn sample(s: &ReplicaStats, latency: Duration) {
+        s.on_start();
+        s.on_complete(latency, true);
+    }
+
+    #[test]
+    fn a_lone_outlier_is_clipped_and_a_second_one_counts() {
+        let s = ReplicaStats::new();
+        for _ in 0..10 {
+            sample(&s, Duration::from_millis(1));
+        }
+        sample(&s, Duration::from_millis(11));
+        // Entered as 3 ms: 0.3 × 3 + 0.7 × 1.
+        let once = s.ewma_latency().unwrap().as_secs_f64() * 1e6;
+        assert!((once - 1_600.0).abs() < 1.0, "{once}");
+        sample(&s, Duration::from_millis(11));
+        // Entered as measured: 0.3 × 11 + 0.7 × 1.6.
+        let twice = s.ewma_latency().unwrap().as_secs_f64() * 1e6;
+        assert!((twice - 4_420.0).abs() < 1.0, "{twice}");
+    }
+
+    #[test]
+    fn losing_comparisons_decays_the_latency_term_until_the_next_sample() {
+        let s = ReplicaStats::new();
+        for _ in 0..20 {
+            sample(&s, Duration::from_millis(10));
+        }
+        let measured = s.score();
+        for _ in 0..46 {
+            s.on_passed_over();
+        }
+        let ratio = s.score() / measured;
+        let expected = (1.0 - PASSED_OVER_DECAY).powi(46);
+        assert!((ratio - expected).abs() < 0.01, "{ratio} vs {expected}");
+        sample(&s, Duration::from_millis(10));
+        assert!(s.score() > 9_900.0, "{}", s.score());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The script actor: one interpreter, one thread, many callers.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use adapta_idl::Value as Wire;
 use adapta_script::{Interpreter, RuaError, Value as Script};
@@ -92,12 +93,32 @@ pub struct FuncHandle(u64);
 #[derive(Clone)]
 pub struct ScriptActor {
     tx: Sender<Job>,
-    name: Arc<str>,
+    shared: Arc<Shared>,
+}
+
+/// What callers and the actor thread share besides the job channel.
+struct Shared {
+    name: Box<str>,
+    /// Jobs submitted so far.
+    jobs: AtomicU64,
+    /// Stored values released by their owners, dropped at the start of
+    /// the actor's next job.
+    released: Mutex<Vec<FuncHandle>>,
+}
+
+impl Shared {
+    /// Drops every released value from `__stored` (on the actor thread).
+    fn drop_released(&self, interp: &mut Interpreter) {
+        let handles = std::mem::take(&mut *self.released.lock().unwrap_or_else(|e| e.into_inner()));
+        for h in handles {
+            unstore(interp, h.0);
+        }
+    }
 }
 
 impl fmt::Debug for ScriptActor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ScriptActor({})", self.name)
+        write!(f, "ScriptActor({})", self.shared.name)
     }
 }
 
@@ -106,6 +127,12 @@ impl ScriptActor {
     /// interpreter (install natives, hooks, globals).
     pub fn spawn(name: &str, setup: impl FnOnce(&mut Interpreter) + Send + 'static) -> ScriptActor {
         let (tx, rx) = unbounded::<Job>();
+        let shared = Arc::new(Shared {
+            name: name.into(),
+            jobs: AtomicU64::new(0),
+            released: Mutex::new(Vec::new()),
+        });
+        let thread_shared = shared.clone();
         let thread_name = format!("rua-{name}");
         std::thread::Builder::new()
             .name(thread_name)
@@ -115,14 +142,34 @@ impl ScriptActor {
                 // Registry of stored functions, indexed by handle.
                 interp.eval("__stored = {}").expect("init stored table");
                 while let Ok(job) = rx.recv() {
+                    thread_shared.drop_released(&mut interp);
                     job(&mut interp);
                 }
             })
             .expect("spawn script actor");
-        ScriptActor {
-            tx,
-            name: Arc::from(name),
-        }
+        ScriptActor { tx, shared }
+    }
+
+    /// Whether `other` is a handle to the same actor thread.
+    pub fn same_actor(&self, other: &ScriptActor) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared)
+    }
+
+    /// Jobs submitted to the actor so far: one per [`with`](Self::with)
+    /// and per helper built on it. Each is one cross-thread round trip.
+    pub fn jobs(&self) -> u64 {
+        self.shared.jobs.load(Ordering::Relaxed)
+    }
+
+    /// Releases stored values: they are dropped from the actor at the
+    /// start of its next job, so releasing costs no job of its own.
+    /// Callers must not use the handles afterwards.
+    pub fn release(&self, handles: impl IntoIterator<Item = FuncHandle>) {
+        self.shared
+            .released
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .extend(handles);
     }
 
     /// Runs `f` on the actor's interpreter and returns its result.
@@ -141,6 +188,7 @@ impl ScriptActor {
         let job: Job = Box::new(move |interp| {
             let _ = reply_tx.send(f(interp));
         });
+        self.shared.jobs.fetch_add(1, Ordering::Relaxed);
         self.tx.send(job).map_err(|_| ActorError::Disconnected)?;
         reply_rx.recv().map_err(|_| ActorError::Disconnected)
     }
@@ -187,18 +235,30 @@ impl ScriptActor {
         fetch(interp, f.0)
     }
 
+    /// Calls a stored function with script arguments from inside a
+    /// [`with`](Self::with) closure, so one job can run many calls.
+    /// Each call gets its own sandbox budget and deadline.
+    ///
+    /// # Errors
+    ///
+    /// Unknown handle or script errors.
+    pub fn call_in(
+        interp: &mut Interpreter,
+        f: FuncHandle,
+        args: Vec<Script>,
+    ) -> Result<Vec<Wire>, ActorError> {
+        let func = fetch(interp, f.0).ok_or(ActorError::UnknownFunction(f.0))?;
+        let out = interp.call(&func, args)?;
+        Ok(out.iter().map(to_wire).collect())
+    }
+
     /// Calls a stored function with wire-value arguments.
     ///
     /// # Errors
     ///
     /// Unknown handle, script errors, or actor disconnection.
     pub fn call(&self, f: FuncHandle, args: Vec<Wire>) -> Result<Vec<Wire>, ActorError> {
-        self.with(move |interp| -> Result<Vec<Wire>, ActorError> {
-            let func = fetch(interp, f.0).ok_or(ActorError::UnknownFunction(f.0))?;
-            let args: Vec<Script> = args.iter().map(from_wire).collect();
-            let out = interp.call(&func, args)?;
-            Ok(out.iter().map(to_wire).collect())
-        })?
+        self.with(move |interp| Self::call_in(interp, f, args.iter().map(from_wire).collect()))?
     }
 
     /// Calls a stored function with *script* arguments produced by a
@@ -212,11 +272,9 @@ impl ScriptActor {
         f: FuncHandle,
         build_args: impl FnOnce(&mut Interpreter) -> Vec<Script> + Send + 'static,
     ) -> Result<Vec<Wire>, ActorError> {
-        self.with(move |interp| -> Result<Vec<Wire>, ActorError> {
-            let func = fetch(interp, f.0).ok_or(ActorError::UnknownFunction(f.0))?;
+        self.with(move |interp| {
             let args = build_args(interp);
-            let out = interp.call(&func, args)?;
-            Ok(out.iter().map(to_wire).collect())
+            Self::call_in(interp, f, args)
         })?
     }
 
@@ -226,12 +284,7 @@ impl ScriptActor {
     ///
     /// Actor disconnection.
     pub fn drop_function(&self, f: FuncHandle) -> Result<(), ActorError> {
-        self.with(move |interp| {
-            let stored = interp.global("__stored");
-            if let Some(t) = stored.as_table() {
-                let _ = t.borrow_mut().set(Script::from(f.0 as f64), Script::Nil);
-            }
-        })
+        self.with(move |interp| unstore(interp, f.0))
     }
 }
 
@@ -244,6 +297,13 @@ fn store(interp: &mut Interpreter, v: Script) -> u64 {
         .set(Script::from(id as f64), v)
         .expect("numeric key");
     id
+}
+
+fn unstore(interp: &mut Interpreter, id: u64) {
+    let stored = interp.global("__stored");
+    if let Some(t) = stored.as_table() {
+        let _ = t.borrow_mut().set(Script::from(id as f64), Script::Nil);
+    }
 }
 
 fn fetch(interp: &mut Interpreter, id: u64) -> Option<Script> {

@@ -14,28 +14,43 @@
 //! [`Monitor`]; monitors created from script are registered with the
 //! host so Rust code can drive their ticks.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use adapta_bridge::{ActorError, ScriptActor};
 use adapta_idl::ObjRefData;
 use adapta_orb::Orb;
-use adapta_script::{Interpreter, Table, Value as Script};
+use adapta_script::{Interpreter, RuaError, Table, Value as Script};
 use adapta_sim::SimTime;
 use parking_lot::Mutex;
 
-use crate::monitor::{Monitor, ObserverTarget, PredicateFn};
+use crate::monitor::{
+    AspectFn, FirstArg, Monitor, MonitorInner, ObserverId, ObserverTarget, PredicateFn, ScriptFn,
+};
+
+/// The monitor behind a facade, while it exists.
+fn live(monitor: &Weak<MonitorInner>) -> Result<Monitor, RuaError> {
+    monitor
+        .upgrade()
+        .map(|inner| Monitor { inner })
+        .ok_or_else(|| RuaError::runtime("the monitor no longer exists", 0))
+}
 
 /// Builds the script-facing facade table for a monitor.
 ///
-/// Runs on the actor thread (callers pass the interpreter from inside a
-/// `with`/`call_with` closure). `actor` is the actor hosting that
-/// interpreter — code compiled by `defineAspect`/`attachEventObserver`
-/// lives there — and `installer` is the identity installs are charged
-/// to (remote installers are quota-checked, `"local"` is not).
+/// `actor` is the actor that will host the table — code compiled by
+/// `defineAspect`/`attachEventObserver` lives there — and `installer`
+/// is the identity installs are charged to (remote installers are
+/// quota-checked, `"local"` is not).
+///
+/// The natives hold the monitor weakly: facades are stored in the
+/// monitor's own actors, and a strong reference would keep the monitor
+/// and those actor threads alive forever. Every installed script entry
+/// gets its own facade when it is installed and keeps it, so what a
+/// script writes into its facade table persists across ticks, as its
+/// `self` table does.
 pub(crate) fn monitor_facade(
-    _interp: &mut Interpreter,
-    monitor: &Monitor,
+    monitor: &Weak<MonitorInner>,
     actor: &ScriptActor,
     installer: &str,
 ) -> Script {
@@ -48,54 +63,53 @@ pub(crate) fn monitor_facade(
 
     // getValue / getvalue (the paper mixes the spellings).
     for spelling in ["getValue", "getvalue"] {
-        let m = monitor.clone();
+        let w = monitor.clone();
         set(
             &t,
             spelling,
             Interpreter::native(spelling, move |_, _args| {
-                Ok(vec![adapta_bridge::from_wire(&m.value())])
+                Ok(vec![adapta_bridge::from_wire(&live(&w)?.value())])
             }),
         );
     }
 
     for spelling in ["setValue", "setvalue"] {
-        let m = monitor.clone();
+        let w = monitor.clone();
         set(
             &t,
             spelling,
             Interpreter::native(spelling, move |_, args| {
                 // args[0] is the facade (method-call self).
                 let v = args.get(1).cloned().unwrap_or(Script::Nil);
-                m.set_value(adapta_bridge::to_wire(&v));
+                live(&w)?.set_value(adapta_bridge::to_wire(&v));
                 Ok(vec![])
             }),
         );
     }
 
     {
-        let m = monitor.clone();
+        let w = monitor.clone();
         set(
             &t,
             "getAspectValue",
             Interpreter::native("getAspectValue", move |_, args| {
-                let name = args
-                    .get(1)
-                    .and_then(|v| v.as_str().map(str::to_owned))
-                    .unwrap_or_default();
-                let v = m.aspect_value(&name).unwrap_or(adapta_idl::Value::Null);
+                let name = args.get(1).and_then(Script::as_str).unwrap_or_default();
+                let v = live(&w)?
+                    .aspect_value(name)
+                    .unwrap_or(adapta_idl::Value::Null);
                 Ok(vec![adapta_bridge::from_wire(&v)])
             }),
         );
     }
 
     {
-        let m = monitor.clone();
+        let w = monitor.clone();
         set(
             &t,
             "definedAspects",
             Interpreter::native("definedAspects", move |_, _| {
                 let mut out = Table::new();
-                for name in m.defined_aspects() {
+                for name in live(&w)?.defined_aspects() {
                     out.push(Script::str(name));
                 }
                 Ok(vec![Script::Table(std::rc::Rc::new(
@@ -106,7 +120,7 @@ pub(crate) fn monitor_facade(
     }
 
     {
-        let m = monitor.clone();
+        let w = monitor.clone();
         let a = actor.clone();
         let who = installer.to_owned();
         set(
@@ -116,31 +130,23 @@ pub(crate) fn monitor_facade(
                 let name = args
                     .get(1)
                     .and_then(|v| v.as_str().map(str::to_owned))
-                    .ok_or_else(|| {
-                        adapta_script::RuaError::runtime("defineAspect: name expected", 0)
-                    })?;
+                    .ok_or_else(|| RuaError::runtime("defineAspect: name expected", 0))?;
+                let m = live(&w)?;
                 if who != "local" {
                     m.check_quota(&who)
-                        .map_err(|e| adapta_script::RuaError::runtime(e.to_string(), 0))?;
+                        .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
                 }
-                let func = compile_code_arg(interp, args.get(2))?;
-                let self_table = ScriptActor::stored_put(interp, Script::table());
-                m.put_aspect(
-                    name,
-                    who.clone(),
-                    crate::monitor::AspectFn::Script {
-                        actor: a.clone(),
-                        func,
-                        self_table,
-                    },
-                );
+                let func = code_arg(interp, args.get(2))?;
+                let script =
+                    ScriptFn::store(interp, &a, &w, &who, func, FirstArg::New(Script::table()));
+                m.put_aspect(name, who.clone(), AspectFn::Script(script));
                 Ok(vec![])
             }),
         );
     }
 
     {
-        let m = monitor.clone();
+        let w = monitor.clone();
         let a = actor.clone();
         let who = installer.to_owned();
         set(
@@ -152,64 +158,53 @@ pub(crate) fn monitor_facade(
                     .get(2)
                     .and_then(|v| v.as_str().map(str::to_owned))
                     .ok_or_else(|| {
-                        adapta_script::RuaError::runtime(
-                            "attachEventObserver: event id expected",
-                            0,
-                        )
+                        RuaError::runtime("attachEventObserver: event id expected", 0)
                     })?;
+                let m = live(&w)?;
                 if who != "local" {
                     m.check_quota(&who)
-                        .map_err(|e| adapta_script::RuaError::runtime(e.to_string(), 0))?;
+                        .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
                 }
-                let predicate = compile_code_arg(interp, args.get(3))?;
+                let predicate = code_arg(interp, args.get(3))?;
                 let target = observer_target(interp, observer)?;
-                let id = m.push_observer(
-                    target,
-                    event_id,
-                    who.clone(),
-                    PredicateFn::Script {
-                        actor: a.clone(),
-                        func: predicate,
-                    },
-                );
+                // The local object was stored for this observer: the
+                // entry owns it.
+                let first = FirstArg::observer(&target, true);
+                let script = ScriptFn::store(interp, &a, &w, &who, predicate, first);
+                let id =
+                    m.push_observer(target, event_id, who.clone(), PredicateFn::Script(script));
                 Ok(vec![Script::Num(id.0 as f64)])
             }),
         );
     }
 
     {
-        let m = monitor.clone();
+        let w = monitor.clone();
         set(
             &t,
             "detachEventObserver",
             Interpreter::native("detachEventObserver", move |_, args| {
                 let id = args.get(1).and_then(Script::as_num).unwrap_or(0.0) as u64;
                 Ok(vec![Script::Bool(
-                    m.detach_observer(crate::monitor::ObserverId(id)),
+                    live(&w)?.detach_observer(ObserverId(id)),
                 )])
             }),
         );
     }
 
-    set(&t, "__property", Script::str(monitor.property()));
+    if let Ok(m) = live(monitor) {
+        set(&t, "__property", Script::str(m.property()));
+    }
     Script::Table(t)
 }
 
 /// Accepts either a function value or a source-code string (the
-/// remote-evaluation form) and returns a stored handle.
-fn compile_code_arg(
-    interp: &mut Interpreter,
-    arg: Option<&Script>,
-) -> std::result::Result<adapta_bridge::FuncHandle, adapta_script::RuaError> {
+/// remote-evaluation form) and returns the function.
+fn code_arg(interp: &mut Interpreter, arg: Option<&Script>) -> Result<Script, RuaError> {
     match arg {
-        Some(v @ (Script::Function(_) | Script::Native(_))) => {
-            Ok(ScriptActor::stored_put(interp, v.clone()))
-        }
-        Some(Script::Str(code)) => {
-            let f = interp.compile_function(code)?;
-            Ok(ScriptActor::stored_put(interp, f))
-        }
-        other => Err(adapta_script::RuaError::runtime(
+        Some(v @ (Script::Function(_) | Script::Native(_))) => Ok(v.clone()),
+        Some(Script::Str(code)) => interp.compile_function(code),
+        other => Err(RuaError::runtime(
             format!(
                 "expected a function or code string, got {}",
                 other.map(|v| v.type_name()).unwrap_or("nothing")
@@ -220,11 +215,9 @@ fn compile_code_arg(
 }
 
 /// Classifies a script-side observer argument: a `__ref` table is a
-/// remote observer; any other table is a local script observer.
-fn observer_target(
-    interp: &mut Interpreter,
-    observer: Script,
-) -> std::result::Result<ObserverTarget, adapta_script::RuaError> {
+/// remote observer; any other table is a local script observer, stored
+/// in the actor.
+fn observer_target(interp: &mut Interpreter, observer: Script) -> Result<ObserverTarget, RuaError> {
     if let Some(t) = observer.as_table() {
         let uri = t.borrow().get_str("__ref");
         if let Script::Str(uri) = uri {
@@ -236,7 +229,7 @@ fn observer_target(
             interp, observer,
         )));
     }
-    Err(adapta_script::RuaError::runtime(
+    Err(RuaError::runtime(
         "observer must be a table (remote reference or local object)",
         0,
     ))
@@ -310,22 +303,19 @@ impl MonitorHost {
                         .first()
                         .and_then(|v| v.as_str().map(str::to_owned))
                         .ok_or_else(|| {
-                            adapta_script::RuaError::runtime(
-                                "EventMonitor.new: property name expected",
-                                0,
-                            )
+                            RuaError::runtime("EventMonitor.new: property name expected", 0)
                         })?;
-                    let update = compile_code_arg(interp, args.get(1))?;
+                    let update = code_arg(interp, args.get(1))?;
+                    let update = ScriptActor::stored_put(interp, update);
                     let period = args.get(2).and_then(Script::as_num).unwrap_or(60.0);
                     let monitor = Monitor::builder(&name)
                         .period(Duration::from_secs_f64(period.max(0.001)))
                         .source_handle(update)
                         .build(&ctor_host.actor, &ctor_host.orb)
-                        .map_err(|e| adapta_script::RuaError::runtime(e.to_string(), 0))?;
+                        .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
                     ctor_host.monitors.lock().push(monitor.clone());
                     Ok(vec![monitor_facade(
-                        interp,
-                        &monitor,
+                        &Arc::downgrade(&monitor.inner),
                         &ctor_host.actor,
                         "local",
                     )])

@@ -3,14 +3,15 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use adapta_bridge::{ActorError, FuncHandle, ScriptActor};
 use adapta_idl::Value;
 use adapta_orb::{ObjRef, Orb};
-use adapta_script::SandboxPolicy;
+use adapta_script::{Interpreter, SandboxPolicy, Value as Script};
 use adapta_sim::SimTime;
+use adapta_telemetry::{Counter, Gauge, HistogramHandle};
 use parking_lot::Mutex;
 
 use crate::facade;
@@ -33,25 +34,121 @@ pub(crate) enum ValueSource {
     Constant,
     /// A native Rust sampler.
     Native(Box<dyn Fn(SimTime) -> Value + Send + Sync>),
-    /// A zero-argument script function stored in the actor.
+    /// A zero-argument script function stored in the monitor's actor
+    /// and owned by the monitor.
     Script(FuncHandle),
+}
+
+/// An installed script function with everything it is called with,
+/// stored in the actor that hosts it: the function, its first argument
+/// (an aspect's persistent `self` table, or the observer as scripts see
+/// it) and its monitor facade. All three are stored in the hop that
+/// compiles the function, so a tick only looks them up.
+///
+/// The entry owns what it stored. Dropping it (detach, replacement,
+/// eviction, or the monitor going away) queues those handles for
+/// release at the start of the actor's next job.
+pub(crate) struct ScriptFn {
+    actor: ScriptActor,
+    func: FuncHandle,
+    first: Option<FuncHandle>,
+    facade: FuncHandle,
+    /// Whether `first` was stored by this entry (a caller's
+    /// [`ObserverTarget::Local`] object is the caller's).
+    owns_first: bool,
+}
+
+/// The first argument of an installed script function.
+pub(crate) enum FirstArg {
+    /// None: the function gets `nil`.
+    Nil,
+    /// A value to store; the entry owns it.
+    New(Script),
+    /// An already stored value, taken over by the entry if `owned`.
+    Stored { handle: FuncHandle, owned: bool },
+}
+
+impl FirstArg {
+    /// How an observer appears to its predicate: a remote observer as
+    /// its reference table, a local one as its script object, a native
+    /// callback as `nil`. Runs on the actor thread.
+    pub(crate) fn observer(target: &ObserverTarget, owns_local: bool) -> FirstArg {
+        match target {
+            ObserverTarget::Remote(r) => {
+                FirstArg::New(adapta_bridge::from_wire(&Value::ObjRef(r.clone())))
+            }
+            ObserverTarget::Local(h) => FirstArg::Stored {
+                handle: *h,
+                owned: owns_local,
+            },
+            ObserverTarget::Callback(_) => FirstArg::Nil,
+        }
+    }
+}
+
+impl ScriptFn {
+    /// Stores `func`, its first argument and a facade of `monitor`
+    /// charging installs to `installer`. Runs on `actor`'s thread.
+    pub(crate) fn store(
+        interp: &mut Interpreter,
+        actor: &ScriptActor,
+        monitor: &Weak<MonitorInner>,
+        installer: &str,
+        func: Script,
+        first: FirstArg,
+    ) -> ScriptFn {
+        let func = ScriptActor::stored_put(interp, func);
+        let facade = facade::monitor_facade(monitor, actor, installer);
+        let facade = ScriptActor::stored_put(interp, facade);
+        let (first, owns_first) = match first {
+            FirstArg::Nil => (None, false),
+            FirstArg::New(v) => (Some(ScriptActor::stored_put(interp, v)), true),
+            FirstArg::Stored { handle, owned } => (Some(handle), owned),
+        };
+        ScriptFn {
+            actor: actor.clone(),
+            func,
+            first,
+            facade,
+            owns_first,
+        }
+    }
+
+    /// This entry's evaluation as a tick step.
+    fn step(&self, slot: Slot) -> Step {
+        Step::Script(
+            self.actor.clone(),
+            ScriptCall {
+                slot,
+                func: self.func,
+                first: self.first,
+                facade: Some(self.facade),
+            },
+        )
+    }
+}
+
+impl Drop for ScriptFn {
+    fn drop(&mut self) {
+        let first = self.first.filter(|_| self.owns_first);
+        self.actor
+            .release([self.func, self.facade].into_iter().chain(first));
+    }
 }
 
 pub(crate) enum AspectFn {
     /// Native evaluator: `f(current_value) -> aspect_value`.
     Native(Box<dyn Fn(&Value) -> Value + Send + Sync>),
     /// Script evaluator `function(self, currval, monitor)` with a
-    /// persistent `self` table (both stored in `actor` — the monitor's
-    /// trusted actor for local installs, the sandboxed actor for
-    /// remotely shipped code).
-    Script {
-        actor: ScriptActor,
-        func: FuncHandle,
-        self_table: FuncHandle,
-    },
+    /// persistent `self` table, hosted by the monitor's trusted actor
+    /// for local installs and by its sandboxed actor for remotely
+    /// shipped code.
+    Script(ScriptFn),
 }
 
 struct AspectEntry {
+    /// Unique per definition: a redefined aspect gets a new id.
+    id: u64,
     name: String,
     installer: String,
     func: AspectFn,
@@ -64,6 +161,7 @@ struct AspectEntry {
 pub struct ObserverId(pub u64);
 
 /// Where event notifications go.
+#[derive(Clone)]
 pub enum ObserverTarget {
     /// A remote `EventObserver` object (`oneway notifyEvent(evid)`).
     Remote(ObjRef),
@@ -87,12 +185,8 @@ impl std::fmt::Debug for ObserverTarget {
 pub(crate) enum PredicateFn {
     /// Native predicate over the current value.
     Native(Box<dyn Fn(&Value) -> bool + Send + Sync>),
-    /// Script predicate `function(observer, value, monitor) -> bool`,
-    /// hosted by `actor`.
-    Script {
-        actor: ScriptActor,
-        func: FuncHandle,
-    },
+    /// Script predicate `function(observer, value, monitor) -> bool`.
+    Script(ScriptFn),
 }
 
 struct ObserverEntry {
@@ -108,6 +202,44 @@ struct ObserverEntry {
     push_failures: u32,
 }
 
+/// The monitor's `monitor.<property>.*` instruments, resolved once when
+/// it is built so a tick does no name lookup.
+struct MonitorMetrics {
+    ticks: Counter,
+    tick_cycle: HistogramHandle,
+    errors: Counter,
+    quarantined_active: Gauge,
+    quarantine_probes: Counter,
+    quarantine_readmitted: Counter,
+    quarantine_entries: Counter,
+    push_coalesced: Counter,
+    push_dropped: Counter,
+    observers_evicted: Counter,
+    resource_exhausted: Counter,
+    quota_rejections: Counter,
+}
+
+impl MonitorMetrics {
+    fn for_property(property: &str) -> MonitorMetrics {
+        let name = |stat: &str| format!("monitor.{property}.{stat}");
+        let r = adapta_telemetry::registry();
+        MonitorMetrics {
+            ticks: r.counter(&name("ticks")),
+            tick_cycle: r.histogram(&name("tick_cycle")),
+            errors: r.counter(&name("errors")),
+            quarantined_active: r.gauge(&name("quarantined.active")),
+            quarantine_probes: r.counter(&name("quarantined.probes")),
+            quarantine_readmitted: r.counter(&name("quarantined.readmitted")),
+            quarantine_entries: r.counter(&name("quarantined.entries")),
+            push_coalesced: r.counter(&name("push.coalesced")),
+            push_dropped: r.counter(&name("push.dropped")),
+            observers_evicted: r.counter(&name("observers.evicted")),
+            resource_exhausted: r.counter(&name("resource_exhausted")),
+            quota_rejections: r.counter(&name("quota_rejections")),
+        }
+    }
+}
+
 pub(crate) struct MonitorInner {
     property: String,
     period: Duration,
@@ -117,17 +249,27 @@ pub(crate) struct MonitorInner {
     source: Mutex<ValueSource>,
     aspects: Mutex<Vec<AspectEntry>>,
     observers: Mutex<Vec<ObserverEntry>>,
+    next_aspect: AtomicU64,
     next_observer: AtomicU64,
     notifications: AtomicU64,
     errors: AtomicU64,
     ticks: AtomicU64,
     evictions: AtomicU64,
+    metrics: MonitorMetrics,
     /// The most recent user-code error, with context — so operators can
     /// see *why* `monitor.<prop>.errors` is climbing.
     last_error: Mutex<Option<String>>,
     /// Lazily spawned actor for remotely shipped code, running under
     /// `SandboxPolicy::remote()` (resource limits + capability strip).
     sandbox: Mutex<Option<ScriptActor>>,
+}
+
+impl Drop for MonitorInner {
+    fn drop(&mut self) {
+        if let ValueSource::Script(h) = *self.source.get_mut() {
+            self.actor.release([h]);
+        }
+    }
 }
 
 /// A monitor for one observed property — `BasicMonitor`,
@@ -205,7 +347,8 @@ impl MonitorBuilder {
     }
 
     /// Samples the property with an already-stored script function
-    /// (used by the script-side `EventMonitor.new`).
+    /// (used by the script-side `EventMonitor.new`). The monitor takes
+    /// the handle over.
     pub(crate) fn source_handle(mut self, h: FuncHandle) -> Self {
         self.source_handle = Some(h);
         self.source_native = None;
@@ -228,6 +371,7 @@ impl MonitorBuilder {
         } else {
             ValueSource::Constant
         };
+        let metrics = MonitorMetrics::for_property(&self.property);
         Ok(Monitor {
             inner: Arc::new(MonitorInner {
                 property: self.property,
@@ -238,11 +382,13 @@ impl MonitorBuilder {
                 source: Mutex::new(source),
                 aspects: Mutex::new(Vec::new()),
                 observers: Mutex::new(Vec::new()),
+                next_aspect: AtomicU64::new(1),
                 next_observer: AtomicU64::new(1),
                 notifications: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
                 ticks: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
+                metrics,
                 last_error: Mutex::new(None),
                 sandbox: Mutex::new(None),
             }),
@@ -350,9 +496,7 @@ impl Monitor {
     fn record_error(&self, context: &str, err: &ActorError) {
         self.inner.errors.fetch_add(1, Ordering::Relaxed);
         if err.is_resource_limit() {
-            adapta_telemetry::registry()
-                .counter(&format!("monitor.{}.resource_exhausted", self.property()))
-                .incr();
+            self.inner.metrics.resource_exhausted.incr();
         }
         let message = format!("{context}: {err}");
         let mut span = adapta_telemetry::Span::start("monitor.error");
@@ -379,15 +523,39 @@ impl Monitor {
                 .filter(|o| o.installer == installer)
                 .count();
         if live >= MAX_INSTALLS_PER_INSTALLER {
-            adapta_telemetry::registry()
-                .counter(&format!("monitor.{}.quota_rejections", self.property()))
-                .incr();
+            self.inner.metrics.quota_rejections.incr();
             return Err(ActorError::Rejected(format!(
                 "installer `{installer}` exceeded the quota of \
                  {MAX_INSTALLS_PER_INSTALLER} installed scripts"
             )));
         }
         Ok(())
+    }
+
+    /// Compiles `code` in `actor` and stores it with its first argument
+    /// and facade, all in one job.
+    fn install_script(
+        &self,
+        actor: &ScriptActor,
+        installer: &str,
+        code: &str,
+        first: impl FnOnce() -> FirstArg + Send + 'static,
+    ) -> Result<ScriptFn, ActorError> {
+        let code = code.to_owned();
+        let installer = installer.to_owned();
+        let monitor = Arc::downgrade(&self.inner);
+        let host = actor.clone();
+        actor.with(move |interp| {
+            let func = interp.compile_function(&code)?;
+            Ok(ScriptFn::store(
+                interp,
+                &host,
+                &monitor,
+                &installer,
+                func,
+                first(),
+            ))
+        })?
     }
 
     // ---- aspects -------------------------------------------------------
@@ -414,7 +582,7 @@ impl Monitor {
         name: impl Into<String>,
         code: &str,
     ) -> Result<(), ActorError> {
-        self.install_aspect_script(self.inner.actor.clone(), "local", name.into(), code)
+        self.install_aspect_script(&self.inner.actor, "local", name.into(), code)
     }
 
     /// Defines an aspect from *remotely shipped* source: the code is
@@ -432,46 +600,38 @@ impl Monitor {
         code: &str,
     ) -> Result<(), ActorError> {
         self.check_quota(installer)?;
-        self.install_aspect_script(self.sandbox_actor(), installer, name.into(), code)
+        self.install_aspect_script(&self.sandbox_actor(), installer, name.into(), code)
     }
 
     fn install_aspect_script(
         &self,
-        actor: ScriptActor,
+        actor: &ScriptActor,
         installer: &str,
         name: String,
         code: &str,
     ) -> Result<(), ActorError> {
-        let func = actor.store_function(code)?;
-        let self_table =
-            actor.with(|interp| ScriptActor::stored_put(interp, adapta_script::Value::table()))?;
-        self.put_aspect(
-            name,
-            installer.into(),
-            AspectFn::Script {
-                actor,
-                func,
-                self_table,
-            },
-        );
+        let script =
+            self.install_script(actor, installer, code, || FirstArg::New(Script::table()))?;
+        self.put_aspect(name, installer.into(), AspectFn::Script(script));
         Ok(())
     }
 
     pub(crate) fn put_aspect(&self, name: String, installer: String, func: AspectFn) {
+        let id = self.inner.next_aspect.fetch_add(1, Ordering::Relaxed);
+        let entry = AspectEntry {
+            id,
+            name,
+            installer,
+            func,
+            last: Value::Null,
+            guard: Guard::default(),
+        };
         let mut aspects = self.inner.aspects.lock();
-        if let Some(entry) = aspects.iter_mut().find(|a| a.name == name) {
-            entry.func = func;
-            entry.installer = installer;
-            entry.last = Value::Null;
-            entry.guard = Guard::default();
-        } else {
-            aspects.push(AspectEntry {
-                name,
-                installer,
-                func,
-                last: Value::Null,
-                guard: Guard::default(),
-            });
+        // A redefinition keeps the aspect's place in definition order;
+        // the replaced entry is dropped, releasing what it stored.
+        match aspects.iter_mut().find(|a| a.name == entry.name) {
+            Some(slot) => *slot = entry,
+            None => aspects.push(entry),
         }
     }
 
@@ -510,16 +670,13 @@ impl Monitor {
         event_id: impl Into<String>,
         predicate_code: &str,
     ) -> Result<ObserverId, ActorError> {
-        let func = self.inner.actor.store_function(predicate_code)?;
-        Ok(self.push_observer(
+        self.install_observer_script(
+            &self.inner.actor,
+            "local",
             target,
             event_id.into(),
-            "local".into(),
-            PredicateFn::Script {
-                actor: self.inner.actor.clone(),
-                func,
-            },
-        ))
+            predicate_code,
+        )
     }
 
     /// Attaches an observer whose predicate arrived *over the wire*: it
@@ -537,13 +694,33 @@ impl Monitor {
         predicate_code: &str,
     ) -> Result<ObserverId, ActorError> {
         self.check_quota(installer)?;
-        let actor = self.sandbox_actor();
-        let func = actor.store_function(predicate_code)?;
-        Ok(self.push_observer(
+        self.install_observer_script(
+            &self.sandbox_actor(),
+            installer,
             target,
             event_id.into(),
+            predicate_code,
+        )
+    }
+
+    fn install_observer_script(
+        &self,
+        actor: &ScriptActor,
+        installer: &str,
+        target: ObserverTarget,
+        event_id: String,
+        predicate_code: &str,
+    ) -> Result<ObserverId, ActorError> {
+        // A caller's local object stays the caller's.
+        let shown = target.clone();
+        let script = self.install_script(actor, installer, predicate_code, move || {
+            FirstArg::observer(&shown, false)
+        })?;
+        Ok(self.push_observer(
+            target,
+            event_id,
             installer.into(),
-            PredicateFn::Script { actor, func },
+            PredicateFn::Script(script),
         ))
     }
 
@@ -584,7 +761,8 @@ impl Monitor {
     }
 
     /// Detaches an observer (`detachEventObserver`); returns whether it
-    /// existed.
+    /// existed. What its predicate stored is released at the hosting
+    /// actor's next job.
     pub fn detach_observer(&self, id: ObserverId) -> bool {
         let mut observers = self.inner.observers.lock();
         let before = observers.len();
@@ -600,251 +778,251 @@ impl Monitor {
     // ---- the tick -------------------------------------------------------
 
     /// Runs one monitor cycle at time `now`: refresh the property value
-    /// from its source, re-evaluate every aspect, then run every
-    /// observer's event predicate and notify on `true`.
+    /// from its source, re-evaluate every aspect in definition order,
+    /// then run every observer's event predicate and notify on `true`.
+    ///
+    /// Native code runs on the calling thread. Consecutive script
+    /// entries hosted by the same actor run in one job on that actor, so
+    /// a tick costs one round trip per run of script entries, not one
+    /// per entry; each call still gets its own sandbox budget and
+    /// deadline, and sees what earlier entries computed this tick.
     ///
     /// Errors in user-supplied code are counted (see
     /// [`errors`](Self::errors)) and never abort the tick.
     pub fn tick(&self, now: SimTime) {
+        let metrics = &self.inner.metrics;
         self.inner.ticks.fetch_add(1, Ordering::Relaxed);
-        let registry = adapta_telemetry::registry();
-        registry
-            .counter(&format!("monitor.{}.ticks", self.property()))
-            .incr();
-        let cycle = registry.histogram(&format!("monitor.{}.tick_cycle", self.property()));
+        metrics.ticks.incr();
         let errors_before = self.errors();
-        cycle.time(|| {
-            self.refresh_value(now);
-            self.refresh_aspects();
-            self.run_observers();
+        metrics.tick_cycle.time(|| {
+            let mut steps = self.plan().into_iter().peekable();
+            while let Some(step) = steps.next() {
+                match step {
+                    Step::Native(slot) => self.run_native(slot, now),
+                    Step::Script(actor, call) => {
+                        let mut batch = vec![call];
+                        while let Some(Step::Script(_, call)) = steps.next_if(
+                            |next| matches!(next, Step::Script(a, _) if a.same_actor(&actor)),
+                        ) {
+                            batch.push(call);
+                        }
+                        self.run_hop(&actor, batch);
+                    }
+                }
+            }
+            self.flush_pushes();
         });
         let new_errors = self.errors().saturating_sub(errors_before);
         if new_errors > 0 {
-            registry
-                .counter(&format!("monitor.{}.errors", self.property()))
-                .add(new_errors);
+            metrics.errors.add(new_errors);
         }
-        registry
-            .gauge(&format!("monitor.{}.quarantined.active", self.property()))
+        metrics
+            .quarantined_active
             .set(self.quarantined_count() as i64);
     }
 
-    fn refresh_value(&self, now: SimTime) {
-        // Decide what to do with the source lock held briefly.
-        enum Plan {
-            Keep,
-            Set(Value),
-            CallScript(FuncHandle),
+    /// The tick's steps in evaluation order: the value source, the
+    /// aspects the quarantine admits, then the observers it admits.
+    fn plan(&self) -> Vec<Step> {
+        let mut steps = Vec::new();
+        match &*self.inner.source.lock() {
+            ValueSource::Constant => {}
+            ValueSource::Native(_) => steps.push(Step::Native(Slot::Source)),
+            ValueSource::Script(h) => steps.push(Step::Script(
+                self.inner.actor.clone(),
+                ScriptCall {
+                    slot: Slot::Source,
+                    func: *h,
+                    first: None,
+                    facade: None,
+                },
+            )),
         }
-        let plan = {
-            let source = self.inner.source.lock();
-            match &*source {
-                ValueSource::Constant => Plan::Keep,
-                ValueSource::Native(f) => Plan::Set(f(now)),
-                ValueSource::Script(h) => Plan::CallScript(*h),
+        for entry in self.inner.aspects.lock().iter_mut() {
+            if self.admit(&mut entry.guard) {
+                let slot = Slot::Aspect(entry.id);
+                steps.push(match &entry.func {
+                    AspectFn::Native(_) => Step::Native(slot),
+                    AspectFn::Script(script) => script.step(slot),
+                });
+            }
+        }
+        for entry in self.inner.observers.lock().iter_mut() {
+            if self.admit(&mut entry.guard) {
+                let slot = Slot::Observer(entry.id);
+                steps.push(match &entry.predicate {
+                    PredicateFn::Native(_) => Step::Native(slot),
+                    PredicateFn::Script(script) => script.step(slot),
+                });
+            }
+        }
+        steps
+    }
+
+    /// Whether the quarantine lets an entry run this tick.
+    fn admit(&self, guard: &mut Guard) -> bool {
+        match guard.admit() {
+            Admit::Skip => false,
+            Admit::Probe => {
+                self.inner.metrics.quarantine_probes.incr();
+                true
+            }
+            Admit::Run => true,
+        }
+    }
+
+    /// Evaluates a native step on the calling thread.
+    fn run_native(&self, slot: Slot, now: SimTime) {
+        match slot {
+            Slot::Source => {
+                let value = match &*self.inner.source.lock() {
+                    ValueSource::Native(f) => f(now),
+                    _ => return,
+                };
+                *self.inner.value.lock() = value;
+            }
+            Slot::Aspect(id) => {
+                let current = self.value();
+                let mut aspects = self.inner.aspects.lock();
+                if let Some(entry) = aspects.iter_mut().find(|a| a.id == id) {
+                    if let AspectFn::Native(f) = &entry.func {
+                        entry.last = f(&current);
+                        if entry.guard.on_success() {
+                            self.inner.metrics.quarantine_readmitted.incr();
+                        }
+                    }
+                }
+            }
+            Slot::Observer(id) => {
+                let current = self.value();
+                let mut observers = self.inner.observers.lock();
+                if let Some(entry) = observers.iter_mut().find(|o| o.id == id) {
+                    if let PredicateFn::Native(f) = &entry.predicate {
+                        let fired = f(&current);
+                        self.observer_ran(entry, fired);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs a batch of script steps hosted by `actor` in one job. Each
+    /// result is applied before the next call, under the entry's lock
+    /// alone, so later calls see it and facade natives can re-enter.
+    fn run_hop(&self, actor: &ScriptActor, batch: Vec<ScriptCall>) {
+        let slots: Vec<Slot> = batch.iter().map(|c| c.slot).collect();
+        let monitor = self.clone();
+        let ran = actor.with(move |interp| {
+            for call in batch {
+                let out = monitor.call_script(interp, &call);
+                monitor.apply(call.slot, out);
+            }
+        });
+        if let Err(e) = ran {
+            for slot in slots {
+                self.apply(slot, Err(e.clone()));
+            }
+        }
+    }
+
+    /// Calls one script step on the actor thread.
+    fn call_script(
+        &self,
+        interp: &mut Interpreter,
+        call: &ScriptCall,
+    ) -> Result<Vec<Value>, ActorError> {
+        let args = match call.slot {
+            Slot::Source => Vec::new(),
+            Slot::Aspect(_) | Slot::Observer(_) => {
+                let mut stored = |h: Option<FuncHandle>| {
+                    h.and_then(|h| ScriptActor::stored_get(interp, h))
+                        .unwrap_or(Script::Nil)
+                };
+                let first = stored(call.first);
+                let facade = stored(call.facade);
+                vec![first, adapta_bridge::from_wire(&self.value()), facade]
             }
         };
-        match plan {
-            Plan::Keep => {}
-            Plan::Set(v) => *self.inner.value.lock() = v,
-            Plan::CallScript(h) => match self.inner.actor.call(h, vec![]) {
+        ScriptActor::call_in(interp, call.func, args)
+    }
+
+    /// Applies a script step's outcome. An entry removed since the tick
+    /// was planned is skipped.
+    fn apply(&self, slot: Slot, out: Result<Vec<Value>, ActorError>) {
+        match slot {
+            Slot::Source => match out {
                 Ok(values) => {
                     *self.inner.value.lock() = values.into_iter().next().unwrap_or(Value::Null);
                 }
                 Err(e) => self.record_error("value source", &e),
             },
-        }
-    }
-
-    /// Bumps a `monitor.<prop>.<suffix>` counter.
-    fn counter(&self, suffix: &str) {
-        adapta_telemetry::registry()
-            .counter(&format!("monitor.{}.{suffix}", self.property()))
-            .incr();
-    }
-
-    fn refresh_aspects(&self) {
-        let names: Vec<String> = self.defined_aspects();
-        for name in names {
-            // Snapshot what we need without holding the lock across
-            // actor calls (facade natives re-enter these mutexes).
-            enum Plan {
-                Native(Value),
-                Script(ScriptActor, FuncHandle, FuncHandle, String),
-                Gone,
-            }
-            let current = self.value();
-            let plan = {
+            Slot::Aspect(id) => {
                 let mut aspects = self.inner.aspects.lock();
-                match aspects.iter_mut().find(|a| a.name == name) {
-                    Some(entry) => match entry.guard.admit() {
-                        Admit::Skip => continue,
-                        admit => {
-                            if admit == Admit::Probe {
-                                self.counter("quarantined.probes");
-                            }
-                            match &entry.func {
-                                AspectFn::Native(f) => Plan::Native(f(&current)),
-                                AspectFn::Script {
-                                    actor,
-                                    func,
-                                    self_table,
-                                } => Plan::Script(
-                                    actor.clone(),
-                                    *func,
-                                    *self_table,
-                                    entry.installer.clone(),
-                                ),
-                            }
-                        }
-                    },
-                    None => Plan::Gone,
-                }
-            };
-            let result = match plan {
-                Plan::Gone => continue,
-                Plan::Native(v) => Some(v),
-                Plan::Script(actor, func, self_table, installer) => {
-                    let monitor = self.clone();
-                    let facade_actor = actor.clone();
-                    let out = actor.call_with(func, move |interp| {
-                        let self_arg = ScriptActor::stored_get(interp, self_table)
-                            .unwrap_or(adapta_script::Value::Nil);
-                        let currval = adapta_bridge::from_wire(&monitor.value());
-                        let facade =
-                            facade::monitor_facade(interp, &monitor, &facade_actor, &installer);
-                        vec![self_arg, currval, facade]
-                    });
-                    match out {
-                        Ok(values) => Some(values.into_iter().next().unwrap_or(Value::Null)),
-                        Err(e) => {
-                            self.record_error(&format!("aspect `{name}`"), &e);
-                            None
-                        }
-                    }
-                }
-            };
-            let mut aspects = self.inner.aspects.lock();
-            if let Some(entry) = aspects.iter_mut().find(|a| a.name == name) {
-                match result {
-                    Some(v) => {
-                        entry.last = v;
+                let Some(entry) = aspects.iter_mut().find(|a| a.id == id) else {
+                    return;
+                };
+                match out {
+                    Ok(values) => {
+                        entry.last = values.into_iter().next().unwrap_or(Value::Null);
                         if entry.guard.on_success() {
-                            self.counter("quarantined.readmitted");
+                            self.inner.metrics.quarantine_readmitted.incr();
                         }
                     }
-                    None => {
+                    Err(e) => {
                         if entry.guard.on_failure() {
-                            self.counter("quarantined.entries");
+                            self.inner.metrics.quarantine_entries.incr();
                         }
+                        let context = format!("aspect `{}`", entry.name);
+                        drop(aspects);
+                        self.record_error(&context, &e);
+                    }
+                }
+            }
+            Slot::Observer(id) => {
+                let mut observers = self.inner.observers.lock();
+                let Some(entry) = observers.iter_mut().find(|o| o.id == id) else {
+                    return;
+                };
+                match out {
+                    Ok(values) => {
+                        let fired = values
+                            .first()
+                            .is_some_and(|v| !matches!(v, Value::Null | Value::Bool(false)));
+                        self.observer_ran(entry, fired);
+                    }
+                    Err(e) => {
+                        if entry.guard.on_failure() {
+                            self.inner.metrics.quarantine_entries.incr();
+                        }
+                        drop(observers);
+                        self.record_error(&format!("observer {id} predicate"), &e);
                     }
                 }
             }
         }
     }
 
-    fn run_observers(&self) {
-        let ids: Vec<u64> = self.inner.observers.lock().iter().map(|o| o.id).collect();
-        for id in ids {
-            enum Plan {
-                Native(bool),
-                Script(ScriptActor, FuncHandle, String),
-                Gone,
-            }
-            let current = self.value();
-            let plan = {
-                let mut observers = self.inner.observers.lock();
-                match observers.iter_mut().find(|o| o.id == id) {
-                    Some(entry) => match entry.guard.admit() {
-                        Admit::Skip => continue,
-                        admit => {
-                            if admit == Admit::Probe {
-                                self.counter("quarantined.probes");
-                            }
-                            match &entry.predicate {
-                                PredicateFn::Native(f) => Plan::Native(f(&current)),
-                                PredicateFn::Script { actor, func } => {
-                                    Plan::Script(actor.clone(), *func, entry.installer.clone())
-                                }
-                            }
-                        }
-                    },
-                    None => Plan::Gone,
-                }
-            };
-            let fired = match plan {
-                Plan::Gone => continue,
-                Plan::Native(b) => Some(b),
-                Plan::Script(actor, h, installer) => {
-                    let monitor = self.clone();
-                    let observer_arg = {
-                        let observers = self.inner.observers.lock();
-                        match observers.iter().find(|o| o.id == id).map(|o| &o.target) {
-                            Some(ObserverTarget::Remote(r)) => ObserverArg::Remote(r.clone()),
-                            Some(ObserverTarget::Local(h)) => ObserverArg::Local(*h),
-                            Some(ObserverTarget::Callback(_)) => ObserverArg::None,
-                            None => continue,
-                        }
-                    };
-                    let facade_actor = actor.clone();
-                    let out = actor.call_with(h, move |interp| {
-                        let obs = match observer_arg {
-                            ObserverArg::Remote(r) => adapta_bridge::from_wire(&Value::ObjRef(r)),
-                            ObserverArg::Local(h) => ScriptActor::stored_get(interp, h)
-                                .unwrap_or(adapta_script::Value::Nil),
-                            ObserverArg::None => adapta_script::Value::Nil,
-                        };
-                        let currval = adapta_bridge::from_wire(&monitor.value());
-                        let facade =
-                            facade::monitor_facade(interp, &monitor, &facade_actor, &installer);
-                        vec![obs, currval, facade]
-                    });
-                    match out {
-                        Ok(values) => Some(
-                            values
-                                .first()
-                                .map(|v| !matches!(v, Value::Null | Value::Bool(false)))
-                                .unwrap_or(false),
-                        ),
-                        Err(e) => {
-                            self.record_error(&format!("observer {id} predicate"), &e);
-                            None
-                        }
-                    }
-                }
-            };
-            let mut observers = self.inner.observers.lock();
-            if let Some(entry) = observers.iter_mut().find(|o| o.id == id) {
-                match fired {
-                    Some(fired) => {
-                        if entry.guard.on_success() {
-                            self.counter("quarantined.readmitted");
-                        }
-                        if fired {
-                            self.enqueue_push(entry);
-                        }
-                    }
-                    None => {
-                        if entry.guard.on_failure() {
-                            self.counter("quarantined.entries");
-                        }
-                    }
-                }
-            }
+    /// Records a predicate that ran cleanly and queues its push if it
+    /// fired.
+    fn observer_ran(&self, entry: &mut ObserverEntry, fired: bool) {
+        if entry.guard.on_success() {
+            self.inner.metrics.quarantine_readmitted.incr();
         }
-        self.flush_pushes();
+        if fired {
+            self.enqueue_push(entry);
+        }
     }
 
     /// Queues one `notifyEvent` for the observer, coalescing a
     /// back-to-back duplicate and dropping the oldest entry at the cap.
     fn enqueue_push(&self, entry: &mut ObserverEntry) {
         if entry.queue.back() == Some(&entry.event_id) {
-            self.counter("push.coalesced");
+            self.inner.metrics.push_coalesced.incr();
             return;
         }
         if entry.queue.len() >= OBSERVER_QUEUE_CAP {
             entry.queue.pop_front();
-            self.counter("push.dropped");
+            self.inner.metrics.push_dropped.incr();
         }
         entry.queue.push_back(entry.event_id.clone());
     }
@@ -858,7 +1036,14 @@ impl Monitor {
             Local(FuncHandle),
             Callback(Arc<dyn Fn(&str) + Send + Sync>),
         }
-        let ids: Vec<u64> = self.inner.observers.lock().iter().map(|o| o.id).collect();
+        let ids: Vec<u64> = self
+            .inner
+            .observers
+            .lock()
+            .iter()
+            .filter(|o| !o.queue.is_empty())
+            .map(|o| o.id)
+            .collect();
         for id in ids {
             let (delivery, pending) = {
                 let mut observers = self.inner.observers.lock();
@@ -931,7 +1116,7 @@ impl Monitor {
                                 observers.retain(|o| o.id != id);
                                 drop(observers);
                                 self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-                                self.counter("observers.evicted");
+                                self.inner.metrics.observers_evicted.incr();
                                 *self.inner.last_error.lock() = Some(format!(
                                     "observer {id}: evicted after \
                                      {EVICT_AFTER_FAILED_PUSHES} failed pushes"
@@ -946,10 +1131,30 @@ impl Monitor {
     }
 }
 
-enum ObserverArg {
-    Remote(ObjRef),
-    Local(FuncHandle),
-    None,
+/// A tick step's target entry.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Source,
+    Aspect(u64),
+    Observer(u64),
+}
+
+/// A script step's handles, copied out of its entry when the tick is
+/// planned.
+struct ScriptCall {
+    slot: Slot,
+    func: FuncHandle,
+    first: Option<FuncHandle>,
+    facade: Option<FuncHandle>,
+}
+
+/// One step of a tick.
+enum Step {
+    /// Evaluated on the ticking thread.
+    Native(Slot),
+    /// Evaluated in the actor; consecutive steps on one actor share a
+    /// job.
+    Script(ScriptActor, ScriptCall),
 }
 
 #[cfg(test)]
