@@ -12,8 +12,10 @@
 # the E11 chaos experiment. Also advisory/non-blocking in CI.
 #
 # `./ci.sh --sandbox` runs the hostile-code suite (tests/sandbox.rs),
-# the script crate's sandbox property tests and the E12 overload
-# experiment. Also advisory/non-blocking in CI.
+# the script crate's sandbox property tests, the monitor crate's tests
+# (install quotas, quarantine, installer isolation and released stored
+# values) and the E12 overload experiment. Also advisory/non-blocking
+# in CI.
 #
 # `./ci.sh --lint` runs just the style gate (rustfmt + clippy with
 # warnings denied) — the fast pre-push check, and its own CI job so
@@ -60,6 +62,8 @@ if [[ "${1:-}" == "--sandbox" ]]; then
     cargo test -q --test sandbox
     echo "==> sandbox: script resource-budget property tests"
     cargo test -q -p adapta-script --test sandbox_props
+    echo "==> sandbox: monitor quotas, quarantine, isolation and leaks"
+    cargo test -q -p adapta-monitor
     echo "==> sandbox: experiment E12"
     OVERLOAD_CALLS="${OVERLOAD_CALLS:-40}" cargo run -q -p adapta-bench --release --bin exp_overload
     echo "Sandbox run green."

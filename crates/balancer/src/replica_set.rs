@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use adapta_idl::Value;
 use adapta_orb::ObjRef;
-use adapta_telemetry::registry;
+use adapta_telemetry::{registry, Counter, Gauge};
 use adapta_trading::{OfferMatch, Query, QueryHandle, TradingService};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -130,15 +130,36 @@ struct SetInner {
     handle: QueryHandle,
     replicas: RwLock<Vec<Arc<Replica>>>,
     policy: RwLock<Arc<dyn RoutingPolicy>>,
-    metric_prefix: String,
+    metrics: SetMetrics,
     on_added: Mutex<Option<ReplicaHook>>,
     on_evicted: Mutex<Option<ReplicaHook>>,
     refresher_started: AtomicBool,
 }
 
-impl SetInner {
-    fn counter(&self, stat: &str) -> adapta_telemetry::Counter {
-        registry().counter(&format!("{}.{stat}", self.metric_prefix))
+/// The set's `balancer.<type>.*` instruments, resolved once when it is
+/// built. Per-replica picks are counted in [`ReplicaStats`], not under
+/// a name per endpoint: endpoints are chosen by whoever exports offers.
+struct SetMetrics {
+    picks: Counter,
+    refreshes: Counter,
+    added: Counter,
+    evictions: Counter,
+    policy_switches: Counter,
+    replicas: Gauge,
+}
+
+impl SetMetrics {
+    fn for_type(service_type: &str) -> SetMetrics {
+        let name = |stat: &str| format!("balancer.{service_type}.{stat}");
+        let r = registry();
+        SetMetrics {
+            picks: r.counter(&name("picks")),
+            refreshes: r.counter(&name("refreshes")),
+            added: r.counter(&name("added")),
+            evictions: r.counter(&name("evictions")),
+            policy_switches: r.counter(&name("policy_switches")),
+            replicas: r.gauge(&name("replicas")),
+        }
     }
 }
 
@@ -165,13 +186,13 @@ impl ReplicaSet {
     /// with the [`RoundRobin`] policy. Call [`refresh`](Self::refresh)
     /// (or [`start_refresher`](Self::start_refresher)) to populate it.
     pub fn new(service: Arc<dyn TradingService>, query: Query) -> ReplicaSet {
-        let metric_prefix = format!("balancer.{}", query.service_type);
+        let metrics = SetMetrics::for_type(&query.service_type);
         ReplicaSet {
             inner: Arc::new(SetInner {
                 handle: QueryHandle::new(service, query),
                 replicas: RwLock::new(Vec::new()),
                 policy: RwLock::new(Arc::new(RoundRobin::new())),
-                metric_prefix,
+                metrics,
                 on_added: Mutex::new(None),
                 on_evicted: Mutex::new(None),
                 refresher_started: AtomicBool::new(false),
@@ -201,7 +222,7 @@ impl ReplicaSet {
     /// error.
     pub fn refresh(&self) -> adapta_trading::Result<RefreshSummary> {
         let delta = self.inner.handle.refresh()?;
-        self.inner.counter("refreshes").incr();
+        self.inner.metrics.refreshes.incr();
         let mut added_replicas = Vec::new();
         let mut evicted_replicas = Vec::new();
         let summary = {
@@ -229,11 +250,10 @@ impl ReplicaSet {
                 total: replicas.len(),
             }
         };
-        self.inner.counter("added").add(summary.added as u64);
-        self.inner.counter("evictions").add(summary.evicted as u64);
-        registry()
-            .gauge(&format!("{}.replicas", self.inner.metric_prefix))
-            .set(summary.total as i64);
+        let metrics = &self.inner.metrics;
+        metrics.added.add(summary.added as u64);
+        metrics.evictions.add(summary.evicted as u64);
+        metrics.replicas.set(summary.total as i64);
         // Hooks run outside the replicas lock: they typically do orb
         // work (monitor subscribe/unsubscribe).
         if let Some(hook) = &*self.inner.on_added.lock() {
@@ -269,7 +289,7 @@ impl ReplicaSet {
             return;
         }
         let weak: Weak<SetInner> = Arc::downgrade(&self.inner);
-        let name = format!("{}-refresher", self.inner.metric_prefix);
+        let name = format!("balancer.{}-refresher", self.query().service_type);
         std::thread::Builder::new()
             .name(name)
             .spawn(move || {
@@ -326,16 +346,13 @@ impl ReplicaSet {
         Some(picked)
     }
 
-    /// Counts a pick of `replica` (stats + `balancer.<type>.picks*`
-    /// metrics). [`pick_where`](Self::pick_where) calls this itself;
+    /// Counts a pick of `replica` (its stats and `balancer.<type>.picks`).
+    /// [`pick_where`](Self::pick_where) calls this itself;
     /// callers that route around the policy (e.g. a breaker probe to a
     /// cooling-down replica) use it to keep the books straight.
     pub fn record_pick(&self, replica: &Arc<Replica>) {
         replica.stats().on_pick();
-        self.inner.counter("picks").incr();
-        self.inner
-            .counter(&format!("picks.{}", replica.target().endpoint))
-            .incr();
+        self.inner.metrics.picks.incr();
     }
 
     // ---- policy ----------------------------------------------------------
@@ -345,7 +362,7 @@ impl ReplicaSet {
     /// every policy.
     pub fn set_policy(&self, policy: Box<dyn RoutingPolicy>) {
         *self.inner.policy.write() = Arc::from(policy);
-        self.inner.counter("policy_switches").incr();
+        self.inner.metrics.policy_switches.incr();
     }
 
     /// Swaps the policy by name (see

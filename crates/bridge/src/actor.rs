@@ -1,14 +1,16 @@
 //! The script actor: one interpreter, one thread, many callers.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use adapta_idl::Value as Wire;
 use adapta_script::{Interpreter, RuaError, Value as Script};
 use crossbeam::channel::{bounded, unbounded, Sender};
 
-use crate::convert::{from_wire, to_wire};
+use crate::convert::to_wire;
 
 /// Errors surfaced by [`ScriptActor`] calls.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +27,6 @@ pub enum ActorError {
     Rejected(String),
     /// The actor thread is gone.
     Disconnected,
-    /// A stored function handle was not found (already dropped?).
-    UnknownFunction(u64),
 }
 
 impl ActorError {
@@ -43,7 +43,6 @@ impl fmt::Display for ActorError {
                 write!(f, "{m}")
             }
             ActorError::Disconnected => write!(f, "script actor is gone"),
-            ActorError::UnknownFunction(id) => write!(f, "unknown stored function #{id}"),
         }
     }
 }
@@ -62,12 +61,95 @@ impl From<RuaError> for ActorError {
 
 type Job = Box<dyn FnOnce(&mut Interpreter) + Send>;
 
-/// A handle to a function stored inside the actor's interpreter.
+/// Ids of stored values whose last handle dropped, waiting for the
+/// actor thread to drop the values themselves.
+type Released = Mutex<Vec<u64>>;
+
+thread_local! {
+    /// The actor running on this thread, if any, with the values
+    /// stored in it. Only Rust code reaches this map: scripts cannot
+    /// name it.
+    static HOME: RefCell<Option<Home>> = const { RefCell::new(None) };
+}
+
+struct Home {
+    actor: Weak<ActorInner>,
+    released: Arc<Released>,
+    values: HashMap<u64, Script>,
+}
+
+impl Home {
+    /// Drops every released value (on the actor thread).
+    fn drop_released(&mut self) -> Vec<Script> {
+        let ids = std::mem::take(&mut *self.released.lock().unwrap_or_else(|e| e.into_inner()));
+        ids.iter().filter_map(|id| self.values.remove(id)).collect()
+    }
+}
+
+/// A script value stored in an actor, owned by this handle and its
+/// clones.
 ///
-/// The function value itself (an `Rc` closure) never leaves the actor
-/// thread; callers hold this opaque id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FuncHandle(u64);
+/// The value itself (an `Rc` table or closure) never leaves the actor
+/// thread. When the last clone drops, on any thread, the value's
+/// release is queued and the actor drops it at the start of its next
+/// job, so releasing costs no job of its own.
+///
+/// Nothing stored in an actor may hold a strong handle to that actor
+/// or to its owner: the actor thread runs until the last
+/// [`ScriptActor`] clone drops, and a stored value that kept one alive
+/// would keep the thread alive forever.
+#[derive(Clone)]
+pub struct Stored(Arc<StoredId>);
+
+struct StoredId {
+    id: u64,
+    released: Arc<Released>,
+}
+
+impl Drop for StoredId {
+    fn drop(&mut self) {
+        self.released
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(self.id);
+    }
+}
+
+impl fmt::Debug for Stored {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Stored(#{})", self.0.id)
+    }
+}
+
+impl Stored {
+    /// Stores `value` in the actor running the current job (a
+    /// [`with`](ScriptActor::with) closure or a native it calls).
+    ///
+    /// # Panics
+    ///
+    /// Off an actor thread.
+    pub fn new(value: Script) -> Stored {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        let id = NEXT.fetch_add(1, Ordering::Relaxed);
+        HOME.with_borrow_mut(|home| {
+            let home = home.as_mut().expect("Stored::new runs on a script actor");
+            home.values.insert(id, value);
+            Stored(Arc::new(StoredId {
+                id,
+                released: home.released.clone(),
+            }))
+        })
+    }
+
+    /// The stored value; `nil` off the thread of the actor storing it.
+    pub fn get(&self) -> Script {
+        HOME.with_borrow(|home| {
+            home.as_ref()
+                .and_then(|home| home.values.get(&self.0.id).cloned())
+                .unwrap_or(Script::Nil)
+        })
+    }
+}
 
 /// A dedicated thread owning one [`Interpreter`], accepting work over a
 /// channel.
@@ -76,49 +158,43 @@ pub struct FuncHandle(u64);
 /// serve multi-threaded middleware: servants, monitors and smart proxies
 /// hold a cheap `ScriptActor` clone and submit closures; remotely
 /// shipped code is compiled once ([`store_function`]) and invoked many
-/// times ([`call`]) with wire-value arguments.
+/// times ([`call_in`]) with script arguments.
+///
+/// The thread exits once the last clone drops and its queued jobs ran.
 ///
 /// ```
 /// use adapta_bridge::ScriptActor;
 /// use adapta_idl::Value;
+/// use adapta_script::Value as Script;
 ///
 /// let actor = ScriptActor::spawn("demo", |_| {});
 /// let f = actor.store_function("function(a, b) return a + b end").unwrap();
-/// let out = actor.call(f, vec![Value::from(20i64), Value::from(22i64)]).unwrap();
+/// let out = actor
+///     .with(move |interp| {
+///         ScriptActor::call_in(interp, &f, vec![Script::Num(20.0), Script::Num(22.0)])
+///     })
+///     .unwrap()
+///     .unwrap();
 /// assert_eq!(out, vec![Value::from(42i64)]);
 /// ```
 ///
 /// [`store_function`]: ScriptActor::store_function
-/// [`call`]: ScriptActor::call
+/// [`call_in`]: ScriptActor::call_in
 #[derive(Clone)]
 pub struct ScriptActor {
-    tx: Sender<Job>,
-    shared: Arc<Shared>,
+    inner: Arc<ActorInner>,
 }
 
-/// What callers and the actor thread share besides the job channel.
-struct Shared {
+struct ActorInner {
+    tx: Sender<Job>,
     name: Box<str>,
     /// Jobs submitted so far.
     jobs: AtomicU64,
-    /// Stored values released by their owners, dropped at the start of
-    /// the actor's next job.
-    released: Mutex<Vec<FuncHandle>>,
-}
-
-impl Shared {
-    /// Drops every released value from `__stored` (on the actor thread).
-    fn drop_released(&self, interp: &mut Interpreter) {
-        let handles = std::mem::take(&mut *self.released.lock().unwrap_or_else(|e| e.into_inner()));
-        for h in handles {
-            unstore(interp, h.0);
-        }
-    }
 }
 
 impl fmt::Debug for ScriptActor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ScriptActor({})", self.shared.name)
+        write!(f, "ScriptActor({})", self.inner.name)
     }
 }
 
@@ -127,49 +203,60 @@ impl ScriptActor {
     /// interpreter (install natives, hooks, globals).
     pub fn spawn(name: &str, setup: impl FnOnce(&mut Interpreter) + Send + 'static) -> ScriptActor {
         let (tx, rx) = unbounded::<Job>();
-        let shared = Arc::new(Shared {
+        let inner = Arc::new(ActorInner {
+            tx,
             name: name.into(),
             jobs: AtomicU64::new(0),
-            released: Mutex::new(Vec::new()),
         });
-        let thread_shared = shared.clone();
-        let thread_name = format!("rua-{name}");
+        let actor = Arc::downgrade(&inner);
         std::thread::Builder::new()
-            .name(thread_name)
+            .name(format!("rua-{name}"))
             .spawn(move || {
+                HOME.set(Some(Home {
+                    actor,
+                    released: Arc::default(),
+                    values: HashMap::new(),
+                }));
                 let mut interp = Interpreter::new();
                 setup(&mut interp);
-                // Registry of stored functions, indexed by handle.
-                interp.eval("__stored = {}").expect("init stored table");
                 while let Ok(job) = rx.recv() {
-                    thread_shared.drop_released(&mut interp);
+                    // Dropped after the borrow ends: dropping a value
+                    // runs the destructors of what its natives hold.
+                    drop(HOME.with_borrow_mut(|h| h.as_mut().map(Home::drop_released)));
                     job(&mut interp);
                 }
+                drop(HOME.take());
             })
             .expect("spawn script actor");
-        ScriptActor { tx, shared }
+        ScriptActor { inner }
+    }
+
+    /// The actor running the current job, from inside a
+    /// [`with`](Self::with) closure or a native it calls: natives
+    /// stored in an actor reach it this way instead of holding it.
+    pub fn current() -> Option<ScriptActor> {
+        HOME.with_borrow(|home| home.as_ref()?.actor.upgrade())
+            .map(|inner| ScriptActor { inner })
     }
 
     /// Whether `other` is a handle to the same actor thread.
     pub fn same_actor(&self, other: &ScriptActor) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared)
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Jobs submitted to the actor so far: one per [`with`](Self::with)
     /// and per helper built on it. Each is one cross-thread round trip.
     pub fn jobs(&self) -> u64 {
-        self.shared.jobs.load(Ordering::Relaxed)
+        self.inner.jobs.load(Ordering::Relaxed)
     }
 
-    /// Releases stored values: they are dropped from the actor at the
-    /// start of its next job, so releasing costs no job of its own.
-    /// Callers must not use the handles afterwards.
-    pub fn release(&self, handles: impl IntoIterator<Item = FuncHandle>) {
-        self.shared
-            .released
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend(handles);
+    /// Values stored in the actor whose handles are still alive.
+    ///
+    /// # Errors
+    ///
+    /// [`ActorError::Disconnected`] if the actor thread has exited.
+    pub fn stored_count(&self) -> Result<usize, ActorError> {
+        self.with(|_| HOME.with_borrow(|home| home.as_ref().map_or(0, |h| h.values.len())))
     }
 
     /// Runs `f` on the actor's interpreter and returns its result.
@@ -188,8 +275,11 @@ impl ScriptActor {
         let job: Job = Box::new(move |interp| {
             let _ = reply_tx.send(f(interp));
         });
-        self.shared.jobs.fetch_add(1, Ordering::Relaxed);
-        self.tx.send(job).map_err(|_| ActorError::Disconnected)?;
+        self.inner.jobs.fetch_add(1, Ordering::Relaxed);
+        self.inner
+            .tx
+            .send(job)
+            .map_err(|_| ActorError::Disconnected)?;
         reply_rx.recv().map_err(|_| ActorError::Disconnected)
     }
 
@@ -210,29 +300,14 @@ impl ScriptActor {
 
     /// Compiles source that must yield a function (either a
     /// `function(...) … end` literal or a chunk returning one) and
-    /// stores it in the actor; returns a handle for later calls.
+    /// stores it in the actor.
     ///
     /// # Errors
     ///
     /// Script errors or actor disconnection.
-    pub fn store_function(&self, source: &str) -> Result<FuncHandle, ActorError> {
+    pub fn store_function(&self, source: &str) -> Result<Stored, ActorError> {
         let source = source.to_owned();
-        self.with(move |interp| -> Result<FuncHandle, ActorError> {
-            let f = interp.compile_function(&source)?;
-            Ok(FuncHandle(store(interp, f)))
-        })?
-    }
-
-    /// Stores an already-built script value from inside a
-    /// [`with`](Self::with) closure (hosts use this to persist tables or
-    /// natively-constructed functions across calls).
-    pub fn stored_put(interp: &mut Interpreter, v: Script) -> FuncHandle {
-        FuncHandle(store(interp, v))
-    }
-
-    /// Fetches a stored value from inside a [`with`](Self::with) closure.
-    pub fn stored_get(interp: &mut Interpreter, f: FuncHandle) -> Option<Script> {
-        fetch(interp, f.0)
+        self.with(move |interp| Ok(Stored::new(interp.compile_function(&source)?)))?
     }
 
     /// Calls a stored function with script arguments from inside a
@@ -241,78 +316,14 @@ impl ScriptActor {
     ///
     /// # Errors
     ///
-    /// Unknown handle or script errors.
+    /// Script errors.
     pub fn call_in(
         interp: &mut Interpreter,
-        f: FuncHandle,
+        f: &Stored,
         args: Vec<Script>,
     ) -> Result<Vec<Wire>, ActorError> {
-        let func = fetch(interp, f.0).ok_or(ActorError::UnknownFunction(f.0))?;
-        let out = interp.call(&func, args)?;
+        let out = interp.call(&f.get(), args)?;
         Ok(out.iter().map(to_wire).collect())
-    }
-
-    /// Calls a stored function with wire-value arguments.
-    ///
-    /// # Errors
-    ///
-    /// Unknown handle, script errors, or actor disconnection.
-    pub fn call(&self, f: FuncHandle, args: Vec<Wire>) -> Result<Vec<Wire>, ActorError> {
-        self.with(move |interp| Self::call_in(interp, f, args.iter().map(from_wire).collect()))?
-    }
-
-    /// Calls a stored function with *script* arguments produced by a
-    /// builder closure (lets hosts pass facade tables with natives).
-    ///
-    /// # Errors
-    ///
-    /// As [`call`](Self::call).
-    pub fn call_with(
-        &self,
-        f: FuncHandle,
-        build_args: impl FnOnce(&mut Interpreter) -> Vec<Script> + Send + 'static,
-    ) -> Result<Vec<Wire>, ActorError> {
-        self.with(move |interp| {
-            let args = build_args(interp);
-            Self::call_in(interp, f, args)
-        })?
-    }
-
-    /// Drops a stored function.
-    ///
-    /// # Errors
-    ///
-    /// Actor disconnection.
-    pub fn drop_function(&self, f: FuncHandle) -> Result<(), ActorError> {
-        self.with(move |interp| unstore(interp, f.0))
-    }
-}
-
-fn store(interp: &mut Interpreter, v: Script) -> u64 {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let stored = interp.global("__stored");
-    let t = stored.as_table().expect("__stored registry table");
-    t.borrow_mut()
-        .set(Script::from(id as f64), v)
-        .expect("numeric key");
-    id
-}
-
-fn unstore(interp: &mut Interpreter, id: u64) {
-    let stored = interp.global("__stored");
-    if let Some(t) = stored.as_table() {
-        let _ = t.borrow_mut().set(Script::from(id as f64), Script::Nil);
-    }
-}
-
-fn fetch(interp: &mut Interpreter, id: u64) -> Option<Script> {
-    let stored = interp.global("__stored");
-    let t = stored.as_table()?;
-    let v = t.borrow().get(&Script::from(id as f64));
-    match v {
-        Script::Nil => None,
-        other => Some(other),
     }
 }
 
@@ -337,27 +348,77 @@ mod tests {
         assert_eq!(actor.eval("return answer()").unwrap(), vec![Wire::Long(42)]);
     }
 
+    /// Calls a stored function with no arguments.
+    fn call(actor: &ScriptActor, f: &Stored) -> Result<Vec<Wire>, ActorError> {
+        let f = f.clone();
+        actor.with(move |interp| ScriptActor::call_in(interp, &f, vec![]))?
+    }
+
     #[test]
     fn stored_functions_keep_state() {
         let actor = ScriptActor::spawn("t3", |_| {});
         let f = actor
             .store_function("local n = 0\nreturn function() n = n + 1 return n end")
             .unwrap();
-        assert_eq!(actor.call(f, vec![]).unwrap(), vec![Wire::Long(1)]);
-        assert_eq!(actor.call(f, vec![]).unwrap(), vec![Wire::Long(2)]);
+        assert_eq!(call(&actor, &f).unwrap(), vec![Wire::Long(1)]);
+        assert_eq!(call(&actor, &f).unwrap(), vec![Wire::Long(2)]);
     }
 
     #[test]
-    fn dropped_functions_are_unknown() {
+    fn a_value_lives_until_its_last_handle_drops() {
         let actor = ScriptActor::spawn("t4", |_| {});
         let f = actor.store_function("function() return 1 end").unwrap();
-        actor.drop_function(f).unwrap();
+        let g = f.clone();
+        assert_eq!(actor.stored_count().unwrap(), 1);
+        drop(f);
+        assert_eq!(call(&actor, &g).unwrap(), vec![Wire::Long(1)]);
+        assert_eq!(actor.stored_count().unwrap(), 1);
+        drop(g);
+        assert_eq!(actor.stored_count().unwrap(), 0);
+    }
+
+    #[test]
+    fn scripts_cannot_reach_stored_values() {
+        let actor = ScriptActor::spawn("t4b", |_| {});
+        let f = actor
+            .store_function("function() return 'kept' end")
+            .unwrap();
+        // Wipe every global.
+        actor
+            .eval(
+                "local g, keys = _G, {}
+                 for k in pairs(g) do keys[#keys + 1] = k end
+                 for i = 1, #keys do g[keys[i]] = nil end",
+            )
+            .unwrap();
+        assert_eq!(call(&actor, &f).unwrap(), vec![Wire::Str("kept".into())]);
+        // Another actor's handle reads as nil.
+        let other = ScriptActor::spawn("t4c", |_| {});
+        assert!(call(&other, &f).is_err());
+    }
+
+    #[test]
+    fn the_thread_exits_when_the_last_handle_drops() {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let actor = ScriptActor::spawn("t4d", |_| {});
+        // A stored native holding `tx`: dropped with the actor's values.
+        let stored = actor
+            .with(move |_| {
+                let native = Interpreter::native("hold", move |_, _| {
+                    let _ = &tx;
+                    Ok(vec![])
+                });
+                let actor = ScriptActor::current().expect("inside a job");
+                (Stored::new(native), actor.jobs())
+            })
+            .unwrap();
+        assert_eq!(stored.1, 1, "current() is the running actor");
+        drop(actor);
         assert_eq!(
-            actor.call(f, vec![]),
-            Err(ActorError::UnknownFunction(match f {
-                FuncHandle(id) => id,
-            }))
+            rx.recv_timeout(std::time::Duration::from_secs(2)),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
         );
+        assert!(ScriptActor::current().is_none(), "not on an actor thread");
     }
 
     #[test]
@@ -406,18 +467,20 @@ mod tests {
     }
 
     #[test]
-    fn call_with_builds_script_arguments() {
+    fn call_in_takes_script_arguments() {
         let actor = ScriptActor::spawn("t9", |_| {});
         let f = actor
             .store_function("function(t) return t.x + t.y end")
             .unwrap();
         let out = actor
-            .call_with(f, |_| {
+            .with(move |interp| {
                 let mut t = adapta_script::Table::new();
                 t.set_str("x", Script::Num(1.0));
                 t.set_str("y", Script::Num(2.0));
-                vec![Script::Table(std::rc::Rc::new(std::cell::RefCell::new(t)))]
+                let t = Script::Table(std::rc::Rc::new(std::cell::RefCell::new(t)));
+                ScriptActor::call_in(interp, &f, vec![t])
             })
+            .unwrap()
             .unwrap();
         assert_eq!(out, vec![Wire::Long(3)]);
     }

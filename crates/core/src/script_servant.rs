@@ -7,7 +7,7 @@
 //! interpreted, it can be modified and extended at run time without
 //! recompiling or even interrupting the service (Section II).
 
-use adapta_bridge::{from_wire, to_wire, ActorError, FuncHandle, ScriptActor};
+use adapta_bridge::{from_wire, to_wire, ActorError, ScriptActor, Stored};
 use adapta_idl::Value;
 use adapta_orb::{OrbError, OrbResult, Servant};
 
@@ -34,7 +34,7 @@ use adapta_orb::{OrbError, OrbResult, Servant};
 pub struct ScriptServant {
     actor: ScriptActor,
     interface: String,
-    object: FuncHandle,
+    object: Stored,
 }
 
 impl ScriptServant {
@@ -49,10 +49,10 @@ impl ScriptServant {
         source: &str,
     ) -> Result<ScriptServant, ActorError> {
         let source = source.to_owned();
-        let object = actor.with(move |interp| -> Result<FuncHandle, ActorError> {
+        let object = actor.with(move |interp| -> Result<Stored, ActorError> {
             let values = interp.eval(&source)?;
             match values.into_iter().next() {
-                Some(v @ adapta_script::Value::Table(_)) => Ok(ScriptActor::stored_put(interp, v)),
+                Some(v @ adapta_script::Value::Table(_)) => Ok(Stored::new(v)),
                 other => Err(ActorError::Script(format!(
                     "servant source must return a table, got {}",
                     other.map(|v| v.type_name()).unwrap_or("nothing")
@@ -78,9 +78,9 @@ impl ScriptServant {
         global: &str,
     ) -> Result<ScriptServant, ActorError> {
         let global = global.to_owned();
-        let object = actor.with(move |interp| -> Result<FuncHandle, ActorError> {
+        let object = actor.with(move |interp| -> Result<Stored, ActorError> {
             match interp.global(&global) {
-                v @ adapta_script::Value::Table(_) => Ok(ScriptActor::stored_put(interp, v)),
+                v @ adapta_script::Value::Table(_) => Ok(Stored::new(v)),
                 other => Err(ActorError::Script(format!(
                     "global `{global}` is {} — expected the servant table",
                     other.type_name()
@@ -101,14 +101,12 @@ impl ScriptServant {
     ///
     /// Script errors.
     pub fn update_method(&self, name: &str, code: &str) -> Result<(), ActorError> {
-        let object = self.object;
+        let object = self.object.clone();
         let name = name.to_owned();
         let code = code.to_owned();
         self.actor.with(move |interp| -> Result<(), ActorError> {
             let f = interp.compile_function(&code)?;
-            let table = ScriptActor::stored_get(interp, object)
-                .ok_or(ActorError::Script("servant table is gone".into()))?;
-            if let Some(t) = table.as_table() {
+            if let Some(t) = object.get().as_table() {
                 t.borrow_mut().set_str(&name, f);
             }
             Ok(())
@@ -122,34 +120,31 @@ impl Servant for ScriptServant {
     }
 
     fn invoke(&self, op: &str, args: Vec<Value>) -> OrbResult<Value> {
-        let object = self.object;
+        let object = self.object.clone();
         let op_owned = op.to_owned();
+        // `Ok(None)`: the table has no such method.
         let out = self
             .actor
-            .with(move |interp| -> Result<Value, ActorError> {
-                let table = ScriptActor::stored_get(interp, object)
-                    .ok_or(ActorError::Script("servant table is gone".into()))?;
+            .with(move |interp| -> Result<Option<Value>, ActorError> {
+                let table = object.get();
                 let method = table
                     .as_table()
                     .map(|t| t.borrow().get_str(&op_owned))
                     .unwrap_or(adapta_script::Value::Nil);
                 if matches!(method, adapta_script::Value::Nil) {
-                    return Err(ActorError::Script(format!(
-                        "no method `{op_owned}` on script servant"
-                    )));
+                    return Ok(None);
                 }
                 let mut call_args = vec![table];
                 call_args.extend(args.iter().map(from_wire));
                 let out = interp.call(&method, call_args)?;
-                Ok(out.first().map(to_wire).unwrap_or(Value::Null))
+                Ok(Some(out.first().map(to_wire).unwrap_or(Value::Null)))
             })
             .map_err(|e| OrbError::exception(e.to_string()))?;
-        out.map_err(|e| match &e {
-            ActorError::Script(m) if m.contains("no method") => {
-                OrbError::unknown_operation(&self.interface, op)
-            }
-            other => OrbError::exception(other.to_string()),
-        })
+        match out {
+            Ok(Some(value)) => Ok(value),
+            Ok(None) => Err(OrbError::unknown_operation(&self.interface, op)),
+            Err(e) => Err(OrbError::exception(e.to_string())),
+        }
     }
 }
 
@@ -172,6 +167,7 @@ mod tests {
                 end,
                 get = function(self) return count end,
                 boom = function(self) error("deliberate") end,
+                confusing = function(self) error("no method here") end,
             }
         "#,
         )
@@ -201,6 +197,25 @@ mod tests {
         let objref = orb.activate("c", servant).unwrap();
         let err = orb.proxy(&objref).invoke("missing", vec![]).unwrap_err();
         assert!(err.to_string().contains("missing"));
+    }
+
+    #[test]
+    fn only_an_absent_method_is_an_unknown_operation() {
+        let (_orb, servant) = servant();
+        let err = servant.invoke("missing", vec![]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                OrbError::Idl(adapta_idl::IdlError::UnknownOperation { .. })
+            ),
+            "{err:?}"
+        );
+        // A method whose error text mentions a missing method still ran.
+        let err = servant.invoke("confusing", vec![]).unwrap_err();
+        assert!(
+            matches!(&err, OrbError::RemoteException { message } if message.contains("no method here")),
+            "{err:?}"
+        );
     }
 
     #[test]

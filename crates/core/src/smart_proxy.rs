@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use adapta_balancer::{Replica, ReplicaSet};
-use adapta_bridge::{FuncHandle, ScriptActor};
+use adapta_bridge::{ScriptActor, Stored};
 use adapta_idl::{InterfaceRepository, Value};
 use adapta_orb::{InvokeOptions, ObjRef, Orb, OrbError, OrbResult, ServantFn};
 use adapta_telemetry::{registry, Counter, Gauge, HistogramHandle};
@@ -88,7 +88,7 @@ pub enum Strategy {
     /// A script strategy `function(self, event)` stored in the proxy's
     /// actor; `self` is the script facade (with `_select`, `_observer`,
     /// monitor proxies…).
-    Script(FuncHandle),
+    Script(Stored),
 }
 
 impl std::fmt::Debug for Strategy {
@@ -134,10 +134,6 @@ pub struct BalancerConfig {
     /// Base interval of the background replica-set refresh (jittered
     /// ±50% by the set).
     pub refresh_interval: Duration,
-    /// The dynamic property whose monitor pushes feed per-replica load
-    /// (the [`WeightedProperty`](adapta_balancer::WeightedProperty)
-    /// signal).
-    pub load_property: String,
 }
 
 impl Default for BalancerConfig {
@@ -145,7 +141,6 @@ impl Default for BalancerConfig {
         BalancerConfig {
             policy: "round_robin".into(),
             refresh_interval: Duration::from_millis(250),
-            load_property: "LoadAvg".into(),
         }
     }
 }
@@ -154,11 +149,17 @@ impl Default for BalancerConfig {
 /// attachments feeding each replica's load stat.
 struct BalancedState {
     set: ReplicaSet,
-    load_property: String,
+    /// `balancer.<type>.load_pushes`.
+    load_pushes: Counter,
     /// replica key → `(monitor, observer id)` pairs to detach when the
     /// replica is evicted.
     attachments: Mutex<HashMap<String, Vec<(ObjRef, i64)>>>,
 }
+
+/// The dynamic property whose monitor pushes feed per-replica load in
+/// balanced mode (the
+/// [`WeightedProperty`](adapta_balancer::WeightedProperty) signal).
+const LOAD_PROPERTY: &str = "LoadAvg";
 
 /// Event-id prefix of balanced-mode load pushes; the suffix is the
 /// replica key, so one observer servant serves every replica.
@@ -212,7 +213,6 @@ struct SpInner {
     service_type: String,
     constraint: String,
     preference: String,
-    fallback_on_empty: bool,
     immediate_handling: bool,
     call_deadline: Option<Duration>,
     retry: RetryPolicy,
@@ -228,7 +228,7 @@ struct SpInner {
     events: Mutex<VecDeque<String>>,
     observer_ref: OnceLock<ObjRef>,
     actor: Mutex<Option<ScriptActor>>,
-    facade: OnceLock<FuncHandle>,
+    facade: OnceLock<Stored>,
     invocations: AtomicU64,
     rebinds: AtomicU64,
     events_received: AtomicU64,
@@ -272,7 +272,7 @@ impl SpInner {
         let ids: Vec<_> = replica
             .dynamic_refs()
             .iter()
-            .filter(|(prop, _)| *prop == bal.load_property)
+            .filter(|(prop, _)| prop == LOAD_PROPERTY)
             .filter_map(|(_, monitor)| self.attach_observer(monitor, &event, LOAD_FEED_PREDICATE))
             .collect();
         if !ids.is_empty() {
@@ -336,9 +336,7 @@ impl SpInner {
             (bal.set.replica(key), args.get(1).and_then(value_to_f64))
         {
             replica.stats().record_load(load);
-            registry()
-                .counter(&format!("balancer.{}.load_pushes", self.service_type))
-                .incr();
+            bal.load_pushes.incr();
         }
         true
     }
@@ -371,7 +369,6 @@ pub struct SmartProxyBuilder {
     service_type: String,
     constraint: String,
     preference: String,
-    fallback_on_empty: bool,
     immediate_handling: bool,
     lazy: bool,
     call_deadline: Option<Duration>,
@@ -394,13 +391,6 @@ impl SmartProxyBuilder {
     /// Sets the offer-ordering preference.
     pub fn preference(mut self, p: impl Into<String>) -> Self {
         self.preference = p.into();
-        self
-    }
-
-    /// Disables the paper's relaxed fallback query (sort-only, no
-    /// filtering) when the primary query matches nothing.
-    pub fn no_fallback(mut self) -> Self {
-        self.fallback_on_empty = false;
         self
     }
 
@@ -478,15 +468,6 @@ impl SmartProxyBuilder {
         self
     }
 
-    /// The dynamic property whose monitor feeds per-replica load in
-    /// balanced mode. Defaults to `LoadAvg`.
-    pub fn balancer_load_property(mut self, property: impl Into<String>) -> Self {
-        self.balancer
-            .get_or_insert_with(BalancerConfig::default)
-            .load_property = property.into();
-        self
-    }
-
     /// Adds a monitor subscription (re-established on every rebind).
     pub fn subscribe(mut self, subscription: Subscription) -> Self {
         self.subscriptions.push(subscription);
@@ -526,7 +507,8 @@ impl SmartProxyBuilder {
                 .preference(&self.preference);
             BalancedState {
                 set: ReplicaSet::new(self.trader.clone(), query).with_policy_named(&cfg.policy),
-                load_property: cfg.load_property.clone(),
+                load_pushes: registry()
+                    .counter(&format!("balancer.{}.load_pushes", self.service_type)),
                 attachments: Mutex::new(HashMap::new()),
             }
         });
@@ -538,7 +520,6 @@ impl SmartProxyBuilder {
             service_type: self.service_type,
             constraint: self.constraint,
             preference: self.preference,
-            fallback_on_empty: self.fallback_on_empty,
             immediate_handling: self.immediate_handling,
             call_deadline: self.call_deadline,
             retry: self.retry,
@@ -655,7 +636,6 @@ impl SmartProxy {
             service_type: service_type.into(),
             constraint: String::new(),
             preference: String::new(),
-            fallback_on_empty: true,
             immediate_handling: false,
             lazy: false,
             call_deadline: None,
@@ -825,35 +805,30 @@ impl SmartProxy {
         let actor = self.actor();
         let facade = self.facade_handle(&actor)?;
         let source = source.to_owned();
-        let events: Vec<(String, FuncHandle)> =
-            actor.with(
-                move |interp| -> std::result::Result<
-                    Vec<(String, FuncHandle)>,
-                    adapta_bridge::ActorError,
-                > {
-                    let facade_table = ScriptActor::stored_get(interp, facade)
-                        .ok_or(adapta_bridge::ActorError::UnknownFunction(0))?;
-                    interp.set_global("smartproxy", facade_table.clone());
-                    interp.eval(&source)?;
-                    // Read back the `_strategies` table.
-                    let strategies = facade_table
-                        .as_table()
-                        .map(|t| t.borrow().get_str("_strategies"))
-                        .unwrap_or(adapta_script::Value::Nil);
-                    let mut out = Vec::new();
-                    if let Some(t) = strategies.as_table() {
-                        let entries: Vec<_> = t.borrow().iter().collect();
-                        for (k, v) in entries {
-                            if let (Some(event), adapta_script::Value::Function(_)) =
-                                (k.as_str().map(str::to_owned), &v)
-                            {
-                                out.push((event, ScriptActor::stored_put(interp, v.clone())));
-                            }
+        let events: Vec<(String, Stored)> = actor.with(
+            move |interp| -> std::result::Result<Vec<(String, Stored)>, adapta_bridge::ActorError> {
+                let facade_table = facade.get();
+                interp.set_global("smartproxy", facade_table.clone());
+                interp.eval(&source)?;
+                // Read back the `_strategies` table.
+                let strategies = facade_table
+                    .as_table()
+                    .map(|t| t.borrow().get_str("_strategies"))
+                    .unwrap_or(adapta_script::Value::Nil);
+                let mut out = Vec::new();
+                if let Some(t) = strategies.as_table() {
+                    let entries: Vec<_> = t.borrow().iter().collect();
+                    for (k, v) in entries {
+                        if let (Some(event), adapta_script::Value::Function(_)) =
+                            (k.as_str().map(str::to_owned), &v)
+                        {
+                            out.push((event, Stored::new(v.clone())));
                         }
                     }
-                    Ok(out)
-                },
-            )??;
+                }
+                Ok(out)
+            },
+        )??;
         if events.is_empty() {
             return Err(CoreError::Script(
                 "strategies script did not define smartproxy._strategies".into(),
@@ -877,14 +852,13 @@ impl SmartProxy {
     }
 
     /// The persistent facade table handle (created on first use).
-    fn facade_handle(&self, actor: &ScriptActor) -> Result<FuncHandle> {
+    fn facade_handle(&self, actor: &ScriptActor) -> Result<Stored> {
         if let Some(h) = self.inner.facade.get() {
-            return Ok(*h);
+            return Ok(h.clone());
         }
         let proxy = self.clone();
         let handle = actor.with(move |interp| build_facade(interp, &proxy))?;
-        let _ = self.inner.facade.set(handle);
-        Ok(*self.inner.facade.get().expect("just set"))
+        Ok(self.inner.facade.get_or_init(|| handle).clone())
     }
 
     // ---- selection -------------------------------------------------------
@@ -954,7 +928,7 @@ impl SmartProxy {
             .constraint(constraint)
             .preference(&self.inner.preference);
         let mut matches = filter(self.inner.trader.query(&q)?);
-        if matches.is_empty() && fallback && self.inner.fallback_on_empty {
+        if matches.is_empty() && fallback {
             // The paper's relaxed fallback (preference only, no
             // filtering) — no longer silent: it is counted, and posted
             // as a `RelaxedQuery` event when a strategy wants to react
@@ -1082,14 +1056,13 @@ impl SmartProxy {
                 };
                 let proxy = self.clone();
                 let event = event.to_owned();
-                actor
-                    .call_with(handle, move |interp| {
-                        let table = ScriptActor::stored_get(interp, facade)
-                            .unwrap_or(adapta_script::Value::Nil);
-                        refresh_facade(interp, &proxy, &table);
-                        vec![table, adapta_script::Value::str(event)]
-                    })
-                    .is_err()
+                let ran = actor.with(move |interp| {
+                    let table = facade.get();
+                    refresh_facade(interp, &proxy, &table);
+                    let args = vec![table, adapta_script::Value::str(event)];
+                    ScriptActor::call_in(interp, &handle, args)
+                });
+                !matches!(ran, Ok(Ok(_)))
             }
         };
         if failed {
@@ -1389,8 +1362,13 @@ impl SmartProxy {
 
 // ---- script facade ---------------------------------------------------------
 
-/// Builds the persistent script facade table for a proxy.
-fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> FuncHandle {
+/// Builds the persistent script facade table for a proxy. The table is
+/// stored in the proxy's own actor, so its natives hold the proxy
+/// weakly: a strong handle would keep the proxy and its actor thread
+/// alive forever.
+fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> Stored {
+    let weak = Arc::downgrade(&proxy.inner);
+    let live = move || weak.upgrade().map(|inner| SmartProxy { inner });
     let table = adapta_script::Value::table();
     if let Some(t) = table.as_table() {
         // _select(self, query) -> bool and _reselect(self) -> bool (the
@@ -1405,10 +1383,13 @@ fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> 
             ("_reselect", |p, _| p.reselect()),
         ];
         for (name, rebind) in rebinds {
-            let p = proxy.clone();
+            let live = live.clone();
             t.borrow_mut().set_str(
                 name,
                 adapta_script::Interpreter::native(name, move |interp, args| {
+                    let Some(p) = live() else {
+                        return Ok(vec![adapta_script::Value::Bool(false)]);
+                    };
                     let ok = rebind(&p, &args).unwrap_or(false);
                     if let (true, Some(self_table)) = (ok, args.first()) {
                         refresh_facade(interp, &p, self_table);
@@ -1420,25 +1401,21 @@ fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> 
         // _set_policy(self, name) -> bool — balanced-mode runtime
         // policy swap from Rua strategies (Figure-7 style adaptation
         // code can re-route traffic, not just re-bind).
-        let p = proxy.clone();
+        let p = live.clone();
         t.borrow_mut().set_str(
             "_set_policy",
             adapta_script::Interpreter::native("_set_policy", move |_, args| {
-                let name = args
-                    .get(1)
-                    .and_then(|v| v.as_str().map(str::to_owned))
-                    .unwrap_or_default();
+                let name = args.get(1).and_then(|v| v.as_str()).unwrap_or_default();
                 Ok(vec![adapta_script::Value::Bool(
-                    p.set_balancer_policy(&name),
+                    p().is_some_and(|p| p.set_balancer_policy(name)),
                 )])
             }),
         );
         // _policy(self) -> string | nil — the current routing policy.
-        let p = proxy.clone();
         t.borrow_mut().set_str(
             "_policy",
             adapta_script::Interpreter::native("_policy", move |_, _| {
-                Ok(vec![match p.balancer_policy() {
+                Ok(vec![match live().and_then(|p| p.balancer_policy()) {
                     Some(name) => adapta_script::Value::str(name),
                     None => adapta_script::Value::Nil,
                 }])
@@ -1454,7 +1431,7 @@ fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> 
         );
     }
     refresh_facade(interp, proxy, &table);
-    ScriptActor::stored_put(interp, table)
+    Stored::new(table)
 }
 
 /// Updates the binding-dependent facade fields: `_target`, `_monitors`

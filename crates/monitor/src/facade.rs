@@ -17,7 +17,7 @@
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use adapta_bridge::{ActorError, ScriptActor};
+use adapta_bridge::{ActorError, ScriptActor, Stored};
 use adapta_idl::ObjRefData;
 use adapta_orb::Orb;
 use adapta_script::{Interpreter, RuaError, Table, Value as Script};
@@ -25,7 +25,8 @@ use adapta_sim::SimTime;
 use parking_lot::Mutex;
 
 use crate::monitor::{
-    AspectFn, FirstArg, Monitor, MonitorInner, ObserverId, ObserverTarget, PredicateFn, ScriptFn,
+    observer_arg, AspectFn, Monitor, MonitorInner, ObserverId, ObserverTarget, PredicateFn,
+    ScriptFn,
 };
 
 /// The monitor behind a facade, while it exists.
@@ -36,24 +37,18 @@ fn live(monitor: &Weak<MonitorInner>) -> Result<Monitor, RuaError> {
         .ok_or_else(|| RuaError::runtime("the monitor no longer exists", 0))
 }
 
-/// Builds the script-facing facade table for a monitor.
-///
-/// `actor` is the actor that will host the table — code compiled by
-/// `defineAspect`/`attachEventObserver` lives there — and `installer`
-/// is the identity installs are charged to (remote installers are
+/// Builds the script-facing facade table for a monitor. `installer` is
+/// the identity installs are charged to (remote installers are
 /// quota-checked, `"local"` is not).
 ///
-/// The natives hold the monitor weakly: facades are stored in the
-/// monitor's own actors, and a strong reference would keep the monitor
-/// and those actor threads alive forever. Every installed script entry
-/// gets its own facade when it is installed and keeps it, so what a
-/// script writes into its facade table persists across ticks, as its
-/// `self` table does.
-pub(crate) fn monitor_facade(
-    monitor: &Weak<MonitorInner>,
-    actor: &ScriptActor,
-    installer: &str,
-) -> Script {
+/// Facades are stored in the monitor's own actors, so their natives
+/// hold neither the monitor nor an actor: they hold the monitor weakly,
+/// and code compiled by `defineAspect`/`attachEventObserver` is stored
+/// in the actor running the call ([`ScriptActor::current`]). Every
+/// installed script entry gets its own facade when it is installed and
+/// keeps it, so what a script writes into its facade table persists
+/// across ticks, as its `self` table does.
+pub(crate) fn monitor_facade(monitor: &Weak<MonitorInner>, installer: &str) -> Script {
     let table = Table::new();
     let t = std::rc::Rc::new(std::cell::RefCell::new(table));
 
@@ -121,7 +116,6 @@ pub(crate) fn monitor_facade(
 
     {
         let w = monitor.clone();
-        let a = actor.clone();
         let who = installer.to_owned();
         set(
             &t,
@@ -137,8 +131,7 @@ pub(crate) fn monitor_facade(
                         .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
                 }
                 let func = code_arg(interp, args.get(2))?;
-                let script =
-                    ScriptFn::store(interp, &a, &w, &who, func, FirstArg::New(Script::table()));
+                let script = ScriptFn::store(&w, &who, func, Script::table());
                 m.put_aspect(name, who.clone(), AspectFn::Script(script));
                 Ok(vec![])
             }),
@@ -147,7 +140,6 @@ pub(crate) fn monitor_facade(
 
     {
         let w = monitor.clone();
-        let a = actor.clone();
         let who = installer.to_owned();
         set(
             &t,
@@ -166,11 +158,8 @@ pub(crate) fn monitor_facade(
                         .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
                 }
                 let predicate = code_arg(interp, args.get(3))?;
-                let target = observer_target(interp, observer)?;
-                // The local object was stored for this observer: the
-                // entry owns it.
-                let first = FirstArg::observer(&target, true);
-                let script = ScriptFn::store(interp, &a, &w, &who, predicate, first);
+                let target = observer_target(observer)?;
+                let script = ScriptFn::store(&w, &who, predicate, observer_arg(&target));
                 let id =
                     m.push_observer(target, event_id, who.clone(), PredicateFn::Script(script));
                 Ok(vec![Script::Num(id.0 as f64)])
@@ -217,7 +206,7 @@ fn code_arg(interp: &mut Interpreter, arg: Option<&Script>) -> Result<Script, Ru
 /// Classifies a script-side observer argument: a `__ref` table is a
 /// remote observer; any other table is a local script observer, stored
 /// in the actor.
-fn observer_target(interp: &mut Interpreter, observer: Script) -> Result<ObserverTarget, RuaError> {
+fn observer_target(observer: Script) -> Result<ObserverTarget, RuaError> {
     if let Some(t) = observer.as_table() {
         let uri = t.borrow().get_str("__ref");
         if let Script::Str(uri) = uri {
@@ -225,9 +214,7 @@ fn observer_target(interp: &mut Interpreter, observer: Script) -> Result<Observe
                 return Ok(ObserverTarget::Remote(data));
             }
         }
-        return Ok(ObserverTarget::Local(ScriptActor::stored_put(
-            interp, observer,
-        )));
+        return Ok(ObserverTarget::Local(Stored::new(observer)));
     }
     Err(RuaError::runtime(
         "observer must be a table (remote reference or local object)",
@@ -279,11 +266,15 @@ impl MonitorHost {
         host
     }
 
+    /// Installs `EventMonitor`. Its constructor is stored in the host's
+    /// actor, so it holds the host's monitor list weakly and reaches the
+    /// actor through [`ScriptActor::current`]: dropping the host stops
+    /// the actor thread.
     fn install_api(&self) {
-        let host = self.clone();
+        let monitors = Arc::downgrade(&self.monitors);
+        let orb = self.orb.clone();
         self.actor
             .with(move |interp| {
-                let ctor_host = host.clone();
                 let new_native = Interpreter::native("EventMonitor.new", move |interp, args| {
                     // Accept both `EventMonitor.new(...)` and
                     // `EventMonitor:new(...)`: skip a leading table that
@@ -305,18 +296,21 @@ impl MonitorHost {
                         .ok_or_else(|| {
                             RuaError::runtime("EventMonitor.new: property name expected", 0)
                         })?;
-                    let update = code_arg(interp, args.get(1))?;
-                    let update = ScriptActor::stored_put(interp, update);
+                    let update = Stored::new(code_arg(interp, args.get(1))?);
                     let period = args.get(2).and_then(Script::as_num).unwrap_or(60.0);
+                    let (Some(actor), Some(monitors)) =
+                        (ScriptActor::current(), monitors.upgrade())
+                    else {
+                        return Err(RuaError::runtime("EventMonitor.new: the host is gone", 0));
+                    };
                     let monitor = Monitor::builder(&name)
                         .period(Duration::from_secs_f64(period.max(0.001)))
                         .source_handle(update)
-                        .build(&ctor_host.actor, &ctor_host.orb)
+                        .build(&actor, &orb)
                         .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
-                    ctor_host.monitors.lock().push(monitor.clone());
+                    monitors.lock().push(monitor.clone());
                     Ok(vec![monitor_facade(
                         &Arc::downgrade(&monitor.inner),
-                        &ctor_host.actor,
                         "local",
                     )])
                 });

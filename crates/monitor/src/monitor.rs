@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use adapta_bridge::{ActorError, FuncHandle, ScriptActor};
+use adapta_bridge::{ActorError, ScriptActor, Stored};
 use adapta_idl::Value;
 use adapta_orb::{ObjRef, Orb};
 use adapta_script::{Interpreter, SandboxPolicy, Value as Script};
@@ -34,83 +34,50 @@ pub(crate) enum ValueSource {
     Constant,
     /// A native Rust sampler.
     Native(Box<dyn Fn(SimTime) -> Value + Send + Sync>),
-    /// A zero-argument script function stored in the monitor's actor
-    /// and owned by the monitor.
-    Script(FuncHandle),
+    /// A zero-argument script function stored in the monitor's actor.
+    Script(Stored),
 }
 
 /// An installed script function with everything it is called with,
 /// stored in the actor that hosts it: the function, its first argument
 /// (an aspect's persistent `self` table, or the observer as scripts see
 /// it) and its monitor facade. All three are stored in the hop that
-/// compiles the function, so a tick only looks them up.
-///
-/// The entry owns what it stored. Dropping it (detach, replacement,
-/// eviction, or the monitor going away) queues those handles for
-/// release at the start of the actor's next job.
+/// compiles the function, so a tick only looks them up, and released
+/// when the entry drops (detach, replacement, eviction, or the monitor
+/// going away).
 pub(crate) struct ScriptFn {
     actor: ScriptActor,
-    func: FuncHandle,
-    first: Option<FuncHandle>,
-    facade: FuncHandle,
-    /// Whether `first` was stored by this entry (a caller's
-    /// [`ObserverTarget::Local`] object is the caller's).
-    owns_first: bool,
+    func: Stored,
+    first: Stored,
+    facade: Stored,
 }
 
-/// The first argument of an installed script function.
-pub(crate) enum FirstArg {
-    /// None: the function gets `nil`.
-    Nil,
-    /// A value to store; the entry owns it.
-    New(Script),
-    /// An already stored value, taken over by the entry if `owned`.
-    Stored { handle: FuncHandle, owned: bool },
-}
-
-impl FirstArg {
-    /// How an observer appears to its predicate: a remote observer as
-    /// its reference table, a local one as its script object, a native
-    /// callback as `nil`. Runs on the actor thread.
-    pub(crate) fn observer(target: &ObserverTarget, owns_local: bool) -> FirstArg {
-        match target {
-            ObserverTarget::Remote(r) => {
-                FirstArg::New(adapta_bridge::from_wire(&Value::ObjRef(r.clone())))
-            }
-            ObserverTarget::Local(h) => FirstArg::Stored {
-                handle: *h,
-                owned: owns_local,
-            },
-            ObserverTarget::Callback(_) => FirstArg::Nil,
-        }
+/// How an observer appears to its predicate: a remote observer as its
+/// reference table, a local one as its script object, a native callback
+/// as `nil`. Runs on the actor thread.
+pub(crate) fn observer_arg(target: &ObserverTarget) -> Script {
+    match target {
+        ObserverTarget::Remote(r) => adapta_bridge::from_wire(&Value::ObjRef(r.clone())),
+        ObserverTarget::Local(object) => object.get(),
+        ObserverTarget::Callback(_) => Script::Nil,
     }
 }
 
 impl ScriptFn {
     /// Stores `func`, its first argument and a facade of `monitor`
-    /// charging installs to `installer`. Runs on `actor`'s thread.
+    /// charging installs to `installer` in the actor running the
+    /// current job.
     pub(crate) fn store(
-        interp: &mut Interpreter,
-        actor: &ScriptActor,
         monitor: &Weak<MonitorInner>,
         installer: &str,
         func: Script,
-        first: FirstArg,
+        first: Script,
     ) -> ScriptFn {
-        let func = ScriptActor::stored_put(interp, func);
-        let facade = facade::monitor_facade(monitor, actor, installer);
-        let facade = ScriptActor::stored_put(interp, facade);
-        let (first, owns_first) = match first {
-            FirstArg::Nil => (None, false),
-            FirstArg::New(v) => (Some(ScriptActor::stored_put(interp, v)), true),
-            FirstArg::Stored { handle, owned } => (Some(handle), owned),
-        };
         ScriptFn {
-            actor: actor.clone(),
-            func,
-            first,
-            facade,
-            owns_first,
+            actor: ScriptActor::current().expect("script entries are stored in an actor job"),
+            func: Stored::new(func),
+            first: Stored::new(first),
+            facade: Stored::new(facade::monitor_facade(monitor, installer)),
         }
     }
 
@@ -120,19 +87,10 @@ impl ScriptFn {
             self.actor.clone(),
             ScriptCall {
                 slot,
-                func: self.func,
-                first: self.first,
-                facade: Some(self.facade),
+                func: self.func.clone(),
+                args: Some((self.first.clone(), self.facade.clone())),
             },
         )
-    }
-}
-
-impl Drop for ScriptFn {
-    fn drop(&mut self) {
-        let first = self.first.filter(|_| self.owns_first);
-        self.actor
-            .release([self.func, self.facade].into_iter().chain(first));
     }
 }
 
@@ -167,7 +125,7 @@ pub enum ObserverTarget {
     Remote(ObjRef),
     /// A script object (table with a `notifyEvent` method) living in
     /// this monitor's actor — the paper's Figure 4 observer.
-    Local(FuncHandle),
+    Local(Stored),
     /// A native callback (used by in-process smart proxies).
     Callback(Arc<dyn Fn(&str) + Send + Sync>),
 }
@@ -264,14 +222,6 @@ pub(crate) struct MonitorInner {
     sandbox: Mutex<Option<ScriptActor>>,
 }
 
-impl Drop for MonitorInner {
-    fn drop(&mut self) {
-        if let ValueSource::Script(h) = *self.source.get_mut() {
-            self.actor.release([h]);
-        }
-    }
-}
-
 /// A monitor for one observed property — `BasicMonitor`,
 /// `AspectsManager` and `EventMonitor` in a single object, as in the
 /// paper's implementation.
@@ -315,7 +265,7 @@ pub struct MonitorBuilder {
     initial: Value,
     source_native: Option<Box<dyn Fn(SimTime) -> Value + Send + Sync>>,
     source_script: Option<String>,
-    source_handle: Option<FuncHandle>,
+    source_handle: Option<Stored>,
 }
 
 impl MonitorBuilder {
@@ -347,9 +297,8 @@ impl MonitorBuilder {
     }
 
     /// Samples the property with an already-stored script function
-    /// (used by the script-side `EventMonitor.new`). The monitor takes
-    /// the handle over.
-    pub(crate) fn source_handle(mut self, h: FuncHandle) -> Self {
+    /// (used by the script-side `EventMonitor.new`).
+    pub(crate) fn source_handle(mut self, h: Stored) -> Self {
         self.source_handle = Some(h);
         self.source_native = None;
         self.source_script = None;
@@ -539,22 +488,14 @@ impl Monitor {
         actor: &ScriptActor,
         installer: &str,
         code: &str,
-        first: impl FnOnce() -> FirstArg + Send + 'static,
+        first: impl FnOnce() -> Script + Send + 'static,
     ) -> Result<ScriptFn, ActorError> {
         let code = code.to_owned();
         let installer = installer.to_owned();
         let monitor = Arc::downgrade(&self.inner);
-        let host = actor.clone();
         actor.with(move |interp| {
             let func = interp.compile_function(&code)?;
-            Ok(ScriptFn::store(
-                interp,
-                &host,
-                &monitor,
-                &installer,
-                func,
-                first(),
-            ))
+            Ok(ScriptFn::store(&monitor, &installer, func, first()))
         })?
     }
 
@@ -610,8 +551,7 @@ impl Monitor {
         name: String,
         code: &str,
     ) -> Result<(), ActorError> {
-        let script =
-            self.install_script(actor, installer, code, || FirstArg::New(Script::table()))?;
+        let script = self.install_script(actor, installer, code, Script::table)?;
         self.put_aspect(name, installer.into(), AspectFn::Script(script));
         Ok(())
     }
@@ -711,10 +651,9 @@ impl Monitor {
         event_id: String,
         predicate_code: &str,
     ) -> Result<ObserverId, ActorError> {
-        // A caller's local object stays the caller's.
         let shown = target.clone();
         let script = self.install_script(actor, installer, predicate_code, move || {
-            FirstArg::observer(&shown, false)
+            observer_arg(&shown)
         })?;
         Ok(self.push_observer(
             target,
@@ -832,9 +771,8 @@ impl Monitor {
                 self.inner.actor.clone(),
                 ScriptCall {
                     slot: Slot::Source,
-                    func: *h,
-                    first: None,
-                    facade: None,
+                    func: h.clone(),
+                    args: None,
                 },
             )),
         }
@@ -931,19 +869,15 @@ impl Monitor {
         interp: &mut Interpreter,
         call: &ScriptCall,
     ) -> Result<Vec<Value>, ActorError> {
-        let args = match call.slot {
-            Slot::Source => Vec::new(),
-            Slot::Aspect(_) | Slot::Observer(_) => {
-                let mut stored = |h: Option<FuncHandle>| {
-                    h.and_then(|h| ScriptActor::stored_get(interp, h))
-                        .unwrap_or(Script::Nil)
-                };
-                let first = stored(call.first);
-                let facade = stored(call.facade);
-                vec![first, adapta_bridge::from_wire(&self.value()), facade]
-            }
+        let args = match &call.args {
+            None => Vec::new(),
+            Some((first, facade)) => vec![
+                first.get(),
+                adapta_bridge::from_wire(&self.value()),
+                facade.get(),
+            ],
         };
-        ScriptActor::call_in(interp, call.func, args)
+        ScriptActor::call_in(interp, &call.func, args)
     }
 
     /// Applies a script step's outcome. An entry removed since the tick
@@ -1033,7 +967,7 @@ impl Monitor {
     fn flush_pushes(&self) {
         enum Delivery {
             Remote(ObjRef),
-            Local(FuncHandle),
+            Local(Stored),
             Callback(Arc<dyn Fn(&str) + Send + Sync>),
         }
         let ids: Vec<u64> = self
@@ -1055,7 +989,7 @@ impl Monitor {
                 }
                 let delivery = match &entry.target {
                     ObserverTarget::Remote(r) => Delivery::Remote(r.clone()),
-                    ObserverTarget::Local(h) => Delivery::Local(*h),
+                    ObserverTarget::Local(h) => Delivery::Local(h.clone()),
                     ObserverTarget::Callback(f) => Delivery::Callback(f.clone()),
                 };
                 (delivery, std::mem::take(&mut entry.queue))
@@ -1078,11 +1012,9 @@ impl Monitor {
                         )
                         .is_ok(),
                     Delivery::Local(h) => {
-                        let h = *h;
+                        let h = h.clone();
                         let out = self.inner.actor.with(move |interp| {
-                            let Some(table) = ScriptActor::stored_get(interp, h) else {
-                                return Err(ActorError::UnknownFunction(0));
-                            };
+                            let table = h.get();
                             let method = table
                                 .as_table()
                                 .map(|t| t.borrow().get_str("notifyEvent"))
@@ -1139,13 +1071,14 @@ enum Slot {
     Observer(u64),
 }
 
-/// A script step's handles, copied out of its entry when the tick is
+/// A script step's handles, cloned out of its entry when the tick is
 /// planned.
 struct ScriptCall {
     slot: Slot,
-    func: FuncHandle,
-    first: Option<FuncHandle>,
-    facade: Option<FuncHandle>,
+    func: Stored,
+    /// The first argument and the facade; `None` for the value source,
+    /// which takes no arguments.
+    args: Option<(Stored, Stored)>,
 }
 
 /// One step of a tick.

@@ -240,16 +240,9 @@ fn a_runaway_predicate_is_stopped_and_its_hop_mate_still_fires() {
     );
 }
 
-/// Entries in an actor's `__stored` table.
+/// Values stored in an actor.
 fn stored(actor: &ScriptActor) -> usize {
-    actor
-        .with(|interp| {
-            interp
-                .global("__stored")
-                .as_table()
-                .map_or(0, |t| t.borrow().total_entries())
-        })
-        .unwrap()
+    actor.stored_count().unwrap()
 }
 
 #[test]

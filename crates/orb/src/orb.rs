@@ -751,7 +751,7 @@ impl Orb {
         // a retryable error.
         let pool: Vec<_> = self.core.tcp_pool.lock().drain().collect();
         for (_, conn) in pool {
-            conn.kill("orb is shutting down");
+            conn.kill(transport::tcp::Death::Shutdown);
         }
         *self.core.tcp_addr.write() = None;
         drained
@@ -1188,7 +1188,9 @@ impl Orb {
             FaultAction::Disconnect => {
                 if let Some(addr) = target.endpoint.strip_prefix("tcp://") {
                     if let Some(conn) = self.core.tcp_pool.lock().remove(addr) {
-                        conn.kill("injected fault: disconnect");
+                        conn.kill(transport::tcp::Death::Failed(
+                            "injected fault: disconnect".into(),
+                        ));
                     }
                 }
                 Err(OrbError::Transport("injected fault: disconnect".into()))

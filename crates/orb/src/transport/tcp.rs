@@ -358,8 +358,28 @@ struct PendingState {
     /// Ids whose caller gave up (deadline); their late replies are
     /// discarded instead of being treated as desynchronization.
     abandoned: HashSet<u64>,
-    /// Why the connection died, for error messages.
-    death: Option<String>,
+    /// Why the connection died.
+    death: Option<Death>,
+}
+
+/// Why a client connection died. The cause decides the error its
+/// callers get; the text is for messages only.
+#[derive(Debug, Clone)]
+pub(crate) enum Death {
+    /// This side's orb is shutting down: callers get the retryable
+    /// [`OrbError::ShuttingDown`].
+    Shutdown,
+    /// The connection failed: callers get [`OrbError::Transport`].
+    Failed(String),
+}
+
+impl std::fmt::Display for Death {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Death::Shutdown => write!(f, "orb is shutting down"),
+            Death::Failed(reason) => write!(f, "{reason}"),
+        }
+    }
 }
 
 /// A multiplexed client connection: shared writer + reader thread +
@@ -380,12 +400,12 @@ impl MuxConnection {
         self.state.lock().alive
     }
 
-    fn death_reason(&self) -> String {
+    fn death(&self) -> Death {
         self.state
             .lock()
             .death
             .clone()
-            .unwrap_or_else(|| "connection closed".to_owned())
+            .unwrap_or_else(|| Death::Failed("connection closed".to_owned()))
     }
 
     /// Reserves a reply slot for `id`; `None` when the connection is
@@ -413,12 +433,12 @@ impl MuxConnection {
     /// Declares the connection dead: fails every pending caller (their
     /// senders drop, so receivers disconnect) and wakes the reader by
     /// shutting the socket down.
-    pub(crate) fn kill(&self, reason: &str) {
+    pub(crate) fn kill(&self, death: Death) {
         {
             let mut st = self.state.lock();
             if st.alive {
                 st.alive = false;
-                st.death = Some(reason.to_owned());
+                st.death = Some(death);
             }
             st.entries.clear();
             st.abandoned.clear();
@@ -508,7 +528,7 @@ fn reader_loop(
         let mut st = state.lock();
         if st.alive {
             st.alive = false;
-            st.death = Some(reason);
+            st.death = Some(Death::Failed(reason));
         }
         st.entries.clear();
         st.abandoned.clear();
@@ -572,7 +592,7 @@ pub(crate) fn invoke(
                 Some(slot) => Some(slot),
                 None => {
                     evict_if_current(core, addr, &conn);
-                    last_err = Some(OrbError::Transport(conn.death_reason()));
+                    last_err = Some(OrbError::Transport(conn.death().to_string()));
                     continue;
                 }
             },
@@ -582,7 +602,7 @@ pub(crate) fn invoke(
             // A partial write leaves the stream unusable for everyone:
             // fail all pending callers and retry this request once on a
             // fresh connection.
-            conn.kill("request write failed");
+            conn.kill(Death::Failed("request write failed".into()));
             evict_if_current(core, addr, &conn);
             last_err = Some(e);
             continue;
@@ -600,17 +620,13 @@ pub(crate) fn invoke(
                 conn.forget(id);
                 Err(OrbError::DeadlineExpired { after: deadline })
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                let reason = conn.death_reason();
-                if reason.contains("shutting down") {
-                    // Our own orb tore the pool down mid-call.
-                    Err(OrbError::ShuttingDown)
-                } else {
-                    Err(OrbError::Transport(format!(
-                        "connection lost while awaiting reply: {reason}"
-                    )))
-                }
-            }
+            Err(RecvTimeoutError::Disconnected) => match conn.death() {
+                // Our own orb tore the pool down mid-call.
+                Death::Shutdown => Err(OrbError::ShuttingDown),
+                Death::Failed(reason) => Err(OrbError::Transport(format!(
+                    "connection lost while awaiting reply: {reason}"
+                ))),
+            },
         };
         conn.inflight.sub(1);
         return out;
@@ -687,6 +703,48 @@ mod tests {
                 .unwrap();
             assert_eq!(out, Value::Seq(vec![Value::from(i)]));
         }
+    }
+
+    /// A raw listener that accepts one connection and never replies.
+    /// It reports when the request arrived, then either drops the
+    /// connection (`hang_up`) or holds it until the client closes it.
+    fn silent_server(hang_up: bool) -> (String, Receiver<()>, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (arrived_tx, arrived) = bounded(1);
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 256];
+            let _ = stream.read(&mut buf);
+            let _ = arrived_tx.send(());
+            while !hang_up && stream.read(&mut buf).is_ok_and(|n| n > 0) {}
+        });
+        (format!("tcp://{addr}"), arrived, server)
+    }
+
+    #[test]
+    fn a_blocked_caller_learns_why_its_connection_died() {
+        // Its own orb shuts down: the retryable `ShuttingDown`.
+        let client = Orb::new("t-tcp-death-own");
+        let (endpoint, arrived, server) = silent_server(false);
+        let target = crate::ObjRef::new(endpoint, "x", "X");
+        let caller = {
+            let client = client.clone();
+            std::thread::spawn(move || client.invoke_ref(&target, "slow", vec![]))
+        };
+        arrived.recv().unwrap();
+        client.shutdown(Duration::from_millis(100));
+        let err = caller.join().unwrap().unwrap_err();
+        assert!(matches!(err, OrbError::ShuttingDown), "{err:?}");
+        server.join().unwrap();
+
+        // The server drops the connection: `Transport`.
+        let client = Orb::new("t-tcp-death-peer");
+        let (endpoint, _, server) = silent_server(true);
+        let target = crate::ObjRef::new(endpoint, "x", "X");
+        let err = client.invoke_ref(&target, "slow", vec![]).unwrap_err();
+        assert!(matches!(err, OrbError::Transport(_)), "{err:?}");
+        server.join().unwrap();
     }
 
     #[test]
