@@ -3,7 +3,9 @@
 #
 # `./ci.sh --stress` instead runs the concurrency-sensitive tests with
 # 10x the iteration counts and high test-thread parallelism, to shake
-# out transport races that a single quick run can miss, then the
+# out transport races that a single quick run can miss, then the wire
+# codec's property tests with 2000 cases each (the server decodes
+# remote bytes in place, borrowing from the frame), then the
 # timing-sensitive balancer suite 20 times in the debug profile the
 # gate uses. The stress run is advisory (a separate non-blocking CI
 # job), not part of the gate.
@@ -87,6 +89,8 @@ if [[ "${1:-}" == "--stress" ]]; then
     cargo test -q -p adapta-orb transport -- --test-threads 16
     cargo test -q --test adaptation -- --test-threads 16
     unset STRESS_ITERS RUST_TEST_THREADS
+    echo "==> stress: wire codec property tests (PROPTEST_CASES=2000)"
+    PROPTEST_CASES=2000 cargo test -q -p adapta-orb --test proptest_marshal
     echo "==> stress: balancer suite, 20 debug runs"
     for _ in $(seq 20); do
         cargo test -q --test balancer

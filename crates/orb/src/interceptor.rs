@@ -125,8 +125,8 @@ where
 /// LIFO. Redirect rounds re-enter `send_request`, so the popped entry
 /// times the request as actually sent after the final redirect.
 pub struct TimingObserver {
-    /// `observe:<name>`, the name of the spans it emits.
-    span_name: String,
+    /// `<name>`: the spans it emits are named `observe:<name>`.
+    name: String,
     latency: HistogramHandle,
     replies: Counter,
     errors: Counter,
@@ -137,7 +137,7 @@ impl TimingObserver {
     /// Creates an observer publishing under `interceptor.<name>.*`.
     pub fn new(name: &str) -> TimingObserver {
         TimingObserver {
-            span_name: format!("observe:{name}"),
+            name: name.to_owned(),
             latency: registry().histogram(&format!("interceptor.{name}.latency")),
             replies: registry().counter(&format!("interceptor.{name}.replies")),
             errors: registry().counter(&format!("interceptor.{name}.errors")),
@@ -186,10 +186,10 @@ impl ClientInterceptor for TimingObserver {
         if outcome.is_err() {
             self.errors.incr();
         }
-        let mut span = Span::start(self.span_name.as_str());
+        let mut span = Span::start(("observe:", self.name.as_str()));
         span.attr("operation", info.operation);
-        span.attr("elapsed_us", &elapsed.as_micros().to_string());
-        span.attr("ok", if outcome.is_ok() { "true" } else { "false" });
+        span.attr("elapsed_us", elapsed.as_micros() as u64);
+        span.attr("ok", outcome.is_ok());
     }
 }
 

@@ -70,7 +70,7 @@ pub use interceptor::{
     ServerInterceptor, ServerInterceptorFn, ServerRequestInfo, TimingObserver,
 };
 pub use marshal::{decode_value, encode_value};
-pub use message::{Message, ReplyBody, RequestBody, ServiceContext};
+pub use message::{IncomingRequest, Message, ReplyBody, RequestBody, ServiceContext};
 pub use orb::{InvokeOptions, Orb, OrbOptions, OrbStats};
 pub use proxy::{Proxy, Request};
 pub use reference::ObjRef;

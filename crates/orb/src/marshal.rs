@@ -170,12 +170,17 @@ fn get_len(cursor: &mut &[u8]) -> OrbResult<usize> {
 
 /// Reads a length-prefixed string.
 pub(crate) fn get_str(cursor: &mut &[u8]) -> OrbResult<String> {
+    get_str_ref(cursor).map(str::to_owned)
+}
+
+/// Reads a length-prefixed string in place, borrowing it from the
+/// buffer.
+pub(crate) fn get_str_ref<'a>(cursor: &mut &'a [u8]) -> OrbResult<&'a str> {
     let n = get_len(cursor)?;
     need(cursor, n)?;
     let (head, tail) = cursor.split_at(n);
     let s = std::str::from_utf8(head)
-        .map_err(|_| OrbError::Marshal("invalid UTF-8 in string".into()))?
-        .to_owned();
+        .map_err(|_| OrbError::Marshal("invalid UTF-8 in string".into()))?;
     *cursor = tail;
     Ok(s)
 }

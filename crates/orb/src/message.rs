@@ -1,12 +1,14 @@
 //! Wire messages — the GIOP analogue.
 
+use std::cell::RefCell;
+
 use adapta_idl::Value;
 use adapta_telemetry::{SpanId, TraceId, SPAN_ID_KEY, TRACE_ID_KEY};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::OrbError;
 use crate::marshal::{
-    get_str, get_value, put_seq, put_str, put_value, seq_len, str_len, value_len,
+    get_str, get_str_ref, get_value, put_seq, put_str, put_value, seq_len, str_len, value_len,
 };
 use crate::OrbResult;
 
@@ -137,7 +139,7 @@ pub(crate) struct OutgoingRequest<'a> {
 impl OutgoingRequest<'_> {
     /// Encodes the request as one transport frame (see
     /// [`Message::encode_frame`]).
-    pub(crate) fn encode_frame(&self) -> Vec<u8> {
+    pub(crate) fn encode_frame(&self) -> Frame {
         let (trace, span) = (self.trace.to_hex(), self.span.to_hex());
         let context = [(TRACE_ID_KEY, &trace[..]), (SPAN_ID_KEY, &span[..])];
         let kind = if self.oneway {
@@ -160,14 +162,60 @@ impl OutgoingRequest<'_> {
     }
 }
 
+/// Largest frame buffer kept for reuse; bigger ones are freed.
+const POOLED_FRAME_MAX: usize = 64 * 1024;
+/// Frame buffers kept for reuse per thread: one per nesting level of
+/// invocations a servant makes mid-dispatch, plus a reply.
+const POOLED_FRAMES: usize = 8;
+
+thread_local! {
+    static FRAME_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One encoded transport frame. Its buffer comes from, and on drop
+/// goes back to, a small per-thread pool, so encoding a request or a
+/// reply does not allocate in steady state.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Frame(Vec<u8>);
+
+impl std::ops::Deref for Frame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        if self.0.capacity() > POOLED_FRAME_MAX {
+            return;
+        }
+        let buf = std::mem::take(&mut self.0);
+        // After the thread's pool is gone (thread exit), just free.
+        let _ = FRAME_POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() < POOLED_FRAMES {
+                pool.push(buf);
+            }
+        });
+    }
+}
+
 /// A frame of `len` message bytes, written by `put` after the 4-byte
-/// little-endian length prefix, in one exactly sized buffer.
-fn frame(len: usize, put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + len);
+/// little-endian length prefix.
+fn frame(len: usize, put: impl FnOnce(&mut Vec<u8>)) -> Frame {
+    let mut buf = FRAME_POOL
+        .try_with(|pool| pool.borrow_mut().pop())
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    buf.clear();
+    buf.reserve_exact(4 + len);
     buf.put_u32_le(len as u32);
     put(&mut buf);
     debug_assert_eq!(buf.len(), 4 + len, "encoded size mismatch");
-    buf
+    Frame(buf)
 }
 
 fn put_header<B: BufMut>(buf: &mut B, kind: u8) {
@@ -222,7 +270,7 @@ impl Message {
     /// little-endian length prefix, then the bytes [`encode`] produces.
     ///
     /// [`encode`]: Self::encode
-    pub(crate) fn encode_frame(&self) -> Vec<u8> {
+    pub(crate) fn encode_frame(&self) -> Frame {
         frame(self.encoded_len(), |buf| self.put(buf))
     }
 
@@ -278,64 +326,33 @@ impl Message {
         }
     }
 
-    /// Decodes a message from a complete frame body.
+    /// Decodes a message from a complete frame body. A request is read
+    /// by [`IncomingRequest::decode`]'s decoder, then copied out of the
+    /// frame with its whole service context.
     ///
     /// # Errors
     ///
     /// Returns [`OrbError::Marshal`] on malformed frames.
     pub fn decode(bytes: &[u8]) -> OrbResult<Message> {
-        let mut cursor = bytes;
-        if cursor.len() < 6 {
-            return Err(OrbError::Marshal("frame too short".into()));
-        }
-        let (magic, rest) = cursor.split_at(4);
-        cursor = rest;
-        if magic != MAGIC {
-            return Err(OrbError::Marshal("bad magic".into()));
-        }
-        let version = cursor.get_u8();
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(OrbError::Marshal(format!(
-                "unsupported protocol version {version}"
-            )));
-        }
-        let kind = cursor.get_u8();
+        let (version, kind, mut cursor) = header(bytes)?;
         let msg = match kind {
             KIND_REQUEST | KIND_ONEWAY => {
-                if cursor.len() < 8 {
-                    return Err(OrbError::Marshal("truncated request".into()));
-                }
-                let id = cursor.get_u64_le();
-                let key = get_str(&mut cursor)?;
-                let operation = get_str(&mut cursor)?;
-                let args = match get_value(&mut cursor)? {
-                    Value::Seq(items) => items,
-                    _ => return Err(OrbError::Marshal("request args must be a sequence".into())),
-                };
                 let mut context = ServiceContext::new();
-                if version >= 2 {
-                    if cursor.len() < 4 {
-                        return Err(OrbError::Marshal("truncated service context".into()));
-                    }
-                    let entries = cursor.get_u32_le();
-                    context.entries.reserve(entries.min(16) as usize);
-                    for _ in 0..entries {
-                        let k = get_str(&mut cursor)?;
-                        let v = get_str(&mut cursor)?;
-                        context.set_owned(k, v);
-                    }
-                }
+                let request =
+                    decode_request(version, kind == KIND_ONEWAY, &mut cursor, &mut |k, v| {
+                        context.set_owned(k.to_owned(), v.to_owned());
+                    })?;
                 let body = RequestBody {
-                    id,
-                    key,
-                    operation,
-                    args,
+                    id: request.id,
+                    key: request.key.to_owned(),
+                    operation: request.operation.to_owned(),
+                    args: request.args,
                     context,
                 };
-                if kind == KIND_REQUEST {
-                    Message::Request(body)
-                } else {
+                if request.oneway {
                     Message::Oneway(body)
+                } else {
+                    Message::Request(body)
                 }
             }
             KIND_REPLY => {
@@ -355,11 +372,185 @@ impl Message {
             }
             other => return Err(OrbError::Marshal(format!("unknown message kind {other}"))),
         };
-        if !cursor.is_empty() {
-            return Err(OrbError::Marshal("trailing bytes in frame".into()));
-        }
+        no_trailing_bytes(cursor)?;
         Ok(msg)
     }
+}
+
+/// A request (two-way or oneway) decoded in place: the key and the
+/// operation are borrowed from the frame, and the caller's trace ids
+/// are parsed from the service context's hex strings, read in place
+/// too. Only the arguments are copied out.
+///
+/// It accepts exactly the frames [`Message::decode`] decodes as a
+/// request or oneway, with the same fields.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IncomingRequest<'a> {
+    /// Whether no reply is expected.
+    pub oneway: bool,
+    /// Correlation id (unused for oneway).
+    pub id: u64,
+    /// Target object key.
+    pub key: &'a str,
+    /// Operation name.
+    pub operation: &'a str,
+    /// Argument list.
+    pub args: Vec<Value>,
+    /// The caller's trace: the last `trace-id` entry of the service
+    /// context, when it parses as hex.
+    pub trace: Option<TraceId>,
+    /// The caller's span: the last `span-id` entry, when it parses.
+    pub parent: Option<SpanId>,
+}
+
+impl<'a> IncomingRequest<'a> {
+    /// Decodes a request or oneway from a complete frame body.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OrbError::Marshal`] on malformed frames and on replies.
+    pub fn decode(bytes: &'a [u8]) -> OrbResult<IncomingRequest<'a>> {
+        let (version, kind, mut cursor) = header(bytes)?;
+        let oneway = match kind {
+            KIND_REQUEST => false,
+            KIND_ONEWAY => true,
+            KIND_REPLY => return Err(OrbError::Marshal("unexpected reply".into())),
+            other => return Err(OrbError::Marshal(format!("unknown message kind {other}"))),
+        };
+        let (mut trace, mut parent) = (None, None);
+        let mut request = decode_request(version, oneway, &mut cursor, &mut |k, v| {
+            // Later entries replace earlier ones, as in `ServiceContext`.
+            if k == TRACE_ID_KEY {
+                trace = TraceId::from_hex(v);
+            } else if k == SPAN_ID_KEY {
+                parent = SpanId::from_hex(v);
+            }
+        })?;
+        no_trailing_bytes(cursor)?;
+        request.trace = trace;
+        request.parent = parent;
+        Ok(request)
+    }
+
+    /// The request with its key and operation copied, to hand to
+    /// another thread.
+    pub(crate) fn into_queued(self) -> QueuedRequest {
+        QueuedRequest {
+            oneway: self.oneway,
+            id: self.id,
+            key: self.key.to_owned(),
+            operation: self.operation.to_owned(),
+            args: self.args,
+            trace: self.trace,
+            parent: self.parent,
+        }
+    }
+}
+
+/// A decoded request that owns its key and operation: what a TCP
+/// connection hands to its workers and the oneway executor queues.
+#[derive(Debug)]
+pub(crate) struct QueuedRequest {
+    pub(crate) oneway: bool,
+    pub(crate) id: u64,
+    key: String,
+    operation: String,
+    args: Vec<Value>,
+    trace: Option<TraceId>,
+    parent: Option<SpanId>,
+}
+
+impl QueuedRequest {
+    /// Runs `f` on the request, borrowed again.
+    pub(crate) fn with<R>(self, f: impl FnOnce(IncomingRequest<'_>) -> R) -> R {
+        let QueuedRequest {
+            oneway,
+            id,
+            key,
+            operation,
+            args,
+            trace,
+            parent,
+        } = self;
+        f(IncomingRequest {
+            oneway,
+            id,
+            key: &key,
+            operation: &operation,
+            args,
+            trace,
+            parent,
+        })
+    }
+}
+
+/// Checks a message's magic and version; returns the version, the
+/// kind and the bytes after them.
+fn header(bytes: &[u8]) -> OrbResult<(u8, u8, &[u8])> {
+    if bytes.len() < HEADER_LEN {
+        return Err(OrbError::Marshal("frame too short".into()));
+    }
+    let (magic, mut cursor) = bytes.split_at(4);
+    if magic != MAGIC {
+        return Err(OrbError::Marshal("bad magic".into()));
+    }
+    let version = cursor.get_u8();
+    if !(MIN_VERSION..=VERSION).contains(&version) {
+        return Err(OrbError::Marshal(format!(
+            "unsupported protocol version {version}"
+        )));
+    }
+    let kind = cursor.get_u8();
+    Ok((version, kind, cursor))
+}
+
+fn no_trailing_bytes(cursor: &[u8]) -> OrbResult<()> {
+    if !cursor.is_empty() {
+        return Err(OrbError::Marshal("trailing bytes in frame".into()));
+    }
+    Ok(())
+}
+
+/// Decodes a request body after the header, borrowing from the frame,
+/// and hands each service-context entry to `entry` in wire order.
+/// Version-1 frames carry no service context. The returned request has
+/// no trace ids yet. (A `dyn` sink keeps one copy of this code, warm
+/// for both decoders.)
+fn decode_request<'a>(
+    version: u8,
+    oneway: bool,
+    cursor: &mut &'a [u8],
+    entry: &mut dyn FnMut(&'a str, &'a str),
+) -> OrbResult<IncomingRequest<'a>> {
+    if cursor.len() < 8 {
+        return Err(OrbError::Marshal("truncated request".into()));
+    }
+    let id = cursor.get_u64_le();
+    let key = get_str_ref(cursor)?;
+    let operation = get_str_ref(cursor)?;
+    let args = match get_value(cursor)? {
+        Value::Seq(items) => items,
+        _ => return Err(OrbError::Marshal("request args must be a sequence".into())),
+    };
+    if version >= 2 {
+        if cursor.len() < 4 {
+            return Err(OrbError::Marshal("truncated service context".into()));
+        }
+        for _ in 0..cursor.get_u32_le() {
+            let k = get_str_ref(cursor)?;
+            let v = get_str_ref(cursor)?;
+            entry(k, v);
+        }
+    }
+    Ok(IncomingRequest {
+        oneway,
+        id,
+        key,
+        operation,
+        args,
+        trace: None,
+        parent: None,
+    })
 }
 
 #[cfg(test)]
@@ -409,6 +600,9 @@ mod tests {
             let frame = outgoing.encode_frame();
             assert_eq!(frame, msg.encode_frame());
             assert_eq!(Message::decode(&frame[4..]).unwrap(), msg);
+            let incoming = IncomingRequest::decode(&frame[4..]).unwrap();
+            assert_eq!((incoming.oneway, incoming.key), (oneway, "echo"));
+            assert_eq!((incoming.trace, incoming.parent), (Some(trace), Some(span)));
         }
     }
 
@@ -525,6 +719,10 @@ mod tests {
         .encode();
         for cut in 0..bytes.len() {
             assert!(Message::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(
+                IncomingRequest::decode(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
         }
     }
 }

@@ -6,9 +6,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use adapta_idl::{IdlError, Value};
-use adapta_telemetry::{
-    registry, Counter, HistogramHandle, Span, SpanId, TraceId, SPAN_ID_KEY, TRACE_ID_KEY,
-};
+use adapta_telemetry::{registry, Counter, HistogramHandle, Span};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 
@@ -19,7 +17,7 @@ use crate::interceptor::{
     ClientAction, ClientInterceptor, ClientRequestInfo, ServerAction, ServerInterceptor,
     ServerRequestInfo,
 };
-use crate::message::{Message, OutgoingRequest, ReplyBody, RequestBody};
+use crate::message::{IncomingRequest, Message, OutgoingRequest, QueuedRequest, ReplyBody};
 use crate::naming::NamingServant;
 use crate::proxy::Proxy;
 use crate::reference::ObjRef;
@@ -288,7 +286,7 @@ pub(crate) struct OrbCore {
     /// The node's TCP accept loops.
     pub(crate) listeners: Mutex<Vec<transport::tcp::Listener>>,
     sync_oneway: AtomicBool,
-    oneway_tx: Mutex<Option<Sender<RequestBody>>>,
+    oneway_tx: Mutex<Option<Sender<QueuedRequest>>>,
     next_id: AtomicU64,
     pub(crate) tcp_pool: Mutex<HashMap<String, Arc<transport::tcp::MuxConnection>>>,
     /// Interceptor chains, replaced whole on registration so a call
@@ -420,29 +418,20 @@ impl OrbCore {
     /// `TraceId` even across TCP. Per-operation latency and error
     /// counts land in the registry under `orb.server.op.<op>.*` (see
     /// [`op_metrics`](Self::op_metrics) for which names are tracked).
-    pub(crate) fn serve(&self, body: RequestBody) -> ReplyBody {
+    pub(crate) fn serve(&self, request: IncomingRequest<'_>) -> ReplyBody {
         self.count_served();
-        let RequestBody {
-            id,
-            key,
-            operation,
-            args,
-            context,
-        } = body;
-        let remote_trace = context.get(TRACE_ID_KEY).and_then(TraceId::from_hex);
-        let parent = context.get(SPAN_ID_KEY).and_then(SpanId::from_hex);
-        let name = ["server:", &operation].concat();
-        let mut span = match remote_trace {
-            Some(trace) => Span::child_of(name, trace, parent),
+        let (key, operation) = (request.key, request.operation);
+        let name = ("server:", operation);
+        let mut span = match request.trace {
+            Some(trace) => Span::child_of(name, trace, request.parent),
             None => Span::start(name),
         };
         span.attr("node", &self.node);
-        span.attr("key", &key);
-        let started = Instant::now();
-        let (outcome, validated) = match self.intercept_server(&key, &operation, &args) {
+        span.attr("key", key);
+        let (outcome, validated) = match self.intercept_server(key, operation, &request.args) {
             Some(abort) => (Err(abort), false),
             None => {
-                let outcome = self.dispatch(&key, &operation, args);
+                let outcome = self.dispatch(key, operation, request.args);
                 let known = !matches!(
                     outcome,
                     Err(OrbError::ObjectNotFound { .. }
@@ -451,15 +440,20 @@ impl OrbCore {
                 (outcome, known)
             }
         };
-        let metrics = self.op_metrics(&operation, validated);
-        metrics.latency.record(started.elapsed());
+        let metrics = self.op_metrics(operation, validated);
         let outcome = outcome.map_err(|e| {
             metrics.errors.incr();
             let message = e.to_string();
             span.attr("error", &message);
             message
         });
-        ReplyBody { id, outcome }
+        // The dispatch latency is the server span's duration: one
+        // clock read serves both.
+        metrics.latency.record(span.end());
+        ReplyBody {
+            id: request.id,
+            outcome,
+        }
     }
 
     /// The metrics a dispatch of `op` is recorded under. An operation is
@@ -525,27 +519,27 @@ impl OrbCore {
     /// draining node silently discards it (oneways are fire-and-forget);
     /// accepted ones count as in-flight until served, so
     /// [`Orb::shutdown`] drains the oneway queue too.
-    fn enqueue_oneway(self: &Arc<Self>, body: RequestBody) {
+    fn enqueue_oneway(self: &Arc<Self>, request: IncomingRequest<'_>) {
         // Oneways are fire-and-forget: a refusal (draining or overload)
         // silently discards; the overload shed is counted either way.
         if self.begin_dispatch() != DispatchDecision::Admitted {
             return;
         }
         if self.sync_oneway.load(Ordering::Relaxed) {
-            let _ = self.serve(body);
+            let _ = self.serve(request);
             self.end_dispatch();
             return;
         }
         let mut guard = self.oneway_tx.lock();
         if guard.is_none() {
-            let (tx, rx) = unbounded::<RequestBody>();
+            let (tx, rx) = unbounded::<QueuedRequest>();
             let weak = Arc::downgrade(self);
             std::thread::Builder::new()
                 .name(format!("{}-oneway", self.node))
                 .spawn(move || {
-                    while let Ok(body) = rx.recv() {
+                    while let Ok(queued) = rx.recv() {
                         let Some(core) = weak.upgrade() else { break };
-                        let _ = core.serve(body);
+                        let _ = queued.with(|request| core.serve(request));
                         core.end_dispatch();
                     }
                 })
@@ -553,7 +547,7 @@ impl OrbCore {
             *guard = Some(tx);
         }
         if let Some(tx) = guard.as_ref() {
-            let _ = tx.send(body);
+            let _ = tx.send(request.into_queued());
         }
     }
 }
@@ -987,12 +981,12 @@ impl Orb {
         // The client span opens before the interceptor chain runs, so
         // spans emitted by observe hooks (and by nested invocations the
         // hooks trigger) nest under it.
-        let mut span = Span::start(["client:", op].concat());
+        let mut span = Span::start(("client:", op));
         span.attr("node", &self.core.node);
         span.attr("key", &target.key);
         let outcome = self.invoke_traced(target, op, args, opts, &span);
         if outcome.is_err() {
-            span.attr("error", "true");
+            span.attr("error", true);
         }
         outcome
     }
@@ -1046,7 +1040,7 @@ impl Orb {
     ///
     /// Transport errors only; servant outcomes are not observable.
     pub fn invoke_oneway_ref(&self, target: &ObjRef, op: &str, args: Vec<Value>) -> OrbResult<()> {
-        let mut span = Span::start(["oneway:", op].concat());
+        let mut span = Span::start(("oneway:", op));
         span.attr("node", &self.core.node);
         span.attr("key", &target.key);
         let interceptors = self.core.client_interceptors.read().clone();
@@ -1127,29 +1121,25 @@ impl Orb {
             let bytes = &frame[4..];
             self.core.count_bytes_out(bytes.len());
             peer.count_bytes_in(bytes.len());
-            match Message::decode(bytes)? {
-                Message::Request(body) => {
-                    match peer.begin_dispatch() {
-                        DispatchDecision::Admitted => {}
-                        DispatchDecision::ShuttingDown => return Err(OrbError::ShuttingDown),
-                        DispatchDecision::Overloaded => return Err(OrbError::TransientOverload),
-                    }
-                    let reply = peer.serve(body);
-                    let reply_frame = Message::Reply(reply).encode_frame();
-                    let reply_bytes = &reply_frame[4..];
-                    peer.count_bytes_out(reply_bytes.len());
-                    peer.end_dispatch();
-                    self.core.count_bytes_in(reply_bytes.len());
-                    match Message::decode(reply_bytes)? {
-                        Message::Reply(body) => Ok(Some(body)),
-                        _ => Err(OrbError::Marshal("expected a reply".into())),
-                    }
-                }
-                Message::Oneway(body) => {
-                    peer.enqueue_oneway(body);
-                    Ok(None)
-                }
-                Message::Reply(_) => Err(OrbError::Marshal("unexpected reply".into())),
+            let request = IncomingRequest::decode(bytes)?;
+            if request.oneway {
+                peer.enqueue_oneway(request);
+                return Ok(None);
+            }
+            match peer.begin_dispatch() {
+                DispatchDecision::Admitted => {}
+                DispatchDecision::ShuttingDown => return Err(OrbError::ShuttingDown),
+                DispatchDecision::Overloaded => return Err(OrbError::TransientOverload),
+            }
+            let reply = peer.serve(request);
+            let reply_frame = Message::Reply(reply).encode_frame();
+            let reply_bytes = &reply_frame[4..];
+            peer.count_bytes_out(reply_bytes.len());
+            peer.end_dispatch();
+            self.core.count_bytes_in(reply_bytes.len());
+            match Message::decode(reply_bytes)? {
+                Message::Reply(body) => Ok(Some(body)),
+                _ => Err(OrbError::Marshal("expected a reply".into())),
             }
         } else if let Some(addr) = target.endpoint.strip_prefix("tcp://") {
             transport::tcp::invoke(&self.core, addr, frame, reply_id, deadline)

@@ -37,7 +37,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use parking_lot::Mutex;
 
 use crate::error::OrbError;
-use crate::message::{Message, ReplyBody, RequestBody};
+use crate::message::{IncomingRequest, Message, QueuedRequest, ReplyBody};
 use crate::orb::OrbCore;
 use crate::OrbResult;
 
@@ -173,9 +173,9 @@ fn accept_loop(listener: TcpListener, weak: Weak<OrbCore>) {
     }
 }
 
-/// One queued server-side job: the decoded request plus whether a reply
-/// frame must be written back.
-type Job = (RequestBody, bool);
+/// One queued server-side job: a decoded request, with its key and
+/// operation copied out of the frame so it can cross to a worker.
+type Job = QueuedRequest;
 
 fn serve_connection(stream: TcpStream, weak: Weak<OrbCore>) {
     let writer = match stream.try_clone() {
@@ -199,14 +199,12 @@ fn serve_connection(stream: TcpStream, weak: Weak<OrbCore>) {
         };
         let Some(core) = weak.upgrade() else { return };
         core.count_bytes_in(4 + body.len());
-        let Ok(msg) = Message::decode(&body) else {
-            return; // protocol violation: drop the connection
+        // A malformed frame, or a reply (clients never push one), is a
+        // protocol violation: drop the connection.
+        let Ok(request) = IncomingRequest::decode(&body) else {
+            return;
         };
-        let job = match msg {
-            Message::Request(req) => (req, true),
-            Message::Oneway(req) => (req, false),
-            Message::Reply(_) => return, // clients never push replies
-        };
+        let job = request.into_queued();
         // Shed before admission when this connection's queue is full:
         // the job never starts, so the error is retryable.
         if queued.load(Ordering::Acquire) >= core.options.max_conn_queue {
@@ -215,9 +213,9 @@ fn serve_connection(stream: TcpStream, weak: Weak<OrbCore>) {
                     registry().counter(&format!("orb.{}.tcp.server.shed", core.node))
                 })
                 .incr();
-            if job.1 {
+            if !job.oneway {
                 let reply = Message::Reply(ReplyBody {
-                    id: job.0.id,
+                    id: job.id,
                     outcome: Err(OrbError::TransientOverload.to_string()),
                 })
                 .encode_frame();
@@ -237,9 +235,9 @@ fn serve_connection(stream: TcpStream, weak: Weak<OrbCore>) {
             crate::orb::DispatchDecision::Overloaded => Some(OrbError::TransientOverload),
         };
         if let Some(err) = refusal {
-            if job.1 {
+            if !job.oneway {
                 let reply = Message::Reply(ReplyBody {
-                    id: job.0.id,
+                    id: job.id,
                     outcome: Err(err.to_string()),
                 })
                 .encode_frame();
@@ -304,7 +302,7 @@ fn spawn_conn_worker(
                 // out of `idle` — so no idle bookkeeping around the
                 // blocking receive itself.
                 let job = rx.lock().recv();
-                let Ok((req, needs_reply)) = job else { break };
+                let Ok(job) = job else { break };
                 let Some(core) = weak.upgrade() else { break };
                 queued.fetch_sub(1, Ordering::AcqRel);
                 depth
@@ -316,7 +314,8 @@ fn spawn_conn_worker(
                     registry().gauge(&format!("orb.{}.tcp.server.inflight", core.node))
                 });
                 gauge.add(1);
-                let reply = core.serve(req);
+                let needs_reply = !job.oneway;
+                let reply = job.with(|request| core.serve(request));
                 gauge.sub(1);
                 if needs_reply {
                     let frame = Message::Reply(reply).encode_frame();

@@ -13,6 +13,14 @@
 //! Finished spans go to the process-wide [`collector`], a bounded ring
 //! buffer exportable as text or JSON.
 //!
+//! Spans are cheap enough to record on every call. A span keeps a
+//! static name prefix, a copy of the rest of its name and its first
+//! attributes inline; numeric and boolean attributes stay typed until
+//! recorded. The collector copies a finished span into a reusable slot,
+//! so in steady state neither side allocates. Names and values longer
+//! than [`MAX_TEXT_LEN`] are cut, which bounds what the collector
+//! retains ([`Collector::heap_bytes`]).
+//!
 //! ```
 //! use adapta_telemetry::{collector, Span};
 //!
@@ -22,9 +30,16 @@
 //!     let mut child = Span::start("marshal");
 //!     child.attr("bytes", "128");
 //! } // child records on drop
+//! {
+//!     // A static prefix plus a copied name; a typed attribute.
+//!     let mut child = Span::start(("client:", "getLoad"));
+//!     child.attr("attempt", 2u64);
+//! }
 //! drop(root);
 //! let spans = collector().for_trace(trace);
-//! assert_eq!(spans.len(), 2);
+//! assert_eq!(spans.len(), 3);
+//! assert_eq!(spans[1].name, "client:getLoad");
+//! assert_eq!(spans[1].attrs, [("attempt".to_owned(), "2".to_owned())]);
 //! ```
 //!
 //! # Metrics
@@ -56,6 +71,6 @@ mod trace;
 pub use hist::Histogram;
 pub use metrics::{registry, Counter, Gauge, HistSummary, HistogramHandle, Registry, Snapshot};
 pub use trace::{
-    collector, current_context, Collector, Span, SpanId, SpanRecord, TraceId, SPAN_ID_KEY,
-    TRACE_ID_KEY,
+    collector, current_context, AttrValue, Collector, Span, SpanId, SpanName, SpanRecord, TraceId,
+    MAX_ATTRS, MAX_TEXT_LEN, RETAINED_SPAN_BYTES, SPAN_ID_KEY, TRACE_ID_KEY,
 };

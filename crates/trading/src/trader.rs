@@ -663,7 +663,7 @@ impl Trader {
             }
         }
         metrics.offers_considered.add(considered as u64);
-        span.attr("offers_considered", &considered.to_string());
+        span.attr("offers_considered", considered);
 
         let mut matches: Vec<OfferMatch> = Vec::with_capacity(candidates.len());
         for candidate in candidates {
@@ -693,7 +693,7 @@ impl Trader {
                     .is_some_and(|entry| entry.visible(now))
             });
         }
-        span.attr("matches", &matches.len().to_string());
+        span.attr("matches", matches.len());
 
         // Federation: spend one hop per link traversal (see `link.rs`
         // for the traversal, dedup, and degradation rules).

@@ -73,7 +73,7 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 fn warm_inproc_smart_proxy_call_stays_within_its_allocation_budget() {
     const WARM_UP: usize = 10_000;
     const CALLS: u64 = 100_000;
-    const BUDGET: u64 = 32;
+    const BUDGET: u64 = 10;
 
     let infra = Infrastructure::in_process().unwrap();
     infra
