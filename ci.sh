@@ -7,8 +7,11 @@
 # codec's property tests with 2000 cases each (the server decodes
 # remote bytes in place, borrowing from the frame), then the
 # timing-sensitive balancer suite 20 times in the debug profile the
-# gate uses. The stress run is advisory (a separate non-blocking CI
-# job), not part of the gate.
+# gate uses, then the TCP client's leader/followers tests
+# (crates/orb/tests/caller_reads.rs) 20 times, since they race
+# deadlines against the hand-off from one reading caller to the next.
+# The stress run is advisory (a separate non-blocking CI job), not
+# part of the gate.
 #
 # `./ci.sh --chaos` runs the fault-injection suite (tests/chaos.rs) and
 # the E11 chaos experiment. Also advisory/non-blocking in CI.
@@ -94,6 +97,10 @@ if [[ "${1:-}" == "--stress" ]]; then
     echo "==> stress: balancer suite, 20 debug runs"
     for _ in $(seq 20); do
         cargo test -q --test balancer
+    done
+    echo "==> stress: TCP callers reading their own replies, 20 runs"
+    for _ in $(seq 20); do
+        cargo test -q -p adapta-orb --test caller_reads
     done
     echo "Stress run green."
     exit 0

@@ -285,6 +285,8 @@ pub(crate) struct OrbCore {
     pub(crate) tcp_addr: RwLock<Option<String>>,
     /// The node's TCP accept loops.
     pub(crate) listeners: Mutex<Vec<transport::tcp::Listener>>,
+    /// The node's accepted TCP connections, closed when it is dropped.
+    pub(crate) accepted: Mutex<transport::tcp::Accepted>,
     sync_oneway: AtomicBool,
     oneway_tx: Mutex<Option<Sender<QueuedRequest>>>,
     next_id: AtomicU64,
@@ -314,11 +316,13 @@ impl std::fmt::Debug for OrbCore {
 
 impl Drop for OrbCore {
     fn drop(&mut self) {
-        // Stop the accept loops. Not joined: the last reference may be
-        // the one an accept loop itself holds.
+        // Stop the accept loops and the connections they accepted. Not
+        // joined: the last reference may be the one an accept loop or a
+        // connection thread itself holds.
         for listener in self.listeners.get_mut().drain(..) {
             listener.wake();
         }
+        self.accepted.get_mut().close_all();
     }
 }
 
@@ -589,6 +593,7 @@ impl Orb {
             stats: StatCells::for_node(&name),
             tcp_addr: RwLock::new(None),
             listeners: Mutex::new(Vec::new()),
+            accepted: Mutex::default(),
             sync_oneway: AtomicBool::new(false),
             oneway_tx: Mutex::new(None),
             next_id: AtomicU64::new(1),
@@ -740,9 +745,9 @@ impl Orb {
             hook();
         }
         lifecycle.state.store(LIFECYCLE_STOPPED, Ordering::Release);
-        // Tear down pooled client connections: their reader threads exit
-        // and every local caller still blocked on a reply is woken with
-        // a retryable error.
+        // Tear down pooled client connections: every local caller still
+        // awaiting a reply, leader or follower, is woken with a
+        // retryable error.
         let pool: Vec<_> = self.core.tcp_pool.lock().drain().collect();
         for (_, conn) in pool {
             conn.kill(transport::tcp::Death::Shutdown);

@@ -3,37 +3,59 @@
 //!
 //! ## Client side
 //!
-//! Each pooled connection ([`MuxConnection`]) owns a dedicated reader
-//! thread and a pending-reply table keyed by the request id that is
-//! already on the wire in every [`Message::Request`]. Writers take the
-//! stream lock only for the frame write, so N concurrent invocations of
-//! the same endpoint pipeline on one socket and complete in roughly the
-//! latency of a single call instead of their sum. A per-call deadline
-//! fails just the matching pending entry — a slow reply never poisons
-//! the connection for other callers. A reply whose id routes nowhere
-//! (not pending, not abandoned by a deadline) means the stream is
-//! desynchronized: the connection is killed and evicted so no later
-//! caller can read a stale reply as its own.
+//! Each pooled connection ([`MuxConnection`]) keeps a pending-reply
+//! table keyed by the request id that is already on the wire in every
+//! [`Message::Request`]. Writers take the write lock only for the frame
+//! write, so N concurrent invocations of the same endpoint pipeline on
+//! one socket and complete in roughly the latency of a single call
+//! instead of their sum.
+//!
+//! There is no reader thread: the callers read their replies themselves
+//! (the *leader/followers* wait strategy). One waiting caller at a
+//! time, the leader, reads frames from the socket. It keeps its own
+//! reply, and puts any other caller's reply in that caller's slot and
+//! unparks it; followers park until their reply is in their slot. The
+//! leader steps down when its reply arrives, when its deadline passes
+//! or on an error, and unparks a follower to lead next. A reply thus
+//! reaches its caller without a hand-off between threads when the
+//! caller is the leader, which it is whenever it is alone on its
+//! connection. The connection's frame reader outlives its leaders: a
+//! leader that times out in the middle of a frame leaves the bytes it
+//! read for the next one.
+//!
+//! A per-call deadline fails just that call — a slow reply never
+//! poisons the connection for other callers. A reply whose id routes
+//! nowhere (not pending, not abandoned by a deadline) means the stream
+//! is desynchronized: the connection is killed and evicted so no later
+//! caller can read a stale reply as its own. With no reader thread to
+//! notice a peer that closed an idle connection, the caller that finds
+//! no leader checks for that close, without blocking, before it writes,
+//! and retries on a fresh connection: nothing was sent, so nothing can
+//! run twice.
 //!
 //! ## Server side
 //!
 //! Each accepted connection dispatches decoded requests onto a small
 //! on-demand worker pool; replies are written back in completion order
 //! through a shared writer. One slow servant no longer head-of-line
-//! blocks the other requests pipelined on the same connection.
+//! blocks the other requests pipelined on the same connection. Dropping
+//! the orb shuts its accepted connections down, so their threads exit.
 //!
 //! The wire protocol is unchanged: request ids were already carried by
 //! every frame, multiplexing only starts using them for correlation.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufReader, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::sync::{Arc, MutexGuard, Weak};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use adapta_telemetry::{registry, Gauge};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+#[cfg(test)]
+use crossbeam::channel::bounded;
+use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 
 use crate::error::OrbError;
@@ -58,7 +80,7 @@ fn io_err(context: &str, e: std::io::Error) -> OrbError {
 }
 
 /// Writes an encoded frame (length prefix included) in one write.
-fn send_frame(stream: &mut TcpStream, frame: &[u8]) -> OrbResult<()> {
+fn send_frame(mut stream: &TcpStream, frame: &[u8]) -> OrbResult<()> {
     stream
         .write_all(frame)
         .map_err(|e| io_err("write frame", e))
@@ -73,13 +95,15 @@ fn write_frame(stream: &mut TcpStream, body: &[u8]) -> OrbResult<()> {
     send_frame(stream, &frame)
 }
 
-/// Reads one frame's body; `None` at a clean end of stream. Callers
-/// read through a [`BufReader`], so a small frame costs one `read`.
+/// Reads one frame's body into a fresh buffer; `None` at a clean end of
+/// stream. Scripted peers in tests use it; connections read through a
+/// [`FrameReader`].
+#[cfg(test)]
 fn read_frame(stream: &mut impl Read) -> OrbResult<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match stream.read_exact(&mut len) {
         Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(io_err("read frame length", e)),
     }
     let len = u32::from_le_bytes(len);
@@ -91,6 +115,118 @@ fn read_frame(stream: &mut impl Read) -> OrbResult<Option<Vec<u8>>> {
         .read_exact(&mut body)
         .map_err(|e| io_err("read frame body", e))?;
     Ok(Some(body))
+}
+
+/// A connection's frame buffer starts at this size, so one `read`
+/// takes in every small frame already queued on the socket.
+const READ_BUF: usize = 8 * 1024;
+
+/// A frame buffer grown past this for a large frame is shrunk back to
+/// [`READ_BUF`] once it holds no unread bytes, so one big message does
+/// not pin its size for the life of the connection.
+const RETAINED_READ_BUF: usize = 64 * 1024;
+
+/// A resumable reader of length-prefixed frames: one buffer per
+/// connection, kept from frame to frame (and, on the client, from one
+/// leader to the next). A read that fails in the middle of a frame, a
+/// timeout say, keeps the bytes read so far; the next call resumes
+/// there. A frame's body is returned in place, with no copy.
+struct FrameReader {
+    buf: Vec<u8>,
+    /// Start of the bytes not yet returned.
+    head: usize,
+    /// End of the bytes read from the socket.
+    tail: usize,
+}
+
+impl FrameReader {
+    fn new() -> FrameReader {
+        FrameReader {
+            buf: vec![0; READ_BUF],
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    /// Returns the next frame's body; `None` at a clean end of stream
+    /// (between frames). When the buffer holds no whole frame, it reads
+    /// from `stream`, giving up at `until` (`None`: never) with a
+    /// `TimedOut` error.
+    fn next_frame(
+        &mut self,
+        mut stream: &TcpStream,
+        until: Option<Instant>,
+    ) -> std::io::Result<Option<&[u8]>> {
+        loop {
+            let unread = self.tail - self.head;
+            let want = if unread < 4 {
+                4
+            } else {
+                let prefix = &self.buf[self.head..self.head + 4];
+                let len = u32::from_le_bytes(prefix.try_into().expect("four bytes"));
+                if len > MAX_FRAME {
+                    return Err(std::io::Error::new(
+                        ErrorKind::InvalidData,
+                        format!("frame of {len} bytes refused"),
+                    ));
+                }
+                let total = 4 + len as usize;
+                if unread >= total {
+                    let body = self.head + 4..self.head + total;
+                    self.head += total;
+                    return Ok(Some(&self.buf[body]));
+                }
+                total
+            };
+            self.make_room(want);
+            if let Some(until) = until {
+                let remaining = until.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    return Err(ErrorKind::TimedOut.into());
+                }
+                stream.set_read_timeout(Some(remaining))?;
+            }
+            match stream.read(&mut self.buf[self.tail..]) {
+                Ok(0) if self.head == self.tail => return Ok(None),
+                Ok(0) => {
+                    return Err(std::io::Error::new(
+                        ErrorKind::UnexpectedEof,
+                        "connection closed in the middle of a frame",
+                    ))
+                }
+                Ok(n) => self.tail += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // A timed-out read: the loop gives up once `until` has
+                // really passed.
+                Err(e)
+                    if until.is_some()
+                        && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Makes room after the unread bytes for a frame of `want` bytes,
+    /// its length prefix included.
+    fn make_room(&mut self, want: usize) {
+        if self.head == self.tail {
+            self.head = 0;
+            self.tail = 0;
+            if self.buf.len() > RETAINED_READ_BUF && want <= READ_BUF {
+                self.buf.truncate(READ_BUF);
+                self.buf.shrink_to_fit();
+            }
+        }
+        if self.buf.len() - self.head >= want {
+            return;
+        }
+        self.buf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+    }
 }
 
 // ---- server side -----------------------------------------------------------
@@ -123,6 +259,36 @@ impl Listener {
 /// How long waking an accept loop may wait for its own connection.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// The sockets of a node's accepted connections. A connection thread
+/// blocked in `read` holds only a [`Weak`] reference to its orb, so
+/// without this it would go on serving, and keep its workers, for as
+/// long as the peer keeps the socket open after the orb is dropped.
+#[derive(Debug, Default)]
+pub(crate) struct Accepted {
+    next: u64,
+    open: HashMap<u64, TcpStream>,
+}
+
+impl Accepted {
+    fn add(&mut self, stream: TcpStream) -> u64 {
+        self.next += 1;
+        self.open.insert(self.next, stream);
+        self.next
+    }
+
+    fn remove(&mut self, slot: u64) {
+        self.open.remove(&slot);
+    }
+
+    /// Shuts every accepted connection down; their threads see the end
+    /// of the stream and exit.
+    pub(crate) fn close_all(&mut self) {
+        for (_, stream) in self.open.drain() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
 /// Starts a listener for `core` on `addr`; returns the bound address.
 ///
 /// The accept loop blocks in `accept` on a thread holding only a
@@ -154,10 +320,22 @@ fn accept_loop(listener: TcpListener, weak: Weak<OrbCore>) {
         match accepted {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
+                let slot = core.accepted.lock().add(handle);
                 let conn_weak = weak.clone();
-                let _ = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("orb-conn".to_owned())
-                    .spawn(move || serve_connection(stream, conn_weak));
+                    .spawn(move || {
+                        serve_connection(stream, &conn_weak);
+                        if let Some(core) = conn_weak.upgrade() {
+                            core.accepted.lock().remove(slot);
+                        }
+                    });
+                if spawned.is_err() {
+                    core.accepted.lock().remove(slot);
+                }
             }
             Err(_) => {
                 // Transient accept failures (EMFILE, ECONNABORTED…)
@@ -177,12 +355,12 @@ fn accept_loop(listener: TcpListener, weak: Weak<OrbCore>) {
 /// operation copied out of the frame so it can cross to a worker.
 type Job = QueuedRequest;
 
-fn serve_connection(stream: TcpStream, weak: Weak<OrbCore>) {
+fn serve_connection(stream: TcpStream, weak: &Weak<OrbCore>) {
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
-    let mut stream = BufReader::new(stream);
+    let mut frames = FrameReader::new();
     let (tx, rx) = unbounded::<Job>();
     let rx = Arc::new(Mutex::new(rx));
     let workers = Arc::new(AtomicUsize::new(0));
@@ -194,14 +372,14 @@ fn serve_connection(stream: TcpStream, weak: Weak<OrbCore>) {
     let mut depth_gauge: Option<Gauge> = None;
     let mut shed_counter = None;
     loop {
-        let Ok(Some(body)) = read_frame(&mut stream) else {
+        let Ok(Some(body)) = frames.next_frame(&stream, None) else {
             return; // worker channel closes with `tx`, draining the pool
         };
         let Some(core) = weak.upgrade() else { return };
         core.count_bytes_in(4 + body.len());
         // A malformed frame, or a reply (clients never push one), is a
         // protocol violation: drop the connection.
-        let Ok(request) = IncomingRequest::decode(&body) else {
+        let Ok(request) = IncomingRequest::decode(body) else {
             return;
         };
         let job = request.into_queued();
@@ -220,7 +398,7 @@ fn serve_connection(stream: TcpStream, weak: Weak<OrbCore>) {
                 })
                 .encode_frame();
                 core.count_bytes_out(reply.len());
-                if send_frame(&mut writer.lock(), &reply).is_err() {
+                if send_frame(&writer.lock(), &reply).is_err() {
                     return;
                 }
             }
@@ -242,7 +420,7 @@ fn serve_connection(stream: TcpStream, weak: Weak<OrbCore>) {
                 })
                 .encode_frame();
                 core.count_bytes_out(reply.len());
-                if send_frame(&mut writer.lock(), &reply).is_err() {
+                if send_frame(&writer.lock(), &reply).is_err() {
                     return;
                 }
             }
@@ -320,7 +498,7 @@ fn spawn_conn_worker(
                 if needs_reply {
                     let frame = Message::Reply(reply).encode_frame();
                     core.count_bytes_out(frame.len());
-                    let wrote = send_frame(&mut writer.lock(), &frame);
+                    let wrote = send_frame(&writer.lock(), &frame);
                     // The dispatch (accepted in `serve_connection`)
                     // retires only after its reply is flushed, so a
                     // draining orb never strands an accepted caller.
@@ -345,20 +523,66 @@ fn spawn_conn_worker(
 
 // ---- client side -----------------------------------------------------------
 
-/// Mutable state shared between a connection's writers and its reader
-/// thread, all behind one lock so liveness checks and entry updates are
-/// atomic.
+/// A caller awaiting its reply: the thread to unpark, and the slot the
+/// leader puts the reply in.
+struct Waiter {
+    thread: Thread,
+    reply: Option<ReplyBody>,
+}
+
+/// Mutable state shared by a connection's callers, all behind one lock
+/// so liveness checks, leadership and entry updates are atomic.
 #[derive(Default)]
 struct PendingState {
-    /// False once the reader declared the connection dead.
+    /// False once the connection was declared dead.
     alive: bool,
-    /// Request id → reply slot of the caller awaiting it.
-    entries: HashMap<u64, Sender<ReplyBody>>,
+    /// Whether a caller, the leader, is reading replies.
+    reading: bool,
+    /// Request id → the caller awaiting its reply.
+    entries: HashMap<u64, Waiter>,
     /// Ids whose caller gave up (deadline); their late replies are
     /// discarded instead of being treated as desynchronization.
     abandoned: HashSet<u64>,
     /// Why the connection died.
     death: Option<Death>,
+}
+
+impl PendingState {
+    fn death(&self) -> Death {
+        self.death
+            .clone()
+            .unwrap_or_else(|| Death::Failed("connection closed".to_owned()))
+    }
+
+    /// The error of a caller whose connection died under it.
+    fn lost(&self) -> OrbError {
+        match self.death() {
+            // Our own orb tore the pool down mid-call.
+            Death::Shutdown => OrbError::ShuttingDown,
+            Death::Failed(reason) => {
+                OrbError::Transport(format!("connection lost while awaiting reply: {reason}"))
+            }
+        }
+    }
+
+    /// Abandons a pending call whose deadline expired: only that entry
+    /// fails; the connection stays usable and the late reply will be
+    /// discarded on arrival instead of desynchronizing the stream.
+    fn forget(&mut self, id: u64) {
+        if self.entries.remove(&id).is_some() {
+            self.abandoned.insert(id);
+        }
+    }
+
+    /// With no leader, unparks one caller still awaiting its reply, to
+    /// lead next.
+    fn wake_next(&self) {
+        if !self.reading {
+            if let Some(waiter) = self.entries.values().find(|w| w.reply.is_none()) {
+                waiter.thread.unpark();
+            }
+        }
+    }
 }
 
 /// Why a client connection died. The cause decides the error its
@@ -381,12 +605,28 @@ impl std::fmt::Display for Death {
     }
 }
 
-/// A multiplexed client connection: shared writer + reader thread +
-/// pending-reply table. Cheap to share; the pool hands out clones of
-/// the `Arc` and concurrent invocations pipeline on the one socket.
+/// How a leader's turn at reading ended.
+enum Lead {
+    /// Its own reply arrived.
+    Replied(ReplyBody),
+    /// Its deadline passed.
+    TimedOut,
+    /// The connection died.
+    Failed,
+}
+
+/// A multiplexed client connection: one socket, a write lock, a frame
+/// reader locked by the current leader, and the pending-reply table.
+/// Cheap to share; the pool hands out clones of the `Arc` and
+/// concurrent invocations pipeline on the one socket.
 pub(crate) struct MuxConnection {
-    writer: Mutex<TcpStream>,
-    state: Arc<Mutex<PendingState>>,
+    /// Reads and writes go through `&TcpStream`: `writer` serializes
+    /// the writes, `reader` the reads.
+    stream: TcpStream,
+    writer: Mutex<()>,
+    /// The frame buffer; whoever holds it is the leader.
+    reader: Mutex<FrameReader>,
+    state: Mutex<PendingState>,
     /// `orb.<node>.tcp.client.inflight` — calls awaiting a reply.
     inflight: Gauge,
     /// `orb.<node>.tcp.client.pipeline_depth` — pending entries on the
@@ -399,39 +639,163 @@ impl MuxConnection {
         self.state.lock().alive
     }
 
-    fn death(&self) -> Death {
-        self.state
-            .lock()
-            .death
-            .clone()
-            .unwrap_or_else(|| Death::Failed("connection closed".to_owned()))
-    }
-
-    /// Reserves a reply slot for `id`; `None` when the connection is
+    /// Reserves a reply slot for `id` (a two-way call) and, when no
+    /// caller is reading, makes this caller the leader. Returns whether
+    /// it leads, and the pending count; `None` when the connection is
     /// already dead (the caller should evict and retry on a fresh one).
-    fn register(&self, id: u64) -> Option<(Receiver<ReplyBody>, usize)> {
-        let (tx, rx) = bounded(1);
+    fn register(&self, id: Option<u64>) -> Option<(bool, usize)> {
         let mut st = self.state.lock();
         if !st.alive {
             return None;
         }
-        st.entries.insert(id, tx);
-        Some((rx, st.entries.len()))
+        let leads = !st.reading;
+        st.reading = true;
+        if let Some(id) = id {
+            let thread = std::thread::current();
+            st.entries.insert(
+                id,
+                Waiter {
+                    thread,
+                    reply: None,
+                },
+            );
+        }
+        Some((leads, st.entries.len()))
     }
 
-    /// Abandons a pending call whose deadline expired: only that entry
-    /// fails; the connection stays usable and the late reply will be
-    /// discarded on arrival instead of desynchronizing the stream.
-    fn forget(&self, id: u64) {
+    /// Ends a turn as leader that read nothing: a oneway caller's.
+    fn step_down(&self) {
         let mut st = self.state.lock();
-        if st.entries.remove(&id).is_some() {
-            st.abandoned.insert(id);
+        st.reading = false;
+        st.wake_next();
+    }
+
+    /// Whether the peer still has the connection open. With no leader
+    /// reading, a close by the peer is seen only here. It peeks without
+    /// blocking, so the caller must hold both the reader and the writer
+    /// lock: non-blocking mode belongs to the socket, and a concurrent
+    /// blocking read or write would see `WouldBlock` too.
+    fn peer_open(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let open = match self.stream.peek(&mut [0u8]) {
+            Ok(n) => n > 0,
+            Err(e) => e.kind() == ErrorKind::WouldBlock,
+        };
+        self.stream.set_nonblocking(false).is_ok() && open
+    }
+
+    /// Waits up to `deadline` for the reply to `id`: as the leader
+    /// (from the start when `frames` is this caller's), or parked as a
+    /// follower until the leader delivers the reply or steps down.
+    fn await_reply<'a>(
+        &'a self,
+        core: &OrbCore,
+        addr: &str,
+        id: u64,
+        mut frames: Option<MutexGuard<'a, FrameReader>>,
+        deadline: Duration,
+    ) -> OrbResult<ReplyBody> {
+        let until = Instant::now() + deadline;
+        loop {
+            if let Some(mut reader) = frames.take() {
+                let lead = self.lead(core, addr, &mut reader, id, until);
+                drop(reader);
+                let mut st = self.state.lock();
+                st.reading = false;
+                let out = match lead {
+                    Lead::Replied(reply) => {
+                        st.entries.remove(&id);
+                        Ok(reply)
+                    }
+                    Lead::TimedOut => {
+                        st.forget(id);
+                        Err(OrbError::DeadlineExpired { after: deadline })
+                    }
+                    Lead::Failed => Err(st.lost()),
+                };
+                st.wake_next();
+                return out;
+            }
+            let mut st = self.state.lock();
+            let Some(waiter) = st.entries.get_mut(&id) else {
+                return Err(st.lost()); // killed: every waiting entry failed
+            };
+            if let Some(reply) = waiter.reply.take() {
+                st.entries.remove(&id);
+                st.wake_next();
+                return Ok(reply);
+            }
+            let now = Instant::now();
+            if now >= until {
+                st.forget(id);
+                st.wake_next();
+                return Err(OrbError::DeadlineExpired { after: deadline });
+            }
+            if !st.reading {
+                st.reading = true;
+                drop(st);
+                frames = Some(self.reader.lock());
+                continue;
+            }
+            drop(st);
+            std::thread::park_timeout(until - now);
         }
     }
 
-    /// Declares the connection dead: fails every pending caller (their
-    /// senders drop, so receivers disconnect) and wakes the reader by
-    /// shutting the socket down.
+    /// Reads frames as the leader until this caller's reply arrives,
+    /// `until` passes or the connection fails, putting other callers'
+    /// replies in their slots. On failure it kills and evicts the
+    /// connection.
+    fn lead(
+        &self,
+        core: &OrbCore,
+        addr: &str,
+        frames: &mut FrameReader,
+        id: u64,
+        until: Instant,
+    ) -> Lead {
+        let reason = loop {
+            let body = match frames.next_frame(&self.stream, Some(until)) {
+                Ok(Some(body)) => body,
+                Ok(None) => break "connection closed by peer".to_owned(),
+                Err(e) if e.kind() == ErrorKind::TimedOut => return Lead::TimedOut,
+                Err(e) => break format!("read reply frame: {e}"),
+            };
+            core.count_bytes_in(4 + body.len());
+            let reply = match Message::decode(body) {
+                Ok(Message::Reply(reply)) => reply,
+                Ok(_) => break "server pushed a non-reply frame".to_owned(),
+                Err(e) => break format!("undecodable reply frame: {e}"),
+            };
+            if reply.id == id {
+                return Lead::Replied(reply);
+            }
+            let mut st = self.state.lock();
+            if let Some(waiter) = st.entries.get_mut(&reply.id) {
+                waiter.thread.unpark();
+                waiter.reply = Some(reply);
+            } else if !st.abandoned.remove(&reply.id) {
+                // An id that routes nowhere (a deadline-abandoned
+                // call's late reply is discarded above) means the
+                // stream is desynchronized; killing the connection here
+                // guarantees no later caller can read a stale reply as
+                // its own.
+                break format!(
+                    "unroutable reply id {}: connection desynchronized",
+                    reply.id
+                );
+            }
+        };
+        self.kill(Death::Failed(reason));
+        evict_if_current(core, addr, self);
+        Lead::Failed
+    }
+
+    /// Declares the connection dead: fails every caller still awaiting
+    /// a reply (a reply already in its slot is still delivered), and
+    /// shuts the socket down, which wakes a leader blocked in `read`.
     pub(crate) fn kill(&self, death: Death) {
         {
             let mut st = self.state.lock();
@@ -439,122 +803,53 @@ impl MuxConnection {
                 st.alive = false;
                 st.death = Some(death);
             }
-            st.entries.clear();
+            st.entries.retain(|_, waiter| {
+                waiter.thread.unpark();
+                waiter.reply.is_some()
+            });
             st.abandoned.clear();
         }
-        let _ = self.writer.lock().shutdown(Shutdown::Both);
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
-impl Drop for MuxConnection {
-    fn drop(&mut self) {
-        // Wakes the reader thread (which holds only a `Weak` to this
-        // connection) so it exits instead of blocking forever.
-        let _ = self.writer.lock().shutdown(Shutdown::Both);
-    }
-}
-
-fn connect(core: &Arc<OrbCore>, addr: &str) -> OrbResult<Arc<MuxConnection>> {
+fn connect(core: &OrbCore, addr: &str) -> OrbResult<Arc<MuxConnection>> {
     let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
     let _ = stream.set_nodelay(true);
-    let reader_stream = stream
-        .try_clone()
-        .map_err(|e| io_err("clone stream for reader", e))?;
-    let state = Arc::new(Mutex::new(PendingState {
-        alive: true,
-        ..PendingState::default()
-    }));
-    let conn = Arc::new(MuxConnection {
-        writer: Mutex::new(stream),
-        state: state.clone(),
+    Ok(Arc::new(MuxConnection {
+        stream,
+        writer: Mutex::new(()),
+        reader: Mutex::new(FrameReader::new()),
+        state: Mutex::new(PendingState {
+            alive: true,
+            ..PendingState::default()
+        }),
         inflight: registry().gauge(&format!("orb.{}.tcp.client.inflight", core.node)),
         depth: registry().gauge(&format!("orb.{}.tcp.client.pipeline_depth", core.node)),
-    });
-    let weak_core = Arc::downgrade(core);
-    let weak_conn = Arc::downgrade(&conn);
-    let reader_addr = addr.to_owned();
-    std::thread::Builder::new()
-        .name(format!("orb-mux-reader-{addr}"))
-        .spawn(move || reader_loop(reader_stream, state, weak_core, weak_conn, reader_addr))
-        .map_err(|e| OrbError::Transport(format!("spawn reader thread: {e}")))?;
-    Ok(conn)
-}
-
-/// Routes incoming reply frames to their pending callers until the
-/// connection dies; then fails every pending caller and evicts the
-/// connection from the pool.
-fn reader_loop(
-    stream: TcpStream,
-    state: Arc<Mutex<PendingState>>,
-    weak_core: Weak<OrbCore>,
-    weak_conn: Weak<MuxConnection>,
-    addr: String,
-) {
-    let mut stream = BufReader::new(stream);
-    let reason = loop {
-        let body = match read_frame(&mut stream) {
-            Ok(Some(body)) => body,
-            Ok(None) => break "connection closed by peer".to_owned(),
-            Err(e) => break e.to_string(),
-        };
-        if let Some(core) = weak_core.upgrade() {
-            core.count_bytes_in(4 + body.len());
-        }
-        let reply = match Message::decode(&body) {
-            Ok(Message::Reply(reply)) => reply,
-            Ok(_) => break "server pushed a non-reply frame".to_owned(),
-            Err(e) => break format!("undecodable reply frame: {e}"),
-        };
-        let id = reply.id;
-        let routed = {
-            let mut st = state.lock();
-            if let Some(tx) = st.entries.remove(&id) {
-                let _ = tx.send(reply);
-                true
-            } else {
-                // A deadline-abandoned call's late reply: discard.
-                st.abandoned.remove(&id)
-            }
-        };
-        if !routed {
-            // An id that routes nowhere means the stream is
-            // desynchronized; killing the connection here guarantees
-            // no later caller can read a stale reply as its own.
-            break format!("unroutable reply id {id}: connection desynchronized");
-        }
-    };
-    {
-        let mut st = state.lock();
-        if st.alive {
-            st.alive = false;
-            st.death = Some(Death::Failed(reason));
-        }
-        st.entries.clear();
-        st.abandoned.clear();
-    }
-    if let (Some(core), Some(conn)) = (weak_core.upgrade(), weak_conn.upgrade()) {
-        evict_if_current(&core, &addr, &conn);
-    }
+    }))
 }
 
 /// Removes `conn` from the pool — but only if it is still the pooled
 /// entry for `addr` (a replacement connection must survive).
-fn evict_if_current(core: &OrbCore, addr: &str, conn: &Arc<MuxConnection>) {
+fn evict_if_current(core: &OrbCore, addr: &str, conn: &MuxConnection) {
     let mut pool = core.tcp_pool.lock();
-    if pool.get(addr).is_some_and(|c| Arc::ptr_eq(c, conn)) {
+    if pool
+        .get(addr)
+        .is_some_and(|c| std::ptr::eq(Arc::as_ptr(c), conn))
+    {
         pool.remove(addr);
     }
 }
 
-fn pooled_connection(core: &Arc<OrbCore>, addr: &str) -> OrbResult<Arc<MuxConnection>> {
+fn pooled_connection(core: &OrbCore, addr: &str) -> OrbResult<Arc<MuxConnection>> {
     if let Some(conn) = core.tcp_pool.lock().get(addr) {
         if conn.is_alive() {
             return Ok(conn.clone());
         }
     }
     // Connect outside the pool lock; on a race, prefer whichever live
-    // connection landed in the pool (the loser is dropped, shutting its
-    // socket down and stopping its reader).
+    // connection landed in the pool (the loser is dropped, closing its
+    // socket).
     let conn = connect(core, addr)?;
     let mut pool = core.tcp_pool.lock();
     match pool.get(addr) {
@@ -569,15 +864,17 @@ fn pooled_connection(core: &Arc<OrbCore>, addr: &str) -> OrbResult<Arc<MuxConnec
 /// Sends the request `frame` to `addr`; for a two-way request (with
 /// `expected_id`), waits up to `deadline` for the matching reply
 /// (correlated by request id, so any number of calls may be in flight
-/// on the connection at once). The stream lock is held only for the
-/// write; the wait for the reply happens off-lock.
+/// on the connection at once). The write lock is held only for the
+/// write; the caller then reads replies itself as the leader, or waits
+/// for the leader to hand it its reply.
 ///
 /// A stale pooled connection is evicted and retried once — but only when
 /// the failure happened before any byte of the request could have been
-/// executed remotely (registration or the initial write), never
-/// mid-reply. A deadline expiry fails just this call.
+/// executed remotely (registration, the leader's check for a close by
+/// the peer, or the initial write), never mid-reply. A deadline expiry
+/// fails just this call.
 pub(crate) fn invoke(
-    core: &Arc<OrbCore>,
+    core: &OrbCore,
     addr: &str,
     frame: &[u8],
     expected_id: Option<u64>,
@@ -586,49 +883,50 @@ pub(crate) fn invoke(
     let mut last_err = None;
     for _attempt in 0..2 {
         let conn = pooled_connection(core, addr)?;
-        let registered = match expected_id {
-            Some(id) => match conn.register(id) {
-                Some(slot) => Some(slot),
-                None => {
-                    evict_if_current(core, addr, &conn);
-                    last_err = Some(OrbError::Transport(conn.death().to_string()));
-                    continue;
-                }
-            },
-            None => None,
-        };
-        if let Err(e) = send_frame(&mut conn.writer.lock(), frame) {
-            // A partial write leaves the stream unusable for everyone:
-            // fail all pending callers and retry this request once on a
-            // fresh connection.
-            conn.kill(Death::Failed("request write failed".into()));
+        let Some((leads, depth)) = conn.register(expected_id) else {
             evict_if_current(core, addr, &conn);
-            last_err = Some(e);
+            last_err = Some(OrbError::Transport(conn.state.lock().death().to_string()));
+            continue;
+        };
+        // A leader holds the frame reader from before its write, so the
+        // check below cannot race a blocking read.
+        let frames = leads.then(|| conn.reader.lock());
+        let sent = {
+            let _writing = conn.writer.lock();
+            if leads && !conn.peer_open() {
+                Err(Death::Failed("connection closed by peer".into()))
+            } else {
+                send_frame(&conn.stream, frame)
+                    .map_err(|e| Death::Failed(format!("request write failed: {e}")))
+            }
+        };
+        if let Err(death) = sent {
+            // The peer closed the connection before the write, or a
+            // partial write left the stream unusable for everyone: fail
+            // all pending callers and retry this request once on a
+            // fresh connection. Nothing of it was executed.
+            last_err = Some(OrbError::Transport(death.to_string()));
+            conn.kill(death);
+            evict_if_current(core, addr, &conn);
+            if matches!(conn.state.lock().death, Some(Death::Shutdown)) {
+                return Err(OrbError::ShuttingDown);
+            }
             continue;
         }
         core.count_bytes_out(frame.len());
-        let Some((rx, depth)) = registered else {
-            return Ok(None); // oneway: fire and forget
+        let Some(id) = expected_id else {
+            // Oneway: fire and forget.
+            if let Some(frames) = frames {
+                drop(frames);
+                conn.step_down();
+            }
+            return Ok(None);
         };
         conn.depth.set(depth as i64);
         conn.inflight.add(1);
-        let out = match rx.recv_timeout(deadline) {
-            Ok(reply) => Ok(Some(reply)),
-            Err(RecvTimeoutError::Timeout) => {
-                let id = expected_id.expect("two-way call has an id");
-                conn.forget(id);
-                Err(OrbError::DeadlineExpired { after: deadline })
-            }
-            Err(RecvTimeoutError::Disconnected) => match conn.death() {
-                // Our own orb tore the pool down mid-call.
-                Death::Shutdown => Err(OrbError::ShuttingDown),
-                Death::Failed(reason) => Err(OrbError::Transport(format!(
-                    "connection lost while awaiting reply: {reason}"
-                ))),
-            },
-        };
+        let out = conn.await_reply(core, addr, id, frames, deadline);
         conn.inflight.sub(1);
-        return out;
+        return out.map(Some);
     }
     Err(last_err.unwrap_or_else(|| OrbError::Transport("tcp invoke failed".into())))
 }
