@@ -22,9 +22,11 @@
 # values) and the E12 overload experiment. Also advisory/non-blocking
 # in CI.
 #
-# `./ci.sh --lint` runs just the style gate (rustfmt + clippy with
-# warnings denied) — the fast pre-push check, and its own CI job so
-# style failures are reported separately from build/test failures.
+# `./ci.sh --lint` runs just the style gate (rustfmt, clippy with
+# warnings denied, and rustdoc with warnings denied, which catches doc
+# links left pointing at renamed, deleted or private items) — the fast
+# pre-push check, and its own CI job so style failures are reported
+# separately from build/test failures.
 #
 # `./ci.sh --balancer` runs the replica-set/adaptive-routing suite
 # (tests/balancer.rs) and a smoke-scale E13 experiment (emitting
@@ -41,6 +43,8 @@ if [[ "${1:-}" == "--lint" ]]; then
     cargo fmt --all --check
     echo "==> lint: cargo clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+    echo "==> lint: cargo doc -D warnings"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     echo "Lint run green."
     exit 0
 fi

@@ -1,7 +1,7 @@
 //! The replica set: a trader query materialized as live routing state.
 //!
-//! A [`ReplicaSet`] owns a [`QueryHandle`] and turns each refresh delta
-//! into replica lifecycle events: new matches become [`Replica`]s
+//! A [`ReplicaSet`] re-runs its trader query on each refresh and diffs
+//! the matches against its replicas: new matches become [`Replica`]s
 //! (keeping the preference order the trader returned), retained matches
 //! get their property snapshot updated *without* losing accumulated
 //! stats, and withdrawn/expired matches are evicted. A background
@@ -15,7 +15,7 @@ use std::time::Duration;
 use adapta_idl::Value;
 use adapta_orb::ObjRef;
 use adapta_telemetry::{registry, Counter, Gauge};
-use adapta_trading::{OfferMatch, Query, QueryHandle, TradingService};
+use adapta_trading::{OfferMatch, Query, TradingService};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -127,7 +127,8 @@ pub struct RefreshSummary {
 pub type ReplicaHook = Box<dyn Fn(&Arc<Replica>) + Send + Sync>;
 
 struct SetInner {
-    handle: QueryHandle,
+    service: Arc<dyn TradingService>,
+    query: Query,
     replicas: RwLock<Vec<Arc<Replica>>>,
     policy: RwLock<Arc<dyn RoutingPolicy>>,
     metrics: SetMetrics,
@@ -189,7 +190,8 @@ impl ReplicaSet {
         let metrics = SetMetrics::for_type(&query.service_type);
         ReplicaSet {
             inner: Arc::new(SetInner {
-                handle: QueryHandle::new(service, query),
+                service,
+                query,
                 replicas: RwLock::new(Vec::new()),
                 policy: RwLock::new(Arc::new(RoundRobin::new())),
                 metrics,
@@ -212,37 +214,42 @@ impl ReplicaSet {
 
     // ---- lifecycle -------------------------------------------------------
 
-    /// Re-runs the query and applies the delta: adds new offers as
-    /// replicas, refreshes retained offers' property snapshots (stats
-    /// survive), evicts withdrawn ones.
+    /// Re-runs the query and diffs the matches against the replicas by
+    /// [`Replica::key`]: refreshes retained offers' property snapshots
+    /// (stats survive), evicts replicas that no longer match, and
+    /// appends new matches in the order the trader returned them.
     ///
     /// # Errors
     ///
     /// Whatever the trader query returns; the set is unchanged on
     /// error.
     pub fn refresh(&self) -> adapta_trading::Result<RefreshSummary> {
-        let delta = self.inner.handle.refresh()?;
+        let matches = self.inner.service.query(&self.inner.query)?;
         self.inner.metrics.refreshes.incr();
+        let keyed: Vec<(String, OfferMatch)> = matches
+            .into_iter()
+            .map(|m| (Replica::match_key(&m), m))
+            .collect();
         let mut added_replicas = Vec::new();
         let mut evicted_replicas = Vec::new();
         let summary = {
             let mut replicas = self.inner.replicas.write();
-            for m in &delta.kept {
-                let key = Replica::match_key(m);
-                if let Some(r) = replicas.iter().find(|r| r.key() == key) {
-                    r.update_from(m);
+            replicas.retain(|r| {
+                let matched = keyed.iter().any(|(key, _)| key == r.key());
+                if !matched {
+                    evicted_replicas.push(r.clone());
                 }
-            }
-            for m in &delta.removed {
-                let key = Replica::match_key(m);
-                if let Some(pos) = replicas.iter().position(|r| r.key() == key) {
-                    evicted_replicas.push(replicas.remove(pos));
+                matched
+            });
+            for (key, m) in &keyed {
+                match replicas.iter().find(|r| r.key() == key) {
+                    Some(r) => r.update_from(m),
+                    None => {
+                        let replica = Arc::new(Replica::from_match(m));
+                        replicas.push(replica.clone());
+                        added_replicas.push(replica);
+                    }
                 }
-            }
-            for m in &delta.added {
-                let replica = Arc::new(Replica::from_match(m));
-                replicas.push(replica.clone());
-                added_replicas.push(replica);
             }
             RefreshSummary {
                 added: added_replicas.len(),
@@ -412,7 +419,7 @@ impl ReplicaSet {
 
     /// The query this set materializes.
     pub fn query(&self) -> &Query {
-        self.inner.handle.query()
+        &self.inner.query
     }
 }
 
@@ -421,7 +428,9 @@ mod tests {
     use super::*;
     use adapta_idl::TypeCode;
     use adapta_orb::Orb;
-    use adapta_trading::{ExportRequest, PropDef, PropMode, ServiceTypeDef, Trader};
+    use adapta_trading::{
+        ExportRequest, PropDef, PropMode, RemoteTrader, ServiceTypeDef, Trader, TraderServant,
+    };
 
     fn setup() -> (Trader, ReplicaSet) {
         let orb = Orb::new("t-replicaset");
@@ -473,6 +482,33 @@ mod tests {
         trader.withdraw(&a).unwrap();
         let s = set.refresh().unwrap();
         assert_eq!((s.added, s.evicted, s.total), (0, 1, 1));
+    }
+
+    #[test]
+    fn failed_refresh_leaves_the_set_unchanged() {
+        let orb = Orb::new("t-replicaset-remote");
+        let (trader, _) = setup();
+        let objref = orb
+            .activate("trader", TraderServant::new(trader.clone()))
+            .unwrap();
+        let remote = RemoteTrader::new(orb.proxy(&objref));
+        let set = ReplicaSet::new(Arc::new(remote), Query::new("Hello"));
+        export(&trader, "a", 1.0);
+        export(&trader, "b", 2.0);
+        set.refresh().unwrap();
+        let before = set.replicas();
+
+        // With the trader gone, the query fails and nothing changes.
+        assert!(orb.deactivate("trader"));
+        assert!(set.refresh().is_err());
+        let after = set.replicas();
+        assert_eq!(after.len(), 2);
+        assert!(before.iter().zip(&after).all(|(b, a)| Arc::ptr_eq(b, a)));
+
+        // The next successful refresh diffs against the same replicas.
+        orb.activate("trader", TraderServant::new(trader)).unwrap();
+        let s = set.refresh().unwrap();
+        assert_eq!((s.added, s.evicted, s.total), (0, 0, 2));
     }
 
     #[test]

@@ -146,7 +146,8 @@ impl ReplicaStats {
     }
 
     /// Records that a policy compared this replica with another and
-    /// picked the other on score (see [`PASSED_OVER_DECAY`]).
+    /// picked the other on score; each such loss moves its latency term
+    /// 1.5% toward the floor (more while it has few samples).
     pub fn on_passed_over(&self) {
         self.passed_over.fetch_add(1, Ordering::Relaxed);
     }
@@ -191,8 +192,8 @@ impl ReplicaStats {
     /// Load score for latency-aware policies: EWMA latency (µs) scaled
     /// by queue depth, the classic "expected wait" estimate. While the
     /// replica completes no call its latency decays toward the 1 µs
-    /// floor, with every comparison it loses (see [`PASSED_OVER_DECAY`])
-    /// and with idle time (see [`IDLE_DECAY_SECS`]), so a replica priced
+    /// floor, with every comparison it loses (1.5% each) and with idle
+    /// time (to 1/e of its value per idle second), so a replica priced
     /// out by stale samples is tried again. A replica with no latency
     /// observation scores near zero so new arrivals get probed instead
     /// of starved.

@@ -188,6 +188,17 @@ struct SpMetrics {
     rebinds: Counter,
     retries: Counter,
     failovers: Counter,
+    repicks_avoided: Counter,
+    relaxed_queries: Counter,
+    reselect: StrategyCounters,
+    native: StrategyCounters,
+    script: StrategyCounters,
+}
+
+/// `strategy.<kind>.{runs,failures}` for one kind of strategy.
+struct StrategyCounters {
+    runs: Counter,
+    failures: Counter,
 }
 
 impl SpMetrics {
@@ -202,6 +213,20 @@ impl SpMetrics {
             rebinds: r.counter(&name("rebinds")),
             retries: r.counter(&name("retries")),
             failovers: r.counter(&name("failovers")),
+            repicks_avoided: r.counter(&name("failover.repicks_avoided")),
+            relaxed_queries: r.counter(&name("failover.relaxed_queries")),
+            reselect: StrategyCounters::new(&name("strategy.reselect")),
+            native: StrategyCounters::new(&name("strategy.native")),
+            script: StrategyCounters::new(&name("strategy.script")),
+        }
+    }
+}
+
+impl StrategyCounters {
+    fn new(prefix: &str) -> StrategyCounters {
+        StrategyCounters {
+            runs: registry().counter(&format!("{prefix}.runs")),
+            failures: registry().counter(&format!("{prefix}.failures")),
         }
     }
 }
@@ -241,12 +266,6 @@ struct SpInner {
 }
 
 impl SpInner {
-    /// Registry metric name under this proxy's `smartproxy.<type>.`
-    /// namespace.
-    fn metric(&self, stat: &str) -> String {
-        format!("smartproxy.{}.{stat}", self.service_type)
-    }
-
     /// Enqueues an event for postponed handling (bounded queue, oldest
     /// dropped first). Used by the observer servant and by internally
     /// generated events like `RelaxedQuery`.
@@ -915,9 +934,7 @@ impl SmartProxy {
                     }
                     if self.inner.health.is_dead(&m.target) {
                         self.inner.repicks_avoided.fetch_add(1, Ordering::Relaxed);
-                        registry()
-                            .counter(&self.inner.metric("failover.repicks_avoided"))
-                            .incr();
+                        self.inner.metrics.repicks_avoided.incr();
                         return false;
                     }
                     true
@@ -936,9 +953,7 @@ impl SmartProxy {
             // registered strategy nothing is enqueued: the default
             // Reselect plan would just churn queries.
             self.inner.relaxed_queries.fetch_add(1, Ordering::Relaxed);
-            registry()
-                .counter(&self.inner.metric("failover.relaxed_queries"))
-                .incr();
+            self.inner.metrics.relaxed_queries.incr();
             if self
                 .inner
                 .strategies
@@ -1032,14 +1047,13 @@ impl SmartProxy {
         self.inner.events_handled.fetch_add(1, Ordering::Relaxed);
         let plan = self.inner.strategies.lock().get(event).cloned();
         let plan = plan.unwrap_or(Strategy::Reselect);
-        let kind = match &plan {
-            Strategy::Reselect => "reselect",
-            Strategy::Native(_) => "native",
-            Strategy::Script(_) => "script",
+        let metrics = &self.inner.metrics;
+        let counters = match &plan {
+            Strategy::Reselect => &metrics.reselect,
+            Strategy::Native(_) => &metrics.native,
+            Strategy::Script(_) => &metrics.script,
         };
-        registry()
-            .counter(&self.inner.metric(&format!("strategy.{kind}.runs")))
-            .incr();
+        counters.runs.incr();
         let failed = match plan {
             Strategy::Reselect => self.reselect().is_err(),
             Strategy::Native(f) => {
@@ -1049,9 +1063,7 @@ impl SmartProxy {
             Strategy::Script(handle) => {
                 let actor = self.actor();
                 let Ok(facade) = self.facade_handle(&actor) else {
-                    registry()
-                        .counter(&self.inner.metric("strategy.script.failures"))
-                        .incr();
+                    counters.failures.incr();
                     return;
                 };
                 let proxy = self.clone();
@@ -1066,9 +1078,7 @@ impl SmartProxy {
             }
         };
         if failed {
-            registry()
-                .counter(&self.inner.metric(&format!("strategy.{kind}.failures")))
-                .incr();
+            counters.failures.incr();
         }
     }
 

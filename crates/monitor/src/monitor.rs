@@ -809,39 +809,36 @@ impl Monitor {
         }
     }
 
-    /// Evaluates a native step on the calling thread.
+    /// Evaluates a native step on the calling thread and applies its
+    /// value as a script step's (a predicate's as [`Value::Bool`]).
     fn run_native(&self, slot: Slot, now: SimTime) {
-        match slot {
-            Slot::Source => {
-                let value = match &*self.inner.source.lock() {
-                    ValueSource::Native(f) => f(now),
-                    _ => return,
-                };
-                *self.inner.value.lock() = value;
-            }
+        let value = match slot {
+            Slot::Source => match &*self.inner.source.lock() {
+                ValueSource::Native(f) => f(now),
+                _ => return,
+            },
             Slot::Aspect(id) => {
                 let current = self.value();
-                let mut aspects = self.inner.aspects.lock();
-                if let Some(entry) = aspects.iter_mut().find(|a| a.id == id) {
-                    if let AspectFn::Native(f) = &entry.func {
-                        entry.last = f(&current);
-                        if entry.guard.on_success() {
-                            self.inner.metrics.quarantine_readmitted.incr();
-                        }
-                    }
+                match self.inner.aspects.lock().iter().find(|a| a.id == id) {
+                    Some(AspectEntry {
+                        func: AspectFn::Native(f),
+                        ..
+                    }) => f(&current),
+                    _ => return,
                 }
             }
             Slot::Observer(id) => {
                 let current = self.value();
-                let mut observers = self.inner.observers.lock();
-                if let Some(entry) = observers.iter_mut().find(|o| o.id == id) {
-                    if let PredicateFn::Native(f) = &entry.predicate {
-                        let fired = f(&current);
-                        self.observer_ran(entry, fired);
-                    }
+                match self.inner.observers.lock().iter().find(|o| o.id == id) {
+                    Some(ObserverEntry {
+                        predicate: PredicateFn::Native(f),
+                        ..
+                    }) => Value::Bool(f(&current)),
+                    _ => return,
                 }
             }
-        }
+        };
+        self.apply(slot, Ok(vec![value]));
     }
 
     /// Runs a batch of script steps hosted by `actor` in one job. Each
@@ -880,8 +877,8 @@ impl Monitor {
         ScriptActor::call_in(interp, &call.func, args)
     }
 
-    /// Applies a script step's outcome. An entry removed since the tick
-    /// was planned is skipped.
+    /// Applies a step's outcome, native or scripted. An entry removed
+    /// since the tick was planned is skipped.
     fn apply(&self, slot: Slot, out: Result<Vec<Value>, ActorError>) {
         match slot {
             Slot::Source => match out {
@@ -919,10 +916,15 @@ impl Monitor {
                 };
                 match out {
                     Ok(values) => {
+                        if entry.guard.on_success() {
+                            self.inner.metrics.quarantine_readmitted.incr();
+                        }
                         let fired = values
                             .first()
                             .is_some_and(|v| !matches!(v, Value::Null | Value::Bool(false)));
-                        self.observer_ran(entry, fired);
+                        if fired {
+                            self.enqueue_push(entry);
+                        }
                     }
                     Err(e) => {
                         if entry.guard.on_failure() {
@@ -933,17 +935,6 @@ impl Monitor {
                     }
                 }
             }
-        }
-    }
-
-    /// Records a predicate that ran cleanly and queues its push if it
-    /// fired.
-    fn observer_ran(&self, entry: &mut ObserverEntry, fired: bool) {
-        if entry.guard.on_success() {
-            self.inner.metrics.quarantine_readmitted.incr();
-        }
-        if fired {
-            self.enqueue_push(entry);
         }
     }
 

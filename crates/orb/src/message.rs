@@ -1,5 +1,6 @@
 //! Wire messages — the GIOP analogue.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 use adapta_idl::Value;
@@ -21,6 +22,18 @@ const MIN_VERSION: u8 = 1;
 const KIND_REQUEST: u8 = 0;
 const KIND_REPLY: u8 = 1;
 const KIND_ONEWAY: u8 = 2;
+
+// A reply's status byte says what follows it and, for a failed reply,
+// which `OrbError` it decodes to (see `error_status`).
+/// A result value follows.
+const STATUS_RESULT: u8 = 0;
+/// A `RemoteException`'s message follows, or the text of an error
+/// without a status of its own, which decodes as a remote exception.
+const STATUS_EXCEPTION: u8 = 1;
+const STATUS_OBJECT_NOT_FOUND: u8 = 2;
+const STATUS_NAME_NOT_FOUND: u8 = 3;
+const STATUS_SHUTTING_DOWN: u8 = 4;
+const STATUS_OVERLOAD: u8 = 5;
 
 /// Magic, version and kind: the bytes every message starts with.
 const HEADER_LEN: usize = 6;
@@ -106,8 +119,10 @@ pub struct RequestBody {
 pub struct ReplyBody {
     /// Correlation id of the request being answered.
     pub id: u64,
-    /// The operation result or the raised exception.
-    pub outcome: Result<Value, String>,
+    /// The operation result or the raised error. An error without a
+    /// reply status of its own crosses the wire as its text and arrives
+    /// as an [`OrbError::RemoteException`].
+    pub outcome: Result<Value, OrbError>,
 }
 
 /// A broker wire message.
@@ -224,6 +239,20 @@ fn put_header<B: BufMut>(buf: &mut B, kind: u8) {
     buf.put_u8(kind);
 }
 
+/// A failed reply's status byte and the text that follows it, if any.
+/// An error without a status of its own is rendered (on the rare path
+/// of a servant failing with, say, an IDL error).
+fn error_status(error: &OrbError) -> (u8, Option<Cow<'_, str>>) {
+    match error {
+        OrbError::RemoteException { message } => (STATUS_EXCEPTION, Some(message.into())),
+        OrbError::ObjectNotFound { key } => (STATUS_OBJECT_NOT_FOUND, Some(key.into())),
+        OrbError::NameNotFound { name } => (STATUS_NAME_NOT_FOUND, Some(name.into())),
+        OrbError::ShuttingDown => (STATUS_SHUTTING_DOWN, None),
+        OrbError::TransientOverload => (STATUS_OVERLOAD, None),
+        other => (STATUS_EXCEPTION, Some(other.to_string().into())),
+    }
+}
+
 /// The encoded size of a request with these parts.
 fn request_len<'c>(
     key: &str,
@@ -285,7 +314,7 @@ impl Message {
                     + 1
                     + match &body.outcome {
                         Ok(v) => value_len(v),
-                        Err(message) => str_len(message),
+                        Err(e) => error_status(e).1.map_or(0, |text| str_len(&text)),
                     }
             }
         }
@@ -314,12 +343,15 @@ impl Message {
                 buf.put_u64_le(body.id);
                 match &body.outcome {
                     Ok(v) => {
-                        buf.put_u8(0);
+                        buf.put_u8(STATUS_RESULT);
                         put_value(buf, v);
                     }
-                    Err(message) => {
-                        buf.put_u8(1);
-                        put_str(buf, message);
+                    Err(e) => {
+                        let (status, text) = error_status(e);
+                        buf.put_u8(status);
+                        if let Some(text) = text {
+                            put_str(buf, &text);
+                        }
                     }
                 }
             }
@@ -362,8 +394,16 @@ impl Message {
                 let id = cursor.get_u64_le();
                 let status = cursor.get_u8();
                 let outcome = match status {
-                    0 => Ok(get_value(&mut cursor)?),
-                    1 => Err(get_str(&mut cursor)?),
+                    STATUS_RESULT => Ok(get_value(&mut cursor)?),
+                    STATUS_EXCEPTION => Err(OrbError::exception(get_str(&mut cursor)?)),
+                    STATUS_OBJECT_NOT_FOUND => Err(OrbError::ObjectNotFound {
+                        key: get_str(&mut cursor)?,
+                    }),
+                    STATUS_NAME_NOT_FOUND => Err(OrbError::NameNotFound {
+                        name: get_str(&mut cursor)?,
+                    }),
+                    STATUS_SHUTTING_DOWN => Err(OrbError::ShuttingDown),
+                    STATUS_OVERLOAD => Err(OrbError::TransientOverload),
                     other => {
                         return Err(OrbError::Marshal(format!("unknown reply status {other}")))
                     }
@@ -677,7 +717,11 @@ mod tests {
         }));
         round_trip(Message::Reply(ReplyBody {
             id: 8,
-            outcome: Err("object not found".into()),
+            outcome: Err(OrbError::ObjectNotFound { key: "k".into() }),
+        }));
+        round_trip(Message::Reply(ReplyBody {
+            id: 9,
+            outcome: Err(OrbError::exception("bad state")),
         }));
     }
 

@@ -53,7 +53,9 @@ impl Servant for NamingServant {
                     .ok_or_else(|| OrbError::exception("resolve: name must be a string"))?;
                 match self.names.lock().get(name) {
                     Some(data) => Ok(Value::ObjRef(data.clone())),
-                    None => Err(OrbError::exception(format!("name `{name}` not bound"))),
+                    None => Err(OrbError::NameNotFound {
+                        name: name.to_owned(),
+                    }),
                 }
             }
             "unbind" => {

@@ -6,7 +6,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use adapta_idl::{IdlError, Value};
-use adapta_telemetry::{registry, Counter, HistogramHandle, Span};
+use adapta_telemetry::{registry, Counter, Gauge, HistogramHandle, Span};
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 
@@ -71,18 +71,29 @@ impl StatCell {
     }
 }
 
+/// The node's `orb.<node>.*` instruments, resolved once when the orb
+/// is built.
 #[derive(Debug)]
-struct StatCells {
+pub(crate) struct StatCells {
     requests_sent: StatCell,
     oneways_sent: StatCell,
     replies_received: StatCell,
     requests_served: StatCell,
     bytes_sent: StatCell,
     bytes_received: StatCell,
+    /// Dispatches shed at the node-wide in-flight cap.
+    shed: Counter,
+    /// TCP requests shed at a full connection queue.
+    pub(crate) tcp_shed: Counter,
+    /// TCP jobs waiting for a connection worker.
+    pub(crate) tcp_queue_depth: Gauge,
+    /// TCP jobs a connection worker is serving.
+    pub(crate) tcp_inflight: Gauge,
 }
 
 impl StatCells {
     fn for_node(node: &str) -> StatCells {
+        let r = registry();
         StatCells {
             requests_sent: StatCell::new(node, "requests_sent"),
             oneways_sent: StatCell::new(node, "oneways_sent"),
@@ -90,6 +101,10 @@ impl StatCells {
             requests_served: StatCell::new(node, "requests_served"),
             bytes_sent: StatCell::new(node, "bytes_sent"),
             bytes_received: StatCell::new(node, "bytes_received"),
+            shed: r.counter(&format!("orb.{node}.shed")),
+            tcp_shed: r.counter(&format!("orb.{node}.tcp.server.shed")),
+            tcp_queue_depth: r.gauge(&format!("orb.{node}.tcp.server.queue_depth")),
+            tcp_inflight: r.gauge(&format!("orb.{node}.tcp.server.inflight")),
         }
     }
 }
@@ -234,18 +249,6 @@ impl OrbOptions {
     }
 }
 
-/// What the node decided about one inbound dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DispatchDecision {
-    /// Admitted; the caller must pair it with `end_dispatch`.
-    Admitted,
-    /// Refused: the node is draining ([`OrbError::ShuttingDown`]).
-    ShuttingDown,
-    /// Shed: the node-wide in-flight cap is full
-    /// ([`OrbError::TransientOverload`]).
-    Overloaded,
-}
-
 /// The node's lifecycle, driving [`Orb::shutdown`].
 ///
 /// `RUNNING → DRAINING → STOPPED`, one way only. DRAINING refuses new
@@ -281,7 +284,7 @@ impl Lifecycle {
 pub(crate) struct OrbCore {
     pub(crate) node: String,
     pub(crate) adapter: ObjectAdapter,
-    stats: StatCells,
+    pub(crate) stats: StatCells,
     pub(crate) tcp_addr: RwLock<Option<String>>,
     /// The node's TCP accept loops.
     pub(crate) listeners: Mutex<Vec<transport::tcp::Listener>>,
@@ -327,30 +330,28 @@ impl Drop for OrbCore {
 }
 
 impl OrbCore {
-    /// Admits one inbound dispatch, or refuses it (after undoing the
-    /// reservation) when the node is draining or its in-flight cap is
-    /// full; the transport answers a refusal with the matching
-    /// retryable error ([`OrbError::ShuttingDown`] /
-    /// [`OrbError::TransientOverload`]).
+    /// Admits one inbound dispatch, which the caller must pair with
+    /// [`end_dispatch`](Self::end_dispatch). It is refused (after
+    /// undoing the reservation) with the retryable error the transport
+    /// answers: [`OrbError::ShuttingDown`] when the node is draining,
+    /// [`OrbError::TransientOverload`] when its in-flight cap is full.
     ///
     /// The count is raised *before* re-checking the state so a
     /// concurrent [`Orb::shutdown`] either sees this dispatch in the
     /// inflight count or this dispatch sees the drained state — never
     /// neither.
-    pub(crate) fn begin_dispatch(&self) -> DispatchDecision {
+    pub(crate) fn begin_dispatch(&self) -> OrbResult<()> {
         let prior = self.lifecycle.inflight.fetch_add(1, Ordering::AcqRel);
         if self.lifecycle.state.load(Ordering::Acquire) != LIFECYCLE_RUNNING {
             self.end_dispatch();
-            return DispatchDecision::ShuttingDown;
+            return Err(OrbError::ShuttingDown);
         }
         if prior >= self.options.max_inflight {
             self.end_dispatch();
-            registry()
-                .counter(&format!("orb.{}.shed", self.node))
-                .incr();
-            return DispatchDecision::Overloaded;
+            self.stats.shed.incr();
+            return Err(OrbError::TransientOverload);
         }
-        DispatchDecision::Admitted
+        Ok(())
     }
 
     /// Retires one dispatch admitted by [`begin_dispatch`]; called only
@@ -445,12 +446,10 @@ impl OrbCore {
             }
         };
         let metrics = self.op_metrics(operation, validated);
-        let outcome = outcome.map_err(|e| {
+        if let Err(e) = &outcome {
             metrics.errors.incr();
-            let message = e.to_string();
-            span.attr("error", &message);
-            message
-        });
+            span.attr("error", &e.to_string());
+        }
         // The dispatch latency is the server span's duration: one
         // clock read serves both.
         metrics.latency.record(span.end());
@@ -526,7 +525,7 @@ impl OrbCore {
     fn enqueue_oneway(self: &Arc<Self>, request: IncomingRequest<'_>) {
         // Oneways are fire-and-forget: a refusal (draining or overload)
         // silently discards; the overload shed is counted either way.
-        if self.begin_dispatch() != DispatchDecision::Admitted {
+        if self.begin_dispatch().is_err() {
             return;
         }
         if self.sync_oneway.load(Ordering::Relaxed) {
@@ -868,19 +867,12 @@ impl Orb {
     /// errors.
     pub fn resolve_name(&self, endpoint: &str, name: &str) -> OrbResult<ObjRef> {
         let target = ObjRef::new(endpoint, "_naming", "NamingContext");
-        let reply = self.invoke_ref(&target, "resolve", vec![Value::from(name)]);
-        match reply {
-            Ok(Value::ObjRef(data)) => Ok(data),
-            Ok(other) => Err(OrbError::Marshal(format!(
+        match self.invoke_ref(&target, "resolve", vec![Value::from(name)])? {
+            Value::ObjRef(data) => Ok(data),
+            other => Err(OrbError::Marshal(format!(
                 "naming context returned {}, expected an object reference",
                 other.kind()
             ))),
-            Err(OrbError::RemoteException { message }) if message.contains("not bound") => {
-                Err(OrbError::NameNotFound {
-                    name: name.to_owned(),
-                })
-            }
-            Err(e) => Err(e),
         }
     }
 
@@ -1024,7 +1016,7 @@ impl Orb {
             .and_then(|reply| {
                 let reply = reply.expect("two-way invocations produce a reply");
                 self.core.stats.replies_received.incr();
-                reply.outcome.map_err(Self::revive_error)
+                reply.outcome
             });
         // Reply interceptors observe the two-way outcome.
         for interceptor in interceptors.iter() {
@@ -1073,30 +1065,6 @@ impl Orb {
         Ok(())
     }
 
-    /// Reconstructs a structured error from a remote error string where
-    /// possible (object-not-found keeps its type across the wire).
-    fn revive_error(message: String) -> OrbError {
-        if let Some(rest) = message.strip_prefix("remote exception: ") {
-            return OrbError::RemoteException {
-                message: rest.to_owned(),
-            };
-        }
-        if let Some(rest) = message.strip_prefix("no object under key `") {
-            if let Some(key) = rest.strip_suffix('`') {
-                return OrbError::ObjectNotFound {
-                    key: key.to_owned(),
-                };
-            }
-        }
-        if message.starts_with("orb is shutting down") {
-            return OrbError::ShuttingDown;
-        }
-        if message.starts_with("server overloaded") {
-            return OrbError::TransientOverload;
-        }
-        OrbError::RemoteException { message }
-    }
-
     /// Routes one encoded request `frame` (length prefix included) for
     /// `operation` to the target endpoint; for a two-way request,
     /// `reply_id` is its id and the reply body is returned. `deadline`
@@ -1131,11 +1099,7 @@ impl Orb {
                 peer.enqueue_oneway(request);
                 return Ok(None);
             }
-            match peer.begin_dispatch() {
-                DispatchDecision::Admitted => {}
-                DispatchDecision::ShuttingDown => return Err(OrbError::ShuttingDown),
-                DispatchDecision::Overloaded => return Err(OrbError::TransientOverload),
-            }
+            peer.begin_dispatch()?;
             let reply = peer.serve(request);
             let reply_frame = Message::Reply(reply).encode_frame();
             let reply_bytes = &reply_frame[4..];
@@ -1308,14 +1272,6 @@ mod tests {
         // servant blocks on `block_rx`, which `block_tx` still feeds).
         let snapshot = adapta_telemetry::registry().snapshot();
         assert!(snapshot.counter("orb.t-orb-shed.shed").unwrap_or(0) >= 1);
-    }
-
-    #[test]
-    fn overload_error_survives_the_wire_revival() {
-        assert_eq!(
-            Orb::revive_error(OrbError::TransientOverload.to_string()),
-            OrbError::TransientOverload
-        );
     }
 
     #[test]

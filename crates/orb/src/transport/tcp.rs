@@ -3,7 +3,7 @@
 //!
 //! ## Client side
 //!
-//! Each pooled connection ([`MuxConnection`]) keeps a pending-reply
+//! Each pooled connection (`MuxConnection`) keeps a pending-reply
 //! table keyed by the request id that is already on the wire in every
 //! [`Message::Request`]. Writers take the write lock only for the frame
 //! write, so N concurrent invocations of the same endpoint pipeline on
@@ -369,8 +369,6 @@ fn serve_connection(stream: TcpStream, weak: &Weak<OrbCore>) {
     // `OrbOptions::max_conn_queue`) is what keeps a request storm from
     // queueing without limit behind slow servants.
     let queued = Arc::new(AtomicUsize::new(0));
-    let mut depth_gauge: Option<Gauge> = None;
-    let mut shed_counter = None;
     loop {
         let Ok(Some(body)) = frames.next_frame(&stream, None) else {
             return; // worker channel closes with `tx`, draining the pool
@@ -383,40 +381,21 @@ fn serve_connection(stream: TcpStream, weak: &Weak<OrbCore>) {
             return;
         };
         let job = request.into_queued();
-        // Shed before admission when this connection's queue is full:
-        // the job never starts, so the error is retryable.
-        if queued.load(Ordering::Acquire) >= core.options.max_conn_queue {
-            shed_counter
-                .get_or_insert_with(|| {
-                    registry().counter(&format!("orb.{}.tcp.server.shed", core.node))
-                })
-                .incr();
-            if !job.oneway {
-                let reply = Message::Reply(ReplyBody {
-                    id: job.id,
-                    outcome: Err(OrbError::TransientOverload.to_string()),
-                })
-                .encode_frame();
-                core.count_bytes_out(reply.len());
-                if send_frame(&writer.lock(), &reply).is_err() {
-                    return;
-                }
-            }
-            continue;
-        }
-        // A draining or node-wide-overloaded orb refuses the dispatch
-        // up front, waking the caller with a retryable error instead of
-        // letting it block until its deadline.
-        let refusal = match core.begin_dispatch() {
-            crate::orb::DispatchDecision::Admitted => None,
-            crate::orb::DispatchDecision::ShuttingDown => Some(OrbError::ShuttingDown),
-            crate::orb::DispatchDecision::Overloaded => Some(OrbError::TransientOverload),
+        // A job is shed before admission when this connection's queue
+        // is full, and refused by a draining or node-wide-overloaded
+        // orb. It never starts, so the caller is woken with a retryable
+        // error instead of blocking until its deadline.
+        let admitted = if queued.load(Ordering::Acquire) >= core.options.max_conn_queue {
+            core.stats.tcp_shed.incr();
+            Err(OrbError::TransientOverload)
+        } else {
+            core.begin_dispatch()
         };
-        if let Some(err) = refusal {
+        if let Err(refusal) = admitted {
             if !job.oneway {
                 let reply = Message::Reply(ReplyBody {
                     id: job.id,
-                    outcome: Err(err.to_string()),
+                    outcome: Err(refusal),
                 })
                 .encode_frame();
                 core.count_bytes_out(reply.len());
@@ -427,9 +406,7 @@ fn serve_connection(stream: TcpStream, weak: &Weak<OrbCore>) {
             continue;
         }
         let max_workers = core.options.max_conn_workers;
-        let gauge = depth_gauge.get_or_insert_with(|| {
-            registry().gauge(&format!("orb.{}.tcp.server.queue_depth", core.node))
-        });
+        core.stats.tcp_queue_depth.add(1);
         drop(core);
         // Reserve a waiting worker for this job, or grow the pool; only
         // this dispatcher decrements `idle`, and a worker re-enters it
@@ -452,7 +429,6 @@ fn serve_connection(stream: TcpStream, weak: &Weak<OrbCore>) {
             );
         }
         queued.fetch_add(1, Ordering::AcqRel);
-        gauge.add(1);
         if tx.send(job).is_err() {
             return;
         }
@@ -472,8 +448,6 @@ fn spawn_conn_worker(
         .name("orb-conn-worker".to_owned())
         .spawn(move || {
             let workers = workers_for_thread;
-            let mut inflight: Option<Gauge> = None;
-            let mut depth: Option<Gauge> = None;
             loop {
                 // The dispatcher already accounted for this worker —
                 // either by spawning it for the job or by reserving it
@@ -483,18 +457,12 @@ fn spawn_conn_worker(
                 let Ok(job) = job else { break };
                 let Some(core) = weak.upgrade() else { break };
                 queued.fetch_sub(1, Ordering::AcqRel);
-                depth
-                    .get_or_insert_with(|| {
-                        registry().gauge(&format!("orb.{}.tcp.server.queue_depth", core.node))
-                    })
-                    .sub(1);
-                let gauge = inflight.get_or_insert_with(|| {
-                    registry().gauge(&format!("orb.{}.tcp.server.inflight", core.node))
-                });
-                gauge.add(1);
+                let stats = &core.stats;
+                stats.tcp_queue_depth.sub(1);
+                stats.tcp_inflight.add(1);
                 let needs_reply = !job.oneway;
                 let reply = job.with(|request| core.serve(request));
-                gauge.sub(1);
+                stats.tcp_inflight.sub(1);
                 if needs_reply {
                     let frame = Message::Reply(reply).encode_frame();
                     core.count_bytes_out(frame.len());
@@ -972,6 +940,19 @@ mod tests {
         let target = crate::ObjRef::new(endpoint, "echo", "Echo");
         let err = client.invoke_ref(&target, "boom", vec![]).unwrap_err();
         assert!(matches!(err, OrbError::RemoteException { message } if message.contains("kapow")));
+    }
+
+    #[test]
+    fn tcp_resolve_of_an_unbound_name_is_name_not_found() {
+        let (_server, endpoint) = echo_orb("t-tcp-naming");
+        let client = Orb::new("t-tcp-naming-client");
+        let err = client.resolve_name(&endpoint, "nope").unwrap_err();
+        assert_eq!(
+            err,
+            OrbError::NameNotFound {
+                name: "nope".into()
+            }
+        );
     }
 
     #[test]

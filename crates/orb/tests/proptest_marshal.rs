@@ -1,10 +1,14 @@
-//! Property tests for the wire codec: every value round-trips, the
-//! decoder is total (never panics) on arbitrary bytes, and the borrowed
-//! request decoder agrees with `Message::decode` on every frame.
+//! Property tests for the wire codec: every value and every reply
+//! status round-trips, the decoder is total (never panics) on arbitrary
+//! bytes, and the borrowed request decoder agrees with
+//! `Message::decode` on every frame.
+
+use std::time::Duration;
 
 use adapta_idl::{ObjRefData, Value};
 use adapta_orb::{
-    decode_value, encode_value, IncomingRequest, Message, ReplyBody, RequestBody, ServiceContext,
+    decode_value, encode_value, IncomingRequest, Message, OrbError, ReplyBody, RequestBody,
+    ServiceContext,
 };
 use adapta_telemetry::{SpanId, TraceId};
 use bytes::Bytes;
@@ -108,6 +112,27 @@ fn context_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
     proptest::collection::vec((key, value), 0..6)
 }
 
+/// A reply outcome of every status: a result, each error variant with a
+/// status of its own, and the variants that have none.
+fn outcome_strategy() -> impl Strategy<Value = Result<Value, OrbError>> {
+    let text = || ".{0,48}";
+    prop_oneof![
+        value_strategy().prop_map(Ok),
+        text().prop_map(|m| Err(OrbError::exception(m))),
+        text().prop_map(|key| Err(OrbError::ObjectNotFound { key })),
+        text().prop_map(|name| Err(OrbError::NameNotFound { name })),
+        Just(Err(OrbError::ShuttingDown)),
+        Just(Err(OrbError::TransientOverload)),
+        (text(), text()).prop_map(|(i, op)| Err(OrbError::unknown_operation(&i, &op))),
+        text().prop_map(|endpoint| Err(OrbError::NodeUnreachable { endpoint })),
+        text().prop_map(|m| Err(OrbError::Marshal(m))),
+        text().prop_map(|m| Err(OrbError::Transport(m))),
+        any::<u32>().prop_map(|ms| Err(OrbError::DeadlineExpired {
+            after: Duration::from_millis(u64::from(ms)),
+        })),
+    ]
+}
+
 proptest! {
     #[test]
     fn any_value_round_trips(v in value_strategy()) {
@@ -168,10 +193,45 @@ proptest! {
     }
 
     #[test]
-    fn replies_round_trip(id in any::<u64>(), ok in any::<bool>(), text in ".{0,48}") {
-        let outcome = if ok { Ok(Value::Str(text.clone())) } else { Err(text.clone()) };
-        let msg = Message::Reply(ReplyBody { id, outcome });
-        prop_assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
+    fn replies_round_trip(id in any::<u64>(), outcome in outcome_strategy()) {
+        // A variant without a status of its own arrives as a remote
+        // exception carrying its text; every other outcome as itself.
+        let expected = match &outcome {
+            Err(
+                e @ (OrbError::Idl(_)
+                | OrbError::NodeUnreachable { .. }
+                | OrbError::Marshal(_)
+                | OrbError::Transport(_)
+                | OrbError::DeadlineExpired { .. }),
+            ) => Err(OrbError::exception(e.to_string())),
+            other => other.clone(),
+        };
+        let bytes = Message::Reply(ReplyBody { id, outcome }).encode();
+        let Message::Reply(body) = Message::decode(&bytes).expect("well-formed reply decodes") else {
+            panic!("kind changed in transit");
+        };
+        prop_assert_eq!(body.id, id);
+        match (&body.outcome, &expected) {
+            (Ok(a), Ok(b)) => prop_assert!(value_eq(a, b), "{a:?} != {b:?}"),
+            _ => prop_assert_eq!(&body.outcome, &expected),
+        }
+        for cut in 0..bytes.len() {
+            prop_assert!(Message::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
+        }
+    }
+
+    #[test]
+    fn unknown_reply_statuses_are_rejected(
+        id in any::<u64>(),
+        status in 6u8..=255,
+        tail in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut frame = b"ADPT".to_vec();
+        frame.extend_from_slice(&[2, 1]);
+        frame.extend_from_slice(&id.to_le_bytes());
+        frame.push(status);
+        frame.extend_from_slice(&tail);
+        prop_assert!(Message::decode(&frame).is_err());
     }
 
     #[test]

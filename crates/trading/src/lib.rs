@@ -45,7 +45,6 @@ mod link;
 mod offer;
 mod preference;
 mod query;
-mod refresh;
 mod servant;
 mod service_type;
 mod trader;
@@ -56,7 +55,6 @@ pub use link::Link;
 pub use offer::{ExportRequest, OfferId, OfferMatch, PropValue, ServiceOffer};
 pub use preference::Preference;
 pub use query::{Policies, Query};
-pub use refresh::{QueryDelta, QueryHandle};
 pub use servant::{RemoteTrader, TraderServant, TradingService};
 pub use service_type::{PropDef, PropMode, ServiceTypeDef};
 pub use trader::Trader;
