@@ -9,7 +9,10 @@
 # timing-sensitive balancer suite 20 times in the debug profile the
 # gate uses, then the TCP client's leader/followers tests
 # (crates/orb/tests/caller_reads.rs) 20 times, since they race
-# deadlines against the hand-off from one reading caller to the next.
+# deadlines against the hand-off from one reading caller to the next,
+# then the TCP server's leader/followers tests
+# (crates/orb/tests/server_leads.rs) 20 times, since they race a
+# connection's threads for the lead, its thread cap and its queue.
 # The stress run is advisory (a separate non-blocking CI job), not
 # part of the gate.
 #
@@ -105,6 +108,10 @@ if [[ "${1:-}" == "--stress" ]]; then
     echo "==> stress: TCP callers reading their own replies, 20 runs"
     for _ in $(seq 20); do
         cargo test -q -p adapta-orb --test caller_reads
+    done
+    echo "==> stress: TCP server threads serving what they read, 20 runs"
+    for _ in $(seq 20); do
+        cargo test -q -p adapta-orb --test server_leads
     done
     echo "Stress run green."
     exit 0

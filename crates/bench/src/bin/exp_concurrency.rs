@@ -2,7 +2,8 @@
 //!
 //! The TCP client transport multiplexes any number of in-flight
 //! requests onto one pooled connection per endpoint, and the server
-//! dispatches each request onto a per-connection worker pool. K
+//! serves each connection with leader/followers: the thread that reads
+//! a request hands the lead to another and serves the request. K
 //! concurrent calls to a slow servant should therefore finish in
 //! roughly *one* call's latency, where a lock-the-stream-per-round-trip
 //! transport takes K round trips back to back.

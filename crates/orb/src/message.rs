@@ -488,7 +488,8 @@ impl<'a> IncomingRequest<'a> {
 }
 
 /// A decoded request that owns its key and operation: what a TCP
-/// connection hands to its workers and the oneway executor queues.
+/// connection serves once its reading thread has let go of the frame,
+/// and what it and the oneway executor queue.
 #[derive(Debug)]
 pub(crate) struct QueuedRequest {
     pub(crate) oneway: bool,

@@ -85,10 +85,12 @@ pub(crate) struct StatCells {
     shed: Counter,
     /// TCP requests shed at a full connection queue.
     pub(crate) tcp_shed: Counter,
-    /// TCP jobs waiting for a connection worker.
+    /// TCP requests queued while every connection thread is busy.
     pub(crate) tcp_queue_depth: Gauge,
-    /// TCP jobs a connection worker is serving.
+    /// TCP requests being served.
     pub(crate) tcp_inflight: Gauge,
+    /// Failed TCP accepts.
+    pub(crate) tcp_accept_errors: Counter,
 }
 
 impl StatCells {
@@ -105,6 +107,7 @@ impl StatCells {
             tcp_shed: r.counter(&format!("orb.{node}.tcp.server.shed")),
             tcp_queue_depth: r.gauge(&format!("orb.{node}.tcp.server.queue_depth")),
             tcp_inflight: r.gauge(&format!("orb.{node}.tcp.server.inflight")),
+            tcp_accept_errors: r.counter(&format!("orb.{node}.tcp.accept.errors")),
         }
     }
 }
@@ -202,12 +205,13 @@ impl InvokeOptions {
 /// pushback while the server keeps serving at its capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrbOptions {
-    /// Maximum dispatch workers per server-side TCP connection
-    /// (default 32). Above it, accepted jobs wait in the connection's
-    /// queue.
+    /// Maximum requests served at once per server-side TCP connection
+    /// (default 32); the connection runs at most one more thread, the
+    /// one reading. Above it, accepted requests wait in the
+    /// connection's queue.
     pub max_conn_workers: usize,
-    /// Bound on each server-side TCP connection's pending-job queue
-    /// (default 256). Jobs arriving beyond it are shed.
+    /// Bound on each server-side TCP connection's pending-request
+    /// queue (default 256). Requests arriving beyond it are shed.
     pub max_conn_queue: usize,
     /// Global cap on dispatches executing or queued node-wide, across
     /// all transports (default 4096). Admissions beyond it are shed.
@@ -230,7 +234,7 @@ impl OrbOptions {
         OrbOptions::default()
     }
 
-    /// Sets the per-connection worker cap.
+    /// Sets the per-connection cap on requests served at once.
     pub fn max_conn_workers(mut self, n: usize) -> OrbOptions {
         self.max_conn_workers = n.max(1);
         self
@@ -577,7 +581,7 @@ impl Orb {
     }
 
     /// Creates a broker node with explicit [`OrbOptions`] (admission
-    /// bounds, per-connection worker cap).
+    /// bounds, per-connection serving cap).
     pub fn with_options(node: &str, options: OrbOptions) -> Orb {
         let mut registry = nodes().lock().unwrap_or_else(|e| e.into_inner());
         let mut name = node.to_owned();

@@ -35,27 +35,33 @@
 //!
 //! ## Server side
 //!
-//! Each accepted connection dispatches decoded requests onto a small
-//! on-demand worker pool; replies are written back in completion order
-//! through a shared writer. One slow servant no longer head-of-line
-//! blocks the other requests pipelined on the same connection. Dropping
+//! Each accepted connection is served by its own small crew of
+//! threads, with the same *leader/followers* pattern. The thread
+//! holding the connection's frame reader, the leader, reads one
+//! request and admits it, passes the lead to a waiting follower
+//! (spawning one on demand, up to `max_conn_workers`) and serves the
+//! request itself, writing the reply in completion order. It then
+//! rejoins the followers. A request is thus served on the thread that
+//! read it, and one slow servant does not head-of-line block the
+//! requests pipelined behind it. When every other thread is serving
+//! and no more may be spawned, the leader keeps reading: it queues
+//! what it reads, shedding past `max_conn_queue`, and a thread that
+//! finishes serving takes queued requests before the lead. Dropping
 //! the orb shuts its accepted connections down, so their threads exit.
 //!
 //! The wire protocol is unchanged: request ids were already carried by
 //! every frame, multiplexing only starts using them for correlation.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use adapta_telemetry::{registry, Gauge};
 #[cfg(test)]
-use crossbeam::channel::bounded;
-use crossbeam::channel::{unbounded, Receiver};
+use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 
 use crate::error::OrbError;
@@ -259,32 +265,19 @@ impl Listener {
 /// How long waking an accept loop may wait for its own connection.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// The sockets of a node's accepted connections. A connection thread
-/// blocked in `read` holds only a [`Weak`] reference to its orb, so
-/// without this it would go on serving, and keep its workers, for as
-/// long as the peer keeps the socket open after the orb is dropped.
-#[derive(Debug, Default)]
-pub(crate) struct Accepted {
-    next: u64,
-    open: HashMap<u64, TcpStream>,
-}
+/// A node's accepted connections. A connection thread blocked in
+/// `read` holds only a [`Weak`] reference to its orb, so without this
+/// it would go on serving, and keep its threads, for as long as the
+/// peer keeps the socket open after the orb is dropped.
+#[derive(Default)]
+pub(crate) struct Accepted(Vec<Weak<ServerConn>>);
 
 impl Accepted {
-    fn add(&mut self, stream: TcpStream) -> u64 {
-        self.next += 1;
-        self.open.insert(self.next, stream);
-        self.next
-    }
-
-    fn remove(&mut self, slot: u64) {
-        self.open.remove(&slot);
-    }
-
     /// Shuts every accepted connection down; their threads see the end
     /// of the stream and exit.
     pub(crate) fn close_all(&mut self) {
-        for (_, stream) in self.open.drain() {
-            let _ = stream.shutdown(Shutdown::Both);
+        for conn in self.0.drain(..).filter_map(|conn| conn.upgrade()) {
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
     }
 }
@@ -320,30 +313,25 @@ fn accept_loop(listener: TcpListener, weak: Weak<OrbCore>) {
         match accepted {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
-                let Ok(handle) = stream.try_clone() else {
-                    continue;
-                };
-                let slot = core.accepted.lock().add(handle);
-                let conn_weak = weak.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("orb-conn".to_owned())
-                    .spawn(move || {
-                        serve_connection(stream, &conn_weak);
-                        if let Some(core) = conn_weak.upgrade() {
-                            core.accepted.lock().remove(slot);
-                        }
-                    });
-                if spawned.is_err() {
-                    core.accepted.lock().remove(slot);
-                }
+                let conn = Arc::new(ServerConn {
+                    stream,
+                    writer: Mutex::new(()),
+                    lead: Mutex::new(Some(FrameReader::new())),
+                    crew: Mutex::new(Crew::default()),
+                    core: weak.clone(),
+                });
+                let mut accepted = core.accepted.lock();
+                // Forget the connections closed since the last accept.
+                accepted.0.retain(|conn| conn.strong_count() > 0);
+                accepted.0.push(Arc::downgrade(&conn));
+                drop(accepted);
+                conn.spawn();
             }
             Err(_) => {
                 // Transient accept failures (EMFILE, ECONNABORTED…)
                 // must not permanently kill the listener: count, back
                 // off, keep accepting.
-                registry()
-                    .counter(&format!("orb.{}.tcp.accept.errors", core.node))
-                    .incr();
+                core.stats.tcp_accept_errors.incr();
                 drop(core);
                 std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
@@ -351,141 +339,148 @@ fn accept_loop(listener: TcpListener, weak: Weak<OrbCore>) {
     }
 }
 
-/// One queued server-side job: a decoded request, with its key and
-/// operation copied out of the frame so it can cross to a worker.
-type Job = QueuedRequest;
-
-fn serve_connection(stream: TcpStream, weak: &Weak<OrbCore>) {
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
-        Err(_) => return,
-    };
-    let mut frames = FrameReader::new();
-    let (tx, rx) = unbounded::<Job>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers = Arc::new(AtomicUsize::new(0));
-    let idle = Arc::new(AtomicUsize::new(0));
-    // Jobs accepted but not yet picked up by a worker; bounding it (per
-    // `OrbOptions::max_conn_queue`) is what keeps a request storm from
-    // queueing without limit behind slow servants.
-    let queued = Arc::new(AtomicUsize::new(0));
-    loop {
-        let Ok(Some(body)) = frames.next_frame(&stream, None) else {
-            return; // worker channel closes with `tx`, draining the pool
-        };
-        let Some(core) = weak.upgrade() else { return };
-        core.count_bytes_in(4 + body.len());
-        // A malformed frame, or a reply (clients never push one), is a
-        // protocol violation: drop the connection.
-        let Ok(request) = IncomingRequest::decode(body) else {
-            return;
-        };
-        let job = request.into_queued();
-        // A job is shed before admission when this connection's queue
-        // is full, and refused by a draining or node-wide-overloaded
-        // orb. It never starts, so the caller is woken with a retryable
-        // error instead of blocking until its deadline.
-        let admitted = if queued.load(Ordering::Acquire) >= core.options.max_conn_queue {
-            core.stats.tcp_shed.incr();
-            Err(OrbError::TransientOverload)
-        } else {
-            core.begin_dispatch()
-        };
-        if let Err(refusal) = admitted {
-            if !job.oneway {
-                let reply = Message::Reply(ReplyBody {
-                    id: job.id,
-                    outcome: Err(refusal),
-                })
-                .encode_frame();
-                core.count_bytes_out(reply.len());
-                if send_frame(&writer.lock(), &reply).is_err() {
-                    return;
-                }
-            }
-            continue;
-        }
-        let max_workers = core.options.max_conn_workers;
-        core.stats.tcp_queue_depth.add(1);
-        drop(core);
-        // Reserve a waiting worker for this job, or grow the pool; only
-        // this dispatcher decrements `idle`, and a worker re-enters it
-        // strictly after finishing a job, so a reservation always names
-        // a worker that is (or is about to be) blocked on the queue.
-        // Replies are written in completion order through the shared
-        // writer, so a slow servant cannot head-of-line-block the
-        // connection. At the worker cap the job simply queues.
-        if idle.load(Ordering::Acquire) > 0 {
-            idle.fetch_sub(1, Ordering::AcqRel);
-        } else if workers.load(Ordering::Acquire) < max_workers {
-            workers.fetch_add(1, Ordering::AcqRel);
-            spawn_conn_worker(
-                rx.clone(),
-                writer.clone(),
-                weak.clone(),
-                workers.clone(),
-                idle.clone(),
-                queued.clone(),
-            );
-        }
-        queued.fetch_add(1, Ordering::AcqRel);
-        if tx.send(job).is_err() {
-            return;
-        }
-    }
+/// An accepted connection, served by its own threads with the
+/// *leader/followers* pattern: the thread holding the lead reads and
+/// admits one request, hands the lead to a follower and serves the
+/// request itself, then rejoins as a follower.
+struct ServerConn {
+    /// Read by the leader; written under `writer`.
+    stream: TcpStream,
+    writer: Mutex<()>,
+    /// The lead: the frame buffer, `None` once the connection closed
+    /// (a follower that then takes the lead exits).
+    lead: Mutex<Option<FrameReader>>,
+    crew: Mutex<Crew>,
+    core: Weak<OrbCore>,
 }
 
-fn spawn_conn_worker(
-    rx: Arc<Mutex<Receiver<Job>>>,
-    writer: Arc<Mutex<TcpStream>>,
-    weak: Weak<OrbCore>,
-    workers: Arc<AtomicUsize>,
-    idle: Arc<AtomicUsize>,
-    queued: Arc<AtomicUsize>,
-) {
-    let workers_for_thread = workers.clone();
-    let spawned = std::thread::Builder::new()
-        .name("orb-conn-worker".to_owned())
-        .spawn(move || {
-            let workers = workers_for_thread;
-            loop {
-                // The dispatcher already accounted for this worker —
-                // either by spawning it for the job or by reserving it
-                // out of `idle` — so no idle bookkeeping around the
-                // blocking receive itself.
-                let job = rx.lock().recv();
-                let Ok(job) = job else { break };
-                let Some(core) = weak.upgrade() else { break };
-                queued.fetch_sub(1, Ordering::AcqRel);
-                let stats = &core.stats;
-                stats.tcp_queue_depth.sub(1);
-                stats.tcp_inflight.add(1);
-                let needs_reply = !job.oneway;
-                let reply = job.with(|request| core.serve(request));
-                stats.tcp_inflight.sub(1);
-                if needs_reply {
-                    let frame = Message::Reply(reply).encode_frame();
-                    core.count_bytes_out(frame.len());
-                    let wrote = send_frame(&writer.lock(), &frame);
-                    // The dispatch (accepted in `serve_connection`)
-                    // retires only after its reply is flushed, so a
-                    // draining orb never strands an accepted caller.
-                    core.end_dispatch();
-                    if wrote.is_err() {
-                        break;
-                    }
-                } else {
-                    core.end_dispatch();
+/// Who is doing what on a connection.
+#[derive(Default)]
+struct Crew {
+    /// Threads on the connection, at most `max_conn_workers + 1`.
+    threads: usize,
+    /// Threads serving a request; the others lead or wait to.
+    serving: usize,
+    /// Admitted requests that found every thread but the leader
+    /// serving, at most `max_conn_queue`.
+    queued: VecDeque<QueuedRequest>,
+}
+
+impl ServerConn {
+    /// Starts a thread on the connection. Only the leader, or the
+    /// accept loop before there is one, changes or reads `threads`.
+    fn spawn(self: &Arc<Self>) {
+        self.crew.lock().threads += 1;
+        let conn = self.clone();
+        let spawned = std::thread::Builder::new()
+            .name("orb-conn".to_owned())
+            .spawn(move || conn.follow());
+        if spawned.is_err() {
+            // No one reads until the spawning leader has served.
+            self.crew.lock().threads -= 1;
+        }
+    }
+
+    /// A connection thread: takes the lead, serves what it admitted and
+    /// what queued meanwhile, and again, until the connection closes.
+    fn follow(self: Arc<Self>) {
+        loop {
+            let mut lead = self.lead.lock();
+            let Some(job) = lead.as_mut().and_then(|frames| self.admit(frames)) else {
+                *lead = None;
+                break;
+            };
+            drop(lead);
+            self.serve(job);
+        }
+    }
+
+    /// Leads: reads frames until one is admitted for this thread to
+    /// serve, then lets a follower (spawned if none waits) take the
+    /// lead. At the thread cap with every other thread serving, it
+    /// queues or sheds what it reads instead. `None` when the
+    /// connection ends, fails or breaks the protocol.
+    fn admit(self: &Arc<Self>, frames: &mut FrameReader) -> Option<QueuedRequest> {
+        loop {
+            let Ok(Some(body)) = frames.next_frame(&self.stream, None) else {
+                return None;
+            };
+            let core = self.core.upgrade()?;
+            core.count_bytes_in(4 + body.len());
+            // A malformed frame, or a reply (clients never push one), is
+            // a protocol violation: drop the connection.
+            let request = IncomingRequest::decode(body).ok()?;
+            let mut crew = self.crew.lock();
+            // A request is shed when the queue it would join is full,
+            // and refused by a draining or node-wide-overloaded orb. It
+            // never starts, so the caller is woken with a retryable
+            // error instead of blocking until its deadline.
+            let admitted = if crew.queued.len() >= core.options.max_conn_queue {
+                core.stats.tcp_shed.incr();
+                Err(OrbError::TransientOverload)
+            } else {
+                core.begin_dispatch()
+            };
+            if let Err(refusal) = admitted {
+                drop(crew);
+                if !request.oneway {
+                    let reply = ReplyBody {
+                        id: request.id,
+                        outcome: Err(refusal),
+                    };
+                    self.reply(&core, reply).ok()?;
                 }
-                // Job done: rejoin the waiting pool. This must come
-                // after the reply write so a reserved worker can never
-                // exit between reservation and pickup.
-                idle.fetch_add(1, Ordering::AcqRel);
+                continue;
             }
-            workers.fetch_sub(1, Ordering::AcqRel);
-        });
-    if spawned.is_err() {
-        workers.fetch_sub(1, Ordering::AcqRel);
+            let job = request.into_queued();
+            let spawn = crew.threads == crew.serving + 1; // no follower waits
+            if spawn && crew.threads > core.options.max_conn_workers {
+                crew.queued.push_back(job);
+                core.stats.tcp_queue_depth.add(1);
+                continue;
+            }
+            crew.serving += 1;
+            drop(crew);
+            if spawn {
+                self.spawn();
+            }
+            return Some(job);
+        }
+    }
+
+    /// Serves `job`, replying in completion order, then the jobs queued
+    /// meanwhile, and leaves the crew of serving threads.
+    fn serve(&self, mut job: QueuedRequest) {
+        loop {
+            let Some(core) = self.core.upgrade() else {
+                return;
+            };
+            let stats = &core.stats;
+            stats.tcp_inflight.add(1);
+            let needs_reply = !job.oneway;
+            let reply = job.with(|request| core.serve(request));
+            stats.tcp_inflight.sub(1);
+            if needs_reply {
+                let _ = self.reply(&core, reply);
+            }
+            // The dispatch retires only after its reply is flushed, so
+            // a draining orb never strands an accepted caller.
+            core.end_dispatch();
+            let mut crew = self.crew.lock();
+            let Some(next) = crew.queued.pop_front() else {
+                crew.serving -= 1;
+                return;
+            };
+            stats.tcp_queue_depth.sub(1);
+            job = next;
+        }
+    }
+
+    fn reply(&self, core: &OrbCore, reply: ReplyBody) -> OrbResult<()> {
+        let frame = Message::Reply(reply).encode_frame();
+        core.count_bytes_out(frame.len());
+        let _writing = self.writer.lock();
+        send_frame(&self.stream, &frame)
     }
 }
 
