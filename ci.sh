@@ -12,7 +12,10 @@
 # deadlines against the hand-off from one reading caller to the next,
 # then the TCP server's leader/followers tests
 # (crates/orb/tests/server_leads.rs) 20 times, since they race a
-# connection's threads for the lead, its thread cap and its queue.
+# connection's threads for the lead, its thread cap and its queue, then
+# the script isolate's cross-thread tests (crates/bridge/tests/
+# cross_thread.rs) 20 times, since one interpreter moves between the
+# threads that take turns entering it.
 # The stress run is advisory (a separate non-blocking CI job), not
 # part of the gate.
 #
@@ -112,6 +115,10 @@ if [[ "${1:-}" == "--stress" ]]; then
     echo "==> stress: TCP server threads serving what they read, 20 runs"
     for _ in $(seq 20); do
         cargo test -q -p adapta-orb --test server_leads
+    done
+    echo "==> stress: one script isolate entered from many threads, 20 runs"
+    for _ in $(seq 20); do
+        cargo test -q -p adapta-bridge --test cross_thread
     done
     echo "Stress run green."
     exit 0

@@ -15,7 +15,7 @@
 
 use std::hint::black_box;
 
-use adapta_bridge::ScriptActor;
+use adapta_bridge::Isolate;
 use adapta_core::{Infrastructure, ScriptServant, ServerSpec};
 use adapta_idl::Value;
 use adapta_orb::{Orb, Servant, ServantFn};
@@ -64,9 +64,9 @@ fn bench_invocation(c: &mut Criterion) {
 
     // 4. Script-implemented servant (interpreter on the server side).
     {
-        let actor = ScriptActor::spawn("bench-script", |_| {});
+        let isolate = Isolate::new("bench-script", |_| {});
         let servant = ScriptServant::from_source(
-            &actor,
+            &isolate,
             "Echo",
             "return { echo = function(self, x) return x end }",
         )

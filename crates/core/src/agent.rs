@@ -157,7 +157,7 @@ impl Drop for ServiceAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapta_bridge::ScriptActor;
+    use adapta_bridge::Isolate;
     use adapta_idl::TypeCode;
     use adapta_sim::SimTime;
     use adapta_trading::{PropDef, PropMode, Query, ServiceTypeDef, Trader};
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn load_monitored_offer_exposes_dynamic_scalar() {
         let (orb, trader) = setup();
-        let actor = ScriptActor::spawn("agent-test", |_| {});
+        let actor = Isolate::new("agent-test", |_| {});
         // A Figure-3-shaped monitor: value is the 1/5/15 table.
         let monitor = Monitor::builder("LoadAvg")
             .source_native(|_| {
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn scalar_monitors_work_too() {
         let (orb, trader) = setup();
-        let actor = ScriptActor::spawn("agent-test2", |_| {});
+        let actor = Isolate::new("agent-test2", |_| {});
         let monitor = Monitor::builder("LoadAvg")
             .source_native(|_| Value::from(7.5))
             .build(&actor, &orb)

@@ -2,25 +2,25 @@
 //! server side (DSI).
 //!
 //! A [`ScriptServant`] routes every invocation of an object key to a
-//! method of a script table living in a [`ScriptActor`] — the paper's
+//! method of a script table living in an [`Isolate`] — the paper's
 //! *dynamic implementation routine*. Because the implementation is
 //! interpreted, it can be modified and extended at run time without
 //! recompiling or even interrupting the service (Section II).
 
-use adapta_bridge::{from_wire, to_wire, ActorError, ScriptActor, Stored};
+use adapta_bridge::{from_wire, to_wire, ActorError, Isolate, Stored};
 use adapta_idl::Value;
 use adapta_orb::{OrbError, OrbResult, Servant};
 
 /// A servant whose implementation is a script object.
 ///
 /// ```
-/// use adapta_bridge::ScriptActor;
+/// use adapta_bridge::Isolate;
 /// use adapta_core::ScriptServant;
 /// use adapta_orb::Orb;
 /// use adapta_idl::Value;
 ///
-/// let actor = ScriptActor::spawn("srv", |_| {});
-/// let servant = ScriptServant::from_source(&actor, "Hello", r#"
+/// let isolate = Isolate::new("srv", |_| {});
+/// let servant = ScriptServant::from_source(&isolate, "Hello", r#"
 ///     return {
 ///         hello = function(self, who) return "hello, " .. who end
 ///     }
@@ -32,7 +32,7 @@ use adapta_orb::{OrbError, OrbResult, Servant};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ScriptServant {
-    actor: ScriptActor,
+    isolate: Isolate,
     interface: String,
     object: Stored,
 }
@@ -44,13 +44,12 @@ impl ScriptServant {
     ///
     /// Script errors, or the chunk not returning a table.
     pub fn from_source(
-        actor: &ScriptActor,
+        isolate: &Isolate,
         interface: impl Into<String>,
         source: &str,
     ) -> Result<ScriptServant, ActorError> {
-        let source = source.to_owned();
-        let object = actor.with(move |interp| -> Result<Stored, ActorError> {
-            let values = interp.eval(&source)?;
+        let object = isolate.with(|interp| -> Result<Stored, ActorError> {
+            let values = interp.eval(source)?;
             match values.into_iter().next() {
                 Some(v @ adapta_script::Value::Table(_)) => Ok(Stored::new(v)),
                 other => Err(ActorError::Script(format!(
@@ -60,26 +59,25 @@ impl ScriptServant {
             }
         })??;
         Ok(ScriptServant {
-            actor: actor.clone(),
+            isolate: isolate.clone(),
             interface: interface.into(),
             object,
         })
     }
 
     /// Creates a servant from a *global* table already defined in the
-    /// actor (lets configuration scripts build the object first).
+    /// isolate (lets configuration scripts build the object first).
     ///
     /// # Errors
     ///
     /// Script errors, or the global not being a table.
     pub fn from_global(
-        actor: &ScriptActor,
+        isolate: &Isolate,
         interface: impl Into<String>,
         global: &str,
     ) -> Result<ScriptServant, ActorError> {
-        let global = global.to_owned();
-        let object = actor.with(move |interp| -> Result<Stored, ActorError> {
-            match interp.global(&global) {
+        let object = isolate.with(|interp| -> Result<Stored, ActorError> {
+            match interp.global(global) {
                 v @ adapta_script::Value::Table(_) => Ok(Stored::new(v)),
                 other => Err(ActorError::Script(format!(
                     "global `{global}` is {} — expected the servant table",
@@ -88,7 +86,7 @@ impl ScriptServant {
             }
         })??;
         Ok(ScriptServant {
-            actor: actor.clone(),
+            isolate: isolate.clone(),
             interface: interface.into(),
             object,
         })
@@ -101,13 +99,10 @@ impl ScriptServant {
     ///
     /// Script errors.
     pub fn update_method(&self, name: &str, code: &str) -> Result<(), ActorError> {
-        let object = self.object.clone();
-        let name = name.to_owned();
-        let code = code.to_owned();
-        self.actor.with(move |interp| -> Result<(), ActorError> {
-            let f = interp.compile_function(&code)?;
-            if let Some(t) = object.get().as_table() {
-                t.borrow_mut().set_str(&name, f);
+        self.isolate.with(|interp| -> Result<(), ActorError> {
+            let f = interp.compile_function(code)?;
+            if let Some(t) = self.object.get().as_table() {
+                t.borrow_mut().set_str(name, f);
             }
             Ok(())
         })?
@@ -120,16 +115,14 @@ impl Servant for ScriptServant {
     }
 
     fn invoke(&self, op: &str, args: Vec<Value>) -> OrbResult<Value> {
-        let object = self.object.clone();
-        let op_owned = op.to_owned();
         // `Ok(None)`: the table has no such method.
         let out = self
-            .actor
-            .with(move |interp| -> Result<Option<Value>, ActorError> {
-                let table = object.get();
+            .isolate
+            .with(|interp| -> Result<Option<Value>, ActorError> {
+                let table = self.object.get();
                 let method = table
                     .as_table()
-                    .map(|t| t.borrow().get_str(&op_owned))
+                    .map(|t| t.borrow().get_str(op))
                     .unwrap_or(adapta_script::Value::Nil);
                 if matches!(method, adapta_script::Value::Nil) {
                     return Ok(None);
@@ -154,7 +147,7 @@ mod tests {
     use adapta_orb::Orb;
 
     fn servant() -> (Orb, ScriptServant) {
-        let actor = ScriptActor::spawn("ss-test", |_| {});
+        let actor = Isolate::new("ss-test", |_| {});
         let servant = ScriptServant::from_source(
             &actor,
             "Counter",
@@ -240,7 +233,7 @@ mod tests {
 
     #[test]
     fn from_global_builds_on_configured_state() {
-        let actor = ScriptActor::spawn("ss-global", |_| {});
+        let actor = Isolate::new("ss-global", |_| {});
         actor
             .eval("svc = { ping = function(self) return 'pong' end }")
             .unwrap();
@@ -255,7 +248,7 @@ mod tests {
 
     #[test]
     fn source_must_return_table() {
-        let actor = ScriptActor::spawn("ss-bad", |_| {});
+        let actor = Isolate::new("ss-bad", |_| {});
         assert!(ScriptServant::from_source(&actor, "X", "return 42").is_err());
         assert!(ScriptServant::from_global(&actor, "X", "nope").is_err());
     }

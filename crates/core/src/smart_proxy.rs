@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use adapta_balancer::{Replica, ReplicaSet};
-use adapta_bridge::{ScriptActor, Stored};
+use adapta_bridge::{Isolate, Stored};
 use adapta_idl::{InterfaceRepository, Value};
 use adapta_orb::{InvokeOptions, ObjRef, Orb, OrbError, OrbResult, ServantFn};
 use adapta_telemetry::{registry, Counter, Gauge, HistogramHandle};
@@ -86,7 +86,7 @@ pub enum Strategy {
     /// A native strategy.
     Native(NativeStrategy),
     /// A script strategy `function(self, event)` stored in the proxy's
-    /// actor; `self` is the script facade (with `_select`, `_observer`,
+    /// isolate; `self` is the script facade (with `_select`, `_observer`,
     /// monitor proxies…).
     Script(Stored),
 }
@@ -252,7 +252,7 @@ struct SpInner {
     balanced: Option<BalancedState>,
     events: Mutex<VecDeque<String>>,
     observer_ref: OnceLock<ObjRef>,
-    actor: Mutex<Option<ScriptActor>>,
+    isolate: Mutex<Option<Isolate>>,
     facade: OnceLock<Stored>,
     invocations: AtomicU64,
     rebinds: AtomicU64,
@@ -549,7 +549,7 @@ impl SmartProxyBuilder {
             balanced,
             events: Mutex::new(VecDeque::new()),
             observer_ref: OnceLock::new(),
-            actor: Mutex::new(None),
+            isolate: Mutex::new(None),
             facade: OnceLock::new(),
             invocations: AtomicU64::new(0),
             rebinds: AtomicU64::new(0),
@@ -806,8 +806,7 @@ impl SmartProxy {
     ///
     /// Script compilation errors.
     pub fn set_strategy_script(&self, event: &str, code: &str) -> Result<()> {
-        let actor = self.actor();
-        let handle = actor.store_function(code)?;
+        let handle = self.actor().store_function(code)?;
         self.set_strategy(event, Strategy::Script(handle));
         Ok(())
     }
@@ -821,14 +820,13 @@ impl SmartProxy {
     ///
     /// Script errors.
     pub fn install_strategies_script(&self, source: &str) -> Result<()> {
-        let actor = self.actor();
-        let facade = self.facade_handle(&actor)?;
-        let source = source.to_owned();
-        let events: Vec<(String, Stored)> = actor.with(
-            move |interp| -> std::result::Result<Vec<(String, Stored)>, adapta_bridge::ActorError> {
+        let isolate = self.actor();
+        let facade = self.facade_handle(&isolate)?;
+        let events: Vec<(String, Stored)> = isolate.with(
+            |interp| -> std::result::Result<Vec<(String, Stored)>, adapta_bridge::ActorError> {
                 let facade_table = facade.get();
                 interp.set_global("smartproxy", facade_table.clone());
-                interp.eval(&source)?;
+                interp.eval(source)?;
                 // Read back the `_strategies` table.
                 let strategies = facade_table
                     .as_table()
@@ -860,23 +858,22 @@ impl SmartProxy {
         Ok(())
     }
 
-    /// The proxy's script actor (created on first use).
-    pub fn actor(&self) -> ScriptActor {
-        let mut guard = self.inner.actor.lock();
+    /// The proxy's script isolate (created on first use).
+    pub fn actor(&self) -> Isolate {
+        let mut guard = self.inner.isolate.lock();
         if guard.is_none() {
             let name = format!("sp-{}", self.inner.service_type);
-            *guard = Some(ScriptActor::spawn(&name, |_| {}));
+            *guard = Some(Isolate::new(&name, |_| {}));
         }
         guard.clone().expect("just set")
     }
 
     /// The persistent facade table handle (created on first use).
-    fn facade_handle(&self, actor: &ScriptActor) -> Result<Stored> {
+    fn facade_handle(&self, isolate: &Isolate) -> Result<Stored> {
         if let Some(h) = self.inner.facade.get() {
             return Ok(h.clone());
         }
-        let proxy = self.clone();
-        let handle = actor.with(move |interp| build_facade(interp, &proxy))?;
+        let handle = isolate.with(|interp| build_facade(interp, self))?;
         Ok(self.inner.facade.get_or_init(|| handle).clone())
     }
 
@@ -1061,18 +1058,16 @@ impl SmartProxy {
                 false
             }
             Strategy::Script(handle) => {
-                let actor = self.actor();
-                let Ok(facade) = self.facade_handle(&actor) else {
+                let isolate = self.actor();
+                let Ok(facade) = self.facade_handle(&isolate) else {
                     counters.failures.incr();
                     return;
                 };
-                let proxy = self.clone();
-                let event = event.to_owned();
-                let ran = actor.with(move |interp| {
+                let ran = isolate.with(|interp| {
                     let table = facade.get();
-                    refresh_facade(interp, &proxy, &table);
+                    refresh_facade(interp, self, &table);
                     let args = vec![table, adapta_script::Value::str(event)];
-                    ScriptActor::call_in(interp, &handle, args)
+                    Isolate::call_in(interp, &handle, args)
                 });
                 !matches!(ran, Ok(Ok(_)))
             }
@@ -1373,9 +1368,9 @@ impl SmartProxy {
 // ---- script facade ---------------------------------------------------------
 
 /// Builds the persistent script facade table for a proxy. The table is
-/// stored in the proxy's own actor, so its natives hold the proxy
-/// weakly: a strong handle would keep the proxy and its actor thread
-/// alive forever.
+/// stored in the proxy's own isolate, so its natives hold the proxy
+/// weakly: a strong handle would keep the proxy and its isolate alive
+/// forever.
 fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> Stored {
     let weak = Arc::downgrade(&proxy.inner);
     let live = move || weak.upgrade().map(|inner| SmartProxy { inner });

@@ -61,7 +61,7 @@ impl Drop for MonitorDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapta_bridge::ScriptActor;
+    use adapta_bridge::Isolate;
     use adapta_idl::Value;
     use adapta_orb::Orb;
     use adapta_sim::RealClock;
@@ -69,7 +69,7 @@ mod tests {
     #[test]
     fn driver_ticks_until_stopped() {
         let orb = Orb::new("driver-test");
-        let actor = ScriptActor::spawn("driver-test", |_| {});
+        let actor = Isolate::new("driver-test", |_| {});
         let monitor = Monitor::builder("T")
             .source_native(|_| Value::from(1.0))
             .build(&actor, &orb)

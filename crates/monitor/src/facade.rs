@@ -1,7 +1,7 @@
 //! The script-side monitoring API.
 //!
-//! [`MonitorHost`] owns one script state (a
-//! [`ScriptActor`](adapta_bridge::ScriptActor)) with the monitor API
+//! [`MonitorHost`] owns one script state (an
+//! [`Isolate`](adapta_bridge::Isolate)) with the monitor API
 //! installed, so the paper's listings run verbatim:
 //!
 //! ```lua
@@ -17,7 +17,7 @@
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use adapta_bridge::{ActorError, ScriptActor, Stored};
+use adapta_bridge::{ActorError, Isolate, Stored};
 use adapta_idl::ObjRefData;
 use adapta_orb::Orb;
 use adapta_script::{Interpreter, RuaError, Table, Value as Script};
@@ -41,13 +41,13 @@ fn live(monitor: &Weak<MonitorInner>) -> Result<Monitor, RuaError> {
 /// the identity installs are charged to (remote installers are
 /// quota-checked, `"local"` is not).
 ///
-/// Facades are stored in the monitor's own actors, so their natives
-/// hold neither the monitor nor an actor: they hold the monitor weakly,
-/// and code compiled by `defineAspect`/`attachEventObserver` is stored
-/// in the actor running the call ([`ScriptActor::current`]). Every
-/// installed script entry gets its own facade when it is installed and
-/// keeps it, so what a script writes into its facade table persists
-/// across ticks, as its `self` table does.
+/// Facades are stored in the monitor's own isolates, so their natives
+/// hold neither the monitor nor an isolate: they hold the monitor
+/// weakly, and code compiled by `defineAspect`/`attachEventObserver`
+/// is stored in the isolate running the call ([`Isolate::current`]).
+/// Every installed script entry gets its own facade when it is
+/// installed and keeps it, so what a script writes into its facade
+/// table persists across ticks, as its `self` table does.
 pub(crate) fn monitor_facade(monitor: &Weak<MonitorInner>, installer: &str) -> Script {
     let table = Table::new();
     let t = std::rc::Rc::new(std::cell::RefCell::new(table));
@@ -205,7 +205,7 @@ fn code_arg(interp: &mut Interpreter, arg: Option<&Script>) -> Result<Script, Ru
 
 /// Classifies a script-side observer argument: a `__ref` table is a
 /// remote observer; any other table is a local script observer, stored
-/// in the actor.
+/// in the isolate.
 fn observer_target(observer: Script) -> Result<ObserverTarget, RuaError> {
     if let Some(t) = observer.as_table() {
         let uri = t.borrow().get_str("__ref");
@@ -230,7 +230,7 @@ fn observer_target(observer: Script) -> Result<ObserverTarget, RuaError> {
 /// scripts and monitors sample local conditions.
 #[derive(Clone)]
 pub struct MonitorHost {
-    actor: ScriptActor,
+    isolate: Isolate,
     orb: Orb,
     monitors: Arc<Mutex<Vec<Monitor>>>,
 }
@@ -256,9 +256,8 @@ impl MonitorHost {
         orb: &Orb,
         setup: impl FnOnce(&mut Interpreter) + Send + 'static,
     ) -> MonitorHost {
-        let actor = ScriptActor::spawn(name, setup);
         let host = MonitorHost {
-            actor: actor.clone(),
+            isolate: Isolate::new(name, setup),
             orb: orb.clone(),
             monitors: Arc::new(Mutex::new(Vec::new())),
         };
@@ -267,13 +266,13 @@ impl MonitorHost {
     }
 
     /// Installs `EventMonitor`. Its constructor is stored in the host's
-    /// actor, so it holds the host's monitor list weakly and reaches the
-    /// actor through [`ScriptActor::current`]: dropping the host stops
-    /// the actor thread.
+    /// isolate, so it holds the host's monitor list weakly and reaches
+    /// the isolate through [`Isolate::current`]: dropping the host
+    /// drops the isolate.
     fn install_api(&self) {
         let monitors = Arc::downgrade(&self.monitors);
         let orb = self.orb.clone();
-        self.actor
+        self.isolate
             .with(move |interp| {
                 let new_native = Interpreter::native("EventMonitor.new", move |interp, args| {
                     // Accept both `EventMonitor.new(...)` and
@@ -298,15 +297,14 @@ impl MonitorHost {
                         })?;
                     let update = Stored::new(code_arg(interp, args.get(1))?);
                     let period = args.get(2).and_then(Script::as_num).unwrap_or(60.0);
-                    let (Some(actor), Some(monitors)) =
-                        (ScriptActor::current(), monitors.upgrade())
+                    let (Some(isolate), Some(monitors)) = (Isolate::current(), monitors.upgrade())
                     else {
                         return Err(RuaError::runtime("EventMonitor.new: the host is gone", 0));
                     };
                     let monitor = Monitor::builder(&name)
                         .period(Duration::from_secs_f64(period.max(0.001)))
                         .source_handle(update)
-                        .build(&actor, &orb)
+                        .build(&isolate, &orb)
                         .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
                     monitors.lock().push(monitor.clone());
                     Ok(vec![monitor_facade(
@@ -326,9 +324,9 @@ impl MonitorHost {
             .expect("install monitor api");
     }
 
-    /// The underlying script actor.
-    pub fn actor(&self) -> &ScriptActor {
-        &self.actor
+    /// The underlying script isolate.
+    pub fn actor(&self) -> &Isolate {
+        &self.isolate
     }
 
     /// The orb notifications go through.
@@ -342,7 +340,7 @@ impl MonitorHost {
     ///
     /// Script errors.
     pub fn eval(&self, source: &str) -> Result<Vec<adapta_idl::Value>, ActorError> {
-        self.actor.eval(source)
+        self.isolate.eval(source)
     }
 
     /// Registers a natively-built monitor with this host (so

@@ -36,7 +36,7 @@ mod loadavg;
 mod monitor;
 mod servant;
 
-pub use adapta_bridge::{ActorError, ScriptActor, Stored};
+pub use adapta_bridge::{ActorError, Isolate, Stored};
 pub use driver::MonitorDriver;
 pub use facade::MonitorHost;
 pub use loadavg::{load_average_monitor, loadavg_reader, LOAD_AVERAGE_MONITOR_SOURCE};

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use adapta_bridge::{ActorError, ScriptActor, Stored};
+use adapta_bridge::{ActorError, Isolate, Stored};
 use adapta_idl::Value;
 use adapta_orb::{ObjRef, Orb};
 use adapta_script::{Interpreter, SandboxPolicy, Value as Script};
@@ -34,19 +34,19 @@ pub(crate) enum ValueSource {
     Constant,
     /// A native Rust sampler.
     Native(Box<dyn Fn(SimTime) -> Value + Send + Sync>),
-    /// A zero-argument script function stored in the monitor's actor.
+    /// A zero-argument script function stored in the monitor's isolate.
     Script(Stored),
 }
 
 /// An installed script function with everything it is called with,
-/// stored in the actor that hosts it: the function, its first argument
+/// stored in the isolate that hosts it: the function, its first argument
 /// (an aspect's persistent `self` table, or the observer as scripts see
-/// it) and its monitor facade. All three are stored in the hop that
+/// it) and its monitor facade. All three are stored in the job that
 /// compiles the function, so a tick only looks them up, and released
 /// when the entry drops (detach, replacement, eviction, or the monitor
 /// going away).
 pub(crate) struct ScriptFn {
-    actor: ScriptActor,
+    isolate: Isolate,
     func: Stored,
     first: Stored,
     facade: Stored,
@@ -54,7 +54,7 @@ pub(crate) struct ScriptFn {
 
 /// How an observer appears to its predicate: a remote observer as its
 /// reference table, a local one as its script object, a native callback
-/// as `nil`. Runs on the actor thread.
+/// as `nil`. Runs in the isolate's job.
 pub(crate) fn observer_arg(target: &ObserverTarget) -> Script {
     match target {
         ObserverTarget::Remote(r) => adapta_bridge::from_wire(&Value::ObjRef(r.clone())),
@@ -65,7 +65,7 @@ pub(crate) fn observer_arg(target: &ObserverTarget) -> Script {
 
 impl ScriptFn {
     /// Stores `func`, its first argument and a facade of `monitor`
-    /// charging installs to `installer` in the actor running the
+    /// charging installs to `installer` in the isolate running the
     /// current job.
     pub(crate) fn store(
         monitor: &Weak<MonitorInner>,
@@ -74,7 +74,7 @@ impl ScriptFn {
         first: Script,
     ) -> ScriptFn {
         ScriptFn {
-            actor: ScriptActor::current().expect("script entries are stored in an actor job"),
+            isolate: Isolate::current().expect("script entries are stored in an isolate job"),
             func: Stored::new(func),
             first: Stored::new(first),
             facade: Stored::new(facade::monitor_facade(monitor, installer)),
@@ -84,7 +84,7 @@ impl ScriptFn {
     /// This entry's evaluation as a tick step.
     fn step(&self, slot: Slot) -> Step {
         Step::Script(
-            self.actor.clone(),
+            self.isolate.clone(),
             ScriptCall {
                 slot,
                 func: self.func.clone(),
@@ -98,8 +98,8 @@ pub(crate) enum AspectFn {
     /// Native evaluator: `f(current_value) -> aspect_value`.
     Native(Box<dyn Fn(&Value) -> Value + Send + Sync>),
     /// Script evaluator `function(self, currval, monitor)` with a
-    /// persistent `self` table, hosted by the monitor's trusted actor
-    /// for local installs and by its sandboxed actor for remotely
+    /// persistent `self` table, hosted by the monitor's trusted isolate
+    /// for local installs and by its sandboxed isolate for remotely
     /// shipped code.
     Script(ScriptFn),
 }
@@ -124,7 +124,7 @@ pub enum ObserverTarget {
     /// A remote `EventObserver` object (`oneway notifyEvent(evid)`).
     Remote(ObjRef),
     /// A script object (table with a `notifyEvent` method) living in
-    /// this monitor's actor — the paper's Figure 4 observer.
+    /// this monitor's isolate — the paper's Figure 4 observer.
     Local(Stored),
     /// A native callback (used by in-process smart proxies).
     Callback(Arc<dyn Fn(&str) + Send + Sync>),
@@ -201,7 +201,7 @@ impl MonitorMetrics {
 pub(crate) struct MonitorInner {
     property: String,
     period: Duration,
-    pub(crate) actor: ScriptActor,
+    isolate: Isolate,
     orb: Orb,
     value: Mutex<Value>,
     source: Mutex<ValueSource>,
@@ -217,9 +217,9 @@ pub(crate) struct MonitorInner {
     /// The most recent user-code error, with context — so operators can
     /// see *why* `monitor.<prop>.errors` is climbing.
     last_error: Mutex<Option<String>>,
-    /// Lazily spawned actor for remotely shipped code, running under
+    /// Lazily created isolate for remotely shipped code, running under
     /// `SandboxPolicy::remote()` (resource limits + capability strip).
-    sandbox: Mutex<Option<ScriptActor>>,
+    sandbox: Mutex<Option<Isolate>>,
 }
 
 /// A monitor for one observed property — `BasicMonitor`,
@@ -229,16 +229,16 @@ pub(crate) struct MonitorInner {
 /// Cloning yields another handle to the same monitor.
 ///
 /// ```
-/// use adapta_monitor::{Monitor, ScriptActor};
+/// use adapta_monitor::{Isolate, Monitor};
 /// use adapta_orb::Orb;
 /// use adapta_sim::SimTime;
 /// use adapta_idl::Value;
 ///
 /// let orb = Orb::new("mon-doc");
-/// let actor = ScriptActor::spawn("mon-doc", |_| {});
+/// let isolate = Isolate::new("mon-doc", |_| {});
 /// let mon = Monitor::builder("Temp")
 ///     .source_native(|_now| Value::from(21.5))
-///     .build(&actor, &orb)
+///     .build(&isolate, &orb)
 ///     .unwrap();
 /// mon.tick(SimTime::ZERO);
 /// assert_eq!(mon.value(), Value::from(21.5));
@@ -305,16 +305,16 @@ impl MonitorBuilder {
         self
     }
 
-    /// Builds the monitor on an actor (script state) and orb.
+    /// Builds the monitor on an isolate (script state) and orb.
     ///
     /// # Errors
     ///
     /// Script compilation errors for script sources.
-    pub fn build(self, actor: &ScriptActor, orb: &Orb) -> Result<Monitor, ActorError> {
+    pub fn build(self, isolate: &Isolate, orb: &Orb) -> Result<Monitor, ActorError> {
         let source = if let Some(h) = self.source_handle {
             ValueSource::Script(h)
         } else if let Some(code) = self.source_script {
-            ValueSource::Script(actor.store_function(&code)?)
+            ValueSource::Script(isolate.store_function(&code)?)
         } else if let Some(f) = self.source_native {
             ValueSource::Native(f)
         } else {
@@ -325,7 +325,7 @@ impl MonitorBuilder {
             inner: Arc::new(MonitorInner {
                 property: self.property,
                 period: self.period,
-                actor: actor.clone(),
+                isolate: isolate.clone(),
                 orb: orb.clone(),
                 value: Mutex::new(self.initial),
                 source: Mutex::new(source),
@@ -368,9 +368,9 @@ impl Monitor {
         self.inner.period
     }
 
-    /// The script actor hosting this monitor's dynamic code.
-    pub fn actor(&self) -> &ScriptActor {
-        &self.inner.actor
+    /// The script isolate hosting this monitor's dynamic code.
+    pub fn actor(&self) -> &Isolate {
+        &self.inner.isolate
     }
 
     /// The current property value (`getValue`).
@@ -425,15 +425,15 @@ impl Monitor {
                 .count()
     }
 
-    /// The lazily spawned actor hosting remotely shipped code, running
+    /// The lazily created isolate hosting remotely shipped code, running
     /// under [`SandboxPolicy::remote`]: step/memory/depth/deadline
     /// limits plus the capability strip of host-escape functions.
-    pub fn sandbox_actor(&self) -> ScriptActor {
+    pub fn sandbox_actor(&self) -> Isolate {
         let mut sandbox = self.inner.sandbox.lock();
         sandbox
             .get_or_insert_with(|| {
                 let name = format!("{}-sandbox", self.inner.property);
-                ScriptActor::spawn(&name, |interp| {
+                Isolate::new(&name, |interp| {
                     interp.set_sandbox(&SandboxPolicy::remote());
                 })
             })
@@ -481,21 +481,19 @@ impl Monitor {
         Ok(())
     }
 
-    /// Compiles `code` in `actor` and stores it with its first argument
-    /// and facade, all in one job.
+    /// Compiles `code` in `isolate` and stores it with its first
+    /// argument and facade, all in one job.
     fn install_script(
         &self,
-        actor: &ScriptActor,
+        isolate: &Isolate,
         installer: &str,
         code: &str,
-        first: impl FnOnce() -> Script + Send + 'static,
+        first: impl FnOnce() -> Script + Send,
     ) -> Result<ScriptFn, ActorError> {
-        let code = code.to_owned();
-        let installer = installer.to_owned();
         let monitor = Arc::downgrade(&self.inner);
-        actor.with(move |interp| {
-            let func = interp.compile_function(&code)?;
-            Ok(ScriptFn::store(&monitor, &installer, func, first()))
+        isolate.with(|interp| {
+            let func = interp.compile_function(code)?;
+            Ok(ScriptFn::store(&monitor, installer, func, first()))
         })?
     }
 
@@ -523,11 +521,11 @@ impl Monitor {
         name: impl Into<String>,
         code: &str,
     ) -> Result<(), ActorError> {
-        self.install_aspect_script(&self.inner.actor, "local", name.into(), code)
+        self.install_aspect_script(&self.inner.isolate, "local", name.into(), code)
     }
 
     /// Defines an aspect from *remotely shipped* source: the code is
-    /// compiled and run in the monitor's sandboxed actor
+    /// compiled and run in the monitor's sandboxed isolate
     /// ([`sandbox_actor`](Self::sandbox_actor)), and the installer's
     /// quota ([`MAX_INSTALLS_PER_INSTALLER`]) is enforced first.
     ///
@@ -546,12 +544,12 @@ impl Monitor {
 
     fn install_aspect_script(
         &self,
-        actor: &ScriptActor,
+        isolate: &Isolate,
         installer: &str,
         name: String,
         code: &str,
     ) -> Result<(), ActorError> {
-        let script = self.install_script(actor, installer, code, Script::table)?;
+        let script = self.install_script(isolate, installer, code, Script::table)?;
         self.put_aspect(name, installer.into(), AspectFn::Script(script));
         Ok(())
     }
@@ -611,7 +609,7 @@ impl Monitor {
         predicate_code: &str,
     ) -> Result<ObserverId, ActorError> {
         self.install_observer_script(
-            &self.inner.actor,
+            &self.inner.isolate,
             "local",
             target,
             event_id.into(),
@@ -620,7 +618,7 @@ impl Monitor {
     }
 
     /// Attaches an observer whose predicate arrived *over the wire*: it
-    /// is compiled and run in the monitor's sandboxed actor, and the
+    /// is compiled and run in the monitor's sandboxed isolate, and the
     /// installer's quota is enforced first.
     ///
     /// # Errors
@@ -645,16 +643,14 @@ impl Monitor {
 
     fn install_observer_script(
         &self,
-        actor: &ScriptActor,
+        isolate: &Isolate,
         installer: &str,
         target: ObserverTarget,
         event_id: String,
         predicate_code: &str,
     ) -> Result<ObserverId, ActorError> {
-        let shown = target.clone();
-        let script = self.install_script(actor, installer, predicate_code, move || {
-            observer_arg(&shown)
-        })?;
+        let script =
+            self.install_script(isolate, installer, predicate_code, || observer_arg(&target))?;
         Ok(self.push_observer(
             target,
             event_id,
@@ -701,7 +697,7 @@ impl Monitor {
 
     /// Detaches an observer (`detachEventObserver`); returns whether it
     /// existed. What its predicate stored is released at the hosting
-    /// actor's next job.
+    /// isolate's next entry.
     pub fn detach_observer(&self, id: ObserverId) -> bool {
         let mut observers = self.inner.observers.lock();
         let before = observers.len();
@@ -720,11 +716,12 @@ impl Monitor {
     /// from its source, re-evaluate every aspect in definition order,
     /// then run every observer's event predicate and notify on `true`.
     ///
-    /// Native code runs on the calling thread. Consecutive script
-    /// entries hosted by the same actor run in one job on that actor, so
-    /// a tick costs one round trip per run of script entries, not one
-    /// per entry; each call still gets its own sandbox budget and
-    /// deadline, and sees what earlier entries computed this tick.
+    /// Everything runs on the calling thread. Consecutive script
+    /// entries hosted by the same isolate run in one job of that
+    /// isolate, so a tick takes its lock once per run of script
+    /// entries, not once per entry; each call still gets its own
+    /// sandbox budget and deadline, and sees what earlier entries
+    /// computed this tick.
     ///
     /// Errors in user-supplied code are counted (see
     /// [`errors`](Self::errors)) and never abort the tick.
@@ -738,14 +735,14 @@ impl Monitor {
             while let Some(step) = steps.next() {
                 match step {
                     Step::Native(slot) => self.run_native(slot, now),
-                    Step::Script(actor, call) => {
+                    Step::Script(isolate, call) => {
                         let mut batch = vec![call];
                         while let Some(Step::Script(_, call)) = steps.next_if(
-                            |next| matches!(next, Step::Script(a, _) if a.same_actor(&actor)),
+                            |next| matches!(next, Step::Script(i, _) if i.same_actor(&isolate)),
                         ) {
                             batch.push(call);
                         }
-                        self.run_hop(&actor, batch);
+                        self.run_hop(&isolate, batch);
                     }
                 }
             }
@@ -768,7 +765,7 @@ impl Monitor {
             ValueSource::Constant => {}
             ValueSource::Native(_) => steps.push(Step::Native(Slot::Source)),
             ValueSource::Script(h) => steps.push(Step::Script(
-                self.inner.actor.clone(),
+                self.inner.isolate.clone(),
                 ScriptCall {
                     slot: Slot::Source,
                     func: h.clone(),
@@ -841,26 +838,25 @@ impl Monitor {
         self.apply(slot, Ok(vec![value]));
     }
 
-    /// Runs a batch of script steps hosted by `actor` in one job. Each
-    /// result is applied before the next call, under the entry's lock
-    /// alone, so later calls see it and facade natives can re-enter.
-    fn run_hop(&self, actor: &ScriptActor, batch: Vec<ScriptCall>) {
-        let slots: Vec<Slot> = batch.iter().map(|c| c.slot).collect();
-        let monitor = self.clone();
-        let ran = actor.with(move |interp| {
+    /// Runs a batch of script steps hosted by `isolate` in one job.
+    /// Each result is applied before the next call, under the entry's
+    /// lock alone, so later calls see it and facade natives can
+    /// re-enter the monitor.
+    fn run_hop(&self, isolate: &Isolate, batch: Vec<ScriptCall>) {
+        let ran = isolate.with(|interp| {
             for call in batch {
-                let out = monitor.call_script(interp, &call);
-                monitor.apply(call.slot, out);
+                let out = self.call_script(interp, &call);
+                self.apply(call.slot, out);
             }
         });
+        // Only a tick run from inside a job of its own isolate is
+        // refused; none of the batch ran, so no entry is charged.
         if let Err(e) = ran {
-            for slot in slots {
-                self.apply(slot, Err(e.clone()));
-            }
+            self.record_error("tick", &e);
         }
     }
 
-    /// Calls one script step on the actor thread.
+    /// Calls one script step in its isolate's job.
     fn call_script(
         &self,
         interp: &mut Interpreter,
@@ -874,7 +870,7 @@ impl Monitor {
                 facade.get(),
             ],
         };
-        ScriptActor::call_in(interp, &call.func, args)
+        Isolate::call_in(interp, &call.func, args)
     }
 
     /// Applies a step's outcome, native or scripted. An entry removed
@@ -1003,8 +999,7 @@ impl Monitor {
                         )
                         .is_ok(),
                     Delivery::Local(h) => {
-                        let h = h.clone();
-                        let out = self.inner.actor.with(move |interp| {
+                        let out = self.inner.isolate.with(|interp| {
                             let table = h.get();
                             let method = table
                                 .as_table()
@@ -1076,9 +1071,9 @@ struct ScriptCall {
 enum Step {
     /// Evaluated on the ticking thread.
     Native(Slot),
-    /// Evaluated in the actor; consecutive steps on one actor share a
-    /// job.
-    Script(ScriptActor, ScriptCall),
+    /// Evaluated in the isolate; consecutive steps on one isolate
+    /// share a job.
+    Script(Isolate, ScriptCall),
 }
 
 #[cfg(test)]
@@ -1086,8 +1081,8 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    fn setup() -> (Orb, ScriptActor) {
-        (Orb::new("mon-test"), ScriptActor::spawn("mon-test", |_| {}))
+    fn setup() -> (Orb, Isolate) {
+        (Orb::new("mon-test"), Isolate::new("mon-test", |_| {}))
     }
 
     #[test]
@@ -1113,6 +1108,28 @@ mod tests {
         mon.tick(SimTime::ZERO);
         mon.tick(SimTime::ZERO);
         assert_eq!(mon.value(), Value::Long(2));
+    }
+
+    #[test]
+    fn a_tick_inside_its_own_isolate_is_refused_without_a_strike() {
+        let (orb, actor) = setup();
+        let mon = Monitor::builder("Seq")
+            .source_script("local n = 0\nreturn function() n = n + 1 return n end")
+            .build(&actor, &orb)
+            .unwrap();
+        mon.define_aspect_script("Same", "function(self, v, m) return v end")
+            .unwrap();
+        actor.with(|_| mon.tick(SimTime::ZERO)).unwrap();
+        assert_eq!(mon.errors(), 1);
+        assert!(mon.last_error().unwrap().contains("re-entered"));
+        assert_eq!(mon.quarantined_count(), 0);
+        mon.tick(SimTime::ZERO);
+        assert_eq!(
+            mon.value(),
+            Value::Long(1),
+            "nothing ran in the refused tick"
+        );
+        assert_eq!(mon.aspect_value("Same"), Some(Value::Long(1)));
     }
 
     #[test]

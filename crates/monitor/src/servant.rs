@@ -74,7 +74,7 @@ impl Servant for MonitorServant {
             "defineAspect" => {
                 let name = str_arg(&args, 0, "defineAspect")?;
                 let code = str_arg(&args, 1, "defineAspect")?;
-                // Shipped code: run it in the sandboxed actor, charged
+                // Shipped code: run it in the sandboxed isolate, charged
                 // to the remote installer's quota.
                 self.monitor
                     .define_aspect_script_remote("remote", name, &code)
@@ -138,13 +138,13 @@ impl Servant for MonitorServant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapta_bridge::ScriptActor;
+    use adapta_bridge::Isolate;
     use adapta_orb::Orb;
     use adapta_sim::SimTime;
 
     fn serve_monitor() -> (Orb, Orb, Monitor, adapta_orb::Proxy) {
         let server = Orb::new("msvnt-server");
-        let actor = ScriptActor::spawn("msvnt", |_| {});
+        let actor = Isolate::new("msvnt", |_| {});
         let monitor = Monitor::builder("LoadAvg")
             .source_native(|now| Value::from(now.as_secs() as f64))
             .build(&actor, &server)

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use adapta_bridge::ScriptActor;
+use adapta_bridge::Isolate;
 use adapta_idl::{ObjRefData, Value};
 use adapta_monitor::{load_average_monitor, loadavg_reader, Monitor, MonitorHost, ObserverTarget};
 use adapta_orb::{Orb, ServantFn};
@@ -88,7 +88,7 @@ fn a_fig3_tick_costs_one_job_per_hosting_actor() {
 #[test]
 fn interleaved_trusted_and_sandboxed_aspects_see_each_other_in_order() {
     let orb = Orb::new("tick-chain");
-    let actor = ScriptActor::spawn("tick-chain", |_| {});
+    let actor = Isolate::new("tick-chain", |_| {});
     let monitor = Monitor::builder("Chain")
         .source_script("function() return 1 end")
         .build(&actor, &orb)
@@ -151,7 +151,7 @@ fn interleaved_trusted_and_sandboxed_aspects_see_each_other_in_order() {
 #[test]
 fn natives_may_call_into_their_own_actor() {
     let orb = Orb::new("tick-reenter");
-    let actor = ScriptActor::spawn("tick-reenter", |_| {});
+    let actor = Isolate::new("tick-reenter", |_| {});
     actor.eval("load = 7").unwrap();
     let source_actor = actor.clone();
     let monitor = Monitor::builder("Reenter")
@@ -189,7 +189,7 @@ fn natives_may_call_into_their_own_actor() {
 #[test]
 fn a_runaway_predicate_is_stopped_and_its_hop_mate_still_fires() {
     let orb = Orb::new("tick-runaway");
-    let actor = ScriptActor::spawn("tick-runaway", |_| {});
+    let actor = Isolate::new("tick-runaway", |_| {});
     let monitor = Monitor::builder("Runaway")
         .source_native(|_| Value::from(99.0))
         .build(&actor, &orb)
@@ -241,14 +241,14 @@ fn a_runaway_predicate_is_stopped_and_its_hop_mate_still_fires() {
 }
 
 /// Values stored in an actor.
-fn stored(actor: &ScriptActor) -> usize {
+fn stored(actor: &Isolate) -> usize {
     actor.stored_count().unwrap()
 }
 
 #[test]
 fn detach_and_redefinition_release_what_entries_stored() {
     let orb = Orb::new("tick-release");
-    let actor = ScriptActor::spawn("tick-release", |_| {});
+    let actor = Isolate::new("tick-release", |_| {});
     let monitor = Monitor::builder("Release")
         .source_native(|_| Value::from(1.0))
         .build(&actor, &orb)

@@ -1,47 +1,53 @@
 //! Stored script values are owned by Rust handles: installers cannot
-//! reach each other's through the scripts they share an actor with, and
-//! nothing stored in an actor keeps that actor's thread alive once its
-//! owner is dropped.
+//! reach each other's through the scripts they share an isolate with,
+//! no thread hosts an isolate, and what an isolate stores is dropped
+//! once its owner is dropped.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc};
 
-use adapta_bridge::ScriptActor;
+use adapta_bridge::{Isolate, Stored};
 use adapta_idl::Value;
 use adapta_monitor::{Monitor, MonitorHost, ObserverTarget};
 use adapta_orb::Orb;
+use adapta_script::Interpreter;
 use adapta_sim::SimTime;
 
-/// Whether a thread of this process is named `name` (at most 15 bytes,
-/// the longest name `/proc` reports in full).
-fn thread_running(name: &str) -> bool {
-    assert!(name.len() <= 15, "`{name}` would be truncated");
+/// Threads of this process whose name starts with `rua-`, the prefix
+/// script actor threads used to carry.
+fn rua_threads() -> Vec<String> {
     std::fs::read_dir("/proc/self/task")
         .unwrap()
         .filter_map(Result::ok)
-        .any(|task| {
-            std::fs::read_to_string(task.path().join("comm"))
-                .is_ok_and(|comm| comm.trim_end() == name)
-        })
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("rua-"))
+        .collect()
 }
 
-/// Polls until no thread is named `name`, for at most 2 s.
-fn thread_exits(name: &str) -> bool {
-    let started = Instant::now();
-    while started.elapsed() < Duration::from_secs(2) {
-        if !thread_running(name) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
+/// Stores a native holding the sender of a fresh channel in `isolate`;
+/// the receiver reads `Disconnected` once the isolate dropped the value.
+fn store_sentinel(isolate: &Isolate) -> (Stored, mpsc::Receiver<()>) {
+    let (tx, rx) = mpsc::channel::<()>();
+    let stored = isolate
+        .with(move |_| {
+            Stored::new(Interpreter::native("hold", move |_, _| {
+                let _ = &tx;
+                Ok(vec![])
+            }))
+        })
+        .unwrap();
+    (stored, rx)
+}
+
+/// Whether the value behind `rx`'s sender has been dropped.
+fn dropped(rx: &mpsc::Receiver<()>) -> bool {
+    rx.try_recv() == Err(mpsc::TryRecvError::Disconnected)
 }
 
 #[test]
 fn a_remote_predicate_cannot_clear_another_installers_values() {
     let orb = Orb::new("own-isolation");
-    let actor = ScriptActor::spawn("own-isolation", |_| {});
+    let actor = Isolate::new("own-isolation", |_| {});
     let monitor = Monitor::builder("Isolation")
         .source_native(|_| Value::from(99.0))
         .build(&actor, &orb)
@@ -76,7 +82,7 @@ fn a_remote_predicate_cannot_clear_another_installers_values() {
 }
 
 #[test]
-fn a_dropped_monitor_host_stops_its_actor_thread() {
+fn a_monitor_host_runs_scripts_without_a_thread_and_drops_its_values_with_it() {
     let orb = Orb::new("own-host");
     let host = MonitorHost::new("own-host", &orb);
     host.eval(
@@ -89,15 +95,20 @@ fn a_dropped_monitor_host_stops_its_actor_thread() {
     )
     .unwrap();
     host.tick_all(SimTime::ZERO);
-    assert!(thread_running("rua-own-host"));
+    assert_eq!(host.monitor("OwnHost").unwrap().notifications(), 1);
+    assert_eq!(rua_threads(), Vec::<String>::new(), "no script thread");
+    // The handle outlives the host: the isolate owns the value.
+    let (kept, rx) = store_sentinel(host.actor());
+    assert!(!dropped(&rx));
     drop(host);
-    assert!(thread_exits("rua-own-host"));
+    assert!(dropped(&rx), "the host's isolate went with it");
+    drop(kept);
 }
 
 #[test]
-fn a_dropped_monitor_stops_its_sandbox_actor_thread() {
+fn a_monitor_runs_its_sandbox_without_a_thread_and_drops_it_with_it() {
     let orb = Orb::new("own-sandbox");
-    let actor = ScriptActor::spawn("own-mon", |_| {});
+    let actor = Isolate::new("own-mon", |_| {});
     let monitor = Monitor::builder("Sb")
         .source_native(|_| Value::from(1.0))
         .build(&actor, &orb)
@@ -115,9 +126,13 @@ fn a_dropped_monitor_stops_its_sandbox_actor_thread() {
         .unwrap();
     monitor.tick(SimTime::ZERO);
     assert_eq!(monitor.notifications(), 1);
-    assert!(thread_running("rua-Sb-sandbox"));
+    assert_eq!(rua_threads(), Vec::<String>::new(), "no script thread");
+    let (kept_sandboxed, sandboxed) = store_sentinel(&monitor.sandbox_actor());
+    let (kept_trusted, trusted) = store_sentinel(&actor);
     drop(monitor);
-    assert!(thread_exits("rua-Sb-sandbox"));
+    assert!(dropped(&sandboxed), "the sandbox went with the monitor");
+    assert!(!dropped(&trusted), "the trusted isolate is still held");
     drop(actor);
-    assert!(thread_exits("rua-own-mon"));
+    assert!(dropped(&trusted));
+    drop((kept_sandboxed, kept_trusted));
 }

@@ -16,8 +16,8 @@ use crate::OrbResult;
 ///
 /// Implementations must be thread-safe: transports may dispatch
 /// concurrently. Single-threaded implementations (like interpreter-backed
-/// servants) are hosted behind a channel — see `adapta-core`'s
-/// `ScriptActor`.
+/// servants) are hosted behind a lock — see `adapta-bridge`'s
+/// `Isolate`.
 pub trait Servant: Send + Sync {
     /// The interface (repository id) this servant implements.
     fn interface(&self) -> &str;

@@ -201,8 +201,9 @@ enum Flow {
 /// A Rua interpreter: globals, budget, and host hooks.
 ///
 /// An `Interpreter` is the analogue of a Lua state. It is deliberately
-/// `!Send`: values share `Rc`s. To serve concurrent callers, host one
-/// interpreter per thread (see `adapta-core`'s `ScriptActor`).
+/// `!Send`: values share `Rc`s. To serve concurrent callers, keep it
+/// behind one lock that every entry takes, and let no `Rc` leave it
+/// (see `adapta-bridge`'s `Isolate`).
 ///
 /// ```
 /// use adapta_script::{Interpreter, Value};

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use adapta::core::{Infrastructure, ServerSpec};
 use adapta::idl::Value;
-use adapta::monitor::{Monitor, MonitorServant, ScriptActor};
+use adapta::monitor::{Isolate, Monitor, MonitorServant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let infra = Infrastructure::in_process()?;
@@ -38,10 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The user's location: a context monitor fed by the positioning
     // system (here: scripted updates).
-    let actor = ScriptActor::spawn("context", |_| {});
+    let isolate = Isolate::new("context", |_| {});
     let location = Monitor::builder("UserLocation")
         .initial(Value::from("room-101"))
-        .build(&actor, infra.orb())?;
+        .build(&isolate, infra.orb())?;
     infra
         .orb()
         .activate("user-location", MonitorServant::new(location.clone()))?;

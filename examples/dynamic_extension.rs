@@ -21,14 +21,14 @@ use std::time::Duration;
 
 use adapta::core::{AdaptiveRedirect, Infrastructure, ScriptServant, ServerSpec};
 use adapta::idl::Value;
-use adapta::monitor::ScriptActor;
+use adapta::monitor::Isolate;
 use adapta::orb::Orb;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- a component implemented in the scripting language ---
-    let actor = ScriptActor::spawn("greeter-host", |_| {});
+    let isolate = Isolate::new("greeter-host", |_| {});
     let servant = ScriptServant::from_source(
-        &actor,
+        &isolate,
         "Greeter",
         r#"return { greet = function(self, who) return "hello, " .. who end }"#,
     )?;

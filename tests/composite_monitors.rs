@@ -14,12 +14,12 @@ use std::time::Duration;
 
 use adapta::core::script_env;
 use adapta::idl::{InterfaceRepository, Value};
-use adapta::monitor::{Monitor, MonitorHost, MonitorServant, ScriptActor};
+use adapta::monitor::{Isolate, Monitor, MonitorHost, MonitorServant};
 use adapta::orb::Orb;
 use adapta::sim::{SimTime, VirtualClock};
 
 fn host_monitor(orb: &Orb, name: &str, load: f64) -> (Monitor, adapta::orb::ObjRef) {
-    let actor = ScriptActor::spawn(name, |_| {});
+    let actor = Isolate::new(name, |_| {});
     let monitor = Monitor::builder("LoadAvg")
         .source_native(move |_| Value::from(load))
         .build(&actor, orb)
@@ -104,7 +104,7 @@ fn composite_follows_live_changes_of_its_parts() {
     let clock = VirtualClock::new();
 
     // Two host monitors whose values are settable.
-    let actor = ScriptActor::spawn("comp-live-parts", |_| {});
+    let actor = Isolate::new("comp-live-parts", |_| {});
     let m1 = Monitor::builder("LoadAvg")
         .initial(Value::from(1.0))
         .build(&actor, &orb)

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use adapta::core::{script_env, Infrastructure, ServerSpec, SmartProxy};
 use adapta::idl::{InterfaceRepository, Value};
-use adapta::monitor::{Monitor, MonitorServant, ScriptActor};
+use adapta::monitor::{Isolate, Monitor, MonitorServant};
 use adapta::orb::{Orb, ServantFn};
 use adapta::sim::SimTime;
 use adapta::trading::{
@@ -82,7 +82,7 @@ fn fig6_full_topology_over_tcp() {
     let server_orb = Orb::new("f6-server");
     server_orb.set_synchronous_oneway(true);
     let server_tcp = server_orb.listen_tcp("127.0.0.1:0").unwrap();
-    let actor = ScriptActor::spawn("f6-server", |_| {});
+    let actor = Isolate::new("f6-server", |_| {});
     let monitor = Monitor::builder("LoadAvg")
         .source_native(|_| Value::from(1.5))
         .build(&actor, &server_orb)

@@ -1,39 +1,27 @@
 //! A smart proxy's stored script values are owned by Rust handles:
-//! replaced strategies are released, and the proxy's actor thread stops
-//! when the proxy is dropped.
+//! replaced strategies are released, no thread hosts the proxy's
+//! scripts, and what its isolate stores is dropped with the proxy.
 
-use std::time::{Duration, Instant};
+use std::sync::mpsc;
 
 use adapta::core::{Infrastructure, ServerSpec};
 use adapta::idl::Value;
+use adapta::monitor::Stored;
+use adapta::script::Interpreter;
 
-/// Whether a thread of this process is named `name` (at most 15 bytes,
-/// the longest name `/proc` reports in full).
-fn thread_running(name: &str) -> bool {
-    assert!(name.len() <= 15, "`{name}` would be truncated");
+/// Threads of this process whose name starts with `rua-`, the prefix
+/// script actor threads used to carry.
+fn rua_threads() -> Vec<String> {
     std::fs::read_dir("/proc/self/task")
         .unwrap()
         .filter_map(Result::ok)
-        .any(|task| {
-            std::fs::read_to_string(task.path().join("comm"))
-                .is_ok_and(|comm| comm.trim_end() == name)
-        })
-}
-
-/// Polls until no thread is named `name`, for at most 2 s.
-fn thread_exits(name: &str) -> bool {
-    let started = Instant::now();
-    while started.elapsed() < Duration::from_secs(2) {
-        if !thread_running(name) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("rua-"))
+        .collect()
 }
 
 #[test]
-fn a_dropped_smart_proxy_stops_its_actor_thread() {
+fn a_smart_proxy_runs_scripts_without_a_thread_and_drops_its_values_with_it() {
     let infra = Infrastructure::in_process().unwrap();
     infra
         .spawn_server(ServerSpec::echo("OwnSvc", "own-a"))
@@ -49,9 +37,24 @@ fn a_dropped_smart_proxy_stops_its_actor_thread() {
     proxy.adapt_now("Check");
     let checked = proxy.actor().eval("return checked").unwrap();
     assert!(matches!(&checked[..], [Value::Str(_)]), "{checked:?}");
-    assert!(thread_running("rua-sp-OwnSvc"));
+    assert_eq!(rua_threads(), Vec::<String>::new(), "no script thread");
+
+    // A native holding `tx`, stored in the proxy's isolate. The handle
+    // outlives the proxy: the isolate owns the value, not the handle.
+    let (tx, rx) = mpsc::channel::<()>();
+    let kept: Stored = proxy
+        .actor()
+        .with(move |_| {
+            Stored::new(Interpreter::native("hold", move |_, _| {
+                let _ = &tx;
+                Ok(vec![])
+            }))
+        })
+        .unwrap();
+    assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Empty));
     drop(proxy);
-    assert!(thread_exits("rua-sp-OwnSvc"));
+    assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+    drop(kept);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adapta::idl::Value;
-use adapta::monitor::{Monitor, MonitorDriver, MonitorServant, ScriptActor};
+use adapta::monitor::{Isolate, Monitor, MonitorDriver, MonitorServant};
 use adapta::orb::{Orb, ServantFn};
 use adapta::sim::{Clock, RealClock};
 
@@ -15,7 +15,7 @@ use adapta::sim::{Clock, RealClock};
 fn monitor_driver_detects_events_in_real_time() {
     let server = Orb::new("rt-server");
     let client = Orb::new("rt-client");
-    let actor = ScriptActor::spawn("rt", |_| {});
+    let actor = Isolate::new("rt", |_| {});
     let clock: Arc<dyn Clock> = Arc::new(RealClock::new());
 
     // The monitored "load" rises with wall time.
@@ -73,7 +73,7 @@ fn tcp_and_real_time_together() {
     // A monitor served over TCP, polled by a remote client in real time.
     let server = Orb::new("rt-tcp-server");
     let endpoint = server.listen_tcp("127.0.0.1:0").unwrap();
-    let actor = ScriptActor::spawn("rt-tcp", |_| {});
+    let actor = Isolate::new("rt-tcp", |_| {});
     let monitor = Monitor::builder("Temp")
         .source_native(|_| Value::from(21.5))
         .build(&actor, &server)

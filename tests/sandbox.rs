@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use adapta::core::{RetryPolicy, SmartProxy};
 use adapta::idl::{InterfaceRepository, TypeCode, Value};
-use adapta::monitor::{Monitor, MonitorServant, ObserverTarget, ScriptActor};
+use adapta::monitor::{Isolate, Monitor, MonitorServant, ObserverTarget};
 use adapta::orb::{ObjRef, Orb, OrbError, OrbOptions, ServantFn};
 use adapta::sim::SimTime;
 use adapta::telemetry::registry;
@@ -26,7 +26,7 @@ use adapta::trading::{ExportRequest, PropDef, PropMode, ServiceTypeDef, Trader};
 /// remote-evaluation setup of Figures 1/2.
 fn served_monitor(name: &str) -> (Orb, Orb, Monitor, adapta::orb::Proxy) {
     let server = Orb::new(&format!("{name}-server"));
-    let actor = ScriptActor::spawn(name, |_| {});
+    let actor = Isolate::new(name, |_| {});
     let monitor = Monitor::builder("Load")
         .source_native(|_| Value::from(99.0))
         .build(&actor, &server)

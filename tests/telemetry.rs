@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use adapta::idl::{InterfaceRepository, TypeCode, Value};
-use adapta::monitor::{Monitor, MonitorServant, ScriptActor};
+use adapta::monitor::{Isolate, Monitor, MonitorServant};
 use adapta::orb::{ObjRef, Orb, ServantFn};
 use adapta::sim::SimTime;
 use adapta::telemetry::{collector, SpanRecord};
@@ -48,7 +48,7 @@ fn tcp_query_with_dynamic_property_yields_one_trace() {
     // TCP-reachable monitor, exported through the remote trader.
     let server_orb = Orb::new("tele-e2e-server");
     let server_tcp = server_orb.listen_tcp("127.0.0.1:0").unwrap();
-    let actor = ScriptActor::spawn("tele-e2e-server", |_| {});
+    let actor = Isolate::new("tele-e2e-server", |_| {});
     let monitor = Monitor::builder("LoadAvg")
         .source_native(|_| Value::from(0.25))
         .build(&actor, &server_orb)
