@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
 # Local CI: the same gate the GitHub Actions workflow runs.
 #
+# The gate builds and tests with `--locked`: a manifest change that
+# leaves Cargo.lock stale fails it instead of being re-resolved
+# silently. Commit the regenerated Cargo.lock with the manifest.
+#
 # `./ci.sh --stress` instead runs the concurrency-sensitive tests with
 # 10x the iteration counts and high test-thread parallelism, to shake
 # out transport races that a single quick run can miss, then the wire
@@ -127,11 +131,11 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo build --release"
-cargo build --release --workspace
+echo "==> cargo build --release --locked"
+cargo build --release --workspace --locked
 
-echo "==> cargo test"
-cargo test --workspace -q
+echo "==> cargo test --locked"
+cargo test --workspace -q --locked
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

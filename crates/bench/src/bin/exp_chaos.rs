@@ -127,8 +127,8 @@ fn main() {
         ("recovered", vec![]),
     ];
 
-    let opened_name = "proxy.ChaosSvc.breaker.opened";
-    let closed_name = "proxy.ChaosSvc.breaker.closed";
+    let opened_name = "smartproxy.ChaosSvc.breaker.opened";
+    let closed_name = "smartproxy.ChaosSvc.breaker.closed";
     let mut stats = Vec::new();
     for (name, rules) in phases {
         plan.clear();

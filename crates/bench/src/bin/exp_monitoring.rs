@@ -44,9 +44,7 @@ struct Setup {
 
 fn setup(tag: &str) -> Setup {
     let server = Orb::new(&format!("e2-server-{tag}"));
-    server.set_synchronous_oneway(true);
     let client = Orb::new(&format!("e2-client-{tag}"));
-    client.set_synchronous_oneway(true);
     let clock = VirtualClock::new();
     let host = SimHost::new(format!("e2-host-{tag}"), Duration::from_millis(20));
     let reader = loadavg_reader(host.clone(), Arc::new(clock.clone()));

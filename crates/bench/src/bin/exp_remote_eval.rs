@@ -44,9 +44,7 @@ struct Run {
 
 fn run(strategy: &str) -> Run {
     let server = Orb::new(&format!("e3-server-{strategy}"));
-    server.set_synchronous_oneway(true);
     let client = Orb::new(&format!("e3-client-{strategy}"));
-    client.set_synchronous_oneway(true);
     let clock = VirtualClock::new();
     let host = SimHost::new(format!("e3-host-{strategy}"), Duration::from_millis(20));
     let reader = loadavg_reader(host.clone(), Arc::new(clock.clone()));

@@ -464,6 +464,27 @@ mod tests {
     }
 
     #[test]
+    fn caught_panics_leave_the_call_depth_cap_intact() {
+        let isolate = Isolate::new("t4i", |interp| {
+            interp.register("boom", |_, _| panic!("native panics"));
+        });
+        isolate
+            .eval(
+                "function via() boom() end
+                 function deep(n) if n == 0 then return 0 end return 1 + deep(n - 1) end",
+            )
+            .unwrap();
+        for _ in 0..30 {
+            let panicked = std::panic::catch_unwind(|| isolate.eval("via()"));
+            assert!(panicked.is_err());
+        }
+        assert_eq!(
+            isolate.eval("return deep(50)").unwrap(),
+            vec![Wire::Long(50)]
+        );
+    }
+
+    #[test]
     fn script_errors_are_reported_not_fatal() {
         let isolate = Isolate::new("t5", |_| {});
         let err = isolate.eval("error('boom')").unwrap_err();

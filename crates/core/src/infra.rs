@@ -205,16 +205,14 @@ impl std::fmt::Debug for Infrastructure {
 }
 
 impl Infrastructure {
-    /// Creates an in-process infrastructure: one trader, virtual time,
-    /// synchronous oneway delivery (so tests and examples are
-    /// deterministic).
+    /// Creates an in-process infrastructure: one trader and virtual
+    /// time (so tests and examples are deterministic).
     ///
     /// # Errors
     ///
     /// Currently infallible; `Result` reserves room for transports.
     pub fn in_process() -> Result<Infrastructure> {
         let orb = Orb::new("infra");
-        orb.set_synchronous_oneway(true);
         let trader = Trader::new(&orb);
         let repo = InterfaceRepository::new();
         script_env::register_monitor_interfaces(&repo);
@@ -311,7 +309,6 @@ impl Infrastructure {
     pub fn spawn_server(&self, spec: ServerSpec) -> Result<ServerHandle> {
         self.ensure_type(&spec)?;
         let orb = Orb::new(&spec.host_name);
-        orb.set_synchronous_oneway(true);
         let sim_host = SimHost::new(spec.host_name.as_str(), spec.base_service);
         let clock: Arc<dyn adapta_sim::Clock> = Arc::new(self.inner.clock.clone());
         let reader = loadavg_reader(sim_host.clone(), clock);

@@ -23,14 +23,14 @@
 //! calls to that target are refused up front (the proxy fails over
 //! instead of queueing on a corpse); after a cool-down one *probe* call
 //! is admitted half-open — success closes the breaker, failure re-opens
-//! it. Transitions are published under the `proxy.<type>.breaker.*`
-//! metric family.
+//! it. Transitions are published under the
+//! `smartproxy.<type>.breaker.*` metric family.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use adapta_orb::ObjRef;
-use adapta_telemetry::registry;
+use adapta_telemetry::{registry, Counter, Gauge};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -216,11 +216,45 @@ impl TargetHealth {
 /// every call is admitted and only failures are recorded.
 #[derive(Debug)]
 pub(crate) struct HealthTable {
-    breaker: Option<BreakerConfig>,
+    breaker: Option<Breaker>,
     dead_ttl: Duration,
     targets: Mutex<HashMap<ObjRef, TargetHealth>>,
-    /// `proxy.<type>.breaker` — the metric family's prefix.
-    prefix: String,
+}
+
+/// A configured breaker and its `smartproxy.<type>.breaker.*`
+/// instruments, resolved once.
+#[derive(Debug)]
+struct Breaker {
+    config: BreakerConfig,
+    opened: Counter,
+    half_open: Counter,
+    closed: Counter,
+    rejected: Counter,
+    /// How many targets sit in a non-closed state.
+    open_targets: Gauge,
+}
+
+impl Breaker {
+    fn new(config: BreakerConfig, service_type: &str) -> Breaker {
+        let name = |stat: &str| format!("smartproxy.{service_type}.breaker.{stat}");
+        let r = registry();
+        Breaker {
+            config,
+            opened: r.counter(&name("opened")),
+            half_open: r.counter(&name("half_open")),
+            closed: r.counter(&name("closed")),
+            rejected: r.counter(&name("rejected")),
+            open_targets: r.gauge(&name("open_targets")),
+        }
+    }
+
+    fn publish_open_targets(&self, targets: &HashMap<ObjRef, TargetHealth>) {
+        let open = targets
+            .values()
+            .filter(|h| h.state != BreakerState::Closed)
+            .count();
+        self.open_targets.set(open as i64);
+    }
 }
 
 impl HealthTable {
@@ -232,28 +266,10 @@ impl HealthTable {
         service_type: &str,
     ) -> HealthTable {
         HealthTable {
-            breaker,
+            breaker: breaker.map(|config| Breaker::new(config, service_type)),
             dead_ttl,
             targets: Mutex::new(HashMap::new()),
-            prefix: format!("proxy.{service_type}.breaker"),
         }
-    }
-
-    fn count(&self, transition: &str) {
-        registry()
-            .counter(&format!("{}.{transition}", self.prefix))
-            .incr();
-    }
-
-    /// Publishes how many targets currently sit in a non-closed state.
-    fn publish_open_gauge(&self, targets: &HashMap<ObjRef, TargetHealth>) {
-        let open = targets
-            .values()
-            .filter(|h| h.state != BreakerState::Closed)
-            .count();
-        registry()
-            .gauge(&format!("{}.open_targets", self.prefix))
-            .set(open as i64);
     }
 
     /// Whether a circuit breaker is configured.
@@ -263,7 +279,7 @@ impl HealthTable {
 
     /// Asks whether a call to `target` may proceed right now.
     pub(crate) fn admit(&self, target: &ObjRef) -> Admission {
-        let Some(config) = &self.breaker else {
+        let Some(breaker) = &self.breaker else {
             return Admission::Allow;
         };
         let mut targets = self.targets.lock();
@@ -273,19 +289,19 @@ impl HealthTable {
         match health.state {
             BreakerState::Closed => Admission::Allow,
             BreakerState::Open => {
-                if health.opened_at.elapsed() >= config.open_for {
+                if health.opened_at.elapsed() >= breaker.config.open_for {
                     health.state = BreakerState::HalfOpen;
                     health.probing = true;
-                    self.count("half_open");
+                    breaker.half_open.incr();
                     Admission::Probe
                 } else {
-                    self.count("rejected");
+                    breaker.rejected.incr();
                     Admission::Reject
                 }
             }
             BreakerState::HalfOpen => {
                 if health.probing {
-                    self.count("rejected");
+                    breaker.rejected.incr();
                     Admission::Reject
                 } else {
                     health.probing = true;
@@ -319,27 +335,28 @@ impl HealthTable {
         if !ok {
             health.last_failure = Some(now);
         }
-        let Some(config) = &self.breaker else { return };
+        let Some(breaker) = &self.breaker else { return };
+        let config = &breaker.config;
         let transition = match health.state {
             // The probe's outcome closes the breaker or restarts the
             // cool-down.
-            BreakerState::HalfOpen if ok => Some((BreakerState::Closed, "closed")),
-            BreakerState::HalfOpen => Some((BreakerState::Open, "opened")),
+            BreakerState::HalfOpen if ok => Some((BreakerState::Closed, &breaker.closed)),
+            BreakerState::HalfOpen => Some((BreakerState::Open, &breaker.opened)),
             BreakerState::Open => None,
             BreakerState::Closed => {
                 health.record(!ok, config.window);
                 (!ok && health.outcomes.len() >= config.min_calls
                     && health.failure_rate() >= config.failure_threshold)
-                    .then_some((BreakerState::Open, "opened"))
+                    .then_some((BreakerState::Open, &breaker.opened))
             }
         };
-        if let Some((state, transition)) = transition {
+        if let Some((state, counter)) = transition {
             health.state = state;
             health.opened_at = now;
             health.probing = false;
             health.outcomes.clear();
-            self.count(transition);
-            self.publish_open_gauge(&targets);
+            counter.incr();
+            breaker.publish_open_targets(&targets);
         }
     }
 
@@ -369,8 +386,10 @@ impl HealthTable {
     /// replica evicted from its set), so churn cannot grow the table.
     pub(crate) fn forget(&self, target: &ObjRef) {
         let mut targets = self.targets.lock();
-        if targets.remove(target).is_some() && self.breaker.is_some() {
-            self.publish_open_gauge(&targets);
+        if targets.remove(target).is_some() {
+            if let Some(breaker) = &self.breaker {
+                breaker.publish_open_targets(&targets);
+            }
         }
     }
 

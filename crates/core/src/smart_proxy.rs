@@ -454,7 +454,7 @@ impl SmartProxyBuilder {
     /// Enables a per-target circuit breaker (see [`BreakerConfig`]).
     /// Off by default. An open breaker makes the proxy fail over (or
     /// back off) instead of calling a target that keeps failing;
-    /// transitions are published under `proxy.<type>.breaker.*`.
+    /// transitions are published under `smartproxy.<type>.breaker.*`.
     pub fn circuit_breaker(mut self, config: BreakerConfig) -> Self {
         self.breaker = Some(config);
         self

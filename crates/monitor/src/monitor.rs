@@ -1310,7 +1310,6 @@ mod tests {
     fn remote_observer_gets_oneway_notification() {
         let (orb, actor) = setup();
         let observer_orb = Orb::new("mon-test-obs");
-        observer_orb.set_synchronous_oneway(true);
         let seen = Arc::new(Mutex::new(Vec::<String>::new()));
         let seen_clone = seen.clone();
         let obs_ref = observer_orb

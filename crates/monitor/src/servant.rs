@@ -200,7 +200,6 @@ mod tests {
     #[test]
     fn remote_attach_detach_observer() {
         let (_s, client, monitor, proxy) = serve_monitor();
-        client.set_synchronous_oneway(true);
         let seen = std::sync::Arc::new(parking_lot::Mutex::new(0u32));
         let seen_clone = seen.clone();
         let obs_ref = client

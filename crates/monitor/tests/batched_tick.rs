@@ -16,7 +16,6 @@ use adapta_sim::{Clock, SimHost, SimTime, VirtualClock};
 /// The Figure 3 monitor on a loaded simulated host.
 fn fig3(node: &str) -> (VirtualClock, Monitor) {
     let orb = Orb::new(node);
-    orb.set_synchronous_oneway(true);
     let clock = VirtualClock::new();
     let host = SimHost::new(format!("{node}-host"), Duration::from_millis(20));
     let reader = loadavg_reader(host.clone(), Arc::new(clock.clone()));
@@ -31,8 +30,6 @@ fn fig3(node: &str) -> (VirtualClock, Monitor) {
 /// An `EventObserver` servant counting its notifications.
 fn counting_observer(node: &str) -> (Orb, ObjRefData, Arc<AtomicUsize>) {
     let orb = Orb::new(node);
-    // Serve each push before the tick returns.
-    orb.set_synchronous_oneway(true);
     let seen = Arc::new(AtomicUsize::new(0));
     let count = seen.clone();
     let target = orb

@@ -489,7 +489,7 @@ impl<'a> IncomingRequest<'a> {
 
 /// A decoded request that owns its key and operation: what a TCP
 /// connection serves once its reading thread has let go of the frame,
-/// and what it and the oneway executor queue.
+/// and what it queues while every connection thread is busy.
 #[derive(Debug)]
 pub(crate) struct QueuedRequest {
     pub(crate) oneway: bool,

@@ -1,13 +1,12 @@
 //! The broker facade: node registry, invocation routing and statistics.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use adapta_idl::{IdlError, Value};
 use adapta_telemetry::{registry, Counter, Gauge, HistogramHandle, Span};
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use crate::adapter::{ObjectAdapter, Servant};
@@ -17,7 +16,7 @@ use crate::interceptor::{
     ClientAction, ClientInterceptor, ClientRequestInfo, ServerAction, ServerInterceptor,
     ServerRequestInfo,
 };
-use crate::message::{IncomingRequest, Message, OutgoingRequest, QueuedRequest, ReplyBody};
+use crate::message::{IncomingRequest, Message, OutgoingRequest, ReplyBody};
 use crate::naming::NamingServant;
 use crate::proxy::Proxy;
 use crate::reference::ObjRef;
@@ -26,7 +25,9 @@ use crate::transport;
 use crate::OrbResult;
 
 /// Process-wide registry of live broker nodes, keyed by node name.
-/// In-process invocation resolves `inproc://<node>` endpoints here.
+/// In-process invocation resolves `inproc://<node>` endpoints here. A
+/// node removes its entry when it drops, so no strong reference to a
+/// node may be dropped while this lock is held.
 fn nodes() -> &'static StdMutex<HashMap<String, Weak<OrbCore>>> {
     static NODES: OnceLock<StdMutex<HashMap<String, Weak<OrbCore>>>> = OnceLock::new();
     NODES.get_or_init(|| StdMutex::new(HashMap::new()))
@@ -294,8 +295,6 @@ pub(crate) struct OrbCore {
     pub(crate) listeners: Mutex<Vec<transport::tcp::Listener>>,
     /// The node's accepted TCP connections, closed when it is dropped.
     pub(crate) accepted: Mutex<transport::tcp::Accepted>,
-    sync_oneway: AtomicBool,
-    oneway_tx: Mutex<Option<Sender<QueuedRequest>>>,
     next_id: AtomicU64,
     pub(crate) tcp_pool: Mutex<HashMap<String, Arc<transport::tcp::MuxConnection>>>,
     /// Interceptor chains, replaced whole on registration so a call
@@ -330,6 +329,13 @@ impl Drop for OrbCore {
             listener.wake();
         }
         self.accepted.get_mut().close_all();
+        // Forget the node's name, unless a newer orb took it over. No
+        // orb is dropped while the map is locked, so this cannot wait
+        // on itself.
+        let mut nodes = nodes().lock().unwrap_or_else(|e| e.into_inner());
+        if nodes.get(&self.node).is_some_and(|w| w.strong_count() == 0) {
+            nodes.remove(&self.node);
+        }
     }
 }
 
@@ -521,42 +527,6 @@ impl OrbCore {
             _ => self.adapter.dispatch(key, operation, args),
         }
     }
-
-    /// Enqueues a oneway request for asynchronous local execution. A
-    /// draining node silently discards it (oneways are fire-and-forget);
-    /// accepted ones count as in-flight until served, so
-    /// [`Orb::shutdown`] drains the oneway queue too.
-    fn enqueue_oneway(self: &Arc<Self>, request: IncomingRequest<'_>) {
-        // Oneways are fire-and-forget: a refusal (draining or overload)
-        // silently discards; the overload shed is counted either way.
-        if self.begin_dispatch().is_err() {
-            return;
-        }
-        if self.sync_oneway.load(Ordering::Relaxed) {
-            let _ = self.serve(request);
-            self.end_dispatch();
-            return;
-        }
-        let mut guard = self.oneway_tx.lock();
-        if guard.is_none() {
-            let (tx, rx) = unbounded::<QueuedRequest>();
-            let weak = Arc::downgrade(self);
-            std::thread::Builder::new()
-                .name(format!("{}-oneway", self.node))
-                .spawn(move || {
-                    while let Ok(queued) = rx.recv() {
-                        let Some(core) = weak.upgrade() else { break };
-                        let _ = queued.with(|request| core.serve(request));
-                        core.end_dispatch();
-                    }
-                })
-                .expect("spawn oneway executor");
-            *guard = Some(tx);
-        }
-        if let Some(tx) = guard.as_ref() {
-            let _ = tx.send(request.into_queued());
-        }
-    }
 }
 
 /// A broker node: an object adapter plus transports, cheaply cloneable.
@@ -597,8 +567,6 @@ impl Orb {
             tcp_addr: RwLock::new(None),
             listeners: Mutex::new(Vec::new()),
             accepted: Mutex::default(),
-            sync_oneway: AtomicBool::new(false),
-            oneway_tx: Mutex::new(None),
             next_id: AtomicU64::new(1),
             tcp_pool: Mutex::new(HashMap::new()),
             client_interceptors: RwLock::new(Arc::new([])),
@@ -678,12 +646,6 @@ impl Orb {
         self.core.op_metrics.read().len()
     }
 
-    /// Makes locally-delivered oneway invocations run synchronously in
-    /// the caller's thread — used by deterministic tests and simulations.
-    pub fn set_synchronous_oneway(&self, on: bool) {
-        self.core.sync_oneway.store(on, Ordering::Relaxed);
-    }
-
     // ---- chaos and lifecycle ------------------------------------------
 
     /// This node's fault-injection plan (see [`FaultPlan`]). Empty by
@@ -712,7 +674,7 @@ impl Orb {
     ///    dispatches (TCP or in-process) are refused with a retryable
     ///    [`OrbError::ShuttingDown`], waking blocked callers;
     /// 2. drains — waits up to `deadline` for every accepted dispatch
-    ///    (including queued oneways) to finish and flush its reply;
+    ///    to finish and flush its reply;
     /// 3. runs [`on_shutdown`](Self::on_shutdown) hooks while outbound
     ///    invocations still work, so offers can be withdrawn from
     ///    remote traders;
@@ -1035,7 +997,9 @@ impl Orb {
         outcome
     }
 
-    /// Sends a oneway (fire-and-forget) invocation to `target`.
+    /// Sends a oneway (fire-and-forget) invocation to `target`. An
+    /// in-process target serves it on this thread before the call
+    /// returns; a TCP server serves it on the thread that read it.
     ///
     /// # Errors
     ///
@@ -1100,7 +1064,13 @@ impl Orb {
             peer.count_bytes_in(bytes.len());
             let request = IncomingRequest::decode(bytes)?;
             if request.oneway {
-                peer.enqueue_oneway(request);
+                // Served on this thread like a two-way call, but
+                // fire-and-forget: a refusal (draining or overload) is
+                // discarded silently, and nothing is replied.
+                if peer.begin_dispatch().is_ok() {
+                    let _ = peer.serve(request);
+                    peer.end_dispatch();
+                }
                 return Ok(None);
             }
             peer.begin_dispatch()?;
@@ -1210,6 +1180,23 @@ mod tests {
     }
 
     #[test]
+    fn dropped_nodes_leave_the_node_map() {
+        let churned = || {
+            nodes()
+                .lock()
+                .unwrap()
+                .keys()
+                .filter(|name| name.starts_with("t-orb-churn-"))
+                .count()
+        };
+        let before = churned();
+        for i in 0..1000 {
+            drop(Orb::new(&format!("t-orb-churn-{i}")));
+        }
+        assert_eq!(churned(), before);
+    }
+
+    #[test]
     fn remote_exceptions_propagate() {
         let server = Orb::new("t-orb-exc");
         let objref = server.activate("h", hello_servant()).unwrap();
@@ -1242,8 +1229,8 @@ mod tests {
     #[test]
     fn inflight_cap_sheds_with_transient_overload() {
         let server = Orb::with_options("t-orb-shed", OrbOptions::new().max_inflight(1));
-        let (block_tx, block_rx) = crossbeam::channel::bounded::<()>(0);
-        let (entered_tx, entered_rx) = crossbeam::channel::bounded::<()>(1);
+        let (block_tx, block_rx) = std::sync::mpsc::sync_channel::<()>(0);
+        let (entered_tx, entered_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let block_rx = StdMutex::new(block_rx);
         let entered_tx = StdMutex::new(entered_tx);
         let objref = server
@@ -1297,28 +1284,42 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_oneway_serves_inline() {
-        let server = Orb::new("t-orb-sync1w");
-        server.set_synchronous_oneway(true);
-        let objref = server.activate("h", hello_servant()).unwrap();
-        let client = Orb::new("t-orb-sync1w-client");
+    fn inproc_oneway_runs_on_the_callers_thread() {
+        let server = Orb::new("t-orb-1w");
+        let served_on = Arc::new(Mutex::new(None));
+        let record = served_on.clone();
+        let objref = server
+            .activate(
+                "h",
+                ServantFn::new("Hello", move |_, _| {
+                    *record.lock() = Some(std::thread::current().id());
+                    Ok(Value::Null)
+                }),
+            )
+            .unwrap();
+        let client = Orb::new("t-orb-1w-client");
         client.invoke_oneway_ref(&objref, "hello", vec![]).unwrap();
+        assert_eq!(*served_on.lock(), Some(std::thread::current().id()));
         assert_eq!(server.stats().requests_served, 1);
+        // No executor thread was spawned for the oneway (thread names
+        // are read where the platform exposes them).
+        if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
+            for task in tasks.flatten() {
+                let name = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+                assert!(!name.trim_end().ends_with("-oneway"), "thread {name}");
+            }
+        }
     }
 
     #[test]
-    fn async_oneway_is_eventually_served() {
-        let server = Orb::new("t-orb-async1w");
+    fn oneway_to_a_shut_down_orb_is_discarded() {
+        let server = Orb::new("t-orb-1w-down");
         let objref = server.activate("h", hello_servant()).unwrap();
-        let client = Orb::new("t-orb-async1w-client");
+        let client = Orb::new("t-orb-1w-down-client");
+        assert!(server.shutdown(Duration::from_secs(1)));
+        let served = server.stats().requests_served;
         client.invoke_oneway_ref(&objref, "hello", vec![]).unwrap();
-        for _ in 0..200 {
-            if server.stats().requests_served == 1 {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        panic!("oneway was never served");
+        assert_eq!(server.stats().requests_served, served);
     }
 
     #[test]

@@ -55,13 +55,13 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+#[cfg(test)]
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, MutexGuard, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use adapta_telemetry::{registry, Gauge};
-#[cfg(test)]
-use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 
 use crate::error::OrbError;
@@ -984,7 +984,7 @@ mod tests {
     fn silent_server(hang_up: bool) -> (String, Receiver<()>, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let (arrived_tx, arrived) = bounded(1);
+        let (arrived_tx, arrived) = sync_channel(1);
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let mut buf = [0u8; 256];

@@ -133,7 +133,6 @@ fn server_interceptor_rejects_requests() {
 #[test]
 fn interceptors_apply_to_oneway_too() {
     let server = Orb::new("icpt-ow-server");
-    server.set_synchronous_oneway(true);
     let hits = Arc::new(AtomicU64::new(0));
     let hits_clone = hits.clone();
     let real = server

@@ -1009,12 +1009,13 @@ impl Interpreter {
 
     /// Calls a callable value. Public to natives via `pcall` etc.
     pub(crate) fn call_value(&mut self, f: &Value, mut args: Vec<Value>) -> Result<Vec<Value>> {
-        self.depth += 1;
-        if self.depth > self.max_depth {
-            self.depth -= 1;
+        if self.depth >= self.max_depth {
             return Err(RuaError::resource("call stack overflow", self.current_line));
         }
-        let result = match f {
+        self.depth += 1;
+        let frame = CallFrame(self);
+        let this = &mut *frame.0;
+        match f {
             Value::Function(closure) => {
                 let scope = closure.env.child();
                 if args.len() < closure.body.params.len() {
@@ -1037,17 +1038,26 @@ impl Interpreter {
                     // visible inside non-vararg functions (Lua rule).
                     scope.declare("...", Value::Nil);
                 }
-                match self.exec_block(&closure.body.body, &scope) {
+                match this.exec_block(&closure.body.body, &scope) {
                     Ok(Flow::Return(values)) => Ok(values),
                     Ok(_) => Ok(Vec::new()),
                     Err(e) => Err(e),
                 }
             }
-            Value::Native(native) => (native.f.clone())(self, args),
-            other => Err(self.rt(format!("attempt to call a {} value", other.type_name()), 0)),
-        };
-        self.depth -= 1;
-        result
+            Value::Native(native) => (native.f.clone())(this, args),
+            other => Err(this.rt(format!("attempt to call a {} value", other.type_name()), 0)),
+        }
+    }
+}
+
+/// One level of call depth, given back when dropped: also while a
+/// panicking native unwinds, so a caught panic leaves the depth cap as
+/// it was.
+struct CallFrame<'a>(&'a mut Interpreter);
+
+impl Drop for CallFrame<'_> {
+    fn drop(&mut self) {
+        self.0.depth -= 1;
     }
 }
 

@@ -532,6 +532,14 @@ fn breaker_open_replica_heals_through_a_probe_and_draws_picks_again() {
         healed - stalled
     );
     let snap = adapta::telemetry::registry().snapshot();
-    assert!(snap.counter("proxy.BalHeal.breaker.half_open").unwrap_or(0) >= 1);
-    assert!(snap.counter("proxy.BalHeal.breaker.closed").unwrap_or(0) >= 1);
+    assert!(
+        snap.counter("smartproxy.BalHeal.breaker.half_open")
+            .unwrap_or(0)
+            >= 1
+    );
+    assert!(
+        snap.counter("smartproxy.BalHeal.breaker.closed")
+            .unwrap_or(0)
+            >= 1
+    );
 }

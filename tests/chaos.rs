@@ -159,15 +159,15 @@ fn breaker_opens_and_recovers_through_half_open() {
     let snap = registry().snapshot();
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     assert!(
-        c("proxy.BrkSvc.breaker.opened") >= 1,
+        c("smartproxy.BrkSvc.breaker.opened") >= 1,
         "breaker never opened"
     );
     assert!(
-        c("proxy.BrkSvc.breaker.half_open") >= 1,
+        c("smartproxy.BrkSvc.breaker.half_open") >= 1,
         "breaker never probed half-open"
     );
     assert!(
-        c("proxy.BrkSvc.breaker.closed") >= 1,
+        c("smartproxy.BrkSvc.breaker.closed") >= 1,
         "breaker never closed after recovery"
     );
     assert_eq!(

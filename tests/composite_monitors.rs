@@ -34,7 +34,6 @@ fn host_monitor(orb: &Orb, name: &str, load: f64) -> (Monitor, adapta::orb::ObjR
 #[test]
 fn composite_property_reads_other_monitors() {
     let orb = Orb::new("composite");
-    orb.set_synchronous_oneway(true);
     let (_m1, ref1) = host_monitor(&orb, "comp-host1", 2.0);
     let (_m2, ref2) = host_monitor(&orb, "comp-host2", 4.0);
 
@@ -100,7 +99,6 @@ fn composite_property_reads_other_monitors() {
 #[test]
 fn composite_follows_live_changes_of_its_parts() {
     let orb = Orb::new("composite-live");
-    orb.set_synchronous_oneway(true);
     let clock = VirtualClock::new();
 
     // Two host monitors whose values are settable.

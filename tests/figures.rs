@@ -96,7 +96,6 @@ fn fig2_event_monitor_idl_round_trip() {
 
 fn fig3_setup(node: &str) -> (VirtualClock, SimHost, MonitorHost) {
     let orb = Orb::new(node);
-    orb.set_synchronous_oneway(true);
     let clock = VirtualClock::new();
     let host = SimHost::new(format!("{node}-host"), Duration::from_millis(20));
     let reader = loadavg_reader(host.clone(), Arc::new(clock.clone()));

@@ -80,7 +80,6 @@ fn fig6_full_topology_over_tcp() {
     // Server "process": serves over TCP, announces through the remote
     // trader, exposes its monitor as a TCP-reachable dynamic property.
     let server_orb = Orb::new("f6-server");
-    server_orb.set_synchronous_oneway(true);
     let server_tcp = server_orb.listen_tcp("127.0.0.1:0").unwrap();
     let actor = Isolate::new("f6-server", |_| {});
     let monitor = Monitor::builder("LoadAvg")

@@ -1,5 +1,5 @@
 //! Wall-clock mode: the same stack driven by real time — monitor
-//! driver threads, asynchronous oneway notifications — as it would run
+//! driver threads pushing oneway notifications — as it would run
 //! in a deployment rather than a simulation. Periods are milliseconds
 //! so the test stays fast.
 

@@ -42,7 +42,6 @@ fn served_monitor(name: &str) -> (Orb, Orb, Monitor, adapta::orb::Proxy) {
 #[test]
 fn runaway_predicate_cannot_stall_the_monitor() {
     let (_s, client, monitor, proxy) = served_monitor("sbx-runaway");
-    client.set_synchronous_oneway(true);
     let healthy = Arc::new(AtomicUsize::new(0));
     let healthy_clone = healthy.clone();
     monitor.attach_observer_native(
@@ -334,7 +333,6 @@ fn smart_proxy_event_queue_is_bounded() {
         .unwrap();
     let endpoint = server.endpoint();
     let client = Orb::new("sbx-evq-client");
-    client.set_synchronous_oneway(true);
     let trader = Trader::new(&client);
     trader.add_type(ServiceTypeDef::new("EvSvc")).unwrap();
     trader
@@ -349,7 +347,6 @@ fn smart_proxy_event_queue_is_bounded() {
         .unwrap();
     let observer = proxy.observer_ref();
     let pusher = Orb::new("sbx-evq-pusher");
-    pusher.set_synchronous_oneway(true);
     for _ in 0..300 {
         pusher
             .invoke_oneway_ref(&observer, "notifyEvent", vec![Value::from("E")])
