@@ -12,11 +12,12 @@
 //!
 //! Run with: `cargo run -p adapta-bench --release --bin exp_trading_scale`
 
-use std::time::Instant;
+use std::hint::black_box;
 
-use adapta_bench::Table;
+use adapta_bench::{quartiles, time_batches, Table};
 use adapta_idl::{TypeCode, Value};
 use adapta_orb::{ObjRef, Orb, ServantFn};
+use adapta_telemetry::Histogram;
 use adapta_trading::{ExportRequest, PropDef, PropMode, Query, ServiceTypeDef, Trader};
 
 const CONSTRAINTS: [(&str, &str); 3] = [
@@ -84,31 +85,40 @@ fn trader_with_offers(n: usize, dynamic: bool) -> (Orb, Trader) {
     (orb, trader)
 }
 
-fn time_query(trader: &Trader, constraint: &str, reps: u32) -> (std::time::Duration, usize) {
+/// Timed queries per cell; dynamic ones cost up to ~10 ms each.
+const STATIC_QUERIES: usize = 101;
+const DYNAMIC_QUERIES: usize = 21;
+
+/// The latencies of `samples` timed queries, and the number of offers
+/// a query matches.
+fn time_query(trader: &Trader, constraint: &str, samples: usize) -> (Histogram, usize) {
     let q = Query::new("Svc")
         .constraint(constraint)
         .preference("min LoadAvg")
         .return_card(10)
         .search_card(u32::MAX);
-    // Warm up.
     let matched = trader.query(&q).expect("query").len();
-    let start = Instant::now();
-    for _ in 0..reps {
-        let _ = trader.query(&q).expect("query");
-    }
-    (start.elapsed() / reps, matched)
+    let latency = time_batches(samples, 1, || {
+        black_box(trader.query(&q).expect("query"));
+    });
+    (latency, matched)
 }
 
 fn main() {
     println!("E5: trader query cost vs offers x constraint x property kind");
-    println!("(per-query latency, preference `min LoadAvg`, return_card 10)\n");
+    println!("(per-query latency, preference `min LoadAvg`, return_card 10;");
+    println!(
+        " median and quartiles of {STATIC_QUERIES} static or {DYNAMIC_QUERIES} dynamic queries)\n"
+    );
 
     let mut table = Table::new(vec![
         "offers",
         "properties",
         "constraint",
         "matched",
-        "latency/query",
+        "median/query",
+        "p25",
+        "p75",
     ]);
     for &n in &[10usize, 100, 1000, 10_000] {
         for dynamic in [false, true] {
@@ -118,8 +128,13 @@ fn main() {
             }
             let (_orb, trader) = trader_with_offers(n, dynamic);
             for (label, constraint) in CONSTRAINTS {
-                let reps = if dynamic { 5 } else { 50 };
-                let (latency, matched) = time_query(&trader, constraint, reps);
+                let samples = if dynamic {
+                    DYNAMIC_QUERIES
+                } else {
+                    STATIC_QUERIES
+                };
+                let (mut latency, matched) = time_query(&trader, constraint, samples);
+                let [p25, p50, p75] = quartiles(&mut latency);
                 table.row(vec![
                     n.to_string(),
                     if dynamic {
@@ -129,7 +144,9 @@ fn main() {
                     },
                     label.into(),
                     matched.to_string(),
-                    format!("{latency:.1?}"),
+                    format!("{p50:.1?}"),
+                    format!("{p25:.1?}"),
+                    format!("{p75:.1?}"),
                 ]);
             }
         }

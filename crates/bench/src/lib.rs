@@ -17,18 +17,51 @@
 //! | `exp_chaos` | E11 — fault injection: retry + circuit breaker under a chaos storm |
 //! | `exp_overload` | E12 — overload: admission control vs a request storm |
 //! | `exp_balancer` | E13 — adaptive request routing over a replica set |
+//! | `exp_micro` | E4's direct and Rua-servant rungs, E5's constraint parse, E8's interpreter probes |
 //!
-//! Criterion benches (`cargo bench`): `invocation` (E4), `trading`
-//! (E5 micro), `script` (E8).
-//!
-//! Every experiment runs in virtual time with seeded randomness: the
-//! numbers are exactly reproducible.
+//! The simulated experiments run in virtual time with seeded
+//! randomness: their numbers are exactly reproducible. `exp_micro` and
+//! `exp_trading_scale` time wall-clock work with [`time_batches`] and
+//! report medians and quartiles. E4's other rungs are per-layer figures
+//! of the benchmark in `perfbench/` (`orb.invoke_ns`,
+//! `smart_proxy.invoke_ns`, `tcp.roundtrip_ns`, `marshal.round_trip_ns`).
+
+use std::time::{Duration, Instant};
+
+use adapta_telemetry::Histogram;
 
 pub mod loadsim;
 pub mod table;
 
 pub use loadsim::{run_load_sharing, LoadPhase, LoadSharingOutcome, LoadSharingParams};
 pub use table::Table;
+
+/// Times `op` for a microbenchmark: `batches` timed batches of
+/// `per_batch` calls each, after one untimed warm-up batch per 20 timed
+/// ones (at least one). Each sample is one batch's wall time per call,
+/// so the quantiles are medians and spreads of the per-call cost.
+pub fn time_batches(batches: usize, per_batch: u32, mut op: impl FnMut()) -> Histogram {
+    let mut batch = || {
+        let start = Instant::now();
+        for _ in 0..per_batch {
+            op();
+        }
+        start.elapsed() / per_batch
+    };
+    for _ in 0..=batches / 20 {
+        batch();
+    }
+    let mut samples = Histogram::new();
+    for _ in 0..batches {
+        samples.record(batch());
+    }
+    samples
+}
+
+/// The 25th, 50th and 75th percentiles of `samples`.
+pub fn quartiles(samples: &mut Histogram) -> [Duration; 3] {
+    [0.25, 0.5, 0.75].map(|q| samples.quantile(q))
+}
 
 /// Writes `BENCH_<experiment>.json`: the experiment name plus the full
 /// telemetry-registry snapshot (counters, gauges, latency histograms
@@ -57,5 +90,20 @@ pub fn finish(experiment: &str) {
     match emit_bench_json(experiment) {
         Ok(path) => println!("\nmetrics snapshot: {}", path.display()),
         Err(e) => eprintln!("\ncould not write BENCH_{experiment}.json: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn time_batches_records_one_sample_per_timed_batch() {
+        let mut calls = 0;
+        let mut samples = time_batches(40, 3, || calls += 1);
+        assert_eq!(calls, (3 + 40) * 3, "three warm-up batches");
+        assert_eq!(samples.len(), 40);
+        let [p25, p50, p75] = quartiles(&mut samples);
+        assert!(p25 <= p50 && p50 <= p75);
     }
 }

@@ -56,6 +56,9 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
+    /// Every [`kind`](Self::kind).
+    pub(crate) const KINDS: [&'static str; 5] = ["drop", "delay", "corrupt", "disconnect", "error"];
+
     /// Short label used in metric names (`faults.injected.<kind>`).
     fn kind(&self) -> &'static str {
         match self {
@@ -181,6 +184,14 @@ impl FaultPlan {
             rng: Mutex::new(StdRng::seed_from_u64(0xC4A0_5A10)),
             injected: AtomicU64::new(0),
             metric_prefix: format!("orb.{node}.faults"),
+        }
+    }
+
+    /// Removes the injection counters of the node named `node`'s plan
+    /// from the registry.
+    pub(crate) fn forget_metrics(node: &str) {
+        for kind in FaultAction::KINDS {
+            registry().remove(&format!("orb.{node}.faults.injected.{kind}"));
         }
     }
 

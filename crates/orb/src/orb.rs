@@ -41,47 +41,16 @@ fn lookup_node(node: &str) -> Option<Arc<OrbCore>> {
         .and_then(Weak::upgrade)
 }
 
-/// One statistics counter, backed by the telemetry registry under
-/// `orb.<node>.<stat>` so snapshots see every node's traffic. The
-/// baseline makes [`Orb::stats`] start from zero per orb instance even
-/// when a node name (and thus a registry counter) is reused after a
-/// previous orb dropped.
-#[derive(Debug)]
-struct StatCell {
-    counter: Counter,
-    baseline: u64,
-}
-
-impl StatCell {
-    fn new(node: &str, stat: &str) -> StatCell {
-        let counter = registry().counter(&format!("orb.{node}.{stat}"));
-        let baseline = counter.value();
-        StatCell { counter, baseline }
-    }
-
-    fn incr(&self) {
-        self.counter.incr();
-    }
-
-    fn add(&self, n: u64) {
-        self.counter.add(n);
-    }
-
-    fn value(&self) -> u64 {
-        self.counter.value() - self.baseline
-    }
-}
-
 /// The node's `orb.<node>.*` instruments, resolved once when the orb
 /// is built.
 #[derive(Debug)]
 pub(crate) struct StatCells {
-    requests_sent: StatCell,
-    oneways_sent: StatCell,
-    replies_received: StatCell,
-    requests_served: StatCell,
-    bytes_sent: StatCell,
-    bytes_received: StatCell,
+    requests_sent: Counter,
+    oneways_sent: Counter,
+    replies_received: Counter,
+    requests_served: Counter,
+    bytes_sent: Counter,
+    bytes_received: Counter,
     /// Dispatches shed at the node-wide in-flight cap.
     shed: Counter,
     /// TCP requests shed at a full connection queue.
@@ -92,25 +61,61 @@ pub(crate) struct StatCells {
     pub(crate) tcp_inflight: Gauge,
     /// Failed TCP accepts.
     pub(crate) tcp_accept_errors: Counter,
+    /// TCP calls awaiting a reply.
+    pub(crate) tcp_client_inflight: Gauge,
+    /// Pending entries on the most recently used TCP connection (a
+    /// high-water mark of pipelining).
+    pub(crate) tcp_client_depth: Gauge,
 }
 
 impl StatCells {
     fn for_node(node: &str) -> StatCells {
-        let r = registry();
+        let counter = |stat| registry().counter(&format!("orb.{node}.{stat}"));
+        let gauge = |stat| registry().gauge(&format!("orb.{node}.{stat}"));
         StatCells {
-            requests_sent: StatCell::new(node, "requests_sent"),
-            oneways_sent: StatCell::new(node, "oneways_sent"),
-            replies_received: StatCell::new(node, "replies_received"),
-            requests_served: StatCell::new(node, "requests_served"),
-            bytes_sent: StatCell::new(node, "bytes_sent"),
-            bytes_received: StatCell::new(node, "bytes_received"),
-            shed: r.counter(&format!("orb.{node}.shed")),
-            tcp_shed: r.counter(&format!("orb.{node}.tcp.server.shed")),
-            tcp_queue_depth: r.gauge(&format!("orb.{node}.tcp.server.queue_depth")),
-            tcp_inflight: r.gauge(&format!("orb.{node}.tcp.server.inflight")),
-            tcp_accept_errors: r.counter(&format!("orb.{node}.tcp.accept.errors")),
+            requests_sent: counter("requests_sent"),
+            oneways_sent: counter("oneways_sent"),
+            replies_received: counter("replies_received"),
+            requests_served: counter("requests_served"),
+            bytes_sent: counter("bytes_sent"),
+            bytes_received: counter("bytes_received"),
+            shed: counter("shed"),
+            tcp_shed: counter("tcp.server.shed"),
+            tcp_queue_depth: gauge("tcp.server.queue_depth"),
+            tcp_inflight: gauge("tcp.server.inflight"),
+            tcp_accept_errors: counter("tcp.accept.errors"),
+            tcp_client_inflight: gauge("tcp.client.inflight"),
+            tcp_client_depth: gauge("tcp.client.pipeline_depth"),
         }
     }
+}
+
+/// Removes every instrument a node named `node` registers: the names
+/// [`StatCells::for_node`] resolves and its fault plan's counters. Called with the node map locked, when the node's name is
+/// freed or a dead node's name is claimed, so a reused name starts from
+/// zero and dropped nodes leave no names behind. Exact names, not a
+/// prefix: a node named `server` must not take `orb.server.op.*`.
+fn forget_node_metrics(node: &str) {
+    const STATS: [&str; 13] = [
+        "requests_sent",
+        "oneways_sent",
+        "replies_received",
+        "requests_served",
+        "bytes_sent",
+        "bytes_received",
+        "shed",
+        "tcp.server.shed",
+        "tcp.server.queue_depth",
+        "tcp.server.inflight",
+        "tcp.accept.errors",
+        "tcp.client.inflight",
+        "tcp.client.pipeline_depth",
+    ];
+    let r = registry();
+    for stat in STATS {
+        r.remove(&format!("orb.{node}.{stat}"));
+    }
+    FaultPlan::forget_metrics(node);
 }
 
 /// A served operation's metrics, `orb.server.op.<op>.{latency,errors}`.
@@ -286,6 +291,31 @@ impl Lifecycle {
     }
 }
 
+/// One dispatch admitted by [`OrbCore::begin_dispatch`]: it holds the
+/// node and retires the dispatch from the inflight count when dropped.
+pub(crate) struct Dispatch(Arc<OrbCore>);
+
+impl std::ops::Deref for Dispatch {
+    type Target = OrbCore;
+
+    fn deref(&self) -> &OrbCore {
+        &self.0
+    }
+}
+
+impl Drop for Dispatch {
+    fn drop(&mut self) {
+        let lifecycle = &self.0.lifecycle;
+        if lifecycle.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _guard = lifecycle
+                .drain_lock
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            lifecycle.drained.notify_all();
+        }
+    }
+}
+
 pub(crate) struct OrbCore {
     pub(crate) node: String,
     pub(crate) adapter: ObjectAdapter,
@@ -335,48 +365,34 @@ impl Drop for OrbCore {
         let mut nodes = nodes().lock().unwrap_or_else(|e| e.into_inner());
         if nodes.get(&self.node).is_some_and(|w| w.strong_count() == 0) {
             nodes.remove(&self.node);
+            forget_node_metrics(&self.node);
         }
     }
 }
 
 impl OrbCore {
-    /// Admits one inbound dispatch, which the caller must pair with
-    /// [`end_dispatch`](Self::end_dispatch). It is refused (after
-    /// undoing the reservation) with the retryable error the transport
-    /// answers: [`OrbError::ShuttingDown`] when the node is draining,
+    /// Admits one inbound dispatch of `core`'s node, retired when the
+    /// returned [`Dispatch`] drops: after its reply (if any) has been
+    /// flushed to the transport, or while a panicking servant unwinds.
+    /// It is refused with the retryable error the transport answers:
+    /// [`OrbError::ShuttingDown`] when the node is draining,
     /// [`OrbError::TransientOverload`] when its in-flight cap is full.
     ///
     /// The count is raised *before* re-checking the state so a
     /// concurrent [`Orb::shutdown`] either sees this dispatch in the
     /// inflight count or this dispatch sees the drained state — never
     /// neither.
-    pub(crate) fn begin_dispatch(&self) -> OrbResult<()> {
-        let prior = self.lifecycle.inflight.fetch_add(1, Ordering::AcqRel);
-        if self.lifecycle.state.load(Ordering::Acquire) != LIFECYCLE_RUNNING {
-            self.end_dispatch();
+    pub(crate) fn begin_dispatch(core: Arc<OrbCore>) -> OrbResult<Dispatch> {
+        let prior = core.lifecycle.inflight.fetch_add(1, Ordering::AcqRel);
+        let dispatch = Dispatch(core);
+        if !dispatch.is_running() {
             return Err(OrbError::ShuttingDown);
         }
-        if prior >= self.options.max_inflight {
-            self.end_dispatch();
-            self.stats.shed.incr();
+        if prior >= dispatch.options.max_inflight {
+            dispatch.stats.shed.incr();
             return Err(OrbError::TransientOverload);
         }
-        Ok(())
-    }
-
-    /// Retires one dispatch admitted by [`begin_dispatch`]; called only
-    /// after its reply (if any) has been flushed to the transport.
-    ///
-    /// [`begin_dispatch`]: Self::begin_dispatch
-    pub(crate) fn end_dispatch(&self) {
-        if self.lifecycle.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self
-                .lifecycle
-                .drain_lock
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            self.lifecycle.drained.notify_all();
-        }
+        Ok(dispatch)
     }
 
     pub(crate) fn is_running(&self) -> bool {
@@ -560,6 +576,11 @@ impl Orb {
             n += 1;
             name = format!("{node}-{n}");
         }
+        if registry.contains_key(&name) {
+            // A dead node's entry, not yet removed by its drop: its
+            // instruments are not this node's.
+            forget_node_metrics(&name);
+        }
         let core = Arc::new(OrbCore {
             node: name.clone(),
             adapter: ObjectAdapter::new(),
@@ -623,9 +644,9 @@ impl Orb {
         }
     }
 
-    /// Message counters so far (this orb instance; the telemetry
-    /// registry additionally keeps per-node-name lifetime totals under
-    /// `orb.<node>.*`).
+    /// Message counters so far: this node's `orb.<node>.*` counters,
+    /// which start from zero when the orb is built and leave the
+    /// telemetry registry when it drops.
     pub fn stats(&self) -> OrbStats {
         let s = &self.core.stats;
         OrbStats {
@@ -1067,18 +1088,17 @@ impl Orb {
                 // Served on this thread like a two-way call, but
                 // fire-and-forget: a refusal (draining or overload) is
                 // discarded silently, and nothing is replied.
-                if peer.begin_dispatch().is_ok() {
+                if let Ok(peer) = OrbCore::begin_dispatch(peer) {
                     let _ = peer.serve(request);
-                    peer.end_dispatch();
                 }
                 return Ok(None);
             }
-            peer.begin_dispatch()?;
+            let peer = OrbCore::begin_dispatch(peer)?;
             let reply = peer.serve(request);
             let reply_frame = Message::Reply(reply).encode_frame();
             let reply_bytes = &reply_frame[4..];
             peer.count_bytes_out(reply_bytes.len());
-            peer.end_dispatch();
+            drop(peer);
             self.core.count_bytes_in(reply_bytes.len());
             match Message::decode(reply_bytes)? {
                 Message::Reply(body) => Ok(Some(body)),
@@ -1180,6 +1200,44 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_servant_retires_its_tcp_dispatch() {
+        let server = Orb::new("t-orb-panic-tcp");
+        server
+            .activate(
+                "boom",
+                ServantFn::new("Boom", |_, _| panic!("deliberate servant panic")),
+            )
+            .unwrap();
+        let endpoint = server.listen_tcp("127.0.0.1:0").unwrap();
+        let client = Orb::new("t-orb-panic-tcp-client");
+        let target = ObjRef::new(endpoint, "boom", "Boom");
+        // The panic ends the serving thread, so no reply comes.
+        let options = InvokeOptions::default().deadline(Duration::from_millis(100));
+        let err = client
+            .invoke_ref_with(&target, "boom", vec![], options)
+            .unwrap_err();
+        assert!(matches!(err, OrbError::DeadlineExpired { .. }), "{err:?}");
+        let started = Instant::now();
+        assert!(server.shutdown(Duration::from_millis(300)));
+        assert!(started.elapsed() < Duration::from_millis(200));
+    }
+
+    #[test]
+    fn a_reused_node_name_starts_from_zero() {
+        let server = Orb::new("t-orb-reused-server");
+        let objref = server.activate("h", hello_servant()).unwrap();
+        let first = Orb::new("t-orb-reused");
+        first.invoke_ref(&objref, "hello", vec![]).unwrap();
+        assert_eq!(first.stats().requests_sent, 1);
+        drop(first);
+        let again = Orb::new("t-orb-reused");
+        assert_eq!(again.node_name(), "t-orb-reused");
+        assert_eq!(again.stats().requests_sent, 0);
+        let snapshot = adapta_telemetry::registry().snapshot();
+        assert_eq!(snapshot.counter("orb.t-orb-reused.requests_sent"), Some(0));
+    }
+
+    #[test]
     fn dropped_nodes_leave_the_node_map() {
         let churned = || {
             nodes()
@@ -1194,6 +1252,29 @@ mod tests {
             drop(Orb::new(&format!("t-orb-churn-{i}")));
         }
         assert_eq!(churned(), before);
+    }
+
+    #[test]
+    fn a_panicking_servant_retires_its_dispatch() {
+        let server = Orb::new("t-orb-panic");
+        let objref = server
+            .activate(
+                "boom",
+                ServantFn::new("Boom", |_, _| panic!("deliberate servant panic")),
+            )
+            .unwrap();
+        let client = Orb::new("t-orb-panic-client");
+        let two_way = || client.invoke_ref(&objref, "boom", vec![]).map(drop);
+        let oneway = || client.invoke_oneway_ref(&objref, "boom", vec![]);
+        for call in [&two_way as &dyn Fn() -> OrbResult<()>, &oneway] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
+            assert!(caught.is_err(), "the servant's panic reached the caller");
+        }
+        // Neither call left the node's in-flight count raised, so the
+        // drain finds nothing to wait for.
+        let started = Instant::now();
+        assert!(server.shutdown(Duration::from_millis(300)));
+        assert!(started.elapsed() < Duration::from_millis(200));
     }
 
     #[test]

@@ -61,12 +61,11 @@ use std::sync::{Arc, MutexGuard, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use adapta_telemetry::{registry, Gauge};
 use parking_lot::Mutex;
 
 use crate::error::OrbError;
 use crate::message::{IncomingRequest, Message, QueuedRequest, ReplyBody};
-use crate::orb::OrbCore;
+use crate::orb::{Dispatch, OrbCore};
 use crate::OrbResult;
 
 /// Upper bound on accepted frame size (matches the marshalling limit).
@@ -354,6 +353,10 @@ struct ServerConn {
     core: Weak<OrbCore>,
 }
 
+/// A request and its admission, which holds the node until the
+/// request has been served and its reply flushed.
+type Admitted = (QueuedRequest, Dispatch);
+
 /// Who is doing what on a connection.
 #[derive(Default)]
 struct Crew {
@@ -363,7 +366,7 @@ struct Crew {
     serving: usize,
     /// Admitted requests that found every thread but the leader
     /// serving, at most `max_conn_queue`.
-    queued: VecDeque<QueuedRequest>,
+    queued: VecDeque<Admitted>,
 }
 
 impl ServerConn {
@@ -400,7 +403,7 @@ impl ServerConn {
     /// lead. At the thread cap with every other thread serving, it
     /// queues or sheds what it reads instead. `None` when the
     /// connection ends, fails or breaks the protocol.
-    fn admit(self: &Arc<Self>, frames: &mut FrameReader) -> Option<QueuedRequest> {
+    fn admit(self: &Arc<Self>, frames: &mut FrameReader) -> Option<Admitted> {
         loop {
             let Ok(Some(body)) = frames.next_frame(&self.stream, None) else {
                 return None;
@@ -419,20 +422,23 @@ impl ServerConn {
                 core.stats.tcp_shed.incr();
                 Err(OrbError::TransientOverload)
             } else {
-                core.begin_dispatch()
+                OrbCore::begin_dispatch(core.clone())
             };
-            if let Err(refusal) = admitted {
-                drop(crew);
-                if !request.oneway {
-                    let reply = ReplyBody {
-                        id: request.id,
-                        outcome: Err(refusal),
-                    };
-                    self.reply(&core, reply).ok()?;
+            let dispatch = match admitted {
+                Ok(dispatch) => dispatch,
+                Err(refusal) => {
+                    drop(crew);
+                    if !request.oneway {
+                        let reply = ReplyBody {
+                            id: request.id,
+                            outcome: Err(refusal),
+                        };
+                        self.reply(&core, reply).ok()?;
+                    }
+                    continue;
                 }
-                continue;
-            }
-            let job = request.into_queued();
+            };
+            let job = (request.into_queued(), dispatch);
             let spawn = crew.threads == crew.serving + 1; // no follower waits
             if spawn && crew.threads > core.options.max_conn_workers {
                 crew.queued.push_back(job);
@@ -448,31 +454,29 @@ impl ServerConn {
         }
     }
 
-    /// Serves `job`, replying in completion order, then the jobs queued
-    /// meanwhile, and leaves the crew of serving threads.
-    fn serve(&self, mut job: QueuedRequest) {
+    /// Serves an admitted request, replying in completion order, then
+    /// the requests queued meanwhile, and leaves the crew of serving
+    /// threads.
+    fn serve(&self, (mut request, mut dispatch): Admitted) {
         loop {
-            let Some(core) = self.core.upgrade() else {
-                return;
-            };
-            let stats = &core.stats;
+            let stats = &dispatch.stats;
             stats.tcp_inflight.add(1);
-            let needs_reply = !job.oneway;
-            let reply = job.with(|request| core.serve(request));
+            let needs_reply = !request.oneway;
+            let reply = request.with(|request| dispatch.serve(request));
             stats.tcp_inflight.sub(1);
             if needs_reply {
-                let _ = self.reply(&core, reply);
+                let _ = self.reply(&dispatch, reply);
             }
             // The dispatch retires only after its reply is flushed, so
             // a draining orb never strands an accepted caller.
-            core.end_dispatch();
+            drop(dispatch);
             let mut crew = self.crew.lock();
             let Some(next) = crew.queued.pop_front() else {
                 crew.serving -= 1;
                 return;
             };
-            stats.tcp_queue_depth.sub(1);
-            job = next;
+            (request, dispatch) = next;
+            dispatch.stats.tcp_queue_depth.sub(1);
         }
     }
 
@@ -590,11 +594,6 @@ pub(crate) struct MuxConnection {
     /// The frame buffer; whoever holds it is the leader.
     reader: Mutex<FrameReader>,
     state: Mutex<PendingState>,
-    /// `orb.<node>.tcp.client.inflight` — calls awaiting a reply.
-    inflight: Gauge,
-    /// `orb.<node>.tcp.client.pipeline_depth` — pending entries on the
-    /// most recently used connection (a high-water mark of pipelining).
-    depth: Gauge,
 }
 
 impl MuxConnection {
@@ -776,7 +775,7 @@ impl MuxConnection {
     }
 }
 
-fn connect(core: &OrbCore, addr: &str) -> OrbResult<Arc<MuxConnection>> {
+fn connect(addr: &str) -> OrbResult<Arc<MuxConnection>> {
     let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
     let _ = stream.set_nodelay(true);
     Ok(Arc::new(MuxConnection {
@@ -787,8 +786,6 @@ fn connect(core: &OrbCore, addr: &str) -> OrbResult<Arc<MuxConnection>> {
             alive: true,
             ..PendingState::default()
         }),
-        inflight: registry().gauge(&format!("orb.{}.tcp.client.inflight", core.node)),
-        depth: registry().gauge(&format!("orb.{}.tcp.client.pipeline_depth", core.node)),
     }))
 }
 
@@ -813,7 +810,7 @@ fn pooled_connection(core: &OrbCore, addr: &str) -> OrbResult<Arc<MuxConnection>
     // Connect outside the pool lock; on a race, prefer whichever live
     // connection landed in the pool (the loser is dropped, closing its
     // socket).
-    let conn = connect(core, addr)?;
+    let conn = connect(addr)?;
     let mut pool = core.tcp_pool.lock();
     match pool.get(addr) {
         Some(existing) if existing.is_alive() => Ok(existing.clone()),
@@ -885,10 +882,11 @@ pub(crate) fn invoke(
             }
             return Ok(None);
         };
-        conn.depth.set(depth as i64);
-        conn.inflight.add(1);
+        let stats = &core.stats;
+        stats.tcp_client_depth.set(depth as i64);
+        stats.tcp_client_inflight.add(1);
         let out = conn.await_reply(core, addr, id, frames, deadline);
-        conn.inflight.sub(1);
+        stats.tcp_client_inflight.sub(1);
         return out.map(Some);
     }
     Err(last_err.unwrap_or_else(|| OrbError::Transport("tcp invoke failed".into())))

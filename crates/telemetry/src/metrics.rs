@@ -217,12 +217,13 @@ impl Registry {
         }
     }
 
-    /// Removes every instrument (test isolation helper; outstanding
-    /// handles keep working but detach from the registry).
-    pub fn clear(&self) {
-        relock(&self.counters).clear();
-        relock(&self.gauges).clear();
-        relock(&self.histograms).clear();
+    /// Removes the instrument named `name`, of whichever kind, so the
+    /// name starts afresh when next looked up. Outstanding handles keep
+    /// working but detach from the registry.
+    pub fn remove(&self, name: &str) {
+        relock(&self.counters).remove(name);
+        relock(&self.gauges).remove(name);
+        relock(&self.histograms).remove(name);
     }
 }
 
@@ -311,6 +312,17 @@ mod tests {
         a.incr();
         b.add(2);
         assert_eq!(a.value(), 3);
+    }
+
+    #[test]
+    fn a_removed_name_starts_afresh() {
+        let old = registry().counter("test.metrics.removed");
+        old.add(3);
+        registry().remove("test.metrics.removed");
+        assert_eq!(registry().snapshot().counter("test.metrics.removed"), None);
+        old.incr();
+        assert_eq!(registry().counter("test.metrics.removed").value(), 0);
+        assert_eq!(old.value(), 4, "a detached handle keeps working");
     }
 
     #[test]
