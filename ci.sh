@@ -17,6 +17,9 @@
 # then the TCP server's leader/followers tests
 # (crates/orb/tests/server_leads.rs) 20 times, since they race a
 # connection's threads for the lead, its thread cap and its queue, then
+# the two-caller breaker test of tests/balancer.rs 20 times on its own,
+# since its callers race one replica's health record, read without a
+# lock, through open, half-open probe and close, then
 # the script isolate's cross-thread tests (crates/bridge/tests/
 # cross_thread.rs) 20 times, since one interpreter moves between the
 # threads that take turns entering it.
@@ -119,6 +122,10 @@ if [[ "${1:-}" == "--stress" ]]; then
     echo "==> stress: TCP server threads serving what they read, 20 runs"
     for _ in $(seq 20); do
         cargo test -q -p adapta-orb --test server_leads
+    done
+    echo "==> stress: two callers through one balanced proxy's breaker, 20 runs"
+    for _ in $(seq 20); do
+        cargo test -q --test balancer two_callers_share_a_breaker
     done
     echo "==> stress: one script isolate entered from many threads, 20 runs"
     for _ in $(seq 20); do

@@ -8,8 +8,9 @@
 //! refresher re-runs the query on a jittered interval so the set tracks
 //! the trader without synchronized polling stampedes.
 
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use adapta_idl::Value;
@@ -33,6 +34,21 @@ pub struct Replica {
     properties: Mutex<Vec<(String, Value)>>,
     dynamic: Mutex<Vec<(String, ObjRef)>>,
     stats: ReplicaStats,
+    attachment: Attachment,
+}
+
+/// What the set's owner attached to a replica (see [`Replica::attach`]).
+#[derive(Default)]
+struct Attachment(OnceLock<Arc<dyn Any + Send + Sync>>);
+
+impl std::fmt::Debug for Attachment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.get().is_some() {
+            "Attached"
+        } else {
+            "None"
+        })
+    }
 }
 
 impl Replica {
@@ -49,6 +65,7 @@ impl Replica {
             properties: Mutex::new(properties),
             dynamic: Mutex::new(dynamic),
             stats: ReplicaStats::new(),
+            attachment: Attachment::default(),
         }
     }
 
@@ -78,6 +95,19 @@ impl Replica {
     /// Runtime stats (shared with the routing policy).
     pub fn stats(&self) -> &ReplicaStats {
         &self.stats
+    }
+
+    /// Attaches the owner's per-replica state, once: a balanced smart
+    /// proxy attaches its health record for the replica's target when
+    /// the set adds the replica, so its picks read the record without
+    /// a lookup. `false` when something is attached already.
+    pub fn attach(&self, state: Arc<dyn Any + Send + Sync>) -> bool {
+        self.attachment.0.set(state).is_ok()
+    }
+
+    /// The state attached with [`attach`](Self::attach), if it is a `T`.
+    pub fn attached<T: Any>(&self) -> Option<&T> {
+        self.attachment.0.get()?.downcast_ref()
     }
 
     /// Snapshot of the offer properties as of the last refresh.
@@ -333,22 +363,28 @@ impl ReplicaSet {
 
     /// Picks a replica among those passing `filter` — callers exclude
     /// breaker-open and known-dead targets here, so the policy only
-    /// ever sees admissible candidates.
+    /// ever sees admissible candidates. The policy reads the set in
+    /// place; a list is built only when `filter` rejects a replica.
     pub fn pick_where(
         &self,
         key: Option<u64>,
         filter: impl Fn(&Replica) -> bool,
     ) -> Option<Arc<Replica>> {
-        let candidates: Vec<Arc<Replica>> = self
-            .inner
-            .replicas
-            .read()
-            .iter()
-            .filter(|r| filter(r))
-            .cloned()
-            .collect();
-        let policy = self.inner.policy.read().clone();
-        let picked = candidates.get(policy.pick(&candidates, key)?)?.clone();
+        let picked = {
+            let replicas = self.inner.replicas.read();
+            let policy = self.inner.policy.read();
+            match replicas.iter().position(|r| !filter(r)) {
+                None => replicas.get(policy.pick(&replicas, key)?)?.clone(),
+                Some(rejected) => {
+                    let candidates: Vec<Arc<Replica>> = replicas[..rejected]
+                        .iter()
+                        .chain(replicas[rejected + 1..].iter().filter(|r| filter(r)))
+                        .cloned()
+                        .collect();
+                    candidates.get(policy.pick(&candidates, key)?)?.clone()
+                }
+            }
+        };
         self.record_pick(&picked);
         Some(picked)
     }
@@ -395,6 +431,13 @@ impl ReplicaSet {
     /// Snapshot of the live replicas.
     pub fn replicas(&self) -> Vec<Arc<Replica>> {
         self.inner.replicas.read().clone()
+    }
+
+    /// Runs `f` over the live replicas in place, under the set's read
+    /// lock: `f` must not call back into the set, and a refresh waits
+    /// until it returns.
+    pub fn with_replicas<R>(&self, f: impl FnOnce(&[Arc<Replica>]) -> R) -> R {
+        f(&self.inner.replicas.read())
     }
 
     /// A live replica by key, if present.
@@ -565,5 +608,31 @@ mod tests {
             .unwrap();
         assert_eq!(b_only.target().endpoint, "inproc://b");
         assert!(set.pick_where(None, |_| false).is_none());
+        // Every replica admissible: the policy picks over the set itself.
+        let all: Vec<String> = (0..4)
+            .map(|_| {
+                set.pick_where(None, |_| true)
+                    .unwrap()
+                    .target()
+                    .endpoint
+                    .clone()
+            })
+            .collect();
+        assert!(all.iter().any(|e| e == "inproc://a") && all.iter().any(|e| e == "inproc://b"));
+    }
+
+    #[test]
+    fn attached_state_is_set_once_and_read_by_type() {
+        let r = Replica::from_parts(
+            "1",
+            ObjRef::new("inproc://a", "svc", "Hello"),
+            vec![],
+            vec![],
+        );
+        assert!(r.attached::<u32>().is_none());
+        assert!(r.attach(Arc::new(7u32)));
+        assert!(!r.attach(Arc::new(8u32)));
+        assert_eq!(r.attached::<u32>(), Some(&7));
+        assert!(r.attached::<String>().is_none());
     }
 }

@@ -24,9 +24,13 @@
 //! instead of queueing on a corpse); after a cool-down one *probe* call
 //! is admitted half-open — success closes the breaker, failure re-opens
 //! it. Transitions are published under the
-//! `smartproxy.<type>.breaker.*` metric family.
+//! `smartproxy.<type>.breaker.*` metric family. A caller resolves a
+//! target's record once and holds it, so a call polls the breaker and
+//! the failure time with atomic loads and takes no table-wide lock.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use adapta_orb::ObjRef;
@@ -144,6 +148,7 @@ impl Default for BreakerConfig {
 
 /// Breaker states, in the classic closed → open → half-open cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum BreakerState {
     /// Calls flow; outcomes are recorded in the sliding window.
     Closed,
@@ -166,30 +171,48 @@ pub enum Admission {
     Reject,
 }
 
-/// One target's health record: its breaker window and state, and the
-/// time of its last retryable failure.
+/// One target's health record, shared by the [`HealthTable`] and by
+/// whoever resolved it (a balanced replica, a classic binding), so a
+/// call reads and updates it without looking it up.
+///
+/// What the pick path polls is kept in atomics: the breaker state and
+/// the time of the last retryable failure are each one load. The
+/// sliding window and the state transitions are guarded by the record's
+/// own lock, which a success takes only while the window still holds a
+/// failure or is not yet full.
+///
+/// The atomics are `Relaxed`: none publishes other data (the window is
+/// read only under its lock), and a pick that reads a state or a
+/// failure time a moment old acts as if it had run a moment earlier.
+/// A success that skips the lock on a stale `clean` is likewise ordered
+/// before the failure that cleared it, where it changes nothing.
 #[derive(Debug)]
-struct TargetHealth {
-    state: BreakerState,
+pub(crate) struct TargetHealth {
+    target: ObjRef,
+    /// The [`BreakerState`], changed only under `window`'s lock.
+    state: AtomicU8,
+    /// Reference point of `last_failure`.
+    created: Instant,
+    /// Nanoseconds from `created` to the last retryable failure, plus
+    /// one; 0 when the target never failed.
+    last_failure: AtomicU64,
+    /// The window is full and holds no failure, and the breaker is
+    /// closed: a success would change nothing.
+    clean: AtomicBool,
+    window: Mutex<Window>,
+}
+
+/// A record's breaker bookkeeping.
+#[derive(Debug)]
+struct Window {
     /// Sliding window of outcomes, `true` = failure.
     outcomes: VecDeque<bool>,
     opened_at: Instant,
     /// Whether the half-open probe slot is taken.
     probing: bool,
-    last_failure: Option<Instant>,
 }
 
-impl TargetHealth {
-    fn new() -> TargetHealth {
-        TargetHealth {
-            state: BreakerState::Closed,
-            outcomes: VecDeque::new(),
-            opened_at: Instant::now(),
-            probing: false,
-            last_failure: None,
-        }
-    }
-
+impl Window {
     fn record(&mut self, failure: bool, window: usize) {
         self.outcomes.push_back(failure);
         while self.outcomes.len() > window {
@@ -203,10 +226,56 @@ impl TargetHealth {
         }
         self.outcomes.iter().filter(|f| **f).count() as f64 / self.outcomes.len() as f64
     }
+}
 
-    fn dead(&self, now: Instant, ttl: Duration) -> bool {
-        self.last_failure
-            .is_some_and(|at| now.duration_since(at) < ttl)
+impl TargetHealth {
+    fn new(target: ObjRef) -> TargetHealth {
+        let now = Instant::now();
+        TargetHealth {
+            target,
+            state: AtomicU8::new(BreakerState::Closed as u8),
+            created: now,
+            last_failure: AtomicU64::new(0),
+            clean: AtomicBool::new(false),
+            window: Mutex::new(Window {
+                outcomes: VecDeque::new(),
+                opened_at: now,
+                probing: false,
+            }),
+        }
+    }
+
+    /// The target this record is about.
+    pub(crate) fn target(&self) -> &ObjRef {
+        &self.target
+    }
+
+    /// The breaker state (Closed when no breaker is configured).
+    pub(crate) fn state(&self) -> BreakerState {
+        match self.state.load(Ordering::Relaxed) {
+            s if s == BreakerState::Open as u8 => BreakerState::Open,
+            s if s == BreakerState::HalfOpen as u8 => BreakerState::HalfOpen,
+            _ => BreakerState::Closed,
+        }
+    }
+
+    fn set_state(&self, state: BreakerState) {
+        self.state.store(state as u8, Ordering::Relaxed);
+    }
+
+    fn nanos_since_created(&self) -> u64 {
+        u64::try_from(self.created.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Whether the target failed within `ttl`. A target that never
+    /// failed costs one load, no clock read.
+    fn dead(&self, ttl: Duration) -> bool {
+        let failed_at = self.last_failure.load(Ordering::Relaxed);
+        if failed_at == 0 || ttl.is_zero() {
+            return false;
+        }
+        let ttl = u64::try_from(ttl.as_nanos()).unwrap_or(u64::MAX);
+        self.nanos_since_created().saturating_sub(failed_at - 1) < ttl
     }
 }
 
@@ -214,11 +283,15 @@ impl TargetHealth {
 /// target it has talked to, so the breaker window reflects that proxy's
 /// own traffic. Without a [`BreakerConfig`] the breaker part is inert:
 /// every call is admitted and only failures are recorded.
+///
+/// The map is used to resolve a record, to forget one, to count the
+/// open breakers on a transition and to answer questions by target;
+/// calls go through the records they hold.
 #[derive(Debug)]
 pub(crate) struct HealthTable {
     breaker: Option<Breaker>,
     dead_ttl: Duration,
-    targets: Mutex<HashMap<ObjRef, TargetHealth>>,
+    targets: Mutex<HashMap<ObjRef, Arc<TargetHealth>>>,
 }
 
 /// A configured breaker and its `smartproxy.<type>.breaker.*`
@@ -248,10 +321,10 @@ impl Breaker {
         }
     }
 
-    fn publish_open_targets(&self, targets: &HashMap<ObjRef, TargetHealth>) {
+    fn publish_open_targets(&self, targets: &HashMap<ObjRef, Arc<TargetHealth>>) {
         let open = targets
             .values()
-            .filter(|h| h.state != BreakerState::Closed)
+            .filter(|h| h.state() != BreakerState::Closed)
             .count();
         self.open_targets.set(open as i64);
     }
@@ -277,21 +350,39 @@ impl HealthTable {
         self.breaker.is_some()
     }
 
-    /// Asks whether a call to `target` may proceed right now.
-    pub(crate) fn admit(&self, target: &ObjRef) -> Admission {
+    /// The record of `target`, created on first use. The caller keeps
+    /// it for as long as it calls that target.
+    pub(crate) fn resolve(&self, target: &ObjRef) -> Arc<TargetHealth> {
+        let mut targets = self.targets.lock();
+        if self.breaker.is_none() {
+            // Without a breaker a record is only its failure time: drop
+            // the ones nobody holds whose TTL ran out.
+            targets.retain(|_, h| Arc::strong_count(h) > 1 || h.dead(self.dead_ttl));
+        }
+        if let Some(health) = targets.get(target) {
+            return health.clone();
+        }
+        let health = Arc::new(TargetHealth::new(target.clone()));
+        targets.insert(target.clone(), health.clone());
+        health
+    }
+
+    /// Asks whether a call to the target of `health` may proceed right
+    /// now. A closed breaker answers with one load.
+    pub(crate) fn admit_record(&self, health: &TargetHealth) -> Admission {
         let Some(breaker) = &self.breaker else {
             return Admission::Allow;
         };
-        let mut targets = self.targets.lock();
-        let Some(health) = targets.get_mut(target) else {
+        if health.state() == BreakerState::Closed {
             return Admission::Allow;
-        };
-        match health.state {
+        }
+        let mut window = health.window.lock();
+        match health.state() {
             BreakerState::Closed => Admission::Allow,
             BreakerState::Open => {
-                if health.opened_at.elapsed() >= breaker.config.open_for {
-                    health.state = BreakerState::HalfOpen;
-                    health.probing = true;
+                if window.opened_at.elapsed() >= breaker.config.open_for {
+                    health.set_state(BreakerState::HalfOpen);
+                    window.probing = true;
                     breaker.half_open.incr();
                     Admission::Probe
                 } else {
@@ -300,64 +391,88 @@ impl HealthTable {
                 }
             }
             BreakerState::HalfOpen => {
-                if health.probing {
+                if window.probing {
                     breaker.rejected.incr();
                     Admission::Reject
                 } else {
-                    health.probing = true;
+                    window.probing = true;
                     Admission::Probe
                 }
             }
         }
     }
 
-    /// Records one call's outcome: `ok` unless it failed retryably (an
-    /// application exception still proves the target alive). Only the
-    /// breaker reads successes, so without one a success takes no lock.
+    /// Records one call's outcome in `health`: `ok` unless it failed
+    /// retryably (an application exception still proves the target
+    /// alive). A success takes no lock without a breaker, nor with a
+    /// closed one whose window holds only successes.
+    pub(crate) fn record_outcome(&self, health: &TargetHealth, ok: bool) {
+        if !ok {
+            health
+                .last_failure
+                .store(health.nanos_since_created() + 1, Ordering::Relaxed);
+        }
+        let Some(breaker) = &self.breaker else { return };
+        if ok && health.clean.load(Ordering::Relaxed) {
+            return;
+        }
+        let config = &breaker.config;
+        let transition = {
+            let mut window = health.window.lock();
+            let transition = match health.state() {
+                // The probe's outcome closes the breaker or restarts the
+                // cool-down.
+                BreakerState::HalfOpen if ok => Some((BreakerState::Closed, &breaker.closed)),
+                BreakerState::HalfOpen => Some((BreakerState::Open, &breaker.opened)),
+                BreakerState::Open => None,
+                BreakerState::Closed => {
+                    window.record(!ok, config.window);
+                    (!ok && window.outcomes.len() >= config.min_calls
+                        && window.failure_rate() >= config.failure_threshold)
+                        .then_some((BreakerState::Open, &breaker.opened))
+                }
+            };
+            if let Some((state, _)) = transition {
+                health.set_state(state);
+                window.opened_at = Instant::now();
+                window.probing = false;
+                window.outcomes.clear();
+            }
+            let clean = health.state() == BreakerState::Closed
+                && window.outcomes.len() >= config.window
+                && !window.outcomes.contains(&true);
+            health.clean.store(clean, Ordering::Relaxed);
+            transition
+        };
+        if let Some((_, counter)) = transition {
+            counter.incr();
+            // Published under the map lock after the state changed, so
+            // the last count published sees every transition before it.
+            breaker.publish_open_targets(&self.targets.lock());
+        }
+    }
+
+    /// Whether the target of `health` failed within the dead-target TTL.
+    pub(crate) fn is_dead_record(&self, health: &TargetHealth) -> bool {
+        health.dead(self.dead_ttl)
+    }
+
+    /// Asks whether a call to `target` may proceed right now (Allow
+    /// when it has no record).
+    #[cfg(test)]
+    pub(crate) fn admit(&self, target: &ObjRef) -> Admission {
+        let health = self.targets.lock().get(target).cloned();
+        health.map_or(Admission::Allow, |h| self.admit_record(&h))
+    }
+
+    /// Records one call's outcome for `target`. Without a breaker a
+    /// success creates no record.
+    #[cfg(test)]
     pub(crate) fn record(&self, target: &ObjRef, ok: bool) {
         if ok && self.breaker.is_none() {
             return;
         }
-        let now = Instant::now();
-        let mut targets = self.targets.lock();
-        if self.breaker.is_none() {
-            // Without a breaker a record is only its failure time: drop
-            // the ones whose TTL ran out.
-            targets.retain(|_, h| h.dead(now, self.dead_ttl));
-        }
-        // Outcomes may arrive for targets that were never admitted
-        // through `admit` (the balancer routes around open breakers by
-        // state alone); they still must seed the sliding window.
-        if !targets.contains_key(target) {
-            targets.insert(target.clone(), TargetHealth::new());
-        }
-        let health = targets.get_mut(target).expect("record present");
-        if !ok {
-            health.last_failure = Some(now);
-        }
-        let Some(breaker) = &self.breaker else { return };
-        let config = &breaker.config;
-        let transition = match health.state {
-            // The probe's outcome closes the breaker or restarts the
-            // cool-down.
-            BreakerState::HalfOpen if ok => Some((BreakerState::Closed, &breaker.closed)),
-            BreakerState::HalfOpen => Some((BreakerState::Open, &breaker.opened)),
-            BreakerState::Open => None,
-            BreakerState::Closed => {
-                health.record(!ok, config.window);
-                (!ok && health.outcomes.len() >= config.min_calls
-                    && health.failure_rate() >= config.failure_threshold)
-                    .then_some((BreakerState::Open, &breaker.opened))
-            }
-        };
-        if let Some((state, counter)) = transition {
-            health.state = state;
-            health.opened_at = now;
-            health.probing = false;
-            health.outcomes.clear();
-            counter.incr();
-            breaker.publish_open_targets(&targets);
-        }
+        self.record_outcome(&self.resolve(target), ok);
     }
 
     /// The current breaker state for `target` (Closed when the target
@@ -369,7 +484,7 @@ impl HealthTable {
         self.targets
             .lock()
             .get(target)
-            .map_or(BreakerState::Closed, |h| h.state)
+            .map_or(BreakerState::Closed, |h| h.state())
     }
 
     /// Whether `target` failed within the dead-target TTL.
@@ -379,11 +494,12 @@ impl HealthTable {
                 .targets
                 .lock()
                 .get(target)
-                .is_some_and(|h| h.dead(Instant::now(), self.dead_ttl))
+                .is_some_and(|h| h.dead(self.dead_ttl))
     }
 
     /// Drops the record of a target that left the proxy's view (a
     /// replica evicted from its set), so churn cannot grow the table.
+    /// A caller still holding the record keeps using it.
     pub(crate) fn forget(&self, target: &ObjRef) {
         let mut targets = self.targets.lock();
         if targets.remove(target).is_some() {
@@ -557,5 +673,67 @@ mod tests {
         assert_eq!(table.tracked_targets(), 0);
         assert_eq!(table.state(&t), BreakerState::Closed);
         assert!(!table.is_dead(&t));
+    }
+
+    #[test]
+    fn a_held_record_and_the_target_api_see_the_same_failures() {
+        let table = breakers(BreakerConfig {
+            window: 2,
+            min_calls: 2,
+            failure_threshold: 0.5,
+            open_for: Duration::from_secs(10),
+        });
+        let t = target(11);
+        let held = table.resolve(&t);
+        assert!(Arc::ptr_eq(&held, &table.resolve(&t)));
+        table.record_outcome(&held, false);
+        assert!(table.is_dead(&t));
+        table.record(&t, false);
+        assert!(table.is_dead_record(&held));
+        assert_eq!(held.state(), BreakerState::Open);
+        assert_eq!(table.state(&t), BreakerState::Open);
+        assert_eq!(table.admit(&t), Admission::Reject);
+        assert_eq!(table.admit_record(&held), Admission::Reject);
+
+        table.forget(&t);
+        assert_eq!(table.tracked_targets(), 0);
+        assert_eq!(table.state(&t), BreakerState::Closed);
+        assert!(!table.is_dead(&t));
+        // The holder keeps its record; the table starts a fresh one.
+        assert_eq!(held.state(), BreakerState::Open);
+        assert!(!Arc::ptr_eq(&held, &table.resolve(&t)));
+    }
+
+    #[test]
+    fn successes_over_a_clean_window_change_nothing() {
+        let table = breakers(BreakerConfig {
+            window: 2,
+            min_calls: 2,
+            failure_threshold: 0.5,
+            open_for: Duration::from_secs(10),
+        });
+        let held = table.resolve(&target(12));
+        for _ in 0..3 {
+            table.record_outcome(&held, true);
+        }
+        assert!(held.clean.load(Ordering::Relaxed));
+        // One failure in a window of two is the threshold: it opens.
+        table.record_outcome(&held, false);
+        assert!(!held.clean.load(Ordering::Relaxed));
+        assert_eq!(held.state(), BreakerState::Open);
+    }
+
+    #[test]
+    fn without_a_breaker_the_table_keeps_held_records() {
+        let table = HealthTable::new(None, Duration::from_millis(10), "T");
+        let held = table.resolve(&target(13));
+        table.record(&target(14), false);
+        std::thread::sleep(Duration::from_millis(15));
+        // Resolving prunes the expired record nobody holds, not the
+        // held one.
+        table.resolve(&target(15));
+        assert_eq!(table.tracked_targets(), 2);
+        table.record_outcome(&held, false);
+        assert!(table.is_dead(&target(13)));
     }
 }

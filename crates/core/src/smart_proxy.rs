@@ -25,7 +25,9 @@ use adapta_trading::{OfferMatch, Query, TradingService};
 use parking_lot::Mutex;
 
 use crate::error::CoreError;
-use crate::resilience::{Admission, BreakerConfig, BreakerState, HealthTable, RetryPolicy};
+use crate::resilience::{
+    Admission, BreakerConfig, BreakerState, HealthTable, RetryPolicy, TargetHealth,
+};
 use crate::script_env;
 use crate::Result;
 
@@ -103,8 +105,9 @@ impl std::fmt::Debug for Strategy {
 
 struct Binding {
     offer: OfferMatch,
-    /// The offer's target, shared with the attempts that call it.
-    target: Arc<ObjRef>,
+    /// The health record of the offer's target, resolved at bind time
+    /// and shared with the attempts that call it.
+    health: Arc<TargetHealth>,
     /// `(monitor, observer id)` pairs to detach on rebind.
     attachments: Vec<(ObjRef, i64)>,
 }
@@ -112,14 +115,14 @@ struct Binding {
 /// The target of one attempt: the bound one, or in balanced mode the
 /// replica whose stats the outcome feeds.
 enum Pick {
-    Bound(Arc<ObjRef>),
+    Bound(Arc<TargetHealth>),
     Replica(Arc<Replica>),
 }
 
 impl Pick {
     fn target(&self) -> &ObjRef {
         match self {
-            Pick::Bound(target) => target,
+            Pick::Bound(health) => health.target(),
             Pick::Replica(replica) => replica.target(),
         }
     }
@@ -280,6 +283,28 @@ impl SpInner {
             events.len()
         };
         self.metrics.queue_depth.set(depth as i64);
+    }
+
+    /// Runs `f` on the health record of `replica`'s target. The set's
+    /// `on_added` hook attaches the record; a replica picked before its
+    /// hook ran gets it here.
+    fn replica_health<R>(&self, replica: &Replica, f: impl FnOnce(&TargetHealth) -> R) -> R {
+        if let Some(health) = replica.attached::<TargetHealth>() {
+            return f(health);
+        }
+        let health = self.health.resolve(replica.target());
+        replica.attach(health.clone());
+        f(&health)
+    }
+
+    /// Records one attempt's outcome in its target's health record.
+    fn record(&self, pick: &Pick, ok: bool) {
+        match pick {
+            Pick::Bound(health) => self.health.record_outcome(health, ok),
+            Pick::Replica(replica) => {
+                self.replica_health(replica, |h| self.health.record_outcome(h, ok));
+            }
+        }
     }
 
     /// Subscribes the proxy's observer to the load monitor behind a
@@ -609,11 +634,13 @@ impl SmartProxyBuilder {
 
         let found = match (&proxy.inner.balanced, &balancer_config) {
             (Some(bal), Some(config)) => {
-                // Lifecycle hooks attach/detach the load feed; installed
-                // before the first refresh so the initial replicas get one.
+                // Lifecycle hooks attach the health record and the load
+                // feed, and detach both; installed before the first
+                // refresh so the initial replicas get them.
                 let weak = Arc::downgrade(&proxy.inner);
                 bal.set.on_added(Box::new(move |replica| {
                     if let Some(inner) = weak.upgrade() {
+                        inner.replica_health(replica, |_| ());
                         inner.attach_load_feed(replica);
                     }
                 }));
@@ -675,11 +702,12 @@ impl SmartProxy {
 
     /// The currently bound component, if any.
     pub fn current_target(&self) -> Option<ObjRef> {
-        self.bound_target().map(|target| (*target).clone())
+        self.bound_target().map(|health| health.target().clone())
     }
 
-    fn bound_target(&self) -> Option<Arc<ObjRef>> {
-        self.inner.binding.lock().as_ref().map(|b| b.target.clone())
+    /// The health record of the bound target.
+    fn bound_target(&self) -> Option<Arc<TargetHealth>> {
+        self.inner.binding.lock().as_ref().map(|b| b.health.clone())
     }
 
     /// The offer behind the current binding, if any.
@@ -989,7 +1017,7 @@ impl SmartProxy {
             })
             .collect();
         let new_binding = Binding {
-            target: Arc::new(offer.target.clone()),
+            health: self.inner.health.resolve(&offer.target),
             offer,
             attachments,
         };
@@ -997,7 +1025,7 @@ impl SmartProxy {
             let mut slot = self.inner.binding.lock();
             let changed = slot
                 .as_ref()
-                .map(|b| b.target != new_binding.target)
+                .map(|b| b.health.target() != new_binding.health.target())
                 .unwrap_or(true);
             if changed {
                 self.inner.rebinds.fetch_add(1, Ordering::Relaxed);
@@ -1160,7 +1188,7 @@ impl SmartProxy {
             if let (Some(replica), Some(started)) = (replica, started) {
                 replica.stats().on_complete(started.elapsed(), !retryable);
             }
-            self.inner.health.record(pick.target(), !retryable);
+            self.inner.record(&pick, !retryable);
             if !retryable {
                 // Success, or an application error: the component
                 // answered, so retrying would re-run the operation.
@@ -1211,23 +1239,24 @@ impl SmartProxy {
     /// without those targets. When nothing else matches, a failed
     /// target stays bound and is retried (it may heal); a refused one
     /// yields `None`.
-    fn pick_bound(&self, failed: &[ObjRef]) -> Result<Option<Arc<ObjRef>>> {
+    fn pick_bound(&self, failed: &[ObjRef]) -> Result<Option<Arc<TargetHealth>>> {
         let constraint = &self.inner.constraint;
-        let mut target = self.ensure_bound()?;
-        if failed.contains(&target) {
+        let health = &self.inner.health;
+        let mut bound = self.ensure_bound()?;
+        if failed.contains(bound.target()) {
             self.select_excluding(constraint, true, failed)?;
-            target = self.ensure_bound()?;
+            bound = self.ensure_bound()?;
         }
-        if self.inner.health.admit(&target) != Admission::Reject {
-            return Ok(Some(target));
+        if health.admit_record(&bound) != Admission::Reject {
+            return Ok(Some(bound));
         }
         // Prefer a different component while this one cools down.
         let mut exclude = failed.to_vec();
-        exclude.push((*target).clone());
+        exclude.push(bound.target().clone());
         self.select_excluding(constraint, true, &exclude)?;
         let other = self.ensure_bound()?;
         Ok(
-            (other != target && self.inner.health.admit(&other) != Admission::Reject)
+            (other.target() != bound.target() && health.admit_record(&other) != Admission::Reject)
                 .then_some(other),
         )
     }
@@ -1244,33 +1273,47 @@ impl SmartProxy {
     /// dead replica may have healed), and as a last resort `failed` is
     /// cleared for a fresh round. With nothing at all, the set is
     /// refreshed (new replicas may have been exported).
+    ///
+    /// Every check reads the health record the replica holds, and the
+    /// scan and the policy read the set in place: a warm pick looks
+    /// nothing up and copies no replica list.
     fn pick_balanced(
         &self,
         bal: &BalancedState,
         affinity: Option<u64>,
         failed: &mut Vec<ObjRef>,
     ) -> Option<Arc<Replica>> {
-        let health = &self.inner.health;
+        let inner = &self.inner;
+        let health = &inner.health;
         if bal.set.is_empty() {
             let _ = bal.set.refresh();
         }
         if health.has_breaker() {
-            for r in bal.set.replicas() {
-                let target = r.target();
-                if !failed.contains(target)
-                    && !health.is_dead(target)
-                    && health.admit(target) == Admission::Probe
-                {
-                    bal.set.record_pick(&r);
-                    return Some(r);
-                }
+            let probe = bal.set.with_replicas(|replicas| {
+                replicas
+                    .iter()
+                    .find(|r| {
+                        !failed.contains(r.target())
+                            && inner.replica_health(r, |h| {
+                                h.state() != BreakerState::Closed
+                                    && !health.is_dead_record(h)
+                                    && health.admit_record(h) == Admission::Probe
+                            })
+                    })
+                    .cloned()
+            });
+            if let Some(r) = probe {
+                bal.set.record_pick(&r);
+                return Some(r);
             }
         }
         loop {
             let usable = |r: &Replica, honour_ttl: bool| {
                 !failed.contains(r.target())
-                    && health.state(r.target()) == BreakerState::Closed
-                    && !(honour_ttl && health.is_dead(r.target()))
+                    && inner.replica_health(r, |h| {
+                        h.state() == BreakerState::Closed
+                            && !(honour_ttl && health.is_dead_record(h))
+                    })
             };
             let picked = bal
                 .set
@@ -1345,13 +1388,13 @@ impl SmartProxy {
             .ok_or_else(|| self.no_admissible_target())?;
         let result = self.inner.orb.invoke_oneway_ref(pick.target(), op, args);
         let retryable = matches!(&result, Err(e) if e.is_retryable());
-        self.inner.health.record(pick.target(), !retryable);
+        self.inner.record(&pick, !retryable);
         Ok(result?)
     }
 
-    fn ensure_bound(&self) -> Result<Arc<ObjRef>> {
-        if let Some(target) = self.bound_target() {
-            return Ok(target);
+    fn ensure_bound(&self) -> Result<Arc<TargetHealth>> {
+        if let Some(bound) = self.bound_target() {
+            return Ok(bound);
         }
         if self.select_with(&self.inner.constraint, true)? {
             return Ok(self

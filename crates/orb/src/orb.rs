@@ -1211,12 +1211,12 @@ mod tests {
         let endpoint = server.listen_tcp("127.0.0.1:0").unwrap();
         let client = Orb::new("t-orb-panic-tcp-client");
         let target = ObjRef::new(endpoint, "boom", "Boom");
-        // The panic ends the serving thread, so no reply comes.
-        let options = InvokeOptions::default().deadline(Duration::from_millis(100));
+        // The connection thread catches the panic and replies.
+        let options = InvokeOptions::default().deadline(Duration::from_secs(2));
         let err = client
             .invoke_ref_with(&target, "boom", vec![], options)
             .unwrap_err();
-        assert!(matches!(err, OrbError::DeadlineExpired { .. }), "{err:?}");
+        assert!(matches!(err, OrbError::RemoteException { .. }), "{err:?}");
         let started = Instant::now();
         assert!(server.shutdown(Duration::from_millis(300)));
         assert!(started.elapsed() < Duration::from_millis(200));

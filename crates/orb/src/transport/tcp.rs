@@ -41,7 +41,9 @@
 //! request and admits it, passes the lead to a waiting follower
 //! (spawning one on demand, up to `max_conn_workers`) and serves the
 //! request itself, writing the reply in completion order. It then
-//! rejoins the followers. A request is thus served on the thread that
+//! rejoins the followers, who wait on a condition variable for the
+//! lead. A servant that panics fails only its call, with a
+//! non-retryable exception. A request is thus served on the thread that
 //! read it, and one slow servant does not head-of-line block the
 //! requests pipelined behind it. When every other thread is serving
 //! and no more may be spawned, the leader keeps reading: it queues
@@ -55,9 +57,10 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 #[cfg(test)]
 use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, MutexGuard, Weak};
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -142,6 +145,8 @@ struct FrameReader {
     head: usize,
     /// End of the bytes read from the socket.
     tail: usize,
+    /// The read timeout last set on the socket, if any.
+    timeout: Option<Duration>,
 }
 
 impl FrameReader {
@@ -150,7 +155,32 @@ impl FrameReader {
             buf: vec![0; READ_BUF],
             head: 0,
             tail: 0,
+            timeout: None,
         }
+    }
+
+    /// Bounds the socket's next read by `remaining`. The timeout set
+    /// last is kept while it lies between half of `remaining` and all
+    /// of it; otherwise the largest power-of-two milliseconds within
+    /// `remaining` is set (`remaining` itself when under 1 ms). No read
+    /// waits past its deadline, and calls with like deadlines on one
+    /// connection leave the timeout alone.
+    fn bound_read(&mut self, stream: &TcpStream, remaining: Duration) -> std::io::Result<()> {
+        if self
+            .timeout
+            .is_some_and(|set| set <= remaining && set >= remaining / 2)
+        {
+            return Ok(());
+        }
+        let ms = u64::try_from(remaining.as_millis()).unwrap_or(u64::MAX);
+        let timeout = match ms {
+            0 => remaining,
+            ms => Duration::from_millis(1 << (63 - ms.leading_zeros())),
+        };
+        self.timeout = None;
+        stream.set_read_timeout(Some(timeout))?;
+        self.timeout = Some(timeout);
+        Ok(())
     }
 
     /// Returns the next frame's body; `None` at a clean end of stream
@@ -189,7 +219,7 @@ impl FrameReader {
                 if remaining.is_zero() {
                     return Err(ErrorKind::TimedOut.into());
                 }
-                stream.set_read_timeout(Some(remaining))?;
+                self.bound_read(stream, remaining)?;
             }
             match stream.read(&mut self.buf[self.tail..]) {
                 Ok(0) if self.head == self.tail => return Ok(None),
@@ -315,8 +345,11 @@ fn accept_loop(listener: TcpListener, weak: Weak<OrbCore>) {
                 let conn = Arc::new(ServerConn {
                     stream,
                     writer: Mutex::new(()),
-                    lead: Mutex::new(Some(FrameReader::new())),
-                    crew: Mutex::new(Crew::default()),
+                    crew: Mutex::new(Crew {
+                        lead: Some(FrameReader::new()),
+                        ..Crew::default()
+                    }),
+                    turn: Condvar::new(),
                     core: weak.clone(),
                 });
                 let mut accepted = core.accepted.lock();
@@ -346,10 +379,10 @@ struct ServerConn {
     /// Read by the leader; written under `writer`.
     stream: TcpStream,
     writer: Mutex<()>,
-    /// The lead: the frame buffer, `None` once the connection closed
-    /// (a follower that then takes the lead exits).
-    lead: Mutex<Option<FrameReader>>,
     crew: Mutex<Crew>,
+    /// Followers wait here for the lead, or for the connection to
+    /// close.
+    turn: Condvar,
     core: Weak<OrbCore>,
 }
 
@@ -367,6 +400,11 @@ struct Crew {
     /// Admitted requests that found every thread but the leader
     /// serving, at most `max_conn_queue`.
     queued: VecDeque<Admitted>,
+    /// The lead: the frame buffer, taken out by the thread that leads
+    /// and put back when it hands the lead on.
+    lead: Option<FrameReader>,
+    /// The connection ended: threads waiting for the lead exit.
+    closed: bool,
 }
 
 impl ServerConn {
@@ -384,26 +422,39 @@ impl ServerConn {
         }
     }
 
-    /// A connection thread: takes the lead, serves what it admitted and
-    /// what queued meanwhile, and again, until the connection closes.
+    /// A connection thread: waits for the lead, serves what it admitted
+    /// and what queued meanwhile, and again, until the connection
+    /// closes. A waiting follower sleeps on `turn`; it does not spin on
+    /// a lock the leader holds across its blocking read.
     fn follow(self: Arc<Self>) {
         loop {
-            let mut lead = self.lead.lock();
-            let Some(job) = lead.as_mut().and_then(|frames| self.admit(frames)) else {
-                *lead = None;
-                break;
+            let frames = {
+                let mut crew = self.crew.lock();
+                loop {
+                    if crew.closed {
+                        return;
+                    }
+                    if let Some(frames) = crew.lead.take() {
+                        break frames;
+                    }
+                    crew = self.turn.wait(crew).unwrap_or_else(PoisonError::into_inner);
+                }
             };
-            drop(lead);
+            let Some(job) = self.admit(frames) else {
+                self.crew.lock().closed = true;
+                self.turn.notify_all();
+                return;
+            };
             self.serve(job);
         }
     }
 
     /// Leads: reads frames until one is admitted for this thread to
-    /// serve, then lets a follower (spawned if none waits) take the
-    /// lead. At the thread cap with every other thread serving, it
-    /// queues or sheds what it reads instead. `None` when the
-    /// connection ends, fails or breaks the protocol.
-    fn admit(self: &Arc<Self>, frames: &mut FrameReader) -> Option<Admitted> {
+    /// serve, then hands the lead to a follower (spawned if none waits).
+    /// At the thread cap with every other thread serving, it queues or
+    /// sheds what it reads instead. `None` when the connection ends,
+    /// fails or breaks the protocol.
+    fn admit(self: &Arc<Self>, mut frames: FrameReader) -> Option<Admitted> {
         loop {
             let Ok(Some(body)) = frames.next_frame(&self.stream, None) else {
                 return None;
@@ -446,7 +497,9 @@ impl ServerConn {
                 continue;
             }
             crew.serving += 1;
+            crew.lead = Some(frames);
             drop(crew);
+            self.turn.notify_one();
             if spawn {
                 self.spawn();
             }
@@ -456,13 +509,24 @@ impl ServerConn {
 
     /// Serves an admitted request, replying in completion order, then
     /// the requests queued meanwhile, and leaves the crew of serving
-    /// threads.
+    /// threads. A servant that panics fails its call with a
+    /// non-retryable `RemoteException` (it may have partly run) and
+    /// costs the connection nothing.
     fn serve(&self, (mut request, mut dispatch): Admitted) {
         loop {
             let stats = &dispatch.stats;
             stats.tcp_inflight.add(1);
-            let needs_reply = !request.oneway;
-            let reply = request.with(|request| dispatch.serve(request));
+            let (id, needs_reply) = (request.id, !request.oneway);
+            let reply = catch_unwind(AssertUnwindSafe(|| {
+                request.with(|request| dispatch.serve(request))
+            }))
+            .unwrap_or_else(|panic| ReplyBody {
+                id,
+                outcome: Err(OrbError::exception(format!(
+                    "servant panicked: {}",
+                    panic_message(panic.as_ref())
+                ))),
+            });
             stats.tcp_inflight.sub(1);
             if needs_reply {
                 let _ = self.reply(&dispatch, reply);
@@ -486,6 +550,15 @@ impl ServerConn {
         let _writing = self.writer.lock();
         send_frame(&self.stream, &frame)
     }
+}
+
+/// The text a panic was raised with, if it was a string.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message")
 }
 
 // ---- client side -----------------------------------------------------------
@@ -633,19 +706,14 @@ impl MuxConnection {
     }
 
     /// Whether the peer still has the connection open. With no leader
-    /// reading, a close by the peer is seen only here. It peeks without
-    /// blocking, so the caller must hold both the reader and the writer
-    /// lock: non-blocking mode belongs to the socket, and a concurrent
-    /// blocking read or write would see `WouldBlock` too.
+    /// reading, a close by the peer is seen only here. The caller holds
+    /// both the reader and the writer lock, which the portable
+    /// [`peek_now`] needs.
     fn peer_open(&self) -> bool {
-        if self.stream.set_nonblocking(true).is_err() {
-            return false;
-        }
-        let open = match self.stream.peek(&mut [0u8]) {
+        match peek_now(&self.stream) {
             Ok(n) => n > 0,
             Err(e) => e.kind() == ErrorKind::WouldBlock,
-        };
-        self.stream.set_nonblocking(false).is_ok() && open
+        }
     }
 
     /// Waits up to `deadline` for the reply to `id`: as the leader
@@ -773,6 +841,47 @@ impl MuxConnection {
         }
         let _ = self.stream.shutdown(Shutdown::Both);
     }
+}
+
+/// Peeks at one byte of `stream` without blocking and without
+/// consuming it: `Ok(0)` at the end of the stream, `WouldBlock` when
+/// nothing is queued. One `recv(MSG_PEEK | MSG_DONTWAIT)` system call.
+#[cfg(target_os = "linux")]
+fn peek_now(stream: &TcpStream) -> std::io::Result<usize> {
+    use std::ffi::{c_int, c_void};
+    use std::os::fd::AsRawFd;
+
+    const MSG_PEEK: c_int = 0x02;
+    const MSG_DONTWAIT: c_int = 0x40;
+    extern "C" {
+        fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+    }
+    let mut byte = 0u8;
+    // SAFETY: the descriptor is the open socket `stream` owns for the
+    // whole call, and `buf` points to one writable byte, the length
+    // passed. With these flags `recv` neither blocks nor changes the
+    // socket's mode or its queued bytes.
+    let peeked = unsafe {
+        recv(
+            stream.as_raw_fd(),
+            std::ptr::addr_of_mut!(byte).cast(),
+            1,
+            MSG_PEEK | MSG_DONTWAIT,
+        )
+    };
+    usize::try_from(peeked).map_err(|_| std::io::Error::last_os_error())
+}
+
+/// Peeks at one byte of `stream` without blocking and without
+/// consuming it. Non-blocking mode belongs to the socket, so the caller
+/// must hold both the reader and the writer lock: a concurrent blocking
+/// read or write would see `WouldBlock` too.
+#[cfg(not(target_os = "linux"))]
+fn peek_now(stream: &TcpStream) -> std::io::Result<usize> {
+    stream.set_nonblocking(true)?;
+    let peeked = stream.peek(&mut [0u8]);
+    stream.set_nonblocking(false)?;
+    peeked
 }
 
 fn connect(addr: &str) -> OrbResult<Arc<MuxConnection>> {

@@ -1,7 +1,8 @@
 //! The TCP server's leader/followers crew: the thread that reads a
 //! request serves it, after handing the lead to a follower. Slow and
 //! fast requests pipelined on one connection, the per-connection thread
-//! cap, the at-cap queue and its shedding, and the crew's exit.
+//! cap, the at-cap queue and its shedding, the crew's exit, and a
+//! servant that panics on a connection thread.
 //!
 //! Its own test binary: it counts the process's connection threads. The
 //! tests take turns, so each one sees only its own threads.
@@ -15,7 +16,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use adapta_idl::Value;
-use adapta_orb::{ObjRef, Orb, OrbError, OrbOptions, ServantFn};
+use adapta_orb::{InvokeOptions, ObjRef, Orb, OrbError, OrbOptions, ServantFn};
 use adapta_telemetry::registry;
 
 /// Serializes the tests: they count threads process-wide.
@@ -240,4 +241,46 @@ fn a_oneway_is_served_during_a_slow_call() {
     started.recv().unwrap();
     client.invoke_oneway_ref(&target, "note", vec![]).unwrap();
     assert_eq!(slow.join().unwrap().unwrap(), Value::Bool(true));
+}
+
+#[test]
+fn a_panicking_servant_fails_its_call_and_keeps_the_thread() {
+    let _turn = one_at_a_time();
+    let options = OrbOptions::new().max_conn_workers(1);
+    let server = Orb::with_options("leads-panic", options);
+    server
+        .activate(
+            "svc",
+            ServantFn::new("Svc", |op, args| match op {
+                "boom" => panic!("deliberate servant panic"),
+                _ => Ok(args[0].clone()),
+            }),
+        )
+        .unwrap();
+    let target = ObjRef::new(server.listen_tcp("127.0.0.1:0").unwrap(), "svc", "Svc");
+    let client = Orb::new("leads-panic-client");
+    client
+        .invoke_ref(&target, "echo", vec![Value::Long(0)])
+        .unwrap();
+
+    let sent = Instant::now();
+    let options = InvokeOptions::new().deadline(Duration::from_secs(2));
+    let err = client
+        .invoke_ref_with(&target, "boom", vec![], options)
+        .unwrap_err();
+    let waited = sent.elapsed();
+    // Not retryable: the servant may have partly run.
+    assert!(matches!(err, OrbError::RemoteException { .. }), "{err:?}");
+    assert!(!err.is_retryable());
+    assert!(
+        waited < Duration::from_millis(100),
+        "the panicked call failed after {waited:?}"
+    );
+    let inflight = format!("orb.{}.tcp.server.inflight", server.node_name());
+    assert_eq!(registry().snapshot().gauge(&inflight), Some(0));
+    // The connection keeps both of its threads.
+    for i in 1..=10 {
+        let out = client.invoke_ref(&target, "echo", vec![Value::Long(i)]);
+        assert_eq!(out.unwrap(), Value::Long(i));
+    }
 }

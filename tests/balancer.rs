@@ -10,7 +10,9 @@
 //! * the set refreshes to pick up new exports without a proxy restart;
 //! * breaker-open replicas receive zero policy picks;
 //! * the routing policy can be swapped at run time while invocations
-//!   are in flight, without dropping any of them.
+//!   are in flight, without dropping any of them;
+//! * two callers sharing one proxy ride a replica's breaker through an
+//!   outage and back without a failed call.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -542,4 +544,95 @@ fn breaker_open_replica_heals_through_a_probe_and_draws_picks_again() {
             .unwrap_or(0)
             >= 1
     );
+}
+
+#[test]
+fn two_callers_share_a_breaker_through_an_outage_and_back() {
+    use adapta::core::{BreakerConfig, BreakerState};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
+
+    let service = "BalTwoCallers";
+    let orb = Orb::new("bal-two-callers");
+    let trader = Trader::new(&orb);
+    trader.add_type(ServiceTypeDef::new(service)).unwrap();
+    // Each call sleeps 200 µs in its servant, so the two callers leave
+    // the CPU to the suite's timing-sensitive tests running beside them.
+    let knob = Arc::new(AtomicU64::new(200));
+    let a = spawn_replica(&orb, service, "pair-a", knob.clone());
+    let b = spawn_replica(&orb, service, "pair-b", knob.clone());
+    for target in [&a, &b] {
+        trader
+            .export(ExportRequest::new(service, target.clone()))
+            .unwrap();
+    }
+    let repo = InterfaceRepository::new();
+    let proxy = SmartProxy::builder(&orb, &repo, Arc::new(trader), service)
+        .balanced("round_robin")
+        .circuit_breaker(BreakerConfig {
+            window: 2,
+            min_calls: 2,
+            failure_threshold: 0.5,
+            open_for: Duration::from_millis(20),
+        })
+        .dead_target_ttl(Duration::ZERO)
+        .build()
+        .unwrap();
+
+    let stop = AtomicBool::new(false);
+    let await_state = |want: BreakerState| {
+        let until = Instant::now() + Duration::from_secs(5);
+        while proxy.breaker_state(&b) != Some(want) {
+            assert!(Instant::now() < until, "b's breaker never went {want:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let calls = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut calls = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let out = proxy.invoke("echo", vec![Value::Long(7)]);
+                        assert_eq!(out.unwrap(), Value::Seq(vec![Value::Long(7)]));
+                        calls += 1;
+                    }
+                    calls
+                })
+            })
+            .collect();
+        // A failed assertion below must still stop the callers, or the
+        // scope would wait for them forever.
+        let stopper = StopOnDrop(&stop);
+        std::thread::sleep(Duration::from_millis(20));
+        // b goes away: its failures fail over to a and open its breaker.
+        assert!(orb.deactivate("pair-b"));
+        await_state(BreakerState::Open);
+        std::thread::sleep(Duration::from_millis(50));
+        // b comes back: a probe after the cool-down closes the breaker.
+        spawn_replica(&orb, service, "pair-b", knob.clone());
+        await_state(BreakerState::Closed);
+        std::thread::sleep(Duration::from_millis(20));
+        drop(stopper);
+        callers
+            .into_iter()
+            .map(|caller| caller.join().unwrap())
+            .sum::<u64>()
+    });
+    assert!(calls > 0);
+    assert_eq!(proxy.breaker_state(&a), Some(BreakerState::Closed));
+    let snap = adapta::telemetry::registry().snapshot();
+    assert_eq!(
+        snap.gauge("smartproxy.BalTwoCallers.breaker.open_targets"),
+        Some(0)
+    );
+}
+
+/// Raises its flag when dropped, unwinding included.
+struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }

@@ -224,6 +224,9 @@ fn deadline_expiry_fails_one_call_without_poisoning_the_connection() {
     let target = ObjRef::new(endpoint, "svc", "SlowEcho");
     client.invoke_ref(&target, "echo", vec![]).unwrap();
 
+    // The call before set the connection's read timeout for the default
+    // deadline; this one must still give up near its own 50 ms.
+    let started = Instant::now();
     let err = client
         .invoke_ref_with(
             &target,
@@ -232,9 +235,14 @@ fn deadline_expiry_fails_one_call_without_poisoning_the_connection() {
             InvokeOptions::new().deadline(Duration::from_millis(50)),
         )
         .unwrap_err();
+    let waited = started.elapsed();
     assert!(
         matches!(err, OrbError::DeadlineExpired { .. }),
         "expected DeadlineExpired, got: {err}"
+    );
+    assert!(
+        waited < Duration::from_millis(250),
+        "a 50 ms deadline expired after {waited:?}"
     );
 
     // Immediately after the expiry (the slow reply is still pending on
