@@ -22,7 +22,10 @@
 # lock, through open, half-open probe and close, then
 # the script isolate's cross-thread tests (crates/bridge/tests/
 # cross_thread.rs) 20 times, since one interpreter moves between the
-# threads that take turns entering it.
+# threads that take turns entering it, then the drain wake-up tests
+# (crates/orb/tests/drain_wake.rs) 20 times, since a finished dispatch
+# races the shutdown that starts draining, and a lost wake-up shows
+# only as a slow drain.
 # The stress run is advisory (a separate non-blocking CI job), not
 # part of the gate.
 #
@@ -130,6 +133,10 @@ if [[ "${1:-}" == "--stress" ]]; then
     echo "==> stress: one script isolate entered from many threads, 20 runs"
     for _ in $(seq 20); do
         cargo test -q -p adapta-bridge --test cross_thread
+    done
+    echo "==> stress: the last dispatch wakes a drain at once, 20 runs"
+    for _ in $(seq 20); do
+        cargo test -q -p adapta-orb --test drain_wake
     done
     echo "Stress run green."
     exit 0

@@ -18,9 +18,10 @@
 //!   process, with full marshalling so measurements stay honest) and TCP
 //!   (length-prefixed frames, GIOP-like request/reply);
 //! * a tiny naming service so bootstrap references can be found by name;
-//! * observability — requests carry a [`ServiceContext`] propagating
-//!   trace ids across hops, and every node hosts a `_telemetry` object
-//!   serving the process-wide metrics snapshot and span buffer as JSON.
+//! * observability — requests carry the caller's trace ids across hops,
+//!   beside a [`ServiceContext`] of other entries, and every node hosts
+//!   a `_telemetry` object serving the process-wide metrics snapshot
+//!   and span buffer as JSON.
 //!
 //! ```
 //! use adapta_orb::{Orb, Servant, OrbResult, OrbError};

@@ -15,8 +15,10 @@ use crate::OrbResult;
 
 const MAGIC: &[u8; 4] = b"ADPT";
 /// Current protocol version. Version 2 added the request service
-/// context; version-1 frames (no context) are still decoded.
-const VERSION: u8 = 2;
+/// context; version 3 the trace slot ahead of it (see
+/// [`TRACE_SLOT_LEN`]). Version-1 frames (no context) and version-2
+/// frames (trace ids as hex context entries) are still decoded.
+const VERSION: u8 = 3;
 const MIN_VERSION: u8 = 1;
 
 const KIND_REQUEST: u8 = 0;
@@ -38,10 +40,22 @@ const STATUS_OVERLOAD: u8 = 5;
 /// Magic, version and kind: the bytes every message starts with.
 const HEADER_LEN: usize = 6;
 
+/// A version-3 request's trace slot, right after the argument list: the
+/// caller's trace id and span id as two little-endian `u64`s, 0 for
+/// absent. [`Message::encode`] fills it from a service context that
+/// begins with canonical `trace-id` and `span-id` entries (16 lowercase
+/// hex digits, not all zero) and [`Message::decode`] turns it back into
+/// those two entries, so a [`RequestBody`] round-trips unchanged.
+const TRACE_SLOT_LEN: usize = 16;
+
+/// A request's trace slot: raw trace id and span id, 0 for absent.
+type TraceSlot = (u64, u64);
+
 /// Out-of-band key/value pairs carried with a request — the CORBA
-/// *service context* analogue. The broker uses it to propagate trace
-/// context (`trace-id`/`span-id`) across process and network hops;
-/// applications and interceptors may add their own entries.
+/// *service context* analogue. A [`Message`] holds the request's trace
+/// context in it under `trace-id`/`span-id` (the wire carries those in
+/// the trace slot); applications and interceptors may add their own
+/// entries.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceContext {
     entries: Vec<(String, String)>,
@@ -93,10 +107,39 @@ impl ServiceContext {
         }
     }
 
-    /// The entries as the wire carries them.
-    fn wire(&self) -> impl ExactSizeIterator<Item = (&str, &[u8])> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v.as_bytes()))
+    /// The trace slot the context travels with, and the entries left
+    /// to send as text: the ids of leading canonical `trace-id` and
+    /// `span-id` entries and the entries after them, or an empty slot
+    /// and every entry.
+    fn wire(&self) -> (TraceSlot, impl ExactSizeIterator<Item = (&str, &[u8])>) {
+        let leading = match &self.entries[..] {
+            [(k1, v1), (k2, v2), rest @ ..] if k1 == TRACE_ID_KEY && k2 == SPAN_ID_KEY => {
+                canonical_id(v1)
+                    .zip(canonical_id(v2))
+                    .map(|slot| (slot, rest))
+            }
+            _ => None,
+        };
+        let (slot, rest) = leading.unwrap_or(((0, 0), &self.entries[..]));
+        (slot, rest.iter().map(|(k, v)| (k.as_str(), v.as_bytes())))
     }
+}
+
+/// The id a canonical hex entry holds: exactly the 16 lowercase digits
+/// `Display` prints, of a value other than the reserved 0. The digits
+/// are checked and converted without a branch per digit, since each
+/// request's ids differ and mispredicted branches would cost more than
+/// the conversion.
+fn canonical_id(hex: &str) -> Option<u64> {
+    let digits: &[u8; 16] = hex.as_bytes().try_into().ok()?;
+    let mut id = 0u64;
+    let mut canonical = true;
+    for &c in digits {
+        canonical &= c.is_ascii_digit() | (b'a'..=b'f').contains(&c);
+        // '0'..='9' → 0..=9 and 'a'..='f' → 10..=15.
+        id = id << 4 | u64::from((c & 0xf) + 9 * (c >> 6));
+    }
+    (canonical && id != 0).then_some(id)
 }
 
 /// The body of a request (two-way or oneway).
@@ -137,10 +180,11 @@ pub enum Message {
 }
 
 /// A request as the client side sends it: every part borrowed from the
-/// caller, and the trace context given as the client span's ids. It
-/// encodes to the same bytes as the [`Message::Request`] (or
-/// [`Message::Oneway`]) whose service context holds those ids under
-/// `trace-id` and `span-id`, without building that message.
+/// caller, and the trace context given as the client span's ids, which
+/// travel in the trace slot. It encodes to the same bytes as the
+/// [`Message::Request`] (or [`Message::Oneway`]) whose service context
+/// holds just those ids under `trace-id` and `span-id`, without
+/// building that message or formatting the ids.
 pub(crate) struct OutgoingRequest<'a> {
     pub(crate) oneway: bool,
     pub(crate) id: u64,
@@ -155,14 +199,13 @@ impl OutgoingRequest<'_> {
     /// Encodes the request as one transport frame (see
     /// [`Message::encode_frame`]).
     pub(crate) fn encode_frame(&self) -> Frame {
-        let (trace, span) = (self.trace.to_hex(), self.span.to_hex());
-        let context = [(TRACE_ID_KEY, &trace[..]), (SPAN_ID_KEY, &span[..])];
+        let slot = (self.trace.raw(), self.span.raw());
         let kind = if self.oneway {
             KIND_ONEWAY
         } else {
             KIND_REQUEST
         };
-        let len = request_len(self.key, self.operation, self.args, context.into_iter());
+        let len = request_len(self.key, self.operation, self.args, std::iter::empty());
         frame(len, |buf| {
             put_request(
                 buf,
@@ -171,7 +214,8 @@ impl OutgoingRequest<'_> {
                 self.key,
                 self.operation,
                 self.args,
-                context.into_iter(),
+                slot,
+                std::iter::empty(),
             );
         })
     }
@@ -261,10 +305,19 @@ fn request_len<'c>(
     context: impl Iterator<Item = (&'c str, &'c [u8])>,
 ) -> usize {
     let context: usize = context.map(|(k, v)| str_len(k) + 4 + v.len()).sum();
-    HEADER_LEN + 8 + str_len(key) + str_len(operation) + seq_len(args) + 4 + context
+    HEADER_LEN
+        + 8
+        + str_len(key)
+        + str_len(operation)
+        + seq_len(args)
+        + TRACE_SLOT_LEN
+        + 4
+        + context
 }
 
-/// Appends a request; the argument list travels as one sequence value.
+/// Appends a request; the argument list travels as one sequence value,
+/// followed by the trace slot and the service context.
+#[allow(clippy::too_many_arguments)]
 fn put_request<'c, B: BufMut>(
     buf: &mut B,
     kind: u8,
@@ -272,6 +325,7 @@ fn put_request<'c, B: BufMut>(
     key: &str,
     operation: &str,
     args: &[Value],
+    (trace, span): TraceSlot,
     context: impl ExactSizeIterator<Item = (&'c str, &'c [u8])>,
 ) {
     put_header(buf, kind);
@@ -279,6 +333,8 @@ fn put_request<'c, B: BufMut>(
     put_str(buf, key);
     put_str(buf, operation);
     put_seq(buf, args);
+    buf.put_u64_le(trace);
+    buf.put_u64_le(span);
     buf.put_u32_le(context.len() as u32);
     for (k, v) in context {
         put_str(buf, k);
@@ -305,9 +361,12 @@ impl Message {
 
     fn encoded_len(&self) -> usize {
         match self {
-            Message::Request(body) | Message::Oneway(body) => {
-                request_len(&body.key, &body.operation, &body.args, body.context.wire())
-            }
+            Message::Request(body) | Message::Oneway(body) => request_len(
+                &body.key,
+                &body.operation,
+                &body.args,
+                body.context.wire().1,
+            ),
             Message::Reply(body) => {
                 HEADER_LEN
                     + 8
@@ -328,6 +387,7 @@ impl Message {
                 } else {
                     KIND_ONEWAY
                 };
+                let (slot, context) = body.context.wire();
                 put_request(
                     buf,
                     kind,
@@ -335,7 +395,8 @@ impl Message {
                     &body.key,
                     &body.operation,
                     &body.args,
-                    body.context.wire(),
+                    slot,
+                    context,
                 );
             }
             Message::Reply(body) => {
@@ -360,7 +421,10 @@ impl Message {
 
     /// Decodes a message from a complete frame body. A request is read
     /// by [`IncomingRequest::decode`]'s decoder, then copied out of the
-    /// frame with its whole service context.
+    /// frame with its whole service context: a version-3 trace slot
+    /// becomes leading `trace-id` and `span-id` entries (one for each
+    /// id that is not 0), and text entries follow, replacing an earlier
+    /// entry under the same key.
     ///
     /// # Errors
     ///
@@ -369,11 +433,17 @@ impl Message {
         let (version, kind, mut cursor) = header(bytes)?;
         let msg = match kind {
             KIND_REQUEST | KIND_ONEWAY => {
+                let request = decode_request(version, kind == KIND_ONEWAY, &mut cursor)?;
                 let mut context = ServiceContext::new();
-                let request =
-                    decode_request(version, kind == KIND_ONEWAY, &mut cursor, &mut |k, v| {
-                        context.set_owned(k.to_owned(), v.to_owned());
-                    })?;
+                if let Some(trace) = request.trace {
+                    context.set_owned(TRACE_ID_KEY.to_owned(), hex(trace.to_hex()));
+                }
+                if let Some(span) = request.parent {
+                    context.set_owned(SPAN_ID_KEY.to_owned(), hex(span.to_hex()));
+                }
+                decode_context(version, &mut cursor, &mut |k, v| {
+                    context.set_owned(k.to_owned(), v.to_owned());
+                })?;
                 let body = RequestBody {
                     id: request.id,
                     key: request.key.to_owned(),
@@ -417,10 +487,20 @@ impl Message {
     }
 }
 
+/// The text of an id's hex digits, without the formatting machinery.
+fn hex(digits: [u8; 16]) -> String {
+    digits.into_iter().map(char::from).collect()
+}
+
 /// A request (two-way or oneway) decoded in place: the key and the
 /// operation are borrowed from the frame, and the caller's trace ids
-/// are parsed from the service context's hex strings, read in place
-/// too. Only the arguments are copied out.
+/// are read from the trace slot, or parsed from the service context's
+/// hex strings, read in place too. Only the arguments are copied out.
+///
+/// The trace slot counts as `trace-id` and `span-id` entries ahead of
+/// the context's, and a later entry replaces an earlier one, as in
+/// [`ServiceContext`]: a text entry wins over the slot, and one that is
+/// not hex leaves the request without that id.
 ///
 /// It accepts exactly the frames [`Message::decode`] decodes as a
 /// request or oneway, with the same fields.
@@ -437,9 +517,11 @@ pub struct IncomingRequest<'a> {
     /// Argument list.
     pub args: Vec<Value>,
     /// The caller's trace: the last `trace-id` entry of the service
-    /// context, when it parses as hex.
+    /// context if there is one (none when it is not hex), else the
+    /// trace slot's id.
     pub trace: Option<TraceId>,
-    /// The caller's span: the last `span-id` entry, when it parses.
+    /// The caller's span: the last `span-id` entry if there is one
+    /// (none when it is not hex), else the trace slot's id.
     pub parent: Option<SpanId>,
 }
 
@@ -457,18 +539,17 @@ impl<'a> IncomingRequest<'a> {
             KIND_REPLY => return Err(OrbError::Marshal("unexpected reply".into())),
             other => return Err(OrbError::Marshal(format!("unknown message kind {other}"))),
         };
-        let (mut trace, mut parent) = (None, None);
-        let mut request = decode_request(version, oneway, &mut cursor, &mut |k, v| {
+        let mut request = decode_request(version, oneway, &mut cursor)?;
+        let (trace, parent) = (&mut request.trace, &mut request.parent);
+        decode_context(version, &mut cursor, &mut |k, v| {
             // Later entries replace earlier ones, as in `ServiceContext`.
             if k == TRACE_ID_KEY {
-                trace = TraceId::from_hex(v);
+                *trace = TraceId::from_hex(v);
             } else if k == SPAN_ID_KEY {
-                parent = SpanId::from_hex(v);
+                *parent = SpanId::from_hex(v);
             }
         })?;
         no_trailing_bytes(cursor)?;
-        request.trace = trace;
-        request.parent = parent;
         Ok(request)
     }
 
@@ -552,16 +633,13 @@ fn no_trailing_bytes(cursor: &[u8]) -> OrbResult<()> {
     Ok(())
 }
 
-/// Decodes a request body after the header, borrowing from the frame,
-/// and hands each service-context entry to `entry` in wire order.
-/// Version-1 frames carry no service context. The returned request has
-/// no trace ids yet. (A `dyn` sink keeps one copy of this code, warm
-/// for both decoders.)
+/// Decodes a request body after the header up to its service context,
+/// borrowing from the frame. The returned request holds the trace
+/// slot's ids; frames before version 3 have no slot.
 fn decode_request<'a>(
     version: u8,
     oneway: bool,
     cursor: &mut &'a [u8],
-    entry: &mut dyn FnMut(&'a str, &'a str),
 ) -> OrbResult<IncomingRequest<'a>> {
     if cursor.len() < 8 {
         return Err(OrbError::Marshal("truncated request".into()));
@@ -573,6 +651,35 @@ fn decode_request<'a>(
         Value::Seq(items) => items,
         _ => return Err(OrbError::Marshal("request args must be a sequence".into())),
     };
+    let (mut trace, mut parent) = (None, None);
+    if version >= 3 {
+        if cursor.len() < TRACE_SLOT_LEN {
+            return Err(OrbError::Marshal("truncated trace slot".into()));
+        }
+        let (raw_trace, raw_span) = (cursor.get_u64_le(), cursor.get_u64_le());
+        trace = (raw_trace != 0).then(|| TraceId::from_raw(raw_trace));
+        parent = (raw_span != 0).then(|| SpanId::from_raw(raw_span));
+    }
+    Ok(IncomingRequest {
+        oneway,
+        id,
+        key,
+        operation,
+        args,
+        trace,
+        parent,
+    })
+}
+
+/// Hands each service-context entry after the trace slot to `entry`,
+/// in wire order, borrowing from the frame. Version-1 frames carry no
+/// service context. (A `dyn` sink keeps one copy of this code, warm for
+/// both decoders.)
+fn decode_context<'a>(
+    version: u8,
+    cursor: &mut &'a [u8],
+    entry: &mut dyn FnMut(&'a str, &'a str),
+) -> OrbResult<()> {
     if version >= 2 {
         if cursor.len() < 4 {
             return Err(OrbError::Marshal("truncated service context".into()));
@@ -583,15 +690,7 @@ fn decode_request<'a>(
             entry(k, v);
         }
     }
-    Ok(IncomingRequest {
-        oneway,
-        id,
-        key,
-        operation,
-        args,
-        trace: None,
-        parent: None,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -706,8 +805,120 @@ mod tests {
         });
         let mut bytes = msg.encode().to_vec();
         bytes[4] = 1;
-        bytes.truncate(bytes.len() - 4); // drop the empty context count
+        // Drop the empty trace slot and context count.
+        bytes.truncate(bytes.len() - TRACE_SLOT_LEN - 4);
         assert_eq!(Message::decode(&bytes).unwrap(), msg);
+    }
+
+    /// A version-2 request as the wire carried it: id 5, `k.op(1)`, and
+    /// a context of hex `trace-id` and `span-id` entries and a `tenant`.
+    const V2_REQUEST: &[u8] = b"ADPT\x02\x00\
+        \x05\x00\x00\x00\x00\x00\x00\x00\
+        \x01\x00\x00\x00k\
+        \x02\x00\x00\x00op\
+        \x06\x01\x00\x00\x00\x02\x01\x00\x00\x00\x00\x00\x00\x00\
+        \x03\x00\x00\x00\
+        \x08\x00\x00\x00trace-id\x10\x00\x00\x00\
+        00000000deadbeef\
+        \x07\x00\x00\x00span-id\x10\x00\x00\x00\
+        00000000cafef00d\
+        \x06\x00\x00\x00tenant\x04\x00\x00\x00acme";
+
+    #[test]
+    fn version_2_frames_still_decode_with_their_trace_ids() {
+        let incoming = IncomingRequest::decode(V2_REQUEST).unwrap();
+        assert_eq!(
+            (incoming.id, incoming.key, incoming.operation),
+            (5, "k", "op")
+        );
+        assert_eq!(incoming.args, vec![Value::Long(1)]);
+        assert_eq!(incoming.trace, Some(TraceId::from_raw(0xdead_beef)));
+        assert_eq!(incoming.parent, Some(SpanId::from_raw(0xcafe_f00d)));
+        let Message::Request(body) = Message::decode(V2_REQUEST).unwrap() else {
+            panic!("not a request");
+        };
+        let entries: Vec<_> = body.context.iter().collect();
+        assert_eq!(
+            entries,
+            [
+                ("trace-id", "00000000deadbeef"),
+                ("span-id", "00000000cafef00d"),
+                ("tenant", "acme"),
+            ]
+        );
+        // Re-encoded, the same body moves the ids to the trace slot.
+        let frame = Message::Request(body.clone()).encode();
+        assert_eq!(frame.len(), V2_REQUEST.len() + TRACE_SLOT_LEN - 63);
+        assert_eq!(Message::decode(&frame).unwrap(), Message::Request(body));
+    }
+
+    /// Builds a request whose context holds `entries`, in order.
+    fn request_with(entries: &[(&str, &str)]) -> Message {
+        let mut context = ServiceContext::new();
+        for (k, v) in entries {
+            context.set(k, v);
+        }
+        Message::Request(RequestBody {
+            id: 1,
+            key: "k".into(),
+            operation: "op".into(),
+            args: vec![],
+            context,
+        })
+    }
+
+    #[test]
+    fn only_leading_canonical_ids_travel_in_the_slot() {
+        let (trace, span) = ("00000000deadbeef", "00000000cafef00d");
+        let slotted = request_with(&[(TRACE_ID_KEY, trace), (SPAN_ID_KEY, span)]);
+        let empty = request_with(&[]).encode().len();
+        assert_eq!(slotted.encode().len(), empty);
+        round_trip(slotted);
+        // Upper case, zero, short, out of order, or not first: text.
+        for entries in [
+            [(TRACE_ID_KEY, "00000000DEADBEEF"), (SPAN_ID_KEY, span)],
+            [(TRACE_ID_KEY, trace), (SPAN_ID_KEY, "0000000000000000")],
+            [(TRACE_ID_KEY, "deadbeef"), (SPAN_ID_KEY, span)],
+            [(SPAN_ID_KEY, span), (TRACE_ID_KEY, trace)],
+            [("tenant", "acme"), (TRACE_ID_KEY, trace)],
+        ] {
+            let msg = request_with(&entries);
+            assert!(msg.encode().len() > empty, "{entries:?} left the context");
+            round_trip(msg);
+        }
+    }
+
+    #[test]
+    fn a_text_trace_entry_wins_over_the_slot() {
+        let outgoing = OutgoingRequest {
+            oneway: false,
+            id: 2,
+            key: "k",
+            operation: "op",
+            args: &[],
+            trace: TraceId::from_raw(1),
+            span: SpanId::from_raw(2),
+        };
+        let mut bytes = outgoing.encode_frame()[4..].to_vec();
+        // Replace the empty context with one `trace-id` entry, then one
+        // `span-id` entry that is not hex.
+        bytes.truncate(bytes.len() - 4);
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        for (k, v) in [(TRACE_ID_KEY, "00000000000000ff"), (SPAN_ID_KEY, "zz")] {
+            put_str(&mut bytes, k);
+            put_str(&mut bytes, v);
+        }
+        let incoming = IncomingRequest::decode(&bytes).unwrap();
+        assert_eq!(incoming.trace, Some(TraceId::from_raw(0xff)));
+        assert_eq!(incoming.parent, None);
+        let Message::Request(body) = Message::decode(&bytes).unwrap() else {
+            panic!("not a request");
+        };
+        let entries: Vec<_> = body.context.iter().collect();
+        assert_eq!(
+            entries,
+            [(TRACE_ID_KEY, "00000000000000ff"), (SPAN_ID_KEY, "zz")]
+        );
     }
 
     #[test]

@@ -304,9 +304,18 @@ impl std::ops::Deref for Dispatch {
 }
 
 impl Drop for Dispatch {
+    /// Retires the dispatch. Only a drain waits for the count to reach
+    /// 0, so while the node runs this wakes no one: the condvar's notify
+    /// would cost a system call on every call. The count's decrement and
+    /// the state's load here, and [`Orb::shutdown`]'s swap to DRAINING
+    /// and [`OrbCore::wait_drained`]'s count load, are `SeqCst`: either
+    /// this load sees DRAINING and notifies under the lock, or the drain
+    /// sees the count at 0 and never waits.
     fn drop(&mut self) {
         let lifecycle = &self.0.lifecycle;
-        if lifecycle.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if lifecycle.inflight.fetch_sub(1, Ordering::SeqCst) == 1
+            && lifecycle.state.load(Ordering::SeqCst) != LIFECYCLE_RUNNING
+        {
             let _guard = lifecycle
                 .drain_lock
                 .lock()
@@ -378,14 +387,16 @@ impl OrbCore {
     /// [`OrbError::ShuttingDown`] when the node is draining,
     /// [`OrbError::TransientOverload`] when its in-flight cap is full.
     ///
-    /// The count is raised *before* re-checking the state so a
-    /// concurrent [`Orb::shutdown`] either sees this dispatch in the
-    /// inflight count or this dispatch sees the drained state — never
-    /// neither.
+    /// The count is raised *before* re-checking the state, both
+    /// `SeqCst` like the drain's own accesses, so a concurrent
+    /// [`Orb::shutdown`] either sees this dispatch in the inflight count
+    /// or this dispatch sees the drained state — never neither.
     pub(crate) fn begin_dispatch(core: Arc<OrbCore>) -> OrbResult<Dispatch> {
-        let prior = core.lifecycle.inflight.fetch_add(1, Ordering::AcqRel);
+        let lifecycle = &core.lifecycle;
+        let prior = lifecycle.inflight.fetch_add(1, Ordering::SeqCst);
+        let running = lifecycle.state.load(Ordering::SeqCst) == LIFECYCLE_RUNNING;
         let dispatch = Dispatch(core);
-        if !dispatch.is_running() {
+        if !running {
             return Err(OrbError::ShuttingDown);
         }
         if prior >= dispatch.options.max_inflight {
@@ -412,11 +423,12 @@ impl OrbCore {
             .drain_lock
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        while self.lifecycle.inflight.load(Ordering::Acquire) > 0 {
+        // `SeqCst`, pairing with `Dispatch::drop` (see there).
+        while self.lifecycle.inflight.load(Ordering::SeqCst) > 0 {
             let Some(remaining) = deadline.checked_sub(started.elapsed()) else {
                 return false;
             };
-            // Short waits guard against a notify racing the count check.
+            // Short waits are a backstop should a notify still be missed.
             let wait = remaining.min(Duration::from_millis(25));
             let (g, _) = self
                 .lifecycle
@@ -443,10 +455,10 @@ impl OrbCore {
     /// Server-side dispatch of a decoded request (through the server
     /// interceptor chain).
     ///
-    /// Dispatch runs under a `server:<op>` span. When the request's
-    /// service context carries trace ids, the span joins that trace —
-    /// so a client invocation and its remote dispatch share one
-    /// `TraceId` even across TCP. Per-operation latency and error
+    /// Dispatch runs under a `server:<op>` span. When the request
+    /// carries trace ids (in its trace slot or service context), the
+    /// span joins that trace — so a client invocation and its remote
+    /// dispatch share one `TraceId` even across TCP. Per-operation latency and error
     /// counts land in the registry under `orb.server.op.<op>.*` (see
     /// [`op_metrics`](Self::op_metrics) for which names are tracked).
     pub(crate) fn serve(&self, request: IncomingRequest<'_>) -> ReplyBody {
@@ -713,8 +725,8 @@ impl Orb {
             .compare_exchange(
                 LIFECYCLE_RUNNING,
                 LIFECYCLE_DRAINING,
-                Ordering::AcqRel,
-                Ordering::Acquire,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
             )
             .is_err()
             && self.core.is_stopped()

@@ -241,8 +241,10 @@ impl FrameReader {
         }
     }
 
-    /// Makes room after the unread bytes for a frame of `want` bytes,
-    /// its length prefix included.
+    /// Makes room after the unread bytes to read more of a frame of
+    /// `want` bytes, its length prefix included. A full buffer doubles,
+    /// up to `want`: the memory a frame takes follows the bytes the peer
+    /// has sent, not the length its prefix claims.
     fn make_room(&mut self, want: usize) {
         if self.head == self.tail {
             self.head = 0;
@@ -255,11 +257,14 @@ impl FrameReader {
         if self.buf.len() - self.head >= want {
             return;
         }
-        self.buf.copy_within(self.head..self.tail, 0);
-        self.tail -= self.head;
-        self.head = 0;
-        if self.buf.len() < want {
-            self.buf.resize(want, 0);
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if self.tail == self.buf.len() {
+            let grown = (2 * self.buf.len()).min(want);
+            self.buf.resize(grown, 0);
         }
     }
 }
@@ -1250,5 +1255,36 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.join().unwrap(), Value::Seq(vec![Value::from(i as i64)]));
         }
+    }
+
+    /// A frame buffer grows with the bytes that arrive, not with the
+    /// length a prefix claims, and still returns the whole frame.
+    #[test]
+    fn a_frame_reader_grows_with_the_bytes_that_arrive() {
+        const LEN: usize = 1 << 20;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = FrameReader::new();
+        let body: Vec<u8> = (0..LEN).map(|i| i as u8).collect();
+        peer.write_all(&(LEN as u32).to_le_bytes()).unwrap();
+        peer.write_all(&body[..3]).unwrap();
+        let soon = Some(Instant::now() + Duration::from_millis(50));
+        let err = reader.next_frame(&stream, soon).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::TimedOut);
+        assert_eq!(reader.buf.len(), READ_BUF, "room made for a claim");
+        let writer = std::thread::spawn(move || {
+            peer.write_all(&body[3..]).unwrap();
+            peer.write_all(&3u32.to_le_bytes()).unwrap();
+            peer.write_all(b"end").unwrap();
+            (peer, body)
+        });
+        let later = Some(Instant::now() + Duration::from_secs(5));
+        let frame = reader.next_frame(&stream, later).unwrap().unwrap().to_vec();
+        let (_peer, body) = writer.join().unwrap();
+        assert!(frame == body, "the frame came back changed");
+        assert_eq!(reader.buf.len(), 4 + LEN);
+        let frame = reader.next_frame(&stream, later).unwrap().unwrap();
+        assert_eq!(frame, b"end");
     }
 }

@@ -1,7 +1,7 @@
-//! Property tests for the wire codec: every value and every reply
-//! status round-trips, the decoder is total (never panics) on arbitrary
-//! bytes, and the borrowed request decoder agrees with
-//! `Message::decode` on every frame.
+//! Property tests for the wire codec: every value, every request body
+//! and every reply status round-trips, the decoder is total (never
+//! panics) on arbitrary bytes, and the borrowed request decoder agrees
+//! with `Message::decode` on every request frame of versions 1 to 3.
 
 use std::time::Duration;
 
@@ -58,7 +58,9 @@ fn value_eq(a: &Value, b: &Value) -> bool {
 
 /// Encodes a request frame body by hand, so the service context may
 /// repeat keys (`ServiceContext::set` replaces instead). Version 1
-/// frames carry no context.
+/// frames carry no context, and only version 3 carries the trace slot
+/// (raw trace and span ids, 0 for absent).
+#[allow(clippy::too_many_arguments)]
 fn request_frame(
     version: u8,
     oneway: bool,
@@ -66,6 +68,7 @@ fn request_frame(
     key: &str,
     operation: &str,
     args: &[Value],
+    (trace, span): (u64, u64),
     context: &[(String, String)],
 ) -> Vec<u8> {
     fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -79,6 +82,10 @@ fn request_frame(
     put_str(&mut out, key);
     put_str(&mut out, operation);
     out.extend_from_slice(&encode_value(&Value::Seq(args.to_vec())));
+    if version >= 3 {
+        out.extend_from_slice(&trace.to_le_bytes());
+        out.extend_from_slice(&span.to_le_bytes());
+    }
     if version >= 2 {
         out.extend_from_slice(&(context.len() as u32).to_le_bytes());
         for (k, v) in context {
@@ -110,6 +117,44 @@ fn context_strategy() -> impl Strategy<Value = Vec<(String, String)>> {
         Just(String::new()),
     ];
     proptest::collection::vec((key, value), 0..6)
+}
+
+/// A raw trace-slot id: often absent (0), otherwise any value.
+fn slot_id_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), any::<u64>()]
+}
+
+/// A service context as `ServiceContext::set` builds it: often led by
+/// `trace-id` and `span-id` entries, canonical or not (zero, upper
+/// case, short), and followed by other entries, which may set either
+/// key again.
+fn service_context_strategy() -> impl Strategy<Value = ServiceContext> {
+    let id = || {
+        prop_oneof![
+            any::<u64>().prop_map(|n| format!("{n:016x}")),
+            Just("0000000000000000".to_owned()),
+            any::<u64>().prop_map(|n| format!("{n:016X}")),
+            "[0-9a-f]{1,15}".prop_map(String::from),
+        ]
+    };
+    let lead = proptest::option::of((id(), id()));
+    let key = prop_oneof![
+        Just("trace-id".to_owned()),
+        Just("span-id".to_owned()),
+        "[a-z-]{1,12}".prop_map(String::from),
+    ];
+    let rest = proptest::collection::vec((key, ".{0,24}".prop_map(String::from)), 0..4);
+    (lead, rest).prop_map(|(lead, rest)| {
+        let mut context = ServiceContext::new();
+        if let Some((trace, span)) = lead {
+            context.set("trace-id", &trace);
+            context.set("span-id", &span);
+        }
+        for (k, v) in &rest {
+            context.set(k, v);
+        }
+        context
+    })
 }
 
 /// A reply outcome of every status: a result, each error variant with a
@@ -167,12 +212,8 @@ proptest! {
         op in "[a-zA-Z_]{1,16}",
         args in proptest::collection::vec(value_strategy(), 0..4),
         oneway in any::<bool>(),
-        ctx in proptest::collection::vec(("[a-z-]{1,12}", ".{0,24}"), 0..4),
+        context in service_context_strategy(),
     ) {
-        let mut context = ServiceContext::new();
-        for (k, v) in &ctx {
-            context.set(k, v);
-        }
         let body = RequestBody { id, key, operation: op, args, context };
         let msg = if oneway { Message::Oneway(body) } else { Message::Request(body) };
         let decoded = Message::decode(&msg.encode()).expect("decodes");
@@ -246,15 +287,16 @@ proptest! {
 
     #[test]
     fn the_borrowed_decoder_agrees_with_message_decode(
-        version in 1u8..=2,
+        version in 1u8..=3,
         oneway in any::<bool>(),
         id in any::<u64>(),
         key in ".{0,16}",
         op in "[a-zA-Z_]{0,16}",
         args in proptest::collection::vec(value_strategy(), 0..4),
+        slot in (slot_id_strategy(), slot_id_strategy()),
         context in context_strategy(),
     ) {
-        let frame = request_frame(version, oneway, id, &key, &op, &args, &context);
+        let frame = request_frame(version, oneway, id, &key, &op, &args, slot, &context);
         let borrowed = IncomingRequest::decode(&frame).expect("borrowed decode");
         let body = match Message::decode(&frame).expect("owned decode") {
             Message::Request(body) if !oneway => body,
@@ -269,16 +311,25 @@ proptest! {
         for (x, y) in borrowed.args.iter().zip(&body.args) {
             prop_assert!(value_eq(x, y));
         }
-        // The last `trace-id`/`span-id` wins; one that is not hex
+        // The trace slot counts as entries ahead of the text ones, and
+        // the last `trace-id`/`span-id` wins; one that is not hex
         // leaves the request without a caller, so a fresh trace starts.
         let trace = body.context.get("trace-id").and_then(TraceId::from_hex);
         let parent = body.context.get("span-id").and_then(SpanId::from_hex);
         prop_assert_eq!(borrowed.trace, trace);
         prop_assert_eq!(borrowed.parent, parent);
-        let last = |key: &str| context.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
+        let slot_hex = |raw: u64| (version >= 3 && raw != 0).then(|| format!("{raw:016x}"));
+        let last = |key: &str, raw: u64| {
+            context
+                .iter()
+                .rev()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.clone())
+                .or_else(|| slot_hex(raw))
+        };
         if version >= 2 {
-            prop_assert_eq!(body.context.get("trace-id"), last("trace-id"));
-            prop_assert_eq!(body.context.get("span-id"), last("span-id"));
+            prop_assert_eq!(body.context.get("trace-id").map(str::to_owned), last("trace-id", slot.0));
+            prop_assert_eq!(body.context.get("span-id").map(str::to_owned), last("span-id", slot.1));
         } else {
             prop_assert!(body.context.is_empty());
         }

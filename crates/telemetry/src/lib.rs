@@ -7,7 +7,7 @@
 //! a span on a thread that already has an active span makes it a child
 //! sharing the parent's [`TraceId`]; otherwise a fresh trace begins.
 //! The ORB carries `(TraceId, SpanId)` across process and network hops
-//! in each request's *service context*, so a client invocation, the
+//! with each request, so a client invocation, the
 //! server-side dispatch and any nested invocations (for example a
 //! trader evaluating a dynamic property) all land in one trace.
 //! Finished spans go to the process-wide [`collector`], a bounded ring

@@ -9,9 +9,10 @@ use std::time::{Duration, Instant};
 
 use crate::json::{Arr, Obj};
 
-/// Service-context key under which the trace id travels on the wire.
+/// Service-context key of the trace id, as 16 hex digits. The ORB's
+/// wire format carries the id in binary and presents it under this key.
 pub const TRACE_ID_KEY: &str = "trace-id";
-/// Service-context key under which the caller's span id travels.
+/// Service-context key of the caller's span id, like [`TRACE_ID_KEY`].
 pub const SPAN_ID_KEY: &str = "span-id";
 
 // ---- identifiers ---------------------------------------------------------
@@ -162,6 +163,14 @@ const INLINE_TEXT: usize = 38;
 
 /// Attributes a span keeps inline; further ones spill to the heap.
 const INLINE_ATTRS: usize = 4;
+
+/// Capacity a new trace-ring slot gives its name buffer and each of its
+/// first [`INLINE_ATTRS`] attribute buffers: what a span holds inline
+/// (a name prefix and [`INLINE_TEXT`] bytes, or a value of at most
+/// [`INLINE_TEXT`] bytes, 20 digits or a boolean). A span whose texts
+/// fit inline then records into any slot without allocating, whatever
+/// an earlier occupant left there.
+const SLOT_TEXT: usize = 64;
 
 /// A finished span as stored by the [`Collector`].
 #[derive(Debug, Clone)]
@@ -346,7 +355,7 @@ impl Stored {
 ///
 /// While alive, the span is the thread's current context: spans started
 /// on the same thread become its children, and the ORB stamps its ids
-/// into outgoing request service contexts.
+/// into outgoing requests.
 ///
 /// A span keeps its name and its first four attributes inline, so
 /// starting, annotating and recording one allocates nothing in steady
@@ -399,8 +408,7 @@ impl Span {
     }
 
     /// Starts a span under an explicitly supplied parent — the server
-    /// side of a remote call, resuming the context extracted from the
-    /// request's service context.
+    /// side of a remote call, resuming the context the request carried.
     pub fn child_of<'a>(
         name: impl Into<SpanName<'a>>,
         trace: TraceId,
@@ -479,13 +487,15 @@ struct Slot {
 impl Slot {
     fn new() -> Slot {
         Slot {
-            name: Vec::new(),
+            name: Vec::with_capacity(SLOT_TEXT),
             trace: TraceId::from_raw(0),
             span: SpanId::from_raw(0),
             parent: None,
             start_us: 0,
             duration_us: 0,
-            attrs: Vec::new(),
+            attrs: (0..INLINE_ATTRS)
+                .map(|_| ("", Vec::with_capacity(SLOT_TEXT)))
+                .collect(),
             attr_len: 0,
         }
     }
@@ -975,6 +985,29 @@ mod tests {
             c.heap_bytes()
         );
         assert_eq!(c.finished()[0].attrs.len(), MAX_ATTRS);
+    }
+
+    #[test]
+    fn a_span_of_inline_texts_records_without_growing_its_slot() {
+        let c = Collector::new(1);
+        // The slot's first occupant leaves its buffers empty.
+        c.record(&Span::root(""));
+        let slot_bytes =
+            SLOT_TEXT * (1 + INLINE_ATTRS) + INLINE_ATTRS * std::mem::size_of::<(&str, Vec<u8>)>();
+        assert_eq!(c.heap_bytes(), std::mem::size_of::<Slot>() + slot_bytes);
+        let longest = "x".repeat(INLINE_TEXT);
+        let mut span = Span::root(("server:", longest.as_str()));
+        span.attr("text", longest.as_str());
+        span.attr("n", u64::MAX);
+        span.attr("ok", false);
+        span.attr("more", longest.as_str());
+        c.record(&span);
+        assert_eq!(
+            c.heap_bytes(),
+            std::mem::size_of::<Slot>() + slot_bytes,
+            "recording grew the slot"
+        );
+        assert_eq!(c.finished()[0].attrs[1].1, u64::MAX.to_string());
     }
 
     #[test]
