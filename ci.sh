@@ -1,6 +1,13 @@
 #!/usr/bin/env bash
 # Local CI: the same gate the GitHub Actions workflow runs.
 #
+# The gate's `cargo test --workspace` also checks the golden experiment
+# outputs: crates/bench/tests/golden.rs runs each virtual-time
+# experiment binary (E1, E2, E3, E6, E7, E9) and compares its stdout
+# with results/<bin>.txt. A changed golden file is a result, not a
+# fixture to refresh: regenerate it from the binary and record the
+# change and its reason in CHANGES.md.
+#
 # The gate builds and tests with `--locked`: a manifest change that
 # leaves Cargo.lock stale fails it instead of being re-resolved
 # silently. Commit the regenerated Cargo.lock with the manifest.

@@ -518,3 +518,130 @@ fn classic_oneway_reaches_the_bound_target() {
     assert_eq!(notes[1].load(Ordering::SeqCst), 0);
     assert_eq!(proxy.invocations(), 1);
 }
+
+/// The classic rule "keep the current component when nothing better
+/// matches": a `reselect` whose query matches nothing returns `false`,
+/// keeps the bound target and counts no rebind.
+#[test]
+fn a_reselect_that_matches_nothing_keeps_the_bound_target() {
+    use adapta::idl::TypeCode;
+    use adapta::trading::{ExportRequest, PropDef, PropMode, ServiceTypeDef, Trader};
+
+    let orb = adapta::orb::Orb::new("sp-keep");
+    let trader = Trader::new(&orb);
+    trader
+        .add_type(ServiceTypeDef::new("KeepSvc").with_property(PropDef::new(
+            "Rank",
+            TypeCode::Long,
+            PropMode::Normal,
+        )))
+        .unwrap();
+    let servant = || adapta::orb::ServantFn::new("KeepSvc", |_, _| Ok(Value::from("pong")));
+    let first = orb.activate("keep-a", servant()).unwrap();
+    let offer = trader
+        .export(ExportRequest::new("KeepSvc", first.clone()).with_property("Rank", Value::Long(2)))
+        .unwrap();
+
+    let repo = adapta::idl::InterfaceRepository::new();
+    let proxy = adapta::core::SmartProxy::builder(&orb, &repo, Arc::new(trader.clone()), "KeepSvc")
+        .constraint("Rank > 1")
+        .build()
+        .unwrap();
+    assert_eq!(proxy.current_target(), Some(first.clone()));
+    assert_eq!(proxy.rebinds(), 1);
+
+    // The only offer left fails the constraint.
+    trader.withdraw(&offer).unwrap();
+    let other = orb.activate("keep-b", servant()).unwrap();
+    trader
+        .export(ExportRequest::new("KeepSvc", other).with_property("Rank", Value::Long(0)))
+        .unwrap();
+    assert!(!proxy.reselect().unwrap());
+    assert_eq!(proxy.current_target(), Some(first));
+    assert_eq!(proxy.rebinds(), 1);
+}
+
+/// Every selection re-establishes the proxy's monitor subscriptions:
+/// build attaches once; a reselect of the same offer detaches and
+/// re-attaches; a reselect to another offer does the same.
+#[test]
+fn every_selection_detaches_and_reattaches_the_subscriptions() {
+    use adapta::idl::TypeCode;
+    use adapta::orb::{OrbError, ServantFn};
+    use adapta::trading::{ExportRequest, PropDef, PropMode, ServiceTypeDef, Trader};
+
+    let orb = adapta::orb::Orb::new("sp-attach");
+    let trader = Trader::new(&orb);
+    trader
+        .add_type(
+            ServiceTypeDef::new("AttachSvc")
+                .with_property(PropDef::new("Rank", TypeCode::Long, PropMode::Normal))
+                .with_property(PropDef::new("LoadAvg", TypeCode::Double, PropMode::Normal)),
+        )
+        .unwrap();
+    // A stub monitor that counts registrations and cancellations.
+    let attached = Arc::new(AtomicUsize::new(0));
+    let detached = Arc::new(AtomicUsize::new(0));
+    let (a, d) = (attached.clone(), detached.clone());
+    let monitor = orb
+        .activate(
+            "stub-monitor",
+            ServantFn::new("EventMonitor", move |op, _| match op {
+                "evalDP" => Ok(Value::Double(0.5)),
+                "attachEventObserver" => Ok(Value::Long(a.fetch_add(1, Ordering::SeqCst) as i64)),
+                "detachEventObserver" => {
+                    d.fetch_add(1, Ordering::SeqCst);
+                    Ok(Value::Null)
+                }
+                _ => Err(OrbError::unknown_operation("EventMonitor", op)),
+            }),
+        )
+        .unwrap();
+    let mut offers = Vec::new();
+    for (key, rank) in [("attach-a", 2i64), ("attach-b", 1)] {
+        let target = orb
+            .activate(
+                key,
+                ServantFn::new("AttachSvc", |_, _| Ok(Value::from("pong"))),
+            )
+            .unwrap();
+        let id = trader
+            .export(
+                ExportRequest::new("AttachSvc", target.clone())
+                    .with_property("Rank", Value::Long(rank))
+                    .with_dynamic_property("LoadAvg", monitor.clone()),
+            )
+            .unwrap();
+        offers.push((id, target));
+    }
+
+    let repo = adapta::idl::InterfaceRepository::new();
+    let proxy =
+        adapta::core::SmartProxy::builder(&orb, &repo, Arc::new(trader.clone()), "AttachSvc")
+            .preference("max Rank")
+            .subscribe(Subscription::new(
+                "LoadAvg",
+                "LoadIncrease",
+                "function(o, v, m) return false end",
+            ))
+            .build()
+            .unwrap();
+    let counts = || {
+        (
+            attached.load(Ordering::SeqCst),
+            detached.load(Ordering::SeqCst),
+        )
+    };
+    assert_eq!(proxy.current_target(), Some(offers[0].1.clone()));
+    assert_eq!(counts(), (1, 0));
+
+    assert!(proxy.reselect().unwrap());
+    assert_eq!(proxy.current_target(), Some(offers[0].1.clone()));
+    assert_eq!(counts(), (2, 1));
+
+    trader.withdraw(&offers[0].0).unwrap();
+    assert!(proxy.reselect().unwrap());
+    assert_eq!(proxy.current_target(), Some(offers[1].1.clone()));
+    assert_eq!(counts(), (3, 2));
+    assert_eq!(proxy.rebinds(), 2);
+}
