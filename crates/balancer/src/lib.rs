@@ -11,13 +11,15 @@
 //!   count, error count, and the last monitor-pushed load value — fed by
 //!   call outcomes and monitor events;
 //! * a pluggable [`RoutingPolicy`] picks the replica for each call:
-//!   [`RoundRobin`], [`LeastInflight`], [`P2cEwma`]
+//!   [`Bound`] (the paper's classic proxy: one replica, kept until a
+//!   strategy re-selects), [`RoundRobin`], [`LeastInflight`], [`P2cEwma`]
 //!   (power-of-two-choices over EWMA latency), [`WeightedProperty`]
 //!   (weights from a monitored dynamic property), and
 //!   [`ConsistentHash`] (session affinity).
 //!
-//! `adapta-core`'s `SmartProxy` builds on this to route every
-//! invocation through the policy instead of a single bound offer.
+//! Every `adapta-core` `SmartProxy` owns one set and routes every
+//! invocation through its policy; a classic proxy's set is under
+//! [`Bound`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -52,8 +54,8 @@ mod replica_set;
 mod stats;
 
 pub use policy::{
-    policy_named, ConsistentHash, LeastInflight, P2cEwma, RoundRobin, RoutingPolicy,
+    policy_named, Bound, ConsistentHash, LeastInflight, P2cEwma, RoundRobin, RoutingPolicy,
     WeightedProperty,
 };
-pub use replica_set::{RefreshSummary, Replica, ReplicaHook, ReplicaSet};
+pub use replica_set::{RefreshSummary, Replica, ReplicaSet};
 pub use stats::ReplicaStats;

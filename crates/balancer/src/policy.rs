@@ -28,6 +28,12 @@ pub trait RoutingPolicy: Send + Sync {
 
     /// Picks an index into `replicas`.
     fn pick(&self, replicas: &[Arc<Replica>], key: Option<u64>) -> Option<usize>;
+
+    /// Whether a set under this policy keeps one replica, the first
+    /// match of each selection, instead of every match.
+    fn keeps_one(&self) -> bool {
+        false
+    }
 }
 
 /// FNV-1a — cheap, dependency-free, stable across runs.
@@ -38,6 +44,28 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x1_0000_01b3);
     }
     hash
+}
+
+// ---- bound ---------------------------------------------------------------
+
+/// The paper's classic smart proxy: a set under this policy keeps one
+/// replica, the first admissible match of its last selection, and every
+/// call goes to it until a strategy re-selects.
+#[derive(Debug, Default)]
+pub struct Bound;
+
+impl RoutingPolicy for Bound {
+    fn name(&self) -> &str {
+        "bound"
+    }
+
+    fn pick(&self, replicas: &[Arc<Replica>], _key: Option<u64>) -> Option<usize> {
+        (!replicas.is_empty()).then_some(0)
+    }
+
+    fn keeps_one(&self) -> bool {
+        true
+    }
 }
 
 // ---- round robin ---------------------------------------------------------
@@ -299,12 +327,13 @@ impl RoutingPolicy for ConsistentHash {
 
 // ---- parsing -------------------------------------------------------------
 
-/// Builds a policy from its name: `round_robin`, `least_inflight`,
-/// `p2c_ewma`, `consistent_hash`, or `weighted_property:<Prop>`
-/// (`weighted_property` alone defaults to `LoadAvg`). Returns `None`
-/// for unknown names.
+/// Builds a policy from its name: `bound`, `round_robin`,
+/// `least_inflight`, `p2c_ewma`, `consistent_hash`, or
+/// `weighted_property:<Prop>` (`weighted_property` alone defaults to
+/// `LoadAvg`). Returns `None` for unknown names.
 pub fn policy_named(name: &str) -> Option<Box<dyn RoutingPolicy>> {
     match name {
+        "bound" => Some(Box::new(Bound)),
         "round_robin" => Some(Box::new(RoundRobin::new())),
         "least_inflight" => Some(Box::new(LeastInflight::new())),
         "p2c_ewma" => Some(Box::new(P2cEwma::new())),
@@ -345,6 +374,14 @@ mod tests {
         let picks: Vec<usize> = (0..6).map(|_| rr.pick(&replicas, None).unwrap()).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
         assert!(rr.pick(&[], None).is_none());
+    }
+
+    #[test]
+    fn bound_picks_the_first_candidate() {
+        let replicas = set(3);
+        assert!(Bound.keeps_one() && !RoundRobin::new().keeps_one());
+        assert_eq!(Bound.pick(&replicas, Some(7)), Some(0));
+        assert!(Bound.pick(&[], None).is_none());
     }
 
     #[test]
@@ -569,6 +606,7 @@ mod tests {
     #[test]
     fn policy_named_parses_all_builtins() {
         for name in [
+            "bound",
             "round_robin",
             "least_inflight",
             "p2c_ewma",

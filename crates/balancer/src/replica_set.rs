@@ -1,12 +1,16 @@
-//! The replica set: a trader query materialized as live routing state.
+//! The replica set: a trader selection materialized as live routing
+//! state.
 //!
-//! A [`ReplicaSet`] re-runs its trader query on each refresh and diffs
-//! the matches against its replicas: new matches become [`Replica`]s
-//! (keeping the preference order the trader returned), retained matches
-//! get their property snapshot updated *without* losing accumulated
-//! stats, and withdrawn/expired matches are evicted. A background
-//! refresher re-runs the query on a jittered interval so the set tracks
-//! the trader without synchronized polling stampedes.
+//! A [`ReplicaSet`] takes the matches of each selection and diffs them
+//! against its replicas: new matches become [`Replica`]s (keeping the
+//! preference order the trader returned), retained matches get their
+//! offer snapshot updated *without* losing accumulated stats, and
+//! withdrawn/expired matches are evicted. Under a policy that
+//! [keeps one](crate::RoutingPolicy::keeps_one) replica, such as
+//! [`Bound`](crate::Bound), each selection replaces the replica with its
+//! first match instead. A background refresher re-selects on a jittered
+//! interval so the set tracks the trader without synchronized polling
+//! stampedes.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,8 +35,7 @@ pub struct Replica {
     /// same pair trading's federation dedups on).
     key: String,
     target: ObjRef,
-    properties: Mutex<Vec<(String, Value)>>,
-    dynamic: Mutex<Vec<(String, ObjRef)>>,
+    offer: Mutex<OfferMatch>,
     stats: ReplicaStats,
     attachment: Attachment,
 }
@@ -59,23 +62,23 @@ impl Replica {
         properties: Vec<(String, Value)>,
         dynamic: Vec<(String, ObjRef)>,
     ) -> Replica {
-        Replica {
-            key: format!("{}@{}", offer_id.into(), target.to_uri()),
+        Replica::from_match(OfferMatch {
+            id: adapta_trading::OfferId::from_string(offer_id),
+            service_type: target.type_id.clone(),
             target,
-            properties: Mutex::new(properties),
-            dynamic: Mutex::new(dynamic),
+            properties,
+            dynamic,
+        })
+    }
+
+    fn from_match(m: OfferMatch) -> Replica {
+        Replica {
+            key: Replica::match_key(&m),
+            target: m.target.clone(),
+            offer: Mutex::new(m),
             stats: ReplicaStats::new(),
             attachment: Attachment::default(),
         }
-    }
-
-    fn from_match(m: &OfferMatch) -> Replica {
-        Replica::from_parts(
-            m.id.to_string(),
-            m.target.clone(),
-            m.properties.clone(),
-            m.dynamic.clone(),
-        )
     }
 
     fn match_key(m: &OfferMatch) -> String {
@@ -97,10 +100,11 @@ impl Replica {
         &self.stats
     }
 
-    /// Attaches the owner's per-replica state, once: a balanced smart
-    /// proxy attaches its health record for the replica's target when
-    /// the set adds the replica, so its picks read the record without
-    /// a lookup. `false` when something is attached already.
+    /// Attaches the owner's per-replica state, once: a smart proxy
+    /// attaches the health record of the replica's target and its
+    /// monitor registrations when the replica enters its set, so its
+    /// picks read the record without a lookup. `false` when something
+    /// is attached already.
     pub fn attach(&self, state: Arc<dyn Any + Send + Sync>) -> bool {
         self.attachment.0.set(state).is_ok()
     }
@@ -110,51 +114,33 @@ impl Replica {
         self.attachment.0.get()?.downcast_ref()
     }
 
-    /// Snapshot of the offer properties as of the last refresh.
-    pub fn properties(&self) -> Vec<(String, Value)> {
-        self.properties.lock().clone()
+    /// The offer as of the last selection that matched it: its
+    /// properties and the monitors behind its dynamic properties.
+    pub fn offer(&self) -> OfferMatch {
+        self.offer.lock().clone()
     }
 
-    /// One property from the last-refresh snapshot.
-    pub fn property(&self, name: &str) -> Option<Value> {
-        self.properties
-            .lock()
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.clone())
-    }
-
-    /// A property coerced to f64 (Double or Long).
+    /// A property of the last-selection snapshot, coerced to f64
+    /// (Double or Long).
     pub fn property_f64(&self, name: &str) -> Option<f64> {
-        let v = self.property(name)?;
+        let offer = self.offer.lock();
+        let v = offer.prop(name)?;
         v.as_double().or_else(|| v.as_long().map(|l| l as f64))
     }
-
-    /// Dynamic-property eval refs (the monitors behind the offer), so
-    /// callers can subscribe this replica to a load feed.
-    pub fn dynamic_refs(&self) -> Vec<(String, ObjRef)> {
-        self.dynamic.lock().clone()
-    }
-
-    fn update_from(&self, m: &OfferMatch) {
-        *self.properties.lock() = m.properties.clone();
-        *self.dynamic.lock() = m.dynamic.clone();
-    }
 }
 
-/// What a [`ReplicaSet::refresh`] changed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a selection changed: the replicas it added and evicted. The
+/// set's owner attaches its per-replica state to the first and detaches
+/// it from the second.
+#[derive(Debug, Clone)]
 pub struct RefreshSummary {
     /// Replicas added this round.
-    pub added: usize,
+    pub added: Vec<Arc<Replica>>,
     /// Replicas evicted this round.
-    pub evicted: usize,
-    /// Live replicas after the refresh.
+    pub evicted: Vec<Arc<Replica>>,
+    /// Live replicas after the round.
     pub total: usize,
 }
-
-/// Called with each replica entering/leaving the set.
-pub type ReplicaHook = Box<dyn Fn(&Arc<Replica>) + Send + Sync>;
 
 struct SetInner {
     service: Arc<dyn TradingService>,
@@ -162,8 +148,6 @@ struct SetInner {
     replicas: RwLock<Vec<Arc<Replica>>>,
     policy: RwLock<Arc<dyn RoutingPolicy>>,
     metrics: SetMetrics,
-    on_added: Mutex<Option<ReplicaHook>>,
-    on_evicted: Mutex<Option<ReplicaHook>>,
     refresher_started: AtomicBool,
 }
 
@@ -215,7 +199,7 @@ impl std::fmt::Debug for ReplicaSet {
 impl ReplicaSet {
     /// Creates a set over `query` against `service`, starting empty
     /// with the [`RoundRobin`] policy. Call [`refresh`](Self::refresh)
-    /// (or [`start_refresher`](Self::start_refresher)) to populate it.
+    /// or [`apply`](Self::apply) to populate it.
     pub fn new(service: Arc<dyn TradingService>, query: Query) -> ReplicaSet {
         let metrics = SetMetrics::for_type(&query.service_type);
         ReplicaSet {
@@ -225,8 +209,6 @@ impl ReplicaSet {
                 replicas: RwLock::new(Vec::new()),
                 policy: RwLock::new(Arc::new(RoundRobin::new())),
                 metrics,
-                on_added: Mutex::new(None),
-                on_evicted: Mutex::new(None),
                 refresher_started: AtomicBool::new(false),
             }),
         }
@@ -244,84 +226,76 @@ impl ReplicaSet {
 
     // ---- lifecycle -------------------------------------------------------
 
-    /// Re-runs the query and diffs the matches against the replicas by
-    /// [`Replica::key`]: refreshes retained offers' property snapshots
-    /// (stats survive), evicts replicas that no longer match, and
-    /// appends new matches in the order the trader returned them.
+    /// Runs the set's own query and [applies](Self::apply) its matches.
     ///
     /// # Errors
     ///
     /// Whatever the trader query returns; the set is unchanged on
     /// error.
     pub fn refresh(&self) -> adapta_trading::Result<RefreshSummary> {
-        let matches = self.inner.service.query(&self.inner.query)?;
+        Ok(self.apply(self.inner.service.query(&self.inner.query)?))
+    }
+
+    /// Makes one selection's `matches` the set's replicas, diffing by
+    /// [`Replica::key`]: retained offers get their snapshot refreshed
+    /// (stats survive), replicas that no longer match are evicted, and
+    /// new matches are appended in the order given. Under a policy that
+    /// [keeps one](RoutingPolicy::keeps_one) replica, the set instead
+    /// replaces its replica with the first match, so its owner
+    /// re-attaches on every selection, even one of the same offer.
+    pub fn apply(&self, mut matches: Vec<OfferMatch>) -> RefreshSummary {
         self.inner.metrics.refreshes.incr();
-        let keyed: Vec<(String, OfferMatch)> = matches
-            .into_iter()
-            .map(|m| (Replica::match_key(&m), m))
-            .collect();
-        let mut added_replicas = Vec::new();
-        let mut evicted_replicas = Vec::new();
-        let summary = {
+        let keeps_one = self.keeps_one();
+        if keeps_one {
+            matches.truncate(1);
+        }
+        let keys: Vec<String> = matches.iter().map(Replica::match_key).collect();
+        let mut added = Vec::new();
+        let mut evicted = Vec::new();
+        let total = {
             let mut replicas = self.inner.replicas.write();
+            if keeps_one {
+                evicted.append(&mut replicas);
+            }
             replicas.retain(|r| {
-                let matched = keyed.iter().any(|(key, _)| key == r.key());
+                let matched = keys.iter().any(|key| key == r.key());
                 if !matched {
-                    evicted_replicas.push(r.clone());
+                    evicted.push(r.clone());
                 }
                 matched
             });
-            for (key, m) in &keyed {
+            for (key, m) in keys.iter().zip(matches) {
                 match replicas.iter().find(|r| r.key() == key) {
-                    Some(r) => r.update_from(m),
+                    Some(r) => *r.offer.lock() = m,
                     None => {
                         let replica = Arc::new(Replica::from_match(m));
                         replicas.push(replica.clone());
-                        added_replicas.push(replica);
+                        added.push(replica);
                     }
                 }
             }
-            RefreshSummary {
-                added: added_replicas.len(),
-                evicted: evicted_replicas.len(),
-                total: replicas.len(),
-            }
+            replicas.len()
         };
         let metrics = &self.inner.metrics;
-        metrics.added.add(summary.added as u64);
-        metrics.evictions.add(summary.evicted as u64);
-        metrics.replicas.set(summary.total as i64);
-        // Hooks run outside the replicas lock: they typically do orb
-        // work (monitor subscribe/unsubscribe).
-        if let Some(hook) = &*self.inner.on_added.lock() {
-            for r in &added_replicas {
-                hook(r);
-            }
+        metrics.added.add(added.len() as u64);
+        metrics.evictions.add(evicted.len() as u64);
+        metrics.replicas.set(total as i64);
+        RefreshSummary {
+            added,
+            evicted,
+            total,
         }
-        if let Some(hook) = &*self.inner.on_evicted.lock() {
-            for r in &evicted_replicas {
-                hook(r);
-            }
-        }
-        Ok(summary)
     }
 
-    /// Installs a hook called with every replica entering the set
-    /// (including ones added by refreshes already in flight).
-    pub fn on_added(&self, hook: ReplicaHook) {
-        *self.inner.on_added.lock() = Some(hook);
-    }
-
-    /// Installs a hook called with every evicted replica.
-    pub fn on_evicted(&self, hook: ReplicaHook) {
-        *self.inner.on_evicted.lock() = Some(hook);
-    }
-
-    /// Spawns a background thread refreshing the set roughly every
-    /// `interval`, jittered ±50% so many sets polling one trader don't
-    /// stampede in phase. The thread exits when the last `ReplicaSet`
-    /// clone is dropped; starting twice is a no-op.
-    pub fn start_refresher(&self, interval: Duration) {
+    /// Spawns a background thread that calls `refresh` with the set
+    /// roughly every `interval`, jittered ±50% so many sets polling one
+    /// trader don't stampede in phase. The thread exits when the last
+    /// `ReplicaSet` clone is dropped; starting twice is a no-op.
+    pub fn start_refresher(
+        &self,
+        interval: Duration,
+        refresh: impl Fn(&ReplicaSet) + Send + 'static,
+    ) {
         if self.inner.refresher_started.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -346,8 +320,7 @@ impl ReplicaSet {
                         remaining = remaining.saturating_sub(nap);
                     }
                     let Some(inner) = weak.upgrade() else { return };
-                    let set = ReplicaSet { inner };
-                    let _ = set.refresh();
+                    refresh(&ReplicaSet { inner });
                 }
             })
             .expect("spawn replica-set refresher");
@@ -424,6 +397,12 @@ impl ReplicaSet {
     /// The current policy's name.
     pub fn policy_name(&self) -> String {
         self.inner.policy.read().name().to_string()
+    }
+
+    /// Whether the current policy [keeps one](RoutingPolicy::keeps_one)
+    /// replica.
+    pub fn keeps_one(&self) -> bool {
+        self.inner.policy.read().keeps_one()
     }
 
     // ---- introspection ---------------------------------------------------
@@ -510,7 +489,7 @@ mod tests {
         let a = export(&trader, "a", 1.0);
         export(&trader, "b", 2.0);
         let s = set.refresh().unwrap();
-        assert_eq!((s.added, s.evicted, s.total), (2, 0, 2));
+        assert_eq!((s.added.len(), s.evicted.len(), s.total), (2, 0, 2));
 
         // Accumulate stats on a replica, then refresh: stats survive.
         let r = set.pick(None).unwrap();
@@ -518,13 +497,13 @@ mod tests {
         r.stats().on_complete(Duration::from_millis(3), true);
         let key = r.key().to_string();
         let s = set.refresh().unwrap();
-        assert_eq!((s.added, s.evicted, s.total), (0, 0, 2));
+        assert_eq!((s.added.len(), s.evicted.len(), s.total), (0, 0, 2));
         let same = set.replica(&key).unwrap();
         assert_eq!(same.stats().completed(), 1);
 
         trader.withdraw(&a).unwrap();
         let s = set.refresh().unwrap();
-        assert_eq!((s.added, s.evicted, s.total), (0, 1, 1));
+        assert_eq!((s.added.len(), s.evicted.len(), s.total), (0, 1, 1));
     }
 
     #[test]
@@ -551,27 +530,30 @@ mod tests {
         // The next successful refresh diffs against the same replicas.
         orb.activate("trader", TraderServant::new(trader)).unwrap();
         let s = set.refresh().unwrap();
-        assert_eq!((s.added, s.evicted, s.total), (0, 0, 2));
+        assert_eq!((s.added.len(), s.evicted.len(), s.total), (0, 0, 2));
     }
 
     #[test]
-    fn hooks_fire_for_added_and_evicted_replicas() {
+    fn a_keep_one_policy_replaces_its_replica_on_every_selection() {
         let (trader, set) = setup();
-        let added = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let evicted = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let (a2, e2) = (added.clone(), evicted.clone());
-        set.on_added(Box::new(move |_| {
-            a2.fetch_add(1, Ordering::SeqCst);
-        }));
-        set.on_evicted(Box::new(move |_| {
-            e2.fetch_add(1, Ordering::SeqCst);
-        }));
-        let id = export(&trader, "a", 1.0);
-        set.refresh().unwrap();
-        trader.withdraw(&id).unwrap();
-        set.refresh().unwrap();
-        assert_eq!(added.load(Ordering::SeqCst), 1);
-        assert_eq!(evicted.load(Ordering::SeqCst), 1);
+        let set = set.with_policy_named("bound");
+        export(&trader, "a", 1.0);
+        export(&trader, "b", 2.0);
+        let s = set.refresh().unwrap();
+        assert_eq!((s.added.len(), s.evicted.len(), s.total), (1, 0, 1));
+        assert_eq!(set.pick(None).unwrap().target().endpoint, "inproc://a");
+
+        // The same offer again: a new replica takes the old one's place.
+        let s = set.refresh().unwrap();
+        assert_eq!((s.added.len(), s.evicted.len(), s.total), (1, 1, 1));
+        assert_eq!(s.added[0].key(), s.evicted[0].key());
+        assert!(!Arc::ptr_eq(&s.added[0], &s.evicted[0]));
+
+        // Switched to a spreading policy, the next selection keeps every
+        // match.
+        assert!(set.set_policy_named("round_robin"));
+        let s = set.refresh().unwrap();
+        assert_eq!((s.added.len(), s.evicted.len(), s.total), (1, 0, 2));
     }
 
     #[test]
@@ -587,8 +569,9 @@ mod tests {
     #[test]
     fn background_refresher_tracks_the_trader() {
         let (trader, set) = setup();
-        set.start_refresher(Duration::from_millis(20));
-        set.start_refresher(Duration::from_millis(20)); // no-op
+        let refresh = |set: &ReplicaSet| drop(set.refresh());
+        set.start_refresher(Duration::from_millis(20), refresh);
+        set.start_refresher(Duration::from_millis(20), refresh); // no-op
         export(&trader, "a", 1.0);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while set.is_empty() && std::time::Instant::now() < deadline {

@@ -172,8 +172,8 @@ pub enum Admission {
 }
 
 /// One target's health record, shared by the [`HealthTable`] and by
-/// whoever resolved it (a balanced replica, a classic binding), so a
-/// call reads and updates it without looking it up.
+/// the replica of a proxy's set that resolved it, so a call reads and
+/// updates it without looking it up.
 ///
 /// What the pick path polls is kept in atomics: the breaker state and
 /// the time of the last retryable failure are each one load. The
@@ -188,7 +188,6 @@ pub enum Admission {
 /// before the failure that cleared it, where it changes nothing.
 #[derive(Debug)]
 pub(crate) struct TargetHealth {
-    target: ObjRef,
     /// The [`BreakerState`], changed only under `window`'s lock.
     state: AtomicU8,
     /// Reference point of `last_failure`.
@@ -229,10 +228,9 @@ impl Window {
 }
 
 impl TargetHealth {
-    fn new(target: ObjRef) -> TargetHealth {
+    fn new() -> TargetHealth {
         let now = Instant::now();
         TargetHealth {
-            target,
             state: AtomicU8::new(BreakerState::Closed as u8),
             created: now,
             last_failure: AtomicU64::new(0),
@@ -243,11 +241,6 @@ impl TargetHealth {
                 probing: false,
             }),
         }
-    }
-
-    /// The target this record is about.
-    pub(crate) fn target(&self) -> &ObjRef {
-        &self.target
     }
 
     /// The breaker state (Closed when no breaker is configured).
@@ -362,7 +355,7 @@ impl HealthTable {
         if let Some(health) = targets.get(target) {
             return health.clone();
         }
-        let health = Arc::new(TargetHealth::new(target.clone()));
+        let health = Arc::new(TargetHealth::new());
         targets.insert(target.clone(), health.clone());
         health
     }
@@ -485,6 +478,26 @@ impl HealthTable {
             .lock()
             .get(target)
             .map_or(BreakerState::Closed, |h| h.state())
+    }
+
+    /// Whether the breaker of `target` refuses calls right now: open
+    /// and cooling down, or half-open with its probe out. Unlike
+    /// [`admit_record`](Self::admit_record) it moves no state and
+    /// counts nothing.
+    pub(crate) fn refuses(&self, target: &ObjRef) -> bool {
+        let Some(breaker) = &self.breaker else {
+            return false;
+        };
+        let Some(health) = self.targets.lock().get(target).cloned() else {
+            return false;
+        };
+        match health.state() {
+            BreakerState::Closed => false,
+            BreakerState::HalfOpen => true,
+            BreakerState::Open => {
+                health.window.lock().opened_at.elapsed() < breaker.config.open_for
+            }
+        }
     }
 
     /// Whether `target` failed within the dead-target TTL.

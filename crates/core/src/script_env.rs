@@ -232,12 +232,13 @@ pub fn install_trading(interp: &mut Interpreter, trader: Arc<dyn TradingService>
 /// Installs script-side access to a smart proxy's balancer, so Rua
 /// adaptation code can inspect and re-route traffic at run time:
 ///
-/// * `balancer_policy()` → the current routing-policy name (or nil
-///   when the proxy is not balanced);
+/// * `balancer_policy()` → the current routing-policy name (`bound`
+///   on a classic proxy);
 /// * `balancer_set_policy(name)` → boolean (swaps the policy; counted
 ///   under `balancer.<type>.policy_switches`);
 /// * `balancer_replicas()` → array of replica tables
-///   `{key, endpoint, picks, inflight, errors, load}`.
+///   `{key, endpoint, picks, inflight, errors, load}` (a classic
+///   proxy's one replica).
 ///
 /// The same operations are reachable from strategy scripts through the
 /// proxy facade (`self:_policy()`, `self:_set_policy(name)`); this
@@ -247,10 +248,9 @@ pub fn install_balancer(interp: &mut Interpreter, proxy: crate::SmartProxy) {
     {
         let proxy = proxy.clone();
         interp.register("balancer_policy", move |_, _| {
-            Ok(vec![match proxy.balancer_policy() {
-                Some(name) => Script::str(name),
-                None => Script::Nil,
-            }])
+            Ok(vec![proxy
+                .balancer_policy()
+                .map_or(Script::Nil, Script::str)])
         });
     }
     {

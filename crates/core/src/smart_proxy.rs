@@ -10,6 +10,11 @@
 //! done". Strategies live outside the application's functional code and
 //! can be native Rust or Rua source installed (and replaced) at run
 //! time.
+//!
+//! Selections fill one `adapta-balancer` [`ReplicaSet`], whose routing
+//! policy picks the target of each call. The paper's classic proxy is a
+//! set under the `bound` policy, which keeps one replica: the first
+//! admissible match of the last selection.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,12 +36,15 @@ use crate::resilience::{
 use crate::script_env;
 use crate::Result;
 
-/// A monitor subscription the proxy (re-)establishes on every binding.
+/// A monitor subscription the proxy establishes for every replica that
+/// enters its set, and cancels when the replica leaves.
 #[derive(Debug, Clone)]
 pub struct Subscription {
     /// The offer's dynamic property whose evaluator is the monitor.
     pub property: String,
-    /// Event id to register (e.g. `"LoadIncrease"`).
+    /// Event id to register (e.g. `"LoadIncrease"`). `{replica}` is
+    /// replaced by the replica's key, so one observer can tell the
+    /// replicas' pushes apart.
     pub event_id: String,
     /// Rua source of the event-diagnosing predicate, evaluated at the
     /// monitor (remote evaluation): `function(observer, value, monitor)`.
@@ -103,32 +111,16 @@ impl std::fmt::Debug for Strategy {
     }
 }
 
-struct Binding {
-    offer: OfferMatch,
-    /// The health record of the offer's target, resolved at bind time
-    /// and shared with the attempts that call it.
+/// What the proxy attaches to each replica of its set
+/// ([`Replica::attach`]): the health record of the replica's target,
+/// shared with the attempts that call it, and the `(monitor, observer
+/// id)` registrations to cancel when the replica leaves the set.
+struct Attached {
     health: Arc<TargetHealth>,
-    /// `(monitor, observer id)` pairs to detach on rebind.
-    attachments: Vec<(ObjRef, i64)>,
+    observers: Mutex<Vec<(ObjRef, i64)>>,
 }
 
-/// The target of one attempt: the bound one, or in balanced mode the
-/// replica whose stats the outcome feeds.
-enum Pick {
-    Bound(Arc<TargetHealth>),
-    Replica(Arc<Replica>),
-}
-
-impl Pick {
-    fn target(&self) -> &ObjRef {
-        match self {
-            Pick::Bound(health) => health.target(),
-            Pick::Replica(replica) => replica.target(),
-        }
-    }
-}
-
-/// Configuration of the proxy's balanced mode (see
+/// Configuration of a balanced proxy (see
 /// [`SmartProxyBuilder::balanced`]).
 #[derive(Debug, Clone)]
 pub struct BalancerConfig {
@@ -148,29 +140,9 @@ impl Default for BalancerConfig {
     }
 }
 
-/// Balanced-mode runtime state: the replica set plus the monitor
-/// attachments feeding each replica's load stat.
-struct BalancedState {
-    set: ReplicaSet,
-    /// `balancer.<type>.load_pushes`.
-    load_pushes: Counter,
-    /// replica key → `(monitor, observer id)` pairs to detach when the
-    /// replica is evicted.
-    attachments: Mutex<HashMap<String, Vec<(ObjRef, i64)>>>,
-}
-
-/// The dynamic property whose monitor pushes feed per-replica load in
-/// balanced mode (the
-/// [`WeightedProperty`](adapta_balancer::WeightedProperty) signal).
-const LOAD_PROPERTY: &str = "LoadAvg";
-
-/// Event-id prefix of balanced-mode load pushes; the suffix is the
+/// Event-id prefix of a balanced proxy's load feed; the suffix is the
 /// replica key, so one observer servant serves every replica.
-const LOAD_EVENT_PREFIX: &str = "balancer-load:";
-
-/// Always-true monitor predicate: every tick's value is pushed (the
-/// monitor layer coalesces consecutive pushes per observer).
-const LOAD_FEED_PREDICATE: &str = "function(observer, value, monitor) return true end";
+const BALANCER_LOAD_EVENT: &str = "balancer-load:";
 
 fn value_to_f64(v: &Value) -> Option<f64> {
     match v {
@@ -239,8 +211,6 @@ struct SpInner {
     repo: InterfaceRepository,
     trader: Arc<dyn TradingService>,
     service_type: String,
-    constraint: String,
-    preference: String,
     immediate_handling: bool,
     call_deadline: Option<Duration>,
     retry: RetryPolicy,
@@ -251,8 +221,11 @@ struct SpInner {
     health: HealthTable,
     subscriptions: Vec<Subscription>,
     strategies: Mutex<HashMap<String, Strategy>>,
-    binding: Mutex<Option<Binding>>,
-    balanced: Option<BalancedState>,
+    /// The selected components; the routing policy picks among them.
+    /// Its query holds the primary constraint and the preference.
+    set: ReplicaSet,
+    /// `balancer.<type>.load_pushes`.
+    load_pushes: Counter,
     events: Mutex<VecDeque<String>>,
     observer_ref: OnceLock<ObjRef>,
     isolate: Mutex<Option<Isolate>>,
@@ -285,84 +258,60 @@ impl SpInner {
         self.metrics.queue_depth.set(depth as i64);
     }
 
-    /// Runs `f` on the health record of `replica`'s target. The set's
-    /// `on_added` hook attaches the record; a replica picked before its
-    /// hook ran gets it here.
-    fn replica_health<R>(&self, replica: &Replica, f: impl FnOnce(&TargetHealth) -> R) -> R {
-        if let Some(health) = replica.attached::<TargetHealth>() {
-            return f(health);
+    /// The state attached to `replica`; a replica picked before its
+    /// selection attached it gets its health record here.
+    fn attached<'r>(&self, replica: &'r Replica) -> &'r Attached {
+        if replica.attached::<Attached>().is_none() {
+            replica.attach(Arc::new(Attached {
+                health: self.health.resolve(replica.target()),
+                observers: Mutex::new(Vec::new()),
+            }));
         }
-        let health = self.health.resolve(replica.target());
-        replica.attach(health.clone());
-        f(&health)
+        replica
+            .attached::<Attached>()
+            .expect("a proxy's replicas carry its state")
     }
 
     /// Records one attempt's outcome in its target's health record.
-    fn record(&self, pick: &Pick, ok: bool) {
-        match pick {
-            Pick::Bound(health) => self.health.record_outcome(health, ok),
-            Pick::Replica(replica) => {
-                self.replica_health(replica, |h| self.health.record_outcome(h, ok));
-            }
-        }
+    fn record(&self, replica: &Replica, ok: bool) {
+        self.health
+            .record_outcome(&self.attached(replica).health, ok);
     }
 
-    /// Subscribes the proxy's observer to the load monitor behind a
-    /// replica's dynamic property, so monitor pushes keep the replica's
-    /// `last load` stat current (balanced mode only).
-    fn attach_load_feed(&self, replica: &Arc<Replica>) {
-        let Some(bal) = &self.balanced else { return };
-        let event = format!("{LOAD_EVENT_PREFIX}{}", replica.key());
-        let ids: Vec<_> = replica
-            .dynamic_refs()
+    /// Registers the proxy's observer, for each of its subscriptions,
+    /// with the monitor behind a replica that entered the set. A
+    /// monitor that cannot be reached is skipped, which is not fatal:
+    /// the replica stays usable, just without that subscription.
+    fn attach(&self, replica: &Replica) {
+        let (offer, observer) = (replica.offer(), self.observer_ref.get());
+        let ids: Vec<_> = self
+            .subscriptions
             .iter()
-            .filter(|(prop, _)| prop == LOAD_PROPERTY)
-            .filter_map(|(_, monitor)| self.attach_observer(monitor, &event, LOAD_FEED_PREDICATE))
+            .filter_map(|sub| {
+                let monitor = offer.dynamic_ref(&sub.property)?;
+                let args = vec![
+                    Value::ObjRef(observer?.clone()),
+                    Value::from(sub.event_id.replace("{replica}", replica.key())),
+                    Value::from(sub.predicate.as_str()),
+                ];
+                match self.orb.invoke_ref(monitor, "attachEventObserver", args) {
+                    Ok(Value::Long(id)) => Some((monitor.clone(), id)),
+                    _ => None,
+                }
+            })
             .collect();
-        if !ids.is_empty() {
-            bal.attachments
-                .lock()
-                .insert(replica.key().to_string(), ids);
-        }
+        self.attached(replica).observers.lock().extend(ids);
     }
 
-    /// Detaches the load-feed subscriptions of an evicted replica.
-    fn detach_load_feed(&self, replica: &Arc<Replica>) {
-        let Some(bal) = &self.balanced else { return };
-        let ids = bal.attachments.lock().remove(replica.key());
-        self.detach_observers(&ids.unwrap_or_default());
-    }
-
-    /// Registers the proxy's observer with `monitor` for `event`.
-    /// `None` when the monitor is unreachable, which is not fatal: the
-    /// target stays usable, just without this subscription.
-    fn attach_observer(
-        &self,
-        monitor: &ObjRef,
-        event: &str,
-        predicate: &str,
-    ) -> Option<(ObjRef, i64)> {
-        let observer = self.observer_ref.get()?;
-        match self.orb.invoke_ref(
-            monitor,
-            "attachEventObserver",
-            vec![
-                Value::ObjRef(observer.clone()),
-                Value::from(event),
-                Value::from(predicate),
-            ],
-        ) {
-            Ok(Value::Long(id)) => Some((monitor.clone(), id)),
-            _ => None,
-        }
-    }
-
-    /// Cancels `(monitor, observer id)` registrations.
-    fn detach_observers(&self, attachments: &[(ObjRef, i64)]) {
-        for (monitor, id) in attachments {
+    /// Cancels the registrations of a replica that left the set.
+    fn detach(&self, replica: &Replica) {
+        let Some(attached) = replica.attached::<Attached>() else {
+            return;
+        };
+        for (monitor, id) in std::mem::take(&mut *attached.observers.lock()) {
             let _ = self
                 .orb
-                .invoke_ref(monitor, "detachEventObserver", vec![Value::Long(*id)]);
+                .invoke_ref(&monitor, "detachEventObserver", vec![Value::Long(id)]);
         }
     }
 
@@ -370,17 +319,14 @@ impl SpInner {
     /// stats; `true` if the event was a load push (handled here, not an
     /// adaptation event).
     fn record_load_push(&self, event: &str, args: &[Value]) -> bool {
-        let Some(key) = event.strip_prefix(LOAD_EVENT_PREFIX) else {
+        let Some(key) = event.strip_prefix(BALANCER_LOAD_EVENT) else {
             return false;
         };
-        let Some(bal) = &self.balanced else {
-            return true;
-        };
         if let (Some(replica), Some(load)) =
-            (bal.set.replica(key), args.get(1).and_then(value_to_f64))
+            (self.set.replica(key), args.get(1).and_then(value_to_f64))
         {
             replica.stats().record_load(load);
-            bal.load_pushes.incr();
+            self.load_pushes.incr();
         }
         true
     }
@@ -397,7 +343,7 @@ impl std::fmt::Debug for SmartProxy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SmartProxy")
             .field("service_type", &self.inner.service_type)
-            .field("constraint", &self.inner.constraint)
+            .field("constraint", &self.inner.set.query().constraint)
             .field("bound_to", &self.current_target().map(|r| r.to_uri()))
             .field("pending_events", &self.pending_events())
             .finish_non_exhaustive()
@@ -485,16 +431,15 @@ impl SmartProxyBuilder {
         self
     }
 
-    /// Routes every invocation through an `adapta-balancer`
-    /// [`ReplicaSet`] with the named routing policy (`round_robin`,
-    /// `least_inflight`, `p2c_ewma`, `weighted_property[:<Prop>]`,
-    /// `consistent_hash`) instead of a single bound offer. The set
-    /// materializes this proxy's primary query, refreshes in the
-    /// background, and feeds call outcomes back into per-replica
-    /// stats; the policy can be swapped at run time with
-    /// [`SmartProxy::set_balancer_policy`]. The relaxed fallback query
-    /// does not apply in balanced mode (the set tracks the strict
-    /// constraint only).
+    /// Spreads invocations over every match of the proxy's selection
+    /// with the named routing policy (`round_robin`, `least_inflight`,
+    /// `p2c_ewma`, `weighted_property[:<Prop>]`, `consistent_hash`)
+    /// instead of the `bound` policy's single replica. The set
+    /// re-selects in the background, feeds call outcomes back into
+    /// per-replica stats, and subscribes every replica to the `LoadAvg`
+    /// monitor behind it, whose pushes feed the replica's load stat;
+    /// the policy can be swapped at run time with
+    /// [`SmartProxy::set_balancer_policy`].
     pub fn balanced(mut self, policy: impl Into<String>) -> Self {
         self.balancer
             .get_or_insert_with(BalancerConfig::default)
@@ -502,9 +447,9 @@ impl SmartProxyBuilder {
         self
     }
 
-    /// Base interval of the balanced-mode background refresh (jittered
-    /// ±50%). Defaults to 250 ms. Implies [`balanced`](Self::balanced)
-    /// with the default policy.
+    /// Base interval of a balanced proxy's background re-selection
+    /// (jittered ±50%). Defaults to 250 ms. Implies
+    /// [`balanced`](Self::balanced) with the default policy.
     pub fn balancer_refresh(mut self, interval: Duration) -> Self {
         self.balancer
             .get_or_insert_with(BalancerConfig::default)
@@ -512,7 +457,8 @@ impl SmartProxyBuilder {
         self
     }
 
-    /// Adds a monitor subscription (re-established on every rebind).
+    /// Adds a monitor subscription, established for every replica that
+    /// enters the proxy's set (see [`Subscription`]).
     pub fn subscribe(mut self, subscription: Subscription) -> Self {
         self.subscriptions.push(subscription);
         self
@@ -542,36 +488,42 @@ impl SmartProxyBuilder {
     ///
     /// Trading/broker errors, script compilation errors, or
     /// [`CoreError::NoSuitableOffer`] when nothing is available.
-    pub fn build(self) -> Result<SmartProxy> {
+    pub fn build(mut self) -> Result<SmartProxy> {
         let health = HealthTable::new(self.breaker, self.dead_target_ttl, &self.service_type);
-        let balancer_config = self.balancer;
-        let balanced = balancer_config.as_ref().map(|cfg| {
-            let query = Query::new(&self.service_type)
-                .constraint(&self.constraint)
-                .preference(&self.preference);
-            BalancedState {
-                set: ReplicaSet::new(self.trader.clone(), query).with_policy_named(&cfg.policy),
-                load_pushes: registry()
-                    .counter(&format!("balancer.{}.load_pushes", self.service_type)),
-                attachments: Mutex::new(HashMap::new()),
-            }
-        });
+        let query = Query::new(&self.service_type)
+            .constraint(&self.constraint)
+            .preference(&self.preference);
+        let policy = self
+            .balancer
+            .as_ref()
+            .map_or("bound", |c| c.policy.as_str());
+        let set = ReplicaSet::new(self.trader.clone(), query).with_policy_named(policy);
+        if self.balancer.is_some() {
+            // The load feed: every value the `LoadAvg` monitor behind a
+            // replica observes goes into that replica's stats (the
+            // monitor coalesces consecutive pushes per observer).
+            self.subscriptions.push(Subscription::new(
+                "LoadAvg",
+                format!("{BALANCER_LOAD_EVENT}{{replica}}"),
+                "function(observer, value, monitor) return true end",
+            ));
+        }
+        let load_pushes =
+            registry().counter(&format!("balancer.{}.load_pushes", self.service_type));
         let metrics = SpMetrics::for_type(&self.service_type);
         let inner = Arc::new(SpInner {
             orb: self.orb,
             repo: self.repo,
             trader: self.trader,
             service_type: self.service_type,
-            constraint: self.constraint,
-            preference: self.preference,
             immediate_handling: self.immediate_handling,
             call_deadline: self.call_deadline,
             retry: self.retry,
             health,
             subscriptions: self.subscriptions,
             strategies: Mutex::new(self.native_strategies.into_iter().collect()),
-            binding: Mutex::new(None),
-            balanced,
+            set,
+            load_pushes,
             events: Mutex::new(VecDeque::new()),
             observer_ref: OnceLock::new(),
             isolate: Mutex::new(None),
@@ -601,9 +553,8 @@ impl SmartProxyBuilder {
                 .unwrap_or("unknown")
                 .to_owned();
             if let Some(inner) = weak.upgrade() {
-                // Balanced-mode load pushes update replica stats and
-                // stop here: they are a data feed, not an adaptation
-                // event.
+                // Load-feed pushes update replica stats and stop here:
+                // they are a data feed, not an adaptation event.
                 if inner.record_load_push(&event, &args) {
                     return Ok(Value::Null);
                 }
@@ -632,32 +583,19 @@ impl SmartProxyBuilder {
             proxy.set_strategy_script(&event, &code)?;
         }
 
-        let found = match (&proxy.inner.balanced, &balancer_config) {
-            (Some(bal), Some(config)) => {
-                // Lifecycle hooks attach the health record and the load
-                // feed, and detach both; installed before the first
-                // refresh so the initial replicas get them.
-                let weak = Arc::downgrade(&proxy.inner);
-                bal.set.on_added(Box::new(move |replica| {
+        let found = self.lazy || proxy.select_with(&self.constraint, true)?;
+        if let Some(config) = &self.balancer {
+            let weak = Arc::downgrade(&proxy.inner);
+            proxy
+                .inner
+                .set
+                .start_refresher(config.refresh_interval, move |_| {
                     if let Some(inner) = weak.upgrade() {
-                        inner.replica_health(replica, |_| ());
-                        inner.attach_load_feed(replica);
+                        let _ = SmartProxy { inner }.reselect();
                     }
-                }));
-                let weak = Arc::downgrade(&proxy.inner);
-                bal.set.on_evicted(Box::new(move |replica| {
-                    if let Some(inner) = weak.upgrade() {
-                        inner.detach_load_feed(replica);
-                        inner.health.forget(replica.target());
-                    }
-                }));
-                bal.set.refresh()?;
-                bal.set.start_refresher(config.refresh_interval);
-                !bal.set.is_empty()
-            }
-            _ => self.lazy || proxy.select_with(&proxy.inner.constraint, true)?,
-        };
-        if !self.lazy && !found {
+                });
+        }
+        if !found {
             return Err(CoreError::NoSuitableOffer {
                 service_type: proxy.inner.service_type.clone(),
             });
@@ -700,19 +638,19 @@ impl SmartProxy {
         &self.inner.service_type
     }
 
-    /// The currently bound component, if any.
+    /// The currently bound component: the first replica of the set,
+    /// the only one under the `bound` policy.
     pub fn current_target(&self) -> Option<ObjRef> {
-        self.bound_target().map(|health| health.target().clone())
+        self.inner
+            .set
+            .with_replicas(|replicas| Some(replicas.first()?.target().clone()))
     }
 
-    /// The health record of the bound target.
-    fn bound_target(&self) -> Option<Arc<TargetHealth>> {
-        self.inner.binding.lock().as_ref().map(|b| b.health.clone())
-    }
-
-    /// The offer behind the current binding, if any.
+    /// The offer behind [`current_target`](Self::current_target).
     pub fn current_offer(&self) -> Option<OfferMatch> {
-        self.inner.binding.lock().as_ref().map(|b| b.offer.clone())
+        self.inner
+            .set
+            .with_replicas(|replicas| Some(replicas.first()?.offer()))
     }
 
     /// The proxy's observer reference (scripts see it as `_observer`).
@@ -784,29 +722,26 @@ impl SmartProxy {
         self.inner.relaxed_queries.load(Ordering::Relaxed)
     }
 
-    // ---- balanced mode ---------------------------------------------------
+    // ---- routing -------------------------------------------------------
 
-    /// The replica set behind balanced mode (see
-    /// [`SmartProxyBuilder::balanced`]); `None` on a classic
-    /// single-binding proxy.
+    /// The proxy's replica set. Every proxy has one, so this is always
+    /// `Some`; a classic proxy's set is under the `bound` policy.
     pub fn balancer(&self) -> Option<&ReplicaSet> {
-        self.inner.balanced.as_ref().map(|b| &b.set)
+        Some(&self.inner.set)
     }
 
-    /// Swaps the routing policy at run time (balanced mode): in-flight
-    /// calls keep their already-picked replica, later calls use the new
-    /// policy. Counted under `balancer.<type>.policy_switches`.
-    /// Returns `false` when not balanced or the name is unknown.
+    /// Swaps the routing policy at run time: in-flight calls keep their
+    /// already-picked replica, later calls use the new policy, and the
+    /// next selection keeps one match (`bound`) or every match. Counted
+    /// under `balancer.<type>.policy_switches`. Returns `false` when
+    /// the name is unknown.
     pub fn set_balancer_policy(&self, name: &str) -> bool {
-        self.inner
-            .balanced
-            .as_ref()
-            .is_some_and(|b| b.set.set_policy_named(name))
+        self.inner.set.set_policy_named(name)
     }
 
-    /// The current routing policy's name (balanced mode).
+    /// The current routing policy's name (`bound` on a classic proxy).
     pub fn balancer_policy(&self) -> Option<String> {
-        self.inner.balanced.as_ref().map(|b| b.set.policy_name())
+        Some(self.inner.set.policy_name())
     }
 
     // ---- strategies ------------------------------------------------------
@@ -901,141 +836,102 @@ impl SmartProxy {
         if let Some(h) = self.inner.facade.get() {
             return Ok(h.clone());
         }
-        let handle = isolate.with(|interp| build_facade(interp, self))?;
+        let handle = isolate.with(|_| build_facade(self))?;
         Ok(self.inner.facade.get_or_init(|| handle).clone())
     }
 
     // ---- selection -------------------------------------------------------
 
-    /// Re-runs the primary query (no fallback); rebinds on a match.
+    /// Re-runs the primary query (no fallback). `true` when the set
+    /// changed: under the `bound` policy, whenever something matched.
     ///
     /// # Errors
     ///
     /// Trading errors.
     pub fn reselect(&self) -> Result<bool> {
-        if let Some(bal) = &self.inner.balanced {
-            // Balanced mode has no single binding to re-pick; the
-            // equivalent adaptation is refreshing the replica set.
-            let summary = bal.set.refresh()?;
-            return Ok(summary.added > 0 || summary.evicted > 0);
-        }
-        self.select_with(&self.inner.constraint, false)
+        self.select(&self.inner.set.query().constraint, false, &[])
     }
 
-    /// Runs a query with an explicit constraint; rebinds on a match.
-    /// With `fallback`, an empty result triggers the paper's relaxed
+    /// Runs a query with an explicit constraint (see
+    /// [`reselect`](Self::reselect)). With `fallback`, a query that
+    /// leaves nothing admissible is followed by the paper's relaxed
     /// query (preference only, no filtering).
     ///
     /// # Errors
     ///
     /// Trading errors.
     pub fn select_with(&self, constraint: &str, fallback: bool) -> Result<bool> {
-        self.select_excluding(constraint, fallback, &[])
+        self.select(constraint, fallback, &[])
     }
 
-    /// Like [`select_with`](Self::select_with), skipping offers whose
-    /// target is in `exclude` (used after component failures so the
-    /// failover does not rebind a server that already failed in this
-    /// invocation, whose stale offer may still be registered). Every
-    /// selection additionally skips targets that failed within the
-    /// dead-target TTL, so a `reselect()` moments after a failover
-    /// cannot re-pick the dead server's stale offer.
-    ///
-    /// # Errors
-    ///
-    /// Trading errors.
-    pub fn select_excluding(
-        &self,
-        constraint: &str,
-        fallback: bool,
-        exclude: &[ObjRef],
-    ) -> Result<bool> {
-        let filter = |matches: Vec<OfferMatch>| -> Vec<OfferMatch> {
-            matches
-                .into_iter()
-                .filter(|m| {
-                    if exclude.contains(&m.target) {
-                        return false;
-                    }
-                    if self.inner.health.is_dead(&m.target) {
-                        self.inner.repicks_avoided.fetch_add(1, Ordering::Relaxed);
-                        self.inner.metrics.repicks_avoided.incr();
-                        return false;
-                    }
-                    true
-                })
-                .collect()
+    /// The one selection routine. A match is admissible unless its
+    /// target is in `exclude` (it failed earlier in this invocation,
+    /// and its stale offer may still be registered), failed within the
+    /// dead-target TTL, or is refused by its breaker. The set keeps the
+    /// first admissible match under the `bound` policy and every match
+    /// under any other. A selection that leaves nothing admissible
+    /// leaves the set as it is: the proxy keeps its current component
+    /// when nothing better matches.
+    fn select(&self, constraint: &str, fallback: bool, exclude: &[ObjRef]) -> Result<bool> {
+        let inner = &self.inner;
+        let admissible = |m: &OfferMatch| {
+            if exclude.contains(&m.target) {
+                return false;
+            }
+            if inner.health.is_dead(&m.target) {
+                inner.repicks_avoided.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.repicks_avoided.incr();
+                return false;
+            }
+            !inner.health.refuses(&m.target)
         };
-        let q = Query::new(&self.inner.service_type)
-            .constraint(constraint)
-            .preference(&self.inner.preference);
-        let mut matches = filter(self.inner.trader.query(&q)?);
-        if matches.is_empty() && fallback {
+        let mut query = inner.set.query().clone();
+        query.constraint = constraint.to_string();
+        let mut matches = inner.trader.query(&query)?;
+        let mut first = matches.iter().position(admissible);
+        if first.is_none() && fallback {
             // The paper's relaxed fallback (preference only, no
             // filtering) — no longer silent: it is counted, and posted
             // as a `RelaxedQuery` event when a strategy wants to react
             // (e.g. widen the constraint, raise an alarm). Without a
             // registered strategy nothing is enqueued: the default
             // Reselect plan would just churn queries.
-            self.inner.relaxed_queries.fetch_add(1, Ordering::Relaxed);
-            self.inner.metrics.relaxed_queries.incr();
-            if self
-                .inner
-                .strategies
-                .lock()
-                .contains_key(RELAXED_QUERY_EVENT)
-            {
-                self.inner.push_event(RELAXED_QUERY_EVENT.to_string());
+            inner.relaxed_queries.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.relaxed_queries.incr();
+            if inner.strategies.lock().contains_key(RELAXED_QUERY_EVENT) {
+                inner.push_event(RELAXED_QUERY_EVENT.to_string());
             }
-            let relaxed = Query::new(&self.inner.service_type).preference(&self.inner.preference);
-            matches = filter(self.inner.trader.query(&relaxed)?);
+            query.constraint.clear();
+            matches = inner.trader.query(&query)?;
+            first = matches.iter().position(admissible);
         }
-        if matches.is_empty() {
+        let Some(first) = first else {
             return Ok(false);
-        }
-        self.bind(matches.swap_remove(0));
-        Ok(true)
-    }
-
-    /// Drops the current binding (the next invocation selects afresh).
-    pub fn unbind(&self) {
-        let old = self.inner.binding.lock().take();
-        if let Some(binding) = old {
-            self.inner.detach_observers(&binding.attachments);
-        }
-    }
-
-    fn bind(&self, offer: OfferMatch) {
-        let attachments = self
-            .inner
-            .subscriptions
-            .iter()
-            .filter_map(|sub| {
-                let monitor = offer.dynamic_ref(&sub.property)?;
-                self.inner
-                    .attach_observer(monitor, &sub.event_id, &sub.predicate)
-            })
-            .collect();
-        let new_binding = Binding {
-            health: self.inner.health.resolve(&offer.target),
-            offer,
-            attachments,
         };
-        let old = {
-            let mut slot = self.inner.binding.lock();
-            let changed = slot
-                .as_ref()
-                .map(|b| b.health.target() != new_binding.health.target())
-                .unwrap_or(true);
-            if changed {
-                self.inner.rebinds.fetch_add(1, Ordering::Relaxed);
-                self.inner.metrics.rebinds.incr();
+        let kept = match inner.set.keeps_one() {
+            true => vec![matches[first].clone()],
+            false => matches.clone(),
+        };
+        let before = self.current_target();
+        let change = inner.set.apply(kept);
+        // New registrations first, so a monitor never sees the proxy
+        // without an observer. An evicted target's health record goes
+        // only once no match offers it: a target that just failed keeps
+        // its record, so its stale offer stays dead for the TTL.
+        for replica in &change.added {
+            inner.attach(replica);
+        }
+        for replica in &change.evicted {
+            inner.detach(replica);
+            if !matches.iter().any(|m| &m.target == replica.target()) {
+                inner.health.forget(replica.target());
             }
-            slot.replace(new_binding)
-        };
-        if let Some(old) = old {
-            self.inner.detach_observers(&old.attachments);
         }
+        if self.current_target() != before {
+            inner.rebinds.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.rebinds.incr();
+        }
+        Ok(!change.added.is_empty() || !change.evicted.is_empty())
     }
 
     // ---- events ----------------------------------------------------------
@@ -1093,7 +989,7 @@ impl SmartProxy {
                 };
                 let ran = isolate.with(|interp| {
                     let table = facade.get();
-                    refresh_facade(interp, self, &table);
+                    refresh_facade(self, &table);
                     let args = vec![table, adapta_script::Value::str(event)];
                     Isolate::call_in(interp, &handle, args)
                 });
@@ -1110,13 +1006,13 @@ impl SmartProxy {
     /// Invokes an operation on the represented service.
     ///
     /// Queued events are handled first (postponed handling). Each
-    /// attempt takes its target from one pick step — the bound target,
-    /// or the routing policy's choice in balanced mode — and records
-    /// the outcome in that target's health. Retryable failures
+    /// attempt takes its target from one pick step — the routing
+    /// policy's choice among the set's replicas — and records the
+    /// outcome in that target's health. Retryable failures
     /// ([`OrbError::is_retryable`]) are retried after the
     /// [`RetryPolicy`]'s decorrelated-jitter backoff, up to
     /// `max_attempts`, and the next pick avoids every target that
-    /// failed in this invocation (with no alternative, a classic proxy
+    /// failed in this invocation (with no alternative, the proxy
     /// retries the *same* target — it may heal). A configured
     /// [circuit breaker](SmartProxyBuilder::circuit_breaker) is
     /// consulted by every pick, so a target that keeps failing is
@@ -1139,10 +1035,9 @@ impl SmartProxy {
     }
 
     /// Like [`invoke`](Self::invoke), with an affinity key for
-    /// key-aware routing policies (balanced mode with
-    /// [`ConsistentHash`](adapta_balancer::ConsistentHash): calls with
-    /// the same key stick to the same replica). The key is ignored by
-    /// key-oblivious policies and by classic single-binding proxies.
+    /// key-aware routing policies ([`ConsistentHash`](adapta_balancer::ConsistentHash):
+    /// calls with the same key stick to the same replica). The key is
+    /// ignored by key-oblivious policies such as `bound`.
     ///
     /// # Errors
     ///
@@ -1168,27 +1063,25 @@ impl SmartProxy {
                         .unwrap_or_else(|| OrbError::DeadlineExpired { after: budget }.into()));
                 }
             }
-            let Some(pick) = self.pick(affinity, &mut failed)? else {
+            let Some(replica) = self.pick(affinity, &mut failed)? else {
                 // Nothing admissible right now: wait out the backoff —
                 // an open breaker eventually admits a probe.
                 last_err.get_or_insert_with(|| self.no_admissible_target());
                 self.sleep_backoff(&mut backoff, overall);
                 continue;
             };
-            let replica = match &pick {
-                Pick::Replica(replica) => Some(replica),
-                Pick::Bound(_) => None,
-            };
-            let started = replica.map(|r| {
-                r.stats().on_start();
+            // Latency feeds the policy's choice, so a call is timed only
+            // when there is a choice: a lone replica costs no clock read.
+            let started = (self.inner.set.len() > 1).then(|| {
+                replica.stats().on_start();
                 Instant::now()
             });
-            let result = self.invoke_transport(pick.target(), op, &args, overall);
+            let result = self.invoke_transport(replica.target(), op, &args, overall);
             let retryable = matches!(&result, Err(e) if e.is_retryable());
-            if let (Some(replica), Some(started)) = (replica, started) {
+            if let Some(started) = started {
                 replica.stats().on_complete(started.elapsed(), !retryable);
             }
-            self.inner.record(&pick, !retryable);
+            self.inner.record(&replica, !retryable);
             if !retryable {
                 // Success, or an application error: the component
                 // answered, so retrying would re-run the operation.
@@ -1202,18 +1095,13 @@ impl SmartProxy {
                 self.inner.failovers.fetch_add(1, Ordering::Relaxed);
                 self.inner.metrics.failovers.incr();
             }
-            failed.push(pick.target().clone());
+            failed.push(replica.target().clone());
             last_err = result.err().map(CoreError::from);
             if attempt < max_attempts {
                 self.sleep_backoff(&mut backoff, overall);
             }
         }
-        Err(last_err.unwrap_or_else(|| {
-            CoreError::Unbound(format!(
-                "retries exhausted for `{}`",
-                self.inner.service_type
-            ))
-        }))
+        Err(last_err.unwrap_or_else(|| self.no_admissible_target()))
     }
 
     fn no_admissible_target(&self) -> CoreError {
@@ -1223,45 +1111,9 @@ impl SmartProxy {
         ))
     }
 
-    /// The one pick step of every invocation: the bound target in
-    /// classic mode, the routing policy's choice in balanced mode.
-    /// `failed` lists the targets that failed earlier in this
-    /// invocation. `None` means nothing is admissible right now.
-    fn pick(&self, affinity: Option<u64>, failed: &mut Vec<ObjRef>) -> Result<Option<Pick>> {
-        Ok(match &self.inner.balanced {
-            Some(bal) => self.pick_balanced(bal, affinity, failed).map(Pick::Replica),
-            None => self.pick_bound(failed)?.map(Pick::Bound),
-        })
-    }
-
-    /// Classic pick: the bound target, unless it failed earlier in this
-    /// invocation or its breaker refuses it — then the proxy re-selects
-    /// without those targets. When nothing else matches, a failed
-    /// target stays bound and is retried (it may heal); a refused one
-    /// yields `None`.
-    fn pick_bound(&self, failed: &[ObjRef]) -> Result<Option<Arc<TargetHealth>>> {
-        let constraint = &self.inner.constraint;
-        let health = &self.inner.health;
-        let mut bound = self.ensure_bound()?;
-        if failed.contains(bound.target()) {
-            self.select_excluding(constraint, true, failed)?;
-            bound = self.ensure_bound()?;
-        }
-        if health.admit_record(&bound) != Admission::Reject {
-            return Ok(Some(bound));
-        }
-        // Prefer a different component while this one cools down.
-        let mut exclude = failed.to_vec();
-        exclude.push(bound.target().clone());
-        self.select_excluding(constraint, true, &exclude)?;
-        let other = self.ensure_bound()?;
-        Ok(
-            (other.target() != bound.target() && health.admit_record(&other) != Admission::Reject)
-                .then_some(other),
-        )
-    }
-
-    /// Balanced pick.
+    /// The one pick step of every invocation. `failed` lists the
+    /// targets that failed earlier in this invocation. `None` means
+    /// nothing is admissible right now.
     ///
     /// First the breaker-probe scan: a replica whose breaker cool-down
     /// elapsed gets one deliberate probe call (otherwise a drained
@@ -1270,61 +1122,61 @@ impl SmartProxy {
     /// not fail earlier in this invocation, are not dead, and whose
     /// breaker is closed — so breaker-open replicas receive zero policy
     /// picks. With nothing admissible the dead-target TTL is waived (a
-    /// dead replica may have healed), and as a last resort `failed` is
-    /// cleared for a fresh round. With nothing at all, the set is
-    /// refreshed (new replicas may have been exported).
+    /// dead replica may have healed). With still nothing, the proxy
+    /// re-selects once without the failed and refused targets (a
+    /// classic proxy's failover) and tries again; as a last resort
+    /// `failed` is cleared for a fresh round, so a lone failed target
+    /// is retried.
     ///
     /// Every check reads the health record the replica holds, and the
     /// scan and the policy read the set in place: a warm pick looks
     /// nothing up and copies no replica list.
-    fn pick_balanced(
+    fn pick(
         &self,
-        bal: &BalancedState,
         affinity: Option<u64>,
         failed: &mut Vec<ObjRef>,
-    ) -> Option<Arc<Replica>> {
+    ) -> Result<Option<Arc<Replica>>> {
         let inner = &self.inner;
-        let health = &inner.health;
-        if bal.set.is_empty() {
-            let _ = bal.set.refresh();
-        }
-        if health.has_breaker() {
-            let probe = bal.set.with_replicas(|replicas| {
-                replicas
-                    .iter()
-                    .find(|r| {
-                        !failed.contains(r.target())
-                            && inner.replica_health(r, |h| {
-                                h.state() != BreakerState::Closed
-                                    && !health.is_dead_record(h)
-                                    && health.admit_record(h) == Admission::Probe
-                            })
-                    })
-                    .cloned()
-            });
-            if let Some(r) = probe {
-                bal.set.record_pick(&r);
-                return Some(r);
-            }
-        }
+        let (set, health) = (&inner.set, &inner.health);
+        let mut reselected = false;
         loop {
+            if health.has_breaker() {
+                let probe = set.with_replicas(|replicas| {
+                    replicas
+                        .iter()
+                        .find(|r| {
+                            let h = &inner.attached(r).health;
+                            !failed.contains(r.target())
+                                && h.state() != BreakerState::Closed
+                                && !health.is_dead_record(h)
+                                && health.admit_record(h) == Admission::Probe
+                        })
+                        .cloned()
+                });
+                if let Some(r) = probe {
+                    set.record_pick(&r);
+                    return Ok(Some(r));
+                }
+            }
             let usable = |r: &Replica, honour_ttl: bool| {
+                let h = &inner.attached(r).health;
                 !failed.contains(r.target())
-                    && inner.replica_health(r, |h| {
-                        h.state() == BreakerState::Closed
-                            && !(honour_ttl && health.is_dead_record(h))
-                    })
+                    && h.state() == BreakerState::Closed
+                    && !(honour_ttl && health.is_dead_record(h))
             };
-            let picked = bal
-                .set
+            let picked = set
                 .pick_where(affinity, |r| usable(r, true))
-                .or_else(|| bal.set.pick_where(affinity, |r| usable(r, false)));
+                .or_else(|| set.pick_where(affinity, |r| usable(r, false)));
             if picked.is_some() {
-                return picked;
+                return Ok(picked);
+            }
+            if !reselected {
+                reselected = true;
+                self.select(&set.query().constraint, true, failed)?;
+                continue;
             }
             if failed.is_empty() {
-                let _ = bal.set.refresh();
-                return None;
+                return Ok(None);
             }
             failed.clear();
         }
@@ -1383,28 +1235,13 @@ impl SmartProxy {
     pub fn invoke_oneway(&self, op: &str, args: Vec<Value>) -> Result<()> {
         self.inner.invocations.fetch_add(1, Ordering::Relaxed);
         self.handle_pending_events();
-        let pick = self
+        let replica = self
             .pick(None, &mut Vec::new())?
             .ok_or_else(|| self.no_admissible_target())?;
-        let result = self.inner.orb.invoke_oneway_ref(pick.target(), op, args);
+        let result = self.inner.orb.invoke_oneway_ref(replica.target(), op, args);
         let retryable = matches!(&result, Err(e) if e.is_retryable());
-        self.inner.record(&pick, !retryable);
+        self.inner.record(&replica, !retryable);
         Ok(result?)
-    }
-
-    fn ensure_bound(&self) -> Result<Arc<TargetHealth>> {
-        if let Some(bound) = self.bound_target() {
-            return Ok(bound);
-        }
-        if self.select_with(&self.inner.constraint, true)? {
-            return Ok(self
-                .bound_target()
-                .expect("select_with(true) bound a component"));
-        }
-        Err(CoreError::Unbound(format!(
-            "no component for `{}`",
-            self.inner.service_type
-        )))
     }
 }
 
@@ -1414,7 +1251,7 @@ impl SmartProxy {
 /// stored in the proxy's own isolate, so its natives hold the proxy
 /// weakly: a strong handle would keep the proxy and its isolate alive
 /// forever.
-fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> Stored {
+fn build_facade(proxy: &SmartProxy) -> Stored {
     let weak = Arc::downgrade(&proxy.inner);
     let live = move || weak.upgrade().map(|inner| SmartProxy { inner });
     let table = adapta_script::Value::table();
@@ -1434,21 +1271,21 @@ fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> 
             let live = live.clone();
             t.borrow_mut().set_str(
                 name,
-                adapta_script::Interpreter::native(name, move |interp, args| {
+                adapta_script::Interpreter::native(name, move |_, args| {
                     let Some(p) = live() else {
                         return Ok(vec![adapta_script::Value::Bool(false)]);
                     };
                     let ok = rebind(&p, &args).unwrap_or(false);
                     if let (true, Some(self_table)) = (ok, args.first()) {
-                        refresh_facade(interp, &p, self_table);
+                        refresh_facade(&p, self_table);
                     }
                     Ok(vec![adapta_script::Value::Bool(ok)])
                 }),
             );
         }
-        // _set_policy(self, name) -> bool — balanced-mode runtime
-        // policy swap from Rua strategies (Figure-7 style adaptation
-        // code can re-route traffic, not just re-bind).
+        // _set_policy(self, name) -> bool — runtime policy swap from Rua
+        // strategies (Figure-7 style adaptation code can re-route
+        // traffic, not just re-bind).
         let p = live.clone();
         t.borrow_mut().set_str(
             "_set_policy",
@@ -1459,14 +1296,15 @@ fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> 
                 )])
             }),
         );
-        // _policy(self) -> string | nil — the current routing policy.
+        // _policy(self) -> string — the current routing policy.
         t.borrow_mut().set_str(
             "_policy",
             adapta_script::Interpreter::native("_policy", move |_, _| {
-                Ok(vec![match live().and_then(|p| p.balancer_policy()) {
-                    Some(name) => adapta_script::Value::str(name),
-                    None => adapta_script::Value::Nil,
-                }])
+                let name = live().map(|p| p.inner.set.policy_name());
+                Ok(vec![name.map_or(
+                    adapta_script::Value::Nil,
+                    adapta_script::Value::str,
+                )])
             }),
         );
         t.borrow_mut().set_str(
@@ -1478,23 +1316,18 @@ fn build_facade(interp: &mut adapta_script::Interpreter, proxy: &SmartProxy) -> 
             adapta_script::Value::str(proxy.service_type()),
         );
     }
-    refresh_facade(interp, proxy, &table);
+    refresh_facade(proxy, &table);
     Stored::new(table)
 }
 
 /// Updates the binding-dependent facade fields: `_target`, `_monitors`
 /// (property name → monitor proxy table) and `_loadavgmon` (the
 /// `LoadAvg` monitor, so Figure 7 runs verbatim).
-fn refresh_facade(
-    interp: &mut adapta_script::Interpreter,
-    proxy: &SmartProxy,
-    facade: &adapta_script::Value,
-) {
+fn refresh_facade(proxy: &SmartProxy, facade: &adapta_script::Value) {
     let Some(t) = facade.as_table() else { return };
     let Some(offer) = proxy.current_offer() else {
         return;
     };
-    let _ = interp; // proxy tables need no interpreter context today
     t.borrow_mut()
         .set_str("_target", adapta_script::Value::str(offer.target.to_uri()));
     let monitors = adapta_script::Value::table();
@@ -1557,8 +1390,8 @@ mod tests {
         assert_eq!(proxy.inner.health.tracked_targets(), 2);
 
         trader.withdraw(&dead_offer).unwrap();
-        let summary = proxy.balancer().unwrap().refresh().unwrap();
-        assert_eq!(summary.evicted, 1);
+        assert!(proxy.reselect().unwrap());
+        assert_eq!(proxy.balancer().unwrap().len(), 1);
         assert_eq!(proxy.inner.health.tracked_targets(), 1);
         assert_eq!(proxy.breaker_state(&dead), Some(BreakerState::Closed));
         assert_eq!(proxy.breaker_state(&live), Some(BreakerState::Closed));

@@ -636,3 +636,113 @@ impl Drop for StopOnDrop<'_> {
         self.0.store(true, Ordering::Relaxed);
     }
 }
+
+/// A balanced proxy attaches its subscriptions to every replica, as a
+/// classic proxy does to its one, and cancels a replica's registrations
+/// when the replica is evicted.
+#[test]
+fn subscriptions_follow_every_replica_in_and_out_of_the_set() {
+    use std::sync::Mutex;
+
+    use adapta::core::Subscription;
+    use adapta::idl::TypeCode;
+    use adapta::orb::OrbError;
+    use adapta::trading::{PropDef, PropMode};
+
+    let service = "SubBal";
+    let orb = Orb::new("bal-subscribe");
+    let trader = Trader::new(&orb);
+    trader
+        .add_type(ServiceTypeDef::new(service).with_property(PropDef::new(
+            "LoadAvg",
+            TypeCode::Double,
+            PropMode::Normal,
+        )))
+        .unwrap();
+    // A stub monitor that keeps the event id of every live registration.
+    let live: Arc<Mutex<HashMap<i64, String>>> = Arc::default();
+    let registrations = live.clone();
+    let next_id = AtomicU64::new(0);
+    let monitor = orb
+        .activate(
+            "stub-monitor",
+            ServantFn::new("EventMonitor", move |op, args| match op {
+                "evalDP" => Ok(Value::Double(0.5)),
+                "attachEventObserver" => {
+                    let id = next_id.fetch_add(1, Ordering::SeqCst) as i64;
+                    let event = args[1].as_str().unwrap_or_default().to_string();
+                    registrations.lock().unwrap().insert(id, event);
+                    Ok(Value::Long(id))
+                }
+                "detachEventObserver" => {
+                    let id = args[0].as_long().unwrap();
+                    registrations.lock().unwrap().remove(&id);
+                    Ok(Value::Null)
+                }
+                _ => Err(OrbError::unknown_operation("EventMonitor", op)),
+            }),
+        )
+        .unwrap();
+    let mut offers = Vec::new();
+    for key in ["sub-a", "sub-b"] {
+        let target = spawn_replica(&orb, service, key, Arc::new(AtomicU64::new(0)));
+        let request =
+            ExportRequest::new(service, target).with_dynamic_property("LoadAvg", monitor.clone());
+        offers.push(trader.export(request).unwrap());
+    }
+    let subscribed = || {
+        live.lock()
+            .unwrap()
+            .values()
+            .filter(|event| *event == "LoadIncrease")
+            .count()
+    };
+
+    let repo = InterfaceRepository::new();
+    let proxy = SmartProxy::builder(&orb, &repo, Arc::new(trader.clone()), service)
+        .balanced("round_robin")
+        .balancer_refresh(Duration::from_secs(3600))
+        .subscribe(Subscription::new(
+            "LoadAvg",
+            "LoadIncrease",
+            "function(o, v, m) return false end",
+        ))
+        .build()
+        .unwrap();
+    assert_eq!(proxy.balancer().unwrap().len(), 2);
+    assert_eq!(subscribed(), 2, "{:?}", live.lock().unwrap());
+    // Each replica also carries its load feed.
+    assert_eq!(live.lock().unwrap().len(), 4);
+
+    trader.withdraw(&offers[0]).unwrap();
+    assert!(proxy.reselect().unwrap());
+    assert_eq!(proxy.balancer().unwrap().len(), 1);
+    assert_eq!(subscribed(), 1);
+    assert_eq!(live.lock().unwrap().len(), 2);
+}
+
+/// A classic proxy is a replica set under the `bound` policy: it keeps
+/// one replica, and a strategy can switch it to spread its calls.
+#[test]
+fn a_classic_proxy_is_a_set_that_keeps_one_replica() {
+    let (_orb, _trader, builder, _knobs) =
+        balanced_rig("Classic", &[("cl-a", 0), ("cl-b", 0), ("cl-c", 0)]);
+    let proxy = builder.build().unwrap();
+    assert_eq!(proxy.balancer_policy().as_deref(), Some("bound"));
+    assert_eq!(proxy.balancer().unwrap().len(), 1);
+    for _ in 0..6 {
+        proxy.invoke("echo", vec![]).unwrap();
+    }
+    let picks = picks_by_servant(&proxy);
+    assert_eq!(picks.values().sum::<u64>(), 6, "{picks:?}");
+    assert_eq!(picks.len(), 1, "a bound proxy calls one replica: {picks:?}");
+
+    assert!(proxy.set_balancer_policy("round_robin"));
+    assert!(proxy.reselect().unwrap());
+    assert_eq!(proxy.balancer().unwrap().len(), 3);
+    for _ in 0..6 {
+        proxy.invoke("echo", vec![]).unwrap();
+    }
+    let picks = picks_by_servant(&proxy);
+    assert!(picks.values().all(|&n| n >= 2), "{picks:?}");
+}
