@@ -13,7 +13,7 @@
 //! stampedes.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
@@ -32,8 +32,9 @@ use crate::stats::ReplicaStats;
 #[derive(Debug)]
 pub struct Replica {
     /// Stable identity across refreshes: offer id + target URI (the
-    /// same pair trading's federation dedups on).
-    key: String,
+    /// same pair trading's federation dedups on). Computed when first
+    /// read: a set that keeps one replica never diffs by it.
+    key: OnceLock<String>,
     target: ObjRef,
     offer: Mutex<OfferMatch>,
     stats: ReplicaStats,
@@ -62,18 +63,19 @@ impl Replica {
         properties: Vec<(String, Value)>,
         dynamic: Vec<(String, ObjRef)>,
     ) -> Replica {
-        Replica::from_match(OfferMatch {
+        let offer = OfferMatch {
             id: adapta_trading::OfferId::from_string(offer_id),
             service_type: target.type_id.clone(),
             target,
             properties,
             dynamic,
-        })
+        };
+        Replica::from_match(None, offer)
     }
 
-    fn from_match(m: OfferMatch) -> Replica {
+    fn from_match(key: Option<String>, m: OfferMatch) -> Replica {
         Replica {
-            key: Replica::match_key(&m),
+            key: key.map_or_else(OnceLock::new, OnceLock::from),
             target: m.target.clone(),
             offer: Mutex::new(m),
             stats: ReplicaStats::new(),
@@ -87,7 +89,8 @@ impl Replica {
 
     /// Stable replica identity (offer id + target URI).
     pub fn key(&self) -> &str {
-        &self.key
+        self.key
+            .get_or_init(|| Replica::match_key(&self.offer.lock()))
     }
 
     /// The replica's object reference (what you invoke).
@@ -120,6 +123,11 @@ impl Replica {
         self.offer.lock().clone()
     }
 
+    /// The monitor behind one of the offer's dynamic properties.
+    pub fn dynamic_ref(&self, property: &str) -> Option<ObjRef> {
+        self.offer.lock().dynamic_ref(property).cloned()
+    }
+
     /// A property of the last-selection snapshot, coerced to f64
     /// (Double or Long).
     pub fn property_f64(&self, name: &str) -> Option<f64> {
@@ -145,10 +153,19 @@ pub struct RefreshSummary {
 struct SetInner {
     service: Arc<dyn TradingService>,
     query: Query,
-    replicas: RwLock<Vec<Arc<Replica>>>,
-    policy: RwLock<Arc<dyn RoutingPolicy>>,
+    /// The replicas and the policy that picks among them, under one
+    /// lock, so a pick takes one lock.
+    routing: RwLock<Routing>,
+    /// The number of replicas, stored under the write lock and read
+    /// without it.
+    len: AtomicUsize,
     metrics: SetMetrics,
     refresher_started: AtomicBool,
+}
+
+struct Routing {
+    replicas: Vec<Arc<Replica>>,
+    policy: Box<dyn RoutingPolicy>,
 }
 
 /// The set's `balancer.<type>.*` instruments, resolved once when it is
@@ -190,7 +207,7 @@ pub struct ReplicaSet {
 impl std::fmt::Debug for ReplicaSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicaSet")
-            .field("replicas", &self.inner.replicas.read().len())
+            .field("replicas", &self.len())
             .field("policy", &self.policy_name())
             .finish()
     }
@@ -206,8 +223,11 @@ impl ReplicaSet {
             inner: Arc::new(SetInner {
                 service,
                 query,
-                replicas: RwLock::new(Vec::new()),
-                policy: RwLock::new(Arc::new(RoundRobin::new())),
+                routing: RwLock::new(Routing {
+                    replicas: Vec::new(),
+                    policy: Box::new(RoundRobin::new()),
+                }),
+                len: AtomicUsize::new(0),
                 metrics,
                 refresher_started: AtomicBool::new(false),
             }),
@@ -219,7 +239,7 @@ impl ReplicaSet {
     /// policy switch). Unknown names keep the default.
     pub fn with_policy_named(self, name: &str) -> ReplicaSet {
         if let Some(p) = policy_named(name) {
-            *self.inner.policy.write() = Arc::from(p);
+            self.inner.routing.write().policy = p;
         }
         self
     }
@@ -246,16 +266,21 @@ impl ReplicaSet {
     pub fn apply(&self, mut matches: Vec<OfferMatch>) -> RefreshSummary {
         self.inner.metrics.refreshes.incr();
         let keeps_one = self.keeps_one();
-        if keeps_one {
-            matches.truncate(1);
-        }
-        let keys: Vec<String> = matches.iter().map(Replica::match_key).collect();
+        // A keep-one set diffs nothing, so it computes no keys.
+        let keys: Vec<String> = match keeps_one {
+            true => {
+                matches.truncate(1);
+                Vec::new()
+            }
+            false => matches.iter().map(Replica::match_key).collect(),
+        };
         let mut added = Vec::new();
         let mut evicted = Vec::new();
         let total = {
-            let mut replicas = self.inner.replicas.write();
+            let mut routing = self.inner.routing.write();
+            let replicas = &mut routing.replicas;
             if keeps_one {
-                evicted.append(&mut replicas);
+                evicted = std::mem::take(replicas);
             }
             replicas.retain(|r| {
                 let matched = keys.iter().any(|key| key == r.key());
@@ -264,16 +289,22 @@ impl ReplicaSet {
                 }
                 matched
             });
-            for (key, m) in keys.iter().zip(matches) {
-                match replicas.iter().find(|r| r.key() == key) {
+            let mut keys = keys.into_iter();
+            for m in matches {
+                let key = keys.next();
+                match key
+                    .as_deref()
+                    .and_then(|key| replicas.iter().find(|r| r.key() == key))
+                {
                     Some(r) => *r.offer.lock() = m,
                     None => {
-                        let replica = Arc::new(Replica::from_match(m));
+                        let replica = Arc::new(Replica::from_match(key, m));
                         replicas.push(replica.clone());
                         added.push(replica);
                     }
                 }
             }
+            self.inner.len.store(replicas.len(), Ordering::Relaxed);
             replicas.len()
         };
         let metrics = &self.inner.metrics;
@@ -344,10 +375,10 @@ impl ReplicaSet {
         filter: impl Fn(&Replica) -> bool,
     ) -> Option<Arc<Replica>> {
         let picked = {
-            let replicas = self.inner.replicas.read();
-            let policy = self.inner.policy.read();
+            let routing = self.inner.routing.read();
+            let (replicas, policy) = (&routing.replicas, &routing.policy);
             match replicas.iter().position(|r| !filter(r)) {
-                None => replicas.get(policy.pick(&replicas, key)?)?.clone(),
+                None => replicas.get(policy.pick(replicas, key)?)?.clone(),
                 Some(rejected) => {
                     let candidates: Vec<Arc<Replica>> = replicas[..rejected]
                         .iter()
@@ -377,7 +408,7 @@ impl ReplicaSet {
     /// already hold their replica, and stats/replicas are shared by
     /// every policy.
     pub fn set_policy(&self, policy: Box<dyn RoutingPolicy>) {
-        *self.inner.policy.write() = Arc::from(policy);
+        self.inner.routing.write().policy = policy;
         self.inner.metrics.policy_switches.incr();
     }
 
@@ -396,47 +427,49 @@ impl ReplicaSet {
 
     /// The current policy's name.
     pub fn policy_name(&self) -> String {
-        self.inner.policy.read().name().to_string()
+        self.inner.routing.read().policy.name().to_string()
     }
 
     /// Whether the current policy [keeps one](RoutingPolicy::keeps_one)
     /// replica.
     pub fn keeps_one(&self) -> bool {
-        self.inner.policy.read().keeps_one()
+        self.inner.routing.read().policy.keeps_one()
     }
 
     // ---- introspection ---------------------------------------------------
 
     /// Snapshot of the live replicas.
     pub fn replicas(&self) -> Vec<Arc<Replica>> {
-        self.inner.replicas.read().clone()
+        self.inner.routing.read().replicas.clone()
     }
 
     /// Runs `f` over the live replicas in place, under the set's read
     /// lock: `f` must not call back into the set, and a refresh waits
     /// until it returns.
     pub fn with_replicas<R>(&self, f: impl FnOnce(&[Arc<Replica>]) -> R) -> R {
-        f(&self.inner.replicas.read())
+        f(&self.inner.routing.read().replicas)
     }
 
     /// A live replica by key, if present.
     pub fn replica(&self, key: &str) -> Option<Arc<Replica>> {
         self.inner
-            .replicas
+            .routing
             .read()
+            .replicas
             .iter()
             .find(|r| r.key() == key)
             .cloned()
     }
 
-    /// Number of live replicas.
+    /// Number of live replicas. One load: a selection that runs
+    /// concurrently may not show yet.
     pub fn len(&self) -> usize {
-        self.inner.replicas.read().len()
+        self.inner.len.load(Ordering::Relaxed)
     }
 
     /// True when no replica matched (yet).
     pub fn is_empty(&self) -> bool {
-        self.inner.replicas.read().is_empty()
+        self.len() == 0
     }
 
     /// The query this set materializes.

@@ -29,7 +29,7 @@
 //! the failure time with atomic loads and takes no table-wide lock.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -298,6 +298,9 @@ struct Breaker {
     rejected: Counter,
     /// How many targets sit in a non-closed state.
     open_targets: Gauge,
+    /// The same count for this table alone (the gauge is shared by
+    /// every proxy of the service type).
+    open: AtomicUsize,
 }
 
 impl Breaker {
@@ -311,6 +314,7 @@ impl Breaker {
             closed: r.counter(&name("closed")),
             rejected: r.counter(&name("rejected")),
             open_targets: r.gauge(&name("open_targets")),
+            open: AtomicUsize::new(0),
         }
     }
 
@@ -320,6 +324,7 @@ impl Breaker {
             .filter(|h| h.state() != BreakerState::Closed)
             .count();
         self.open_targets.set(open as i64);
+        self.open.store(open, Ordering::Relaxed);
     }
 }
 
@@ -341,6 +346,14 @@ impl HealthTable {
     /// Whether a circuit breaker is configured.
     pub(crate) fn has_breaker(&self) -> bool {
         self.breaker.is_some()
+    }
+
+    /// Whether some target's breaker is not closed, as of the last
+    /// transition: only then can a probe be due. One load.
+    pub(crate) fn any_open(&self) -> bool {
+        self.breaker
+            .as_ref()
+            .is_some_and(|b| b.open.load(Ordering::Relaxed) > 0)
     }
 
     /// The record of `target`, created on first use. The caller keeps
@@ -485,7 +498,7 @@ impl HealthTable {
     /// [`admit_record`](Self::admit_record) it moves no state and
     /// counts nothing.
     pub(crate) fn refuses(&self, target: &ObjRef) -> bool {
-        let Some(breaker) = &self.breaker else {
+        let Some(breaker) = self.breaker.as_ref().filter(|_| self.any_open()) else {
             return false;
         };
         let Some(health) = self.targets.lock().get(target).cloned() else {

@@ -283,24 +283,32 @@ impl SpInner {
     /// monitor that cannot be reached is skipped, which is not fatal:
     /// the replica stays usable, just without that subscription.
     fn attach(&self, replica: &Replica) {
-        let (offer, observer) = (replica.offer(), self.observer_ref.get());
+        let attached = self.attached(replica);
+        if self.subscriptions.is_empty() {
+            return;
+        }
+        let observer = self.observer_ref.get();
         let ids: Vec<_> = self
             .subscriptions
             .iter()
             .filter_map(|sub| {
-                let monitor = offer.dynamic_ref(&sub.property)?;
+                let monitor = replica.dynamic_ref(&sub.property)?;
+                let event = match sub.event_id.contains("{replica}") {
+                    true => sub.event_id.replace("{replica}", replica.key()),
+                    false => sub.event_id.clone(),
+                };
                 let args = vec![
                     Value::ObjRef(observer?.clone()),
-                    Value::from(sub.event_id.replace("{replica}", replica.key())),
+                    Value::from(event),
                     Value::from(sub.predicate.as_str()),
                 ];
-                match self.orb.invoke_ref(monitor, "attachEventObserver", args) {
-                    Ok(Value::Long(id)) => Some((monitor.clone(), id)),
+                match self.orb.invoke_ref(&monitor, "attachEventObserver", args) {
+                    Ok(Value::Long(id)) => Some((monitor, id)),
                     _ => None,
                 }
             })
             .collect();
-        self.attached(replica).observers.lock().extend(ids);
+        attached.observers.lock().extend(ids);
     }
 
     /// Cancels the registrations of a replica that left the set.
@@ -885,8 +893,10 @@ impl SmartProxy {
             }
             !inner.health.refuses(&m.target)
         };
-        let mut query = inner.set.query().clone();
-        query.constraint = constraint.to_string();
+        let base = inner.set.query();
+        let mut query = Query::new(&base.service_type)
+            .constraint(constraint)
+            .preference(&base.preference);
         let mut matches = inner.trader.query(&query)?;
         let mut first = matches.iter().position(admissible);
         if first.is_none() && fallback {
@@ -909,25 +919,33 @@ impl SmartProxy {
             return Ok(false);
         };
         let kept = match inner.set.keeps_one() {
-            true => vec![matches[first].clone()],
-            false => matches.clone(),
+            true => vec![matches.swap_remove(first)],
+            false => std::mem::take(&mut matches),
         };
-        let before = self.current_target();
+        let first_replica = || inner.set.with_replicas(|r| r.first().cloned());
+        let before = first_replica();
         let change = inner.set.apply(kept);
         // New registrations first, so a monitor never sees the proxy
         // without an observer. An evicted target's health record goes
-        // only once no match offers it: a target that just failed keeps
-        // its record, so its stale offer stays dead for the TTL.
+        // only once neither the set nor a match offers it: a target that
+        // just failed keeps its record, so its stale offer stays dead
+        // for the TTL.
         for replica in &change.added {
             inner.attach(replica);
         }
         for replica in &change.evicted {
             inner.detach(replica);
-            if !matches.iter().any(|m| &m.target == replica.target()) {
-                inner.health.forget(replica.target());
+            let target = replica.target();
+            let offered = matches.iter().any(|m| &m.target == target)
+                || inner
+                    .set
+                    .with_replicas(|r| r.iter().any(|r| r.target() == target));
+            if !offered {
+                inner.health.forget(target);
             }
         }
-        if self.current_target() != before {
+        let after = first_replica();
+        if after.as_ref().map(|r| r.target()) != before.as_ref().map(|r| r.target()) {
             inner.rebinds.fetch_add(1, Ordering::Relaxed);
             inner.metrics.rebinds.incr();
         }
@@ -1140,7 +1158,7 @@ impl SmartProxy {
         let (set, health) = (&inner.set, &inner.health);
         let mut reselected = false;
         loop {
-            if health.has_breaker() {
+            if health.any_open() {
                 let probe = set.with_replicas(|replicas| {
                     replicas
                         .iter()
