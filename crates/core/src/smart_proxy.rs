@@ -284,9 +284,6 @@ impl SpInner {
     /// the replica stays usable, just without that subscription.
     fn attach(&self, replica: &Replica) {
         let attached = self.attached(replica);
-        if self.subscriptions.is_empty() {
-            return;
-        }
         let observer = self.observer_ref.get();
         let ids: Vec<_> = self
             .subscriptions
