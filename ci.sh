@@ -32,7 +32,9 @@
 # threads that take turns entering it, then the drain wake-up tests
 # (crates/orb/tests/drain_wake.rs) 20 times, since a finished dispatch
 # races the shutdown that starts draining, and a lost wake-up shows
-# only as a slow drain.
+# only as a slow drain, then the background-job tests (tests/idle.rs)
+# 20 times, since they read the scheduler's per-thread context-switch
+# counters of idle jobs and time how soon a dropped job's thread ends.
 # The stress run is advisory (a separate non-blocking CI job), not
 # part of the gate.
 #
@@ -144,6 +146,10 @@ if [[ "${1:-}" == "--stress" ]]; then
     echo "==> stress: the last dispatch wakes a drain at once, 20 runs"
     for _ in $(seq 20); do
         cargo test -q -p adapta-orb --test drain_wake
+    done
+    echo "==> stress: idle jobs sleep, dropped jobs end at once, 20 runs"
+    for _ in $(seq 20); do
+        cargo test -q --test idle
     done
     echo "Stress run green."
     exit 0

@@ -9,16 +9,17 @@
 //! [keeps one](crate::RoutingPolicy::keeps_one) replica, such as
 //! [`Bound`](crate::Bound), each selection replaces the replica with its
 //! first match instead. A background refresher re-selects on a jittered
-//! interval so the set tracks the trader without synchronized polling
-//! stampedes.
+//! interval, seeded per set, so the set tracks the trader without
+//! synchronized polling stampedes.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use adapta_idl::Value;
 use adapta_orb::ObjRef;
+use adapta_sim::Periodic;
 use adapta_telemetry::{registry, Counter, Gauge};
 use adapta_trading::{OfferMatch, Query, TradingService};
 use parking_lot::{Mutex, RwLock};
@@ -160,7 +161,7 @@ struct SetInner {
     /// without it.
     len: AtomicUsize,
     metrics: SetMetrics,
-    refresher_started: AtomicBool,
+    refresher: OnceLock<Periodic>,
 }
 
 struct Routing {
@@ -193,6 +194,12 @@ impl SetMetrics {
             replicas: r.gauge(&name("replicas")),
         }
     }
+}
+
+/// Delays uniform in [0.5, 1.5) × `interval`, from a random seed.
+fn jittered(interval: Duration) -> impl FnMut() -> Duration {
+    let mut rng = StdRng::from_entropy();
+    move || interval.mul_f64(0.5 + rng.gen::<f64>())
 }
 
 /// A live, policy-routed view of every offer matching a trader query.
@@ -229,7 +236,7 @@ impl ReplicaSet {
                 }),
                 len: AtomicUsize::new(0),
                 metrics,
-                refresher_started: AtomicBool::new(false),
+                refresher: OnceLock::new(),
             }),
         }
     }
@@ -318,43 +325,25 @@ impl ReplicaSet {
         }
     }
 
-    /// Spawns a background thread that calls `refresh` with the set
-    /// roughly every `interval`, jittered ±50% so many sets polling one
-    /// trader don't stampede in phase. The thread exits when the last
-    /// `ReplicaSet` clone is dropped; starting twice is a no-op.
+    /// Starts a background [`Periodic`] job that calls `refresh` with the
+    /// set roughly every `interval`, jittered ±50% from a seed of its own
+    /// so sets don't refresh in phase. Its thread ends as soon as the last
+    /// `ReplicaSet` clone drops; starting twice is a no-op.
     pub fn start_refresher(
         &self,
         interval: Duration,
         refresh: impl Fn(&ReplicaSet) + Send + 'static,
     ) {
-        if self.inner.refresher_started.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let weak: Weak<SetInner> = Arc::downgrade(&self.inner);
-        let name = format!("balancer.{}-refresher", self.query().service_type);
-        std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0x6a69_7474);
-                loop {
-                    // Jitter in [0.5, 1.5) × interval, slept in short
-                    // steps so the thread notices the set dropping.
-                    let factor = 0.5 + rng.gen::<f64>();
-                    let mut remaining = interval.mul_f64(factor);
-                    let step = Duration::from_millis(10);
-                    while !remaining.is_zero() {
-                        if weak.strong_count() == 0 {
-                            return;
-                        }
-                        let nap = remaining.min(step);
-                        std::thread::sleep(nap);
-                        remaining = remaining.saturating_sub(nap);
-                    }
-                    let Some(inner) = weak.upgrade() else { return };
-                    refresh(&ReplicaSet { inner });
-                }
+        self.inner.refresher.get_or_init(|| {
+            let weak = Arc::downgrade(&self.inner);
+            let mut delay = jittered(interval);
+            let name = format!("balancer.{}-refresher", self.query().service_type);
+            Periodic::start(name, delay(), move || {
+                let inner = weak.upgrade()?;
+                refresh(&ReplicaSet { inner });
+                Some(delay())
             })
-            .expect("spawn replica-set refresher");
+        });
     }
 
     // ---- routing ---------------------------------------------------------
@@ -611,6 +600,17 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(set.len(), 1, "refresher never picked up the export");
+    }
+
+    #[test]
+    fn two_refreshers_draw_different_first_delays() {
+        let interval = Duration::from_millis(250);
+        let (mut a, mut b) = (jittered(interval), jittered(interval));
+        let (a, b) = (a(), b());
+        assert_ne!(a, b, "two sets would refresh in phase");
+        for d in [a, b] {
+            assert!(d >= interval / 2 && d < interval * 3 / 2);
+        }
     }
 
     #[test]

@@ -93,19 +93,20 @@ impl RetryPolicy {
             base: self.base,
             cap: self.cap,
             prev: self.base,
-            rng: StdRng::seed_from_u64(0x6A69_7474_6572), // "jitter"
+            rng: None,
         }
     }
 }
 
 /// One invocation's decorrelated-jitter state: each delay is uniform in
 /// `[base, 3 × previous]`, capped — successive delays grow but stay
-/// de-synchronized across callers.
+/// de-synchronized across callers: each sequence seeds its own
+/// generator at random, on its first non-zero delay.
 pub(crate) struct Backoff {
     base: Duration,
     cap: Duration,
     prev: Duration,
-    rng: StdRng,
+    rng: Option<StdRng>,
 }
 
 impl Backoff {
@@ -115,7 +116,8 @@ impl Backoff {
         }
         let lo = self.base.as_secs_f64();
         let hi = (self.prev.as_secs_f64() * 3.0).max(lo * 1.000_001);
-        let delay = Duration::from_secs_f64(self.rng.gen_range(lo..hi)).min(self.cap);
+        let rng = self.rng.get_or_insert_with(StdRng::from_entropy);
+        let delay = Duration::from_secs_f64(rng.gen_range(lo..hi)).min(self.cap);
         self.prev = delay;
         delay
     }
@@ -560,6 +562,21 @@ mod tests {
         let mut backoff = policy.backoff();
         assert_eq!(backoff.next_delay(), Duration::ZERO);
         assert_eq!(backoff.next_delay(), Duration::ZERO);
+        assert!(
+            backoff.rng.is_none(),
+            "a call that never sleeps seeds nothing"
+        );
+    }
+
+    #[test]
+    fn two_backoffs_of_one_policy_draw_different_first_delays() {
+        let policy = RetryPolicy::new(3);
+        let (mut a, mut b) = (policy.backoff(), policy.backoff());
+        assert_ne!(
+            a.next_delay(),
+            b.next_delay(),
+            "callers retrying after one outage would back off in lockstep"
+        );
     }
 
     #[test]

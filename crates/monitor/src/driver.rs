@@ -2,42 +2,30 @@
 //!
 //! Monitors are passive ([`Monitor::tick`] must be called). In a real
 //! deployment the paper's "internal timing mechanism" is this driver: a
-//! thread ticking the monitor every period. Simulated experiments skip
-//! the driver and schedule ticks on a virtual clock instead.
+//! [`Periodic`] job ticking the monitor every period. Simulations
+//! schedule ticks on a virtual clock instead.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use adapta_sim::Clock;
+use adapta_sim::{Clock, Periodic};
 
 use crate::monitor::Monitor;
 
-/// A background thread ticking a monitor at its period.
-///
-/// The driver stops when dropped (the thread exits after at most one
-/// more period).
+/// A background thread ticking a monitor at its period. It paces itself
+/// in wall time, stamps each tick with the clock's `now()`, and ends as
+/// soon as the driver drops.
 #[derive(Debug)]
-pub struct MonitorDriver {
-    stop: Arc<AtomicBool>,
-}
+pub struct MonitorDriver(Periodic);
 
 impl MonitorDriver {
-    /// Starts driving `monitor` every `period` under `clock`.
+    /// Starts driving `monitor` every `period`, stamping ticks from `clock`.
     pub fn start(monitor: Monitor, clock: Arc<dyn Clock>, period: Duration) -> MonitorDriver {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        std::thread::Builder::new()
-            .name(format!("mon-driver-{}", monitor.property()))
-            .spawn(move || loop {
-                clock.sleep(period);
-                if stop_flag.load(Ordering::Relaxed) {
-                    return;
-                }
-                monitor.tick(clock.now());
-            })
-            .expect("spawn monitor driver");
-        MonitorDriver { stop }
+        let name = format!("mon-driver-{}", monitor.property());
+        MonitorDriver(Periodic::start(name, period, move || {
+            monitor.tick(clock.now());
+            Some(period)
+        }))
     }
 
     /// Starts driving at the monitor's own period hint.
@@ -48,13 +36,7 @@ impl MonitorDriver {
 
     /// Stops the driver (also happens on drop).
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-impl Drop for MonitorDriver {
-    fn drop(&mut self) {
-        self.stop();
+        self.0.stop();
     }
 }
 

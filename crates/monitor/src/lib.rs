@@ -25,9 +25,9 @@
 //!   reading a synthetic `/proc/loadavg` backed by a simulated host.
 //!
 //! Monitors are passive with respect to time: something must call
-//! [`Monitor::tick`]. Use [`MonitorDriver`] for wall-clock deployments
-//! or drive ticks from a simulation scheduler for deterministic
-//! experiments.
+//! [`Monitor::tick`]. Use [`MonitorDriver`] (a thread that sleeps
+//! between ticks and ends when the driver drops) for wall-clock
+//! deployments, or drive ticks from a simulation scheduler.
 
 mod driver;
 mod facade;

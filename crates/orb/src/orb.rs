@@ -1,6 +1,7 @@
 //! The broker facade: node registry, invocation routing and statistics.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -455,6 +456,9 @@ impl OrbCore {
     /// Server-side dispatch of a decoded request (through the server
     /// interceptor chain).
     ///
+    /// A panicking servant or interceptor fails its call, on either
+    /// transport, with a non-retryable `RemoteException`.
+    ///
     /// Dispatch runs under a `server:<op>` span. When the request
     /// carries trace ids (in its trace slot or service context), the
     /// span joins that trace — so a client invocation and its remote
@@ -471,18 +475,26 @@ impl OrbCore {
         };
         span.attr("node", &self.node);
         span.attr("key", key);
-        let (outcome, validated) = match self.intercept_server(key, operation, &request.args) {
-            Some(abort) => (Err(abort), false),
-            None => {
-                let outcome = self.dispatch(key, operation, request.args);
-                let known = !matches!(
-                    outcome,
-                    Err(OrbError::ObjectNotFound { .. }
-                        | OrbError::Idl(IdlError::UnknownOperation { .. }))
-                );
-                (outcome, known)
+        let (outcome, validated) = catch_unwind(AssertUnwindSafe(|| {
+            match self.intercept_server(key, operation, &request.args) {
+                Some(abort) => (Err(abort), false),
+                None => {
+                    let outcome = self.dispatch(key, operation, request.args);
+                    let known = !matches!(
+                        outcome,
+                        Err(OrbError::ObjectNotFound { .. }
+                            | OrbError::Idl(IdlError::UnknownOperation { .. }))
+                    );
+                    (outcome, known)
+                }
             }
-        };
+        }))
+        .unwrap_or_else(|panic| {
+            let text = panic.downcast_ref::<String>().map(String::as_str);
+            let text = text.or(panic.downcast_ref::<&str>().copied());
+            let message = format!("servant panicked: {}", text.unwrap_or("no message"));
+            (Err(OrbError::exception(message)), false)
+        });
         let metrics = self.op_metrics(operation, validated);
         if let Err(e) = &outcome {
             metrics.errors.incr();
@@ -1276,12 +1288,16 @@ mod tests {
             )
             .unwrap();
         let client = Orb::new("t-orb-panic-client");
-        let two_way = || client.invoke_ref(&objref, "boom", vec![]).map(drop);
-        let oneway = || client.invoke_oneway_ref(&objref, "boom", vec![]);
-        for call in [&two_way as &dyn Fn() -> OrbResult<()>, &oneway] {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
-            assert!(caught.is_err(), "the servant's panic reached the caller");
-        }
+        // The two-way caller gets the same non-retryable exception as
+        // over TCP; the oneway's failure is discarded like any other.
+        let err = client.invoke_ref(&objref, "boom", vec![]).unwrap_err();
+        assert!(!err.is_retryable());
+        assert!(
+            matches!(&err, OrbError::RemoteException { message }
+                if message == "servant panicked: deliberate servant panic"),
+            "{err:?}"
+        );
+        client.invoke_oneway_ref(&objref, "boom", vec![]).unwrap();
         // Neither call left the node's in-flight count raised, so the
         // drain finds nothing to wait for.
         let started = Instant::now();

@@ -57,7 +57,6 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 #[cfg(test)]
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError, Weak};
@@ -514,24 +513,14 @@ impl ServerConn {
 
     /// Serves an admitted request, replying in completion order, then
     /// the requests queued meanwhile, and leaves the crew of serving
-    /// threads. A servant that panics fails its call with a
-    /// non-retryable `RemoteException` (it may have partly run) and
-    /// costs the connection nothing.
+    /// threads. A servant that panics fails only its own call (see
+    /// `OrbCore::serve`) and costs the connection nothing.
     fn serve(&self, (mut request, mut dispatch): Admitted) {
         loop {
             let stats = &dispatch.stats;
             stats.tcp_inflight.add(1);
-            let (id, needs_reply) = (request.id, !request.oneway);
-            let reply = catch_unwind(AssertUnwindSafe(|| {
-                request.with(|request| dispatch.serve(request))
-            }))
-            .unwrap_or_else(|panic| ReplyBody {
-                id,
-                outcome: Err(OrbError::exception(format!(
-                    "servant panicked: {}",
-                    panic_message(panic.as_ref())
-                ))),
-            });
+            let needs_reply = !request.oneway;
+            let reply = request.with(|request| dispatch.serve(request));
             stats.tcp_inflight.sub(1);
             if needs_reply {
                 let _ = self.reply(&dispatch, reply);
@@ -555,15 +544,6 @@ impl ServerConn {
         let _writing = self.writer.lock();
         send_frame(&self.stream, &frame)
     }
-}
-
-/// The text a panic was raised with, if it was a string.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
-    panic
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("no message")
 }
 
 // ---- client side -----------------------------------------------------------

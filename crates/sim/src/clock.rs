@@ -1,5 +1,5 @@
 //! Time sources: a shared [`Clock`] trait with real and virtual
-//! implementations.
+//! implementations, and [`Periodic`], every background loop's pacer.
 //!
 //! All time-dependent components in the workspace (monitors, simulated
 //! hosts, transports with latency models) read time through a
@@ -9,7 +9,9 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A point in simulated (or real, relative) time, measured in nanoseconds
@@ -107,14 +109,6 @@ impl Sub<SimTime> for SimTime {
 pub trait Clock: Send + Sync + fmt::Debug {
     /// The current time.
     fn now(&self) -> SimTime;
-
-    /// Blocks the calling thread for (at least) `d`.
-    ///
-    /// Under a [`VirtualClock`] this spins on the virtual time and yields,
-    /// so it should only be used from threads co-operating with a driver
-    /// that advances the clock; simulation code should prefer the
-    /// event [`Scheduler`](crate::scheduler::Scheduler).
-    fn sleep(&self, d: Duration);
 }
 
 /// Wall-clock time relative to the moment the clock was created.
@@ -148,10 +142,6 @@ impl Default for RealClock {
 impl Clock for RealClock {
     fn now(&self) -> SimTime {
         SimTime(self.origin.elapsed().as_nanos() as u64)
-    }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
     }
 }
 
@@ -207,21 +197,69 @@ impl Clock for VirtualClock {
     fn now(&self) -> SimTime {
         SimTime(self.nanos.load(Ordering::SeqCst))
     }
-
-    fn sleep(&self, d: Duration) {
-        let deadline = self.now() + d;
-        while self.now() < deadline {
-            std::thread::yield_now();
-        }
-    }
 }
 
 /// Convenience alias used across the workspace for a shared clock handle.
 pub type SharedClock = Arc<dyn Clock>;
 
+/// A job run on a named thread of its own, which sleeps between runs.
+/// Stopping or dropping the handle wakes the thread, which ends without
+/// running the job again; a drop also joins it, unless the job itself
+/// dropped the handle. One thread per job, so a job that blocks (a
+/// refresh against a hung remote trader) stalls no other.
+#[derive(Debug)]
+pub struct Periodic {
+    stop: Sender<()>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Periodic {
+    /// Spawns a thread named `name` that runs `job` after `first`, then
+    /// after each delay it returns, until it returns `None` or stops.
+    pub fn start(
+        name: impl Into<String>,
+        first: Duration,
+        mut job: impl FnMut() -> Option<Duration> + Send + 'static,
+    ) -> Periodic {
+        let (stop, stopped) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                let mut delay = Some(first);
+                // A stop, or the handle's sender dropping, ends the wait early.
+                while let Some(wait) = delay {
+                    if stopped.recv_timeout(wait) != Err(RecvTimeoutError::Timeout) {
+                        return;
+                    }
+                    delay = job();
+                }
+            })
+            .expect("spawn periodic job");
+        let thread = Some(thread);
+        Periodic { stop, thread }
+    }
+
+    /// Stops the job after any run in progress; also happens on drop.
+    pub fn stop(&self) {
+        let _ = self.stop.send(()); // fails only once the thread has ended
+    }
+}
+
+impl Drop for Periodic {
+    fn drop(&mut self) {
+        self.stop();
+        let current = std::thread::current().id();
+        if let Some(thread) = self.thread.take().filter(|t| t.thread().id() != current) {
+            let _ = thread.join(); // a job that panicked has ended too
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+    use std::time::Instant;
 
     #[test]
     fn simtime_arithmetic_round_trips() {
@@ -265,6 +303,56 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn dropping_a_periodic_ends_its_wait_at_once() {
+        let (tx, rx) = mpsc::channel::<()>();
+        let job = Periodic::start("t-periodic-drop", Duration::from_secs(3600), move || {
+            tx.send(()).unwrap();
+            Some(Duration::from_secs(3600))
+        });
+        let started = Instant::now();
+        drop(job);
+        assert!(started.elapsed() < Duration::from_millis(100));
+        // The thread ended without a run: the job, and its sender, are gone.
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn a_periodic_dropped_by_its_own_job_ends_after_that_run() {
+        let slot: Arc<Mutex<Option<Periodic>>> = Arc::default();
+        let (tx, rx) = mpsc::channel();
+        let owner = slot.clone();
+        // The first run waits for the lock until the handle is stored.
+        let mut stored = slot.lock().unwrap();
+        *stored = Some(Periodic::start(
+            "t-periodic-self",
+            Duration::ZERO,
+            move || {
+                drop(owner.lock().unwrap().take());
+                tx.send(()).unwrap();
+                Some(Duration::ZERO)
+            },
+        ));
+        drop(stored);
+        rx.recv().unwrap();
+        // No second run: the sender drops when the thread ends.
+        assert!(rx.recv().is_err());
+    }
+
+    #[test]
+    fn a_periodic_job_paces_itself_and_can_end() {
+        let (tx, rx) = mpsc::channel();
+        let mut left = 3;
+        let _job = Periodic::start("t-periodic-end", Duration::ZERO, move || {
+            tx.send(Instant::now()).unwrap();
+            left -= 1;
+            (left > 0).then_some(Duration::from_millis(20))
+        });
+        let runs: Vec<Instant> = rx.iter().collect();
+        assert_eq!(runs.len(), 3);
+        assert!(runs[2] - runs[0] >= Duration::from_millis(40));
     }
 
     #[test]

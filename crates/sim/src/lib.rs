@@ -4,9 +4,9 @@
 //! `/proc/loadavg` and sharing load between live CORBA servers. This crate
 //! provides the laptop-scale, deterministic equivalent:
 //!
-//! * [`clock`] — a [`Clock`] abstraction with a real
-//!   implementation and a [`VirtualClock`] that tests
-//!   and experiments can advance manually;
+//! * [`clock`] — a [`Clock`] with real and virtual implementations,
+//!   and [`Periodic`], the background job behind monitor drivers,
+//!   replica-set refreshers and trader liveness sweeps;
 //! * [`scheduler`] — a discrete-event [`Scheduler`]
 //!   used by the experiment harness;
 //! * [`host`] — [`SimHost`], a simulated machine with a
@@ -25,7 +25,7 @@ pub mod metrics;
 pub mod scheduler;
 pub mod workload;
 
-pub use clock::{Clock, RealClock, SimTime, VirtualClock};
+pub use clock::{Clock, Periodic, RealClock, SimTime, VirtualClock};
 pub use host::{LoadAvg, SimHost};
 pub use metrics::{Counter, Histogram};
 pub use scheduler::Scheduler;

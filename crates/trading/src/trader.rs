@@ -1,12 +1,13 @@
 //! The trader: service-type repository, offer register, importer.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use adapta_idl::Value;
 use adapta_orb::{InvokeOptions, ObjRef, Orb};
+use adapta_sim::Periodic;
 use adapta_telemetry::{registry, Counter, HistogramHandle, Span};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -90,7 +91,7 @@ struct TraderInner {
     links: LinkSet,
     rng: Mutex<StdRng>,
     queries: AtomicU64,
-    sweeping: AtomicBool,
+    sweeper: OnceLock<Periodic>,
     metrics: QueryMetrics,
 }
 
@@ -196,7 +197,7 @@ impl Trader {
                 links: LinkSet::default(),
                 rng: Mutex::new(StdRng::seed_from_u64(0x7261_6465)),
                 queries: AtomicU64::new(0),
-                sweeping: AtomicBool::new(false),
+                sweeper: OnceLock::new(),
                 metrics: QueryMetrics::new(),
             }),
         }
@@ -493,34 +494,20 @@ impl Trader {
     /// drops offers whose lease expired and pings each remaining
     /// exporter (`_non_existent` with `ping_deadline`), quarantining
     /// non-responders and reviving quarantined offers that answer
-    /// again. Returns `false` if a sweeper is already running.
-    ///
-    /// The thread holds only a weak handle and exits shortly after the
-    /// last `Trader` clone is dropped.
+    /// again. Returns `false` if a sweeper is already running. The
+    /// sweeper's thread ends as soon as the last `Trader` clone drops.
     pub fn start_liveness_sweeper(&self, interval: Duration, ping_deadline: Duration) -> bool {
-        if self.inner.sweeping.swap(true, Ordering::SeqCst) {
-            return false;
-        }
-        let weak = Arc::downgrade(&self.inner);
-        std::thread::Builder::new()
-            .name("trader-liveness".into())
-            .spawn(move || loop {
-                // Sleep in short steps so the thread notices the trader
-                // going away without waiting out a long interval.
-                let mut left = interval;
-                while !left.is_zero() {
-                    let step = left.min(Duration::from_millis(10));
-                    std::thread::sleep(step);
-                    left = left.saturating_sub(step);
-                    if weak.strong_count() == 0 {
-                        return;
-                    }
-                }
-                let Some(inner) = weak.upgrade() else { return };
+        let mut started = false;
+        self.inner.sweeper.get_or_init(|| {
+            started = true;
+            let weak = Arc::downgrade(&self.inner);
+            Periodic::start("trader-liveness", interval, move || {
+                let inner = weak.upgrade()?;
                 Trader { inner }.sweep_liveness(ping_deadline);
+                Some(interval)
             })
-            .expect("spawn trader liveness sweeper");
-        true
+        });
+        started
     }
 
     /// Runs one liveness pass synchronously (what the background
