@@ -7,8 +7,8 @@
 //! offer snapshot updated *without* losing accumulated stats, and
 //! withdrawn/expired matches are evicted. Under a policy that
 //! [keeps one](crate::RoutingPolicy::keeps_one) replica, such as
-//! [`Bound`](crate::Bound), each selection replaces the replica with its
-//! first match instead. A background refresher re-selects on a jittered
+//! [`Bound`](crate::Bound), each selection keeps only its first match,
+//! in the replica already held when that is the same offer. A background refresher re-selects on a jittered
 //! interval, seeded per set, so the set tracks the trader without
 //! synchronized polling stampedes.
 
@@ -267,47 +267,48 @@ impl ReplicaSet {
     /// [`Replica::key`]: retained offers get their snapshot refreshed
     /// (stats survive), replicas that no longer match are evicted, and
     /// new matches are appended in the order given. Under a policy that
-    /// [keeps one](RoutingPolicy::keeps_one) replica, the set instead
-    /// replaces its replica with the first match, so its owner
-    /// re-attaches on every selection, even one of the same offer.
-    pub fn apply(&self, mut matches: Vec<OfferMatch>) -> RefreshSummary {
+    /// [keeps one](RoutingPolicy::keeps_one) replica, the set keeps only
+    /// the first match: the replica it holds when that is the same
+    /// offer, with its snapshot refreshed, else a new one in its place.
+    pub fn apply(&self, matches: Vec<OfferMatch>) -> RefreshSummary {
         self.inner.metrics.refreshes.incr();
-        let keeps_one = self.keeps_one();
-        // A keep-one set diffs nothing, so it computes no keys.
-        let keys: Vec<String> = match keeps_one {
-            true => {
-                matches.truncate(1);
-                Vec::new()
-            }
-            false => matches.iter().map(Replica::match_key).collect(),
-        };
         let mut added = Vec::new();
         let mut evicted = Vec::new();
         let total = {
             let mut routing = self.inner.routing.write();
+            let keeps_one = routing.policy.keeps_one();
             let replicas = &mut routing.replicas;
+            let mut add = |replicas: &mut Vec<Arc<Replica>>, key, m| {
+                let replica = Arc::new(Replica::from_match(key, m));
+                replicas.push(replica.clone());
+                added.push(replica);
+            };
             if keeps_one {
-                evicted = std::mem::take(replicas);
-            }
-            replicas.retain(|r| {
-                let matched = keys.iter().any(|key| key == r.key());
-                if !matched {
-                    evicted.push(r.clone());
+                // A keep-one set diffs nothing, so it computes no keys.
+                match (replicas.as_slice(), matches.into_iter().next()) {
+                    ([r], Some(m)) if r.target == m.target && r.offer.lock().id == m.id => {
+                        *r.offer.lock() = m;
+                    }
+                    (_, first) => {
+                        evicted = std::mem::take(replicas);
+                        if let Some(m) = first {
+                            add(replicas, None, m);
+                        }
+                    }
                 }
-                matched
-            });
-            let mut keys = keys.into_iter();
-            for m in matches {
-                let key = keys.next();
-                match key
-                    .as_deref()
-                    .and_then(|key| replicas.iter().find(|r| r.key() == key))
-                {
-                    Some(r) => *r.offer.lock() = m,
-                    None => {
-                        let replica = Arc::new(Replica::from_match(key, m));
-                        replicas.push(replica.clone());
-                        added.push(replica);
+            } else {
+                let keys: Vec<String> = matches.iter().map(Replica::match_key).collect();
+                replicas.retain(|r| {
+                    let matched = keys.iter().any(|key| key == r.key());
+                    if !matched {
+                        evicted.push(r.clone());
+                    }
+                    matched
+                });
+                for (key, m) in keys.into_iter().zip(matches) {
+                    match replicas.iter().find(|r| r.key() == key) {
+                        Some(r) => *r.offer.lock() = m,
+                        None => add(replicas, Some(key), m),
                     }
                 }
             }
@@ -556,20 +557,34 @@ mod tests {
     }
 
     #[test]
-    fn a_keep_one_policy_replaces_its_replica_on_every_selection() {
+    fn a_keep_one_policy_keeps_its_replica_for_the_same_offer() {
         let (trader, set) = setup();
         let set = set.with_policy_named("bound");
-        export(&trader, "a", 1.0);
-        export(&trader, "b", 2.0);
+        let a = export(&trader, "a", 1.0);
+        let b = export(&trader, "b", 2.0);
         let s = set.refresh().unwrap();
         assert_eq!((s.added.len(), s.evicted.len(), s.total), (1, 0, 1));
-        assert_eq!(set.pick(None).unwrap().target().endpoint, "inproc://a");
+        let held = set.pick(None).unwrap();
+        assert_eq!(held.target().endpoint, "inproc://a");
 
-        // The same offer again: a new replica takes the old one's place.
+        // The same offer again: the replica stays, its snapshot
+        // refreshed.
+        trader
+            .modify(&a, vec![("LoadAvg".into(), Value::from(0.5).into())])
+            .unwrap();
+        let s = set.refresh().unwrap();
+        assert_eq!((s.added.len(), s.evicted.len(), s.total), (0, 0, 1));
+        assert!(Arc::ptr_eq(&set.pick(None).unwrap(), &held));
+        assert_eq!(held.property_f64("LoadAvg"), Some(0.5));
+
+        // Another first match: a new replica takes the old one's place.
+        trader
+            .modify(&b, vec![("LoadAvg".into(), Value::from(0.1).into())])
+            .unwrap();
         let s = set.refresh().unwrap();
         assert_eq!((s.added.len(), s.evicted.len(), s.total), (1, 1, 1));
-        assert_eq!(s.added[0].key(), s.evicted[0].key());
-        assert!(!Arc::ptr_eq(&s.added[0], &s.evicted[0]));
+        assert!(Arc::ptr_eq(&s.evicted[0], &held));
+        assert_eq!(s.added[0].target().endpoint, "inproc://b");
 
         // Switched to a spreading policy, the next selection keeps every
         // match.

@@ -230,6 +230,9 @@ struct SpInner {
     observer_ref: OnceLock<ObjRef>,
     isolate: Mutex<Option<Isolate>>,
     facade: OnceLock<Stored>,
+    /// The facade's monitor proxy tables, newest last (see
+    /// [`monitor_table`]).
+    monitor_tables: Mutex<VecDeque<(ObjRef, Stored)>>,
     invocations: AtomicU64,
     rebinds: AtomicU64,
     events_received: AtomicU64,
@@ -533,6 +536,7 @@ impl SmartProxyBuilder {
             observer_ref: OnceLock::new(),
             isolate: Mutex::new(None),
             facade: OnceLock::new(),
+            monitor_tables: Mutex::new(VecDeque::new()),
             invocations: AtomicU64::new(0),
             rebinds: AtomicU64::new(0),
             events_received: AtomicU64::new(0),
@@ -915,7 +919,8 @@ impl SmartProxy {
         let Some(first) = first else {
             return Ok(false);
         };
-        let kept = match inner.set.keeps_one() {
+        let keeps_one = inner.set.keeps_one();
+        let kept = match keeps_one {
             true => vec![matches.swap_remove(first)],
             false => std::mem::take(&mut matches),
         };
@@ -946,7 +951,9 @@ impl SmartProxy {
             inner.rebinds.fetch_add(1, Ordering::Relaxed);
             inner.metrics.rebinds.incr();
         }
-        Ok(!change.added.is_empty() || !change.evicted.is_empty())
+        // A keep-one set that kept its replica for the same offer changed
+        // nothing, but a selection that matched still reports `true`.
+        Ok(keeps_one || !change.added.is_empty() || !change.evicted.is_empty())
     }
 
     // ---- events ----------------------------------------------------------
@@ -1348,7 +1355,7 @@ fn refresh_facade(proxy: &SmartProxy, facade: &adapta_script::Value) {
     let monitors = adapta_script::Value::table();
     if let Some(mt) = monitors.as_table() {
         for (name, monitor_ref) in &offer.dynamic {
-            let table = script_env::proxy_table(&proxy.inner.orb, &proxy.inner.repo, monitor_ref);
+            let table = monitor_table(proxy, monitor_ref);
             mt.borrow_mut().set_str(name, table.clone());
             if name == "LoadAvg" {
                 t.borrow_mut().set_str("_loadavgmon", table);
@@ -1358,10 +1365,35 @@ fn refresh_facade(proxy: &SmartProxy, facade: &adapta_script::Value) {
     t.borrow_mut().set_str("_monitors", monitors);
 }
 
+/// Monitor proxy tables a strategy facade keeps at most.
+const MONITOR_TABLES: usize = 16;
+
+/// The proxy table of `monitor` for the strategy facade. The tables of
+/// the [`MONITOR_TABLES`] monitors used last are kept in the proxy's
+/// isolate, out of reach of scripts, so a refresh reuses them instead
+/// of building them again (a strategy run refreshes twice: before it
+/// runs, and after its `_select` rebinds). Runs in the isolate's job.
+fn monitor_table(proxy: &SmartProxy, monitor: &ObjRef) -> adapta_script::Value {
+    let mut tables = proxy.inner.monitor_tables.lock();
+    if let Some(at) = tables.iter().position(|(r, _)| r == monitor) {
+        let entry = tables.remove(at).expect("a found position");
+        let table = entry.1.get();
+        tables.push_back(entry);
+        return table;
+    }
+    let table = script_env::proxy_table(&proxy.inner.orb, &proxy.inner.repo, monitor);
+    if tables.len() >= MONITOR_TABLES {
+        tables.pop_front();
+    }
+    tables.push_back((monitor.clone(), Stored::new(table.clone())));
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adapta_trading::{ExportRequest, ServiceTypeDef, Trader};
+    use adapta_idl::TypeCode;
+    use adapta_trading::{ExportRequest, PropDef, PropMode, ServiceTypeDef, Trader};
 
     #[test]
     fn evicted_replicas_leave_the_health_table() {
@@ -1410,5 +1442,65 @@ mod tests {
         assert_eq!(proxy.inner.health.tracked_targets(), 1);
         assert_eq!(proxy.breaker_state(&dead), Some(BreakerState::Closed));
         assert_eq!(proxy.breaker_state(&live), Some(BreakerState::Closed));
+    }
+
+    /// A proxy that rebinds across 100 offers, each behind a monitor of
+    /// its own, keeps at most `MONITOR_TABLES` monitor proxy tables,
+    /// and its isolate's stored values stay bounded with them.
+    #[test]
+    fn rebinding_across_many_monitors_keeps_a_bounded_facade_cache() {
+        let orb = Orb::new("sp-facade-cache");
+        let trader = Trader::new(&orb);
+        trader
+            .add_type(ServiceTypeDef::new("FacadeSvc").with_property(PropDef::new(
+                "LoadAvg",
+                TypeCode::Double,
+                PropMode::Normal,
+            )))
+            .unwrap();
+        let target = ObjRef::new("inproc://sp-facade-cache-server", "svc", "FacadeSvc");
+        let proxy = SmartProxy::builder(
+            &orb,
+            &InterfaceRepository::new(),
+            Arc::new(trader.clone()),
+            "FacadeSvc",
+        )
+        .lazy()
+        .build()
+        .unwrap();
+        proxy
+            .set_strategy_script("Probe", "function(self) return self._loadavgmon ~= nil end")
+            .unwrap();
+        let mut offer = None;
+        let mut stored = Vec::new();
+        for i in 0..100 {
+            if let Some(id) = offer.take() {
+                trader.withdraw(&id).unwrap();
+            }
+            // Nothing answers at the monitor: the property resolves to
+            // nothing, but the match still names its monitor.
+            let monitor = ObjRef::new(
+                "inproc://sp-facade-cache-monitors",
+                format!("mon-{i}"),
+                "Monitor",
+            );
+            offer = Some(
+                trader
+                    .export(
+                        ExportRequest::new("FacadeSvc", target.clone())
+                            .with_dynamic_property("LoadAvg", monitor),
+                    )
+                    .unwrap(),
+            );
+            assert!(proxy.reselect().unwrap());
+            proxy.adapt_now("Probe");
+            stored.push(proxy.actor().stored_count().unwrap());
+        }
+        assert_eq!(proxy.inner.monitor_tables.lock().len(), MONITOR_TABLES);
+        assert_eq!(
+            stored[99],
+            stored[MONITOR_TABLES + 10],
+            "stored values grew: {stored:?}"
+        );
     }
 }

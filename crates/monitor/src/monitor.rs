@@ -27,6 +27,9 @@ pub const OBSERVER_QUEUE_CAP: usize = 16;
 /// Consecutive failed `oneway` pushes after which a remote observer is
 /// evicted.
 pub const EVICT_AFTER_FAILED_PUSHES: u32 = 5;
+/// Compiled functions, and installers' monitor facades, that each of a
+/// monitor's isolates keeps for reuse (see [`ScriptCache`]).
+pub(crate) const SCRIPT_CACHE_CAP: usize = 16;
 
 /// Where a monitor's property value comes from on each tick.
 pub(crate) enum ValueSource {
@@ -42,9 +45,11 @@ pub(crate) enum ValueSource {
 /// stored in the isolate that hosts it: the function, its first argument
 /// (an aspect's persistent `self` table, or the observer as scripts see
 /// it) and its monitor facade. All three are stored in the job that
-/// compiles the function, so a tick only looks them up, and released
+/// installs the function, so a tick only looks them up, and released
 /// when the entry drops (detach, replacement, eviction, or the monitor
-/// going away).
+/// going away). The function and the facade may be shared with other
+/// entries through the isolate's [`ScriptCache`]; the first argument is
+/// the entry's own.
 pub(crate) struct ScriptFn {
     isolate: Isolate,
     func: Stored,
@@ -73,11 +78,18 @@ impl ScriptFn {
         func: Script,
         first: Script,
     ) -> ScriptFn {
+        let facade = Stored::new(facade::monitor_facade(monitor, installer));
+        ScriptFn::with(Stored::new(func), first, facade)
+    }
+
+    /// An entry of a stored `func` and `facade`, storing `first` in the
+    /// isolate running the current job.
+    fn with(func: Stored, first: Script, facade: Stored) -> ScriptFn {
         ScriptFn {
             isolate: Isolate::current().expect("script entries are stored in an isolate job"),
-            func: Stored::new(func),
+            func,
             first: Stored::new(first),
-            facade: Stored::new(facade::monitor_facade(monitor, installer)),
+            facade,
         }
     }
 
@@ -91,6 +103,67 @@ impl ScriptFn {
                 args: Some((self.first.clone(), self.facade.clone())),
             },
         )
+    }
+}
+
+/// What installs into one of a monitor's isolates reuse, each list at
+/// most [`SCRIPT_CACHE_CAP`] long, the oldest entry evicted first:
+///
+/// - compiled `function … end` literals, by source text. Such a
+///   function has no upvalues, so entries can share it. A chunk that
+///   returns a function may close over its own locals, so it is
+///   compiled afresh for every entry;
+/// - the monitor facade of each installer.
+///
+/// The values live in that isolate, so the trusted isolate and the
+/// sandbox each have a cache of their own and never share an entry:
+/// remotely shipped code never runs a function compiled outside the
+/// sandbox. An evicted value lives on while an entry still holds it.
+#[derive(Default)]
+pub(crate) struct ScriptCache {
+    functions: Mutex<VecDeque<(Box<str>, Stored)>>,
+    facades: Mutex<VecDeque<(Box<str>, Stored)>>,
+}
+
+impl ScriptCache {
+    /// The value under `key` in `entries`, made by `make` (outside the
+    /// lock: compiling runs script code) when it is not there.
+    fn get_or_make(
+        entries: &Mutex<VecDeque<(Box<str>, Stored)>>,
+        key: &str,
+        make: impl FnOnce() -> Result<Stored, ActorError>,
+    ) -> Result<Stored, ActorError> {
+        if let Some((_, value)) = entries.lock().iter().find(|(k, _)| **k == *key) {
+            return Ok(value.clone());
+        }
+        let value = make()?;
+        let mut entries = entries.lock();
+        if entries.len() >= SCRIPT_CACHE_CAP {
+            entries.pop_front();
+        }
+        entries.push_back((key.into(), value.clone()));
+        Ok(value)
+    }
+
+    /// `code` compiled in the current job's isolate.
+    fn function(&self, interp: &mut Interpreter, code: &str) -> Result<Stored, ActorError> {
+        let mut compile = || Ok(Stored::new(interp.compile_function(code)?));
+        match code.trim_start().starts_with("function") {
+            true => Self::get_or_make(&self.functions, code, compile),
+            false => compile(),
+        }
+    }
+
+    /// `installer`'s facade of `monitor`, in the current job's isolate.
+    fn facade(&self, monitor: &Weak<MonitorInner>, installer: &str) -> Result<Stored, ActorError> {
+        Self::get_or_make(&self.facades, installer, || {
+            Ok(Stored::new(facade::monitor_facade(monitor, installer)))
+        })
+    }
+
+    #[cfg(test)]
+    fn functions(&self) -> usize {
+        self.functions.lock().len()
     }
 }
 
@@ -220,6 +293,10 @@ pub(crate) struct MonitorInner {
     /// Lazily created isolate for remotely shipped code, running under
     /// `SandboxPolicy::remote()` (resource limits + capability strip).
     sandbox: Mutex<Option<Isolate>>,
+    /// What installs reuse in `isolate`.
+    trusted_cache: ScriptCache,
+    /// What installs reuse in `sandbox`.
+    sandbox_cache: ScriptCache,
 }
 
 /// A monitor for one observed property — `BasicMonitor`,
@@ -340,6 +417,8 @@ impl MonitorBuilder {
                 metrics,
                 last_error: Mutex::new(None),
                 sandbox: Mutex::new(None),
+                trusted_cache: ScriptCache::default(),
+                sandbox_cache: ScriptCache::default(),
             }),
         })
     }
@@ -481,8 +560,9 @@ impl Monitor {
         Ok(())
     }
 
-    /// Compiles `code` in `isolate` and stores it with its first
-    /// argument and facade, all in one job.
+    /// Compiles `code` in `isolate` (or reuses it from the isolate's
+    /// [`ScriptCache`]) and stores it with its first argument and
+    /// installer's facade, all in one job.
     fn install_script(
         &self,
         isolate: &Isolate,
@@ -491,9 +571,14 @@ impl Monitor {
         first: impl FnOnce() -> Script + Send,
     ) -> Result<ScriptFn, ActorError> {
         let monitor = Arc::downgrade(&self.inner);
+        let cache = match isolate.same_actor(&self.inner.isolate) {
+            true => &self.inner.trusted_cache,
+            false => &self.inner.sandbox_cache,
+        };
         isolate.with(|interp| {
-            let func = interp.compile_function(code)?;
-            Ok(ScriptFn::store(&monitor, installer, func, first()))
+            let func = cache.function(interp, code)?;
+            let facade = cache.facade(&monitor, installer)?;
+            Ok(ScriptFn::with(func, first(), facade))
         })?
     }
 
@@ -1522,5 +1607,128 @@ mod tests {
         let errors = mon.errors();
         mon.tick(SimTime::ZERO);
         assert_eq!(mon.errors(), errors);
+    }
+
+    /// An observer with a callback target, counting its notifications.
+    fn counting_target() -> (ObserverTarget, Arc<AtomicUsize>) {
+        let fired = Arc::new(AtomicUsize::new(0));
+        let counter = fired.clone();
+        let target = ObserverTarget::Callback(Arc::new(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }));
+        (target, fired)
+    }
+
+    #[test]
+    fn distinct_predicate_sources_leave_a_bounded_compile_cache() {
+        let (orb, actor) = setup();
+        let mon = Monitor::builder("Cache")
+            .source_native(|_| Value::from(50.0))
+            .build(&actor, &orb)
+            .unwrap();
+        let mut counters = Vec::new();
+        for i in 0..100 {
+            let (target, fired) = counting_target();
+            let code = format!("function(o, v, m) return v > {i} end");
+            mon.attach_observer_script(target, "E", &code).unwrap();
+            counters.push(fired);
+        }
+        assert_eq!(mon.inner.trusted_cache.functions(), SCRIPT_CACHE_CAP);
+        mon.tick(SimTime::ZERO);
+        // Every observer runs its own predicate, evicted from the cache
+        // or not: those below 50 fire.
+        let fired: Vec<usize> = counters.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        assert_eq!(fired.iter().sum::<usize>(), 50, "{fired:?}");
+        assert!(fired[..50].iter().all(|&n| n == 1));
+        assert_eq!(mon.errors(), 0);
+    }
+
+    /// The same source attached locally and remotely is compiled in
+    /// each isolate: the remote predicate runs the sandbox's function,
+    /// which cannot see what the trusted isolate defines.
+    #[test]
+    fn a_remote_predicate_never_runs_a_trusted_compile() {
+        let (orb, actor) = setup();
+        let mon = Monitor::builder("Isolated")
+            .source_native(|_| Value::from(1.0))
+            .build(&actor, &orb)
+            .unwrap();
+        actor.eval("trusted_only = true").unwrap();
+        let code = "function(o, v, m) return trusted_only == true end";
+        let (local, local_fired) = counting_target();
+        mon.attach_observer_script(local, "E", code).unwrap();
+        let (remote, remote_fired) = counting_target();
+        mon.attach_observer_script_remote("peer", remote, "E", code)
+            .unwrap();
+        mon.tick(SimTime::ZERO);
+        assert_eq!(mon.errors(), 0, "{:?}", mon.last_error());
+        assert_eq!(local_fired.load(Ordering::Relaxed), 1);
+        assert_eq!(remote_fired.load(Ordering::Relaxed), 0);
+        assert_eq!(mon.inner.trusted_cache.functions(), 1);
+        assert_eq!(mon.inner.sandbox_cache.functions(), 1);
+    }
+
+    /// Two observers of one source share its compile but not their
+    /// state: one that fails is quarantined alone, and each detaches
+    /// alone.
+    #[test]
+    fn observers_of_one_source_keep_their_own_quarantine_and_detach() {
+        let (orb, actor) = setup();
+        let mon = Monitor::builder("Shared")
+            .source_native(|_| Value::from(1.0))
+            .build(&actor, &orb)
+            .unwrap();
+        let observer = |bad: bool| {
+            actor
+                .with(move |interp| {
+                    let table = interp.eval_expr("{}").unwrap();
+                    if let Some(t) = table.as_table() {
+                        t.borrow_mut().set_str("bad", Script::Bool(bad));
+                    }
+                    ObserverTarget::Local(Stored::new(table))
+                })
+                .unwrap()
+        };
+        let code = "function(o, v, m) if o.bad then error('bad observer') end return false end";
+        let bad = mon
+            .attach_observer_script(observer(true), "E", code)
+            .unwrap();
+        let good = mon
+            .attach_observer_script(observer(false), "E", code)
+            .unwrap();
+        assert_eq!(mon.inner.trusted_cache.functions(), 1);
+        for _ in 0..crate::guard::QUARANTINE_THRESHOLD {
+            mon.tick(SimTime::ZERO);
+        }
+        assert_eq!(mon.errors(), u64::from(crate::guard::QUARANTINE_THRESHOLD));
+        assert_eq!(mon.quarantined_count(), 1);
+        assert!(mon.detach_observer(bad));
+        assert_eq!(mon.observer_count(), 1);
+        assert_eq!(mon.quarantined_count(), 0);
+        mon.tick(SimTime::ZERO);
+        assert_eq!(mon.errors(), u64::from(crate::guard::QUARANTINE_THRESHOLD));
+        assert!(mon.detach_observer(good));
+        assert_eq!(mon.observer_count(), 0);
+    }
+
+    /// A chunk returning a function closes over its own locals, so each
+    /// observer of it gets a closure of its own.
+    #[test]
+    fn a_chunk_source_gives_each_observer_its_own_closure() {
+        let (orb, actor) = setup();
+        let mon = Monitor::builder("Chunk")
+            .source_native(|_| Value::from(1.0))
+            .build(&actor, &orb)
+            .unwrap();
+        let code = "local n = 0 return function(o, v, m) n = n + 1 return n == 2 end";
+        let (a, a_fired) = counting_target();
+        let (b, b_fired) = counting_target();
+        mon.attach_observer_script(a, "E", code).unwrap();
+        mon.attach_observer_script(b, "E", code).unwrap();
+        mon.tick(SimTime::ZERO);
+        mon.tick(SimTime::ZERO);
+        assert_eq!(a_fired.load(Ordering::Relaxed), 1);
+        assert_eq!(b_fired.load(Ordering::Relaxed), 1);
+        assert_eq!(mon.inner.trusted_cache.functions(), 0);
     }
 }

@@ -47,6 +47,7 @@ mod preference;
 mod query;
 mod servant;
 mod service_type;
+mod standing;
 mod trader;
 
 pub use constraint::{Constraint, PropLookup};
@@ -57,7 +58,7 @@ pub use preference::Preference;
 pub use query::{Policies, Query};
 pub use servant::{RemoteTrader, TraderServant, TradingService};
 pub use service_type::{PropDef, PropMode, ServiceTypeDef};
-pub use trader::Trader;
+pub use trader::{Trader, MAX_HOP_COUNT, MAX_RETURN_CARD, MAX_SEARCH_CARD};
 
 /// Result alias for trading operations.
 pub type Result<T> = std::result::Result<T, TradingError>;

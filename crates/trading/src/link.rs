@@ -200,6 +200,21 @@ mod tests {
         assert_eq!(matches[1].prop("LoadAvg"), Some(&Value::from(30.0)));
     }
 
+    /// An importer's `hop_count` of `u32::MAX` is clamped to the
+    /// trader's maximum, so the cycle ends after a few nested calls
+    /// instead of overflowing the stack, with both offers returned once.
+    #[test]
+    fn a_cycle_at_the_largest_hop_count_returns_both_offers() {
+        let (_oa, a, ra) = node("t-link-maxhop-a");
+        let (_ob, b, rb) = node("t-link-maxhop-b");
+        export(&a, "a", 1.0);
+        export(&b, "b", 2.0);
+        a.add_link("to-b", rb);
+        b.add_link("to-a", ra);
+        let matches = a.query(&Query::new("Hello").hops(u32::MAX)).unwrap();
+        assert_eq!(matches.len(), 2);
+    }
+
     #[test]
     fn dead_link_degrades_instead_of_failing() {
         let (_oa, a, _ra) = node("t-link-dead-a");

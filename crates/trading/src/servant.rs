@@ -443,6 +443,7 @@ mod tests {
     use super::*;
     use adapta_idl::ObjRefData;
     use adapta_orb::Orb;
+    use adapta_telemetry::registry;
 
     fn remote_pair() -> (Orb, RemoteTrader) {
         let trader_orb = Orb::new("t-svnt-trader");
@@ -562,6 +563,39 @@ mod tests {
             service_type_from_value(&service_type_to_value(&def)),
             Some(def)
         );
+    }
+
+    /// A DII importer's `search_card` of 1e9 reaches the trader as it
+    /// was sent, and the trader clamps it (and counts the clamp).
+    #[test]
+    fn a_dii_query_with_a_huge_search_card_is_clamped_and_counted() {
+        let trader_orb = Orb::new("t-svnt-clamp-trader");
+        let trader = Trader::new(&trader_orb);
+        trader.add_type(hello_type()).unwrap();
+        trader
+            .export(
+                ExportRequest::new("Hello", ObjRefData::new("inproc://s", "h", "Hello"))
+                    .with_property("LoadAvg", Value::from(5.0)),
+            )
+            .unwrap();
+        let objref = trader_orb
+            .activate("trader", TraderServant::new(trader))
+            .unwrap();
+        let client = Orb::new("t-svnt-clamp-client");
+        let query = Value::map([
+            ("type", Value::from("Hello")),
+            ("constraint", Value::from("LoadAvg < 50")),
+            ("preference", Value::from("")),
+            (
+                "policies",
+                Value::map([("search_card", Value::Long(1_000_000_000))]),
+            ),
+        ]);
+        let clamped = registry().counter("trading.policy_clamped");
+        let before = clamped.value();
+        let reply = client.proxy(&objref).invoke("query", vec![query]).unwrap();
+        assert_eq!(reply.as_seq().map(<[Value]>::len), Some(1));
+        assert!(clamped.value() > before, "the clamp was not counted");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The trader: service-type repository, offer register, importer.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -21,12 +22,25 @@ use crate::offer::{ExportRequest, OfferId, OfferMatch, PropValue, ServiceOffer};
 use crate::preference::Preference;
 use crate::query::Query;
 use crate::service_type::{PropDef, ServiceTypeDef};
+use crate::standing::{resolves, StandingQueries, StandingQuery, StaticProps};
 use crate::Result;
 
 /// A query times the constraint evaluation of its first candidate and
 /// of one in every `EVAL_SAMPLE_EVERY` after it: two clock reads cost
 /// about as much as the evaluation they would time.
 const EVAL_SAMPLE_EVERY: usize = 64;
+
+/// The largest import policies a trader honours, as the OMG trader's
+/// `max_hop_count`, `max_search_card` and `max_return_card` attributes:
+/// an importer's larger values are clamped to these at the top of
+/// [`Trader::query`], and each clamp is counted
+/// (`trading.policy_clamped`). A forwarded query nests one call per
+/// hop, so the hop cap also bounds that depth.
+pub const MAX_HOP_COUNT: u32 = 8;
+/// See [`MAX_HOP_COUNT`].
+pub const MAX_SEARCH_CARD: u32 = 10_000;
+/// See [`MAX_HOP_COUNT`].
+pub const MAX_RETURN_CARD: u32 = 10_000;
 
 /// A liveness lease on an offer: the offer expires `ttl` after export
 /// (or after the last renewal) unless the exporter renews it.
@@ -53,6 +67,40 @@ impl OfferEntry {
     /// True if the offer may be returned to importers.
     fn visible(&self, now: Instant) -> bool {
         !self.quarantined && !self.expired(now)
+    }
+
+    /// The offer as standing queries track it: with whether its
+    /// visibility can change without a write (a lease or a quarantine).
+    fn tracked(&self) -> (&ServiceOffer, bool) {
+        (&self.offer, self.lease.is_some() || self.quarantined)
+    }
+}
+
+/// The offers, under their seqs, and the standing queries over them:
+/// one lock guards both, so every write to an offer updates the
+/// standing queries before a query can see it.
+#[derive(Default)]
+struct OfferTable {
+    entries: BTreeMap<u64, OfferEntry>,
+    standing: StandingQueries,
+}
+
+impl OfferTable {
+    /// Inserts, replaces (`Some`) or removes (`None`) offer `seq`.
+    fn put(&mut self, seq: u64, entry: Option<OfferEntry>) -> Option<OfferEntry> {
+        let old = match entry {
+            Some(entry) => self.entries.insert(seq, entry),
+            None => self.entries.remove(&seq),
+        };
+        self.retrack(seq);
+        old
+    }
+
+    /// Records offer `seq`'s current state in the standing queries,
+    /// after a change made in place.
+    fn retrack(&mut self, seq: u64) {
+        let entry = self.entries.get(&seq);
+        self.standing.track(seq, entry.map(OfferEntry::tracked));
     }
 }
 
@@ -86,27 +134,13 @@ impl QueryMetrics {
 struct TraderInner {
     orb: Orb,
     types: RwLock<HashMap<String, ServiceTypeDef>>,
-    offers: RwLock<BTreeMap<u64, OfferEntry>>,
+    offers: RwLock<OfferTable>,
     next_offer: AtomicU64,
     links: LinkSet,
     rng: Mutex<StdRng>,
     queries: AtomicU64,
     sweeper: OnceLock<Periodic>,
     metrics: QueryMetrics,
-}
-
-/// An offer's static properties, read where the trader stores them.
-/// Dynamic properties are absent, as they are from a query that does
-/// not evaluate them.
-struct StaticProps<'a>(&'a [(String, PropValue)]);
-
-impl PropLookup for StaticProps<'_> {
-    fn prop(&self, name: &str) -> Option<&Value> {
-        self.0.iter().find_map(|(k, v)| match v {
-            PropValue::Static(v) if k == name => Some(v),
-            _ => None,
-        })
-    }
 }
 
 /// A candidate that survived the scan under the offers lock.
@@ -164,6 +198,30 @@ fn materialize(
     }
 }
 
+/// `q` with its policies clamped to the trader's maximums, each clamp
+/// counted; borrowed when none needs it.
+fn clamp_policies(q: &Query) -> Cow<'_, Query> {
+    let p = &q.policies;
+    let over = [
+        p.hop_count > MAX_HOP_COUNT,
+        p.search_card > MAX_SEARCH_CARD,
+        p.return_card > MAX_RETURN_CARD,
+    ];
+    let clamps = over.iter().filter(|&&o| o).count();
+    if clamps == 0 {
+        return Cow::Borrowed(q);
+    }
+    registry()
+        .counter("trading.policy_clamped")
+        .add(clamps as u64);
+    let mut q = q.clone();
+    let p = &mut q.policies;
+    p.hop_count = p.hop_count.min(MAX_HOP_COUNT);
+    p.search_card = p.search_card.min(MAX_SEARCH_CARD);
+    p.return_card = p.return_card.min(MAX_RETURN_CARD);
+    Cow::Owned(q)
+}
+
 /// The trading service.
 ///
 /// A `Trader` is a cheaply-cloneable handle; expose it to other
@@ -179,7 +237,7 @@ impl std::fmt::Debug for Trader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Trader")
             .field("types", &self.inner.types.read().len())
-            .field("offers", &self.inner.offers.read().len())
+            .field("offers", &self.inner.offers.read().entries.len())
             .finish()
     }
 }
@@ -192,7 +250,7 @@ impl Trader {
             inner: Arc::new(TraderInner {
                 orb: orb.clone(),
                 types: RwLock::new(HashMap::new()),
-                offers: RwLock::new(BTreeMap::new()),
+                offers: RwLock::default(),
                 next_offer: AtomicU64::new(1),
                 links: LinkSet::default(),
                 rng: Mutex::new(StdRng::seed_from_u64(0x7261_6465)),
@@ -231,6 +289,11 @@ impl Trader {
             }
         }
         types.insert(def.name.clone(), def);
+        drop(types);
+        // A new subtype changes what a standing query accepts. Queries
+        // read the types under the offers lock, so none stands on the
+        // old ones once this clear is through.
+        self.inner.offers.write().standing.clear();
         Ok(())
     }
 
@@ -328,13 +391,13 @@ impl Trader {
                 expires_at: Instant::now() + ttl,
             }
         });
-        self.inner.offers.write().insert(
+        self.inner.offers.write().put(
             n,
-            OfferEntry {
+            Some(OfferEntry {
                 offer,
                 lease,
                 quarantined: false,
-            },
+            }),
         );
         Ok(id)
     }
@@ -385,7 +448,7 @@ impl Trader {
         self.inner
             .offers
             .write()
-            .remove(&seq)
+            .put(seq, None)
             .map(|_| ())
             .ok_or_else(|| TradingError::UnknownOffer(id.to_string()))
     }
@@ -399,6 +462,7 @@ impl Trader {
         let seq = Self::offer_seq(id).ok_or_else(|| TradingError::UnknownOffer(id.to_string()))?;
         let mut offers = self.inner.offers.write();
         let entry = offers
+            .entries
             .get_mut(&seq)
             .ok_or_else(|| TradingError::UnknownOffer(id.to_string()))?;
         let service_type = entry.offer.service_type.clone();
@@ -406,6 +470,7 @@ impl Trader {
         self.validate_props(&service_type, &props, true)?;
         let mut offers = self.inner.offers.write();
         let entry = offers
+            .entries
             .get_mut(&seq)
             .ok_or_else(|| TradingError::UnknownOffer(id.to_string()))?;
         let properties = &mut Arc::make_mut(&mut entry.offer).properties;
@@ -416,6 +481,7 @@ impl Trader {
                 properties.push((name, value));
             }
         }
+        offers.retrack(seq);
         Ok(())
     }
 
@@ -432,6 +498,7 @@ impl Trader {
         let seq = Self::offer_seq(id).ok_or_else(|| TradingError::UnknownOffer(id.to_string()))?;
         let mut offers = self.inner.offers.write();
         let entry = offers
+            .entries
             .get_mut(&seq)
             .ok_or_else(|| TradingError::UnknownOffer(id.to_string()))?;
         let now = Instant::now();
@@ -446,6 +513,7 @@ impl Trader {
             (None, None) => {}
         }
         entry.quarantined = false;
+        offers.retrack(seq);
         registry().counter("trading.lease.renewals").incr();
         Ok(())
     }
@@ -460,6 +528,7 @@ impl Trader {
         self.inner
             .offers
             .read()
+            .entries
             .get(&seq)
             .map(|e| ServiceOffer::clone(&e.offer))
             .ok_or_else(|| TradingError::UnknownOffer(id.to_string()))
@@ -472,6 +541,7 @@ impl Trader {
         self.inner
             .offers
             .read()
+            .entries
             .values()
             .map(|e| ServiceOffer::clone(&e.offer))
             .collect()
@@ -482,6 +552,7 @@ impl Trader {
         self.inner
             .offers
             .read()
+            .entries
             .values()
             .filter(|e| e.quarantined)
             .map(|e| e.offer.id.clone())
@@ -520,9 +591,16 @@ impl Trader {
         let mut changed = 0usize;
         {
             let mut offers = self.inner.offers.write();
-            let before = offers.len();
-            offers.retain(|_, entry| !entry.expired(now));
-            let expired = before - offers.len();
+            let expired: Vec<u64> = offers
+                .entries
+                .iter()
+                .filter(|(_, entry)| entry.expired(now))
+                .map(|(seq, _)| *seq)
+                .collect();
+            for &seq in &expired {
+                offers.put(seq, None);
+            }
+            let expired = expired.len();
             if expired > 0 {
                 registry()
                     .counter("trading.lease.expired")
@@ -536,6 +614,7 @@ impl Trader {
             .inner
             .offers
             .read()
+            .entries
             .iter()
             .map(|(seq, entry)| (*seq, entry.offer.target.clone(), entry.quarantined))
             .collect();
@@ -555,7 +634,7 @@ impl Trader {
                 Err(e) => !e.is_retryable(),
             };
             let mut offers = self.inner.offers.write();
-            if let Some(entry) = offers.get_mut(&seq) {
+            if let Some(entry) = offers.entries.get_mut(&seq) {
                 if alive && was_quarantined && entry.quarantined {
                     entry.quarantined = false;
                     registry().counter("trading.liveness.revived").incr();
@@ -565,6 +644,7 @@ impl Trader {
                     registry().counter("trading.liveness.quarantined").incr();
                     changed += 1;
                 }
+                offers.retrack(seq);
             }
         }
         changed
@@ -592,8 +672,13 @@ impl Trader {
     /// Runs an import query: filter by constraint, order by
     /// preference, merge federated results, apply cardinality policies.
     ///
-    /// Offers are judged where they are stored, under the offers read
-    /// lock, and only matches are copied out. An offer with dynamic
+    /// The policies are first clamped to [`MAX_HOP_COUNT`],
+    /// [`MAX_SEARCH_CARD`] and [`MAX_RETURN_CARD`]. The query walks the
+    /// offers its standing query (see `standing.rs`) names, built on
+    /// the first query of its key: the candidates below an exact
+    /// cutoff, else every offer of its types. Offers are judged where
+    /// they are stored, under the offers read lock, and only matches
+    /// are copied out. An offer with dynamic
     /// properties (when the query evaluates them) is snapshotted instead
     /// and resolved after the lock is released: `evalDP` is an orb call,
     /// and no orb call is made under the offers lock.
@@ -604,14 +689,32 @@ impl Trader {
     /// properties that fail to evaluate are dropped from the offer
     /// (possibly excluding it from the match, never failing the query).
     pub fn query(&self, q: &Query) -> Result<Vec<OfferMatch>> {
+        let q = &*clamp_policies(q);
         let metrics = &self.inner.metrics;
         self.inner.queries.fetch_add(1, Ordering::Relaxed);
         metrics.queries.incr();
         let mut span = Span::start("trader:query");
         span.attr("service_type", &q.service_type);
-        let accepted = self.accepted_types(q)?;
-        let constraint = Constraint::parse(&q.constraint)?;
+        let mut offers = self.inner.offers.read();
+        let at = match offers.standing.position(q) {
+            Some(at) => at,
+            None => {
+                drop(offers);
+                let mut table = self.inner.offers.write();
+                let at = match table.standing.position(q) {
+                    Some(at) => at,
+                    None => {
+                        let standing = self.stand(&table, q)?;
+                        table.standing.add(standing)
+                    }
+                };
+                offers = std::sync::RwLockWriteGuard::downgrade(table);
+                at
+            }
+        };
         let preference = Preference::parse(&q.preference)?;
+        let standing = offers.standing.get(at);
+        let constraint = Arc::clone(&standing.constraint);
         let use_dynamic = q.policies.use_dynamic_properties;
         let judge = |position: usize, props: &dyn PropLookup| {
             if !position.is_multiple_of(EVAL_SAMPLE_EVERY) {
@@ -626,29 +729,22 @@ impl Trader {
         let mut candidates = Vec::new();
         let mut considered = 0;
         {
-            let offers = self.inner.offers.read();
             let now = Instant::now();
-            let visible = offers
-                .values()
-                .filter(|entry| entry.visible(now))
-                .map(|entry| &entry.offer)
-                .filter(|offer| accepted.iter().any(|t| *t == offer.service_type))
-                .take(q.policies.search_card as usize);
-            for offer in visible {
+            let visible = |seq: &u64| offers.entries.get(seq).filter(|e| e.visible(now));
+            let (seqs, limit) =
+                standing.walk(q.policies.search_card, |seq| visible(&seq).is_some());
+            for entry in seqs.iter().filter_map(visible).take(limit) {
+                let offer = &entry.offer;
                 let position = considered;
                 considered += 1;
-                let dynamic = use_dynamic
-                    && offer
-                        .properties
-                        .iter()
-                        .any(|(_, v)| matches!(v, PropValue::Dynamic(_)));
-                if dynamic {
+                if resolves(offer, use_dynamic) {
                     candidates.push(Candidate::Unresolved(position, Arc::clone(offer)));
                 } else if judge(position, &StaticProps(&offer.properties)) {
                     candidates.push(Candidate::Matched(materialize(offer, |_, _| None)));
                 }
             }
         }
+        drop(offers);
         metrics.offers_considered.add(considered as u64);
         span.attr("offers_considered", considered);
 
@@ -676,7 +772,7 @@ impl Trader {
             let now = Instant::now();
             matches.retain(|m| {
                 Self::offer_seq(&m.id)
-                    .and_then(|seq| offers.get(&seq))
+                    .and_then(|seq| offers.entries.get(&seq))
                     .is_some_and(|entry| entry.visible(now))
             });
         }
@@ -696,6 +792,21 @@ impl Trader {
             .take(q.policies.return_card as usize)
             .filter_map(|i| slots[i].take())
             .collect())
+    }
+
+    /// A standing query for `q` over the offers in `table`.
+    ///
+    /// # Errors
+    ///
+    /// Unknown service type or illegal constraint.
+    fn stand(&self, table: &OfferTable, q: &Query) -> Result<StandingQuery> {
+        let types = self.accepted_types(q)?;
+        let constraint = Constraint::parse(&q.constraint)?;
+        let offers = table.entries.iter().map(|(seq, entry)| {
+            let (offer, unsure) = entry.tracked();
+            (*seq, offer, unsure)
+        });
+        Ok(StandingQuery::new(q, types, constraint, offers))
     }
 
     /// Evaluates one dynamic property through the orb; `None` when the
@@ -1130,6 +1241,123 @@ mod tests {
         trader.renew(&id, None).unwrap();
         assert!(trader.quarantined_offers().is_empty());
         assert_eq!(trader.query(&Query::new("Hello")).unwrap().len(), 1);
+    }
+
+    /// A remote importer picks its constraint texts: however many it
+    /// sends, the trader keeps at most `MAX_STANDING_QUERIES` standing
+    /// queries, and each query still answers correctly.
+    #[test]
+    fn distinct_constraint_texts_leave_a_bounded_list_of_standing_queries() {
+        let (_orb, trader) = trader_with_type();
+        for i in 0..10 {
+            export(&trader, i, f64::from(i));
+        }
+        for n in 0..100 {
+            let q = Query::new("Hello").constraint(format!("LoadAvg < {n}"));
+            let expected = n.min(10) as usize;
+            assert_eq!(trader.query(&q).unwrap().len(), expected, "LoadAvg < {n}");
+        }
+        assert_eq!(
+            trader.inner.offers.read().standing.len(),
+            crate::standing::MAX_STANDING_QUERIES
+        );
+    }
+
+    /// Adding a subtype drops the standing queries, so a standing query
+    /// for the base type sees offers of the new subtype.
+    #[test]
+    fn a_new_subtype_joins_a_standing_query() {
+        let (_orb, trader) = trader_with_type();
+        export(&trader, 1, 1.0);
+        let q = Query::new("Hello").constraint("LoadAvg < 50");
+        assert_eq!(trader.query(&q).unwrap().len(), 1);
+        trader
+            .add_type(ServiceTypeDef::new("FancyHello").extends("Hello"))
+            .unwrap();
+        trader
+            .export(
+                ExportRequest::new("FancyHello", target(2))
+                    .with_property("LoadAvg", Value::from(2.0)),
+            )
+            .unwrap();
+        assert_eq!(trader.query(&q).unwrap().len(), 2);
+    }
+
+    /// A standing query follows every write: an export that passes its
+    /// constraint, a modify that makes an offer fail it or pass it, and
+    /// a withdrawal.
+    #[test]
+    fn a_standing_query_follows_exports_modifies_and_withdrawals() {
+        let (_orb, trader) = trader_with_type();
+        let q = Query::new("Hello").constraint("LoadAvg < 50");
+        let ids = |trader: &Trader| -> Vec<OfferId> {
+            trader
+                .query(&q)
+                .unwrap()
+                .into_iter()
+                .map(|m| m.id)
+                .collect()
+        };
+        let a = export(&trader, 1, 10.0);
+        assert_eq!(ids(&trader), vec![a.clone()]);
+        let b = export(&trader, 2, 90.0);
+        assert_eq!(ids(&trader), vec![a.clone()]);
+        trader
+            .modify(&b, vec![("LoadAvg".into(), Value::from(20.0).into())])
+            .unwrap();
+        trader
+            .modify(&a, vec![("LoadAvg".into(), Value::from(70.0).into())])
+            .unwrap();
+        assert_eq!(ids(&trader), vec![b.clone()]);
+        trader.withdraw(&b).unwrap();
+        assert!(ids(&trader).is_empty());
+    }
+
+    /// A leased offer that expired before the cutoff moves the cutoff:
+    /// the query falls back to walking the accepted offers and still
+    /// considers `search_card` visible ones.
+    #[test]
+    fn an_expired_lease_below_the_cutoff_falls_back_to_the_scan() {
+        let (_orb, trader) = trader_with_type();
+        trader
+            .export(
+                ExportRequest::new("Hello", target(1))
+                    .with_property("LoadAvg", Value::from(1.0))
+                    .with_lease(Duration::from_millis(1)),
+            )
+            .unwrap();
+        export(&trader, 2, 2.0);
+        export(&trader, 3, 3.0);
+        std::thread::sleep(Duration::from_millis(5));
+        let matches = trader
+            .query(
+                &Query::new("Hello")
+                    .constraint("LoadAvg < 50")
+                    .search_card(1),
+            )
+            .unwrap();
+        assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].target, target(2));
+    }
+
+    /// An importer's policies above the trader's maximums are clamped,
+    /// and each clamp is counted.
+    #[test]
+    fn oversized_policies_are_clamped_and_counted() {
+        let clamped = || registry().counter("trading.policy_clamped").value();
+        let q = Query::new("Hello")
+            .search_card(u32::MAX)
+            .return_card(MAX_RETURN_CARD + 1)
+            .hops(MAX_HOP_COUNT);
+        let before = clamped();
+        let p = clamp_policies(&q).policies.clone();
+        assert!(clamped() >= before + 2);
+        assert_eq!(
+            (p.search_card, p.return_card, p.hop_count),
+            (MAX_SEARCH_CARD, MAX_RETURN_CARD, MAX_HOP_COUNT)
+        );
+        let within = Query::new("Hello");
+        assert!(matches!(clamp_policies(&within), Cow::Borrowed(_)));
     }
 
     #[test]

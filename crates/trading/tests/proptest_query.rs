@@ -286,3 +286,179 @@ proptest! {
         }
     }
 }
+
+/// One step of an upkeep sequence: (what, which offer, an offer spec
+/// for exports, (a Load kind and value for modifies, a flag)). `what`
+/// is export (0–2, so offers accumulate), withdraw, modify, renew,
+/// sweep or toggling the flaky exporter.
+type StepSpec = (u8, usize, OfferSpec, ((u8, u32), bool));
+
+fn step_strategy() -> impl Strategy<Value = StepSpec> {
+    (
+        0u8..8,
+        0usize..32,
+        offer_strategy(),
+        ((0u8..5, (0u32..10).prop_map(|n| n * 10)), any::<bool>()),
+    )
+}
+
+/// One query checked after every step: (service type, exact type
+/// match, constraint, preference, use_dynamic).
+type WatchSpec = (usize, bool, usize, usize, bool);
+
+fn watch_strategy() -> impl Strategy<Value = WatchSpec> {
+    (
+        0..3usize,
+        (0u8..4).prop_map(|n| n == 0),
+        0..CONSTRAINTS.len(),
+        0..PREFERENCES.len(),
+        any::<bool>(),
+    )
+}
+
+/// A trader (from [`trader_with`], with no offers) changed step by step,
+/// with one exporter that a step can deactivate and reactivate.
+struct Upkeep {
+    orb: Orb,
+    trader: Trader,
+    live: ObjRef,
+    flaky: ObjRef,
+    flaky_up: bool,
+    failing: ObjRef,
+    missing: ObjRef,
+    offers: Vec<adapta_trading::OfferId>,
+    evaluators: usize,
+}
+
+impl Upkeep {
+    fn new() -> Upkeep {
+        let (orb, trader) = trader_with(&[]);
+        let flaky = orb
+            .activate("svc-flaky", ServantFn::new("Svc", |_, _| Ok(Value::Null)))
+            .unwrap();
+        Upkeep {
+            live: ObjRef::new(orb.endpoint(), "svc", "Svc"),
+            failing: ObjRef::new(orb.endpoint(), "dp-failing", "DynamicPropEval"),
+            missing: ObjRef::new(orb.endpoint(), "dp-never-activated", "DynamicPropEval"),
+            flaky,
+            flaky_up: true,
+            orb,
+            trader,
+            offers: Vec::new(),
+            evaluators: 0,
+        }
+    }
+
+    /// A property value of kind `kind`: static, or dynamic through a
+    /// new evaluator, the failing one or a missing one; `None` when
+    /// absent.
+    fn prop(&mut self, kind_n: u8, value: Value) -> Option<PropValue> {
+        let eval_ref = match kind(kind_n) {
+            Kind::Absent => return None,
+            Kind::Static => return Some(PropValue::Static(value)),
+            Kind::Dynamic => {
+                self.evaluators += 1;
+                self.orb
+                    .activate(
+                        format!("dp-upkeep-{}", self.evaluators).as_str(),
+                        ServantFn::new("DynamicPropEval", move |_, _| Ok(value.clone())),
+                    )
+                    .unwrap()
+            }
+            Kind::Failing => self.failing.clone(),
+            Kind::Missing => self.missing.clone(),
+        };
+        Some(PropValue::Dynamic(eval_ref))
+    }
+
+    fn step(&mut self, &(what, which, spec, ((load_kind, load), flag)): &StepSpec) {
+        let pick =
+            |offers: &[adapta_trading::OfferId]| offers.get(which % offers.len().max(1)).cloned();
+        match what {
+            0..=2 => {
+                let (ty, (lk, lv), (tk, tv), answers, leased) = spec;
+                let target = match (answers, flag) {
+                    (false, _) => ObjRef::new("inproc://proptest-query-nowhere", "svc", "Svc"),
+                    (true, true) => self.flaky.clone(),
+                    (true, false) => self.live.clone(),
+                };
+                let mut request = ExportRequest::new(TYPES[ty], target);
+                for (name, k, value) in [
+                    ("Load", lk, Value::Double(f64::from(lv))),
+                    ("Tag", tk, Value::from(TAGS[tv])),
+                ] {
+                    if let Some(p) = self.prop(k, value) {
+                        request.properties.push((name.to_owned(), p));
+                    }
+                }
+                if leased {
+                    request = request.with_lease(Duration::from_secs(600));
+                }
+                self.offers.push(self.trader.export(request).unwrap());
+            }
+            3 => {
+                if let Some(id) = pick(&self.offers) {
+                    self.trader.withdraw(&id).unwrap();
+                    self.offers.retain(|o| *o != id);
+                }
+            }
+            4 => {
+                if let Some(id) = pick(&self.offers) {
+                    let props = self
+                        .prop(load_kind, Value::Double(f64::from(load)))
+                        .map(|p| vec![("Load".to_owned(), p)])
+                        .unwrap_or_default();
+                    self.trader.modify(&id, props).unwrap();
+                }
+            }
+            5 => {
+                if let Some(id) = pick(&self.offers) {
+                    let ttl = flag.then_some(Duration::from_secs(600));
+                    self.trader.renew(&id, ttl).unwrap();
+                }
+            }
+            6 => {
+                self.trader.sweep_liveness(Duration::from_millis(50));
+            }
+            _ => {
+                self.flaky_up = !self.flaky_up;
+                if self.flaky_up {
+                    self.orb
+                        .activate("svc-flaky", ServantFn::new("Svc", |_, _| Ok(Value::Null)))
+                        .unwrap();
+                } else {
+                    assert!(self.orb.deactivate("svc-flaky"));
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn standing_queries_agree_with_the_reference_through_every_write(
+        steps in proptest::collection::vec(step_strategy(), 1..24),
+        watches in proptest::collection::vec(watch_strategy(), 1..3),
+    ) {
+        let mut upkeep = Upkeep::new();
+        for (i, step) in steps.iter().enumerate() {
+            upkeep.step(step);
+            let registered = upkeep.offers.len() as u32;
+            for &(ty, exact, constraint, preference, use_dynamic) in &watches {
+                for search_card in [registered / 2, registered + 3] {
+                    let q = Query::new(TYPES[ty])
+                        .exact_type(exact)
+                        .constraint(CONSTRAINTS[constraint])
+                        .preference(PREFERENCES[preference])
+                        .search_card(search_card)
+                        .use_dynamic(use_dynamic)
+                        .hops(0);
+                    let expected = reference_query(&upkeep.orb, &upkeep.trader, &q);
+                    upkeep.trader.reseed(SHUFFLE_SEED);
+                    let actual = upkeep.trader.query(&q).unwrap();
+                    prop_assert_eq!(actual, expected, "after step {} of {:?}, query {:?}", i, steps, q);
+                }
+            }
+        }
+    }
+}

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use adapta::core::{BreakerConfig, Infrastructure, ServerSpec};
 use adapta::idl::{TypeCode, Value};
-use adapta::orb::{ObjRef, Orb};
+use adapta::orb::{ObjRef, Orb, ServantFn};
 use adapta::telemetry::registry;
 use adapta::trading::{ExportRequest, PropDef, PropMode, Query, ServiceTypeDef, Trader};
 
@@ -231,4 +231,61 @@ fn a_query_does_not_allocate_per_rejected_offer() {
             "`{constraint}`: {many} allocations over 1000 offers, {few} over 10"
         );
     }
+}
+
+/// A bound proxy's re-selection that finds the offer it holds keeps its
+/// replica instead of building a new one in its place: over one static
+/// offer, the query, its match and the refreshed snapshot make at most
+/// 28 allocations.
+#[test]
+fn an_unchanged_reselection_stays_within_its_allocation_budget() {
+    const BUDGET: u64 = 28;
+
+    let infra = Infrastructure::in_process().unwrap();
+    infra
+        .trader()
+        .add_type(
+            ServiceTypeDef::new("HotPathReselectSvc").with_property(PropDef::new(
+                "LoadAvg",
+                TypeCode::Double,
+                PropMode::Normal,
+            )),
+        )
+        .unwrap();
+    let echo = infra
+        .orb()
+        .activate(
+            "hot-path-reselect",
+            ServantFn::new("HotPathReselectSvc", |_, args| {
+                Ok(args.into_iter().next().unwrap_or(Value::Null))
+            }),
+        )
+        .unwrap();
+    infra
+        .trader()
+        .export(
+            ExportRequest::new("HotPathReselectSvc", echo)
+                .with_property("LoadAvg", Value::Double(1.0)),
+        )
+        .unwrap();
+    let proxy = infra
+        .smart_proxy("HotPathReselectSvc")
+        .constraint("LoadAvg < 50")
+        .preference("min LoadAvg")
+        .build()
+        .unwrap();
+    let (target, rebinds) = (proxy.current_target(), proxy.rebinds());
+    assert!(target.is_some());
+    for _ in 0..100 {
+        assert!(proxy.reselect().unwrap());
+    }
+    let allocations = allocations_in(|| {
+        assert!(proxy.reselect().unwrap());
+    });
+    assert_eq!(proxy.current_target(), target);
+    assert_eq!(proxy.rebinds(), rebinds);
+    assert!(
+        allocations <= BUDGET,
+        "{allocations} allocations, budget {BUDGET}"
+    );
 }
