@@ -60,6 +60,15 @@
 # `./ci.sh --bench-smoke` runs every benchmark workload briefly,
 # untraced and traced, and checks each one's outputs (perfbench/smoke.py).
 # Advisory/non-blocking in CI.
+#
+# `./ci.sh --bench-compare <rev> [workload...]` compares the benchmark's
+# end-to-end metrics between <rev> and the working tree: both are
+# exported and built in a temporary directory outside the checkout (so
+# perfbench/Cargo.lock is never rewritten), then each workload runs in
+# interleaved pairs, the side that runs first alternating, and every
+# metric is printed as median, quartiles and "lower in k of n"
+# (scripts/bench_compare.py; 20 pairs of BENCHMARK.json's run length,
+# about eight minutes a workload). Advisory, not part of the gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -78,6 +87,16 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     echo "==> bench-smoke: every workload's output checks"
     python3 perfbench/smoke.py
     echo "Bench smoke run green."
+    exit 0
+fi
+
+if [[ "${1:-}" == "--bench-compare" ]]; then
+    if [[ -z "${2:-}" ]]; then
+        echo "usage: ./ci.sh --bench-compare <rev> [workload...]" >&2
+        exit 2
+    fi
+    echo "==> bench-compare: $2 against the working tree"
+    python3 scripts/bench_compare.py "${@:2}"
     exit 0
 fi
 

@@ -17,7 +17,7 @@
 //! admissible match of the last selection.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -227,6 +227,9 @@ struct SpInner {
     /// `balancer.<type>.load_pushes`.
     load_pushes: Counter,
     events: Mutex<VecDeque<String>>,
+    /// How many events `events` holds, read without its lock, so a call
+    /// with nothing to drain takes no lock.
+    pending: AtomicUsize,
     observer_ref: OnceLock<ObjRef>,
     isolate: Mutex<Option<Isolate>>,
     facade: OnceLock<Stored>,
@@ -256,6 +259,7 @@ impl SpInner {
                 self.metrics.events_dropped.incr();
             }
             events.push_back(event);
+            self.pending.store(events.len(), Ordering::Release);
             events.len()
         };
         self.metrics.queue_depth.set(depth as i64);
@@ -533,6 +537,7 @@ impl SmartProxyBuilder {
             set,
             load_pushes,
             events: Mutex::new(VecDeque::new()),
+            pending: AtomicUsize::new(0),
             observer_ref: OnceLock::new(),
             isolate: Mutex::new(None),
             facade: OnceLock::new(),
@@ -965,7 +970,17 @@ impl SmartProxy {
     /// coalesced: a burst of identical `LoadIncrease` notifications
     /// runs its strategy once, not once per notification.
     pub fn handle_pending_events(&self) {
-        let drained: Vec<String> = self.inner.events.lock().drain(..).collect();
+        // `Acquire`, pairing with `push_event`'s store: an event pushed
+        // after this load waits for the next drain, as one pushed just
+        // after the lock below would.
+        if self.inner.pending.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let drained: Vec<String> = {
+            let mut events = self.inner.events.lock();
+            self.inner.pending.store(0, Ordering::Relaxed);
+            events.drain(..).collect()
+        };
         self.inner.metrics.queue_depth.set(0);
         if drained.is_empty() {
             return;

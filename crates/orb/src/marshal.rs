@@ -5,7 +5,7 @@
 //! spirit to CORBA's CDR encoding of `any`.
 
 use adapta_idl::{ObjRefData, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::OrbError;
 use crate::OrbResult;
@@ -149,77 +149,100 @@ pub(crate) fn value_len(value: &Value) -> usize {
     }
 }
 
-fn need(cursor: &&[u8], n: usize) -> OrbResult<()> {
-    if cursor.len() < n {
-        return Err(OrbError::Marshal(format!(
-            "truncated message: needed {n} bytes, had {}",
-            cursor.len()
-        )));
-    }
-    Ok(())
+/// The error of a field that runs past the end of the frame. Kept out
+/// of line, so the decoders' checks stay a compare and a branch.
+#[cold]
+#[inline(never)]
+fn truncated(needed: usize, had: usize) -> OrbError {
+    OrbError::Marshal(format!(
+        "truncated message: needed {needed} bytes, had {had}"
+    ))
 }
 
+/// Splits the first `n` bytes off the cursor.
+#[inline]
+fn take<'a>(cursor: &mut &'a [u8], n: usize) -> OrbResult<&'a [u8]> {
+    match cursor.split_at_checked(n) {
+        Some((head, tail)) => {
+            *cursor = tail;
+            Ok(head)
+        }
+        None => Err(truncated(n, cursor.len())),
+    }
+}
+
+/// Splits the first `N` bytes off the cursor, as an array.
+#[inline]
+pub(crate) fn array<const N: usize>(cursor: &mut &[u8]) -> OrbResult<[u8; N]> {
+    match cursor.split_first_chunk::<N>() {
+        Some((head, tail)) => {
+            *cursor = tail;
+            Ok(*head)
+        }
+        None => Err(truncated(N, cursor.len())),
+    }
+}
+
+/// Reads a `u32` length prefix, at most [`MAX_LEN`].
+#[inline]
 fn get_len(cursor: &mut &[u8]) -> OrbResult<usize> {
-    need(cursor, 4)?;
-    let n = cursor.get_u32_le();
+    let n = u32::from_le_bytes(array(cursor)?);
     if n > MAX_LEN {
-        return Err(OrbError::Marshal(format!("length {n} exceeds limit")));
+        return Err(too_long(n));
     }
     Ok(n as usize)
 }
 
+#[cold]
+#[inline(never)]
+fn too_long(n: u32) -> OrbError {
+    OrbError::Marshal(format!("length {n} exceeds limit"))
+}
+
 /// Reads a length-prefixed string.
+#[inline]
 pub(crate) fn get_str(cursor: &mut &[u8]) -> OrbResult<String> {
     get_str_ref(cursor).map(str::to_owned)
 }
 
 /// Reads a length-prefixed string in place, borrowing it from the
 /// buffer.
+#[inline]
 pub(crate) fn get_str_ref<'a>(cursor: &mut &'a [u8]) -> OrbResult<&'a str> {
     let n = get_len(cursor)?;
-    need(cursor, n)?;
-    let (head, tail) = cursor.split_at(n);
-    let s = std::str::from_utf8(head)
-        .map_err(|_| OrbError::Marshal("invalid UTF-8 in string".into()))?;
-    *cursor = tail;
-    Ok(s)
+    let bytes = take(cursor, n)?;
+    // Keys, operation names and most strings are short ASCII, which an
+    // inlined scan checks faster than the general validator's call.
+    if bytes.is_ascii() {
+        // SAFETY: every byte is ASCII, and ASCII is valid UTF-8.
+        return Ok(unsafe { std::str::from_utf8_unchecked(bytes) });
+    }
+    std::str::from_utf8(bytes).map_err(|_| not_utf8())
+}
+
+#[cold]
+#[inline(never)]
+fn not_utf8() -> OrbError {
+    OrbError::Marshal("invalid UTF-8 in string".into())
 }
 
 /// Reads one encoded value, advancing the cursor.
 pub(crate) fn get_value(cursor: &mut &[u8]) -> OrbResult<Value> {
-    need(cursor, 1)?;
-    let tag = cursor.get_u8();
+    let [tag] = array(cursor)?;
     Ok(match tag {
         TAG_NULL => Value::Null,
         TAG_BOOL => {
-            need(cursor, 1)?;
-            Value::Bool(cursor.get_u8() != 0)
+            let [b] = array(cursor)?;
+            Value::Bool(b != 0)
         }
-        TAG_LONG => {
-            need(cursor, 8)?;
-            Value::Long(cursor.get_i64_le())
-        }
-        TAG_DOUBLE => {
-            need(cursor, 8)?;
-            Value::Double(cursor.get_f64_le())
-        }
+        TAG_LONG => Value::Long(i64::from_le_bytes(array(cursor)?)),
+        TAG_DOUBLE => Value::Double(f64::from_le_bytes(array(cursor)?)),
         TAG_STR => Value::Str(get_str(cursor)?),
         TAG_BYTES => {
             let n = get_len(cursor)?;
-            need(cursor, n)?;
-            let (head, tail) = cursor.split_at(n);
-            let b = Bytes::copy_from_slice(head);
-            *cursor = tail;
-            Value::Bytes(b)
+            Value::Bytes(Bytes::copy_from_slice(take(cursor, n)?))
         }
-        TAG_SEQ => {
-            let n = get_len(cursor)?;
-            let mut items = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                items.push(get_value(cursor)?);
-            }
-            Value::Seq(items)
-        }
+        TAG_SEQ => Value::Seq(get_items(cursor)?),
         TAG_MAP => {
             let n = get_len(cursor)?;
             let mut fields = Vec::with_capacity(n.min(4096));
@@ -236,8 +259,36 @@ pub(crate) fn get_value(cursor: &mut &[u8]) -> OrbResult<Value> {
             let type_id = get_str(cursor)?;
             Value::ObjRef(ObjRefData::new(endpoint, key, type_id))
         }
-        other => return Err(OrbError::Marshal(format!("unknown value tag {other}"))),
+        other => return Err(unknown_tag(other)),
     })
+}
+
+#[cold]
+#[inline(never)]
+fn unknown_tag(tag: u8) -> OrbError {
+    OrbError::Marshal(format!("unknown value tag {tag}"))
+}
+
+/// Reads the items of a sequence value whose tag was just read.
+#[inline]
+fn get_items(cursor: &mut &[u8]) -> OrbResult<Vec<Value>> {
+    let n = get_len(cursor)?;
+    let mut items = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        items.push(get_value(cursor)?);
+    }
+    Ok(items)
+}
+
+/// Reads a value that must be a sequence, returning its items; `None`
+/// when a well-formed value of another kind was read instead.
+#[inline]
+pub(crate) fn get_seq(cursor: &mut &[u8]) -> OrbResult<Option<Vec<Value>>> {
+    if cursor.first() == Some(&TAG_SEQ) {
+        *cursor = &cursor[1..];
+        return get_items(cursor).map(Some);
+    }
+    get_value(cursor).map(|_| None)
 }
 
 #[cfg(test)]

@@ -5,11 +5,12 @@ use std::cell::RefCell;
 
 use adapta_idl::Value;
 use adapta_telemetry::{SpanId, TraceId, SPAN_ID_KEY, TRACE_ID_KEY};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 use crate::error::OrbError;
 use crate::marshal::{
-    get_str, get_str_ref, get_value, put_seq, put_str, put_value, seq_len, str_len, value_len,
+    array, get_seq, get_str, get_str_ref, get_value, put_seq, put_str, put_value, seq_len, str_len,
+    value_len,
 };
 use crate::OrbResult;
 
@@ -111,7 +112,7 @@ impl ServiceContext {
     /// to send as text: the ids of leading canonical `trace-id` and
     /// `span-id` entries and the entries after them, or an empty slot
     /// and every entry.
-    fn wire(&self) -> (TraceSlot, impl ExactSizeIterator<Item = (&str, &[u8])>) {
+    fn wire(&self) -> (TraceSlot, &[(String, String)]) {
         let leading = match &self.entries[..] {
             [(k1, v1), (k2, v2), rest @ ..] if k1 == TRACE_ID_KEY && k2 == SPAN_ID_KEY => {
                 canonical_id(v1)
@@ -120,8 +121,7 @@ impl ServiceContext {
             }
             _ => None,
         };
-        let (slot, rest) = leading.unwrap_or(((0, 0), &self.entries[..]));
-        (slot, rest.iter().map(|(k, v)| (k.as_str(), v.as_bytes())))
+        leading.unwrap_or(((0, 0), &self.entries[..]))
     }
 }
 
@@ -199,25 +199,21 @@ impl OutgoingRequest<'_> {
     /// Encodes the request as one transport frame (see
     /// [`Message::encode_frame`]).
     pub(crate) fn encode_frame(&self) -> Frame {
-        let slot = (self.trace.raw(), self.span.raw());
         let kind = if self.oneway {
             KIND_ONEWAY
         } else {
             KIND_REQUEST
         };
-        let len = request_len(self.key, self.operation, self.args, std::iter::empty());
-        frame(len, |buf| {
-            put_request(
-                buf,
-                kind,
-                self.id,
-                self.key,
-                self.operation,
-                self.args,
-                slot,
-                std::iter::empty(),
-            );
-        })
+        let slot = (self.trace.raw(), self.span.raw());
+        request_frame(
+            kind,
+            self.id,
+            self.key,
+            self.operation,
+            self.args,
+            slot,
+            &[],
+        )
     }
 }
 
@@ -297,58 +293,74 @@ fn error_status(error: &OrbError) -> (u8, Option<Cow<'_, str>>) {
     }
 }
 
-/// The encoded size of a request with these parts.
-fn request_len<'c>(
-    key: &str,
-    operation: &str,
-    args: &[Value],
-    context: impl Iterator<Item = (&'c str, &'c [u8])>,
-) -> usize {
-    let context: usize = context.map(|(k, v)| str_len(k) + 4 + v.len()).sum();
-    HEADER_LEN
-        + 8
-        + str_len(key)
-        + str_len(operation)
-        + seq_len(args)
-        + TRACE_SLOT_LEN
-        + 4
-        + context
-}
-
-/// Appends a request; the argument list travels as one sequence value,
-/// followed by the trace slot and the service context.
-#[allow(clippy::too_many_arguments)]
-fn put_request<'c, B: BufMut>(
-    buf: &mut B,
+/// Encodes a request as one transport frame: the argument list
+/// travels as one sequence value, followed by the trace slot and the
+/// text entries of the service context. Every request, outgoing or a
+/// [`Message`], is encoded here.
+fn request_frame(
     kind: u8,
     id: u64,
     key: &str,
     operation: &str,
     args: &[Value],
     (trace, span): TraceSlot,
-    context: impl ExactSizeIterator<Item = (&'c str, &'c [u8])>,
-) {
-    put_header(buf, kind);
-    buf.put_u64_le(id);
-    put_str(buf, key);
-    put_str(buf, operation);
-    put_seq(buf, args);
-    buf.put_u64_le(trace);
-    buf.put_u64_le(span);
-    buf.put_u32_le(context.len() as u32);
-    for (k, v) in context {
-        put_str(buf, k);
-        buf.put_u32_le(v.len() as u32);
-        buf.put_slice(v);
+    context: &[(String, String)],
+) -> Frame {
+    let context_len: usize = context.iter().map(|(k, v)| str_len(k) + str_len(v)).sum();
+    let len = HEADER_LEN
+        + 8
+        + str_len(key)
+        + str_len(operation)
+        + seq_len(args)
+        + TRACE_SLOT_LEN
+        + 4
+        + context_len;
+    frame(len, |buf| {
+        put_header(buf, kind);
+        buf.put_u64_le(id);
+        put_str(buf, key);
+        put_str(buf, operation);
+        put_seq(buf, args);
+        buf.put_u64_le(trace);
+        buf.put_u64_le(span);
+        buf.put_u32_le(context.len() as u32);
+        for (k, v) in context {
+            put_str(buf, k);
+            put_str(buf, v);
+        }
+    })
+}
+
+/// Encodes a reply as one transport frame.
+fn reply_frame(body: &ReplyBody) -> Frame {
+    match &body.outcome {
+        Ok(v) => frame(HEADER_LEN + 8 + 1 + value_len(v), |buf| {
+            put_header(buf, KIND_REPLY);
+            buf.put_u64_le(body.id);
+            buf.put_u8(STATUS_RESULT);
+            put_value(buf, v);
+        }),
+        Err(e) => {
+            let (status, text) = error_status(e);
+            let len = HEADER_LEN + 8 + 1 + text.as_ref().map_or(0, |text| str_len(text));
+            frame(len, |buf| {
+                put_header(buf, KIND_REPLY);
+                buf.put_u64_le(body.id);
+                buf.put_u8(status);
+                if let Some(text) = text {
+                    put_str(buf, &text);
+                }
+            })
+        }
     }
 }
 
 impl Message {
-    /// Encodes the message, without the transport length prefix.
+    /// Encodes the message, without the transport length prefix: the
+    /// bytes of the transport frame the orb sends, copied out of the
+    /// frame's reused buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.put(&mut buf);
-        buf.freeze()
+        Bytes::copy_from_slice(&self.encode_frame()[4..])
     }
 
     /// Encodes the message as one transport frame: the 4-byte
@@ -356,30 +368,6 @@ impl Message {
     ///
     /// [`encode`]: Self::encode
     pub(crate) fn encode_frame(&self) -> Frame {
-        frame(self.encoded_len(), |buf| self.put(buf))
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            Message::Request(body) | Message::Oneway(body) => request_len(
-                &body.key,
-                &body.operation,
-                &body.args,
-                body.context.wire().1,
-            ),
-            Message::Reply(body) => {
-                HEADER_LEN
-                    + 8
-                    + 1
-                    + match &body.outcome {
-                        Ok(v) => value_len(v),
-                        Err(e) => error_status(e).1.map_or(0, |text| str_len(&text)),
-                    }
-            }
-        }
-    }
-
-    fn put<B: BufMut>(&self, buf: &mut B) {
         match self {
             Message::Request(body) | Message::Oneway(body) => {
                 let kind = if matches!(self, Message::Request(_)) {
@@ -388,8 +376,7 @@ impl Message {
                     KIND_ONEWAY
                 };
                 let (slot, context) = body.context.wire();
-                put_request(
-                    buf,
+                request_frame(
                     kind,
                     body.id,
                     &body.key,
@@ -397,25 +384,9 @@ impl Message {
                     &body.args,
                     slot,
                     context,
-                );
+                )
             }
-            Message::Reply(body) => {
-                put_header(buf, KIND_REPLY);
-                buf.put_u64_le(body.id);
-                match &body.outcome {
-                    Ok(v) => {
-                        buf.put_u8(STATUS_RESULT);
-                        put_value(buf, v);
-                    }
-                    Err(e) => {
-                        let (status, text) = error_status(e);
-                        buf.put_u8(status);
-                        if let Some(text) = text {
-                            put_str(buf, &text);
-                        }
-                    }
-                }
-            }
+            Message::Reply(body) => reply_frame(body),
         }
     }
 
@@ -458,11 +429,11 @@ impl Message {
                 }
             }
             KIND_REPLY => {
-                if cursor.len() < 9 {
+                let Some((&[id @ .., status], rest)) = cursor.split_first_chunk::<9>() else {
                     return Err(OrbError::Marshal("truncated reply".into()));
-                }
-                let id = cursor.get_u64_le();
-                let status = cursor.get_u8();
+                };
+                cursor = rest;
+                let id = u64::from_le_bytes(id);
                 let outcome = match status {
                     STATUS_RESULT => Ok(get_value(&mut cursor)?),
                     STATUS_EXCEPTION => Err(OrbError::exception(get_str(&mut cursor)?)),
@@ -489,7 +460,7 @@ impl Message {
 
 /// The text of an id's hex digits, without the formatting machinery.
 fn hex(digits: [u8; 16]) -> String {
-    digits.into_iter().map(char::from).collect()
+    String::from_utf8(digits.to_vec()).expect("hex digits are ASCII")
 }
 
 /// A request (two-way or oneway) decoded in place: the key and the
@@ -608,21 +579,20 @@ impl QueuedRequest {
 
 /// Checks a message's magic and version; returns the version, the
 /// kind and the bytes after them.
+#[inline]
 fn header(bytes: &[u8]) -> OrbResult<(u8, u8, &[u8])> {
-    if bytes.len() < HEADER_LEN {
+    let Some((&[m0, m1, m2, m3, version, kind], cursor)) = bytes.split_first_chunk::<HEADER_LEN>()
+    else {
         return Err(OrbError::Marshal("frame too short".into()));
-    }
-    let (magic, mut cursor) = bytes.split_at(4);
-    if magic != MAGIC {
+    };
+    if [m0, m1, m2, m3] != *MAGIC {
         return Err(OrbError::Marshal("bad magic".into()));
     }
-    let version = cursor.get_u8();
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(OrbError::Marshal(format!(
             "unsupported protocol version {version}"
         )));
     }
-    let kind = cursor.get_u8();
     Ok((version, kind, cursor))
 }
 
@@ -641,22 +611,21 @@ fn decode_request<'a>(
     oneway: bool,
     cursor: &mut &'a [u8],
 ) -> OrbResult<IncomingRequest<'a>> {
-    if cursor.len() < 8 {
+    let Ok(id) = array(cursor) else {
         return Err(OrbError::Marshal("truncated request".into()));
-    }
-    let id = cursor.get_u64_le();
+    };
+    let id = u64::from_le_bytes(id);
     let key = get_str_ref(cursor)?;
     let operation = get_str_ref(cursor)?;
-    let args = match get_value(cursor)? {
-        Value::Seq(items) => items,
-        _ => return Err(OrbError::Marshal("request args must be a sequence".into())),
+    let Some(args) = get_seq(cursor)? else {
+        return Err(OrbError::Marshal("request args must be a sequence".into()));
     };
     let (mut trace, mut parent) = (None, None);
     if version >= 3 {
-        if cursor.len() < TRACE_SLOT_LEN {
+        let (Ok(raw_trace), Ok(raw_span)) = (array(cursor), array(cursor)) else {
             return Err(OrbError::Marshal("truncated trace slot".into()));
-        }
-        let (raw_trace, raw_span) = (cursor.get_u64_le(), cursor.get_u64_le());
+        };
+        let (raw_trace, raw_span) = (u64::from_le_bytes(raw_trace), u64::from_le_bytes(raw_span));
         trace = (raw_trace != 0).then(|| TraceId::from_raw(raw_trace));
         parent = (raw_span != 0).then(|| SpanId::from_raw(raw_span));
     }
@@ -681,10 +650,10 @@ fn decode_context<'a>(
     entry: &mut dyn FnMut(&'a str, &'a str),
 ) -> OrbResult<()> {
     if version >= 2 {
-        if cursor.len() < 4 {
+        let Ok(count) = array(cursor) else {
             return Err(OrbError::Marshal("truncated service context".into()));
-        }
-        for _ in 0..cursor.get_u32_le() {
+        };
+        for _ in 0..u32::from_le_bytes(count) {
             let k = get_str_ref(cursor)?;
             let v = get_str_ref(cursor)?;
             entry(k, v);
@@ -696,6 +665,7 @@ fn decode_context<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip(msg: Message) {
         let bytes = msg.encode();
@@ -743,6 +713,69 @@ mod tests {
             let incoming = IncomingRequest::decode(&frame[4..]).unwrap();
             assert_eq!((incoming.oneway, incoming.key), (oneway, "echo"));
             assert_eq!((incoming.trace, incoming.parent), (Some(trace), Some(span)));
+        }
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::Long),
+            any::<f64>().prop_map(Value::Double),
+            ".{0,24}".prop_map(Value::Str),
+            proptest::collection::vec(any::<u8>(), 0..32)
+                .prop_map(|b| Value::Bytes(Bytes::from(b))),
+        ];
+        leaf.prop_recursive(2, 16, 4, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Seq),
+                proptest::collection::vec(("[a-z]{0,6}", inner), 0..4).prop_map(Value::Map),
+            ]
+        })
+    }
+
+    proptest! {
+        /// The hot path's encoders write the frames of the messages they
+        /// stand for: a request from its span's ids, as the `Message`
+        /// whose context holds them, and a reply's frame, as its encoding
+        /// behind a length prefix.
+        #[test]
+        fn hot_path_frames_equal_message_encodings(
+            oneway in any::<bool>(),
+            id in any::<u64>(),
+            key in ".{0,12}",
+            operation in "[a-zA-Z_]{0,12}",
+            args in proptest::collection::vec(value(), 0..4),
+            (trace, span) in (1..=u64::MAX, 1..=u64::MAX),
+            outcome in prop_oneof![
+                value().prop_map(Ok),
+                ".{0,24}".prop_map(|m| Err(OrbError::exception(m))),
+                Just(Err(OrbError::ShuttingDown)),
+            ],
+        ) {
+            let (trace, span) = (TraceId::from_raw(trace), SpanId::from_raw(span));
+            let outgoing = OutgoingRequest {
+                oneway,
+                id,
+                key: &key,
+                operation: &operation,
+                args: &args,
+                trace,
+                span,
+            };
+            let mut context = ServiceContext::new();
+            context.set(TRACE_ID_KEY, &trace.to_string());
+            context.set(SPAN_ID_KEY, &span.to_string());
+            let body = RequestBody { id, key: key.clone(), operation: operation.clone(), args: args.clone(), context };
+            let msg = if oneway { Message::Oneway(body) } else { Message::Request(body) };
+            let frame = outgoing.encode_frame();
+            prop_assert_eq!(&frame[..4], &(frame.len() as u32 - 4).to_le_bytes());
+            prop_assert_eq!(&frame[4..], &msg.encode()[..]);
+
+            let reply = Message::Reply(ReplyBody { id, outcome });
+            let frame = reply.encode_frame();
+            prop_assert_eq!(&frame[..4], &(frame.len() as u32 - 4).to_le_bytes());
+            prop_assert_eq!(&frame[4..], &reply.encode()[..]);
         }
     }
 

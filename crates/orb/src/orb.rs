@@ -1,8 +1,9 @@
 //! The broker facade: node registry, invocation routing and statistics.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -34,12 +35,26 @@ fn nodes() -> &'static StdMutex<HashMap<String, Weak<OrbCore>>> {
     NODES.get_or_init(|| StdMutex::new(HashMap::new()))
 }
 
+thread_local! {
+    /// The node this thread reached last in process: a thread calling
+    /// one node over and over skips the registry's lock and hash.
+    static LAST_NODE: RefCell<Weak<OrbCore>> = const { RefCell::new(Weak::new()) };
+}
+
 fn lookup_node(node: &str) -> Option<Arc<OrbCore>> {
-    nodes()
+    // A live orb keeps its name in the registry, so while the cached
+    // orb is alive it is the one registered under its name.
+    let cached = LAST_NODE.try_with(|last| last.borrow().upgrade());
+    if let Some(core) = cached.ok().flatten().filter(|core| core.node == node) {
+        return Some(core);
+    }
+    let core = nodes()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .get(node)
-        .and_then(Weak::upgrade)
+        .and_then(Weak::upgrade)?;
+    let _ = LAST_NODE.try_with(|last| *last.borrow_mut() = Arc::downgrade(&core));
+    Some(core)
 }
 
 /// The node's `orb.<node>.*` instruments, resolved once when the orb
@@ -120,7 +135,7 @@ fn forget_node_metrics(node: &str) {
 }
 
 /// A served operation's metrics, `orb.server.op.<op>.{latency,errors}`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct OpMetrics {
     latency: HistogramHandle,
     errors: Counter,
@@ -341,6 +356,10 @@ pub(crate) struct OrbCore {
     /// takes its chain with one reference-count increment.
     client_interceptors: RwLock<Arc<[Arc<dyn ClientInterceptor>]>>,
     server_interceptors: RwLock<Arc<[Arc<dyn ServerInterceptor>]>>,
+    /// Whether each chain has an interceptor, set after it got one, so
+    /// a call through a node without interceptors takes no lock.
+    client_intercepted: AtomicBool,
+    server_intercepted: AtomicBool,
     /// Server metrics of the operations tracked by name (bounded by
     /// [`MAX_TRACKED_OPS`]), and of all others.
     op_metrics: RwLock<HashMap<String, OpMetrics>>,
@@ -464,7 +483,7 @@ impl OrbCore {
     /// span joins that trace — so a client invocation and its remote
     /// dispatch share one `TraceId` even across TCP. Per-operation latency and error
     /// counts land in the registry under `orb.server.op.<op>.*` (see
-    /// [`op_metrics`](Self::op_metrics) for which names are tracked).
+    /// [`with_op_metrics`](Self::with_op_metrics) for which names are tracked).
     pub(crate) fn serve(&self, request: IncomingRequest<'_>) -> ReplyBody {
         self.count_served();
         let (key, operation) = (request.key, request.operation);
@@ -495,43 +514,60 @@ impl OrbCore {
             let message = format!("servant panicked: {}", text.unwrap_or("no message"));
             (Err(OrbError::exception(message)), false)
         });
-        let metrics = self.op_metrics(operation, validated);
         if let Err(e) = &outcome {
-            metrics.errors.incr();
             span.attr("error", &e.to_string());
         }
         // The dispatch latency is the server span's duration: one
         // clock read serves both.
-        metrics.latency.record(span.end());
+        let latency = span.end();
+        self.with_op_metrics(operation, validated, |metrics| {
+            if outcome.is_err() {
+                metrics.errors.incr();
+            }
+            metrics.latency.record(latency);
+        });
         ReplyBody {
             id: request.id,
             outcome,
         }
     }
 
-    /// The metrics a dispatch of `op` is recorded under. An operation is
+    /// Runs `f` on the metrics a dispatch of `op` is recorded under, in
+    /// place, so no handle is cloned per call. An operation is
     /// tracked by name once a dispatch of it was `validated`: it passed
     /// the server interceptors and reached a servant that knew it (or is
     /// a pseudo-operation of an existing object). Until then, and for
     /// every operation beyond [`MAX_TRACKED_OPS`], its dispatches are
     /// recorded under `orb.server.op._unknown`, so remote callers cannot
     /// grow the registry by inventing operation names.
-    fn op_metrics(&self, op: &str, validated: bool) -> OpMetrics {
+    fn with_op_metrics(&self, op: &str, validated: bool, f: impl FnOnce(&OpMetrics)) {
         if let Some(metrics) = self.op_metrics.read().get(op) {
-            return metrics.clone();
+            return f(metrics);
         }
         let mut tracked = self.op_metrics.write();
         if !validated || tracked.len() >= MAX_TRACKED_OPS {
-            return tracked.get(op).unwrap_or(&self.unknown_op).clone();
+            return f(tracked.get(op).unwrap_or(&self.unknown_op));
         }
-        tracked
+        f(tracked
             .entry(op.to_owned())
-            .or_insert_with(|| OpMetrics::named(op))
-            .clone()
+            .or_insert_with(|| OpMetrics::named(op)))
+    }
+
+    /// The client interceptor chain, or `None` when it is empty, so a
+    /// call through a node without interceptors takes no lock.
+    fn client_chain(&self) -> Option<Arc<[Arc<dyn ClientInterceptor>]>> {
+        // `Acquire`, pairing with the registration's store.
+        self.client_intercepted
+            .load(Ordering::Acquire)
+            .then(|| self.client_interceptors.read().clone())
     }
 
     /// Runs the server interceptor chain; the first abort's error.
     fn intercept_server(&self, key: &str, operation: &str, args: &[Value]) -> Option<OrbError> {
+        // `Acquire`, pairing with the registration's store.
+        if !self.server_intercepted.load(Ordering::Acquire) {
+            return None;
+        }
         let interceptors = self.server_interceptors.read().clone();
         let info = ServerRequestInfo {
             key,
@@ -616,6 +652,8 @@ impl Orb {
             tcp_pool: Mutex::new(HashMap::new()),
             client_interceptors: RwLock::new(Arc::new([])),
             server_interceptors: RwLock::new(Arc::new([])),
+            client_intercepted: AtomicBool::new(false),
+            server_intercepted: AtomicBool::new(false),
             op_metrics: RwLock::new(HashMap::new()),
             unknown_op: OpMetrics::named(UNKNOWN_OP),
             faults: Arc::new(FaultPlan::for_node(&name)),
@@ -896,6 +934,7 @@ impl Orb {
         let mut next = chain.to_vec();
         next.push(Arc::new(interceptor));
         *chain = next.into();
+        self.core.client_intercepted.store(true, Ordering::Release);
     }
 
     /// Registers a server-side request interceptor (runs before every
@@ -905,6 +944,7 @@ impl Orb {
         let mut next = chain.to_vec();
         next.push(Arc::new(interceptor));
         *chain = next.into();
+        self.core.server_intercepted.store(true, Ordering::Release);
     }
 
     /// Runs the client interceptor chain; returns the redirected
@@ -1007,8 +1047,9 @@ impl Orb {
         opts: InvokeOptions,
         span: &Span,
     ) -> OrbResult<Value> {
-        let interceptors = self.core.client_interceptors.read().clone();
-        let redirect = Self::intercept_client(&interceptors, target, op, args, false)?;
+        let chain = self.core.client_chain();
+        let interceptors = chain.as_deref().unwrap_or_default();
+        let redirect = Self::intercept_client(interceptors, target, op, args, false)?;
         let target = redirect.as_ref().unwrap_or(target);
         let id = self.core.next_id.fetch_add(1, Ordering::Relaxed);
         let frame = OutgoingRequest {
@@ -1030,7 +1071,7 @@ impl Orb {
                 reply.outcome
             });
         // Reply interceptors observe the two-way outcome.
-        for interceptor in interceptors.iter() {
+        for interceptor in interceptors {
             let info = ClientRequestInfo {
                 target,
                 operation: op,
@@ -1053,8 +1094,9 @@ impl Orb {
         let mut span = Span::start(("oneway:", op));
         span.attr("node", &self.core.node);
         span.attr("key", &target.key);
-        let interceptors = self.core.client_interceptors.read().clone();
-        let redirect = Self::intercept_client(&interceptors, target, op, &args, true)?;
+        let chain = self.core.client_chain();
+        let interceptors = chain.as_deref().unwrap_or_default();
+        let redirect = Self::intercept_client(interceptors, target, op, &args, true)?;
         let target = redirect.as_ref().unwrap_or(target);
         let frame = OutgoingRequest {
             oneway: true,

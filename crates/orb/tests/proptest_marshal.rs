@@ -1,7 +1,8 @@
 //! Property tests for the wire codec: every value, every request body
 //! and every reply status round-trips, the decoder is total (never
 //! panics) on arbitrary bytes, and the borrowed request decoder agrees
-//! with `Message::decode` on every request frame of versions 1 to 3.
+//! with `Message::decode` on every request frame of versions 1 to 3,
+//! and fails with the same error on truncated and corrupted ones.
 
 use std::time::Duration;
 
@@ -283,6 +284,60 @@ proptest! {
     ) {
         let data = ObjRefData::new(endpoint, key, type_id);
         prop_assert_eq!(ObjRefData::from_uri(&data.to_uri()), Some(data));
+    }
+
+    /// Truncated and corrupted request frames, and garbage after a
+    /// valid header, fail in both decoders with the same error; a
+    /// frame either decodes as the same request in both or fails alike.
+    /// A frame with a reply's header is refused by the request decoder
+    /// as a reply, whatever follows.
+    #[test]
+    fn both_decoders_fail_alike_on_truncated_and_garbage_frames(
+        version in 1u8..=3,
+        oneway in any::<bool>(),
+        key in ".{0,8}",
+        args in proptest::collection::vec(value_strategy(), 0..3),
+        slot in (slot_id_strategy(), slot_id_strategy()),
+        context in context_strategy(),
+        cut in any::<usize>(),
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..3),
+        garbage in proptest::collection::vec(any::<u8>(), 0..48),
+        kind in 0u8..=3,
+        outcome in outcome_strategy(),
+    ) {
+        let frame = request_frame(version, oneway, 7, &key, "op", &args, slot, &context);
+        let mut corrupted = frame.clone();
+        for (at, byte) in &flips {
+            let at = at % corrupted.len();
+            corrupted[at] = *byte;
+        }
+        let mut header_then_garbage = frame[..4].to_vec();
+        header_then_garbage.extend_from_slice(&[version, kind]);
+        header_then_garbage.extend_from_slice(&garbage);
+        let reply = Message::Reply(ReplyBody { id: 7, outcome }).encode();
+        for bytes in [
+            &frame[..cut % frame.len()],
+            &corrupted[..],
+            &header_then_garbage[..],
+            &reply[..],
+            &reply[..cut % reply.len()],
+        ] {
+            let owned = Message::decode(bytes);
+            let borrowed = IncomingRequest::decode(bytes);
+            let reply_header = bytes.len() >= 6
+                && bytes.starts_with(b"ADPT")
+                && (1..=3).contains(&bytes[4])
+                && bytes[5] == 1;
+            if reply_header {
+                prop_assert_eq!(borrowed, Err(OrbError::Marshal("unexpected reply".into())));
+                continue;
+            }
+            match (&owned, &borrowed) {
+                (Ok(Message::Request(_) | Message::Oneway(_)), Ok(_)) => {}
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                _ => prop_assert!(false, "{:?} against {:?} on {:?}", owned, borrowed, bytes),
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,13 @@
 //! The Rua abstract syntax tree.
+//!
+//! Names and string literals are [`Name`]s, shared strings made once
+//! when the chunk is lexed, so evaluating one and looking it up in a
+//! table, a scope or the globals copies no text and allocates nothing.
 
 use std::rc::Rc;
+
+/// A name or string literal of a chunk.
+pub type Name = Rc<str>;
 
 /// A sequence of statements.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -24,7 +31,7 @@ pub enum StatKind {
     /// `local a, b = e1, e2`
     Local {
         /// Declared names.
-        names: Vec<String>,
+        names: Vec<Name>,
         /// Initialisers (may be shorter or longer than `names`).
         exprs: Vec<Expr>,
     },
@@ -61,7 +68,7 @@ pub enum StatKind {
     /// `for v = start, stop [, step] do body end`
     NumericFor {
         /// Control variable.
-        var: String,
+        var: Name,
         /// Initial value.
         start: Expr,
         /// Limit.
@@ -74,7 +81,7 @@ pub enum StatKind {
     /// `for a, b in exprs do body end`
     GenericFor {
         /// Bound names.
-        names: Vec<String>,
+        names: Vec<Name>,
         /// Iterator expressions.
         exprs: Vec<Expr>,
         /// Loop body.
@@ -92,7 +99,7 @@ pub enum StatKind {
 #[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// A variable.
-    Name(String),
+    Name(Name),
     /// A table slot.
     Index {
         /// The table expression.
@@ -123,9 +130,9 @@ pub enum ExprKind {
     /// A number literal.
     Num(f64),
     /// A string literal.
-    Str(String),
+    Str(Name),
     /// A variable reference.
-    Name(String),
+    Name(Name),
     /// `...` (the callee's extra arguments).
     Vararg,
     /// `obj[key]` (also `obj.field`).
@@ -147,7 +154,7 @@ pub enum ExprKind {
         /// The receiver.
         obj: Box<Expr>,
         /// Method name.
-        method: String,
+        method: Name,
         /// Arguments (receiver prepended at run time).
         args: Vec<Expr>,
     },
@@ -179,7 +186,7 @@ pub enum TableItem {
     /// A positional value (`{a, b}` — assigned indices 1, 2, …).
     Positional(Expr),
     /// `name = value`
-    Named(String, Expr),
+    Named(Name, Expr),
     /// `[key] = value`
     Keyed(Expr, Expr),
 }
@@ -188,7 +195,7 @@ pub enum TableItem {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuncBody {
     /// Parameter names (`self` prepended for method definitions).
-    pub params: Vec<String>,
+    pub params: Vec<Name>,
     /// True when the parameter list ends with `...`.
     pub has_vararg: bool,
     /// The body.

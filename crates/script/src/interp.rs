@@ -1,7 +1,6 @@
 //! The Rua tree-walking interpreter.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -47,40 +46,56 @@ pub struct Closure {
 #[derive(Debug, Clone)]
 pub struct Env(Rc<Scope>);
 
+/// One block's locals, in declaration order: a block declares few, so
+/// a list searched from its newest entry beats hashing. A name declared
+/// again shadows the earlier cell, which closures that captured it keep.
 #[derive(Debug)]
 struct Scope {
-    vars: RefCell<HashMap<String, Rc<RefCell<Value>>>>,
+    vars: RefCell<Vec<(Name, Rc<RefCell<Value>>)>>,
     parent: Option<Env>,
+}
+
+thread_local! {
+    /// The name a vararg function's extra arguments are declared under.
+    static VARARG: Name = Rc::from("...");
 }
 
 impl Env {
     fn root() -> Env {
         Env(Rc::new(Scope {
-            vars: RefCell::new(HashMap::new()),
+            vars: RefCell::new(Vec::new()),
             parent: None,
         }))
     }
 
     fn child(&self) -> Env {
         Env(Rc::new(Scope {
-            vars: RefCell::new(HashMap::new()),
+            vars: RefCell::new(Vec::new()),
             parent: Some(self.clone()),
         }))
     }
 
-    fn declare(&self, name: &str, value: Value) {
+    fn declare(&self, name: &Name, value: Value) {
         self.0
             .vars
             .borrow_mut()
-            .insert(name.to_owned(), Rc::new(RefCell::new(value)));
+            .push((name.clone(), Rc::new(RefCell::new(value))));
+    }
+
+    fn declare_vararg(&self, value: Value) {
+        VARARG.with(|name| self.declare(name, value));
     }
 
     /// Finds the cell for `name` in this scope chain.
     fn find(&self, name: &str) -> Option<Rc<RefCell<Value>>> {
-        if let Some(cell) = self.0.vars.borrow().get(name) {
-            return Some(cell.clone());
+        let mut scope = self;
+        loop {
+            let vars = scope.0.vars.borrow();
+            if let Some((_, cell)) = vars.iter().rev().find(|(n, _)| **n == *name) {
+                return Some(cell.clone());
+            }
+            scope = scope.0.parent.as_ref()?;
         }
-        self.0.parent.as_ref().and_then(|p| p.find(name))
     }
 }
 
@@ -394,10 +409,7 @@ impl Interpreter {
         let env = Env::root().child();
         // Top-level chunks are vararg functions with no arguments
         // (loadstring semantics).
-        env.declare(
-            "...",
-            Value::Table(std::rc::Rc::new(RefCell::new(Table::new()))),
-        );
+        env.declare_vararg(Value::Table(std::rc::Rc::new(RefCell::new(Table::new()))));
         match self.exec_block(&block, &env)? {
             Flow::Return(values) => Ok(values),
             _ => Ok(Vec::new()),
@@ -680,7 +692,7 @@ impl Interpreter {
                 if let Some(cell) = env.find(name) {
                     *cell.borrow_mut() = value;
                 } else {
-                    self.globals.borrow_mut().set_str(name, value);
+                    self.globals.borrow_mut().set_name(name, value);
                 }
                 Ok(())
             }
@@ -735,7 +747,7 @@ impl Interpreter {
                 self.tick(expr.line)?;
                 let receiver = self.eval_one(obj, env)?;
                 let callee = match &receiver {
-                    Value::Table(t) => t.borrow().get_str(method),
+                    Value::Table(t) => t.borrow().get_name(method),
                     other => {
                         return Err(self.rt(
                             format!(
@@ -788,10 +800,10 @@ impl Interpreter {
             ExprKind::True => Value::Bool(true),
             ExprKind::False => Value::Bool(false),
             ExprKind::Num(n) => Value::Num(*n),
-            ExprKind::Str(s) => Value::str(s),
+            ExprKind::Str(s) => Value::Str(s.clone()),
             ExprKind::Name(name) => match env.find(name) {
                 Some(cell) => cell.borrow().clone(),
-                None => self.globals.borrow().get_str(name),
+                None => self.globals.borrow().get_name(name),
             },
             ExprKind::Index { obj, key } => {
                 let table = self.eval_one(obj, env)?;
@@ -849,7 +861,7 @@ impl Interpreter {
                         }
                         TableItem::Named(name, e) => {
                             let v = self.eval_one(e, env)?;
-                            table.set_str(name, v);
+                            table.set_name(name, v);
                         }
                         TableItem::Keyed(k, e) => {
                             let key = self.eval_one(k, env)?;
@@ -1032,11 +1044,11 @@ impl Interpreter {
                     for v in extra {
                         t.push(v);
                     }
-                    scope.declare("...", Value::Table(std::rc::Rc::new(RefCell::new(t))));
+                    scope.declare_vararg(Value::Table(std::rc::Rc::new(RefCell::new(t))));
                 } else {
                     // Shadow any enclosing vararg scope: `...` is not
                     // visible inside non-vararg functions (Lua rule).
-                    scope.declare("...", Value::Nil);
+                    scope.declare_vararg(Value::Nil);
                 }
                 match this.exec_block(&closure.body.body, &scope) {
                     Ok(Flow::Return(values)) => Ok(values),

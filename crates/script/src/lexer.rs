@@ -1,6 +1,7 @@
 //! The Rua lexer.
 
 use std::fmt;
+use std::rc::Rc;
 
 use crate::error::RuaError;
 use crate::Result;
@@ -10,10 +11,11 @@ use crate::Result;
 pub enum Token {
     /// A number literal.
     Num(f64),
-    /// A string literal (quotes or `[[…]]`).
-    Str(String),
-    /// An identifier.
-    Name(String),
+    /// A string literal (quotes or `[[…]]`), shared with the syntax
+    /// tree built from it.
+    Str(Rc<str>),
+    /// An identifier, shared likewise.
+    Name(Rc<str>),
 
     // Keywords.
     And,
@@ -320,11 +322,11 @@ impl<'a> Lexer<'a> {
             }
             b'"' | b'\'' => {
                 self.bump();
-                Token::Str(self.read_quoted(c)?)
+                Token::Str(self.read_quoted(c)?.into())
             }
             b'[' if self.peek2() == Some(b'[') => {
                 self.pos += 2;
-                Token::Str(self.read_long_bracket_body()?)
+                Token::Str(self.read_long_bracket_body()?.into())
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = self.pos;
@@ -332,7 +334,7 @@ impl<'a> Lexer<'a> {
                     self.pos += 1;
                 }
                 let word = std::str::from_utf8(&self.src[start..self.pos]).expect("ident bytes");
-                keyword(word).unwrap_or_else(|| Token::Name(word.to_owned()))
+                keyword(word).unwrap_or_else(|| Token::Name(word.into()))
             }
             _ => {
                 self.bump();

@@ -78,7 +78,7 @@ impl Parser {
         }
     }
 
-    fn expect_name(&mut self) -> Result<String> {
+    fn expect_name(&mut self) -> Result<Name> {
         let line = self.line();
         match self.bump() {
             Ok(Token::Name(n)) => Ok(n),
@@ -123,7 +123,7 @@ impl Parser {
                 self.bump()?;
                 if self.eat(&Token::Function) {
                     let name = self.expect_name()?;
-                    let body = self.parse_func_body(Some(name.clone()), false)?;
+                    let body = self.parse_func_body(Some(name.to_string()), false)?;
                     // `local function f` declares f before the body, so
                     // the closure can recurse; model it as local + assign.
                     StatKind::Local {
@@ -248,17 +248,17 @@ impl Parser {
                     kind: ExprKind::Name(base.clone()),
                     line,
                 };
-                let mut path = base;
+                let mut path = base.to_string();
                 let mut is_method = false;
                 loop {
                     if self.eat(&Token::Dot) {
                         let field = self.expect_name()?;
                         path = format!("{path}.{field}");
-                        target = index_expr(target, str_expr(&field, line), line);
+                        target = index_expr(target, str_expr(field, line), line);
                     } else if self.eat(&Token::Colon) {
                         let method = self.expect_name()?;
                         path = format!("{path}:{method}");
-                        target = index_expr(target, str_expr(&method, line), line);
+                        target = index_expr(target, str_expr(method, line), line);
                         is_method = true;
                         break;
                     } else {
@@ -338,7 +338,7 @@ impl Parser {
         let mut params = Vec::new();
         let mut has_vararg = false;
         if is_method {
-            params.push("self".to_owned());
+            params.push("self".into());
         }
         if !self.eat(&Token::RParen) {
             loop {
@@ -448,7 +448,7 @@ impl Parser {
                 Some(Token::Dot) => {
                     self.bump()?;
                     let field = self.expect_name()?;
-                    expr = index_expr(expr, str_expr(&field, line), line);
+                    expr = index_expr(expr, str_expr(field, line), line);
                 }
                 Some(Token::LBracket) => {
                     self.bump()?;
@@ -601,9 +601,9 @@ fn index_expr(obj: Expr, key: Expr, line: usize) -> Expr {
     }
 }
 
-fn str_expr(s: &str, line: usize) -> Expr {
+fn str_expr(s: Name, line: usize) -> Expr {
     Expr {
-        kind: ExprKind::Str(s.to_owned()),
+        kind: ExprKind::Str(s),
         line,
     }
 }
@@ -715,7 +715,7 @@ mod tests {
         let ExprKind::Function(body) = &exprs[0].kind else {
             panic!()
         };
-        assert_eq!(body.params, vec!["x"]);
+        assert_eq!(body.params, [Name::from("x")]);
 
         let b = parse("function t:m(x) return x end").unwrap();
         let StatKind::Assign { exprs, .. } = &b.stats[0].kind else {
@@ -724,7 +724,7 @@ mod tests {
         let ExprKind::Function(body) = &exprs[0].kind else {
             panic!()
         };
-        assert_eq!(body.params, vec!["self", "x"]);
+        assert_eq!(body.params, [Name::from("self"), Name::from("x")]);
     }
 
     #[test]

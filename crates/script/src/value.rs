@@ -319,6 +319,25 @@ impl Table {
         Ok(())
     }
 
+    /// Reads a string key the caller already holds as an `Rc<str>`,
+    /// without copying it.
+    pub(crate) fn get_name(&self, key: &Rc<str>) -> Value {
+        self.map
+            .get(&Key::Str(key.clone()))
+            .cloned()
+            .unwrap_or(Value::Nil)
+    }
+
+    /// Writes a string key the caller already holds as an `Rc<str>`.
+    pub(crate) fn set_name(&mut self, key: &Rc<str>, value: Value) {
+        let key = Key::Str(key.clone());
+        if matches!(value, Value::Nil) {
+            self.map.remove(&key);
+        } else {
+            self.map.insert(key, value);
+        }
+    }
+
     /// Writes a string key.
     pub fn set_str(&mut self, key: &str, value: Value) {
         // String keys are always valid.

@@ -76,7 +76,11 @@ impl Buckets {
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         self.counts[index(ns)].fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        // Most samples are below the maximum: a load spares them the
+        // read-modify-write.
+        if ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -16,8 +16,8 @@
 //! Spans are cheap enough to record on every call. A span keeps a
 //! static name prefix, a copy of the rest of its name and its first
 //! attributes inline; numeric and boolean attributes stay typed until
-//! recorded. The collector copies a finished span into a reusable slot,
-//! so in steady state neither side allocates. Names and values longer
+//! read. A finished span moves into the collector's ring as built, so
+//! in steady state neither side allocates. Names and values longer
 //! than [`MAX_TEXT_LEN`] are cut, which bounds what the collector
 //! retains ([`Collector::heap_bytes`]).
 //!

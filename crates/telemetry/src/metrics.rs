@@ -20,16 +20,19 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// Adds one.
+    #[inline]
     pub fn incr(&self) {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n`.
+    #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
+    #[inline]
     pub fn value(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -41,21 +44,25 @@ pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
     /// Sets the gauge to `v`.
+    #[inline]
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
     }
 
     /// Adds `n` (may be negative).
+    #[inline]
     pub fn add(&self, n: i64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Subtracts `n`.
+    #[inline]
     pub fn sub(&self, n: i64) {
         self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Current value.
+    #[inline]
     pub fn value(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -76,11 +83,13 @@ impl std::fmt::Debug for HistogramHandle {
 
 impl HistogramHandle {
     /// Records one duration sample.
+    #[inline]
     pub fn record(&self, d: Duration) {
         self.0.record(d);
     }
 
     /// Runs `f`, recording its wall-clock duration.
+    #[inline]
     pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let out = f();

@@ -66,22 +66,26 @@ macro_rules! hex_id {
 
         impl $name {
             /// Generates a fresh, process-unique id.
+            #[inline]
             pub fn generate() -> $name {
                 $name(next_raw_id())
             }
 
             /// Wraps a raw value (zero is reserved for "absent").
+            #[inline]
             pub fn from_raw(raw: u64) -> $name {
                 $name(raw)
             }
 
             /// The raw value.
+            #[inline]
             pub fn raw(self) -> u64 {
                 self.0
             }
 
             /// The 16 lowercase hex digits `Display` prints, as ASCII
             /// bytes, without allocating.
+            #[inline]
             pub fn to_hex(self) -> [u8; 16] {
                 const DIGITS: &[u8; 16] = b"0123456789abcdef";
                 let mut out = [0u8; 16];
@@ -119,14 +123,17 @@ thread_local! {
 
 /// The innermost active span on this thread, if any — what a new child
 /// span or an outgoing request inherits.
+#[inline]
 pub fn current_context() -> Option<(TraceId, SpanId)> {
     CONTEXT.with(|c| c.borrow().last().copied())
 }
 
+#[inline]
 fn push_context(trace: TraceId, span: SpanId) {
     CONTEXT.with(|c| c.borrow_mut().push((trace, span)));
 }
 
+#[inline]
 fn pop_context(span: SpanId) {
     CONTEXT.with(|c| {
         let mut stack = c.borrow_mut();
@@ -151,9 +158,9 @@ pub const MAX_ATTRS: usize = 16;
 
 /// Heap bytes one retained span may hold: [`Collector::heap_bytes`]
 /// stays within the collector's capacity times this.
-pub const RETAINED_SPAN_BYTES: usize = std::mem::size_of::<Slot>()
+pub const RETAINED_SPAN_BYTES: usize = std::mem::size_of::<Finished>()
     + (1 + MAX_ATTRS) * MAX_TEXT_LEN
-    + MAX_ATTRS * std::mem::size_of::<(&str, Vec<u8>)>();
+    + MAX_ATTRS * std::mem::size_of::<(&str, Stored)>();
 
 /// What a cut name or value ends in.
 const CUT_MARKER: &str = "…";
@@ -163,14 +170,6 @@ const INLINE_TEXT: usize = 38;
 
 /// Attributes a span keeps inline; further ones spill to the heap.
 const INLINE_ATTRS: usize = 4;
-
-/// Capacity a new trace-ring slot gives its name buffer and each of its
-/// first [`INLINE_ATTRS`] attribute buffers: what a span holds inline
-/// (a name prefix and [`INLINE_TEXT`] bytes, or a value of at most
-/// [`INLINE_TEXT`] bytes, 20 digits or a boolean). A span whose texts
-/// fit inline then records into any slot without allocating, whatever
-/// an earlier occupant left there.
-const SLOT_TEXT: usize = 64;
 
 /// A finished span as stored by the [`Collector`].
 #[derive(Debug, Clone)]
@@ -226,12 +225,14 @@ pub struct SpanName<'a> {
 }
 
 impl<'a> From<&'a str> for SpanName<'a> {
+    #[inline]
     fn from(rest: &'a str) -> SpanName<'a> {
         SpanName { prefix: "", rest }
     }
 }
 
 impl<'a> From<(&'static str, &'a str)> for SpanName<'a> {
+    #[inline]
     fn from((prefix, rest): (&'static str, &'a str)) -> SpanName<'a> {
         SpanName { prefix, rest }
     }
@@ -239,7 +240,7 @@ impl<'a> From<(&'static str, &'a str)> for SpanName<'a> {
 
 /// An attribute value as [`Span::attr`] takes it. Text is copied into
 /// the span; numbers and booleans are kept as they are and formatted
-/// only when the span is recorded.
+/// only when a reader asks for the span.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttrValue<'a> {
     /// Text.
@@ -251,30 +252,35 @@ pub enum AttrValue<'a> {
 }
 
 impl<'a> From<&'a str> for AttrValue<'a> {
+    #[inline]
     fn from(s: &'a str) -> AttrValue<'a> {
         AttrValue::Str(s)
     }
 }
 
 impl<'a> From<&'a String> for AttrValue<'a> {
+    #[inline]
     fn from(s: &'a String) -> AttrValue<'a> {
         AttrValue::Str(s)
     }
 }
 
 impl From<u64> for AttrValue<'_> {
+    #[inline]
     fn from(n: u64) -> Self {
         AttrValue::U64(n)
     }
 }
 
 impl From<usize> for AttrValue<'_> {
+    #[inline]
     fn from(n: usize) -> Self {
         AttrValue::U64(n as u64)
     }
 }
 
 impl From<bool> for AttrValue<'_> {
+    #[inline]
     fn from(b: bool) -> Self {
         AttrValue::Bool(b)
     }
@@ -289,7 +295,13 @@ enum Text {
 }
 
 impl Text {
+    const EMPTY: Text = Text::Inline {
+        len: 0,
+        bytes: [0; INLINE_TEXT],
+    };
+
     /// Copies `s`, cut to at most `limit` bytes (marker included).
+    #[inline]
     fn new(s: &str, limit: usize) -> Text {
         if s.len() <= INLINE_TEXT.min(limit) {
             let mut bytes = [0; INLINE_TEXT];
@@ -299,6 +311,24 @@ impl Text {
                 bytes,
             };
         }
+        Text::new_heap(s, limit)
+    }
+
+    /// Makes this text a copy of `s`, as [`Text::new`] would, in place
+    /// when both fit inline.
+    #[inline]
+    fn set(&mut self, s: &str, limit: usize) {
+        match self {
+            Text::Inline { len, bytes } if s.len() <= INLINE_TEXT.min(limit) => {
+                bytes[..s.len()].copy_from_slice(s.as_bytes());
+                *len = s.len() as u8;
+            }
+            _ => *self = Text::new(s, limit),
+        }
+    }
+
+    #[cold]
+    fn new_heap(s: &str, limit: usize) -> Text {
         if s.len() <= limit {
             return Text::Heap(s.to_owned());
         }
@@ -309,17 +339,24 @@ impl Text {
         Text::Heap([&s[..end], CUT_MARKER].concat())
     }
 
-    /// The text's UTF-8 bytes; left unchecked here, so recording a
-    /// span does not validate them again.
-    fn as_bytes(&self) -> &[u8] {
+    /// The text. Its bytes were copied from a `&str` and cut on a char
+    /// boundary, so the lossy conversion never replaces anything.
+    fn as_str(&self) -> std::borrow::Cow<'_, str> {
         match self {
-            Text::Inline { len, bytes } => &bytes[..usize::from(*len)],
-            Text::Heap(s) => s.as_bytes(),
+            Text::Inline { len, bytes } => String::from_utf8_lossy(&bytes[..usize::from(*len)]),
+            Text::Heap(s) => s.as_str().into(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Text::Inline { .. } => 0,
+            Text::Heap(s) => s.capacity(),
         }
     }
 }
 
-/// An attribute value held by a live span.
+/// An attribute value held by a span.
 #[derive(Debug)]
 enum Stored {
     Text(Text),
@@ -336,17 +373,90 @@ impl Stored {
         }
     }
 
-    /// Appends the recorded form; formatting into spare capacity does
-    /// not allocate.
-    fn write_to(&self, out: &mut Vec<u8>) {
-        use std::io::Write;
-        match self {
-            Stored::Text(text) => out.extend_from_slice(text.as_bytes()),
-            Stored::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Stored::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+    /// Stores `value`, text in place when the held value is text.
+    #[inline]
+    fn set(&mut self, value: AttrValue<'_>) {
+        match (value, self) {
+            (AttrValue::Str(s), Stored::Text(text)) => text.set(s, MAX_TEXT_LEN),
+            (value, this) => *this = Stored::new(value),
         }
+    }
+
+    /// The recorded form, as readers see it.
+    fn to_text(&self) -> String {
+        match self {
+            Stored::Text(text) => text.as_str().into_owned(),
+            Stored::U64(n) => n.to_string(),
+            Stored::Bool(b) => b.to_string(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Stored::Text(text) => text.heap_bytes(),
+            Stored::U64(_) | Stored::Bool(_) => 0,
+        }
+    }
+}
+
+/// Everything a span records, in the form the span built it: the
+/// collector's ring holds these, moved in unchanged when the span ends.
+/// Readers join the name, format the numbers and convert the times.
+#[derive(Debug)]
+struct Finished {
+    prefix: &'static str,
+    name: Text,
+    trace: TraceId,
+    span: SpanId,
+    parent: Option<SpanId>,
+    /// Start, since the collector's epoch; set when the span records.
+    start: Duration,
+    duration: Duration,
+    attrs: [(&'static str, Stored); INLINE_ATTRS],
+    attr_len: usize,
+    spilled: Vec<(&'static str, Stored)>,
+}
+
+impl Finished {
+    /// An unoccupied record, holding no heap memory.
+    const EMPTY: Finished = Finished {
+        prefix: "",
+        name: Text::EMPTY,
+        trace: TraceId(0),
+        span: SpanId(0),
+        parent: None,
+        start: Duration::ZERO,
+        duration: Duration::ZERO,
+        attrs: [const { ("", Stored::Text(Text::EMPTY)) }; INLINE_ATTRS],
+        attr_len: 0,
+        spilled: Vec::new(),
+    };
+
+    fn attrs(&self) -> impl Iterator<Item = &(&'static str, Stored)> {
+        self.attrs[..self.attr_len.min(INLINE_ATTRS)]
+            .iter()
+            .chain(&self.spilled)
+    }
+
+    fn record(&self) -> SpanRecord {
+        SpanRecord {
+            name: [self.prefix, &self.name.as_str()].concat(),
+            trace: self.trace,
+            span: self.span,
+            parent: self.parent,
+            start_us: self.start.as_micros() as u64,
+            duration_us: self.duration.as_micros() as u64,
+            attrs: self
+                .attrs()
+                .map(|(k, v)| ((*k).to_owned(), v.to_text()))
+                .collect(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.name.heap_bytes()
+            + self.spilled.capacity() * std::mem::size_of::<(&str, Stored)>()
+            + self.attrs().map(|(_, v)| v.heap_bytes()).sum::<usize>()
     }
 }
 
@@ -362,39 +472,34 @@ impl Stored {
 /// state unless a name or value is longer than a short identifier.
 #[derive(Debug)]
 pub struct Span {
-    prefix: &'static str,
-    name: Text,
-    trace: TraceId,
-    span: SpanId,
-    parent: Option<SpanId>,
     start: Instant,
     /// Set by [`Span::end`], so the recorded duration is the returned one.
     elapsed: Option<Duration>,
-    attrs: [(&'static str, Stored); INLINE_ATTRS],
-    attr_len: usize,
-    spilled: Vec<(&'static str, Stored)>,
+    done: Finished,
 }
 
 impl Span {
+    #[inline]
     fn build(name: SpanName<'_>, trace: TraceId, parent: Option<SpanId>) -> Span {
         let span = SpanId::generate();
         push_context(trace, span);
+        let mut done = Finished::EMPTY;
+        done.prefix = name.prefix;
+        let limit = MAX_TEXT_LEN.saturating_sub(name.prefix.len());
+        done.name.set(name.rest, limit);
+        done.trace = trace;
+        done.span = span;
+        done.parent = parent;
         Span {
-            prefix: name.prefix,
-            name: Text::new(name.rest, MAX_TEXT_LEN.saturating_sub(name.prefix.len())),
-            trace,
-            span,
-            parent,
             start: Instant::now(),
             elapsed: None,
-            attrs: [const { ("", Stored::Bool(false)) }; INLINE_ATTRS],
-            attr_len: 0,
-            spilled: Vec::new(),
+            done,
         }
     }
 
     /// Starts a span: a child of this thread's current span when one is
     /// active, otherwise the root of a new trace.
+    #[inline]
     pub fn start<'a>(name: impl Into<SpanName<'a>>) -> Span {
         match current_context() {
             Some((trace, parent)) => Span::build(name.into(), trace, Some(parent)),
@@ -403,12 +508,14 @@ impl Span {
     }
 
     /// Starts the root of a brand-new trace, ignoring any current span.
+    #[inline]
     pub fn root<'a>(name: impl Into<SpanName<'a>>) -> Span {
         Span::build(name.into(), TraceId::generate(), None)
     }
 
     /// Starts a span under an explicitly supplied parent — the server
     /// side of a remote call, resuming the context the request carried.
+    #[inline]
     pub fn child_of<'a>(
         name: impl Into<SpanName<'a>>,
         trace: TraceId,
@@ -420,45 +527,57 @@ impl Span {
     /// Attaches a key/value attribute (text, an integer or a boolean).
     /// Text longer than [`MAX_TEXT_LEN`] is cut; attributes beyond
     /// [`MAX_ATTRS`] are ignored.
+    #[inline]
     pub fn attr<'v>(&mut self, key: &'static str, value: impl Into<AttrValue<'v>>) {
-        let attr = (key, Stored::new(value.into()));
-        match self.attr_len {
-            n if n < INLINE_ATTRS => self.attrs[n] = attr,
-            n if n < MAX_ATTRS => self.spilled.push(attr),
+        let done = &mut self.done;
+        match done.attr_len {
+            n if n < INLINE_ATTRS => {
+                let (k, v) = &mut done.attrs[n];
+                *k = key;
+                v.set(value.into());
+            }
+            n if n < MAX_ATTRS => done.spilled.push((key, Stored::new(value.into()))),
             _ => return,
         }
-        self.attr_len += 1;
-    }
-
-    fn attrs(&self) -> impl Iterator<Item = &(&'static str, Stored)> {
-        self.attrs[..self.attr_len.min(INLINE_ATTRS)]
-            .iter()
-            .chain(&self.spilled)
+        done.attr_len += 1;
     }
 
     /// The trace this span belongs to.
+    #[inline]
     pub fn trace_id(&self) -> TraceId {
-        self.trace
+        self.done.trace
     }
 
     /// This span's id.
+    #[inline]
     pub fn span_id(&self) -> SpanId {
-        self.span
+        self.done.span
     }
 
     /// Ends the span now (equivalent to dropping it) and returns the
     /// duration it records.
+    #[inline]
     pub fn end(mut self) -> Duration {
         let elapsed = self.start.elapsed();
         self.elapsed = Some(elapsed);
         elapsed
     }
+
+    /// Fills in the times the record keeps, against `epoch`.
+    fn finish(&mut self, epoch: Instant) {
+        self.done.start = self.start.saturating_duration_since(epoch);
+        self.done.duration = self.elapsed.unwrap_or_else(|| self.start.elapsed());
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        pop_context(self.span);
-        collector().record(self);
+        pop_context(self.done.span);
+        let collector = collector();
+        self.finish(collector.epoch);
+        // What the record displaces from the ring is left in `done`,
+        // and freed with the span, after the collector's lock.
+        collector.record(&mut self.done);
     }
 }
 
@@ -466,104 +585,11 @@ impl Drop for Span {
 
 const DEFAULT_CAPACITY: usize = 4096;
 
-/// One retained span. When the ring wraps, a slot is overwritten in
-/// place, so its buffers keep their capacity (at most
-/// [`MAX_TEXT_LEN`] each) for the next occupant. Name and values are
-/// kept as the UTF-8 bytes the span copied from `&str`s; readers turn
-/// them back into strings.
-struct Slot {
-    name: Vec<u8>,
-    trace: TraceId,
-    span: SpanId,
-    parent: Option<SpanId>,
-    start_us: u64,
-    duration_us: u64,
-    /// Attribute keys and values. Only the first `attr_len` are the
-    /// current occupant's; the rest are kept for their capacity.
-    attrs: Vec<(&'static str, Vec<u8>)>,
-    attr_len: usize,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            name: Vec::with_capacity(SLOT_TEXT),
-            trace: TraceId::from_raw(0),
-            span: SpanId::from_raw(0),
-            parent: None,
-            start_us: 0,
-            duration_us: 0,
-            attrs: (0..INLINE_ATTRS)
-                .map(|_| ("", Vec::with_capacity(SLOT_TEXT)))
-                .collect(),
-            attr_len: 0,
-        }
-    }
-
-    fn fill(&mut self, span: &Span, start_us: u64, duration_us: u64) {
-        self.name.clear();
-        self.name.extend_from_slice(span.prefix.as_bytes());
-        self.name.extend_from_slice(span.name.as_bytes());
-        bound(&mut self.name);
-        self.trace = span.trace;
-        self.span = span.span;
-        self.parent = span.parent;
-        self.start_us = start_us;
-        self.duration_us = duration_us;
-        self.attr_len = 0;
-        for (key, value) in span.attrs() {
-            if self.attr_len == self.attrs.len() {
-                self.attrs.push((key, Vec::new()));
-            }
-            let (k, text) = &mut self.attrs[self.attr_len];
-            *k = key;
-            text.clear();
-            value.write_to(text);
-            bound(text);
-            self.attr_len += 1;
-        }
-    }
-
-    fn record(&self) -> SpanRecord {
-        SpanRecord {
-            name: text(&self.name),
-            trace: self.trace,
-            span: self.span,
-            parent: self.parent,
-            start_us: self.start_us,
-            duration_us: self.duration_us,
-            attrs: self.attrs[..self.attr_len]
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), text(v)))
-                .collect(),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.name.capacity()
-            + self.attrs.capacity() * std::mem::size_of::<(&str, Vec<u8>)>()
-            + self.attrs.iter().map(|(_, v)| v.capacity()).sum::<usize>()
-    }
-}
-
-/// A recorded name or value as a string. The bytes came from `&str`s
-/// cut on char boundaries, so the lossy path never replaces anything.
-fn text(bytes: &[u8]) -> String {
-    String::from_utf8_lossy(bytes).into_owned()
-}
-
-/// Gives back capacity beyond [`MAX_TEXT_LEN`] that growing `text` left.
-fn bound(text: &mut Vec<u8>) {
-    if text.capacity() > MAX_TEXT_LEN {
-        text.shrink_to(MAX_TEXT_LEN);
-    }
-}
-
-/// The retained spans: a ring of at most `capacity` slots, filled as
+/// The retained spans: a ring of at most `capacity` records, filled as
 /// spans arrive and then overwritten oldest first.
 struct Ring {
-    slots: Vec<Slot>,
-    /// The oldest slot, overwritten next once the ring is full; zero
+    records: Vec<Finished>,
+    /// The oldest record, overwritten next once the ring is full; zero
     /// until then.
     oldest: usize,
     capacity: usize,
@@ -571,30 +597,30 @@ struct Ring {
 }
 
 impl Ring {
-    fn push(&mut self, span: &Span, start_us: u64, duration_us: u64) {
-        if self.slots.len() < self.capacity {
-            if self.slots.len() == self.slots.capacity() {
+    /// Moves `done` in; `done` is left holding what it displaced.
+    #[inline]
+    fn push(&mut self, done: &mut Finished) {
+        if self.records.len() < self.capacity {
+            if self.records.len() == self.records.capacity() {
                 // Double, but never past `capacity`.
                 let more = self
-                    .slots
+                    .records
                     .len()
                     .max(4)
-                    .min(self.capacity - self.slots.len());
-                self.slots.reserve_exact(more);
+                    .min(self.capacity - self.records.len());
+                self.records.reserve_exact(more);
             }
-            let mut slot = Slot::new();
-            slot.fill(span, start_us, duration_us);
-            self.slots.push(slot);
+            self.records.push(std::mem::replace(done, Finished::EMPTY));
         } else {
-            self.slots[self.oldest].fill(span, start_us, duration_us);
-            self.oldest = (self.oldest + 1) % self.slots.len();
+            std::mem::swap(&mut self.records[self.oldest], done);
+            self.oldest = (self.oldest + 1) % self.records.len();
             self.dropped += 1;
         }
     }
 
     /// Retained spans, oldest first.
-    fn iter(&self) -> impl Iterator<Item = &Slot> {
-        let (newer, older) = self.slots.split_at(self.oldest);
+    fn iter(&self) -> impl Iterator<Item = &Finished> {
+        let (newer, older) = self.records.split_at(self.oldest);
         older.iter().chain(newer)
     }
 }
@@ -602,9 +628,10 @@ impl Ring {
 /// The process-wide sink for finished spans: a bounded ring buffer
 /// (oldest spans evicted first) with text and JSON export.
 ///
-/// Recording a span copies it into a reusable slot, so the call path
-/// does not allocate once the ring is full; readers build the
-/// [`SpanRecord`]s they return.
+/// Recording a span moves it into the ring as the span built it, with
+/// one swap under the lock: nothing is copied per text or formatted on
+/// the call path, and nothing is allocated once the ring is full.
+/// Readers build the [`SpanRecord`]s they return.
 pub struct Collector {
     epoch: Instant,
     inner: Mutex<Ring>,
@@ -621,7 +648,7 @@ impl Collector {
         Collector {
             epoch: Instant::now(),
             inner: Mutex::new(Ring {
-                slots: Vec::new(),
+                records: Vec::new(),
                 oldest: 0,
                 capacity: capacity.max(1),
                 dropped: 0,
@@ -633,11 +660,11 @@ impl Collector {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn record(&self, span: &Span) {
-        let start_us = span.start.saturating_duration_since(self.epoch).as_micros() as u64;
-        let elapsed = span.elapsed.unwrap_or_else(|| span.start.elapsed());
-        let duration_us = elapsed.as_micros() as u64;
-        self.lock().push(span, start_us, duration_us);
+    /// Moves `done` into the ring; `done` is left holding the record it
+    /// displaced, for the caller to free outside the lock.
+    #[inline]
+    fn record(&self, done: &mut Finished) {
+        self.lock().push(done);
     }
 
     /// Changes the ring-buffer capacity, evicting oldest spans if the
@@ -646,13 +673,18 @@ impl Collector {
         let mut ring = self.lock();
         let capacity = capacity.max(1);
         let oldest = ring.oldest;
-        ring.slots.rotate_left(oldest);
+        ring.records.rotate_left(oldest);
         ring.oldest = 0;
-        let excess = ring.slots.len().saturating_sub(capacity);
-        ring.slots.drain(..excess);
-        ring.slots.shrink_to(capacity);
+        let excess = ring.records.len().saturating_sub(capacity);
+        ring.records.drain(..excess);
+        ring.records.shrink_to(capacity);
         ring.dropped += excess as u64;
         ring.capacity = capacity;
+    }
+
+    /// Most spans the collector retains.
+    pub fn capacity(&self) -> usize {
+        self.lock().capacity
     }
 
     /// Number of spans evicted so far to stay within capacity.
@@ -660,17 +692,17 @@ impl Collector {
         self.lock().dropped
     }
 
-    /// Heap bytes the retained spans hold: their slots and the strings
-    /// in them. At most capacity × [`RETAINED_SPAN_BYTES`].
+    /// Heap bytes the retained spans hold: their records and the texts
+    /// that did not fit inline. At most capacity × [`RETAINED_SPAN_BYTES`].
     pub fn heap_bytes(&self) -> usize {
         let ring = self.lock();
-        ring.slots.capacity() * std::mem::size_of::<Slot>()
-            + ring.slots.iter().map(Slot::heap_bytes).sum::<usize>()
+        ring.records.capacity() * std::mem::size_of::<Finished>()
+            + ring.records.iter().map(Finished::heap_bytes).sum::<usize>()
     }
 
     /// All retained finished spans, oldest first.
     pub fn finished(&self) -> Vec<SpanRecord> {
-        self.lock().iter().map(Slot::record).collect()
+        self.lock().iter().map(Finished::record).collect()
     }
 
     /// Retained spans belonging to `trace`, oldest first.
@@ -678,7 +710,7 @@ impl Collector {
         self.lock()
             .iter()
             .filter(|s| s.trace == trace)
-            .map(Slot::record)
+            .map(Finished::record)
             .collect()
     }
 
@@ -686,7 +718,7 @@ impl Collector {
     /// isolation helper).
     pub fn clear(&self) {
         let mut ring = self.lock();
-        ring.slots = Vec::new();
+        ring.records = Vec::new();
         ring.oldest = 0;
         ring.dropped = 0;
     }
@@ -850,14 +882,23 @@ mod tests {
         assert!(json.contains("\"attrs\":{\"k\":\"v\"}"), "{json}");
     }
 
-    /// Records a root span named `name` with text `attrs` into `c`
-    /// (and, on drop, into the global collector).
+    /// Ends `span` into `c` instead of the global collector.
+    fn record_in(c: &Collector, span: Span) {
+        let mut span = std::mem::ManuallyDrop::new(span);
+        pop_context(span.done.span);
+        span.finish(c.epoch);
+        // What is left in the span holds no heap memory.
+        let mut done = std::mem::replace(&mut span.done, Finished::EMPTY);
+        c.record(&mut done);
+    }
+
+    /// Records a root span named `name` with text `attrs` into `c`.
     fn record_into(c: &Collector, name: &str, attrs: &[(&'static str, &str)]) {
         let mut span = Span::root(name);
         for (k, v) in attrs {
             span.attr(k, *v);
         }
-        c.record(&span);
+        record_in(c, span);
     }
 
     /// `recorded` is `original`, or `original` cut on a char boundary
@@ -966,48 +1007,42 @@ mod tests {
     }
 
     #[test]
-    fn slots_give_back_capacity_beyond_the_text_bound() {
+    fn long_texts_stay_within_the_retained_bound() {
         let c = Collector::new(1);
         let keys: [&'static str; MAX_ATTRS] = std::array::from_fn(|i| ["k"; MAX_ATTRS][i]);
-        // Each value grows its reused string from 200 to 256 bytes,
-        // which doubling would leave at 400.
-        for len in [200, MAX_TEXT_LEN] {
+        for len in [200, MAX_TEXT_LEN, 4 * MAX_TEXT_LEN] {
             let value = "v".repeat(len);
             let mut span = Span::root(value.as_str());
             for key in keys {
                 span.attr(key, value.as_str());
             }
-            c.record(&span);
+            record_in(&c, span);
+            assert!(
+                c.heap_bytes() <= RETAINED_SPAN_BYTES,
+                "{} bytes",
+                c.heap_bytes()
+            );
         }
-        assert!(
-            c.heap_bytes() <= RETAINED_SPAN_BYTES,
-            "{} bytes",
-            c.heap_bytes()
-        );
         assert_eq!(c.finished()[0].attrs.len(), MAX_ATTRS);
     }
 
     #[test]
-    fn a_span_of_inline_texts_records_without_growing_its_slot() {
+    fn a_span_of_inline_texts_records_without_heap_text() {
         let c = Collector::new(1);
-        // The slot's first occupant leaves its buffers empty.
-        c.record(&Span::root(""));
-        let slot_bytes =
-            SLOT_TEXT * (1 + INLINE_ATTRS) + INLINE_ATTRS * std::mem::size_of::<(&str, Vec<u8>)>();
-        assert_eq!(c.heap_bytes(), std::mem::size_of::<Slot>() + slot_bytes);
+        record_in(&c, Span::root(""));
+        let record_bytes = std::mem::size_of::<Finished>();
+        assert_eq!(c.heap_bytes(), record_bytes);
         let longest = "x".repeat(INLINE_TEXT);
         let mut span = Span::root(("server:", longest.as_str()));
         span.attr("text", longest.as_str());
         span.attr("n", u64::MAX);
         span.attr("ok", false);
         span.attr("more", longest.as_str());
-        c.record(&span);
-        assert_eq!(
-            c.heap_bytes(),
-            std::mem::size_of::<Slot>() + slot_bytes,
-            "recording grew the slot"
-        );
-        assert_eq!(c.finished()[0].attrs[1].1, u64::MAX.to_string());
+        record_in(&c, span);
+        assert_eq!(c.heap_bytes(), record_bytes, "recording held heap text");
+        let record = &c.finished()[0];
+        assert_eq!(record.name, format!("server:{longest}"));
+        assert_eq!(record.attrs[1].1, u64::MAX.to_string());
     }
 
     #[test]
@@ -1021,7 +1056,7 @@ mod tests {
         for _ in 0..2 * MAX_ATTRS {
             span.attr("extra", true);
         }
-        c.record(&span);
+        record_in(&c, span);
         let record = &c.finished()[0];
         assert_eq!(record.name, "typed:attrs");
         assert_eq!(record.attrs.len(), MAX_ATTRS);

@@ -20,6 +20,14 @@
 //! drops every standing query when a service type is added (a new
 //! subtype changes what a query accepts).
 //!
+//! A query whose key has no standing query walks every offer of its
+//! types under the read lock, as a scan would, and notes the key among
+//! the recent misses. Only a key that misses again while still noted
+//! there is promoted: its standing query is built under the write lock,
+//! evicting the oldest. So an importer that cycles through more
+//! constraint texts than the trader keeps cannot make every query
+//! rebuild one, and texts used once never evict a standing query.
+//!
 //! A query considers the first `search_card` visible offers of its
 //! types, in export order. The cutoff is the seq of the
 //! `search_card + 1`-th accepted offer. It is exact when there are no
@@ -33,14 +41,44 @@
 use std::sync::Arc;
 
 use adapta_idl::Value;
+use parking_lot::Mutex;
 
 use crate::constraint::{Constraint, PropLookup};
 use crate::offer::{PropValue, ServiceOffer};
 use crate::query::Query;
 
-/// Standing queries a trader keeps at most. Past it the oldest goes, so
-/// the constraint texts of remote importers cannot grow the list.
+/// Standing queries a trader keeps at most, and missed keys it
+/// remembers. Past it the oldest goes, so the constraint texts of
+/// remote importers cannot grow either list.
 pub(crate) const MAX_STANDING_QUERIES: usize = 16;
+
+/// What a standing query is kept for: a query's service type, its
+/// exact-type and dynamic flags and its constraint text.
+#[derive(Debug)]
+struct QueryKey {
+    service_type: String,
+    exact_type: bool,
+    dynamic: bool,
+    constraint_text: String,
+}
+
+impl QueryKey {
+    fn of(q: &Query) -> QueryKey {
+        QueryKey {
+            service_type: q.service_type.clone(),
+            exact_type: q.policies.exact_type_match,
+            dynamic: q.policies.use_dynamic_properties,
+            constraint_text: q.constraint.clone(),
+        }
+    }
+
+    fn is_for(&self, q: &Query) -> bool {
+        self.exact_type == q.policies.exact_type_match
+            && self.dynamic == q.policies.use_dynamic_properties
+            && self.service_type == q.service_type
+            && self.constraint_text == q.constraint
+    }
+}
 
 /// An offer's static properties, read where the trader stores them.
 /// Dynamic properties are absent, as they are from a query that does
@@ -79,10 +117,7 @@ fn set(seqs: &mut Vec<u64>, seq: u64, present: bool) {
 
 /// One standing query (see the [module docs](self)).
 pub(crate) struct StandingQuery {
-    service_type: String,
-    exact_type: bool,
-    dynamic: bool,
-    constraint_text: String,
+    key: QueryKey,
     /// Shared so a query can judge resolved offers after releasing the
     /// offers lock.
     pub(crate) constraint: Arc<Constraint>,
@@ -103,10 +138,7 @@ impl StandingQuery {
         offers: impl Iterator<Item = (u64, &'a ServiceOffer, bool)>,
     ) -> StandingQuery {
         let mut standing = StandingQuery {
-            service_type: q.service_type.clone(),
-            exact_type: q.policies.exact_type_match,
-            dynamic: q.policies.use_dynamic_properties,
-            constraint_text: q.constraint.clone(),
+            key: QueryKey::of(q),
             constraint: Arc::new(constraint),
             types,
             accepted: Vec::new(),
@@ -119,19 +151,12 @@ impl StandingQuery {
         standing
     }
 
-    fn is_for(&self, q: &Query) -> bool {
-        self.exact_type == q.policies.exact_type_match
-            && self.dynamic == q.policies.use_dynamic_properties
-            && self.service_type == q.service_type
-            && self.constraint_text == q.constraint
-    }
-
     /// Records that offer `seq` is now `offer` (with whether it is
     /// unsure), or gone.
     fn track(&mut self, seq: u64, offer: Option<(&ServiceOffer, bool)>) {
         let offer = offer.filter(|(o, _)| self.types.contains(&o.service_type));
         let candidate = offer.is_some_and(|(o, _)| {
-            resolves(o, self.dynamic) || self.constraint.matches(&StaticProps(&o.properties))
+            resolves(o, self.key.dynamic) || self.constraint.matches(&StaticProps(&o.properties))
         });
         set(&mut self.accepted, seq, offer.is_some());
         set(&mut self.candidates, seq, candidate);
@@ -173,45 +198,68 @@ impl StandingQuery {
 }
 
 /// The standing queries of one trader, oldest first, at most
-/// [`MAX_STANDING_QUERIES`].
+/// [`MAX_STANDING_QUERIES`], and the keys of the latest queries that
+/// found none, as many.
 #[derive(Default)]
-pub(crate) struct StandingQueries(Vec<StandingQuery>);
+pub(crate) struct StandingQueries {
+    standing: Vec<StandingQuery>,
+    /// Noted under the trader's offers read lock, so behind a lock of
+    /// its own.
+    missed: Mutex<Vec<QueryKey>>,
+}
 
 impl StandingQueries {
     /// The position of `q`'s standing query, if it has one.
     pub(crate) fn position(&self, q: &Query) -> Option<usize> {
-        self.0.iter().position(|s| s.is_for(q))
+        self.standing.iter().position(|s| s.key.is_for(q))
     }
 
     pub(crate) fn get(&self, at: usize) -> &StandingQuery {
-        &self.0[at]
+        &self.standing[at]
+    }
+
+    /// Notes that `q` found no standing query. True if it is due one:
+    /// its key missed before and is still among the latest missed keys
+    /// (it is then forgotten there). Otherwise its key is noted, the
+    /// oldest noted key making room.
+    pub(crate) fn note_miss(&self, q: &Query) -> bool {
+        let mut missed = self.missed.lock();
+        if let Some(at) = missed.iter().position(|key| key.is_for(q)) {
+            missed.remove(at);
+            return true;
+        }
+        if missed.len() >= MAX_STANDING_QUERIES {
+            missed.remove(0);
+        }
+        missed.push(QueryKey::of(q));
+        false
     }
 
     /// Adds a standing query, evicting the oldest past the cap; returns
     /// its position.
     pub(crate) fn add(&mut self, standing: StandingQuery) -> usize {
-        if self.0.len() >= MAX_STANDING_QUERIES {
-            self.0.remove(0);
+        if self.standing.len() >= MAX_STANDING_QUERIES {
+            self.standing.remove(0);
         }
-        self.0.push(standing);
-        self.0.len() - 1
+        self.standing.push(standing);
+        self.standing.len() - 1
     }
 
     /// Records a change of offer `seq` in every standing query.
     pub(crate) fn track(&mut self, seq: u64, offer: Option<(&ServiceOffer, bool)>) {
-        for standing in &mut self.0 {
+        for standing in &mut self.standing {
             standing.track(seq, offer);
         }
     }
 
     /// Drops every standing query.
     pub(crate) fn clear(&mut self) {
-        self.0.clear();
+        self.standing.clear();
     }
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.0.len()
+        self.standing.len()
     }
 }
 

@@ -104,6 +104,13 @@ impl OfferTable {
     }
 }
 
+/// The offers a query considers: those its standing query names, or
+/// every offer of the accepted service types.
+enum Walk<'a> {
+    Standing(&'a StandingQuery),
+    Scan(Vec<String>),
+}
+
 /// The query path's telemetry, resolved once per trader.
 struct QueryMetrics {
     /// `trading.queries`.
@@ -116,6 +123,8 @@ struct QueryMetrics {
     dynamic_evals: Counter,
     /// `trading.dynamic_eval_round_trip`.
     dynamic_eval_round_trip: HistogramHandle,
+    /// `trading.standing_queries_built`.
+    standing_built: Counter,
 }
 
 impl QueryMetrics {
@@ -127,6 +136,7 @@ impl QueryMetrics {
             constraint_eval: r.histogram("trading.constraint_eval"),
             dynamic_evals: r.counter("trading.dynamic_evals"),
             dynamic_eval_round_trip: r.histogram("trading.dynamic_eval_round_trip"),
+            standing_built: r.counter("trading.standing_queries_built"),
         }
     }
 }
@@ -139,6 +149,7 @@ struct TraderInner {
     links: LinkSet,
     rng: Mutex<StdRng>,
     queries: AtomicU64,
+    standing_built: AtomicU64,
     sweeper: OnceLock<Periodic>,
     metrics: QueryMetrics,
 }
@@ -255,6 +266,7 @@ impl Trader {
                 links: LinkSet::default(),
                 rng: Mutex::new(StdRng::seed_from_u64(0x7261_6465)),
                 queries: AtomicU64::new(0),
+                standing_built: AtomicU64::new(0),
                 sweeper: OnceLock::new(),
                 metrics: QueryMetrics::new(),
             }),
@@ -269,6 +281,13 @@ impl Trader {
     /// Number of import queries served so far (experiment counter).
     pub fn query_count(&self) -> u64 {
         self.inner.queries.load(Ordering::Relaxed)
+    }
+
+    /// Number of standing queries built so far: one for each key
+    /// promoted on a repeated miss (see `standing.rs`). Also counted in
+    /// `trading.standing_queries_built`.
+    pub fn standing_queries_built(&self) -> u64 {
+        self.inner.standing_built.load(Ordering::Relaxed)
     }
 
     // ---- service types -------------------------------------------------
@@ -674,9 +693,11 @@ impl Trader {
     ///
     /// The policies are first clamped to [`MAX_HOP_COUNT`],
     /// [`MAX_SEARCH_CARD`] and [`MAX_RETURN_CARD`]. The query walks the
-    /// offers its standing query (see `standing.rs`) names, built on
-    /// the first query of its key: the candidates below an exact
-    /// cutoff, else every offer of its types. Offers are judged where
+    /// offers its standing query (see `standing.rs`) names: the
+    /// candidates below an exact cutoff, else every offer of its types.
+    /// A key without a standing query scans every offer of its types;
+    /// its standing query is built when the key misses again while it
+    /// is still among the latest missed keys. Offers are judged where
     /// they are stored, under the offers read lock, and only matches
     /// are copied out. An offer with dynamic
     /// properties (when the query evaluates them) is snapshotted instead
@@ -697,24 +718,36 @@ impl Trader {
         span.attr("service_type", &q.service_type);
         let mut offers = self.inner.offers.read();
         let at = match offers.standing.position(q) {
-            Some(at) => at,
-            None => {
+            Some(at) => Some(at),
+            None if offers.standing.note_miss(q) => {
                 drop(offers);
                 let mut table = self.inner.offers.write();
                 let at = match table.standing.position(q) {
                     Some(at) => at,
                     None => {
                         let standing = self.stand(&table, q)?;
+                        self.inner.standing_built.fetch_add(1, Ordering::Relaxed);
+                        metrics.standing_built.incr();
                         table.standing.add(standing)
                     }
                 };
                 offers = std::sync::RwLockWriteGuard::downgrade(table);
-                at
+                Some(at)
             }
+            None => None,
+        };
+        // A key without a standing query scans every offer of its types.
+        let (standing, constraint) = match at {
+            Some(at) => {
+                let standing = offers.standing.get(at);
+                (Walk::Standing(standing), Arc::clone(&standing.constraint))
+            }
+            None => (
+                Walk::Scan(self.accepted_types(q)?),
+                Arc::new(Constraint::parse(&q.constraint)?),
+            ),
         };
         let preference = Preference::parse(&q.preference)?;
-        let standing = offers.standing.get(at);
-        let constraint = Arc::clone(&standing.constraint);
         let use_dynamic = q.policies.use_dynamic_properties;
         let judge = |position: usize, props: &dyn PropLookup| {
             if !position.is_multiple_of(EVAL_SAMPLE_EVERY) {
@@ -731,9 +764,7 @@ impl Trader {
         {
             let now = Instant::now();
             let visible = |seq: &u64| offers.entries.get(seq).filter(|e| e.visible(now));
-            let (seqs, limit) =
-                standing.walk(q.policies.search_card, |seq| visible(&seq).is_some());
-            for entry in seqs.iter().filter_map(visible).take(limit) {
+            let mut consider = |entry: &OfferEntry| {
                 let offer = &entry.offer;
                 let position = considered;
                 considered += 1;
@@ -742,6 +773,22 @@ impl Trader {
                 } else if judge(position, &StaticProps(&offer.properties)) {
                     candidates.push(Candidate::Matched(materialize(offer, |_, _| None)));
                 }
+            };
+            let search_card = q.policies.search_card;
+            match standing {
+                Walk::Standing(standing) => {
+                    let (seqs, limit) = standing.walk(search_card, |seq| visible(&seq).is_some());
+                    seqs.iter()
+                        .filter_map(visible)
+                        .take(limit)
+                        .for_each(&mut consider);
+                }
+                Walk::Scan(types) => offers
+                    .entries
+                    .values()
+                    .filter(|e| types.contains(&e.offer.service_type) && e.visible(now))
+                    .take(search_card as usize)
+                    .for_each(&mut consider),
             }
         }
         drop(offers);
@@ -1244,8 +1291,9 @@ mod tests {
     }
 
     /// A remote importer picks its constraint texts: however many it
-    /// sends, the trader keeps at most `MAX_STANDING_QUERIES` standing
-    /// queries, and each query still answers correctly.
+    /// sends, each twice in a row so each is promoted, the trader keeps
+    /// at most `MAX_STANDING_QUERIES` standing queries, and each query
+    /// still answers correctly.
     #[test]
     fn distinct_constraint_texts_leave_a_bounded_list_of_standing_queries() {
         let (_orb, trader) = trader_with_type();
@@ -1255,11 +1303,51 @@ mod tests {
         for n in 0..100 {
             let q = Query::new("Hello").constraint(format!("LoadAvg < {n}"));
             let expected = n.min(10) as usize;
-            assert_eq!(trader.query(&q).unwrap().len(), expected, "LoadAvg < {n}");
+            for _ in 0..2 {
+                assert_eq!(trader.query(&q).unwrap().len(), expected, "LoadAvg < {n}");
+            }
         }
+        assert_eq!(trader.standing_queries_built(), 100);
         assert_eq!(
             trader.inner.offers.read().standing.len(),
             crate::standing::MAX_STANDING_QUERIES
+        );
+    }
+
+    /// An importer cycling through one constraint text more than the
+    /// trader keeps standing queries for would evict and rebuild one on
+    /// every query if each miss built one. A key is promoted only when
+    /// it misses again while still among the latest missed keys, so
+    /// the cycle scans instead, and builds at most one standing query
+    /// per text; a cycle that fits is promoted once and then hits.
+    #[test]
+    fn cycling_more_constraint_texts_than_are_kept_does_not_rebuild_per_query() {
+        use crate::standing::MAX_STANDING_QUERIES;
+        let (_orb, trader) = trader_with_type();
+        for i in 0..10 {
+            export(&trader, i, f64::from(i));
+        }
+        let query = |n: usize| Query::new("Hello").constraint(format!("LoadAvg < {n}"));
+        let cycle = |texts: usize| (0..texts).cycle().take(20 * texts);
+        for n in cycle(MAX_STANDING_QUERIES + 1) {
+            assert_eq!(trader.query(&query(n)).unwrap().len(), n.min(10));
+        }
+        let built = trader.standing_queries_built();
+        assert!(
+            built <= MAX_STANDING_QUERIES as u64 + 1,
+            "{built} standing queries built"
+        );
+        for n in cycle(MAX_STANDING_QUERIES) {
+            trader.query(&query(n)).unwrap();
+        }
+        let built = trader.standing_queries_built() - built;
+        assert!(
+            built <= MAX_STANDING_QUERIES as u64,
+            "{built} standing queries built"
+        );
+        assert_eq!(
+            trader.inner.offers.read().standing.len(),
+            MAX_STANDING_QUERIES
         );
     }
 
@@ -1270,7 +1358,11 @@ mod tests {
         let (_orb, trader) = trader_with_type();
         export(&trader, 1, 1.0);
         let q = Query::new("Hello").constraint("LoadAvg < 50");
-        assert_eq!(trader.query(&q).unwrap().len(), 1);
+        // The second query builds the standing query.
+        for _ in 0..2 {
+            assert_eq!(trader.query(&q).unwrap().len(), 1);
+        }
+        assert_eq!(trader.standing_queries_built(), 1);
         trader
             .add_type(ServiceTypeDef::new("FancyHello").extends("Hello"))
             .unwrap();
@@ -1329,15 +1421,16 @@ mod tests {
         export(&trader, 2, 2.0);
         export(&trader, 3, 3.0);
         std::thread::sleep(Duration::from_millis(5));
-        let matches = trader
-            .query(
-                &Query::new("Hello")
-                    .constraint("LoadAvg < 50")
-                    .search_card(1),
-            )
-            .unwrap();
-        assert_eq!(matches.len(), 1);
-        assert_eq!(matches[0].target, target(2));
+        let q = Query::new("Hello")
+            .constraint("LoadAvg < 50")
+            .search_card(1);
+        // A scan, then the walk of the standing query it builds.
+        for _ in 0..2 {
+            let matches = trader.query(&q).unwrap();
+            assert_eq!(matches.len(), 1);
+            assert_eq!(matches[0].target, target(2));
+        }
+        assert_eq!(trader.standing_queries_built(), 1);
     }
 
     /// An importer's policies above the trader's maximums are clamped,

@@ -1,6 +1,7 @@
 //! Regression guards for the per-call path: heap allocations of a warm
-//! in-process smart-proxy call, classic and balanced, and of a trader
-//! query, and the fixed memory of a live latency histogram.
+//! in-process smart-proxy call, classic and balanced, of a span and of a
+//! trader query; the fixed memory of a live latency histogram; and the
+//! span collector's visibility and memory bound across threads.
 //!
 //! A counting global allocator (local to this test binary) counts the
 //! allocations each thread makes while it has counting switched on, so
@@ -14,7 +15,7 @@ use std::time::Duration;
 use adapta::core::{BreakerConfig, Infrastructure, ServerSpec};
 use adapta::idl::{TypeCode, Value};
 use adapta::orb::{ObjRef, Orb, ServantFn};
-use adapta::telemetry::registry;
+use adapta::telemetry::{collector, registry, Span, RETAINED_SPAN_BYTES};
 use adapta::trading::{ExportRequest, PropDef, PropMode, Query, ServiceTypeDef, Trader};
 
 struct CountingAllocator;
@@ -162,6 +163,81 @@ fn a_million_samples_do_not_grow_a_live_histogram() {
     assert_eq!(allocations, 0, "recording allocated");
     assert_eq!(histogram.heap_bytes(), before);
     assert_eq!(histogram.summary().count, 1_000_000);
+}
+
+/// A warm child span with two short text attributes, the shape of the
+/// client and server spans of every call, allocates nothing: the span
+/// keeps its texts inline and recording moves it into the collector's
+/// ring. Warmed by enough spans to fill the ring, which grows only
+/// until it holds its capacity.
+#[test]
+fn a_warm_child_span_with_two_attributes_allocates_nothing() {
+    let root = Span::root("hot-path-span-root");
+    let record = || {
+        let mut span = Span::start(("client:", "echo"));
+        span.attr("node", "hot-path-node");
+        span.attr("key", "echo");
+    };
+    for _ in 0..collector().capacity() + 1 {
+        record();
+    }
+    let allocations = allocations_in(|| {
+        for _ in 0..10_000 {
+            record();
+        }
+    });
+    drop(root);
+    assert_eq!(allocations, 0, "recording spans allocated");
+}
+
+/// Spans ended on two threads are visible to readers as soon as each
+/// one ends: no span waits in a per-thread buffer.
+#[test]
+fn spans_of_two_threads_are_visible_as_soon_as_they_end() {
+    std::thread::scope(|scope| {
+        for thread in ["hot-path-visible-a", "hot-path-visible-b"] {
+            scope.spawn(move || {
+                for i in 0..500u64 {
+                    let mut span = Span::root(("hot-path:", thread));
+                    span.attr("i", i);
+                    let (trace, id) = (span.trace_id(), span.span_id());
+                    drop(span);
+                    let spans = if i % 100 == 0 {
+                        collector().finished()
+                    } else {
+                        collector().for_trace(trace)
+                    };
+                    let record = spans.iter().find(|s| s.span == id);
+                    let record = record.unwrap_or_else(|| panic!("{thread}: span {i} not visible"));
+                    assert_eq!(record.name, format!("hot-path:{thread}"));
+                    assert_eq!(record.attrs, [("i".to_owned(), i.to_string())]);
+                }
+            });
+        }
+    });
+}
+
+/// Threads that start, record spans with texts too long to keep inline,
+/// and end, one after another, leave the collector within its bound:
+/// what they recorded is retained only as the ring's records.
+#[test]
+fn threads_that_come_and_go_leave_the_collector_within_its_bound() {
+    let long = "t".repeat(200);
+    for round in 0..40u64 {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..200u64 {
+                    let mut span = Span::root(("hot-path-churn:", long.as_str()));
+                    span.attr("round", round);
+                    span.attr("text", long.as_str());
+                    span.attr("i", i);
+                }
+            });
+        });
+    }
+    let bound = collector().capacity() * RETAINED_SPAN_BYTES;
+    let bytes = collector().heap_bytes();
+    assert!(bytes <= bound, "{bytes} bytes retained, bound {bound}");
 }
 
 /// A trader holding `offers` static offers that `constraint` rejects
