@@ -69,6 +69,13 @@
 # metric is printed as median, quartiles and "lower in k of n"
 # (scripts/bench_compare.py; 20 pairs of BENCHMARK.json's run length,
 # about eight minutes a workload). Advisory, not part of the gate.
+#
+# `./ci.sh --loc <rev>` prints the non-test line counts per crate and
+# in total at <rev> and in the working tree, then every file whose
+# count changed (scripts/loc.py: workspace `.rs` files outside
+# tests/, benches/ and examples/, each cut at its first `#[cfg(test)]`
+# module; <rev> is read with `git archive`). Advisory, not part of the
+# gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -97,6 +104,15 @@ if [[ "${1:-}" == "--bench-compare" ]]; then
     fi
     echo "==> bench-compare: $2 against the working tree"
     python3 scripts/bench_compare.py "${@:2}"
+    exit 0
+fi
+
+if [[ "${1:-}" == "--loc" ]]; then
+    if [[ -z "${2:-}" ]]; then
+        echo "usage: ./ci.sh --loc <rev>" >&2
+        exit 2
+    fi
+    python3 scripts/loc.py "$2"
     exit 0
 fi
 

@@ -9,7 +9,9 @@
 //!   delta-based add/evict so per-replica state survives refreshes;
 //! * every replica carries [`ReplicaStats`] — EWMA latency, in-flight
 //!   count, error count, and the last monitor-pushed load value — fed by
-//!   call outcomes and monitor events;
+//!   call outcomes and monitor events — and its target's
+//!   [`TargetHealth`]: the dead-target TTL and an optional circuit
+//!   breaker, one record per target;
 //! * a pluggable [`RoutingPolicy`] picks the replica for each call:
 //!   [`Bound`] (the paper's classic proxy: one replica, kept until a
 //!   strategy re-selects), [`RoundRobin`], [`LeastInflight`], [`P2cEwma`]
@@ -49,10 +51,12 @@
 //! # }
 //! ```
 
+mod health;
 mod policy;
 mod replica_set;
 mod stats;
 
+pub use health::{Admission, BreakerConfig, BreakerState, HealthTable, TargetHealth};
 pub use policy::{
     policy_named, Bound, ConsistentHash, LeastInflight, P2cEwma, RoundRobin, RoutingPolicy,
     WeightedProperty,

@@ -8,11 +8,13 @@
 //! withdrawn/expired matches are evicted. Under a policy that
 //! [keeps one](crate::RoutingPolicy::keeps_one) replica, such as
 //! [`Bound`](crate::Bound), each selection keeps only its first match,
-//! in the replica already held when that is the same offer. A background refresher re-selects on a jittered
-//! interval, seeded per set, so the set tracks the trader without
-//! synchronized polling stampedes.
+//! in the replica already held when that is the same offer.
+//!
+//! Every replica holds the [`TargetHealth`] record of its target, from
+//! the set's [`HealthTable`]. A background refresher re-selects on a
+//! jittered interval, seeded per set, so the set tracks the trader
+//! without synchronized polling stampedes.
 
-use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -26,10 +28,12 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::health::{BreakerConfig, HealthTable, TargetHealth};
 use crate::policy::{policy_named, RoundRobin, RoutingPolicy};
 use crate::stats::ReplicaStats;
 
-/// One live replica: the offer snapshot plus runtime stats.
+/// One live replica: the offer snapshot, runtime stats and the health
+/// of its target.
 #[derive(Debug)]
 pub struct Replica {
     /// Stable identity across refreshes: offer id + target URI (the
@@ -39,25 +43,18 @@ pub struct Replica {
     target: ObjRef,
     offer: Mutex<OfferMatch>,
     stats: ReplicaStats,
-    attachment: Attachment,
-}
-
-/// What the set's owner attached to a replica (see [`Replica::attach`]).
-#[derive(Default)]
-struct Attachment(OnceLock<Arc<dyn Any + Send + Sync>>);
-
-impl std::fmt::Debug for Attachment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.get().is_some() {
-            "Attached"
-        } else {
-            "None"
-        })
-    }
+    /// The health record of the target, shared with every other replica
+    /// of that target in the set.
+    pub health: Arc<TargetHealth>,
+    /// The `(monitor, observer id)` registrations the set's owner made
+    /// for the replica, to cancel when it leaves the set.
+    pub registrations: Mutex<Vec<(ObjRef, i64)>>,
 }
 
 impl Replica {
-    /// Builds a replica from raw parts (tests, custom sets).
+    /// Builds a replica from raw parts (tests, custom sets), with a
+    /// health record of its own that has no breaker and no dead-target
+    /// TTL.
     pub fn from_parts(
         offer_id: impl Into<String>,
         target: ObjRef,
@@ -71,16 +68,17 @@ impl Replica {
             properties,
             dynamic,
         };
-        Replica::from_match(None, offer)
+        Replica::from_match(None, offer, Arc::new(TargetHealth::inert()))
     }
 
-    fn from_match(key: Option<String>, m: OfferMatch) -> Replica {
+    fn from_match(key: Option<String>, m: OfferMatch, health: Arc<TargetHealth>) -> Replica {
         Replica {
             key: key.map_or_else(OnceLock::new, OnceLock::from),
             target: m.target.clone(),
             offer: Mutex::new(m),
             stats: ReplicaStats::new(),
-            attachment: Attachment::default(),
+            health,
+            registrations: Mutex::default(),
         }
     }
 
@@ -104,20 +102,6 @@ impl Replica {
         &self.stats
     }
 
-    /// Attaches the owner's per-replica state, once: a smart proxy
-    /// attaches the health record of the replica's target and its
-    /// monitor registrations when the replica enters its set, so its
-    /// picks read the record without a lookup. `false` when something
-    /// is attached already.
-    pub fn attach(&self, state: Arc<dyn Any + Send + Sync>) -> bool {
-        self.attachment.0.set(state).is_ok()
-    }
-
-    /// The state attached with [`attach`](Self::attach), if it is a `T`.
-    pub fn attached<T: Any>(&self) -> Option<&T> {
-        self.attachment.0.get()?.downcast_ref()
-    }
-
     /// The offer as of the last selection that matched it: its
     /// properties and the monitors behind its dynamic properties.
     pub fn offer(&self) -> OfferMatch {
@@ -139,8 +123,8 @@ impl Replica {
 }
 
 /// What a selection changed: the replicas it added and evicted. The
-/// set's owner attaches its per-replica state to the first and detaches
-/// it from the second.
+/// set's owner makes its registrations for the first and cancels those
+/// of the second.
 #[derive(Debug, Clone)]
 pub struct RefreshSummary {
     /// Replicas added this round.
@@ -161,6 +145,9 @@ struct SetInner {
     /// without it.
     len: AtomicUsize,
     metrics: SetMetrics,
+    /// The health record of every target a replica holds or the last
+    /// selection offered.
+    health: HealthTable,
     refresher: OnceLock<Periodic>,
 }
 
@@ -222,8 +209,9 @@ impl std::fmt::Debug for ReplicaSet {
 
 impl ReplicaSet {
     /// Creates a set over `query` against `service`, starting empty
-    /// with the [`RoundRobin`] policy. Call [`refresh`](Self::refresh)
-    /// or [`apply`](Self::apply) to populate it.
+    /// with the [`RoundRobin`] policy, no circuit breaker and no
+    /// dead-target TTL. Call [`refresh`](Self::refresh) or
+    /// [`apply`](Self::apply) to populate it.
     pub fn new(service: Arc<dyn TradingService>, query: Query) -> ReplicaSet {
         let metrics = SetMetrics::for_type(&query.service_type);
         ReplicaSet {
@@ -236,6 +224,7 @@ impl ReplicaSet {
                 }),
                 len: AtomicUsize::new(0),
                 metrics,
+                health: HealthTable::default(),
                 refresher: OnceLock::new(),
             }),
         }
@@ -248,6 +237,21 @@ impl ReplicaSet {
         if let Some(p) = policy_named(name) {
             self.inner.routing.write().policy = p;
         }
+        self
+    }
+
+    /// Construction-time health rules: a target that failed counts as
+    /// dead for `dead_ttl`, and with a `breaker` every target's record
+    /// is also a circuit breaker, published under
+    /// `smartproxy.<type>.breaker.*`.
+    ///
+    /// # Panics
+    ///
+    /// When the set was cloned already: the rules are set while it is
+    /// built.
+    pub fn with_health(mut self, breaker: Option<BreakerConfig>, dead_ttl: Duration) -> ReplicaSet {
+        let inner = Arc::get_mut(&mut self.inner).expect("health rules are set while building");
+        inner.health = HealthTable::new(breaker, dead_ttl, &inner.query.service_type);
         self
     }
 
@@ -270,16 +274,25 @@ impl ReplicaSet {
     /// [keeps one](RoutingPolicy::keeps_one) replica, the set keeps only
     /// the first match: the replica it holds when that is the same
     /// offer, with its snapshot refreshed, else a new one in its place.
+    ///
+    /// A new replica gets its target's health record, shared with the
+    /// set's other replicas of that target. The record of a target that
+    /// no replica holds and no match offers is dropped; since every
+    /// replica the set keeps is matched, that is every target no match
+    /// offers.
     pub fn apply(&self, matches: Vec<OfferMatch>) -> RefreshSummary {
         self.inner.metrics.refreshes.incr();
         let mut added = Vec::new();
         let mut evicted = Vec::new();
         let total = {
             let mut routing = self.inner.routing.write();
+            let health = &self.inner.health;
+            health.keep_offered(&matches);
             let keeps_one = routing.policy.keeps_one();
             let replicas = &mut routing.replicas;
-            let mut add = |replicas: &mut Vec<Arc<Replica>>, key, m| {
-                let replica = Arc::new(Replica::from_match(key, m));
+            let mut add = |replicas: &mut Vec<Arc<Replica>>, key, m: OfferMatch| {
+                let record = health.resolve(&m.target);
+                let replica = Arc::new(Replica::from_match(key, m, record));
                 replicas.push(replica.clone());
                 added.push(replica);
             };
@@ -466,11 +479,17 @@ impl ReplicaSet {
     pub fn query(&self) -> &Query {
         &self.inner.query
     }
+
+    /// The health records of the set's targets.
+    pub fn health(&self) -> &HealthTable {
+        &self.inner.health
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BreakerState;
     use adapta_idl::TypeCode;
     use adapta_orb::Orb;
     use adapta_trading::{
@@ -653,17 +672,95 @@ mod tests {
     }
 
     #[test]
-    fn attached_state_is_set_once_and_read_by_type() {
-        let r = Replica::from_parts(
-            "1",
-            ObjRef::new("inproc://a", "svc", "Hello"),
-            vec![],
-            vec![],
+    fn two_offers_of_one_target_share_its_health_record() {
+        let (trader, set) = setup();
+        let set = set.with_health(
+            Some(BreakerConfig {
+                window: 2,
+                min_calls: 2,
+                failure_threshold: 0.5,
+                open_for: Duration::from_secs(60),
+            }),
+            Duration::from_secs(5),
         );
-        assert!(r.attached::<u32>().is_none());
-        assert!(r.attach(Arc::new(7u32)));
-        assert!(!r.attach(Arc::new(8u32)));
-        assert_eq!(r.attached::<u32>(), Some(&7));
-        assert!(r.attached::<String>().is_none());
+        export(&trader, "a", 1.0);
+        export(&trader, "a", 2.0);
+        export(&trader, "b", 3.0);
+        set.refresh().unwrap();
+        let replicas = set.replicas();
+        assert_eq!(replicas.len(), 3);
+        let (first, second, other) = (&replicas[0], &replicas[1], &replicas[2]);
+        assert_eq!(first.target(), second.target());
+        assert_ne!(first.key(), second.key());
+        assert!(Arc::ptr_eq(&first.health, &second.health));
+        let record = set.health().get(first.target()).unwrap();
+        assert!(Arc::ptr_eq(&first.health, &record));
+
+        // One failure through each offer: the one breaker opens, for
+        // both offers, and the other target's stays closed.
+        first.health.record(false);
+        second.health.record(false);
+        assert_eq!(first.health.state(), BreakerState::Open);
+        assert_eq!(second.health.state(), BreakerState::Open);
+        assert!(first.health.is_dead());
+        assert_eq!(other.health.state(), BreakerState::Closed);
+        assert!(set.health().any_open());
+    }
+
+    /// Without a breaker, and with failures recorded on the way: the set
+    /// holds a record only for a target that a replica holds or the last
+    /// selection offered, under a keep-one and a spreading policy.
+    #[test]
+    fn records_follow_the_selection_through_churn() {
+        let targets: Vec<ObjRef> = (0..12)
+            .map(|n| ObjRef::new(format!("inproc://churn-{n}"), "svc", "Hello"))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(29);
+        for policy in ["bound", "round_robin"] {
+            let (_trader, set) = setup();
+            let set = set
+                .with_policy_named(policy)
+                .with_health(None, Duration::from_secs(60));
+            for round in 0..200 {
+                // Each target is offered with probability 1/3, some of
+                // them by two offers.
+                let mut matches = Vec::new();
+                for (n, target) in targets.iter().enumerate() {
+                    let offers = match rng.gen_bool(1.0 / 3.0) {
+                        true => 1 + usize::from(rng.gen_bool(0.3)),
+                        false => 0,
+                    };
+                    for offer in 0..offers {
+                        matches.push(OfferMatch {
+                            id: adapta_trading::OfferId::from_string(format!("offer-{n}-{offer}")),
+                            service_type: "Hello".into(),
+                            target: target.clone(),
+                            properties: vec![],
+                            dynamic: vec![],
+                        });
+                    }
+                }
+                let offered: Vec<ObjRef> = matches.iter().map(|m| m.target.clone()).collect();
+                set.apply(matches);
+                for replica in set.replicas() {
+                    if rng.gen_bool(0.3) {
+                        replica.health.record(false);
+                    }
+                    let record = set.health().get(replica.target()).unwrap();
+                    assert!(
+                        Arc::ptr_eq(&replica.health, &record),
+                        "{policy} round {round}"
+                    );
+                }
+                for target in &targets {
+                    if set.health().get(target).is_some() {
+                        assert!(
+                            offered.contains(target),
+                            "{policy} round {round}: {target:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -272,8 +272,7 @@ fn schedule_open_arrival(
             let host_name = host_value.as_str().unwrap_or("?").to_owned();
             if let Some(server) = infra.server(&host_name) {
                 let host = server.sim_host().clone();
-                host.begin_request(now);
-                let service = host.service_time(now);
+                let service = host.begin_request(now);
                 sched_completion(s, now + service, host, service, host_name);
             }
         }
@@ -304,8 +303,7 @@ fn schedule_request(
             return;
         };
         let host = server.sim_host().clone();
-        host.begin_request(now);
-        let service = host.service_time(now);
+        let service = host.begin_request(now);
         let done = now + service;
         sched_completion(s, done, host, service, host_name.clone());
         // Next request after the reply plus think time.

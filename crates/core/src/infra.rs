@@ -403,11 +403,7 @@ impl Infrastructure {
 /// service time; servants use it so host load reflects traffic.
 fn record_request(host: &SimHost, clock: &VirtualClock) -> Duration {
     use adapta_sim::Clock as _;
-    let now = clock.now();
-    host.begin_request(now);
-    let st = host.service_time(now);
-    host.end_request(now);
-    st
+    host.serve_instant(clock.now())
 }
 
 fn echo_servant(interface: String, host: SimHost, clock: VirtualClock) -> impl Servant + 'static {

@@ -36,11 +36,12 @@ pub mod script_env;
 mod script_servant;
 mod smart_proxy;
 
+pub use adapta_balancer::{Admission, BreakerConfig, BreakerState};
 pub use agent::ServiceAgent;
 pub use error::CoreError;
 pub use infra::{Infrastructure, ServerHandle, ServerSpec};
 pub use interceptors::AdaptiveRedirect;
-pub use resilience::{Admission, BreakerConfig, BreakerState, RetryPolicy};
+pub use resilience::RetryPolicy;
 pub use script_servant::ScriptServant;
 pub use smart_proxy::{
     BalancerConfig, NativeStrategy, SmartProxy, SmartProxyBuilder, Strategy, Subscription,

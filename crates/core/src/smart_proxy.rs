@@ -30,11 +30,10 @@ use adapta_trading::{OfferMatch, Query, TradingService};
 use parking_lot::Mutex;
 
 use crate::error::CoreError;
-use crate::resilience::{
-    Admission, BreakerConfig, BreakerState, HealthTable, RetryPolicy, TargetHealth,
-};
+use crate::resilience::RetryPolicy;
 use crate::script_env;
 use crate::Result;
+use crate::{Admission, BreakerConfig, BreakerState};
 
 /// A monitor subscription the proxy establishes for every replica that
 /// enters its set, and cancels when the replica leaves.
@@ -109,15 +108,6 @@ impl std::fmt::Debug for Strategy {
             Strategy::Script(_) => write!(f, "Script"),
         }
     }
-}
-
-/// What the proxy attaches to each replica of its set
-/// ([`Replica::attach`]): the health record of the replica's target,
-/// shared with the attempts that call it, and the `(monitor, observer
-/// id)` registrations to cancel when the replica leaves the set.
-struct Attached {
-    health: Arc<TargetHealth>,
-    observers: Mutex<Vec<(ObjRef, i64)>>,
 }
 
 /// Configuration of a balanced proxy (see
@@ -214,15 +204,15 @@ struct SpInner {
     immediate_handling: bool,
     call_deadline: Option<Duration>,
     retry: RetryPolicy,
-    /// Per-target breaker state and time of last failure: re-selection
-    /// skips the (possibly stale) offers of targets that failed within
-    /// the dead-target TTL, so repeated failovers converge instead of
-    /// ping-ponging back onto a dead server.
-    health: HealthTable,
     subscriptions: Vec<Subscription>,
     strategies: Mutex<HashMap<String, Strategy>>,
     /// The selected components; the routing policy picks among them.
-    /// Its query holds the primary constraint and the preference.
+    /// Its query holds the primary constraint and the preference, and
+    /// its health records the breaker state and time of last failure of
+    /// each target: re-selection skips the (possibly stale) offers of
+    /// targets that failed within the dead-target TTL, so repeated
+    /// failovers converge instead of ping-ponging back onto a dead
+    /// server.
     set: ReplicaSet,
     /// `balancer.<type>.load_pushes`.
     load_pushes: Counter,
@@ -265,32 +255,11 @@ impl SpInner {
         self.metrics.queue_depth.set(depth as i64);
     }
 
-    /// The state attached to `replica`; a replica picked before its
-    /// selection attached it gets its health record here.
-    fn attached<'r>(&self, replica: &'r Replica) -> &'r Attached {
-        if replica.attached::<Attached>().is_none() {
-            replica.attach(Arc::new(Attached {
-                health: self.health.resolve(replica.target()),
-                observers: Mutex::new(Vec::new()),
-            }));
-        }
-        replica
-            .attached::<Attached>()
-            .expect("a proxy's replicas carry its state")
-    }
-
-    /// Records one attempt's outcome in its target's health record.
-    fn record(&self, replica: &Replica, ok: bool) {
-        self.health
-            .record_outcome(&self.attached(replica).health, ok);
-    }
-
     /// Registers the proxy's observer, for each of its subscriptions,
     /// with the monitor behind a replica that entered the set. A
     /// monitor that cannot be reached is skipped, which is not fatal:
     /// the replica stays usable, just without that subscription.
-    fn attach(&self, replica: &Replica) {
-        let attached = self.attached(replica);
+    fn subscribe(&self, replica: &Replica) {
         let observer = self.observer_ref.get();
         let ids: Vec<_> = self
             .subscriptions
@@ -312,15 +281,12 @@ impl SpInner {
                 }
             })
             .collect();
-        attached.observers.lock().extend(ids);
+        replica.registrations.lock().extend(ids);
     }
 
     /// Cancels the registrations of a replica that left the set.
-    fn detach(&self, replica: &Replica) {
-        let Some(attached) = replica.attached::<Attached>() else {
-            return;
-        };
-        for (monitor, id) in std::mem::take(&mut *attached.observers.lock()) {
+    fn unsubscribe(&self, replica: &Replica) {
+        for (monitor, id) in std::mem::take(&mut *replica.registrations.lock()) {
             let _ = self
                 .orb
                 .invoke_ref(&monitor, "detachEventObserver", vec![Value::Long(id)]);
@@ -501,7 +467,6 @@ impl SmartProxyBuilder {
     /// Trading/broker errors, script compilation errors, or
     /// [`CoreError::NoSuitableOffer`] when nothing is available.
     pub fn build(mut self) -> Result<SmartProxy> {
-        let health = HealthTable::new(self.breaker, self.dead_target_ttl, &self.service_type);
         let query = Query::new(&self.service_type)
             .constraint(&self.constraint)
             .preference(&self.preference);
@@ -509,7 +474,9 @@ impl SmartProxyBuilder {
             .balancer
             .as_ref()
             .map_or("bound", |c| c.policy.as_str());
-        let set = ReplicaSet::new(self.trader.clone(), query).with_policy_named(policy);
+        let set = ReplicaSet::new(self.trader.clone(), query)
+            .with_policy_named(policy)
+            .with_health(self.breaker, self.dead_target_ttl);
         if self.balancer.is_some() {
             // The load feed: every value the `LoadAvg` monitor behind a
             // replica observes goes into that replica's stats (the
@@ -531,7 +498,6 @@ impl SmartProxyBuilder {
             immediate_handling: self.immediate_handling,
             call_deadline: self.call_deadline,
             retry: self.retry,
-            health,
             subscriptions: self.subscriptions,
             strategies: Mutex::new(self.native_strategies.into_iter().collect()),
             set,
@@ -719,8 +685,12 @@ impl SmartProxy {
     /// The circuit-breaker state for `target`, when a breaker is
     /// configured (see [`SmartProxyBuilder::circuit_breaker`]).
     pub fn breaker_state(&self, target: &ObjRef) -> Option<BreakerState> {
-        let health = &self.inner.health;
-        health.has_breaker().then(|| health.state(target))
+        let health = self.inner.set.health();
+        health.has_breaker().then(|| {
+            health
+                .get(target)
+                .map_or(BreakerState::Closed, |h| h.state())
+        })
     }
 
     /// Stale offers of known-dead targets skipped during re-selection
@@ -888,16 +858,20 @@ impl SmartProxy {
     /// when nothing better matches.
     fn select(&self, constraint: &str, fallback: bool, exclude: &[ObjRef]) -> Result<bool> {
         let inner = &self.inner;
+        let health = inner.set.health();
         let admissible = |m: &OfferMatch| {
             if exclude.contains(&m.target) {
                 return false;
             }
-            if inner.health.is_dead(&m.target) {
+            let Some(record) = health.get(&m.target) else {
+                return true;
+            };
+            if record.is_dead() {
                 inner.repicks_avoided.fetch_add(1, Ordering::Relaxed);
                 inner.metrics.repicks_avoided.incr();
                 return false;
             }
-            !inner.health.refuses(&m.target)
+            !record.refuses()
         };
         let base = inner.set.query();
         let mut query = Query::new(&base.service_type)
@@ -925,31 +899,22 @@ impl SmartProxy {
             return Ok(false);
         };
         let keeps_one = inner.set.keeps_one();
-        let kept = match keeps_one {
-            true => vec![matches.swap_remove(first)],
-            false => std::mem::take(&mut matches),
-        };
+        if keeps_one {
+            // The set keeps the first match: make it the first admissible
+            // one. Every match still goes to the set, whose health records
+            // follow what the selection offers.
+            matches[..=first].rotate_right(1);
+        }
         let first_replica = || inner.set.with_replicas(|r| r.first().cloned());
         let before = first_replica();
-        let change = inner.set.apply(kept);
+        let change = inner.set.apply(matches);
         // New registrations first, so a monitor never sees the proxy
-        // without an observer. An evicted target's health record goes
-        // only once neither the set nor a match offers it: a target that
-        // just failed keeps its record, so its stale offer stays dead
-        // for the TTL.
+        // without an observer.
         for replica in &change.added {
-            inner.attach(replica);
+            inner.subscribe(replica);
         }
         for replica in &change.evicted {
-            inner.detach(replica);
-            let target = replica.target();
-            let offered = matches.iter().any(|m| &m.target == target)
-                || inner
-                    .set
-                    .with_replicas(|r| r.iter().any(|r| r.target() == target));
-            if !offered {
-                inner.health.forget(target);
-            }
+            inner.unsubscribe(replica);
         }
         let after = first_replica();
         if after.as_ref().map(|r| r.target()) != before.as_ref().map(|r| r.target()) {
@@ -1118,7 +1083,7 @@ impl SmartProxy {
             if let Some(started) = started {
                 replica.stats().on_complete(started.elapsed(), !retryable);
             }
-            self.inner.record(&replica, !retryable);
+            replica.health.record(!retryable);
             if !retryable {
                 // Success, or an application error: the component
                 // answered, so retrying would re-run the operation.
@@ -1173,20 +1138,18 @@ impl SmartProxy {
         affinity: Option<u64>,
         failed: &mut Vec<ObjRef>,
     ) -> Result<Option<Arc<Replica>>> {
-        let inner = &self.inner;
-        let (set, health) = (&inner.set, &inner.health);
+        let set = &self.inner.set;
         let mut reselected = false;
         loop {
-            if health.any_open() {
+            if set.health().any_open() {
                 let probe = set.with_replicas(|replicas| {
                     replicas
                         .iter()
                         .find(|r| {
-                            let h = &inner.attached(r).health;
                             !failed.contains(r.target())
-                                && h.state() != BreakerState::Closed
-                                && !health.is_dead_record(h)
-                                && health.admit_record(h) == Admission::Probe
+                                && r.health.state() != BreakerState::Closed
+                                && !r.health.is_dead()
+                                && r.health.admit() == Admission::Probe
                         })
                         .cloned()
                 });
@@ -1196,10 +1159,9 @@ impl SmartProxy {
                 }
             }
             let usable = |r: &Replica, honour_ttl: bool| {
-                let h = &inner.attached(r).health;
                 !failed.contains(r.target())
-                    && h.state() == BreakerState::Closed
-                    && !(honour_ttl && health.is_dead_record(h))
+                    && r.health.state() == BreakerState::Closed
+                    && !(honour_ttl && r.health.is_dead())
             };
             let picked = set
                 .pick_where(affinity, |r| usable(r, true))
@@ -1277,7 +1239,7 @@ impl SmartProxy {
             .ok_or_else(|| self.no_admissible_target())?;
         let result = self.inner.orb.invoke_oneway_ref(replica.target(), op, args);
         let retryable = matches!(&result, Err(e) if e.is_retryable());
-        self.inner.record(&replica, !retryable);
+        replica.health.record(!retryable);
         Ok(result?)
     }
 }
@@ -1448,15 +1410,96 @@ mod tests {
         for _ in 0..4 {
             proxy.invoke("ping", vec![]).unwrap();
         }
+        let health = proxy.inner.set.health();
         assert_eq!(proxy.breaker_state(&dead), Some(BreakerState::Open));
-        assert_eq!(proxy.inner.health.tracked_targets(), 2);
+        assert!(health.get(&dead).is_some() && health.get(&live).is_some());
 
         trader.withdraw(&dead_offer).unwrap();
         assert!(proxy.reselect().unwrap());
         assert_eq!(proxy.balancer().unwrap().len(), 1);
-        assert_eq!(proxy.inner.health.tracked_targets(), 1);
+        assert!(health.get(&dead).is_none() && health.get(&live).is_some());
         assert_eq!(proxy.breaker_state(&dead), Some(BreakerState::Closed));
         assert_eq!(proxy.breaker_state(&live), Some(BreakerState::Closed));
+    }
+
+    /// Under the `bound` policy a failover evicts the failed target's
+    /// replica, but its stale offer is still matched: the target keeps
+    /// its record, dead for the TTL and then refused by its open
+    /// breaker. Once the offer is withdrawn, the record goes.
+    #[test]
+    fn a_bound_failover_keeps_the_failed_targets_record_while_it_is_offered() {
+        let orb = Orb::new("sp-bound-failover");
+        let trader = Trader::new(&orb);
+        trader
+            .add_type(
+                ServiceTypeDef::new("BoundFailSvc").with_property(PropDef::new(
+                    "LoadAvg",
+                    TypeCode::Double,
+                    PropMode::Mandatory,
+                )),
+            )
+            .unwrap();
+        let live = orb
+            .activate(
+                "svc",
+                ServantFn::new("BoundFailSvc", |_, _| Ok(Value::from("pong"))),
+            )
+            .unwrap();
+        // A crashed server's stale offer, preferred: nothing listens on
+        // port 9.
+        let dead = ObjRef::new("tcp://127.0.0.1:9", "svc", "BoundFailSvc");
+        let export = |target: &ObjRef, load: f64| {
+            trader
+                .export(
+                    ExportRequest::new("BoundFailSvc", target.clone())
+                        .with_property("LoadAvg", Value::from(load)),
+                )
+                .unwrap()
+        };
+        let dead_offer = export(&dead, 0.0);
+        export(&live, 1.0);
+        let ttl = Duration::from_millis(300);
+        let proxy = SmartProxy::builder(
+            &orb,
+            &InterfaceRepository::new(),
+            Arc::new(trader.clone()),
+            "BoundFailSvc",
+        )
+        .preference("min LoadAvg")
+        .dead_target_ttl(ttl)
+        .circuit_breaker(BreakerConfig {
+            window: 1,
+            min_calls: 1,
+            failure_threshold: 0.5,
+            open_for: Duration::from_secs(120),
+        })
+        .build()
+        .unwrap();
+        assert_eq!(proxy.current_target(), Some(dead.clone()));
+
+        proxy.invoke("ping", vec![]).unwrap();
+        assert_eq!(proxy.current_target(), Some(live.clone()));
+        assert_eq!(proxy.balancer().unwrap().len(), 1);
+        let record = proxy.balancer().unwrap().health().get(&dead).unwrap();
+        assert!(record.is_dead());
+        assert!(record.refuses());
+
+        // Within the TTL the stale offer is skipped as dead.
+        assert!(proxy.reselect().unwrap());
+        assert_eq!(proxy.current_target(), Some(live.clone()));
+        assert_eq!(proxy.repicks_avoided(), 1);
+        // Past the TTL its open breaker still refuses it.
+        std::thread::sleep(ttl + Duration::from_millis(50));
+        assert!(!record.is_dead());
+        assert!(proxy.reselect().unwrap());
+        assert_eq!(proxy.current_target(), Some(live.clone()));
+        assert_eq!(proxy.breaker_state(&dead), Some(BreakerState::Open));
+
+        trader.withdraw(&dead_offer).unwrap();
+        assert!(proxy.reselect().unwrap());
+        assert!(proxy.balancer().unwrap().health().get(&dead).is_none());
+        assert_eq!(proxy.breaker_state(&dead), Some(BreakerState::Closed));
+        assert_eq!(proxy.current_target(), Some(live));
     }
 
     /// A proxy that rebinds across 100 offers, each behind a monitor of

@@ -93,6 +93,21 @@ struct HostState {
     total_requests: u64,
 }
 
+impl HostState {
+    /// Runnable jobs: requests in flight plus background load.
+    fn jobs(&self) -> f64 {
+        self.active as f64 + self.background
+    }
+
+    /// Folds the load up to `now`, then starts one request.
+    fn begin(&mut self, now: SimTime) {
+        let jobs = self.jobs();
+        self.load.advance(now, jobs);
+        self.active += 1;
+        self.total_requests += 1;
+    }
+}
+
 /// A simulated machine: a named host with a ready queue made of in-flight
 /// requests plus background load, and the resulting load averages.
 ///
@@ -167,13 +182,26 @@ impl SimHost {
         self.state.lock().background
     }
 
-    /// Registers the start of a request's service.
-    pub fn begin_request(&self, now: SimTime) {
+    /// Registers the start of a request's service and returns its
+    /// [`service_time`](Self::service_time), under one lock.
+    pub fn begin_request(&self, now: SimTime) -> Duration {
         let mut s = self.state.lock();
-        let prev = s.active as f64 + s.background;
-        s.load.advance(now, prev);
-        s.active += 1;
-        s.total_requests += 1;
+        s.begin(now);
+        self.stretched(s.jobs())
+    }
+
+    /// A request served at one instant: the same as
+    /// [`begin_request`](Self::begin_request), then
+    /// [`end_request`](Self::end_request) at `now`, under one lock. The
+    /// load average absorbs no sample while the request is in flight,
+    /// since both ends fall on the same instant. Returns its service
+    /// time.
+    pub fn serve_instant(&self, now: SimTime) -> Duration {
+        let mut s = self.state.lock();
+        s.begin(now);
+        let service = self.stretched(s.jobs());
+        s.active -= 1;
+        service
     }
 
     /// Registers the completion of a request's service.
@@ -184,8 +212,8 @@ impl SimHost {
     pub fn end_request(&self, now: SimTime) {
         let mut s = self.state.lock();
         assert!(s.active > 0, "end_request without matching begin_request");
-        let prev = s.active as f64 + s.background;
-        s.load.advance(now, prev);
+        let jobs = s.jobs();
+        s.load.advance(now, jobs);
         s.active -= 1;
     }
 
@@ -207,12 +235,17 @@ impl SimHost {
     /// number of jobs competing for the CPU (including this one).
     pub fn service_time(&self, now: SimTime) -> Duration {
         let mut s = self.state.lock();
-        let jobs = s.active as f64 + s.background;
+        let jobs = s.jobs();
         s.load.advance(now, jobs);
         // `jobs` already includes this request if begin_request was
-        // called; competing share is at least 1.
-        let factor = jobs.max(1.0);
-        Duration::from_nanos((self.base_service.as_nanos() as f64 * factor) as u64)
+        // called.
+        self.stretched(jobs)
+    }
+
+    /// The base service time stretched by `jobs` competing for the CPU
+    /// (a share of at least 1).
+    fn stretched(&self, jobs: f64) -> Duration {
+        Duration::from_nanos((self.base_service.as_nanos() as f64 * jobs.max(1.0)) as u64)
     }
 }
 
@@ -298,6 +331,52 @@ mod tests {
         h.begin_request(SimTime::ZERO);
         assert_eq!(view.ready_len(SimTime::ZERO), 1.0);
         assert_eq!(view.total_requests(), 1);
+    }
+
+    /// `serve_instant` leaves the host as `begin_request`,
+    /// `service_time` and `end_request` at one instant do, sample
+    /// boundaries included.
+    #[test]
+    fn serving_at_one_instant_matches_the_three_calls() {
+        let (one_lock, three_calls) = (
+            SimHost::new("a", Duration::from_millis(10)),
+            SimHost::new("b", Duration::from_millis(10)),
+        );
+        for host in [&one_lock, &three_calls] {
+            host.set_background(SimTime::ZERO, 1.5);
+            host.begin_request(SimTime::ZERO);
+        }
+        // 4.999 s, 5 s and 10 s fall just before and on a sample
+        // boundary; 5 s and 12 s each serve twice at one instant.
+        for millis in [1_000, 4_999, 5_000, 5_000, 10_000, 12_000, 12_000, 31_000] {
+            let now = SimTime::from_millis(millis);
+            let served = one_lock.serve_instant(now);
+            three_calls.begin_request(now);
+            let expected = three_calls.service_time(now);
+            three_calls.end_request(now);
+            assert_eq!(served, expected, "at {millis} ms");
+            assert_eq!(one_lock.load_avg(now), three_calls.load_avg(now));
+            assert_eq!(one_lock.total_requests(), three_calls.total_requests());
+            assert_eq!(one_lock.ready_len(now), three_calls.ready_len(now));
+        }
+        assert_eq!(one_lock.total_requests(), 9);
+        let late = SimTime::from_secs(90);
+        assert_eq!(one_lock.load_avg(late), three_calls.load_avg(late));
+        // The service time counts the request itself and the ones in
+        // flight: 1 + 1 + 1.5 background jobs.
+        assert_eq!(one_lock.serve_instant(late), Duration::from_micros(35_000));
+    }
+
+    #[test]
+    fn beginning_a_request_returns_its_service_time() {
+        let (a, b) = (
+            SimHost::new("a", Duration::from_millis(10)),
+            SimHost::new("b", Duration::from_millis(10)),
+        );
+        let now = SimTime::from_secs(7);
+        b.begin_request(now);
+        assert_eq!(a.begin_request(now), b.service_time(now));
+        assert_eq!(a.load_avg(now), b.load_avg(now));
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! B links A) terminates via the hop budget *and* does not inflate the
 //! result set with copies of the same offer.
 
+use std::collections::HashSet;
+
 use adapta_orb::{ObjRef, Orb};
 use adapta_telemetry::registry;
 use parking_lot::RwLock;
 
-use crate::offer::OfferMatch;
+use crate::offer::{OfferId, OfferMatch};
 use crate::query::Query;
 use crate::servant::RemoteTrader;
 
@@ -69,26 +71,31 @@ impl LinkSet {
             return;
         }
         let links = self.snapshot();
+        if links.is_empty() {
+            return;
+        }
+        let r = registry();
+        let forwards = r.counter("trading.federation.forwards");
+        let duplicates = r.counter("trading.federation.duplicates");
+        let link_errors = r.counter("trading.federation.link_errors");
+        let mut seen: HashSet<(OfferId, ObjRef)> = matches
+            .iter()
+            .map(|m| (m.id.clone(), m.target.clone()))
+            .collect();
+        let mut sub = q.clone();
+        sub.policies.hop_count -= 1;
         for link in links {
-            let mut sub = q.clone();
-            sub.policies.hop_count -= 1;
-            registry().counter("trading.federation.forwards").incr();
+            forwards.incr();
             let remote = RemoteTrader::new(orb.proxy(&link.target));
-            match crate::servant::remote_query(&remote, &sub) {
-                Ok(remote_matches) => {
-                    for m in remote_matches {
-                        let duplicate = matches
-                            .iter()
-                            .any(|have| have.id == m.id && have.target == m.target);
-                        if duplicate {
-                            registry().counter("trading.federation.duplicates").incr();
-                        } else {
-                            matches.push(m);
-                        }
-                    }
-                }
-                Err(_) => {
-                    registry().counter("trading.federation.link_errors").incr();
+            let Ok(remote_matches) = crate::servant::remote_query(&remote, &sub) else {
+                link_errors.incr();
+                continue;
+            };
+            for m in remote_matches {
+                if seen.insert((m.id.clone(), m.target.clone())) {
+                    matches.push(m);
+                } else {
+                    duplicates.incr();
                 }
             }
         }
