@@ -66,9 +66,11 @@
 # exported and built in a temporary directory outside the checkout (so
 # perfbench/Cargo.lock is never rewritten), then each workload runs in
 # interleaved pairs, the side that runs first alternating, and every
-# metric is printed as median, quartiles and "lower in k of n"
-# (scripts/bench_compare.py; 20 pairs of BENCHMARK.json's run length,
-# about eight minutes a workload). Advisory, not part of the gate.
+# metric is printed as median, quartiles and "lower in k of n", with a
+# verdict (worse, unresolved, gain or within bound) read with the
+# metric's bound from BENCHMARK.json (scripts/bench_compare.py; 20
+# pairs of BENCHMARK.json's run length, about eight minutes a
+# workload). Advisory, not part of the gate.
 #
 # `./ci.sh --loc <rev>` prints the non-test line counts per crate and
 # in total at <rev> and in the working tree, then every file whose

@@ -199,10 +199,10 @@ impl RoutingPolicy for P2cEwma {
 
 /// Weighted-random selection with weights derived from a monitored
 /// load property — the paper's load-sharing example generalized. The
-/// weight is `1 / (1 + load)` where `load` is the last monitor-pushed
-/// value ([`ReplicaStats::record_load`](crate::ReplicaStats::record_load)),
-/// falling back to the property value snapshotted from the offer.
-/// Replicas with no load signal at all get weight 1.0 (as if idle).
+/// weight is `1 / (1 + value)` where `value` is the named property in
+/// the replica's offer snapshot, as fresh as the set's last selection
+/// (a dynamic property is evaluated by its monitor at that query).
+/// Replicas without the property get weight 1.0 (as if idle).
 #[derive(Debug)]
 pub struct WeightedProperty {
     property: String,
@@ -222,11 +222,7 @@ impl WeightedProperty {
     }
 
     fn weight(&self, replica: &Replica) -> f64 {
-        let load = replica
-            .stats()
-            .load()
-            .or_else(|| replica.property_f64(&self.property))
-            .unwrap_or(0.0);
+        let load = replica.property_f64(&self.property).unwrap_or(0.0);
         1.0 / (1.0 + load.max(0.0))
     }
 }
@@ -552,19 +548,38 @@ mod tests {
     }
 
     #[test]
-    fn weighted_property_follows_the_load_signal() {
-        let replicas = set(2);
-        replicas[0].stats().record_load(0.0);
-        replicas[1].stats().record_load(99.0);
-        let wp = WeightedProperty::new("LoadAvg");
-        let to_idle = (0..400)
+    fn weighted_property_weighs_by_its_named_property_only() {
+        let cheap_but_loaded = Arc::new(Replica::from_parts(
+            "offer-cheap".to_string(),
+            ObjRef::new("inproc://cheap", "svc", "Hello"),
+            vec![
+                ("LoadAvg".into(), Value::from(99.0)),
+                ("Cost".into(), Value::from(0.0)),
+            ],
+            vec![],
+        ));
+        let dear = Arc::new(Replica::from_parts(
+            "offer-dear".to_string(),
+            ObjRef::new("inproc://dear", "svc", "Hello"),
+            vec![
+                ("LoadAvg".into(), Value::from(0.0)),
+                ("Cost".into(), Value::from(99.0)),
+            ],
+            vec![],
+        ));
+        let wp = WeightedProperty::new("Cost");
+        let replicas = vec![cheap_but_loaded, dear];
+        let to_cheap = (0..400)
             .filter(|_| wp.pick(&replicas, None) == Some(0))
             .count();
-        assert!(to_idle > 340, "idle replica won only {to_idle}/400 picks");
+        assert!(
+            to_cheap > 340,
+            "cheap replica won only {to_cheap}/400 picks"
+        );
     }
 
     #[test]
-    fn weighted_property_falls_back_to_the_offer_property() {
+    fn weighted_property_reads_the_offer_snapshot() {
         let hot = Arc::new(Replica::from_parts(
             "offer-hot".to_string(),
             ObjRef::new("inproc://hot", "svc", "Hello"),

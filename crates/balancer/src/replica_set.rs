@@ -453,17 +453,6 @@ impl ReplicaSet {
         f(&self.inner.routing.read().replicas)
     }
 
-    /// A live replica by key, if present.
-    pub fn replica(&self, key: &str) -> Option<Arc<Replica>> {
-        self.inner
-            .routing
-            .read()
-            .replicas
-            .iter()
-            .find(|r| r.key() == key)
-            .cloned()
-    }
-
     /// Number of live replicas. One load: a selection that runs
     /// concurrently may not show yet.
     pub fn len(&self) -> usize {
@@ -540,7 +529,8 @@ mod tests {
         let key = r.key().to_string();
         let s = set.refresh().unwrap();
         assert_eq!((s.added.len(), s.evicted.len(), s.total), (0, 0, 2));
-        let same = set.replica(&key).unwrap();
+        let replicas = set.replicas();
+        let same = replicas.iter().find(|r| r.key() == key).unwrap();
         assert_eq!(same.stats().completed(), 1);
 
         trader.withdraw(&a).unwrap();

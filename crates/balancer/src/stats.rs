@@ -1,11 +1,9 @@
 //! Per-replica runtime statistics.
 //!
 //! Every replica carries a lock-free [`ReplicaStats`]: an EWMA of
-//! observed call latency, the number of calls currently in flight, call
-//! and error counts, and the last load value pushed by a monitor
-//! (see `adapta-monitor`'s `notifyEvent(evid, value)` pushes). Routing
-//! policies read these to score replicas; the caller feeds them from
-//! call outcomes.
+//! observed call latency, the number of calls currently in flight, and
+//! call and error counts. Routing policies read these to score
+//! replicas; the caller feeds them from call outcomes.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -74,8 +72,6 @@ pub struct ReplicaStats {
     /// When the EWMA last took a sample, in nanoseconds since
     /// [`epoch`].
     sampled_at_ns: AtomicU64,
-    /// Last monitor-pushed load value (f64 bits); NaN bits = unset.
-    last_load: AtomicU64,
 }
 
 /// Fold the `n`th sample into the f64-bits EWMA stored in `cell`. The
@@ -107,11 +103,9 @@ fn ewma_update(cell: &AtomicU64, sample: f64, n: u64, clip: bool) {
 }
 
 impl ReplicaStats {
-    /// Creates zeroed stats. `last_load` starts unset (NaN).
+    /// Creates zeroed stats.
     pub fn new() -> ReplicaStats {
-        let stats = ReplicaStats::default();
-        stats.last_load.store(f64::NAN.to_bits(), Ordering::Relaxed);
-        stats
+        ReplicaStats::default()
     }
 
     /// Records that the policy handed a call to this replica.
@@ -152,11 +146,6 @@ impl ReplicaStats {
         self.passed_over.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a monitor-pushed load value.
-    pub fn record_load(&self, load: f64) {
-        self.last_load.store(load.to_bits(), Ordering::Relaxed);
-    }
-
     /// Times this replica has been picked.
     pub fn picks(&self) -> u64 {
         self.picks.load(Ordering::Relaxed)
@@ -181,12 +170,6 @@ impl ReplicaStats {
     pub fn ewma_latency(&self) -> Option<Duration> {
         let us = f64::from_bits(self.ewma_latency_us.load(Ordering::Relaxed));
         (us > 0.0).then(|| Duration::from_secs_f64(us / 1e6))
-    }
-
-    /// Last monitor-pushed load value, if one arrived.
-    pub fn load(&self) -> Option<f64> {
-        let v = f64::from_bits(self.last_load.load(Ordering::Relaxed));
-        (!v.is_nan()).then_some(v)
     }
 
     /// Load score for latency-aware policies: EWMA latency (µs) scaled
@@ -253,14 +236,6 @@ mod tests {
         s.on_start();
         s.on_complete(Duration::from_micros(1), false);
         assert!(s.ewma_latency().is_none());
-    }
-
-    #[test]
-    fn load_starts_unset() {
-        let s = ReplicaStats::new();
-        assert_eq!(s.load(), None);
-        s.record_load(12.5);
-        assert_eq!(s.load(), Some(12.5));
     }
 
     #[test]

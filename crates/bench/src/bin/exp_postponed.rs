@@ -13,10 +13,14 @@
 //! with postponed handling, adaptation work is bounded by the
 //! invocation rate. The cost of postponing is staleness: the binding
 //! used at invocation time is chosen then, so its decision delay is
-//! ~zero; the event just waits.
+//! ~zero; the event just waits. The quality column counts the
+//! invocations served by the host that carries the heavy background
+//! load at call time: fewer is better adaptation.
 //!
 //! Run with: `cargo run -p adapta-bench --release --bin exp_postponed`
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use adapta_bench::Table;
@@ -37,6 +41,14 @@ struct Outcome {
     trader_queries: u64,
     rebinds: u64,
     invocations: u64,
+    /// Invocations served by the host loaded at call time.
+    loaded_calls: u64,
+}
+
+/// The host carrying the heavy background load at `now`: the load
+/// moves to the next host every five minutes.
+fn loaded_host(now: SimTime) -> usize {
+    ((now.as_secs() / 300) % 3) as usize
 }
 
 fn run(immediate: bool) -> Outcome {
@@ -71,36 +83,46 @@ fn run(immediate: bool) -> Outcome {
         sched.every(MONITOR_PERIOD, end, move |_, s| {
             let now = s.now();
             // Load oscillates between hosts so the "best" keeps moving.
-            let phase = (now.as_secs() / 300) % 3;
+            let phase = loaded_host(now);
             for (i, server) in infra.servers().into_iter().enumerate() {
-                let jobs = if i as u64 == phase { 4.0 } else { 0.5 };
+                let jobs = if i == phase { 4.0 } else { 0.5 };
                 server.sim_host().set_background(now, jobs);
                 server.monitor_host().tick_all(now);
             }
         });
     }
-    // A slow closed-loop client.
-    fn next_call(
-        sched: &mut Scheduler<()>,
-        at: SimTime,
+    // A slow closed-loop client, counting its calls to the loaded host.
+    struct Client {
         proxy: adapta_core::SmartProxy,
-        mut rng: StdRng,
-        end: SimTime,
-    ) {
+        rng: StdRng,
+        targets: Vec<adapta_orb::ObjRef>,
+        loaded_calls: Arc<AtomicU64>,
+    }
+    fn next_call(sched: &mut Scheduler<()>, at: SimTime, mut client: Client, end: SimTime) {
         sched.at(at, move |_, s| {
-            let _ = proxy.invoke("hello", vec![Value::from("x")]);
-            let think = exp_duration(&mut rng, THINK_MEAN);
+            let _ = client.proxy.invoke("hello", vec![Value::from("x")]);
+            let loaded = &client.targets[loaded_host(s.now())];
+            if client.proxy.current_target().as_ref() == Some(loaded) {
+                client.loaded_calls.fetch_add(1, Ordering::Relaxed);
+            }
+            let think = exp_duration(&mut client.rng, THINK_MEAN);
             let next = s.now() + think;
             if next < end {
-                next_call(s, next, proxy, rng, end);
+                next_call(s, next, client, end);
             }
         });
     }
+    let loaded_calls = Arc::new(AtomicU64::new(0));
+    let client = Client {
+        proxy: proxy.clone(),
+        rng: StdRng::seed_from_u64(7),
+        targets: infra.servers().iter().map(|s| s.target().clone()).collect(),
+        loaded_calls: loaded_calls.clone(),
+    };
     next_call(
         &mut sched,
         SimTime::ZERO + Duration::from_secs(1),
-        proxy.clone(),
-        StdRng::seed_from_u64(7),
+        client,
         end,
     );
     sched.run_to_completion(&mut ());
@@ -111,6 +133,7 @@ fn run(immediate: bool) -> Outcome {
         trader_queries: infra.trader().query_count() - queries0,
         rebinds: proxy.rebinds(),
         invocations: proxy.invocations(),
+        loaded_calls: loaded_calls.load(Ordering::Relaxed),
     }
 }
 
@@ -130,6 +153,7 @@ fn main() {
         "trader queries",
         "rebinds",
         "adaptation work/invocation",
+        "calls to loaded host",
     ]);
     for (label, immediate) in [("postponed (paper)", false), ("immediate (ablation)", true)] {
         let out = run(immediate);
@@ -144,6 +168,7 @@ fn main() {
                 "{:.1}",
                 out.strategy_runs as f64 / out.invocations.max(1) as f64
             ),
+            out.loaded_calls.to_string(),
         ]);
     }
     table.print();

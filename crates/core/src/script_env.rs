@@ -274,7 +274,6 @@ pub fn install_balancer(interp: &mut Interpreter, proxy: crate::SmartProxy) {
                 entry.set_str("picks", Script::Num(stats.picks() as f64));
                 entry.set_str("inflight", Script::Num(stats.inflight() as f64));
                 entry.set_str("errors", Script::Num(stats.errors() as f64));
-                entry.set_str("load", stats.load().map(Script::Num).unwrap_or(Script::Nil));
                 out.push(Script::Table(std::rc::Rc::new(std::cell::RefCell::new(
                     entry,
                 ))));

@@ -41,9 +41,7 @@ use crate::{Admission, BreakerConfig, BreakerState};
 pub struct Subscription {
     /// The offer's dynamic property whose evaluator is the monitor.
     pub property: String,
-    /// Event id to register (e.g. `"LoadIncrease"`). `{replica}` is
-    /// replaced by the replica's key, so one observer can tell the
-    /// replicas' pushes apart.
+    /// Event id to register (e.g. `"LoadIncrease"`).
     pub event_id: String,
     /// Rua source of the event-diagnosing predicate, evaluated at the
     /// monitor (remote evaluation): `function(observer, value, monitor)`.
@@ -130,19 +128,6 @@ impl Default for BalancerConfig {
     }
 }
 
-/// Event-id prefix of a balanced proxy's load feed; the suffix is the
-/// replica key, so one observer servant serves every replica.
-const BALANCER_LOAD_EVENT: &str = "balancer-load:";
-
-fn value_to_f64(v: &Value) -> Option<f64> {
-    match v {
-        // Monitors publish their sample window as a sequence; the head
-        // is the most recent observation.
-        Value::Seq(items) => items.first().and_then(value_to_f64),
-        _ => v.as_double().or_else(|| v.as_long().map(|l| l as f64)),
-    }
-}
-
 /// The proxy's per-call and per-event instruments under
 /// `smartproxy.<type>.`, resolved once at build.
 struct SpMetrics {
@@ -214,8 +199,6 @@ struct SpInner {
     /// failovers converge instead of ping-ponging back onto a dead
     /// server.
     set: ReplicaSet,
-    /// `balancer.<type>.load_pushes`.
-    load_pushes: Counter,
     events: Mutex<VecDeque<String>>,
     /// How many events `events` holds, read without its lock, so a call
     /// with nothing to drain takes no lock.
@@ -266,13 +249,9 @@ impl SpInner {
             .iter()
             .filter_map(|sub| {
                 let monitor = replica.dynamic_ref(&sub.property)?;
-                let event = match sub.event_id.contains("{replica}") {
-                    true => sub.event_id.replace("{replica}", replica.key()),
-                    false => sub.event_id.clone(),
-                };
                 let args = vec![
                     Value::ObjRef(observer?.clone()),
-                    Value::from(event),
+                    Value::from(sub.event_id.as_str()),
                     Value::from(sub.predicate.as_str()),
                 ];
                 match self.orb.invoke_ref(&monitor, "attachEventObserver", args) {
@@ -291,22 +270,6 @@ impl SpInner {
                 .orb
                 .invoke_ref(&monitor, "detachEventObserver", vec![Value::Long(id)]);
         }
-    }
-
-    /// Routes a `balancer-load:<replica>` push into that replica's
-    /// stats; `true` if the event was a load push (handled here, not an
-    /// adaptation event).
-    fn record_load_push(&self, event: &str, args: &[Value]) -> bool {
-        let Some(key) = event.strip_prefix(BALANCER_LOAD_EVENT) else {
-            return false;
-        };
-        if let (Some(replica), Some(load)) =
-            (self.set.replica(key), args.get(1).and_then(value_to_f64))
-        {
-            replica.stats().record_load(load);
-            self.load_pushes.incr();
-        }
-        true
     }
 }
 
@@ -413,10 +376,8 @@ impl SmartProxyBuilder {
     /// with the named routing policy (`round_robin`, `least_inflight`,
     /// `p2c_ewma`, `weighted_property[:<Prop>]`, `consistent_hash`)
     /// instead of the `bound` policy's single replica. The set
-    /// re-selects in the background, feeds call outcomes back into
-    /// per-replica stats, and subscribes every replica to the `LoadAvg`
-    /// monitor behind it, whose pushes feed the replica's load stat;
-    /// the policy can be swapped at run time with
+    /// re-selects in the background and feeds call outcomes back into
+    /// per-replica stats; the policy can be swapped at run time with
     /// [`SmartProxy::set_balancer_policy`].
     pub fn balanced(mut self, policy: impl Into<String>) -> Self {
         self.balancer
@@ -466,7 +427,7 @@ impl SmartProxyBuilder {
     ///
     /// Trading/broker errors, script compilation errors, or
     /// [`CoreError::NoSuitableOffer`] when nothing is available.
-    pub fn build(mut self) -> Result<SmartProxy> {
+    pub fn build(self) -> Result<SmartProxy> {
         let query = Query::new(&self.service_type)
             .constraint(&self.constraint)
             .preference(&self.preference);
@@ -477,18 +438,6 @@ impl SmartProxyBuilder {
         let set = ReplicaSet::new(self.trader.clone(), query)
             .with_policy_named(policy)
             .with_health(self.breaker, self.dead_target_ttl);
-        if self.balancer.is_some() {
-            // The load feed: every value the `LoadAvg` monitor behind a
-            // replica observes goes into that replica's stats (the
-            // monitor coalesces consecutive pushes per observer).
-            self.subscriptions.push(Subscription::new(
-                "LoadAvg",
-                format!("{BALANCER_LOAD_EVENT}{{replica}}"),
-                "function(observer, value, monitor) return true end",
-            ));
-        }
-        let load_pushes =
-            registry().counter(&format!("balancer.{}.load_pushes", self.service_type));
         let metrics = SpMetrics::for_type(&self.service_type);
         let inner = Arc::new(SpInner {
             orb: self.orb,
@@ -501,7 +450,6 @@ impl SmartProxyBuilder {
             subscriptions: self.subscriptions,
             strategies: Mutex::new(self.native_strategies.into_iter().collect()),
             set,
-            load_pushes,
             events: Mutex::new(VecDeque::new()),
             pending: AtomicUsize::new(0),
             observer_ref: OnceLock::new(),
@@ -533,11 +481,6 @@ impl SmartProxyBuilder {
                 .unwrap_or("unknown")
                 .to_owned();
             if let Some(inner) = weak.upgrade() {
-                // Load-feed pushes update replica stats and stop here:
-                // they are a data feed, not an adaptation event.
-                if inner.record_load_push(&event, &args) {
-                    return Ok(Value::Null);
-                }
                 inner.events_received.fetch_add(1, Ordering::Relaxed);
                 inner.metrics.events_received.incr();
                 let proxy = SmartProxy { inner };

@@ -1068,20 +1068,11 @@ impl Monitor {
             };
             for event_id in pending {
                 let pushed = match &delivery {
-                    // Remote pushes carry the monitor's current value
-                    // as a second argument so observers (e.g. balancer
-                    // replica stats) can consume the load feed without
-                    // a `getValue` round trip. Older observer servants
-                    // read only `args[0]`, so the extra arg is
-                    // backward compatible.
+                    // Figure 2: `oneway void notifyEvent(in EventID evid)`.
                     Delivery::Remote(target) => self
                         .inner
                         .orb
-                        .invoke_oneway_ref(
-                            target,
-                            "notifyEvent",
-                            vec![Value::from(&*event_id), self.value()],
-                        )
+                        .invoke_oneway_ref(target, "notifyEvent", vec![Value::from(&*event_id)])
                         .is_ok(),
                     Delivery::Local(h) => {
                         let out = self.inner.isolate.with(|interp| {
@@ -1395,7 +1386,7 @@ mod tests {
     fn remote_observer_gets_oneway_notification() {
         let (orb, actor) = setup();
         let observer_orb = Orb::new("mon-test-obs");
-        let seen = Arc::new(Mutex::new(Vec::<String>::new()));
+        let seen = Arc::new(Mutex::new(Vec::<(String, usize)>::new()));
         let seen_clone = seen.clone();
         let obs_ref = observer_orb
             .activate(
@@ -1404,7 +1395,7 @@ mod tests {
                     assert_eq!(op, "notifyEvent");
                     seen_clone
                         .lock()
-                        .push(args[0].as_str().unwrap_or("?").to_owned());
+                        .push((args[0].as_str().unwrap_or("?").to_owned(), args.len()));
                     Ok(Value::Null)
                 }),
             )
@@ -1417,7 +1408,8 @@ mod tests {
             v.as_double().unwrap_or(0.0) > 50.0
         });
         mon.tick(SimTime::ZERO);
-        assert_eq!(seen.lock().as_slice(), &["Overload".to_owned()]);
+        // Figure 2's `notifyEvent(in EventID evid)`: the event id only.
+        assert_eq!(seen.lock().as_slice(), &[("Overload".to_owned(), 1)]);
     }
 
     #[test]

@@ -58,7 +58,9 @@ pub use preference::Preference;
 pub use query::{Policies, Query};
 pub use servant::{RemoteTrader, TraderServant, TradingService};
 pub use service_type::{PropDef, PropMode, ServiceTypeDef};
-pub use trader::{Trader, MAX_HOP_COUNT, MAX_RETURN_CARD, MAX_SEARCH_CARD};
+pub use trader::{
+    Trader, MAX_HOP_COUNT, MAX_RETURN_CARD, MAX_SEARCH_CARD, MAX_SEEN_REQUESTS, SEEN_REQUEST_TTL,
+};
 
 /// Result alias for trading operations.
 pub type Result<T> = std::result::Result<T, TradingError>;

@@ -5,19 +5,27 @@
 //! the hop budget decremented, and the remote matches are merged into
 //! the local result before preference ordering. Because federated
 //! traders share the `offer-N` id namespace, merged results are
-//! de-duplicated by `(offer id, target)` — so a link cycle (A links B,
-//! B links A) terminates via the hop budget *and* does not inflate the
-//! result set with copies of the same offer.
+//! de-duplicated by `(offer id, target)`.
+//!
+//! The first trader that forwards a query stamps it with a request id
+//! (the OMG trader's `request_id` policy), and every trader remembers
+//! the ids it has answered: one that sees an id again answers with
+//! nothing. So a link cycle (A links B, B links A) visits each trader
+//! once instead of once per path the hop budget allows.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+use std::time::{Instant, SystemTime};
 
 use adapta_orb::{ObjRef, Orb};
 use adapta_telemetry::registry;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::offer::{OfferId, OfferMatch};
 use crate::query::Query;
 use crate::servant::RemoteTrader;
+use crate::trader::{MAX_SEEN_REQUESTS, SEEN_REQUEST_TTL};
 
 /// One federation link: a name plus the linked trader's servant.
 #[derive(Debug, Clone)]
@@ -32,6 +40,50 @@ pub struct Link {
 #[derive(Debug, Default)]
 pub(crate) struct LinkSet {
     links: RwLock<Vec<Link>>,
+    seen: Mutex<SeenRequests>,
+}
+
+/// The request ids a trader has answered, oldest first, at most
+/// [`MAX_SEEN_REQUESTS`] of them and none older than
+/// [`SEEN_REQUEST_TTL`].
+#[derive(Debug, Default)]
+struct SeenRequests {
+    order: VecDeque<(Instant, String)>,
+    ids: HashSet<String>,
+}
+
+impl SeenRequests {
+    /// Records `id`; `false` if it is already recorded.
+    fn insert(&mut self, id: &str, now: Instant) -> bool {
+        while let Some((at, _)) = self.order.front() {
+            let full = self.order.len() >= MAX_SEEN_REQUESTS;
+            if !full && now.duration_since(*at) < SEEN_REQUEST_TTL {
+                break;
+            }
+            if let Some((_, old)) = self.order.pop_front() {
+                self.ids.remove(&old);
+            }
+        }
+        if !self.ids.insert(id.to_owned()) {
+            return false;
+        }
+        self.order.push_back((now, id.to_owned()));
+        true
+    }
+}
+
+/// A request id no other query carries: this process's id, the time
+/// it made its first id, and a count of the ids it has made.
+fn new_request_id() -> String {
+    static STARTED: OnceLock<u128> = OnceLock::new();
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let started = STARTED.get_or_init(|| {
+        SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos())
+    });
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    format!("{:x}-{started:x}-{n:x}", std::process::id())
 }
 
 impl LinkSet {
@@ -61,11 +113,28 @@ impl LinkSet {
         self.links.read().clone()
     }
 
+    /// `true` if `q` carries a request id this trader has already
+    /// answered (counted in `trading.federation.repeated_requests`);
+    /// records the id otherwise.
+    pub(crate) fn is_repeat(&self, q: &Query) -> bool {
+        let Some(id) = &q.policies.request_id else {
+            return false;
+        };
+        let repeat = !self.seen.lock().insert(id, Instant::now());
+        if repeat {
+            registry()
+                .counter("trading.federation.repeated_requests")
+                .incr();
+        }
+        repeat
+    }
+
     /// Forwards `q` over every link (each traversal spends one hop) and
     /// merges the remote matches into `matches`, de-duplicating by
-    /// `(offer id, target)`. A link whose remote query fails is skipped:
-    /// federation degrades to the reachable subset rather than failing
-    /// the whole query.
+    /// `(offer id, target)`. A query without a request id gets a new
+    /// one, recorded here as answered. A link whose remote query fails
+    /// is skipped: federation degrades to the reachable subset rather
+    /// than failing the whole query.
     pub(crate) fn federate(&self, orb: &Orb, q: &Query, matches: &mut Vec<OfferMatch>) {
         if q.policies.hop_count == 0 {
             return;
@@ -84,6 +153,11 @@ impl LinkSet {
             .collect();
         let mut sub = q.clone();
         sub.policies.hop_count -= 1;
+        if sub.policies.request_id.is_none() {
+            let id = new_request_id();
+            self.seen.lock().insert(&id, Instant::now());
+            sub.policies.request_id = Some(id);
+        }
         for link in links {
             forwards.incr();
             let remote = RemoteTrader::new(orb.proxy(&link.target));
@@ -220,6 +294,30 @@ mod tests {
         b.add_link("to-a", ra);
         let matches = a.query(&Query::new("Hello").hops(u32::MAX)).unwrap();
         assert_eq!(matches.len(), 2);
+    }
+
+    #[test]
+    fn seen_requests_are_bounded_by_count_and_by_age() {
+        let mut seen = SeenRequests::default();
+        let start = Instant::now();
+        assert!(seen.insert("first", start));
+        assert!(!seen.insert("first", start));
+        for n in 1..MAX_SEEN_REQUESTS {
+            assert!(seen.insert(&n.to_string(), start));
+        }
+        // Full: the next id pushes out the oldest.
+        assert!(seen.insert("next", start));
+        assert_eq!(seen.order.len(), MAX_SEEN_REQUESTS);
+        assert!(seen.insert("first", start));
+        // Every id outlives its age bound at once.
+        assert!(seen.insert("late", start + SEEN_REQUEST_TTL));
+        assert_eq!(seen.order.len(), 1);
+        assert_eq!(seen.ids.len(), 1);
+    }
+
+    #[test]
+    fn request_ids_are_distinct() {
+        assert_ne!(new_request_id(), new_request_id());
     }
 
     #[test]

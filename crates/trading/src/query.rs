@@ -16,6 +16,11 @@ pub struct Policies {
     pub use_dynamic_properties: bool,
     /// How many federation links a query may still traverse.
     pub hop_count: u32,
+    /// Identifies a forwarded query, as the OMG trader's `request_id`
+    /// policy does: a trader answers an id it has already seen with no
+    /// matches, so a link cycle visits each trader once. Set by the
+    /// first trader that forwards the query.
+    pub request_id: Option<String>,
 }
 
 impl Default for Policies {
@@ -26,14 +31,16 @@ impl Default for Policies {
             exact_type_match: false,
             use_dynamic_properties: true,
             hop_count: 1,
+            request_id: None,
         }
     }
 }
 
 impl Policies {
-    /// Encodes for the wire.
+    /// Encodes for the wire; `request_id` only when set, so the
+    /// encoding of a query that was never forwarded is unchanged.
     pub fn to_value(&self) -> Value {
-        Value::map([
+        let mut fields = vec![
             ("search_card", Value::from(self.search_card)),
             ("return_card", Value::from(self.return_card)),
             ("exact_type_match", Value::from(self.exact_type_match)),
@@ -42,7 +49,11 @@ impl Policies {
                 Value::from(self.use_dynamic_properties),
             ),
             ("hop_count", Value::from(self.hop_count)),
-        ])
+        ];
+        if let Some(id) = &self.request_id {
+            fields.push(("request_id", Value::from(id.as_str())));
+        }
+        Value::map(fields)
     }
 
     /// Decodes the wire form, falling back to defaults per field.
@@ -61,6 +72,10 @@ impl Policies {
             exact_type_match: get_bool("exact_type_match", d.exact_type_match),
             use_dynamic_properties: get_bool("use_dynamic_properties", d.use_dynamic_properties),
             hop_count: get_u32("hop_count", d.hop_count),
+            request_id: v
+                .get("request_id")
+                .and_then(Value::as_str)
+                .map(str::to_owned),
         }
     }
 }
@@ -184,6 +199,14 @@ mod tests {
     #[test]
     fn wire_round_trip() {
         let q = Query::new("T").constraint("A < 1").preference("max A");
+        assert_eq!(Query::from_value(&q.to_value()), Some(q));
+    }
+
+    #[test]
+    fn a_request_id_is_encoded_only_when_set() {
+        let mut q = Query::new("T").hops(3);
+        assert!(q.policies.to_value().get("request_id").is_none());
+        q.policies.request_id = Some("r-1".into());
         assert_eq!(Query::from_value(&q.to_value()), Some(q));
     }
 

@@ -42,6 +42,14 @@ pub const MAX_SEARCH_CARD: u32 = 10_000;
 /// See [`MAX_HOP_COUNT`].
 pub const MAX_RETURN_CARD: u32 = 10_000;
 
+/// How many forwarded queries' request ids a trader remembers: it
+/// answers a query whose id it remembers with no matches, so a link
+/// cycle visits it once. The oldest id is forgotten first.
+pub const MAX_SEEN_REQUESTS: usize = 4096;
+/// How long a trader remembers a request id. A forwarded query nests
+/// one call per hop, so its copies arrive well within this.
+pub const SEEN_REQUEST_TTL: Duration = Duration::from_secs(60);
+
 /// A liveness lease on an offer: the offer expires `ttl` after export
 /// (or after the last renewal) unless the exporter renews it.
 struct Lease {
@@ -714,6 +722,9 @@ impl Trader {
         let metrics = &self.inner.metrics;
         self.inner.queries.fetch_add(1, Ordering::Relaxed);
         metrics.queries.incr();
+        if self.inner.links.is_repeat(q) {
+            return Ok(Vec::new());
+        }
         let mut span = Span::start("trader:query");
         span.attr("service_type", &q.service_type);
         let mut offers = self.inner.offers.read();

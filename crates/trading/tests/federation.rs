@@ -33,25 +33,27 @@ fn export(trader: &Trader, endpoint: String, load: f64) {
         .unwrap();
 }
 
-/// A's 500 offers come back through B (A -> B -> A at two hops): each
-/// is kept once, in local-then-remote order, and each copy is counted
-/// as a duplicate.
+/// B holds copies of A's 500 offers (the same ids and targets, as when
+/// a server exports to two traders that number offers alike) and 3 of
+/// its own: each offer is kept once, in local-then-remote order, and
+/// each copy is counted as a duplicate. (A cycle returns no copies:
+/// its request id stops the query at the trader it left.)
 #[test]
-fn a_cycle_merges_hundreds_of_returning_offers_once() {
-    let (_oa, a, ra) = node("t-fed-merge-a");
+fn hundreds_of_offers_a_link_returns_again_merge_once() {
+    let (_oa, a, _ra) = node("t-fed-merge-a");
     let (_ob, b, rb) = node("t-fed-merge-b");
     for n in 0..500 {
         export(&a, format!("inproc://a{n}"), f64::from(n));
+        export(&b, format!("inproc://a{n}"), f64::from(n));
     }
     for n in 0..3 {
         export(&b, format!("inproc://b{n}"), f64::from(n));
     }
     a.add_link("to-b", rb);
-    b.add_link("to-a", ra);
     let duplicates = registry().counter("trading.federation.duplicates");
     let before = duplicates.value();
     let matches = a
-        .query(&Query::new("Hello").hops(2).return_card(1000))
+        .query(&Query::new("Hello").hops(1).return_card(1000))
         .unwrap();
     assert_eq!(duplicates.value() - before, 500);
     let endpoints: Vec<&str> = matches.iter().map(|m| m.target.endpoint.as_str()).collect();

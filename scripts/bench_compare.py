@@ -13,8 +13,20 @@ outside the checkout, builds the benchmark in each copy, then runs
 BENCHMARK.json lists) in N pairs. Both sides of a pair use the same
 seed (the pair's number); the side that runs first alternates. For each
 end-to-end metric it prints each side's median and quartiles and in how
-many pairs the working tree read lower. The checkout itself, its
-perfbench/Cargo.lock included, is never written.
+many pairs the working tree read lower, then a verdict read with the
+metric's `bound` and `better` from BENCHMARK.json:
+
+- worse: the working tree's median is worse than REV's by more than
+  the bound;
+- unresolved: REV's own quartile spread is wider than the bound, and
+  not every working-tree run beats every REV run;
+- gain: the working tree is better in at least 9 of 10 pairs (ties
+  count for neither), and its median by more than REV's quartile
+  spread;
+- within bound: otherwise.
+
+The bound and the spread are relative to REV's median. The checkout
+itself, its perfbench/Cargo.lock included, is never written.
 """
 
 import argparse
@@ -87,6 +99,27 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def verdict(base, work, bound, better):
+    """The verdict on one metric's paired runs (see the module doc)."""
+    sign = 1 if better == "lower" else -1
+    scale = abs(statistics.median(base)) or 1.0
+
+    def cost(x, y):
+        """How much worse x reads than y, relative to REV's median."""
+        return sign * (x - y) / scale
+
+    q1, q3 = quartiles(base)
+    spread = (q3 - q1) / scale
+    if cost(statistics.median(work), statistics.median(base)) > bound:
+        return "worse"
+    if spread > bound and not all(cost(w, b) < 0 for w in work for b in base):
+        return "unresolved"
+    wins = sum(cost(w, b) < 0 for w, b in zip(work, base))
+    if wins * 10 >= 9 * len(base) and cost(statistics.median(base), statistics.median(work)) > spread:
+        return "gain"
+    return "within bound"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev")
@@ -98,7 +131,8 @@ def main():
         bench = json.load(f)
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     seconds = args.seconds or bench["run_seconds"]
-    metrics = [m["name"] for m in bench["end_to_end"]]
+    specs = {m["name"]: m for m in bench["end_to_end"]}
+    metrics = list(specs)
     scratch = tempfile.mkdtemp(prefix="adapta-bench-compare-")
     try:
         base, work = os.path.join(scratch, "base"), os.path.join(scratch, "work")
@@ -126,7 +160,9 @@ def main():
                 (bq1, bq3), (wq1, wq3) = quartiles(b), quartiles(w)
                 print(f"  {m:16} {statistics.median(b):10.4g} [{bq1:.4g}, {bq3:.4g}]"
                       f" -> {statistics.median(w):10.4g} [{wq1:.4g}, {wq3:.4g}]"
-                      f"  lower in {lower} of {len(b)}", flush=True)
+                      f"  lower in {lower} of {len(b)}")
+                print(f"  {'':16} {verdict(b, w, specs[m]['bound'], specs[m]['better'])}",
+                      flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

@@ -391,37 +391,97 @@ fn rua_scripts_can_inspect_and_swap_the_policy() {
     assert_eq!(proxy.balancer_policy().as_deref(), Some("least_inflight"));
 }
 
+/// Hosts answering `calls` balanced `whoami` invocations, by count.
+fn whoami_counts(proxy: &SmartProxy, calls: usize) -> HashMap<String, usize> {
+    let mut counts = HashMap::new();
+    for _ in 0..calls {
+        let host = proxy.invoke("whoami", vec![]).unwrap();
+        *counts.entry(host.as_str().unwrap().to_owned()).or_default() += 1;
+    }
+    counts
+}
+
+/// `weighted_property:LoadAvg` reads the `LoadAvg` its selection
+/// evaluated at the monitors: after the load moves, a re-selection
+/// moves the picks.
 #[test]
-fn monitor_load_pushes_feed_replica_stats_through_the_observer() {
+fn weighted_property_follows_load_through_the_selection() {
     use adapta::core::{Infrastructure, ServerSpec};
 
     let infra = Infrastructure::in_process().unwrap();
-    for host in ["feed-a", "feed-b"] {
+    for host in ["wl-busy", "wl-idle"] {
         infra
-            .spawn_server(ServerSpec::echo("FeedSvc", host))
+            .spawn_server(ServerSpec::echo("WeighLoad", host))
             .unwrap();
     }
     let proxy = infra
-        .smart_proxy("FeedSvc")
+        .smart_proxy("WeighLoad")
         .balanced("weighted_property:LoadAvg")
         .build()
         .unwrap();
 
-    // Load one host and let its monitor tick: the always-true load-feed
-    // predicate pushes every observed value straight into the replica's
-    // stats — no strategy or rebind involved.
-    infra.set_background("feed-a", 5.0);
+    infra.set_background("wl-busy", 5.0);
     infra.advance_in_steps(Duration::from_secs(150), Duration::from_secs(30));
+    proxy.reselect().unwrap();
 
-    let set = proxy.balancer().unwrap();
-    let fed = set
-        .replicas()
-        .iter()
-        .filter(|r| r.stats().load().is_some())
-        .count();
-    assert!(fed > 0, "no replica ever received a monitor load push");
-    let snap = adapta::telemetry::registry().snapshot();
-    assert!(snap.counter("balancer.FeedSvc.load_pushes").unwrap_or(0) >= 1);
+    let counts = whoami_counts(&proxy, 300);
+    let idle = counts.get("wl-idle").copied().unwrap_or(0);
+    assert!(
+        idle > 210,
+        "the idle replica drew only {idle}/300: {counts:?}"
+    );
+}
+
+/// `weighted_property:Cost` weighs by `Cost` alone, even on offers whose
+/// `LoadAvg` monitor reports the cheap server loaded.
+#[test]
+fn weighted_property_reads_only_its_named_property() {
+    use adapta::core::{Infrastructure, ServerSpec};
+
+    let infra = Infrastructure::in_process().unwrap();
+    for (host, cost) in [("wc-cheap", 1.0), ("wc-dear", 20.0)] {
+        infra
+            .spawn_server(ServerSpec::echo("WeighCost", host).with_prop("Cost", Value::from(cost)))
+            .unwrap();
+    }
+    let proxy = infra
+        .smart_proxy("WeighCost")
+        .balanced("weighted_property:Cost")
+        .build()
+        .unwrap();
+
+    infra.set_background("wc-cheap", 5.0);
+    infra.advance_in_steps(Duration::from_secs(150), Duration::from_secs(30));
+    proxy.reselect().unwrap();
+
+    let counts = whoami_counts(&proxy, 300);
+    let cheap = counts.get("wc-cheap").copied().unwrap_or(0);
+    assert!(
+        cheap > 210,
+        "the cheap replica drew only {cheap}/300: {counts:?}"
+    );
+}
+
+/// A balanced proxy registers with a replica's monitor only for the
+/// subscriptions it was built with.
+#[test]
+fn a_balanced_proxy_without_subscriptions_observes_no_monitor() {
+    use adapta::core::{Infrastructure, ServerSpec};
+
+    let infra = Infrastructure::in_process().unwrap();
+    let servers: Vec<_> = ["nobs-a", "nobs-b"]
+        .into_iter()
+        .map(|host| infra.spawn_server(ServerSpec::echo("NoObs", host)).unwrap())
+        .collect();
+    let proxy = infra
+        .smart_proxy("NoObs")
+        .balanced("round_robin")
+        .build()
+        .unwrap();
+    assert_eq!(proxy.balancer().unwrap().replicas().len(), 2);
+    for server in &servers {
+        assert_eq!(server.monitor().observer_count(), 0);
+    }
 }
 
 /// Balanced oneways share the two-way pick step, so a replica whose
@@ -711,14 +771,14 @@ fn subscriptions_follow_every_replica_in_and_out_of_the_set() {
         .unwrap();
     assert_eq!(proxy.balancer().unwrap().len(), 2);
     assert_eq!(subscribed(), 2, "{:?}", live.lock().unwrap());
-    // Each replica also carries its load feed.
-    assert_eq!(live.lock().unwrap().len(), 4);
+    // The proxy's own subscriptions are its only registrations.
+    assert_eq!(live.lock().unwrap().len(), 2);
 
     trader.withdraw(&offers[0]).unwrap();
     assert!(proxy.reselect().unwrap());
     assert_eq!(proxy.balancer().unwrap().len(), 1);
     assert_eq!(subscribed(), 1);
-    assert_eq!(live.lock().unwrap().len(), 2);
+    assert_eq!(live.lock().unwrap().len(), 1);
 }
 
 /// A classic proxy is a replica set under the `bound` policy: it keeps
