@@ -108,18 +108,10 @@ fn run(strategy: &str) -> Run {
     sched.run_to_completion(&mut ());
 
     let after = server.stats();
-    let raw_detections = detections.load(Ordering::Relaxed);
     Run {
         notifications: after.oneways_sent - baseline.oneways_sent,
         bytes: after.bytes_sent - baseline.bytes_sent,
-        detections: match strategy {
-            // Streaming clients evaluate locally; count the samples
-            // that would have crossed the threshold. For the traffic
-            // comparison what matters is that both see the same events,
-            // which the remote-eval row shows directly.
-            "streaming" => raw_detections, // samples delivered
-            _ => raw_detections,
-        },
+        detections: detections.load(Ordering::Relaxed),
     }
 }
 

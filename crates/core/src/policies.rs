@@ -142,7 +142,7 @@ pub fn load_sharing_proxy(
                     config.predicate(config.threshold),
                 ))
                 .build()?;
-            proxy.set_strategy("LoadIncrease", load_increase_strategy(orb.clone(), config));
+            proxy.set_strategy("LoadIncrease", load_increase_strategy(config));
             Ok(proxy)
         }
     }
@@ -150,27 +150,17 @@ pub fn load_sharing_proxy(
 
 /// The Figure-7 strategy, natively: look for an alternative server; if
 /// none fits, keep the current one and relax the notification threshold
-/// on its monitor.
-pub fn load_increase_strategy(orb: Orb, config: LoadSharingConfig) -> Strategy {
+/// on its monitor. The relaxed registration belongs to the current
+/// replica, and leaves with it.
+pub fn load_increase_strategy(config: LoadSharingConfig) -> Strategy {
     Strategy::Native(Arc::new(move |proxy: &SmartProxy, _event: &str| {
-        let query = config.constraint();
-        let found = proxy.select_with(&query, false).unwrap_or(false);
-        if !found {
-            // Figure 7 lines 10–17: re-attach the observer with the
-            // relaxed threshold on the current component's monitor.
-            if let Some(offer) = proxy.current_offer() {
-                if let Some(monitor) = offer.dynamic_ref("LoadAvg") {
-                    let _ = orb.invoke_ref(
-                        monitor,
-                        "attachEventObserver",
-                        vec![
-                            adapta_idl::Value::ObjRef(proxy.observer_ref()),
-                            adapta_idl::Value::from("LoadIncrease"),
-                            adapta_idl::Value::from(config.predicate(config.relaxed_threshold)),
-                        ],
-                    );
-                }
-            }
+        let found = proxy.select_with(&config.constraint(), false);
+        if !found.unwrap_or(false) {
+            proxy.observe(&Subscription::new(
+                "LoadAvg",
+                "LoadIncrease",
+                config.predicate(config.relaxed_threshold),
+            ));
         }
     }))
 }

@@ -229,62 +229,6 @@ pub fn install_trading(interp: &mut Interpreter, trader: Arc<dyn TradingService>
     });
 }
 
-/// Installs script-side access to a smart proxy's balancer, so Rua
-/// adaptation code can inspect and re-route traffic at run time:
-///
-/// * `balancer_policy()` → the current routing-policy name (`bound`
-///   on a classic proxy);
-/// * `balancer_set_policy(name)` → boolean (swaps the policy; counted
-///   under `balancer.<type>.policy_switches`);
-/// * `balancer_replicas()` → array of replica tables
-///   `{key, endpoint, picks, inflight, errors, load}` (a classic
-///   proxy's one replica).
-///
-/// The same operations are reachable from strategy scripts through the
-/// proxy facade (`self:_policy()`, `self:_set_policy(name)`); this
-/// free-function form serves standalone script environments wired with
-/// [`install`]/[`install_trading`].
-pub fn install_balancer(interp: &mut Interpreter, proxy: crate::SmartProxy) {
-    {
-        let proxy = proxy.clone();
-        interp.register("balancer_policy", move |_, _| {
-            Ok(vec![proxy
-                .balancer_policy()
-                .map_or(Script::Nil, Script::str)])
-        });
-    }
-    {
-        let proxy = proxy.clone();
-        interp.register("balancer_set_policy", move |_, args| {
-            let name = args
-                .first()
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| RuaError::runtime("balancer_set_policy: name expected", 0))?;
-            Ok(vec![Script::Bool(proxy.set_balancer_policy(name))])
-        });
-    }
-    interp.register("balancer_replicas", move |_, _| {
-        let mut out = Table::new();
-        if let Some(set) = proxy.balancer() {
-            for r in set.replicas() {
-                let stats = r.stats();
-                let mut entry = Table::new();
-                entry.set_str("key", Script::str(r.key()));
-                entry.set_str("endpoint", Script::str(&r.target().endpoint));
-                entry.set_str("picks", Script::Num(stats.picks() as f64));
-                entry.set_str("inflight", Script::Num(stats.inflight() as f64));
-                entry.set_str("errors", Script::Num(stats.errors() as f64));
-                out.push(Script::Table(std::rc::Rc::new(std::cell::RefCell::new(
-                    entry,
-                ))));
-            }
-        }
-        Ok(vec![Script::Table(std::rc::Rc::new(
-            std::cell::RefCell::new(out),
-        ))])
-    });
-}
-
 /// The monitor interfaces of the paper's Figures 1 and 2, used to seed
 /// interface repositories so scripts get named proxy methods.
 pub const MONITOR_IDL: &str = r#"

@@ -238,34 +238,48 @@ impl SpInner {
         self.metrics.queue_depth.set(depth as i64);
     }
 
-    /// Registers the proxy's observer, for each of its subscriptions,
-    /// with the monitor behind a replica that entered the set. A
-    /// monitor that cannot be reached is skipped, which is not fatal:
-    /// the replica stays usable, just without that subscription.
-    fn subscribe(&self, replica: &Replica) {
-        let observer = self.observer_ref.get();
-        let ids: Vec<_> = self
-            .subscriptions
-            .iter()
-            .filter_map(|sub| {
-                let monitor = replica.dynamic_ref(&sub.property)?;
-                let args = vec![
-                    Value::ObjRef(observer?.clone()),
-                    Value::from(sub.event_id.as_str()),
-                    Value::from(sub.predicate.as_str()),
-                ];
-                match self.orb.invoke_ref(&monitor, "attachEventObserver", args) {
-                    Ok(Value::Long(id)) => Some((monitor, id)),
-                    _ => None,
-                }
-            })
-            .collect();
-        replica.registrations.lock().extend(ids);
+    /// The one routine that registers the proxy's observer with a monitor
+    /// (`event`, predicate source `code`), recorded once on `replica`,
+    /// whose monitor it watches: the last replica holding a registration
+    /// cancels it when it leaves the set. `None` if the monitor refused.
+    fn attach(&self, replica: &Replica, monitor: &ObjRef, event: &str, code: &str) -> Option<i64> {
+        let args = vec![
+            Value::ObjRef(self.observer_ref.get()?.clone()),
+            Value::from(event),
+            Value::from(code),
+        ];
+        let Ok(Value::Long(id)) = self.orb.invoke_ref(monitor, "attachEventObserver", args) else {
+            return None;
+        };
+        let mut held = replica.registrations.lock();
+        if !held.iter().any(|(m, i)| *i == id && m == monitor) {
+            held.push((monitor.clone(), id));
+        }
+        Some(id)
     }
 
-    /// Cancels the registrations of a replica that left the set.
+    /// Attaches the proxy's subscriptions for a replica that entered the
+    /// set. A monitor that cannot be reached is skipped: the replica
+    /// stays usable, just without that subscription.
+    fn subscribe(&self, replica: &Replica) {
+        for sub in &self.subscriptions {
+            if let Some(monitor) = replica.dynamic_ref(&sub.property) {
+                self.attach(replica, &monitor, &sub.event_id, &sub.predicate);
+            }
+        }
+    }
+
+    /// Cancels the registrations of a replica that left the set, but not
+    /// one shared with a replica still in it (an identical attach).
     fn unsubscribe(&self, replica: &Replica) {
         for (monitor, id) in std::mem::take(&mut *replica.registrations.lock()) {
+            let holds = |r: &Arc<Replica>| {
+                let held = r.registrations.lock();
+                held.iter().any(|(m, i)| *i == id && *m == monitor)
+            };
+            if self.set.with_replicas(|r| r.iter().any(holds)) {
+                continue;
+            }
             let _ = self
                 .orb
                 .invoke_ref(&monitor, "detachEventObserver", vec![Value::Long(id)]);
@@ -583,6 +597,19 @@ impl SmartProxy {
             .get()
             .expect("observer activated at build")
             .clone()
+    }
+
+    /// Attaches `subscription` to the current replica's monitor, as the
+    /// builder's subscriptions are, so it leaves with the replica (Figure
+    /// 7's relaxed threshold). `false` if no monitor took it.
+    pub fn observe(&self, subscription: &Subscription) -> bool {
+        let replica = self.inner.set.with_replicas(|r| r.first().cloned());
+        let attach = |r: Arc<Replica>| {
+            let monitor = r.dynamic_ref(&subscription.property)?;
+            let (event, predicate) = (&subscription.event_id, &subscription.predicate);
+            self.inner.attach(&r, &monitor, event, predicate)
+        };
+        replica.and_then(attach).is_some()
     }
 
     /// Number of events waiting for postponed handling.
@@ -1293,6 +1320,9 @@ const MONITOR_TABLES: usize = 16;
 /// isolate, out of reach of scripts, so a refresh reuses them instead
 /// of building them again (a strategy run refreshes twice: before it
 /// runs, and after its `_select` rebinds). Runs in the isolate's job.
+/// Its `attachEventObserver` takes the proxy's observer and source code
+/// only, and attaches for the first replica backed by `monitor`; with no
+/// such replica it returns `nil`, so no attach outlives the set.
 fn monitor_table(proxy: &SmartProxy, monitor: &ObjRef) -> adapta_script::Value {
     let mut tables = proxy.inner.monitor_tables.lock();
     if let Some(at) = tables.iter().position(|(r, _)| r == monitor) {
@@ -1302,6 +1332,27 @@ fn monitor_table(proxy: &SmartProxy, monitor: &ObjRef) -> adapta_script::Value {
         return table;
     }
     let table = script_env::proxy_table(&proxy.inner.orb, &proxy.inner.repo, monitor);
+    if let Some(t) = table.as_table() {
+        let weak = Arc::downgrade(&proxy.inner);
+        let monitor = monitor.clone();
+        let attach = move |args: &[adapta_script::Value]| -> Option<i64> {
+            let inner = weak.upgrade()?;
+            if adapta_bridge::to_wire(args.get(1)?).as_objref() != inner.observer_ref.get() {
+                return None;
+            }
+            let (event, predicate) = (args.get(2)?.as_str()?, args.get(3)?.as_str()?);
+            let backed = |r: &Arc<Replica>| r.offer().dynamic.iter().any(|(_, m)| *m == monitor);
+            let replica = inner.set.replicas().into_iter().find(backed)?;
+            inner.attach(&replica, &monitor, event, predicate)
+        };
+        t.borrow_mut().set_str(
+            "attachEventObserver",
+            adapta_script::Interpreter::native("attachEventObserver", move |_, args| {
+                let id = attach(&args).map(|id| adapta_script::Value::Num(id as f64));
+                Ok(vec![id.unwrap_or(adapta_script::Value::Nil)])
+            }),
+        );
+    }
     if tables.len() >= MONITOR_TABLES {
         tables.pop_front();
     }

@@ -126,10 +126,8 @@ pub(crate) fn monitor_facade(monitor: &Weak<MonitorInner>, installer: &str) -> S
                     .and_then(|v| v.as_str().map(str::to_owned))
                     .ok_or_else(|| RuaError::runtime("defineAspect: name expected", 0))?;
                 let m = live(&w)?;
-                if who != "local" {
-                    m.check_quota(&who)
-                        .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
-                }
+                m.check_quota(&who)
+                    .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
                 let func = code_arg(interp, args.get(2))?;
                 let script = ScriptFn::store(&w, &who, func, Script::table());
                 m.put_aspect(name, who.clone(), AspectFn::Script(script));
@@ -153,15 +151,12 @@ pub(crate) fn monitor_facade(monitor: &Weak<MonitorInner>, installer: &str) -> S
                         RuaError::runtime("attachEventObserver: event id expected", 0)
                     })?;
                 let m = live(&w)?;
-                if who != "local" {
-                    m.check_quota(&who)
-                        .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
-                }
+                m.check_quota(&who)
+                    .map_err(|e| RuaError::runtime(e.to_string(), 0))?;
                 let predicate = code_arg(interp, args.get(3))?;
                 let target = observer_target(observer)?;
                 let script = ScriptFn::store(&w, &who, predicate, observer_arg(&target));
-                let id =
-                    m.push_observer(target, event_id, who.clone(), PredicateFn::Script(script));
+                let id = m.push_observer(target, event_id, &who, PredicateFn::Script(script), None);
                 Ok(vec![Script::Num(id.0 as f64)])
             }),
         );

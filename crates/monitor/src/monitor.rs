@@ -226,6 +226,8 @@ struct ObserverEntry {
     target: ObserverTarget,
     event_id: String,
     predicate: PredicateFn,
+    /// The predicate's source text, for entries attached from source.
+    source: Option<String>,
     guard: Guard,
     /// Pending event pushes (coalesced, drop-oldest at the cap).
     queue: VecDeque<String>,
@@ -534,8 +536,12 @@ impl Monitor {
         *self.inner.last_error.lock() = Some(message);
     }
 
-    /// Rejects an installer that already has too many live installs.
+    /// Rejects a remote installer that already has too many live
+    /// installs; local installs are not counted against a quota.
     pub(crate) fn check_quota(&self, installer: &str) -> Result<(), ActorError> {
+        if installer == "local" {
+            return Ok(());
+        }
         let live = self
             .inner
             .aspects
@@ -716,7 +722,6 @@ impl Monitor {
         event_id: impl Into<String>,
         predicate_code: &str,
     ) -> Result<ObserverId, ActorError> {
-        self.check_quota(installer)?;
         self.install_observer_script(
             &self.sandbox_actor(),
             installer,
@@ -726,6 +731,9 @@ impl Monitor {
         )
     }
 
+    /// Installs a script observer. An attach identical to a live entry
+    /// (installer, remote observer, event id and predicate source) adds
+    /// nothing and returns its id, before the quota is checked.
     fn install_observer_script(
         &self,
         isolate: &Isolate,
@@ -734,13 +742,28 @@ impl Monitor {
         event_id: String,
         predicate_code: &str,
     ) -> Result<ObserverId, ActorError> {
+        let same = |o: &&ObserverEntry| {
+            let (ObserverTarget::Remote(a), ObserverTarget::Remote(b)) = (&o.target, &target)
+            else {
+                return false;
+            };
+            a == b
+                && o.installer == installer
+                && o.event_id == event_id
+                && o.source.as_deref() == Some(predicate_code)
+        };
+        if let Some(o) = self.inner.observers.lock().iter().find(same) {
+            return Ok(ObserverId(o.id));
+        }
+        self.check_quota(installer)?;
         let script =
             self.install_script(isolate, installer, predicate_code, || observer_arg(&target))?;
         Ok(self.push_observer(
             target,
             event_id,
-            installer.into(),
+            installer,
             PredicateFn::Script(script),
+            Some(predicate_code.into()),
         ))
     }
 
@@ -754,8 +777,9 @@ impl Monitor {
         self.push_observer(
             target,
             event_id.into(),
-            "local".into(),
+            "local",
             PredicateFn::Native(Box::new(predicate)),
+            None,
         )
     }
 
@@ -763,16 +787,18 @@ impl Monitor {
         &self,
         target: ObserverTarget,
         event_id: String,
-        installer: String,
+        installer: &str,
         predicate: PredicateFn,
+        source: Option<String>,
     ) -> ObserverId {
         let id = self.inner.next_observer.fetch_add(1, Ordering::Relaxed);
         self.inner.observers.lock().push(ObserverEntry {
             id,
-            installer,
+            installer: installer.into(),
             target,
             event_id,
             predicate,
+            source,
             guard: Guard::default(),
             queue: VecDeque::new(),
             push_failures: 0,
@@ -1521,6 +1547,59 @@ mod tests {
         // A different installer is unaffected.
         mon.define_aspect_script_remote("honest", "B0", "function(s, v, m) return 2 end")
             .unwrap();
+    }
+
+    /// Attaching the same remote observer, event and predicate again is
+    /// a no-op: the same id, no new entry, and no charge to the quota,
+    /// even at the quota. Another event, predicate or installer is a
+    /// new entry, and so is an identical attach after a detach.
+    #[test]
+    fn an_identical_remote_attach_returns_the_live_entry() {
+        let (orb, actor) = setup();
+        let mon = Monitor::builder("Idempotent")
+            .source_native(|_| Value::from(1.0))
+            .build(&actor, &orb)
+            .unwrap();
+        let observer =
+            ObserverTarget::Remote(ObjRef::new("inproc://idem-peer", "obs", "EventObserver"));
+        let code = "function(o, v, m) return false end";
+        let attach = |installer: &str, event: &str, code: &str| {
+            mon.attach_observer_script_remote(installer, observer.clone(), event, code)
+        };
+        let first = attach("peer", "E", code).unwrap();
+        assert_eq!(attach("peer", "E", code).unwrap(), first);
+        assert_eq!(mon.observer_count(), 1);
+        let other_event = attach("peer", "F", code).unwrap();
+        let other_code = attach("peer", "E", "function(o, v, m) return true end").unwrap();
+        let other_installer = attach("other", "E", code).unwrap();
+        let ids = [first, other_event, other_code, other_installer];
+        assert!(ids.iter().enumerate().all(|(i, a)| !ids[..i].contains(a)));
+        assert_eq!(mon.observer_count(), 4);
+
+        for i in 3..MAX_INSTALLS_PER_INSTALLER {
+            attach(
+                "peer",
+                "E",
+                &format!("function(o, v, m) return v > {i} end"),
+            )
+            .unwrap();
+        }
+        let rejections = || {
+            adapta_telemetry::registry()
+                .snapshot()
+                .counter("monitor.Idempotent.quota_rejections")
+                .unwrap_or(0)
+        };
+        let over = attach("peer", "E", "function(o, v, m) return v < 0 end");
+        assert!(matches!(over, Err(ActorError::Rejected(_))), "{over:?}");
+        assert_eq!(rejections(), 1);
+        assert_eq!(attach("peer", "E", code).unwrap(), first);
+        assert_eq!(rejections(), 1);
+        assert_eq!(mon.observer_count(), MAX_INSTALLS_PER_INSTALLER + 1);
+
+        assert!(mon.detach_observer(first));
+        let again = attach("peer", "E", code).unwrap();
+        assert!(again != first && !ids.contains(&again));
     }
 
     #[test]

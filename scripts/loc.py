@@ -63,11 +63,15 @@ def count_rev(repo, rev):
     with tempfile.TemporaryDirectory(prefix="loc-") as tmp:
         archive = os.path.join(tmp, "rev.tar")
         with open(archive, "wb") as out:
-            subprocess.run(
+            done = subprocess.run(
                 ["git", "-C", repo, "archive", "--format=tar", rev, "--", *ROOTS],
                 stdout=out,
-                check=True,
+                stderr=subprocess.PIPE,
+                text=True,
             )
+        if done.returncode != 0:
+            reason = done.stderr.strip().splitlines()
+            sys.exit(f"loc.py: cannot read `{rev}`: {reason[0] if reason else 'git archive failed'}")
         tree = os.path.join(tmp, "tree")
         with tarfile.open(archive) as tar:
             tar.extractall(tree, filter="data")
@@ -82,8 +86,12 @@ def by_crate(counts):
 
 
 def main():
-    if len(sys.argv) != 2:
-        sys.exit("usage: scripts/loc.py <rev>")
+    usage = "usage: scripts/loc.py <rev>"
+    if len(sys.argv) == 2 and sys.argv[1] in ("-h", "--help"):
+        print(usage)
+        return
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        sys.exit(usage)
     rev = sys.argv[1]
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     old, new = count_rev(repo, rev), count(repo)

@@ -362,6 +362,8 @@ fn unmatched_strict_constraint_counts_a_relaxed_query_and_fires_the_event() {
     assert!(fired.load(Ordering::Relaxed) >= 1, "strategy never ran");
 }
 
+/// A Rua strategy reads and swaps the routing policy through the proxy
+/// facade, and calls after the swap use the new policy.
 #[test]
 fn rua_scripts_can_inspect_and_swap_the_policy() {
     let (_orb, _trader, builder, _knobs) = balanced_rig("Scripted", &[("sc-a", 0), ("sc-b", 0)]);
@@ -370,25 +372,41 @@ fn rua_scripts_can_inspect_and_swap_the_policy() {
         proxy.invoke("echo", vec![]).unwrap();
     }
 
-    let mut interp = adapta::script::Interpreter::new();
-    adapta::core::script_env::install_balancer(&mut interp, proxy.clone());
-    let out = interp
-        .eval(
+    proxy
+        .install_strategies_script(
             r#"
-            local before = balancer_policy()
-            local swapped = balancer_set_policy("least_inflight")
-            local replicas = balancer_replicas()
-            local picks = 0
-            for i = 1, #replicas do picks = picks + replicas[i].picks end
-            return before, swapped, balancer_policy(), picks
+            smartproxy._strategies = {
+                Reroute = function(self)
+                    self.before = self:_policy()
+                    self.unknown = self:_set_policy("no_such_policy")
+                    self.swapped = self:_set_policy("least_inflight")
+                    self.after = self:_policy()
+                end
+            }
             "#,
         )
         .unwrap();
+    proxy.adapt_now("Reroute");
+    let out = proxy
+        .actor()
+        .eval("return smartproxy.before, smartproxy.unknown, smartproxy.swapped, smartproxy.after")
+        .unwrap();
     assert_eq!(out[0].as_str(), Some("round_robin"));
-    assert_eq!(out[1], adapta::script::Value::Bool(true));
-    assert_eq!(out[2].as_str(), Some("least_inflight"));
-    assert_eq!(out[3].as_num(), Some(4.0));
+    assert_eq!(out[1], Value::Bool(false));
+    assert_eq!(out[2], Value::Bool(true));
+    assert_eq!(out[3].as_str(), Some("least_inflight"));
     assert_eq!(proxy.balancer_policy().as_deref(), Some("least_inflight"));
+    for _ in 0..4 {
+        proxy.invoke("echo", vec![]).unwrap();
+    }
+    let picks: u64 = proxy
+        .balancer()
+        .unwrap()
+        .replicas()
+        .iter()
+        .map(|r| r.stats().picks())
+        .sum();
+    assert_eq!(picks, 8);
 }
 
 /// Hosts answering `calls` balanced `whoami` invocations, by count.
