@@ -30,6 +30,9 @@ pub struct ServiceAgent {
     orb: Orb,
     trader: Arc<dyn TradingService>,
     offers: Arc<Mutex<Vec<OfferId>>>,
+    /// The servant reference of each monitor announced, so every offer
+    /// of one monitor names it by one reference.
+    monitors: Mutex<Vec<(Monitor, ObjRef)>>,
 }
 
 impl std::fmt::Debug for ServiceAgent {
@@ -63,6 +66,7 @@ impl ServiceAgent {
             orb: orb.clone(),
             trader,
             offers,
+            monitors: Mutex::default(),
         }
     }
 
@@ -84,9 +88,10 @@ impl ServiceAgent {
     /// properties.
     ///
     /// The scalar `LoadAvg` and `LoadAvgIncreasing` aspects are defined
-    /// on the monitor here (natively, so agents work with any monitor
-    /// whose property is either the Figure-3 three-tuple or a plain
-    /// number).
+    /// on the monitor at its first announce (natively, so agents work
+    /// with any monitor whose property is either the Figure-3 three-tuple
+    /// or a plain number), which also activates its servant; every later
+    /// offer of the monitor names that one servant.
     ///
     /// # Errors
     ///
@@ -98,6 +103,25 @@ impl ServiceAgent {
         monitor: &Monitor,
         static_props: Vec<(String, Value)>,
     ) -> Result<OfferId> {
+        let monitor_ref = self.serve(monitor);
+        let mut request = ExportRequest::new(service_type, target)
+            .with_dynamic_property("LoadAvg", monitor_ref.clone())
+            .with_dynamic_property("LoadAvgIncreasing", monitor_ref);
+        for (name, value) in static_props {
+            request = request.with_property(name, value);
+        }
+        self.announce(request)
+    }
+
+    /// The reference `monitor` is served under, activated on the first
+    /// announce with the `LoadAvg` and `LoadAvgIncreasing` aspects. One
+    /// reference per monitor lets a peer that holds one registration for
+    /// two offers cancel it through either.
+    fn serve(&self, monitor: &Monitor) -> ObjRef {
+        let mut monitors = self.monitors.lock();
+        if let Some((_, objref)) = monitors.iter().find(|(m, _)| m.same_monitor(monitor)) {
+            return objref.clone();
+        }
         monitor.define_aspect_native("LoadAvg", |v| match v {
             Value::Seq(items) => items.first().cloned().unwrap_or(Value::Double(0.0)),
             other => other.clone(),
@@ -113,14 +137,9 @@ impl ServiceAgent {
             };
             Value::from(if increasing { "yes" } else { "no" })
         });
-        let monitor_ref = self.orb.activate_auto(MonitorServant::new(monitor.clone()));
-        let mut request = ExportRequest::new(service_type, target)
-            .with_dynamic_property("LoadAvg", monitor_ref.clone())
-            .with_dynamic_property("LoadAvgIncreasing", monitor_ref);
-        for (name, value) in static_props {
-            request = request.with_property(name, value);
-        }
-        self.announce(request)
+        let objref = self.orb.activate_auto(MonitorServant::new(monitor.clone()));
+        monitors.push((monitor.clone(), objref.clone()));
+        objref
     }
 
     /// Offers currently managed by this agent.
@@ -160,7 +179,7 @@ mod tests {
     use adapta_bridge::Isolate;
     use adapta_idl::TypeCode;
     use adapta_sim::SimTime;
-    use adapta_trading::{PropDef, PropMode, Query, ServiceTypeDef, Trader};
+    use adapta_trading::{PropDef, PropMode, PropValue, Query, ServiceTypeDef, Trader};
 
     fn setup() -> (Orb, Trader) {
         let orb = Orb::new("agent-test");
@@ -234,6 +253,34 @@ mod tests {
             matches[0].prop("LoadAvgIncreasing"),
             Some(&Value::from("no"))
         );
+    }
+
+    #[test]
+    fn offers_of_one_monitor_name_one_servant() {
+        let (orb, trader) = setup();
+        let actor = Isolate::new("agent-test3", |_| {});
+        let build = || {
+            Monitor::builder("LoadAvg")
+                .source_native(|_| Value::from(1.0))
+                .build(&actor, &orb)
+                .unwrap()
+        };
+        let (shared, other) = (build(), build());
+        let agent = ServiceAgent::new(&orb, Arc::new(trader.clone()));
+        let target = ObjRef::new(orb.endpoint(), "svc", "Hello");
+        let monitor_of = |monitor: &Monitor| {
+            let id = agent
+                .announce_load_monitored("Hello", target.clone(), monitor, vec![])
+                .unwrap();
+            let offer = trader.describe(&id).unwrap();
+            offer.properties.into_iter().find_map(|(name, v)| match v {
+                PropValue::Dynamic(monitor) if name == "LoadAvg" => Some(monitor),
+                _ => None,
+            })
+        };
+        let first = monitor_of(&shared).unwrap();
+        assert_eq!(monitor_of(&shared), Some(first.clone()));
+        assert_ne!(monitor_of(&other), Some(first));
     }
 
     #[test]

@@ -241,7 +241,8 @@ impl SpInner {
     /// The one routine that registers the proxy's observer with a monitor
     /// (`event`, predicate source `code`), recorded once on `replica`,
     /// whose monitor it watches: the last replica holding a registration
-    /// cancels it when it leaves the set. `None` if the monitor refused.
+    /// cancels it when it leaves the set. `None` if the monitor refused,
+    /// or if the replica has left the set.
     fn attach(&self, replica: &Replica, monitor: &ObjRef, event: &str, code: &str) -> Option<i64> {
         let args = vec![
             Value::ObjRef(self.observer_ref.get()?.clone()),
@@ -251,11 +252,30 @@ impl SpInner {
         let Ok(Value::Long(id)) = self.orb.invoke_ref(monitor, "attachEventObserver", args) else {
             return None;
         };
-        let mut held = replica.registrations.lock();
-        if !held.iter().any(|(m, i)| *i == id && m == monitor) {
-            held.push((monitor.clone(), id));
+        {
+            let mut held = replica.registrations.lock();
+            if !held.iter().any(|(m, i)| *i == id && m == monitor) {
+                held.push((monitor.clone(), id));
+            }
+        }
+        // A selection may have evicted the replica, and cancelled what
+        // it held, while this attach ran: cancel this one as well.
+        let kept = |r: &[Arc<Replica>]| r.iter().any(|r| std::ptr::eq(&**r, replica));
+        if !self.set.with_replicas(kept) {
+            self.unsubscribe(replica);
+            return None;
         }
         Some(id)
+    }
+
+    /// Attaches for the first replica of the set whose offer `monitor`
+    /// backs (Figure 7's relaxed threshold, natively or through a facade
+    /// monitor table). `None` without such a replica, so no attach
+    /// outlives the set.
+    fn attach_backed(&self, monitor: &ObjRef, event: &str, code: &str) -> Option<i64> {
+        let backed = |r: &&Arc<Replica>| r.offer().dynamic.iter().any(|(_, m)| m == monitor);
+        let replica = self.set.with_replicas(|r| r.iter().find(backed).cloned())?;
+        self.attach(&replica, monitor, event, code)
     }
 
     /// Attaches the proxy's subscriptions for a replica that entered the
@@ -603,13 +623,15 @@ impl SmartProxy {
     /// builder's subscriptions are, so it leaves with the replica (Figure
     /// 7's relaxed threshold). `false` if no monitor took it.
     pub fn observe(&self, subscription: &Subscription) -> bool {
-        let replica = self.inner.set.with_replicas(|r| r.first().cloned());
-        let attach = |r: Arc<Replica>| {
-            let monitor = r.dynamic_ref(&subscription.property)?;
-            let (event, predicate) = (&subscription.event_id, &subscription.predicate);
-            self.inner.attach(&r, &monitor, event, predicate)
+        let property = &subscription.property;
+        let first = |r: &[Arc<Replica>]| r.first()?.dynamic_ref(property);
+        let Some(monitor) = self.inner.set.with_replicas(first) else {
+            return false;
         };
-        replica.and_then(attach).is_some()
+        let (event, predicate) = (&subscription.event_id, &subscription.predicate);
+        self.inner
+            .attach_backed(&monitor, event, predicate)
+            .is_some()
     }
 
     /// Number of events waiting for postponed handling.
@@ -1341,9 +1363,7 @@ fn monitor_table(proxy: &SmartProxy, monitor: &ObjRef) -> adapta_script::Value {
                 return None;
             }
             let (event, predicate) = (args.get(2)?.as_str()?, args.get(3)?.as_str()?);
-            let backed = |r: &Arc<Replica>| r.offer().dynamic.iter().any(|(_, m)| *m == monitor);
-            let replica = inner.set.replicas().into_iter().find(backed)?;
-            inner.attach(&replica, &monitor, event, predicate)
+            inner.attach_backed(&monitor, event, predicate)
         };
         t.borrow_mut().set_str(
             "attachEventObserver",
@@ -1494,6 +1514,55 @@ mod tests {
         assert!(proxy.balancer().unwrap().health().get(&dead).is_none());
         assert_eq!(proxy.breaker_state(&dead), Some(BreakerState::Closed));
         assert_eq!(proxy.current_target(), Some(live));
+    }
+
+    /// An attach for a replica that a selection evicted while it ran is
+    /// cancelled: the monitor keeps nothing for a replica the set no
+    /// longer holds.
+    #[test]
+    fn an_attach_for_an_evicted_replica_is_cancelled() {
+        let orb = Orb::new("sp-evicted-attach");
+        let trader = Trader::new(&orb);
+        trader
+            .add_type(ServiceTypeDef::new("AttachSvc").with_property(PropDef::new(
+                "LoadAvg",
+                TypeCode::Double,
+                PropMode::Normal,
+            )))
+            .unwrap();
+        let isolate = adapta_bridge::Isolate::new("sp-evicted-attach", |_| {});
+        let monitor = adapta_monitor::Monitor::builder("LoadAvg")
+            .initial(Value::from(1.0))
+            .build(&isolate, &orb)
+            .unwrap();
+        let servant = adapta_monitor::MonitorServant::new(monitor.clone());
+        let monitor_ref = orb.activate("mon", servant).unwrap();
+        let target = ObjRef::new(orb.endpoint(), "svc", "AttachSvc");
+        let export = || {
+            let request = ExportRequest::new("AttachSvc", target.clone())
+                .with_dynamic_property("LoadAvg", monitor_ref.clone());
+            trader.export(request).unwrap()
+        };
+        let first = export();
+        let proxy = SmartProxy::builder(
+            &orb,
+            &InterfaceRepository::new(),
+            Arc::new(trader.clone()),
+            "AttachSvc",
+        )
+        .build()
+        .unwrap();
+        let evicted = proxy.inner.set.replicas()[0].clone();
+        trader.withdraw(&first).unwrap();
+        export();
+        assert!(proxy.reselect().unwrap());
+
+        let code = "function(o, v, m) return false end";
+        assert_eq!(proxy.inner.attach(&evicted, &monitor_ref, "E", code), None);
+        assert_eq!(monitor.observer_count(), 0);
+        assert!(evicted.registrations.lock().is_empty());
+        assert!(proxy.inner.attach_backed(&monitor_ref, "E", code).is_some());
+        assert_eq!(monitor.observer_count(), 1);
     }
 
     /// A proxy that rebinds across 100 offers, each behind a monitor of

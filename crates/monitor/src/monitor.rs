@@ -68,6 +68,28 @@ pub(crate) fn observer_arg(target: &ObserverTarget) -> Script {
     }
 }
 
+/// The live entry that an attach of predicate `source` by `installer`,
+/// for the remote observer `target` and `event_id`, would repeat. An
+/// attach without source text repeats nothing.
+fn identical(
+    observers: &[ObserverEntry],
+    installer: &str,
+    target: &ObserverTarget,
+    event_id: &str,
+    source: Option<&str>,
+) -> Option<ObserverId> {
+    let (ObserverTarget::Remote(target), Some(source)) = (target, source) else {
+        return None;
+    };
+    let same = |o: &&ObserverEntry| {
+        matches!(&o.target, ObserverTarget::Remote(r) if r == target)
+            && o.installer == installer
+            && o.event_id == event_id
+            && o.source.as_deref() == Some(source)
+    };
+    observers.iter().find(same).map(|o| ObserverId(o.id))
+}
+
 impl ScriptFn {
     /// Stores `func`, its first argument and a facade of `monitor`
     /// charging installs to `installer` in the isolate running the
@@ -439,6 +461,11 @@ impl Monitor {
         }
     }
 
+    /// Whether `other` is a handle to this monitor.
+    pub fn same_monitor(&self, other: &Monitor) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// The observed property's name.
     pub fn property(&self) -> &str {
         &self.inner.property
@@ -742,22 +769,22 @@ impl Monitor {
         event_id: String,
         predicate_code: &str,
     ) -> Result<ObserverId, ActorError> {
-        let same = |o: &&ObserverEntry| {
-            let (ObserverTarget::Remote(a), ObserverTarget::Remote(b)) = (&o.target, &target)
-            else {
-                return false;
-            };
-            a == b
-                && o.installer == installer
-                && o.event_id == event_id
-                && o.source.as_deref() == Some(predicate_code)
-        };
-        if let Some(o) = self.inner.observers.lock().iter().find(same) {
-            return Ok(ObserverId(o.id));
+        let observers = self.inner.observers.lock();
+        if let Some(id) = identical(
+            &observers,
+            installer,
+            &target,
+            &event_id,
+            Some(predicate_code),
+        ) {
+            return Ok(id);
         }
+        drop(observers);
         self.check_quota(installer)?;
         let script =
             self.install_script(isolate, installer, predicate_code, || observer_arg(&target))?;
+        // `push_observer` looks again, in the lock that adds the entry:
+        // an identical attach may have run while this one compiled.
         Ok(self.push_observer(
             target,
             event_id,
@@ -791,8 +818,12 @@ impl Monitor {
         predicate: PredicateFn,
         source: Option<String>,
     ) -> ObserverId {
+        let mut observers = self.inner.observers.lock();
+        if let Some(id) = identical(&observers, installer, &target, &event_id, source.as_deref()) {
+            return id;
+        }
         let id = self.inner.next_observer.fetch_add(1, Ordering::Relaxed);
-        self.inner.observers.lock().push(ObserverEntry {
+        observers.push(ObserverEntry {
             id,
             installer: installer.into(),
             target,
@@ -1600,6 +1631,30 @@ mod tests {
         assert!(mon.detach_observer(first));
         let again = attach("peer", "E", code).unwrap();
         assert!(again != first && !ids.contains(&again));
+    }
+
+    #[test]
+    fn concurrent_identical_attaches_add_one_entry() {
+        let (orb, actor) = setup();
+        let mon = Monitor::builder("IdempotentRace")
+            .source_native(|_| Value::from(1.0))
+            .build(&actor, &orb)
+            .unwrap();
+        let observer =
+            ObserverTarget::Remote(ObjRef::new("inproc://race-peer", "obs", "EventObserver"));
+        let start = std::sync::Barrier::new(4);
+        let ids: Vec<ObserverId> = std::thread::scope(|s| {
+            let attach = || {
+                start.wait();
+                let code = "function(o, v, m) return false end";
+                mon.attach_observer_script_remote("peer", observer.clone(), "E", code)
+                    .unwrap()
+            };
+            let threads: Vec<_> = (0..4).map(|_| s.spawn(attach)).collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(ids.iter().all(|id| *id == ids[0]), "{ids:?}");
+        assert_eq!(mon.observer_count(), 1);
     }
 
     #[test]

@@ -12,7 +12,6 @@ use adapta::core::{
     Infrastructure, ServerSpec, SmartProxy, Subscription,
 };
 use adapta::idl::Value;
-use adapta::trading::ExportRequest;
 
 /// Figure 7, verbatim: the adaptation strategy for LoadIncrease events.
 const FIG7_SOURCE: &str = r#"
@@ -134,20 +133,23 @@ fn rua_fig7_observers_leave_with_the_server() {
     });
 }
 
-/// Under `bound`, two offers of one server that name one monitor give
-/// their replicas the same strict registration. Moving from one offer
-/// to the other, and back, keeps it attached.
+/// Under `bound`, two load-monitored offers of one server name its one
+/// monitor, so their replicas hold the same strict registration. Moving
+/// from one offer to the other, and back, keeps it attached.
 #[test]
 fn a_registration_two_offers_share_survives_their_swap() {
     let infra = Infrastructure::in_process().unwrap();
     let server = infra
         .spawn_server(ServerSpec::echo("RegShared", "reg-shared"))
         .unwrap();
-    let first = server.agent().offers()[0].clone();
-    let offer = infra.trader().describe(&first).unwrap();
-    let mut request = ExportRequest::new("RegShared", offer.target);
-    request.properties = offer.properties;
-    let announce = || server.agent().announce(request.clone()).unwrap();
+    let announce = || {
+        let host = vec![("Host".to_owned(), Value::from("reg-shared"))];
+        let (target, monitor) = (server.target().clone(), server.monitor());
+        server
+            .agent()
+            .announce_load_monitored("RegShared", target, monitor, host)
+            .unwrap()
+    };
     announce();
     let cfg = LoadSharingConfig::default();
     let proxy = infra
